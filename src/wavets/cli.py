@@ -117,12 +117,16 @@ class DataSection:
         if bad:
             raise ConfigError(f"unknown data.split keys: {', '.join(bad)}")
         kind = split.get("kind", "ratio")
-        ratios = tuple(float(r) for r in split.get("ratios", (0.7, 0.1, 0.2)))
+        try:
+            ratios = tuple(float(r) for r in split.get("ratios", (0.7, 0.1, 0.2)))
+            stride = int(doc.get("stride", 1))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad data config: {exc}") from exc
         return cls(
             csv=_resolve_path(base, str(csv)) if csv else "",
             split_kind=str(kind),
             ratios=ratios,
-            stride=int(doc.get("stride", 1)),
+            stride=stride,
             standardize=bool(doc.get("standardize", True)),
         )
 
@@ -150,10 +154,11 @@ class MetricsSection:
         unknown = sorted(set(doc) - {"mode", "period"})
         if unknown:
             raise ConfigError(f"unknown metrics keys: {', '.join(unknown)}")
-        return cls(
-            mode=str(doc.get("mode", "long")),
-            period=int(doc.get("period", 1)),
-        )
+        try:
+            period = int(doc.get("period", 1))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad metrics config: {exc}") from exc
+        return cls(mode=str(doc.get("mode", "long")), period=period)
 
 
 @dataclass
@@ -213,6 +218,9 @@ def load_run_config(path: str, seed: int | None = None) -> RunConfig:
         raise ConfigError(f"unknown config sections: {', '.join(unknown)}")
     if "model" not in doc:
         raise ConfigError("config is missing the model section")
+    for name in ("model", "train", "data", "metrics"):
+        if name in doc and not isinstance(doc[name], dict):
+            raise ConfigError(f"config section {name} must be a JSON object")
     base = cfg_path.resolve().parent
     model = ModelConfig.from_dict(doc["model"])
     train_cfg = TrainConfig.from_dict(doc.get("train", {}))

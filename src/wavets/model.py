@@ -18,6 +18,7 @@ Everything is affine in the parameters, which keeps gradients closed-form
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +66,12 @@ class ModelConfig:
                         f"{label} = {length} must be divisible by "
                         f"2^levels = {block}"
                     )
-        if self.std_epsilon < 0:
-            out.append(f"std_epsilon must be >= 0, got {self.std_epsilon}")
+        # Written so NaN and inf fail too; zero would divide a constant
+        # window by a zero std.
+        if not (math.isfinite(self.std_epsilon) and self.std_epsilon > 0):
+            out.append(
+                f"std_epsilon must be finite and > 0, got {self.std_epsilon}"
+            )
         if self.branch_orders is not None:
             if len(self.branch_orders) != self.branches:
                 out.append(
@@ -154,6 +159,22 @@ class InstanceStats:
     std: np.ndarray
 
 
+def channel_rows(x: np.ndarray, width: int) -> np.ndarray:
+    """View a (..., width) stack as a (rows, width) matrix.
+
+    Every channel of every window becomes one row, so each learned map,
+    its weight gradient and its input gradient cost one 2-D GEMM. The
+    width is checked before the reshape, which would otherwise accept any
+    size divisible by it.
+    """
+    if x.shape[-1] != width:
+        raise DataError(
+            f"affine map of width {width} does not match an array whose "
+            f"last axis is {x.shape[-1]}"
+        )
+    return x.reshape(-1, width)
+
+
 @dataclass
 class Affine:
     """One learned map x @ weight + bias; weight is (m_in, m_out)."""
@@ -162,12 +183,10 @@ class Affine:
     bias: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[-1] != self.weight.shape[0]:
-            raise DataError(
-                f"affine input length {x.shape[-1]} does not match "
-                f"weight rows {self.weight.shape[0]}"
-            )
-        return x @ self.weight + self.bias
+        m_in, m_out = self.weight.shape
+        out = channel_rows(x, m_in) @ self.weight
+        out += self.bias
+        return out.reshape(x.shape[:-1] + (m_out,))
 
 
 def fru_apply(coeff: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -3,16 +3,20 @@ training loop with validation-based early stopping.
 
 The model output is affine in every learned block, so gradients are exact
 closed forms: the loss gradient flows back through the denormalization
-scale, the projection, and each branch's inverse transform. The adjoint
-of the inverse wavelet step is the forward analysis cascade with each
-detail band divided by its gain; the adjoint of the inverse real-FFT step
-is a forward real-FFT with half-spectrum bin weighting (interior bins
-carry factor 2/M, the DC bin 1/M, and for even M the Nyquist bin 1/M with
-a dead imaginary part).
+scale, the projection, and each branch's inverse transform. Every channel
+of every window is one row (``model.channel_rows``), so each block's
+weight gradient is one row-GEMM, input rows transposed times output-
+gradient rows, and the projection's input gradient is one more. The
+adjoint of the inverse wavelet step is the forward analysis cascade with
+each detail band divided by its gain; the adjoint of the inverse
+real-FFT step is a forward real-FFT with half-spectrum bin weighting
+(interior bins carry factor 2/M, the DC bin 1/M, and for even M the
+Nyquist bin 1/M with a dead imaginary part).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,6 +27,7 @@ from .model import (
     Affine,
     ModelConfig,
     ModelParams,
+    channel_rows,
     copy_params,
     forward_batch,
     validate_params,
@@ -30,6 +35,10 @@ from .model import (
 )
 from .wavelet import dwt_multi, make_filterbank
 from .wdt import level_gains
+
+
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 @dataclass
@@ -46,8 +55,12 @@ class TrainConfig:
 
     def problems(self) -> list[str]:
         out = []
-        if self.learning_rate <= 0:
-            out.append(f"learning_rate must be > 0, got {self.learning_rate}")
+        # Positive bounds are written as "finite and > 0" so that NaN, which
+        # fails every comparison, and inf fail them instead of passing.
+        if not _finite_positive(self.learning_rate):
+            out.append(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             out.append(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -58,10 +71,14 @@ class TrainConfig:
             val = getattr(self, name)
             if not 0.0 < val < 1.0:
                 out.append(f"{name} must be in (0, 1), got {val}")
-        if self.adam_epsilon <= 0:
-            out.append(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            out.append(f"grad_clip must be > 0 when set, got {self.grad_clip}")
+        if not _finite_positive(self.adam_epsilon):
+            out.append(
+                f"adam_epsilon must be finite and > 0, got {self.adam_epsilon}"
+            )
+        if self.grad_clip is not None and not _finite_positive(self.grad_clip):
+            out.append(
+                f"grad_clip must be finite and > 0 when set, got {self.grad_clip}"
+            )
         return out
 
     def ensure_valid(self) -> None:
@@ -152,11 +169,20 @@ def _irfft_adjoint(dz: np.ndarray, n_time: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _affine_grads(inp: np.ndarray, gout: np.ndarray) -> Affine:
-    # inp (B, C, m), gout (B, C, m'): accumulate over batch and channels.
+    # inp (..., m), gout (..., m'): the sum over windows and channels is the
+    # inner dimension of one row-GEMM, inp_rows.T @ gout_rows.
+    gout_rows = channel_rows(gout, gout.shape[-1])
     return Affine(
-        weight=np.einsum("bcm,bcn->mn", inp, gout),
-        bias=gout.sum(axis=(0, 1)),
+        weight=channel_rows(inp, inp.shape[-1]).T @ gout_rows,
+        bias=gout_rows.sum(axis=0),
     )
+
+
+def _affine_input_grad(aff: Affine, gout: np.ndarray) -> np.ndarray:
+    # Adjoint of aff.apply in its input: gout (..., m') -> (..., m).
+    m_in, m_out = aff.weight.shape
+    rows = channel_rows(gout, m_out) @ aff.weight.T
+    return rows.reshape(gout.shape[:-1] + (m_in,))
 
 
 def gradient_batch(
@@ -174,11 +200,15 @@ def gradient_batch(
 
     dout = (2.0 / residual.size) * residual
     # Denormalization multiplies by the per-window std; mean adds nothing.
-    dproj = (dout * cache["std"]).transpose(0, 2, 1)
+    # The (B, L+tau, C) -> (B*C, L+tau) row copy is made once, for both
+    # the projection's weight gradient and its input gradient.
+    dproj = channel_rows((dout * cache["std"]).transpose(0, 2, 1), total)
 
     grads = zeros_like_params(params)
     grads.projection = _affine_grads(cache["zcat"], dproj)
-    dzcat = dproj @ params.projection.weight.T
+    dzcat = _affine_input_grad(params.projection, dproj).reshape(
+        cache["zcat"].shape
+    )
 
     fb = make_filterbank("db1")
     for n in range(config.branches):

@@ -55,3 +55,47 @@ def haar_synthesis(
     for lv, det in enumerate(details, start=1):
         out = out + haar_detail_rows(t, lv).T @ det
     return out
+
+
+def affine_apply_slices(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """x @ weight + bias, one (window, channel) slice at a time.
+
+    Each output entry is the explicit sum over input positions, so the
+    reference shares no reshape or batched product with the package.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    m_in, m_out = weight.shape
+    out = np.empty(x.shape[:-1] + (m_out,))
+    for idx in np.ndindex(x.shape[:-1]):
+        vec = x[idx]
+        for j in range(m_out):
+            out[idx + (j,)] = sum(vec[k] * weight[k, j] for k in range(m_in)) + bias[j]
+    return out
+
+
+def affine_grads_slices(
+    inp: np.ndarray, gout: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(weight, bias) gradients of sum(gout * (inp @ W + b)): one outer
+    product and one bias term per (window, channel) slice, summed."""
+    inp = np.asarray(inp, dtype=np.float64)
+    gout = np.asarray(gout, dtype=np.float64)
+    dweight = np.zeros((inp.shape[-1], gout.shape[-1]))
+    dbias = np.zeros(gout.shape[-1])
+    for idx in np.ndindex(inp.shape[:-1]):
+        dweight += np.outer(inp[idx], gout[idx])
+        dbias += gout[idx]
+    return dweight, dbias
+
+
+def affine_input_grad_slices(weight: np.ndarray, gout: np.ndarray) -> np.ndarray:
+    """Gradient of sum(gout * (x @ W + b)) in x, one slice at a time:
+    d x[k] = sum_j W[k, j] * gout[j]."""
+    gout = np.asarray(gout, dtype=np.float64)
+    m_in, m_out = weight.shape
+    out = np.empty(gout.shape[:-1] + (m_in,))
+    for idx in np.ndindex(gout.shape[:-1]):
+        vec = gout[idx]
+        for k in range(m_in):
+            out[idx + (k,)] = sum(weight[k, j] * vec[j] for j in range(m_out))
+    return out

@@ -392,6 +392,59 @@ def test_unknown_split_key_exits_2(tmp_path, series_csv, capsys):
     assert "unknown data.split keys: fraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"train": []},
+        {"model": [16, 8]},
+        {"data": "series.csv"},
+        {"metrics": "long"},
+        {"data": {"stride": "x"}},
+        {"data": {"split": {"kind": "ratio", "ratios": ["a", 0.1, 0.1]}}},
+        {"data": {"split": {"kind": "ratio", "ratios": 0.5}}},
+        {"metrics": {"period": "x"}},
+    ],
+    ids=[
+        "train-list", "model-list", "data-string", "metrics-string",
+        "stride-string", "ratios-string", "ratios-number", "period-string",
+    ],
+)
+def test_malformed_section_exits_2_without_traceback(
+    tmp_path, series_csv, capsys, overrides
+):
+    cfg = write_run_config(tmp_path / "run.json", series_csv, **overrides)
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"train": {"learning_rate": "nan"}}, "learning_rate"),
+        ({"train": {"learning_rate": "inf"}}, "learning_rate"),
+        ({"train": {"adam_epsilon": "nan"}}, "adam_epsilon"),
+        ({"train": {"adam_epsilon": "-inf"}}, "adam_epsilon"),
+        ({"train": {"grad_clip": "nan"}}, "grad_clip"),
+        ({"train": {"grad_clip": "inf"}}, "grad_clip"),
+        ({"model": {"std_epsilon": 0}}, "std_epsilon"),
+        ({"model": {"std_epsilon": "nan"}}, "std_epsilon"),
+    ],
+    ids=[
+        "lr-nan", "lr-inf", "eps-nan", "eps-neginf", "clip-nan", "clip-inf",
+        "std-eps-zero", "std-eps-nan",
+    ],
+)
+def test_nonfinite_or_zero_bound_exits_2(tmp_path, series_csv, capsys, overrides, field):
+    cfg = write_run_config(tmp_path / "run.json", series_csv, **overrides)
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{field} must be finite and > 0" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
