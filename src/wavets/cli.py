@@ -10,13 +10,15 @@ Subcommands:
 * ``gradcheck``   compare analytic gradients against finite differences
 
 Exit codes: 0 success, 1 gradcheck tolerance failure, 2 invalid
-configuration, 3 unusable data, 4 numerical failure during training.
+configuration, 3 unusable data, 4 numerical failure (a non-finite training
+loss, forecast or metric).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -43,6 +45,7 @@ from .model import (
     forward_batch,
     init_params,
     load_checkpoint,
+    read_field,
     save_checkpoint,
 )
 from .train import TrainConfig, gradient_check, train
@@ -107,7 +110,7 @@ class DataSection:
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ConfigError(f"unknown data keys: {', '.join(unknown)}")
-        csv = doc.get("csv", "")
+        csv = read_field(doc, "csv", str, "data", "")
         split = doc.get("split", {"kind": "ratio"})
         if isinstance(split, str):
             split = {"kind": split}
@@ -116,18 +119,13 @@ class DataSection:
         bad = sorted(set(split) - {"kind", "ratios"})
         if bad:
             raise ConfigError(f"unknown data.split keys: {', '.join(bad)}")
-        kind = split.get("kind", "ratio")
-        try:
-            ratios = tuple(float(r) for r in split.get("ratios", (0.7, 0.1, 0.2)))
-            stride = int(doc.get("stride", 1))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad data config: {exc}") from exc
+        ratios = read_field(split, "ratios", float, "data.split", cls.ratios, many=True)
         return cls(
-            csv=_resolve_path(base, str(csv)) if csv else "",
-            split_kind=str(kind),
-            ratios=ratios,
-            stride=stride,
-            standardize=bool(doc.get("standardize", True)),
+            csv=_resolve_path(base, csv) if csv else "",
+            split_kind=read_field(split, "kind", str, "data.split", "ratio"),
+            ratios=tuple(ratios),
+            stride=read_field(doc, "stride", int, "data", 1),
+            standardize=read_field(doc, "standardize", bool, "data", True),
         )
 
 
@@ -154,11 +152,10 @@ class MetricsSection:
         unknown = sorted(set(doc) - {"mode", "period"})
         if unknown:
             raise ConfigError(f"unknown metrics keys: {', '.join(unknown)}")
-        try:
-            period = int(doc.get("period", 1))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad metrics config: {exc}") from exc
-        return cls(mode=str(doc.get("mode", "long")), period=period)
+        return cls(
+            mode=read_field(doc, "mode", str, "metrics", "long"),
+            period=read_field(doc, "period", int, "metrics", 1),
+        )
 
 
 @dataclass
@@ -298,12 +295,21 @@ def split_report(
     pairs: list,
     run: RunConfig,
 ) -> MetricsReport:
+    """Metrics of the forecasts over pairs; a non-finite forecast or metric
+    raises NumericalError instead of reaching a metric file."""
     if not pairs:
         raise DataError("split produced no forecasting windows")
     xs, ys, preds = forecast_predictions(params, pairs, run.model)
-    if run.metrics.mode == "short":
-        return aggregate_report(xs, ys, preds, mode="short", period=run.metrics.period)
-    return aggregate_report(xs, ys, preds, mode="long")
+    if not np.all(np.isfinite(preds)):
+        raise NumericalError("the model produced a non-finite forecast")
+    report = aggregate_report(
+        xs, ys, preds, mode=run.metrics.mode, period=run.metrics.period
+    )
+    for name in ("mse", "mae", "smape", "mase", "owa"):
+        value = getattr(report, name)
+        if value is not None and not math.isfinite(value):
+            raise NumericalError(f"forecast {name} is non-finite ({value})")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +575,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     (out / "ablation.csv").write_text(table)
     print("test-split metrics by transform:")
     print(table, end="")
+    # The gains cancel around each linear band map (model.bias_scales).
+    print("wdt and dwt differ only in how the detail biases are scaled (1/g in wdt)")
     print(f"wrote {out / 'ablation.csv'}")
     return 0
 

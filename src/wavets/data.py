@@ -176,9 +176,6 @@ class StandardizeStats:
     mean: np.ndarray
     std: np.ndarray
 
-    def inverted(self) -> "StandardizeStats":
-        return StandardizeStats(mean=-self.mean / self.std, std=1.0 / self.std)
-
 
 def standardize_fit(train_frame: SeriesFrame) -> StandardizeStats:
     """Per-channel mean and population std; zero std becomes 1e-8."""

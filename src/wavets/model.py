@@ -1,9 +1,9 @@
 """Multi-branch linear forecaster built on the derivative transform.
 
-Pipeline per window: instance-normalize, then for each branch n apply the
+Pipeline per window: instance-normalize; for each branch n apply the
 order-n derivative transform channel-wise, stretch every coefficient band
 from length L/2^l to (L+tau)/2^l with a learned affine map, invert the
-transform at length L+tau, concatenate the branch outputs along time, and
+transform at length L+tau; concatenate the branch outputs along time and
 project back to length L+tau; finally denormalize. Branch weights are
 shared across channels, distinct per branch and per band.
 
@@ -11,8 +11,13 @@ transform_kind selects the branch transform: "wdt" (orders 1..N), "dwt"
 (orders forced to 0, a plain wavelet ablation), or "dft" (real FFT with
 separate affine maps on the real and imaginary parts).
 
-Everything is affine in the parameters, which keeps gradients closed-form
-(see train module).
+The derivative gains are signed powers of two, so multiplying a detail
+band by g, mapping it and dividing by g again is exact and leaves only
+the bias scaled by 1/g (bias_scales). Every branch therefore reads the
+same coefficients: forward_batch analyses the batch once, applies each
+band's N branch maps as one map (band_maps), and synthesises once over a
+branch axis. Everything is affine in the parameters, which keeps
+gradients closed-form (see train module).
 """
 
 from __future__ import annotations
@@ -20,16 +25,65 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .wavelet import FilterBank, WaveletPyramid, dwt_multi, make_filterbank
-from .wdt import DerivativePyramid, level_gains, wdt_forward, wdt_inverse
+from .wavelet import WaveletPyramid, dwt_multi, idwt_multi, make_filterbank
+from .wdt import level_gains
 
 CHECKPOINT_VERSION = 1
 
 TRANSFORM_KINDS = ("wdt", "dwt", "dft")
+
+
+_REQUIRED = object()
+
+
+def _strict_value(value, kind: type, name: str):
+    if kind is str:
+        return str(value)
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if kind is int:
+        if isinstance(value, int):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def read_field(
+    doc: dict, key: str, kind: type, section: str, default=_REQUIRED, many=False
+):
+    """Read one config entry as kind (int, float, bool or str), or with
+    many=True as a list of them; every config section reads through here.
+
+    Integers are JSON integers or floats without a fraction (32.0, never
+    32.7). Floats also take numeric strings such as "nan", which the
+    bounds checks then name. No bool counts as a number, and a bool field
+    takes only true or false. A missing or null entry gives the default.
+    """
+    name = f"{section}.{key}"
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{name} is required")
+        return default
+    if not many:
+        return _strict_value(value, kind, name)
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return [_strict_value(v, kind, f"{name}[{i}]") for i, v in enumerate(value)]
 
 
 @dataclass
@@ -131,32 +185,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
-        try:
-            return cls(
-                lookback=int(doc["lookback"]),
-                horizon=int(doc["horizon"]),
-                channels=int(doc["channels"]),
-                branches=int(doc["branches"]),
-                levels=int(doc["levels"]),
-                transform_kind=str(doc.get("transform_kind", "wdt")),
-                std_epsilon=float(doc.get("std_epsilon", 1e-5)),
-                seed=int(doc.get("seed", 0)),
-                branch_orders=(
-                    None
-                    if doc.get("branch_orders") is None
-                    else [int(o) for o in doc["branch_orders"]]
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad model config: {exc}") from exc
-
-
-@dataclass
-class InstanceStats:
-    """Per-channel window mean and (population std + epsilon)."""
-
-    mean: np.ndarray
-    std: np.ndarray
+        if not isinstance(doc, dict):
+            raise ConfigError("model config must be a JSON object")
+        sizes = ("lookback", "horizon", "channels", "branches", "levels")
+        return cls(
+            **{key: read_field(doc, key, int, "model") for key in sizes},
+            transform_kind=read_field(doc, "transform_kind", str, "model", "wdt"),
+            std_epsilon=read_field(doc, "std_epsilon", float, "model", 1e-5),
+            seed=read_field(doc, "seed", int, "model", 0),
+            branch_orders=read_field(doc, "branch_orders", int, "model", None, many=True),
+        )
 
 
 def channel_rows(x: np.ndarray, width: int) -> np.ndarray:
@@ -187,13 +225,6 @@ class Affine:
         out = channel_rows(x, m_in) @ self.weight
         out += self.bias
         return out.reshape(x.shape[:-1] + (m_out,))
-
-
-def fru_apply(coeff: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Band refinement: affine stretch of a coefficient vector."""
-    return Affine(weight=np.asarray(weight), bias=np.asarray(bias)).apply(
-        np.asarray(coeff, dtype=np.float64)
-    )
 
 
 @dataclass
@@ -229,23 +260,6 @@ class ModelParams:
         return out
 
 
-def instance_normalize(
-    window: np.ndarray, std_epsilon: float
-) -> tuple[np.ndarray, InstanceStats]:
-    """Per-channel standardization of one L x C window."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[0] < 2:
-        raise DataError(f"window must be L x C with L >= 2, got {window.shape}")
-    mean = window.mean(axis=0)
-    std = window.std(axis=0) + std_epsilon
-    return (window - mean) / std, InstanceStats(mean=mean, std=std)
-
-
-def instance_denormalize(output: np.ndarray, stats: InstanceStats) -> np.ndarray:
-    """Undo instance_normalize on a (possibly longer) output block."""
-    return np.asarray(output, dtype=np.float64) * stats.std + stats.mean
-
-
 def _normalize_batch(xs: np.ndarray, std_epsilon: float):
     # xs is (B, L, C); stats are per window per channel.
     mean = xs.mean(axis=1, keepdims=True)
@@ -253,53 +267,67 @@ def _normalize_batch(xs: np.ndarray, std_epsilon: float):
     return (xs - mean) / std, mean, std
 
 
-def _wavelet_branch_forward(
-    normed_t: np.ndarray,
-    order: int,
-    fru_ll: Affine,
-    fru_lh: list[Affine],
-    config: ModelConfig,
-    fb: FilterBank,
-):
-    """One branch on (B, C, L) input; returns (z, bands) with z (B, C, L+tau)."""
-    pyr = wdt_forward(normed_t, fb, config.levels, order)
-    approx_in = pyr.base.approx
-    details_in = pyr.base.details
-    refined_approx = fru_ll.apply(approx_in)
-    refined_details = [
-        fru_lh[lv - 1].apply(details_in[lv - 1])
-        for lv in range(1, config.levels + 1)
+def _branch_maps(params: ModelParams, config: ModelConfig) -> list[list[Affine]]:
+    """Per band, the N branch maps that read it: the approximation band,
+    then detail levels 1..K, or the real then the imaginary half-spectrum."""
+    if config.transform_kind == "dft":
+        return [params.fru_real, params.fru_imag]
+    return [params.fru_ll] + [list(maps) for maps in zip(*params.fru_lh)]
+
+
+def bias_scales(config: ModelConfig) -> list[np.ndarray]:
+    """Per band, the factor on each branch's bias inside the band's map.
+
+    The derivative transform multiplies detail level l by the gain g_n(l)
+    before branch n's map and divides the map's output by g_n(l) again.
+    A signed power of two scales exactly, so the weights never see g and
+    the pair equals, bit for bit, the plain map with its bias times
+    1/g_n(l). Approximation bands, dwt (order 0) and dft have factor 1.
+    """
+    ones = np.ones(config.branches)
+    if config.transform_kind == "dft":
+        return [ones, ones]
+    gains = np.array(
+        [level_gains(config.levels, order) for order in config.effective_orders()]
+    )
+    return [ones] + list(1.0 / gains.T)
+
+
+def band_maps(params: ModelParams, config: ModelConfig) -> list[Affine]:
+    """Each band's N branch maps as one map on the band they all read:
+    weights side by side (m_in, N*m_out), biases end to end, each scaled
+    by its bias_scales factor."""
+    return [
+        Affine(
+            weight=np.concatenate([aff.weight for aff in maps], axis=1),
+            bias=(np.stack([aff.bias for aff in maps]) * scale[:, None]).ravel(),
+        )
+        for maps, scale in zip(_branch_maps(params, config), bias_scales(config))
     ]
-    out_pyr = DerivativePyramid(
-        order=order,
-        base=WaveletPyramid(
-            levels=config.levels,
-            approx=refined_approx,
-            details=refined_details,
-            original_length=config.lookback + config.horizon,
-        ),
-        gains=level_gains(config.levels, order),
-    )
-    z = wdt_inverse(out_pyr, fb)
-    return z, {"approx_in": approx_in, "details_in": details_in, "order": order}
 
 
-def _dft_branch_forward(
-    normed_t: np.ndarray,
-    fru_real: Affine,
-    fru_imag: Affine,
-    config: ModelConfig,
-):
-    """One spectral branch: rfft, refine real/imag parts, irfft at L+tau."""
-    spectrum = np.fft.rfft(normed_t, axis=-1)
-    re_in = spectrum.real
-    im_in = spectrum.imag
-    re_out = fru_real.apply(re_in)
-    im_out = fru_imag.apply(im_in)
-    z = np.fft.irfft(
-        re_out + 1j * im_out, n=config.lookback + config.horizon, axis=-1
+def branch_grads(band_grads: list[Affine], config: ModelConfig) -> ModelParams:
+    """Split band_maps gradients back into the per-branch blocks.
+
+    A branch's weight gradient is its column block; its bias gradient is
+    its slice of the band's bias gradient times the same bias_scales
+    factor. The projection is left unset.
+    """
+    per_band = [
+        [
+            Affine(weight=w, bias=b)
+            for w, b in zip(
+                np.split(grad.weight, config.branches, axis=1),
+                grad.bias.reshape(config.branches, -1) * scale[:, None],
+            )
+        ]
+        for grad, scale in zip(band_grads, bias_scales(config))
+    ]
+    if config.transform_kind == "dft":
+        return ModelParams(fru_real=per_band[0], fru_imag=per_band[1])
+    return ModelParams(
+        fru_ll=per_band[0], fru_lh=[list(maps) for maps in zip(*per_band[1:])]
     )
-    return z, {"re_in": re_in, "im_in": im_in}
 
 
 def forward_batch(
@@ -311,42 +339,47 @@ def forward_batch(
     """Model on a (B, L, C) stack; returns (B, L+tau, C) and optionally the
     intermediates the analytic gradients need."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 3 or xs.shape[1] != config.lookback or xs.shape[2] != config.channels:
+    if xs.ndim != 3 or len(xs) == 0 or xs.shape[1:] != (config.lookback, config.channels):
         raise DataError(
-            f"batch shape {xs.shape} does not match (B, {config.lookback}, "
+            f"batch shape {xs.shape} does not match (B >= 1, {config.lookback}, "
             f"{config.channels})"
         )
     normed, mean, std = _normalize_batch(xs, config.std_epsilon)
     normed_t = normed.transpose(0, 2, 1)
-    fb = make_filterbank("db1")
-    orders = config.effective_orders()
-    zs = []
-    branch_caches = []
-    if config.transform_kind in ("wdt", "dwt"):
-        for n in range(config.branches):
-            z, bc = _wavelet_branch_forward(
-                normed_t, orders[n], params.fru_ll[n], params.fru_lh[n], config, fb
-            )
-            zs.append(z)
-            branch_caches.append(bc)
+    total = config.lookback + config.horizon
+    if config.transform_kind == "dft":
+        spectrum = np.fft.rfft(normed_t, axis=-1)
+        bands_in = [spectrum.real, spectrum.imag]
     else:
-        for n in range(config.branches):
-            z, bc = _dft_branch_forward(
-                normed_t, params.fru_real[n], params.fru_imag[n], config
-            )
-            zs.append(z)
-            branch_caches.append(bc)
-    zcat = np.concatenate(zs, axis=-1)
+        pyr = dwt_multi(normed_t, make_filterbank("db1"), config.levels)
+        bands_in = [pyr.approx] + pyr.details
+    # (B, C, N*m_out) -> (B, C, N, m_out): synthesis runs over the branch axis.
+    bands_out = [
+        aff.apply(band).reshape(band.shape[:-1] + (config.branches, -1))
+        for aff, band in zip(band_maps(params, config), bands_in)
+    ]
+    if config.transform_kind == "dft":
+        # In place: one complex array of all branches' spectra, not two.
+        spectrum = bands_out[1] * 1j
+        spectrum += bands_out[0]
+        z = np.fft.irfft(spectrum, n=total, axis=-1)
+    else:
+        z = idwt_multi(
+            WaveletPyramid(
+                levels=config.levels,
+                approx=bands_out[0],
+                details=bands_out[1:],
+                original_length=total,
+            ),
+            make_filterbank("db1"),
+        )
+    # Branch n's output occupies columns [n*total, (n+1)*total).
+    zcat = z.reshape(z.shape[:-2] + (-1,))
     proj = params.projection.apply(zcat)
     out = proj.transpose(0, 2, 1) * std + mean
     if not want_cache:
         return out
-    cache = {
-        "mean": mean,
-        "std": std,
-        "zcat": zcat,
-        "branches": branch_caches,
-    }
+    cache = {"mean": mean, "std": std, "zcat": zcat, "bands_in": bands_in}
     return out, cache
 
 
@@ -358,64 +391,33 @@ def forward(window: np.ndarray, params: ModelParams, config: ModelConfig) -> np.
     return forward_batch(window[None], params, config)[0]
 
 
+def _block_layout(config: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
+    """(name, weight shape) of every learned block, in named_blocks order."""
+    branches = range(1, config.branches + 1)
+    total = config.lookback + config.horizon
+    if config.transform_kind == "dft":
+        spec = config.spectrum_sizes()
+        bands = [(f"fru_{p}[branch{n}]", spec) for p in ("real", "imag") for n in branches]
+    else:
+        sizes = config.band_sizes()
+        bands = [(f"fru_ll[branch{n}]", sizes[0]) for n in branches] + [
+            (f"fru_lh[branch{n}][level{lv}]", sizes[lv])
+            for n in branches
+            for lv in range(1, config.levels + 1)
+        ]
+    return bands + [("projection", (config.branches * total, total))]
+
+
 def validate_params(params: ModelParams, config: ModelConfig) -> None:
     """Reject any parameter/config dimension mismatch up front."""
     config.ensure_valid()
-    total = config.lookback + config.horizon
-    if params.projection is None:
-        raise ConfigError("params missing projection block")
-    want_proj = (config.branches * total, total)
-    if params.projection.weight.shape != want_proj:
-        raise ConfigError(
-            f"projection weight shape {params.projection.weight.shape}, "
-            f"expected {want_proj}"
-        )
-    if config.transform_kind in ("wdt", "dwt"):
-        if len(params.fru_ll) != config.branches or len(params.fru_lh) != config.branches:
+    have = [(name, aff.weight.shape) for name, aff in params.named_blocks()]
+    for got, want in zip_longest(have, _block_layout(config)):
+        if got != want:
             raise ConfigError(
-                f"wavelet params must have {config.branches} branches, got "
-                f"{len(params.fru_ll)} fru_ll / {len(params.fru_lh)} fru_lh"
+                f"parameter block {got or 'missing'} does not match the "
+                f"{config.transform_kind} config, which expects {want or 'none'}"
             )
-        if params.fru_real or params.fru_imag:
-            raise ConfigError("wavelet model must not carry spectral blocks")
-        sizes = config.band_sizes()
-        for n in range(config.branches):
-            if params.fru_ll[n].weight.shape != sizes[0]:
-                raise ConfigError(
-                    f"fru_ll branch {n + 1} weight shape "
-                    f"{params.fru_ll[n].weight.shape}, expected {sizes[0]}"
-                )
-            if len(params.fru_lh[n]) != config.levels:
-                raise ConfigError(
-                    f"fru_lh branch {n + 1} has {len(params.fru_lh[n])} levels, "
-                    f"expected {config.levels}"
-                )
-            for lv in range(1, config.levels + 1):
-                if params.fru_lh[n][lv - 1].weight.shape != sizes[lv]:
-                    raise ConfigError(
-                        f"fru_lh branch {n + 1} level {lv} weight shape "
-                        f"{params.fru_lh[n][lv - 1].weight.shape}, "
-                        f"expected {sizes[lv]}"
-                    )
-    else:
-        if len(params.fru_real) != config.branches or len(params.fru_imag) != config.branches:
-            raise ConfigError(
-                f"dft params must have {config.branches} branches, got "
-                f"{len(params.fru_real)} fru_real / {len(params.fru_imag)} fru_imag"
-            )
-        if params.fru_ll or params.fru_lh:
-            raise ConfigError("dft model must not carry wavelet blocks")
-        want = config.spectrum_sizes()
-        for n in range(config.branches):
-            for label, aff in (
-                ("fru_real", params.fru_real[n]),
-                ("fru_imag", params.fru_imag[n]),
-            ):
-                if aff.weight.shape != want:
-                    raise ConfigError(
-                        f"{label} branch {n + 1} weight shape {aff.weight.shape}, "
-                        f"expected {want}"
-                    )
     for name, aff in params.named_blocks():
         if aff.bias.shape != (aff.weight.shape[1],):
             raise ConfigError(

@@ -7,8 +7,11 @@ scale, the projection, and each branch's inverse transform. Every channel
 of every window is one row (``model.channel_rows``), so each block's
 weight gradient is one row-GEMM, input rows transposed times output-
 gradient rows, and the projection's input gradient is one more. The
-adjoint of the inverse wavelet step is the forward analysis cascade with
-each detail band divided by its gain; the adjoint of the inverse
+backward pass mirrors the forward's single branch axis: one adjoint
+synthesis over all branches, one weight gradient per band, split back
+into per-branch blocks with each bias gradient scaled like its bias
+(model.branch_grads). The adjoint of the orthonormal inverse wavelet
+cascade is the forward analysis cascade; the adjoint of the inverse
 real-FFT step is a forward real-FFT with half-spectrum bin weighting
 (interior bins carry factor 2/M, the DC bin 1/M, and for even M the
 Nyquist bin 1/M with a dead imaginary part).
@@ -27,14 +30,15 @@ from .model import (
     Affine,
     ModelConfig,
     ModelParams,
+    branch_grads,
     channel_rows,
     copy_params,
     forward_batch,
+    read_field,
     validate_params,
     zeros_like_params,
 )
 from .wavelet import dwt_multi, make_filterbank
-from .wdt import level_gains
 
 
 def _finite_positive(value: float) -> bool:
@@ -101,17 +105,14 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        try:
-            out = cls()
-            for key in out.to_dict():
-                if key in doc and doc[key] is not None:
-                    cast = int if key in ("batch_size", "max_epochs", "patience", "seed") else float
-                    setattr(out, key, cast(doc[key]))
-            if doc.get("grad_clip") is None:
-                out.grad_clip = None
-            return out
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad train config: {exc}") from exc
+        defaults = cls().to_dict()
+        counts = ("batch_size", "max_epochs", "patience", "seed")
+        return cls(
+            **{
+                key: read_field(doc, key, int if key in counts else float, "train", value)
+                for key, value in defaults.items()
+            }
+        )
 
 
 def joint_loss(zhat: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -204,40 +205,24 @@ def gradient_batch(
     # the projection's weight gradient and its input gradient.
     dproj = channel_rows((dout * cache["std"]).transpose(0, 2, 1), total)
 
-    grads = zeros_like_params(params)
-    grads.projection = _affine_grads(cache["zcat"], dproj)
-    dzcat = _affine_input_grad(params.projection, dproj).reshape(
-        cache["zcat"].shape
+    # The adjoint synthesis runs once over the branch axis: (B, C, N, L+tau).
+    dz = _affine_input_grad(params.projection, dproj).reshape(
+        cache["zcat"].shape[:-1] + (config.branches, total)
     )
-
-    fb = make_filterbank("db1")
-    for n in range(config.branches):
-        dz = dzcat[..., n * total : (n + 1) * total]
-        bc = cache["branches"][n]
-        if config.transform_kind in ("wdt", "dwt"):
-            # Adjoint of gain-undoing + orthonormal synthesis: forward
-            # analysis, then divide each detail band by its gain.
-            pyr = dwt_multi(dz, fb, config.levels)
-            gains = level_gains(config.levels, bc["order"])
-            grads.fru_ll[n] = _affine_grads(bc["approx_in"], pyr.approx)
-            for lv in range(1, config.levels + 1):
-                grads.fru_lh[n][lv - 1] = _affine_grads(
-                    bc["details_in"][lv - 1], pyr.details[lv - 1] / gains[lv - 1]
-                )
-        else:
-            grad_re, grad_im = _irfft_adjoint(dz, total)
-            grads.fru_real[n] = _affine_grads(bc["re_in"], grad_re)
-            grads.fru_imag[n] = _affine_grads(bc["im_in"], grad_im)
+    if config.transform_kind == "dft":
+        band_grads = _irfft_adjoint(dz, total)
+    else:
+        pyr = dwt_multi(dz, make_filterbank("db1"), config.levels)
+        band_grads = [pyr.approx] + pyr.details
+    grads = branch_grads(
+        [
+            _affine_grads(inp, gout.reshape(gout.shape[:-2] + (-1,)))
+            for inp, gout in zip(cache["bands_in"], band_grads)
+        ],
+        config,
+    )
+    grads.projection = _affine_grads(cache["zcat"], dproj)
     return grads, loss
-
-
-def gradients(
-    params: ModelParams, batch: list, config: ModelConfig
-) -> ModelParams:
-    """Spec-facing wrapper: batch of (window, target) pairs -> gradient set."""
-    xs, ys = _batch_tensors(batch, config)
-    grads, _ = gradient_batch(params, xs, ys, config)
-    return grads
 
 
 def global_grad_norm(grads: ModelParams) -> float:

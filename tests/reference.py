@@ -7,9 +7,21 @@ position j is the inner product of the signal with a row that is
 +2^(-l/2) on the first half of the block [j*2^l, (j+1)*2^l) and -2^(-l/2)
 on the second half; the approximation row at depth K is the constant
 2^(-K/2) on its block of length 2^K.
+
+The per-branch forecaster at the end is the exception: it calls the
+package's transforms to run the model as the paper states it, one branch
+at a time with the derivative gains applied and divided back out, so the
+single-branch-axis model can be compared with it bit for bit. Its
+per-block gradient and irfft adjoint are the package's own, which
+test_gemm_maps and the gradient checks cover separately.
 """
 
 import numpy as np
+
+from wavets.model import ModelParams
+from wavets.train import _affine_grads, _irfft_adjoint
+from wavets.wavelet import dwt_multi, make_filterbank
+from wavets.wdt import level_gains, wdt_forward, wdt_inverse
 
 
 def haar_detail_rows(t: int, level: int) -> np.ndarray:
@@ -99,3 +111,75 @@ def affine_input_grad_slices(weight: np.ndarray, gout: np.ndarray) -> np.ndarray
         for k in range(m_in):
             out[idx + (k,)] = sum(weight[k, j] * vec[j] for j in range(m_out))
     return out
+
+
+def per_branch_forward(xs, params: ModelParams, config):
+    """The forecaster one branch at a time; returns (output, cache).
+
+    wdt/dwt branch n: wdt_forward of order n, the branch's per-band maps
+    on the gain-scaled bands, wdt_inverse at length L+tau. dft branch n:
+    rfft, real and imaginary maps, irfft at L+tau. The branch outputs are
+    concatenated along time and projected, then denormalized.
+    """
+    mean = xs.mean(axis=1, keepdims=True)
+    std = xs.std(axis=1, keepdims=True) + config.std_epsilon
+    normed_t = ((xs - mean) / std).transpose(0, 2, 1)
+    total = config.lookback + config.horizon
+    fb = make_filterbank("db1")
+    zs, branches = [], []
+    for n, order in enumerate(config.effective_orders()):
+        if config.transform_kind == "dft":
+            spectrum = np.fft.rfft(normed_t, axis=-1)
+            bands = [spectrum.real, spectrum.imag]
+            maps = [params.fru_real[n], params.fru_imag[n]]
+            re_out, im_out = (aff.apply(b) for aff, b in zip(maps, bands))
+            z = np.fft.irfft(re_out + 1j * im_out, n=total, axis=-1)
+        else:
+            pyr = wdt_forward(normed_t, fb, config.levels, order)
+            bands = [pyr.base.approx] + pyr.base.details
+            maps = [params.fru_ll[n]] + params.fru_lh[n]
+            out = [aff.apply(b) for aff, b in zip(maps, bands)]
+            pyr.base.approx, pyr.base.details = out[0], out[1:]
+            pyr.base.original_length = total
+            z = wdt_inverse(pyr, fb)
+        zs.append(z)
+        branches.append((order, bands))
+    zcat = np.concatenate(zs, axis=-1)
+    out = params.projection.apply(zcat).transpose(0, 2, 1) * std + mean
+    return out, {"std": std, "zcat": zcat, "branches": branches}
+
+
+def per_branch_gradients(params: ModelParams, xs, ys, config):
+    """Batch-mean joint-loss gradients of per_branch_forward, one branch at
+    a time; returns (grads, loss).
+
+    The adjoint of a wdt branch's synthesis is the analysis cascade with
+    each detail band divided by its gain, matching the gain-scaled band
+    the branch's map read.
+    """
+    out, cache = per_branch_forward(xs, params, config)
+    residual = out - np.concatenate([xs, ys], axis=1)
+    total = config.lookback + config.horizon
+    dproj = ((2.0 / residual.size) * residual * cache["std"]).transpose(0, 2, 1)
+    grads = ModelParams(projection=_affine_grads(cache["zcat"], dproj))
+    dzcat = (dproj.reshape(-1, total) @ params.projection.weight.T).reshape(
+        cache["zcat"].shape
+    )
+    fb = make_filterbank("db1")
+    for n, (order, bands) in enumerate(cache["branches"]):
+        dz = dzcat[..., n * total : (n + 1) * total]
+        if config.transform_kind == "dft":
+            for blocks, inp, g in zip(
+                (grads.fru_real, grads.fru_imag), bands, _irfft_adjoint(dz, total)
+            ):
+                blocks.append(_affine_grads(inp, g))
+        else:
+            pyr = dwt_multi(dz, fb, config.levels)
+            gains = [1.0] + level_gains(config.levels, order)
+            blocks = [
+                _affine_grads(inp, g / gain)
+                for inp, g, gain in zip(bands, [pyr.approx] + pyr.details, gains)
+            ]
+            grads.fru_ll.append(blocks[0])
+            grads.fru_lh.append(blocks[1:])
+    return grads, float(np.mean(residual**2))

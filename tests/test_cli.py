@@ -445,6 +445,50 @@ def test_nonfinite_or_zero_bound_exits_2(tmp_path, series_csv, capsys, overrides
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"model": {"lookback": 32.7}}, "model.lookback"),
+        ({"model": {"levels": True}}, "model.levels"),
+        ({"model": {"seed": "3"}}, "model.seed"),
+        ({"model": {"branch_orders": [1, 1.5]}}, "model.branch_orders[1]"),
+        ({"train": {"batch_size": 16.5}}, "train.batch_size"),
+        ({"train": {"max_epochs": True}}, "train.max_epochs"),
+        ({"train": {"learning_rate": True}}, "train.learning_rate"),
+        ({"data": {"stride": 2.5}}, "data.stride"),
+        ({"data": {"standardize": "false"}}, "data.standardize"),
+        ({"data": {"standardize": 0}}, "data.standardize"),
+        ({"metrics": {"period": True}}, "metrics.period"),
+    ],
+    ids=[
+        "lookback-fraction", "levels-bool", "seed-string", "orders-fraction",
+        "batch-fraction", "epochs-bool", "lr-bool", "stride-fraction",
+        "standardize-string", "standardize-int", "period-bool",
+    ],
+)
+def test_config_numbers_read_strictly_exit_2(
+    tmp_path, series_csv, capsys, overrides, field
+):
+    cfg = write_run_config(tmp_path / "run.json", series_csv, **overrides)
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"config error: {field} must be" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_integral_float_counts_accepted(tmp_path, series_csv):
+    from wavets.cli import load_run_config
+
+    cfg = write_run_config(
+        tmp_path / "run.json", series_csv, model={"lookback": 16.0},
+        data={"stride": 2.0},
+    )
+    run = load_run_config(str(cfg))
+    assert run.model.lookback == 16 and type(run.model.lookback) is int
+    assert run.data.stride == 2 and type(run.data.stride) is int
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
@@ -612,6 +656,25 @@ def test_eval_writes_metrics_file(tmp_path, run_config, capsys):
     assert "mse=" in text
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_nonfinite_forecast_exits_4(tmp_path, run_config, capsys):
+    # A valid checkpoint whose projection weights are 1e300: forecasts
+    # overflow, and eval must fail instead of writing mse=inf.
+    out = run_train(tmp_path, run_config, "r")
+    path = out / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    doc["projection"]["weight"] = [
+        [1e300] * len(row) for row in doc["projection"]["weight"]
+    ]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "non-finite" in err and "Traceback" not in err
+    assert not (tmp_path / "e" / "metrics.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # ablate
 
@@ -639,7 +702,9 @@ def test_ablate_table_and_determinism(tmp_path, run_config, capsys):
         ]
     )
     assert rc == 0
-    capsys.readouterr()
+    assert "wdt and dwt differ only in how the detail biases are scaled" in (
+        capsys.readouterr().out
+    )
     table = (tmp_path / "a1" / "ablation.csv").read_text().splitlines()
     assert table[0] == "kind,mse,mae"
     assert len(table) == 4

@@ -7,16 +7,12 @@ import pytest
 from wavets import ConfigError, DataError
 from wavets.model import (
     Affine,
-    InstanceStats,
     ModelConfig,
     ModelParams,
     copy_params,
     forward,
     forward_batch,
-    fru_apply,
     init_params,
-    instance_denormalize,
-    instance_normalize,
     load_checkpoint,
     save_checkpoint,
     validate_params,
@@ -53,67 +49,108 @@ def identity_block_params(config: ModelConfig) -> ModelParams:
     return params
 
 
+# Instance normalization and denormalization are checked through
+# forward_batch. With identity band maps and one branch, the cached branch
+# output zcat holds the normalized window in its first L columns; with all
+# maps zero, the output is the denormalized projection bias. An epsilon of
+# 1e-20 vanishes against a unit std, so hand cases stay exact.
+EXACT_EPS = 1e-20
+
+
+def normalization_config(lookback, horizon, channels, std_epsilon=EXACT_EPS):
+    return tiny_config(
+        lookback=lookback, horizon=horizon, channels=channels, branches=1,
+        levels=1, std_epsilon=std_epsilon,
+    )
+
+
+def normalized_windows(xs: np.ndarray, std_epsilon: float = EXACT_EPS):
+    """(normalized (B, L, C), mean, std) as forward_batch computes them."""
+    cfg = normalization_config(xs.shape[1], 2, xs.shape[2], std_epsilon)
+    _, cache = forward_batch(xs, identity_block_params(cfg), cfg, want_cache=True)
+    normed = cache["zcat"][:, :, : cfg.lookback].transpose(0, 2, 1)
+    return normed, cache["mean"], cache["std"]
+
+
+def denormalized(xs: np.ndarray, horizon: int, proj_bias: np.ndarray) -> np.ndarray:
+    """forward_batch output when every map is zero except the projection
+    bias, so the normalized output is that bias on every channel."""
+    cfg = normalization_config(xs.shape[1], horizon, xs.shape[2])
+    params = zeros_like_params(init_params(cfg, 1))
+    params.projection.bias[...] = proj_bias
+    return forward_batch(xs, params, cfg)
+
+
 class TestInstanceNormalize:
     def test_hand_case(self):
-        normed, stats = instance_normalize(np.array([[1.0], [3.0]]), 0.0)
-        np.testing.assert_allclose(normed[:, 0], [-1.0, 1.0])
-        assert stats.mean[0] == 2.0
-        assert stats.std[0] == 1.0
+        normed, mean, std = normalized_windows(np.array([[[1.0], [3.0]]]))
+        # zcat went through a Haar analysis and synthesis: a few ulp.
+        np.testing.assert_allclose(normed[0, :, 0], [-1.0, 1.0], atol=1e-15)
+        assert mean[0, 0, 0] == 2.0
+        assert std[0, 0, 0] == 1.0
 
     def test_constant_channel_guarded(self):
-        normed, stats = instance_normalize(np.full((4, 1), 5.0), 1e-5)
-        np.testing.assert_array_equal(normed, np.zeros((4, 1)))
-        assert stats.std[0] == 1e-5
+        normed, _, std = normalized_windows(np.full((1, 4, 1), 5.0), 1e-5)
+        np.testing.assert_array_equal(normed, np.zeros((1, 4, 1)))
+        assert std[0, 0, 0] == 1e-5
 
     def test_channels_independent(self):
-        window = np.array([[1.0, 10.0], [3.0, 10.0]])
-        normed, stats = instance_normalize(window, 1e-5)
-        np.testing.assert_array_equal(normed[:, 1], [0.0, 0.0])
-        assert stats.mean[1] == 10.0
+        window = np.array([[[1.0, 10.0], [3.0, 10.0]]])
+        normed, mean, _ = normalized_windows(window)
+        np.testing.assert_array_equal(normed[0, :, 1], [0.0, 0.0])
+        assert mean[0, 0, 1] == 10.0
 
     def test_round_trip(self, rng):
-        window = rng.normal(size=(16, 3))
-        normed, stats = instance_normalize(window, 0.0)
-        back = instance_denormalize(normed, stats)
-        assert np.max(np.abs(back - window)) < 1e-12
+        # Identity maps pass the normalized window through, so the
+        # backcast rows are normalize-then-denormalize of the input.
+        xs = rng.normal(size=(2, 16, 3))
+        cfg = normalization_config(16, 4, 3)
+        out = forward_batch(xs, identity_block_params(cfg), cfg)
+        assert np.max(np.abs(out[:, :16] - xs)) < 1e-12
 
 
 class TestInstanceDenormalize:
     def test_zeros_map_to_mean(self):
-        stats = InstanceStats(mean=np.array([2.0]), std=np.array([1.0]))
-        out = instance_denormalize(np.zeros((5, 1)), stats)
-        np.testing.assert_array_equal(out, np.full((5, 1), 2.0))
+        xs = np.array([[[1.0], [3.0]]])
+        out = denormalized(xs, 4, 0.0)
+        np.testing.assert_array_equal(out, np.full((1, 6, 1), 2.0))
 
     def test_hand_case(self):
-        stats = InstanceStats(mean=np.array([2.0]), std=np.array([1.0]))
-        out = instance_denormalize(np.array([[-1.0], [1.0], [0.0]]), stats)
-        np.testing.assert_array_equal(out[:, 0], [1.0, 3.0, 2.0])
+        # Window mean 2, std 1: normalized outputs -1, 1, 0 map to 1, 3, 2.
+        out = denormalized(np.array([[[1.0], [3.0]]]), 2, [-1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(out[0, :, 0], [1.0, 3.0, 2.0, 2.0])
 
     def test_longer_output_than_window(self):
-        # Denorm applies to backcast + forecast rows alike.
-        stats = InstanceStats(mean=np.array([1.0, -1.0]), std=np.array([2.0, 3.0]))
-        out = instance_denormalize(np.ones((6, 2)), stats)
-        np.testing.assert_array_equal(out[:, 0], np.full(6, 3.0))
-        np.testing.assert_array_equal(out[:, 1], np.full(6, 2.0))
+        # Denorm applies to backcast + forecast rows alike. Channel means
+        # 1 and -1, stds 2 and 3; a normalized output of one everywhere.
+        xs = np.array([[[-1.0, -4.0], [3.0, 2.0]]])
+        out = denormalized(xs, 4, 1.0)
+        np.testing.assert_array_equal(out[0, :, 0], np.full(6, 3.0))
+        np.testing.assert_array_equal(out[0, :, 1], np.full(6, 2.0))
 
 
 class TestFruApply:
+    # The band maps run as Affine.apply on (B, C, m) stacks of bands.
     def test_zero_map(self):
-        out = fru_apply(np.array([1.0, 2.0]), np.zeros((2, 3)), np.zeros(3))
-        np.testing.assert_array_equal(out, np.zeros(3))
+        aff = Affine(weight=np.zeros((2, 3)), bias=np.zeros(3))
+        out = aff.apply(np.array([[[1.0, 2.0]], [[3.0, 4.0]]]))
+        np.testing.assert_array_equal(out, np.zeros((2, 1, 3)))
 
     def test_identity_block_selection(self):
-        out = fru_apply(np.array([1.0, 2.0]), np.eye(2, 3), np.zeros(3))
-        np.testing.assert_array_equal(out, [1.0, 2.0, 0.0])
+        aff = Affine(weight=np.eye(2, 3), bias=np.zeros(3))
+        out = aff.apply(np.array([[[1.0, 2.0], [5.0, 6.0]]]))
+        np.testing.assert_array_equal(out, [[[1.0, 2.0, 0.0], [5.0, 6.0, 0.0]]])
 
     def test_hand_product(self):
         weight = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
-        out = fru_apply(np.array([1.0, 1.0]), weight, np.array([0.0, 0.0, 1.0]))
-        np.testing.assert_array_equal(out, [1.0, 1.0, 1.0])
+        aff = Affine(weight=weight, bias=np.array([0.0, 0.0, 1.0]))
+        out = aff.apply(np.array([[[1.0, 1.0]], [[2.0, 0.0]]]))
+        np.testing.assert_array_equal(out, [[[1.0, 1.0, 1.0]], [[1.0, 1.0, 1.0]]])
 
     def test_dimension_mismatch(self):
+        aff = Affine(weight=np.eye(2, 3), bias=np.zeros(3))
         with pytest.raises(DataError):
-            fru_apply(np.ones(3), np.eye(2, 3), np.zeros(3))
+            aff.apply(np.ones((2, 1, 3)))
 
 
 class TestConfigValidation:

@@ -14,7 +14,6 @@ from wavets.train import (
     global_grad_norm,
     gradient_batch,
     gradient_check,
-    gradients,
     joint_loss,
     train,
 )
@@ -38,6 +37,13 @@ def seeded_batch(cfg, count, seed=404):
         )
         for _ in range(count)
     ]
+
+
+def gradients(params, batch, cfg):
+    """gradient_batch on a list of (window, target) pairs."""
+    xs = np.stack([x for x, _ in batch])
+    ys = np.stack([y for _, y in batch])
+    return gradient_batch(params, xs, ys, cfg)[0]
 
 
 class TestJointLoss:
@@ -119,7 +125,9 @@ class TestGradients:
     def test_empty_batch_rejected(self):
         cfg = tiny_config()
         with pytest.raises(DataError):
-            gradients(init_params(cfg, 1), [], cfg)
+            gradient_batch(
+                init_params(cfg, 1), np.zeros((0, 8, 2)), np.zeros((0, 4, 2)), cfg
+            )
 
     def test_batch_mean_is_mean_of_singles(self):
         cfg = tiny_config()
