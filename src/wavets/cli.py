@@ -34,21 +34,19 @@ from .data import (
     load_csv,
     standardize_apply,
     standardize_fit,
-    window_tensors,
     windows,
 )
 from .errors import ConfigError, DataError, NumericalError
 from .metrics import MetricsReport, aggregate_report
 from .model import (
     ModelConfig,
-    ModelParams,
     forward_batch,
     init_params,
     load_checkpoint,
     read_field,
     save_checkpoint,
 )
-from .train import TrainConfig, gradient_check, train
+from .train import TrainConfig, check_spans, gradient_check, train
 from .wavelet import SUPPORTED_WAVELETS, make_filterbank
 from .wdt import wdt_forward, write_coefficients_csv, write_scalogram_csv
 
@@ -258,7 +256,8 @@ def load_splits(run: RunConfig) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:
     return parts
 
 
-def split_window_pairs(frame: SeriesFrame, run: RunConfig) -> list:
+def split_window_pairs(frame: SeriesFrame, run: RunConfig) -> np.ndarray:
+    """The split's (W, L+tau, C) window spans, a read-only view of it."""
     return windows(
         frame,
         lookback=run.model.lookback,
@@ -268,17 +267,19 @@ def split_window_pairs(frame: SeriesFrame, run: RunConfig) -> list:
 
 
 def forecast_predictions(
-    params: ModelParams,
-    pairs: list,
+    params: np.ndarray,
+    spans: np.ndarray,
     config: ModelConfig,
     chunk: int = 256,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the model over windows and keep only the forecast tail.
+    """Run the model over window spans and keep only the forecast tail.
 
     Returns (inputs, targets, predictions) shaped (W, L, C) / (W, H, C) /
-    (W, H, C).  Chunked so memory stays flat on large window sets.
+    (W, H, C); inputs and targets are views of the spans. Chunked so
+    memory stays flat on large window sets.
     """
-    xs, ys = window_tensors(pairs)
+    spans = check_spans(spans, config)
+    xs, ys = spans[:, : config.lookback], spans[:, config.lookback :]
     preds = np.concatenate(
         [
             forward_batch(xs[i : i + chunk], params, config)[
@@ -291,15 +292,13 @@ def forecast_predictions(
 
 
 def split_report(
-    params: ModelParams,
-    pairs: list,
+    params: np.ndarray,
+    spans: np.ndarray,
     run: RunConfig,
 ) -> MetricsReport:
-    """Metrics of the forecasts over pairs; a non-finite forecast or metric
-    raises NumericalError instead of reaching a metric file."""
-    if not pairs:
-        raise DataError("split produced no forecasting windows")
-    xs, ys, preds = forecast_predictions(params, pairs, run.model)
+    """Metrics of the forecasts over window spans; a non-finite forecast or
+    metric raises NumericalError instead of reaching a metric file."""
+    xs, ys, preds = forecast_predictions(params, spans, run.model)
     if not np.all(np.isfinite(preds)):
         raise NumericalError("the model produced a non-finite forecast")
     report = aggregate_report(
@@ -412,7 +411,7 @@ def run_training(
     run: RunConfig,
     out: Path,
     quiet: bool = False,
-) -> tuple[ModelParams, dict]:
+) -> tuple[np.ndarray, dict]:
     """Train one model per the run config and write all artifacts to ``out``.
 
     Returns the best parameters and the summary key/value mapping.  Output
@@ -421,14 +420,10 @@ def run_training(
     """
     started = time.perf_counter()
     train_frame, val_frame, test_frame = load_splits(run)
-    train_pairs = split_window_pairs(train_frame, run)
-    val_pairs = split_window_pairs(val_frame, run)
-    if not train_pairs:
-        raise DataError("training split produced no windows")
-    if not val_pairs:
-        raise DataError("validation split produced no windows")
+    train_spans = split_window_pairs(train_frame, run)
+    val_spans = split_window_pairs(val_frame, run)
 
-    params, history = train(run.model, train_pairs, val_pairs, run.train)
+    params, history = train(run.model, train_spans, val_spans, run.train)
     if not quiet:
         for rec in history.epochs:
             print(
@@ -444,8 +439,8 @@ def run_training(
         {"version": 1, "config": run.to_dict(), "history": history.to_doc()},
     )
 
-    train_report = split_report(params, train_pairs, run)
-    val_report = split_report(params, val_pairs, run)
+    train_report = split_report(params, train_spans, run)
+    val_report = split_report(params, val_spans, run)
     (out / "metrics_train.txt").write_text(train_report.to_text())
     (out / "metrics_val.txt").write_text(val_report.to_text())
 
@@ -521,8 +516,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     run.ensure_valid(need_data=True)
 
     frames = dict(zip(("train", "val", "test"), load_splits(run)))
-    pairs = split_window_pairs(frames[args.split], run)
-    report = split_report(params, pairs, run)
+    spans = split_window_pairs(frames[args.split], run)
+    report = split_report(params, spans, run)
     text = report.to_text()
     print(f"split={args.split}")
     print(text, end="")
@@ -557,8 +552,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         print(f"== training variant: {kind}")
         params, _ = run_training(variant, kind_out, quiet=args.quiet)
         _, _, test_frame = load_splits(variant)
-        test_pairs = split_window_pairs(test_frame, variant)
-        report = split_report(params, test_pairs, variant)
+        test_spans = split_window_pairs(test_frame, variant)
+        report = split_report(params, test_spans, variant)
         rows.append((kind, report))
 
     header = ["kind", "mse", "mae"]
@@ -608,15 +603,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     # Batch draws come from a stream offset from the init seed so the two
     # sets of random numbers are unrelated.
     rng = np.random.Generator(np.random.PCG64(model.seed + 1))
-    batch = [
-        (
-            rng.standard_normal((model.lookback, model.channels)),
-            rng.standard_normal((model.horizon, model.channels)),
-        )
-        for _ in range(3)
-    ]
+    spans = rng.standard_normal((3, model.lookback + model.horizon, model.channels))
     worst = gradient_check(
-        params, batch, model, corrupt_block=args.corrupt_block
+        params, spans, model, corrupt_block=args.corrupt_block
     )
 
     lines = []

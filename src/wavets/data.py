@@ -1,7 +1,7 @@
 """CSV ingestion, chronological splitting, standardization, windowing.
 
-Frames are treated as immutable after load; window pairs hold views into
-the frame's value matrix rather than copies.
+Frames are treated as immutable after load; windows are a read-only
+strided view into the frame's value matrix rather than copies.
 """
 
 from __future__ import annotations
@@ -31,15 +31,6 @@ class SeriesFrame:
     @property
     def channels(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass
-class WindowPair:
-    """Adjacent lookback/target slices: x = rows [t, t+L), y = [t+L, t+L+tau)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    origin: int
 
 
 def _timestamps_strictly_increasing(stamps: list[str]) -> bool:
@@ -200,8 +191,10 @@ def standardize_apply(frame: SeriesFrame, stats: StandardizeStats) -> SeriesFram
 
 def windows(
     frame: SeriesFrame, lookback: int, horizon: int, stride: int = 1
-) -> list[WindowPair]:
-    """Every (lookback, horizon) pair at origins 0, stride, 2*stride, ...
+) -> np.ndarray:
+    """Every window span at origins 0, stride, 2*stride, ... as one read-only
+    (W, L+tau, C) view of the frame: span i is rows [i*stride,
+    i*stride+L+tau), its lookback spans[i, :L] and its target spans[i, L:].
 
     Count is floor((T - L - tau)/stride) + 1. Windows never cross frame
     boundaries, so splitting before windowing guarantees no leakage.
@@ -217,23 +210,8 @@ def windows(
             f"frame has {t} rows, too short for lookback {lookback} "
             f"+ horizon {horizon}"
         )
-    pairs = []
-    for origin in range(0, t - lookback - horizon + 1, stride):
-        pairs.append(
-            WindowPair(
-                x=frame.values[origin : origin + lookback],
-                y=frame.values[origin + lookback : origin + lookback + horizon],
-                origin=origin,
-            )
-        )
-    return pairs
-
-
-def window_tensors(pairs: list[WindowPair]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack pairs into (B, L, C) and (B, tau, C) arrays for batched math."""
-    if not pairs:
-        raise DataError("empty window list")
-    return (
-        np.stack([p.x for p in pairs]),
-        np.stack([p.y for p in pairs]),
+    spans = np.lib.stride_tricks.sliding_window_view(
+        frame.values, lookback + horizon, axis=0
     )
+    # (origins, C, L+tau) -> (W, L+tau, C)
+    return spans[::stride].transpose(0, 2, 1)

@@ -18,13 +18,19 @@ same coefficients: forward_batch analyses the batch once, applies each
 band's N branch maps as one map (band_maps), and synthesises once over a
 branch axis. Everything is affine in the parameters, which keeps
 gradients closed-form (see train module).
+
+The parameters are one float64 vector. param_layout, derived from the
+config alone, names its blocks in checkpoint order, and param_blocks
+gives each block's weight and bias as views into the vector, so the
+optimizer, the gradient norm and the gradient checker work on the whole
+vector at once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import zip_longest
 
 import numpy as np
@@ -187,6 +193,9 @@ class ModelConfig:
     def from_dict(cls, doc: dict) -> "ModelConfig":
         if not isinstance(doc, dict):
             raise ConfigError("model config must be a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown model keys: {', '.join(unknown)}")
         sizes = ("lookback", "horizon", "channels", "branches", "levels")
         return cls(
             **{key: read_field(doc, key, int, "model") for key in sizes},
@@ -213,51 +222,74 @@ def channel_rows(x: np.ndarray, width: int) -> np.ndarray:
     return x.reshape(-1, width)
 
 
-@dataclass
-class Affine:
-    """One learned map x @ weight + bias; weight is (m_in, m_out)."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        m_in, m_out = self.weight.shape
-        out = channel_rows(x, m_in) @ self.weight
-        out += self.bias
-        return out.reshape(x.shape[:-1] + (m_out,))
+def affine_apply(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """One learned map x @ weight + bias on a (..., m_in) stack; weight is
+    (m_in, m_out)."""
+    m_in, m_out = weight.shape
+    out = channel_rows(x, m_in) @ weight
+    out += bias
+    return out.reshape(x.shape[:-1] + (m_out,))
 
 
-@dataclass
-class ModelParams:
-    """All learned weights, laid out exactly as the checkpoint stores them.
+def param_layout(config: ModelConfig) -> list[tuple[str, int, tuple[int, int]]]:
+    """(name, offset, weight shape) of every learned block of the parameter
+    vector, in checkpoint order; a block is its row-major weight followed
+    by its bias.
 
-    Wavelet kinds fill fru_ll/fru_lh (per branch; fru_lh[n][l-1] refines
-    detail level l) and leave fru_real/fru_imag empty; the dft kind does
-    the opposite.
+    Wavelet kinds have fru_ll per branch, then fru_lh per branch and detail
+    level; the dft kind has fru_real then fru_imag per branch. The
+    projection comes last.
     """
+    branches = range(1, config.branches + 1)
+    total = config.lookback + config.horizon
+    if config.transform_kind == "dft":
+        spec = config.spectrum_sizes()
+        bands = [(f"fru_{p}[branch{n}]", spec) for p in ("real", "imag") for n in branches]
+    else:
+        sizes = config.band_sizes()
+        bands = [(f"fru_ll[branch{n}]", sizes[0]) for n in branches] + [
+            (f"fru_lh[branch{n}][level{lv}]", sizes[lv])
+            for n in branches
+            for lv in range(1, config.levels + 1)
+        ]
+    layout, offset = [], 0
+    for name, (m_in, m_out) in bands + [("projection", (config.branches * total, total))]:
+        layout.append((name, offset, (m_in, m_out)))
+        offset += (m_in + 1) * m_out
+    return layout
 
-    fru_ll: list[Affine] = field(default_factory=list)
-    fru_lh: list[list[Affine]] = field(default_factory=list)
-    fru_real: list[Affine] = field(default_factory=list)
-    fru_imag: list[Affine] = field(default_factory=list)
-    projection: Affine | None = None
 
-    def named_blocks(self) -> list[tuple[str, Affine]]:
-        """Deterministic (name, block) walk used by the optimizer and
-        gradient checker; every learned block appears exactly once."""
-        out = []
-        for n, aff in enumerate(self.fru_ll, start=1):
-            out.append((f"fru_ll[branch{n}]", aff))
-        for n, levels in enumerate(self.fru_lh, start=1):
-            for lv, aff in enumerate(levels, start=1):
-                out.append((f"fru_lh[branch{n}][level{lv}]", aff))
-        for n, aff in enumerate(self.fru_real, start=1):
-            out.append((f"fru_real[branch{n}]", aff))
-        for n, aff in enumerate(self.fru_imag, start=1):
-            out.append((f"fru_imag[branch{n}]", aff))
-        if self.projection is not None:
-            out.append(("projection", self.projection))
-        return out
+def param_count(config: ModelConfig) -> int:
+    return sum((m_in + 1) * m_out for _, _, (m_in, m_out) in param_layout(config))
+
+
+def param_blocks(
+    params: np.ndarray, config: ModelConfig
+) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(name, weight view, bias view) of every block of a parameter-shaped
+    vector (the parameters, a gradient or an Adam moment), in param_layout
+    order; writing to a view writes the vector."""
+    if params.shape != (param_count(config),):
+        raise ConfigError(
+            f"parameter vector of shape {params.shape} does not match the "
+            f"{config.transform_kind} config, which expects ({param_count(config)},)"
+        )
+    out = []
+    for name, offset, (m_in, m_out) in param_layout(config):
+        stop = offset + m_in * m_out
+        weight = params[offset:stop].reshape(m_in, m_out)
+        out.append((name, weight, params[stop : stop + m_out]))
+    return out
+
+
+def _per_band(items: list, config: ModelConfig) -> list[list]:
+    """Per band, the N items of branches 1..N, from per-block items in
+    param_layout order: the approximation band then detail levels 1..K, or
+    the real then the imaginary half-spectrum. The projection is left out."""
+    n, k = config.branches, config.levels
+    if config.transform_kind == "dft":
+        return [items[:n], items[n : 2 * n]]
+    return [items[:n]] + [items[n + lv : n + n * k : k] for lv in range(k)]
 
 
 def _normalize_batch(xs: np.ndarray, std_epsilon: float):
@@ -265,14 +297,6 @@ def _normalize_batch(xs: np.ndarray, std_epsilon: float):
     mean = xs.mean(axis=1, keepdims=True)
     std = xs.std(axis=1, keepdims=True) + std_epsilon
     return (xs - mean) / std, mean, std
-
-
-def _branch_maps(params: ModelParams, config: ModelConfig) -> list[list[Affine]]:
-    """Per band, the N branch maps that read it: the approximation band,
-    then detail levels 1..K, or the real then the imaginary half-spectrum."""
-    if config.transform_kind == "dft":
-        return [params.fru_real, params.fru_imag]
-    return [params.fru_ll] + [list(maps) for maps in zip(*params.fru_lh)]
 
 
 def bias_scales(config: ModelConfig) -> list[np.ndarray]:
@@ -293,46 +317,47 @@ def bias_scales(config: ModelConfig) -> list[np.ndarray]:
     return [ones] + list(1.0 / gains.T)
 
 
-def band_maps(params: ModelParams, config: ModelConfig) -> list[Affine]:
-    """Each band's N branch maps as one map on the band they all read:
-    weights side by side (m_in, N*m_out), biases end to end, each scaled
-    by its bias_scales factor."""
+def band_maps(
+    params: np.ndarray, config: ModelConfig
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each band's N branch maps as one (weight, bias) map on the band they
+    all read: weights side by side (m_in, N*m_out), biases end to end, each
+    scaled by its bias_scales factor."""
+    blocks = [(weight, bias) for _, weight, bias in param_blocks(params, config)]
     return [
-        Affine(
-            weight=np.concatenate([aff.weight for aff in maps], axis=1),
-            bias=(np.stack([aff.bias for aff in maps]) * scale[:, None]).ravel(),
+        (
+            np.concatenate([weight for weight, _ in maps], axis=1),
+            (np.stack([bias for _, bias in maps]) * scale[:, None]).ravel(),
         )
-        for maps, scale in zip(_branch_maps(params, config), bias_scales(config))
+        for maps, scale in zip(_per_band(blocks, config), bias_scales(config))
     ]
 
 
-def branch_grads(band_grads: list[Affine], config: ModelConfig) -> ModelParams:
-    """Split band_maps gradients back into the per-branch blocks.
+def branch_grads(
+    band_grads: list[tuple[np.ndarray, np.ndarray]],
+    grads: np.ndarray,
+    config: ModelConfig,
+) -> None:
+    """Write band_maps gradients into the per-branch blocks of grads.
 
     A branch's weight gradient is its column block; its bias gradient is
     its slice of the band's bias gradient times the same bias_scales
-    factor. The projection is left unset.
+    factor. The projection block is left as it was.
     """
-    per_band = [
-        [
-            Affine(weight=w, bias=b)
-            for w, b in zip(
-                np.split(grad.weight, config.branches, axis=1),
-                grad.bias.reshape(config.branches, -1) * scale[:, None],
-            )
-        ]
-        for grad, scale in zip(band_grads, bias_scales(config))
-    ]
-    if config.transform_kind == "dft":
-        return ModelParams(fru_real=per_band[0], fru_imag=per_band[1])
-    return ModelParams(
-        fru_ll=per_band[0], fru_lh=[list(maps) for maps in zip(*per_band[1:])]
-    )
+    blocks = [(weight, bias) for _, weight, bias in param_blocks(grads, config)]
+    for (dweight, dbias), maps, scale in zip(
+        band_grads, _per_band(blocks, config), bias_scales(config)
+    ):
+        m_out = dweight.shape[1] // config.branches
+        for n, (weight, bias) in enumerate(maps):
+            cols = slice(n * m_out, (n + 1) * m_out)
+            weight[...] = dweight[:, cols]
+            bias[...] = dbias[cols] * scale[n]
 
 
 def forward_batch(
     xs: np.ndarray,
-    params: ModelParams,
+    params: np.ndarray,
     config: ModelConfig,
     want_cache: bool = False,
 ):
@@ -355,8 +380,8 @@ def forward_batch(
         bands_in = [pyr.approx] + pyr.details
     # (B, C, N*m_out) -> (B, C, N, m_out): synthesis runs over the branch axis.
     bands_out = [
-        aff.apply(band).reshape(band.shape[:-1] + (config.branches, -1))
-        for aff, band in zip(band_maps(params, config), bands_in)
+        affine_apply(band, weight, bias).reshape(band.shape[:-1] + (config.branches, -1))
+        for (weight, bias), band in zip(band_maps(params, config), bands_in)
     ]
     if config.transform_kind == "dft":
         # In place: one complex array of all branches' spectra, not two.
@@ -375,7 +400,8 @@ def forward_batch(
         )
     # Branch n's output occupies columns [n*total, (n+1)*total).
     zcat = z.reshape(z.shape[:-2] + (-1,))
-    proj = params.projection.apply(zcat)
+    _, proj_weight, proj_bias = param_blocks(params, config)[-1]
+    proj = affine_apply(zcat, proj_weight, proj_bias)
     out = proj.transpose(0, 2, 1) * std + mean
     if not want_cache:
         return out
@@ -383,52 +409,21 @@ def forward_batch(
     return out, cache
 
 
-def forward(window: np.ndarray, params: ModelParams, config: ModelConfig) -> np.ndarray:
-    """Model on a single L x C window; returns the (L+tau) x C output."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise DataError(f"window must be L x C, got shape {window.shape}")
-    return forward_batch(window[None], params, config)[0]
-
-
-def _block_layout(config: ModelConfig) -> list[tuple[str, tuple[int, int]]]:
-    """(name, weight shape) of every learned block, in named_blocks order."""
-    branches = range(1, config.branches + 1)
-    total = config.lookback + config.horizon
-    if config.transform_kind == "dft":
-        spec = config.spectrum_sizes()
-        bands = [(f"fru_{p}[branch{n}]", spec) for p in ("real", "imag") for n in branches]
-    else:
-        sizes = config.band_sizes()
-        bands = [(f"fru_ll[branch{n}]", sizes[0]) for n in branches] + [
-            (f"fru_lh[branch{n}][level{lv}]", sizes[lv])
-            for n in branches
-            for lv in range(1, config.levels + 1)
-        ]
-    return bands + [("projection", (config.branches * total, total))]
-
-
-def validate_params(params: ModelParams, config: ModelConfig) -> None:
-    """Reject any parameter/config dimension mismatch up front."""
+def validate_params(params: np.ndarray, config: ModelConfig) -> None:
+    """Reject an invalid config, a vector of the wrong type or length, and
+    non-finite entries, naming the block that holds them."""
     config.ensure_valid()
-    have = [(name, aff.weight.shape) for name, aff in params.named_blocks()]
-    for got, want in zip_longest(have, _block_layout(config)):
-        if got != want:
-            raise ConfigError(
-                f"parameter block {got or 'missing'} does not match the "
-                f"{config.transform_kind} config, which expects {want or 'none'}"
-            )
-    for name, aff in params.named_blocks():
-        if aff.bias.shape != (aff.weight.shape[1],):
-            raise ConfigError(
-                f"{name} bias shape {aff.bias.shape} does not match weight "
-                f"columns {aff.weight.shape[1]}"
-            )
-        if not (np.all(np.isfinite(aff.weight)) and np.all(np.isfinite(aff.bias))):
+    if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
+        raise ConfigError(
+            f"parameters must be a float64 vector, got {type(params).__name__} "
+            f"of {getattr(params, 'dtype', 'no dtype')}"
+        )
+    for name, weight, bias in param_blocks(params, config):
+        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
             raise ConfigError(f"{name} contains non-finite entries")
 
 
-def init_params(config: ModelConfig, seed: int) -> ModelParams:
+def init_params(config: ModelConfig, seed: int) -> np.ndarray:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero biases.
 
     Draw order is fixed (branches in order, approx band then detail levels
@@ -437,89 +432,44 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """
     config.ensure_valid()
     rng = np.random.Generator(np.random.PCG64(seed))
-
-    def draw(m_in: int, m_out: int) -> Affine:
-        bound = 1.0 / np.sqrt(m_in)
-        return Affine(
-            weight=rng.uniform(-bound, bound, size=(m_in, m_out)),
-            bias=np.zeros(m_out),
-        )
-
-    params = ModelParams()
-    total = config.lookback + config.horizon
-    if config.transform_kind in ("wdt", "dwt"):
-        sizes = config.band_sizes()
-        for _ in range(config.branches):
-            params.fru_ll.append(draw(*sizes[0]))
-            params.fru_lh.append([draw(*sizes[lv]) for lv in range(1, config.levels + 1)])
-    else:
-        m_in, m_out = config.spectrum_sizes()
-        for _ in range(config.branches):
-            params.fru_real.append(draw(m_in, m_out))
-            params.fru_imag.append(draw(m_in, m_out))
-    params.projection = draw(config.branches * total, total)
+    params = np.zeros(param_count(config))
+    weights = [weight for _, weight, _ in param_blocks(params, config)]
+    draws = [band[n] for n in range(config.branches) for band in _per_band(weights, config)]
+    for weight in draws + weights[-1:]:
+        bound = 1.0 / np.sqrt(weight.shape[0])
+        weight[...] = rng.uniform(-bound, bound, size=weight.shape)
     validate_params(params, config)
     return params
 
 
-def zeros_like_params(params: ModelParams) -> ModelParams:
-    """Same block structure, all entries zero; used for gradient buffers."""
+def save_checkpoint(params: np.ndarray, config: ModelConfig, path: str) -> None:
+    """Versioned JSON checkpoint; floats round-trip to identical bits.
 
-    def zlike(aff: Affine) -> Affine:
-        return Affine(
-            weight=np.zeros_like(aff.weight), bias=np.zeros_like(aff.bias)
-        )
-
-    return ModelParams(
-        fru_ll=[zlike(a) for a in params.fru_ll],
-        fru_lh=[[zlike(a) for a in levels] for levels in params.fru_lh],
-        fru_real=[zlike(a) for a in params.fru_real],
-        fru_imag=[zlike(a) for a in params.fru_imag],
-        projection=None if params.projection is None else zlike(params.projection),
-    )
-
-
-def copy_params(params: ModelParams) -> ModelParams:
-    def cp(aff: Affine) -> Affine:
-        return Affine(weight=aff.weight.copy(), bias=aff.bias.copy())
-
-    return ModelParams(
-        fru_ll=[cp(a) for a in params.fru_ll],
-        fru_lh=[[cp(a) for a in levels] for levels in params.fru_lh],
-        fru_real=[cp(a) for a in params.fru_real],
-        fru_imag=[cp(a) for a in params.fru_imag],
-        projection=None if params.projection is None else cp(params.projection),
-    )
-
-
-def _affine_to_doc(aff: Affine) -> dict:
-    return {"weight": aff.weight.tolist(), "bias": aff.bias.tolist()}
-
-
-def _affine_from_doc(doc: dict) -> Affine:
-    return Affine(
-        weight=np.array(doc["weight"], dtype=np.float64),
-        bias=np.array(doc["bias"], dtype=np.float64),
-    )
-
-
-def save_checkpoint(params: ModelParams, config: ModelConfig, path: str) -> None:
-    """Versioned JSON checkpoint; floats round-trip to identical bits."""
+    Blocks are stored per kind: fru_ll[branch] and fru_lh[branch][level]
+    for the wavelet kinds, fru_real[branch] and fru_imag[branch] for dft,
+    and the projection; the other kind's lists are empty.
+    """
+    docs = [
+        {"weight": weight.tolist(), "bias": bias.tolist()}
+        for _, weight, bias in param_blocks(params, config)
+    ]
+    bands = _per_band(docs, config)
+    dft = config.transform_kind == "dft"
     doc = {
         "version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
-        "fru_ll": [_affine_to_doc(a) for a in params.fru_ll],
-        "fru_lh": [[_affine_to_doc(a) for a in levels] for levels in params.fru_lh],
-        "fru_real": [_affine_to_doc(a) for a in params.fru_real],
-        "fru_imag": [_affine_to_doc(a) for a in params.fru_imag],
-        "projection": _affine_to_doc(params.projection),
+        "fru_ll": [] if dft else bands[0],
+        "fru_lh": [] if dft else [list(levels) for levels in zip(*bands[1:])],
+        "fru_real": bands[0] if dft else [],
+        "fru_imag": bands[1] if dft else [],
+        "projection": docs[-1],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
-def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig]:
+def load_checkpoint(path: str) -> tuple[np.ndarray, ModelConfig]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -534,16 +484,34 @@ def load_checkpoint(path: str) -> tuple[ModelParams, ModelConfig]:
         )
     try:
         config = ModelConfig.from_dict(doc["config"])
-        params = ModelParams(
-            fru_ll=[_affine_from_doc(a) for a in doc["fru_ll"]],
-            fru_lh=[[_affine_from_doc(a) for a in lvls] for lvls in doc["fru_lh"]],
-            fru_real=[_affine_from_doc(a) for a in doc["fru_real"]],
-            fru_imag=[_affine_from_doc(a) for a in doc["fru_imag"]],
-            projection=_affine_from_doc(doc["projection"]),
+        # Every stored block in param_layout order, either kind's lists.
+        docs = (
+            doc["fru_ll"]
+            + [block for levels in doc["fru_lh"] for block in levels]
+            + doc["fru_real"]
+            + doc["fru_imag"]
+            + [doc["projection"]]
         )
+        blocks = [
+            (np.array(d["weight"], dtype=np.float64), np.array(d["bias"], dtype=np.float64))
+            for d in docs
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {path} is malformed: {exc}") from exc
     try:
+        config.ensure_valid()
+        layout = param_layout(config)
+        have = [(weight.shape, bias.shape) for weight, bias in blocks]
+        want = [(shape, shape[1:]) for _, _, shape in layout]
+        for i, (got, expected) in enumerate(zip_longest(have, want)):
+            if got != expected:
+                name = layout[i][0] if i < len(layout) else f"extra block {i + 1}"
+                raise ConfigError(
+                    f"{name} weight/bias shapes {got or 'missing'} do not match "
+                    f"the {config.transform_kind} config, which expects "
+                    f"{expected or 'none'}"
+                )
+        params = np.concatenate([part.ravel() for block in blocks for part in block])
         validate_params(params, config)
     except ConfigError as exc:
         raise DataError(f"checkpoint {path} fails validation: {exc}") from exc

@@ -8,13 +8,17 @@ of every window is one row (``model.channel_rows``), so each block's
 weight gradient is one row-GEMM, input rows transposed times output-
 gradient rows, and the projection's input gradient is one more. The
 backward pass mirrors the forward's single branch axis: one adjoint
-synthesis over all branches, one weight gradient per band, split back
-into per-branch blocks with each bias gradient scaled like its bias
-(model.branch_grads). The adjoint of the orthonormal inverse wavelet
-cascade is the forward analysis cascade; the adjoint of the inverse
-real-FFT step is a forward real-FFT with half-spectrum bin weighting
-(interior bins carry factor 2/M, the DC bin 1/M, and for even M the
-Nyquist bin 1/M with a dead imaginary part).
+synthesis over all branches, one weight gradient per band, written into
+the per-branch blocks of one gradient vector with each bias gradient
+scaled like its bias (model.branch_grads). The adjoint of the
+orthonormal inverse wavelet cascade is the forward analysis cascade;
+the adjoint of the inverse real-FFT step is a forward real-FFT with
+half-spectrum bin weighting (interior bins carry factor 2/M, the DC bin
+1/M, and for even M the Nyquist bin 1/M with a dead imaginary part).
+
+Data arrive as window spans: a (W, L+tau, C) array whose span i is the
+lookback spans[i, :L] followed by its target, so the joint-loss target of
+a span is the span itself.
 """
 
 from __future__ import annotations
@@ -27,16 +31,14 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
 from .model import (
-    Affine,
     ModelConfig,
-    ModelParams,
     branch_grads,
     channel_rows,
-    copy_params,
     forward_batch,
+    param_blocks,
+    param_layout,
     read_field,
     validate_params,
-    zeros_like_params,
 )
 from .wavelet import dwt_multi, make_filterbank
 
@@ -106,6 +108,9 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
         defaults = cls().to_dict()
+        unknown = sorted(set(doc) - set(defaults))
+        if unknown:
+            raise ConfigError(f"unknown train keys: {', '.join(unknown)}")
         counts = ("batch_size", "max_epochs", "patience", "seed")
         return cls(
             **{
@@ -115,45 +120,17 @@ class TrainConfig:
         )
 
 
-def joint_loss(zhat: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean squared error of the full output against lookback + target:
-    (1/(C*(L+tau))) * ||zhat - [x ++ y]||_F^2."""
-    zhat = np.asarray(zhat, dtype=np.float64)
-    target = np.concatenate(
-        [np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)]
-    )
-    if zhat.shape != target.shape:
+def check_spans(spans, config: ModelConfig) -> np.ndarray:
+    """spans as a float64 (W >= 1, L+tau, C) array, without a copy when it
+    already is one; DataError otherwise."""
+    spans = np.asarray(spans, dtype=np.float64)
+    want = (config.lookback + config.horizon, config.channels)
+    if spans.ndim != 3 or len(spans) == 0 or spans.shape[1:] != want:
         raise DataError(
-            f"output shape {zhat.shape} does not match lookback+target "
-            f"{target.shape}"
+            f"window spans of shape {spans.shape} do not match "
+            f"(W >= 1, {want[0]}, {want[1]})"
         )
-    return float(np.mean((zhat - target) ** 2))
-
-
-def _pair_xy(item) -> tuple[np.ndarray, np.ndarray]:
-    # Accept both WindowPair objects and plain (x, y) tuples.
-    if hasattr(item, "x"):
-        return item.x, item.y
-    return item[0], item[1]
-
-
-def _batch_tensors(
-    batch: list, config: ModelConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    if not batch:
-        raise DataError("empty batch")
-    pairs = [_pair_xy(b) for b in batch]
-    xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in pairs])
-    ys = np.stack([np.asarray(y, dtype=np.float64) for _, y in pairs])
-    if xs.shape[1:] != (config.lookback, config.channels) or ys.shape[1:] != (
-        config.horizon,
-        config.channels,
-    ):
-        raise DataError(
-            f"batch windows {xs.shape[1:]} / targets {ys.shape[1:]} do not "
-            f"match config ({config.lookback}|{config.horizon}, {config.channels})"
-        )
-    return xs, ys
+    return spans
 
 
 def _irfft_adjoint(dz: np.ndarray, n_time: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,33 +146,31 @@ def _irfft_adjoint(dz: np.ndarray, n_time: int) -> tuple[np.ndarray, np.ndarray]
     return grad_re, grad_im
 
 
-def _affine_grads(inp: np.ndarray, gout: np.ndarray) -> Affine:
-    # inp (..., m), gout (..., m'): the sum over windows and channels is the
-    # inner dimension of one row-GEMM, inp_rows.T @ gout_rows.
+def _affine_grads(inp: np.ndarray, gout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (weight, bias) gradients for inp (..., m), gout (..., m'): the sum over
+    # windows and channels is the inner dimension of one row-GEMM,
+    # inp_rows.T @ gout_rows.
     gout_rows = channel_rows(gout, gout.shape[-1])
-    return Affine(
-        weight=channel_rows(inp, inp.shape[-1]).T @ gout_rows,
-        bias=gout_rows.sum(axis=0),
-    )
+    return channel_rows(inp, inp.shape[-1]).T @ gout_rows, gout_rows.sum(axis=0)
 
 
-def _affine_input_grad(aff: Affine, gout: np.ndarray) -> np.ndarray:
-    # Adjoint of aff.apply in its input: gout (..., m') -> (..., m).
-    m_in, m_out = aff.weight.shape
-    rows = channel_rows(gout, m_out) @ aff.weight.T
+def _affine_input_grad(weight: np.ndarray, gout: np.ndarray) -> np.ndarray:
+    # Adjoint of model.affine_apply in its input: gout (..., m') -> (..., m).
+    m_in, m_out = weight.shape
+    rows = channel_rows(gout, m_out) @ weight.T
     return rows.reshape(gout.shape[:-1] + (m_in,))
 
 
 def gradient_batch(
-    params: ModelParams,
-    xs: np.ndarray,
-    ys: np.ndarray,
+    params: np.ndarray,
+    spans: np.ndarray,
     config: ModelConfig,
-) -> tuple[ModelParams, float]:
-    """Exact batch-mean gradients of the joint loss; returns (grads, loss)."""
-    out, cache = forward_batch(xs, params, config, want_cache=True)
-    target = np.concatenate([xs, ys], axis=1)
-    residual = out - target
+) -> tuple[np.ndarray, float]:
+    """Exact batch-mean gradients of the joint loss over (B, L+tau, C) window
+    spans; returns (gradient vector, loss)."""
+    spans = check_spans(spans, config)
+    out, cache = forward_batch(spans[:, : config.lookback], params, config, want_cache=True)
+    residual = out - spans
     loss = float(np.mean(residual**2))
     total = config.lookback + config.horizon
 
@@ -206,7 +181,8 @@ def gradient_batch(
     dproj = channel_rows((dout * cache["std"]).transpose(0, 2, 1), total)
 
     # The adjoint synthesis runs once over the branch axis: (B, C, N, L+tau).
-    dz = _affine_input_grad(params.projection, dproj).reshape(
+    _, proj_weight, _ = param_blocks(params, config)[-1]
+    dz = _affine_input_grad(proj_weight, dproj).reshape(
         cache["zcat"].shape[:-1] + (config.branches, total)
     )
     if config.transform_kind == "dft":
@@ -214,82 +190,56 @@ def gradient_batch(
     else:
         pyr = dwt_multi(dz, make_filterbank("db1"), config.levels)
         band_grads = [pyr.approx] + pyr.details
-    grads = branch_grads(
+    grads = np.empty_like(params)
+    branch_grads(
         [
             _affine_grads(inp, gout.reshape(gout.shape[:-2] + (-1,)))
             for inp, gout in zip(cache["bands_in"], band_grads)
         ],
+        grads,
         config,
     )
-    grads.projection = _affine_grads(cache["zcat"], dproj)
+    _, dweight, dbias = param_blocks(grads, config)[-1]
+    dweight[...], dbias[...] = _affine_grads(cache["zcat"], dproj)
     return grads, loss
 
 
-def global_grad_norm(grads: ModelParams) -> float:
-    total = 0.0
-    for _, aff in grads.named_blocks():
-        total += float(np.sum(aff.weight**2)) + float(np.sum(aff.bias**2))
-    return float(np.sqrt(total))
+def global_grad_norm(grads: np.ndarray) -> float:
+    return float(np.sqrt(grads @ grads))
 
 
-def clip_gradients(grads: ModelParams, max_norm: float) -> ModelParams:
-    """Scale every block so the global norm is at most max_norm."""
+def clip_gradients(grads: np.ndarray, max_norm: float) -> None:
+    """Scale grads in place so the global norm is at most max_norm."""
     norm = global_grad_norm(grads)
-    if norm <= max_norm or norm == 0.0:
-        return grads
-    scale = max_norm / norm
-    for _, aff in grads.named_blocks():
-        aff.weight *= scale
-        aff.bias *= scale
-    return grads
-
-
-@dataclass
-class AdamState:
-    """First/second moment accumulators, one pair per parameter block."""
-
-    m: ModelParams
-    v: ModelParams
-
-    @classmethod
-    def zeros(cls, params: ModelParams) -> "AdamState":
-        return cls(m=zeros_like_params(params), v=zeros_like_params(params))
+    if norm > max_norm:
+        grads *= max_norm / norm
 
 
 def adam_step(
-    params: ModelParams,
-    grads: ModelParams,
-    state: AdamState,
+    params: np.ndarray,
+    grads: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
     t: int,
     config: TrainConfig,
-) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; t is the 1-based step index."""
+) -> None:
+    """One bias-corrected Adam update of params and the moment vectors m and
+    v, in place; t is the 1-based step index.
+
+    Each element sees the textbook operation order, b1 * m + (1 - b1) * g
+    and so on, so the update is the same to the bit however the vectors
+    are blocked.
+    """
     if t < 1:
         raise ConfigError(f"step index must be >= 1, got {t}")
     b1, b2 = config.adam_beta1, config.adam_beta2
-    eps = config.adam_epsilon
-    lr = config.learning_rate
-    new_params = copy_params(params)
-    new_m = copy_params(state.m)
-    new_v = copy_params(state.v)
-    walk = zip(
-        new_params.named_blocks(),
-        grads.named_blocks(),
-        new_m.named_blocks(),
-        new_v.named_blocks(),
-    )
-    for (_, p), (_, g), (_, m), (_, v) in walk:
-        for attr in ("weight", "bias"):
-            pa = getattr(p, attr)
-            ga = getattr(g, attr)
-            ma = getattr(m, attr)
-            va = getattr(v, attr)
-            ma[...] = b1 * ma + (1.0 - b1) * ga
-            va[...] = b2 * va + (1.0 - b2) * ga**2
-            m_hat = ma / (1.0 - b1**t)
-            v_hat = va / (1.0 - b2**t)
-            pa[...] = pa - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_params, AdamState(m=new_m, v=new_v)
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads**2
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
 
 
 @dataclass
@@ -322,84 +272,77 @@ class TrainHistory:
 
 
 def evaluate_loss(
-    params: ModelParams,
-    pairs: list,
+    params: np.ndarray,
+    spans: np.ndarray,
     config: ModelConfig,
     chunk: int = 256,
 ) -> float:
-    """Window-mean joint loss over a dataset, evaluated in chunks."""
-    if not pairs:
-        raise DataError("cannot evaluate on an empty window list")
+    """Window-mean joint loss over (W, L+tau, C) window spans, evaluated in
+    chunks."""
+    spans = check_spans(spans, config)
     total_sq = 0.0
-    count = 0
-    for start in range(0, len(pairs), chunk):
-        part = pairs[start : start + chunk]
-        xs, ys = _batch_tensors(part, config)
-        out = forward_batch(xs, params, config)
-        target = np.concatenate([xs, ys], axis=1)
-        total_sq += float(np.sum((out - target) ** 2))
-        count += out.size
-    return total_sq / count
+    for start in range(0, len(spans), chunk):
+        part = spans[start : start + chunk]
+        out = forward_batch(part[:, : config.lookback], params, config)
+        total_sq += float(np.sum((out - part) ** 2))
+    return total_sq / spans.size
 
 
 def train(
     model_config: ModelConfig,
-    train_pairs: list,
-    val_pairs: list,
+    train_spans: np.ndarray,
+    val_spans: np.ndarray,
     train_config: TrainConfig,
-    init: ModelParams | None = None,
-) -> tuple[ModelParams, TrainHistory]:
+    init: np.ndarray | None = None,
+) -> tuple[np.ndarray, TrainHistory]:
     """Seeded mini-batch training with early stopping on validation loss.
 
     Batches are reshuffled every epoch from a dedicated generator; the
     last partial batch is kept, never dropped. Parameters from the best
-    validation epoch are returned. A non-finite loss aborts with
-    NumericalError so the caller can report it cleanly.
+    validation epoch are returned; init, when given, is copied, never
+    updated. A non-finite loss aborts with NumericalError so the caller
+    can report it cleanly.
     """
     model_config.ensure_valid()
     train_config.ensure_valid()
-    if not train_pairs:
-        raise DataError("training set has no windows")
-    if not val_pairs:
-        raise DataError("validation set has no windows")
+    train_spans = check_spans(train_spans, model_config)
+    val_spans = check_spans(val_spans, model_config)
 
     from .model import init_params  # local import to keep module load light
 
-    params = init if init is not None else init_params(model_config, model_config.seed)
+    params = init.copy() if init is not None else init_params(model_config, model_config.seed)
     validate_params(params, model_config)
-    xs_all, ys_all = _batch_tensors(train_pairs, model_config)
 
     rng = np.random.Generator(np.random.PCG64(train_config.seed))
-    state = AdamState.zeros(params)
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
     history = TrainHistory()
-    best_params = copy_params(params)
+    best_params = params.copy()
     bad_epochs = 0
     step = 0
 
     for epoch in range(1, train_config.max_epochs + 1):
         started = time.monotonic()
-        order = rng.permutation(len(train_pairs))
+        order = rng.permutation(len(train_spans))
         sq_sum = 0.0
         sq_count = 0
         for lo in range(0, len(order), train_config.batch_size):
             idx = order[lo : lo + train_config.batch_size]
-            grads, batch_loss = gradient_batch(
-                params, xs_all[idx], ys_all[idx], model_config
-            )
+            grads, batch_loss = gradient_batch(params, train_spans[idx], model_config)
             if not np.isfinite(batch_loss):
                 raise NumericalError(
                     f"non-finite training loss at epoch {epoch}, "
                     f"batch starting {lo}"
                 )
             if train_config.grad_clip is not None:
-                grads = clip_gradients(grads, train_config.grad_clip)
+                clip_gradients(grads, train_config.grad_clip)
             step += 1
-            params, state = adam_step(params, grads, state, step, train_config)
+            adam_step(params, grads, adam_m, adam_v, step, train_config)
             n_out = len(idx) * (model_config.lookback + model_config.horizon)
             sq_sum += batch_loss * n_out * model_config.channels
             sq_count += n_out * model_config.channels
         train_loss = sq_sum / sq_count
-        val_loss = evaluate_loss(params, val_pairs, model_config)
+        val_loss = evaluate_loss(params, val_spans, model_config)
         if not np.isfinite(val_loss):
             raise NumericalError(f"non-finite validation loss at epoch {epoch}")
         history.epochs.append(
@@ -413,7 +356,7 @@ def train(
         if val_loss < history.best_val_loss:
             history.best_val_loss = val_loss
             history.best_epoch = epoch
-            best_params = copy_params(params)
+            best_params = params.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -426,57 +369,56 @@ def train(
 
 
 def gradient_check(
-    params: ModelParams,
-    batch: list,
+    params: np.ndarray,
+    spans: np.ndarray,
     config: ModelConfig,
-    h: float = 1e-6,
+    h: float = 1e-3,
     corrupt_block: str | None = None,
 ) -> dict[str, float]:
     """Max relative error of analytic vs central-difference gradients,
     reported per parameter block.
 
-    Every entry of every block is probed. corrupt_block deliberately
-    perturbs one block's analytic gradient (negative control for the
-    CLI's failure path).
+    Every entry of the parameter vector is probed, block by block.
+    corrupt_block deliberately perturbs one block's analytic weight
+    gradient (negative control for the CLI's failure path).
+
+    The joint loss is quadratic in any one entry, so a central difference
+    has no truncation error and the step h only sets the rounding noise,
+    about 1e-16 * loss / h. At h = 1e-6 that noise alone read 5e-4
+    relative on correct gradients near 1e-7; h = 1e-3 shrinks it a
+    thousandfold.
     """
-    xs, ys = _batch_tensors(batch, config)
-    grads, _ = gradient_batch(params, xs, ys, config)
+    spans = check_spans(spans, config)
+    grads, _ = gradient_batch(params, spans, config)
+    layout = param_layout(config)
     if corrupt_block is not None:
-        names = [name for name, _ in grads.named_blocks()]
+        names = [name for name, _, _ in layout]
         if corrupt_block not in names:
             raise ConfigError(
                 f"corrupt_block {corrupt_block!r} is not a parameter block; "
                 f"known blocks: {', '.join(names)}"
             )
-        for name, aff in grads.named_blocks():
+        for name, weight, _ in param_blocks(grads, config):
             if name == corrupt_block:
-                aff.weight += 1e-3
+                weight += 1e-3
 
-    def loss_at(p: ModelParams) -> float:
-        out = forward_batch(xs, p, config)
-        target = np.concatenate([xs, ys], axis=1)
-        return float(np.mean((out - target) ** 2))
+    def loss_at(p: np.ndarray) -> float:
+        out = forward_batch(spans[:, : config.lookback], p, config)
+        return float(np.mean((out - spans) ** 2))
 
-    probe = copy_params(params)
-    probe_blocks = dict(probe.named_blocks())
+    probe = params.copy()
     report: dict[str, float] = {}
-    for name, gblock in grads.named_blocks():
-        pblock = probe_blocks[name]
+    for name, offset, (m_in, m_out) in layout:
         worst = 0.0
-        for attr in ("weight", "bias"):
-            arr = getattr(pblock, attr)
-            ganalytic = getattr(gblock, attr)
-            flat = arr.reshape(-1)
-            gflat = ganalytic.reshape(-1)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + h
-                up = loss_at(probe)
-                flat[i] = keep - h
-                down = loss_at(probe)
-                flat[i] = keep
-                fd = (up - down) / (2.0 * h)
-                denom = max(abs(gflat[i]), abs(fd), 1e-8)
-                worst = max(worst, abs(gflat[i] - fd) / denom)
+        for i in range(offset, offset + (m_in + 1) * m_out):
+            keep = probe[i]
+            probe[i] = keep + h
+            up = loss_at(probe)
+            probe[i] = keep - h
+            down = loss_at(probe)
+            probe[i] = keep
+            fd = (up - down) / (2.0 * h)
+            denom = max(abs(grads[i]), abs(fd), 1e-8)
+            worst = max(worst, abs(grads[i] - fd) / denom)
         report[name] = worst
     return report

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from wavets.cli import load_run_config, load_splits, main, split_window_pairs
-from wavets.data import window_tensors
 from wavets.metrics import mae, mase, mse, naive_repeat_last, owa, smape
 from wavets.model import (
     ModelConfig,
@@ -170,7 +169,7 @@ def test_criterion_05_gradient_correctness(capsys):
         )
 
 
-def least_squares_optimum(run, pairs):
+def least_squares_optimum(run, spans):
     """Brute-force optimum of the joint loss over the model's map class.
 
     After per-window normalization the network is one shared affine map
@@ -178,10 +177,10 @@ def least_squares_optimum(run, pairs):
     de-normalization turns the loss into a weighted least-squares problem
     with each (window, channel) row weighted by its standard deviation.
     """
-    xs, ys = window_tensors(pairs)
     lookback = run.model.lookback
     horizon = run.model.horizon
-    t = np.concatenate([xs, ys], axis=1)
+    t = spans
+    xs = t[:, :lookback]
     b, _, c = xs.shape
     mu = xs.mean(axis=1)
     sd = xs.std(axis=1) + run.model.std_epsilon
@@ -202,11 +201,11 @@ def test_criterion_06_convergence_to_least_squares(tiny_run, capsys):
     run = load_run_config(str(TINY_CONFIG))
     run.ensure_valid(need_data=True)
     train_frame, _, _ = load_splits(run)
-    train_pairs = split_window_pairs(train_frame, run)
+    train_spans = split_window_pairs(train_frame, run)
 
-    optimum = least_squares_optimum(run, train_pairs)
+    optimum = least_squares_optimum(run, train_spans)
     params, _ = load_checkpoint(str(tiny_run["out"] / "checkpoint.json"))
-    final = evaluate_loss(params, train_pairs, run.model)
+    final = evaluate_loss(params, train_spans, run.model)
     gap = abs(final - optimum)
     ok = gap < 1e-4 and tiny_run["seconds"] < 120.0
     with capsys.disabled():
@@ -223,8 +222,8 @@ def test_criterion_07_beats_repeat_last_naive(tiny_run, capsys):
     run = load_run_config(str(TINY_CONFIG))
     run.ensure_valid(need_data=True)
     _, _, test_frame = load_splits(run)
-    test_pairs = split_window_pairs(test_frame, run)
-    xs, ys = window_tensors(test_pairs)
+    test_spans = split_window_pairs(test_frame, run)
+    xs, ys = test_spans[:, : run.model.lookback], test_spans[:, run.model.lookback :]
 
     # naive oracle first, model second
     naive_preds = np.stack([naive_repeat_last(x, run.model.horizon) for x in xs])
@@ -260,8 +259,8 @@ def test_criterion_08_hourly_benchmark_reproduction(capsys):
     run = load_run_config(str(ETTH1_CONFIG))
     run.ensure_valid(need_data=True)
     _, _, test_frame = load_splits(run)
-    test_pairs = split_window_pairs(test_frame, run)
-    xs, ys = window_tensors(test_pairs)
+    test_spans = split_window_pairs(test_frame, run)
+    xs, ys = test_spans[:, : run.model.lookback], test_spans[:, run.model.lookback :]
     params, config = load_checkpoint(str(out / "checkpoint.json"))
     preds = np.concatenate(
         [

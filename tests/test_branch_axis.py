@@ -12,8 +12,8 @@ biases make a branch-order or bias-scale mix-up in the reshapes visible.
 import numpy as np
 import pytest
 
-from reference import per_branch_forward, per_branch_gradients
-from wavets.model import ModelConfig, forward_batch, init_params
+from reference import blocks_by_name, per_branch_forward, per_branch_gradients
+from wavets.model import ModelConfig, forward_batch, init_params, param_blocks
 from wavets.train import gradient_batch, gradient_check
 from wavets.wdt import level_gains
 
@@ -33,8 +33,8 @@ def three_branch_config(kind: str, **overrides) -> ModelConfig:
 
 def params_with_biases(cfg: ModelConfig, gen: np.random.Generator):
     params = init_params(cfg, cfg.seed)
-    for _, aff in params.named_blocks():
-        aff.bias[...] = gen.normal(size=aff.bias.shape)
+    for _, _, bias in param_blocks(params, cfg):
+        bias[...] = gen.normal(size=bias.shape)
     return params
 
 
@@ -59,34 +59,23 @@ class TestAgainstPerBranchOracle:
     def test_gradients(self, rng, kind):
         cfg = three_branch_config(kind)
         params = params_with_biases(cfg, rng)
+        # Drawn as lookbacks then targets, the spans of three windows.
         xs = rng.normal(size=(3, cfg.lookback, cfg.channels))
         ys = rng.normal(size=(3, cfg.horizon, cfg.channels))
-        grads, loss = gradient_batch(params, xs, ys, cfg)
-        want, want_loss = per_branch_gradients(params, xs, ys, cfg)
+        spans = np.concatenate([xs, ys], axis=1)
+        grads, loss = gradient_batch(params, spans, cfg)
+        want, want_loss = per_branch_gradients(params, spans, cfg)
         assert loss == pytest.approx(want_loss, rel=DFT_REL_TOL)
-        got_blocks = grads.named_blocks()
-        want_blocks = want.named_blocks()
-        assert [n for n, _ in got_blocks] == [n for n, _ in want_blocks]
-        for (name, got), (_, ref) in zip(got_blocks, want_blocks):
-            assert_agrees(got.weight, ref.weight, kind, f"{name} weight")
-            assert_agrees(got.bias, ref.bias, kind, f"{name} bias")
+        for name, weight, bias in param_blocks(grads, cfg):
+            ref_weight, ref_bias = blocks_by_name(want, cfg)[name]
+            assert_agrees(weight, ref_weight, kind, f"{name} weight")
+            assert_agrees(bias, ref_bias, kind, f"{name} bias")
 
     def test_gradient_check_three_branches(self, rng, kind):
         cfg = three_branch_config(kind, lookback=8, horizon=4)
         params = params_with_biases(cfg, rng)
-        batch = [
-            (
-                rng.normal(size=(cfg.lookback, cfg.channels)),
-                rng.normal(size=(cfg.horizon, cfg.channels)),
-            )
-            for _ in range(2)
-        ]
-        # The joint loss is quadratic in any one entry, so a central
-        # difference has no truncation error and the step only sets the
-        # rounding noise, about 1e-16 * loss / h. Unit-scale biases put
-        # some projection gradients near 6e-8, where h = 1e-6 noise
-        # alone is 1e-3 relative; h = 1e-3 keeps it below 1e-5.
-        report = gradient_check(params, batch, cfg, h=1e-3)
+        spans = rng.normal(size=(2, cfg.lookback + cfg.horizon, cfg.channels))
+        report = gradient_check(params, spans, cfg)
         bands = 2 if kind == "dft" else cfg.levels + 1
         assert len(report) == cfg.branches * bands + 1
         for name, err in report.items():
@@ -104,19 +93,22 @@ def test_wdt_is_dwt_with_detail_biases_scaled_by_inverse_gain(rng):
     assert cfg_wdt.effective_orders() == [1, 2]
     p_wdt = init_params(cfg_wdt, cfg_wdt.seed)
     p_dwt = init_params(cfg_dwt, cfg_dwt.seed)
-    xs = rng.normal(size=(4, 16, 2))
-    ys = rng.normal(size=(4, 8, 2))
+    spans = rng.normal(size=(4, 24, 2))
+    xs = spans[:, :16]
 
     assert np.array_equal(forward_batch(xs, p_wdt, cfg_wdt), forward_batch(xs, p_dwt, cfg_dwt))
-    g_wdt, _ = gradient_batch(p_wdt, xs, ys, cfg_wdt)
-    g_dwt, _ = gradient_batch(p_dwt, xs, ys, cfg_dwt)
-    for (name, a), (_, b) in zip(g_wdt.named_blocks(), g_dwt.named_blocks()):
-        assert np.array_equal(a.weight, b.weight), name
+    g_wdt, _ = gradient_batch(p_wdt, spans, cfg_wdt)
+    g_dwt, _ = gradient_batch(p_dwt, spans, cfg_dwt)
+    blocks_wdt = blocks_by_name(g_wdt, cfg_wdt)
+    blocks_dwt = blocks_by_name(g_dwt, cfg_dwt)
+    for name, (a, _) in blocks_wdt.items():
+        assert np.array_equal(a, blocks_dwt[name][0]), name
     for n, order in enumerate(cfg_wdt.effective_orders()):
-        assert np.array_equal(g_wdt.fru_ll[n].bias, g_dwt.fru_ll[n].bias)
-        for lv, gain in enumerate(level_gains(cfg_wdt.levels, order)):
-            a = g_wdt.fru_lh[n][lv].bias
-            b = g_dwt.fru_lh[n][lv].bias
+        ll = f"fru_ll[branch{n + 1}]"
+        assert np.array_equal(blocks_wdt[ll][1], blocks_dwt[ll][1])
+        for lv, gain in enumerate(level_gains(cfg_wdt.levels, order), start=1):
+            lh = f"fru_lh[branch{n + 1}][level{lv}]"
+            a, b = blocks_wdt[lh][1], blocks_dwt[lh][1]
             assert abs(gain) > 1 and np.all(b != 0)
             assert np.array_equal(a, b * (1.0 / gain)), (n, lv)
-    assert np.array_equal(g_wdt.projection.bias, g_dwt.projection.bias)
+    assert np.array_equal(blocks_wdt["projection"][1], blocks_dwt["projection"][1])

@@ -393,6 +393,26 @@ def test_unknown_split_key_exits_2(tmp_path, series_csv, capsys):
 
 
 @pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"train": {"learnig_rate": 0.5}}, "unknown train keys: learnig_rate"),
+        ({"model": {"brnach_orders": [3, 3]}}, "unknown model keys: brnach_orders"),
+    ],
+    ids=["train-typo", "model-typo"],
+)
+def test_unknown_model_or_train_key_exits_2(
+    tmp_path, series_csv, capsys, overrides, message
+):
+    # A misspelt key must not train silently on the default it meant to set.
+    cfg = write_run_config(tmp_path / "run.json", series_csv, **overrides)
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"config error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "overrides",
     [
         {"train": []},
@@ -753,9 +773,6 @@ def test_ablate_dwt_variant_equals_orders_forced_to_zero(
 
 
 def gradcheck_config(tmp_path, **model_overrides):
-    # Fixed seeds keep the probe away from near-zero gradient entries,
-    # where the finite-difference estimate is dominated by rounding noise
-    # rather than by the analytic value being wrong.
     model = {
         "lookback": 8,
         "horizon": 4,

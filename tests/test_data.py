@@ -13,7 +13,6 @@ from wavets.data import (
     load_csv,
     standardize_apply,
     standardize_fit,
-    window_tensors,
     windows,
 )
 
@@ -172,50 +171,52 @@ class TestStandardize:
 
 
 class TestWindows:
+    # Span i starts at row i * stride; its first L rows are the lookback.
     def test_count_formula(self):
-        pairs = windows(frame_of(np.arange(10.0)), 4, 2)
-        assert len(pairs) == 5
-        assert [p.origin for p in pairs] == [0, 1, 2, 3, 4]
+        spans = windows(frame_of(np.arange(10.0)), 4, 2)
+        assert len(spans) == 5
+        assert list(spans[:, 0, 0]) == [0, 1, 2, 3, 4]
 
     def test_single_pair(self):
-        pairs = windows(frame_of(np.arange(6.0)), 4, 2)
-        assert len(pairs) == 1
-        np.testing.assert_array_equal(pairs[0].x[:, 0], [0, 1, 2, 3])
-        np.testing.assert_array_equal(pairs[0].y[:, 0], [4, 5])
+        spans = windows(frame_of(np.arange(6.0)), 4, 2)
+        assert spans.shape == (1, 6, 1)
+        np.testing.assert_array_equal(spans[0, :4, 0], [0, 1, 2, 3])
+        np.testing.assert_array_equal(spans[0, 4:, 0], [4, 5])
 
     def test_too_short_frame(self):
         with pytest.raises(DataError):
             windows(frame_of(np.arange(5.0)), 4, 2)
 
     def test_stride(self):
-        pairs = windows(frame_of(np.arange(20.0)), 4, 2, stride=3)
-        assert len(pairs) == (20 - 4 - 2) // 3 + 1
-        assert [p.origin for p in pairs] == [0, 3, 6, 9, 12]
+        spans = windows(frame_of(np.arange(20.0)), 4, 2, stride=3)
+        assert len(spans) == (20 - 4 - 2) // 3 + 1
+        assert list(spans[:, 0, 0]) == [0, 3, 6, 9, 12]
 
     def test_slices_adjacent(self, rng):
         frame = frame_of(rng.normal(size=(30, 2)))
-        for p in windows(frame, 8, 4):
-            np.testing.assert_array_equal(p.x, frame.values[p.origin : p.origin + 8])
-            np.testing.assert_array_equal(
-                p.y, frame.values[p.origin + 8 : p.origin + 12]
-            )
+        for i, span in enumerate(windows(frame, 8, 4)):
+            np.testing.assert_array_equal(span[:8], frame.values[i : i + 8])
+            np.testing.assert_array_equal(span[8:], frame.values[i + 8 : i + 12])
 
     def test_tensor_stacking(self, rng):
+        # One (W, L+tau, C) array, a read-only view of the frame, that
+        # batches index and slice directly.
         frame = frame_of(rng.normal(size=(20, 3)))
-        pairs = windows(frame, 6, 2)
-        xs, ys = window_tensors(pairs)
-        assert xs.shape == (len(pairs), 6, 3)
-        assert ys.shape == (len(pairs), 2, 3)
-        np.testing.assert_array_equal(xs[3], pairs[3].x)
+        spans = windows(frame, 6, 2, stride=2)
+        assert spans.shape == (7, 8, 3)
+        assert np.shares_memory(spans, frame.values)
+        assert not spans.flags.writeable
+        np.testing.assert_array_equal(spans[3, :6], frame.values[6:12])
+        np.testing.assert_array_equal(spans[[3, 1]][:, 6:], frame.values[[[12, 13], [8, 9]]])
+        assert len(spans[::2][:3]) == 3
 
     def test_no_leakage_across_splits(self, rng):
         # Windows are built after splitting, so none can span a border.
         frame = frame_of(rng.normal(size=(50, 1)))
         tr, va, te = chronological_split(frame, (0.6, 0.2, 0.2))
         for part, lo, hi in ((tr, 0, 30), (va, 30, 40), (te, 40, 50)):
-            for p in windows(part, 4, 2):
+            for origin, span in enumerate(windows(part, 4, 2)):
                 np.testing.assert_array_equal(
-                    np.concatenate([p.x, p.y]),
-                    frame.values[lo + p.origin : lo + p.origin + 6],
+                    span, frame.values[lo + origin : lo + origin + 6]
                 )
-                assert lo + p.origin + 6 <= hi
+                assert lo + origin + 6 <= hi

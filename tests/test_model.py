@@ -1,22 +1,23 @@
 """Forecaster forward path: normalization, branch sandwich, projection,
 checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from wavets import ConfigError, DataError
 from wavets.model import (
-    Affine,
     ModelConfig,
-    ModelParams,
-    copy_params,
-    forward,
+    affine_apply,
     forward_batch,
     init_params,
     load_checkpoint,
+    param_blocks,
+    param_count,
+    param_layout,
     save_checkpoint,
     validate_params,
-    zeros_like_params,
 )
 
 
@@ -29,24 +30,18 @@ def tiny_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def identity_block_params(config: ModelConfig) -> ModelParams:
+def identity_block_params(config: ModelConfig) -> np.ndarray:
     """FRUs embed each band into its padded slot; projection passes the
     first branch straight through."""
-    params = ModelParams()
-    sizes = config.band_sizes()
-    for _ in range(config.branches):
-        m, m2 = sizes[0]
-        params.fru_ll.append(Affine(weight=np.eye(m, m2), bias=np.zeros(m2)))
-        lh = []
-        for lv in range(1, config.levels + 1):
-            m, m2 = sizes[lv]
-            lh.append(Affine(weight=np.eye(m, m2), bias=np.zeros(m2)))
-        params.fru_lh.append(lh)
-    total = config.lookback + config.horizon
-    proj = np.zeros((config.branches * total, total))
-    proj[:total, :total] = np.eye(total)
-    params.projection = Affine(weight=proj, bias=np.zeros(total))
+    params = np.zeros(param_count(config))
+    for _, weight, _ in param_blocks(params, config):
+        m = min(weight.shape)
+        weight[:m, :m] = np.eye(m)
     return params
+
+
+def projection_bias(params: np.ndarray, config: ModelConfig) -> np.ndarray:
+    return param_blocks(params, config)[-1][2]
 
 
 # Instance normalization and denormalization are checked through
@@ -76,8 +71,8 @@ def denormalized(xs: np.ndarray, horizon: int, proj_bias: np.ndarray) -> np.ndar
     """forward_batch output when every map is zero except the projection
     bias, so the normalized output is that bias on every channel."""
     cfg = normalization_config(xs.shape[1], horizon, xs.shape[2])
-    params = zeros_like_params(init_params(cfg, 1))
-    params.projection.bias[...] = proj_bias
+    params = np.zeros(param_count(cfg))
+    projection_bias(params, cfg)[...] = proj_bias
     return forward_batch(xs, params, cfg)
 
 
@@ -130,27 +125,24 @@ class TestInstanceDenormalize:
 
 
 class TestFruApply:
-    # The band maps run as Affine.apply on (B, C, m) stacks of bands.
+    # The band maps run as affine_apply on (B, C, m) stacks of bands.
     def test_zero_map(self):
-        aff = Affine(weight=np.zeros((2, 3)), bias=np.zeros(3))
-        out = aff.apply(np.array([[[1.0, 2.0]], [[3.0, 4.0]]]))
+        out = affine_apply(np.array([[[1.0, 2.0]], [[3.0, 4.0]]]), np.zeros((2, 3)), np.zeros(3))
         np.testing.assert_array_equal(out, np.zeros((2, 1, 3)))
 
     def test_identity_block_selection(self):
-        aff = Affine(weight=np.eye(2, 3), bias=np.zeros(3))
-        out = aff.apply(np.array([[[1.0, 2.0], [5.0, 6.0]]]))
+        out = affine_apply(np.array([[[1.0, 2.0], [5.0, 6.0]]]), np.eye(2, 3), np.zeros(3))
         np.testing.assert_array_equal(out, [[[1.0, 2.0, 0.0], [5.0, 6.0, 0.0]]])
 
     def test_hand_product(self):
         weight = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
-        aff = Affine(weight=weight, bias=np.array([0.0, 0.0, 1.0]))
-        out = aff.apply(np.array([[[1.0, 1.0]], [[2.0, 0.0]]]))
+        bias = np.array([0.0, 0.0, 1.0])
+        out = affine_apply(np.array([[[1.0, 1.0]], [[2.0, 0.0]]]), weight, bias)
         np.testing.assert_array_equal(out, [[[1.0, 1.0, 1.0]], [[1.0, 1.0, 1.0]]])
 
     def test_dimension_mismatch(self):
-        aff = Affine(weight=np.eye(2, 3), bias=np.zeros(3))
         with pytest.raises(DataError):
-            aff.apply(np.ones((2, 1, 3)))
+            affine_apply(np.ones((2, 1, 3)), np.eye(2, 3), np.zeros(3))
 
 
 class TestConfigValidation:
@@ -188,40 +180,58 @@ class TestConfigValidation:
 class TestInitParams:
     def test_same_seed_identical(self):
         cfg = tiny_config()
-        a = init_params(cfg, 11)
-        b = init_params(cfg, 11)
-        for (name_a, blk_a), (_, blk_b) in zip(a.named_blocks(), b.named_blocks()):
-            assert np.array_equal(blk_a.weight, blk_b.weight), name_a
-            assert np.array_equal(blk_a.bias, blk_b.bias)
+        assert np.array_equal(init_params(cfg, 11), init_params(cfg, 11))
 
     def test_different_seeds_differ(self):
         cfg = tiny_config()
-        a = init_params(cfg, 11)
-        b = init_params(cfg, 12)
-        assert not np.array_equal(a.projection.weight, b.projection.weight)
+        a = param_blocks(init_params(cfg, 11), cfg)[-1][1]
+        b = param_blocks(init_params(cfg, 12), cfg)[-1][1]
+        assert not np.array_equal(a, b)
 
     def test_fan_in_bound(self):
         cfg = tiny_config()
         params = init_params(cfg, 3)
-        for _, blk in params.named_blocks():
-            bound = 1.0 / np.sqrt(blk.weight.shape[0])
-            assert np.all(np.abs(blk.weight) <= bound)
-            np.testing.assert_array_equal(blk.bias, 0.0)
+        for _, weight, bias in param_blocks(params, cfg):
+            bound = 1.0 / np.sqrt(weight.shape[0])
+            assert np.all(np.abs(weight) <= bound)
+            np.testing.assert_array_equal(bias, 0.0)
 
     def test_dft_structure(self):
         cfg = tiny_config(transform_kind="dft")
-        params = init_params(cfg, 5)
-        assert len(params.fru_real) == 2 and len(params.fru_imag) == 2
-        assert params.fru_ll == [] and params.fru_lh == []
-        assert params.fru_real[0].weight.shape == (8 // 2 + 1, 12 // 2 + 1)
+        layout = param_layout(cfg)
+        assert [name for name, _, _ in layout] == [
+            "fru_real[branch1]", "fru_real[branch2]",
+            "fru_imag[branch1]", "fru_imag[branch2]", "projection",
+        ]
+        assert layout[0][2] == (8 // 2 + 1, 12 // 2 + 1)
+        assert init_params(cfg, 5).shape == (param_count(cfg),)
+
+    def test_draw_order(self):
+        # One generator fills the weights branch by branch, the approx band
+        # then detail levels 1..K (or real then imag), the projection last,
+        # so a seed fixes every byte of the vector, which keeps checkpoint
+        # bytes stable across changes to the vector's layout.
+        for kind, per_branch in (
+            ("wdt", ["fru_ll[branch{n}]", "fru_lh[branch{n}][level1]", "fru_lh[branch{n}][level2]"]),
+            ("dft", ["fru_real[branch{n}]", "fru_imag[branch{n}]"]),
+        ):
+            cfg = tiny_config(transform_kind=kind)
+            rng = np.random.Generator(np.random.PCG64(13))
+            blocks = {name: w for name, w, _ in param_blocks(init_params(cfg, 13), cfg)}
+            order = [f.format(n=n) for n in (1, 2) for f in per_branch] + ["projection"]
+            for name in order:
+                bound = 1.0 / np.sqrt(blocks[name].shape[0])
+                want = rng.uniform(-bound, bound, size=blocks[name].shape)
+                assert np.array_equal(blocks[name], want), (kind, name)
 
 
 class TestForward:
+    # Single windows run as batches of one.
     def test_zero_params_outputs_window_mean(self, rng):
         cfg = tiny_config()
-        params = zeros_like_params(init_params(cfg, 1))
+        params = np.zeros(param_count(cfg))
         window = rng.normal(size=(8, 2)) + np.array([3.0, -2.0])
-        out = forward(window, params, cfg)
+        out = forward_batch(window[None], params, cfg)[0]
         want = np.tile(window.mean(axis=0), (12, 1))
         assert np.max(np.abs(out - want)) < 1e-12
 
@@ -229,7 +239,7 @@ class TestForward:
         cfg = tiny_config(branches=1)
         params = identity_block_params(cfg)
         window = rng.normal(size=(8, 2))
-        out = forward(window, params, cfg)
+        out = forward_batch(window[None], params, cfg)[0]
         # Padded bands only touch rows past L, so the backcast rows
         # reproduce the window; the tail denormalizes the zero rows.
         assert np.max(np.abs(out[:8] - window)) < 1e-9
@@ -241,39 +251,40 @@ class TestForward:
         cfg = tiny_config(branches=1, branch_orders=[4])
         params = identity_block_params(cfg)
         window = rng.normal(size=(8, 2))
-        out = forward(window, params, cfg)
+        out = forward_batch(window[None], params, cfg)[0]
         assert np.max(np.abs(out[:8] - window)) < 1e-9
 
     def test_channel_permutation_equivariance(self, rng):
         cfg = tiny_config(channels=3)
         params = init_params(cfg, 9)
-        window = rng.normal(size=(8, 3))
+        xs = rng.normal(size=(2, 8, 3))
         perm = [2, 0, 1]
-        out_permuted_input = forward(window[:, perm], params, cfg)
         np.testing.assert_allclose(
-            out_permuted_input, forward(window, params, cfg)[:, perm], atol=1e-12
+            forward_batch(xs[:, :, perm], params, cfg),
+            forward_batch(xs, params, cfg)[:, :, perm],
+            atol=1e-12,
         )
 
     def test_deterministic(self, rng):
         cfg = tiny_config()
         params = init_params(cfg, 2)
-        window = rng.normal(size=(8, 2))
-        assert np.array_equal(forward(window, params, cfg), forward(window, params, cfg))
+        xs = rng.normal(size=(2, 8, 2))
+        assert np.array_equal(forward_batch(xs, params, cfg), forward_batch(xs, params, cfg))
 
     def test_dwt_equals_wdt_with_zero_orders(self, rng):
         cfg_dwt = tiny_config(transform_kind="dwt")
         cfg_wdt0 = tiny_config(transform_kind="wdt", branch_orders=[0, 0])
         params = init_params(cfg_dwt, 21)
-        window = rng.normal(size=(8, 2))
-        out_a = forward(window, params, cfg_dwt)
-        out_b = forward(window, params, cfg_wdt0)
+        xs = rng.normal(size=(2, 8, 2))
+        out_a = forward_batch(xs, params, cfg_dwt)
+        out_b = forward_batch(xs, params, cfg_wdt0)
         assert np.max(np.abs(out_a - out_b)) < 1e-12
 
     def test_dft_forward_shapes(self, rng):
         cfg = tiny_config(transform_kind="dft", lookback=10, horizon=3)
         params = init_params(cfg, 4)
-        out = forward(rng.normal(size=(10, 2)), params, cfg)
-        assert out.shape == (13, 2)
+        out = forward_batch(rng.normal(size=(1, 10, 2)), params, cfg)
+        assert out.shape == (1, 13, 2)
         assert np.all(np.isfinite(out))
 
     def test_batch_matches_single(self, rng):
@@ -283,48 +294,69 @@ class TestForward:
         batch_out = forward_batch(xs, params, cfg)
         for i in range(5):
             np.testing.assert_allclose(
-                batch_out[i], forward(xs[i], params, cfg), atol=1e-12
+                batch_out[i], forward_batch(xs[i : i + 1], params, cfg)[0], atol=1e-12
             )
 
     def test_wrong_window_shape_rejected(self):
         cfg = tiny_config()
         params = init_params(cfg, 1)
-        with pytest.raises(DataError):
-            forward(np.zeros((9, 2)), params, cfg)
+        for shape in ((1, 9, 2), (8, 2)):
+            with pytest.raises(DataError):
+                forward_batch(np.zeros(shape), params, cfg)
+
+
+def checkpoint_doc(tmp_path, cfg, params=None):
+    path = tmp_path / "model.json"
+    save_checkpoint(init_params(cfg, 1) if params is None else params, cfg, str(path))
+    return path, json.loads(path.read_text())
+
+
+def assert_load_rejects(path, doc, match):
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(str(path))
 
 
 class TestValidateParams:
+    # The vector carries no shapes: validate_params checks its type,
+    # length and values, and load_checkpoint checks each stored block's
+    # shape against param_layout.
     def test_accepts_fresh_params(self):
         cfg = tiny_config()
         validate_params(init_params(cfg, 1), cfg)
+        with pytest.raises(ConfigError, match="float64"):
+            validate_params(init_params(cfg, 1).astype(np.float32), cfg)
 
-    def test_rejects_wrong_projection_shape(self):
+    def test_rejects_wrong_projection_shape(self, tmp_path):
         cfg = tiny_config()
-        params = init_params(cfg, 1)
-        params.projection = Affine(weight=np.zeros((3, 3)), bias=np.zeros(3))
-        with pytest.raises(ConfigError):
-            validate_params(params, cfg)
+        with pytest.raises(ConfigError, match="does not match"):
+            validate_params(init_params(tiny_config(horizon=8), 1), cfg)
+        path, doc = checkpoint_doc(tmp_path, cfg)
+        doc["projection"] = {"weight": np.zeros((3, 3)).tolist(), "bias": [0.0] * 3}
+        assert_load_rejects(path, doc, "projection weight/bias shapes")
 
-    def test_rejects_missing_branch(self):
+    def test_rejects_missing_branch(self, tmp_path):
         cfg = tiny_config()
-        params = init_params(cfg, 1)
-        params.fru_ll.pop()
         with pytest.raises(ConfigError):
-            validate_params(params, cfg)
+            validate_params(init_params(tiny_config(branches=1), 1), cfg)
+        path, doc = checkpoint_doc(tmp_path, cfg)
+        doc["fru_ll"].pop()
+        assert_load_rejects(path, doc, "fails validation")
 
     def test_rejects_nonfinite(self):
         cfg = tiny_config()
         params = init_params(cfg, 1)
-        params.fru_ll[0].weight[0, 0] = np.nan
-        with pytest.raises(ConfigError):
+        param_blocks(params, cfg)[1][1][0, 0] = np.nan
+        with pytest.raises(ConfigError, match=r"fru_ll\[branch2\] contains non-finite"):
             validate_params(params, cfg)
 
-    def test_rejects_mixed_kind_blocks(self):
+    def test_rejects_mixed_kind_blocks(self, tmp_path):
         cfg = tiny_config()
-        params = init_params(cfg, 1)
-        params.fru_real.append(Affine(weight=np.zeros((5, 7)), bias=np.zeros(7)))
         with pytest.raises(ConfigError):
-            validate_params(params, cfg)
+            validate_params(init_params(tiny_config(transform_kind="dft"), 1), cfg)
+        path, doc = checkpoint_doc(tmp_path, cfg)
+        doc["fru_real"].append({"weight": np.zeros((5, 7)).tolist(), "bias": [0.0] * 7})
+        assert_load_rejects(path, doc, "fails validation")
 
 
 class TestCheckpoint:
@@ -335,9 +367,7 @@ class TestCheckpoint:
         save_checkpoint(params, cfg, path)
         loaded, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
-        for (name, a), (_, b) in zip(params.named_blocks(), loaded.named_blocks()):
-            assert np.array_equal(a.weight, b.weight), name
-            assert np.array_equal(a.bias, b.bias), name
+        assert np.array_equal(loaded, params)
 
     def test_save_is_deterministic(self, tmp_path):
         cfg = tiny_config()
@@ -354,7 +384,7 @@ class TestCheckpoint:
         path = str(tmp_path / "model.json")
         save_checkpoint(params, cfg, path)
         loaded, _ = load_checkpoint(path)
-        assert np.array_equal(loaded.fru_imag[1].weight, params.fru_imag[1].weight)
+        assert np.array_equal(loaded, params)
 
     def test_wrong_version_rejected(self, tmp_path):
         cfg = tiny_config()
@@ -375,26 +405,32 @@ class TestCheckpoint:
 
 
 class TestParamHelpers:
-    def test_copy_is_deep(self):
-        cfg = tiny_config()
-        params = init_params(cfg, 2)
-        clone = copy_params(params)
-        clone.projection.weight[0, 0] += 1.0
-        assert params.projection.weight[0, 0] != clone.projection.weight[0, 0]
-
-    def test_zeros_like_structure(self):
-        cfg = tiny_config()
-        params = init_params(cfg, 2)
-        zeros = zeros_like_params(params)
-        names = [n for n, _ in params.named_blocks()]
-        assert [n for n, _ in zeros.named_blocks()] == names
-        for _, blk in zeros.named_blocks():
-            assert not blk.weight.any()
-
     def test_named_blocks_cover_everything_once(self):
         cfg = tiny_config(branches=3, levels=2)
-        params = init_params(cfg, 2)
-        names = [n for n, _ in params.named_blocks()]
+        layout = param_layout(cfg)
+        names = [name for name, _, _ in layout]
         assert len(names) == len(set(names))
         # 3 approx + 3*2 detail + projection
         assert len(names) == 3 + 6 + 1
+        # Each block is its weight then its bias, the blocks end to end.
+        offset = 0
+        for _, start, (m_in, m_out) in layout:
+            assert start == offset
+            offset += (m_in + 1) * m_out
+        assert offset == param_count(cfg)
+
+    def test_block_views_write_the_vector(self):
+        cfg = tiny_config()
+        vec = np.zeros(param_count(cfg))
+        for i, (_, weight, bias) in enumerate(param_blocks(vec, cfg), start=1):
+            weight[...] = i
+            bias[...] = -i
+        np.testing.assert_array_equal(np.unique(np.abs(vec)), np.arange(1, 8))
+        _, start, (m_in, m_out) = param_layout(cfg)[1]
+        np.testing.assert_array_equal(vec[start : start + m_in * m_out], 2.0)
+        np.testing.assert_array_equal(vec[start + m_in * m_out : start + (m_in + 1) * m_out], -2.0)
+
+    def test_wrong_length_rejected(self):
+        cfg = tiny_config()
+        with pytest.raises(ConfigError, match="does not match"):
+            param_blocks(np.zeros(param_count(cfg) + 1), cfg)

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from wavets import ConfigError, DataError, NumericalError
-from wavets.model import ModelConfig, init_params, zeros_like_params
+from wavets.model import (
+    ModelConfig,
+    forward_batch,
+    init_params,
+    param_blocks,
+    param_count,
+)
 from wavets.train import (
-    AdamState,
     TrainConfig,
     adam_step,
     clip_gradients,
@@ -14,7 +19,6 @@ from wavets.train import (
     global_grad_norm,
     gradient_batch,
     gradient_check,
-    joint_loss,
     train,
 )
 
@@ -28,55 +32,63 @@ def tiny_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def seeded_batch(cfg, count, seed=404):
+def seeded_spans(cfg, count, seed=404):
     gen = np.random.default_rng(seed)
-    return [
-        (
-            gen.normal(size=(cfg.lookback, cfg.channels)),
-            gen.normal(size=(cfg.horizon, cfg.channels)),
-        )
-        for _ in range(count)
-    ]
+    return gen.normal(size=(count, cfg.lookback + cfg.horizon, cfg.channels))
 
 
-def gradients(params, batch, cfg):
-    """gradient_batch on a list of (window, target) pairs."""
-    xs = np.stack([x for x, _ in batch])
-    ys = np.stack([y for _, y in batch])
-    return gradient_batch(params, xs, ys, cfg)[0]
+def gradients(params, spans, cfg):
+    return gradient_batch(params, spans, cfg)[0]
+
+
+def zero_params(cfg):
+    return np.zeros(param_count(cfg))
+
+
+def projection_weight(params, cfg):
+    return param_blocks(params, cfg)[-1][1]
 
 
 class TestJointLoss:
-    def test_zero_at_exact_fit(self, rng):
-        x = rng.normal(size=(4, 2))
-        y = rng.normal(size=(2, 2))
-        zhat = np.concatenate([x, y])
-        assert joint_loss(zhat, x, y) == 0.0
+    # The joint loss is the mean squared error of the whole output against
+    # the whole span, lookback and target. Zero parameters forecast each
+    # channel's lookback mean on every row, which makes hand cases.
+    def zero_params_loss(self, spans, lookback):
+        cfg = tiny_config(
+            lookback=lookback, horizon=spans.shape[1] - lookback,
+            channels=spans.shape[2], levels=1,
+        )
+        return gradient_batch(zero_params(cfg), spans, cfg)[1]
+
+    def test_zero_at_exact_fit(self):
+        spans = np.full((1, 6, 2), 3.0)
+        assert self.zero_params_loss(spans, 4) == 0.0
 
     def test_hand_case_single_channel(self):
-        val = joint_loss(np.zeros((2, 1)), np.array([[1.0]]), np.array([[1.0]]))
-        assert val == pytest.approx(1.0, abs=1e-15)
+        # Lookback [1, 3] has mean 2: errors -1, 1, 0, 0.
+        spans = np.array([[[1.0], [3.0], [2.0], [2.0]]])
+        assert self.zero_params_loss(spans, 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_hand_case_two_channels(self):
-        val = joint_loss(
-            np.zeros((2, 2)),
-            np.array([[1.0, 0.0]]),
-            np.array([[0.0, 1.0]]),
-        )
-        assert val == pytest.approx(0.5, abs=1e-15)
+        # Channel 0 is fit exactly; channel 1 misses its target by 2 twice.
+        spans = np.array([[[1.0, 5.0], [1.0, 5.0], [1.0, 7.0], [1.0, 7.0]]])
+        assert self.zero_params_loss(spans, 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DataError):
-            joint_loss(np.zeros((3, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+        cfg = tiny_config()
+        params = init_params(cfg, 1)
+        for shape in ((1, 11, 2), (1, 12, 3), (12, 2)):
+            with pytest.raises(DataError):
+                gradient_batch(params, np.zeros(shape), cfg)
 
     def test_channel_permutation_invariant(self, rng):
-        x = rng.normal(size=(4, 3))
-        y = rng.normal(size=(2, 3))
-        zhat = rng.normal(size=(6, 3))
+        cfg = tiny_config(channels=3)
+        params = init_params(cfg, 4)
+        spans = rng.normal(size=(2, 12, 3))
         perm = [2, 0, 1]
-        assert joint_loss(zhat, x, y) == pytest.approx(
-            joint_loss(zhat[:, perm], x[:, perm], y[:, perm]), rel=1e-15
-        )
+        _, loss = gradient_batch(params, spans, cfg)
+        _, permuted = gradient_batch(params, spans[:, :, perm], cfg)
+        assert loss == pytest.approx(permuted, rel=1e-12)
 
 
 class TestGradients:
@@ -84,13 +96,10 @@ class TestGradients:
         # Constant windows with matching constant targets are fit exactly
         # by zero parameters, so the quadratic sits at its minimum.
         cfg = tiny_config()
-        params = zeros_like_params(init_params(cfg, 1))
-        x = np.full((8, 2), 3.0)
-        y = np.full((4, 2), 3.0)
-        grads = gradients(params, [(x, y)], cfg)
-        for name, blk in grads.named_blocks():
-            np.testing.assert_array_equal(blk.weight, 0.0, err_msg=name)
-            np.testing.assert_array_equal(blk.bias, 0.0, err_msg=name)
+        grads = gradients(zero_params(cfg), np.full((1, 12, 2), 3.0), cfg)
+        for name, weight, bias in param_blocks(grads, cfg):
+            np.testing.assert_array_equal(weight, 0.0, err_msg=name)
+            np.testing.assert_array_equal(bias, 0.0, err_msg=name)
 
     def test_linearity_in_forecast_residual(self):
         # The gradient is affine in the targets: scaling the forecast
@@ -98,55 +107,43 @@ class TestGradients:
         # same way. Double and triple it, compare the deltas.
         cfg = tiny_config()
         params = init_params(cfg, 15)
-        batch = seeded_batch(cfg, 3)
-        from wavets.model import forward
-
-        outs = [forward(x, params, cfg) for x, _ in batch]
-        fore = [out[cfg.lookback :] for out in outs]
+        spans = seeded_spans(cfg, 3)
+        fore = forward_batch(spans[:, : cfg.lookback], params, cfg)[:, cfg.lookback :]
 
         def with_residual_scale(s):
-            return [
-                (x, f + s * (y - f)) for (x, y), f in zip(batch, fore)
-            ]
+            scaled = spans.copy()
+            scaled[:, cfg.lookback :] = fore + s * (spans[:, cfg.lookback :] - fore)
+            return scaled
 
         g1 = gradients(params, with_residual_scale(1.0), cfg)
         g2 = gradients(params, with_residual_scale(2.0), cfg)
         g3 = gradients(params, with_residual_scale(3.0), cfg)
-        for (name, b1), (_, b2), (_, b3) in zip(
-            g1.named_blocks(), g2.named_blocks(), g3.named_blocks()
+        for (name, b1, _), (_, b2, _), (_, b3, _) in zip(
+            param_blocks(g1, cfg), param_blocks(g2, cfg), param_blocks(g3, cfg)
         ):
             np.testing.assert_allclose(
-                b3.weight - b1.weight,
-                2.0 * (b2.weight - b1.weight),
-                atol=1e-12,
-                err_msg=name,
+                b3 - b1, 2.0 * (b2 - b1), atol=1e-12, err_msg=name
             )
 
     def test_empty_batch_rejected(self):
         cfg = tiny_config()
         with pytest.raises(DataError):
-            gradient_batch(
-                init_params(cfg, 1), np.zeros((0, 8, 2)), np.zeros((0, 4, 2)), cfg
-            )
+            gradient_batch(init_params(cfg, 1), np.zeros((0, 12, 2)), cfg)
 
     def test_batch_mean_is_mean_of_singles(self):
         cfg = tiny_config()
         params = init_params(cfg, 5)
-        batch = seeded_batch(cfg, 4)
-        full = gradients(params, batch, cfg)
-        singles = [gradients(params, [b], cfg) for b in batch]
-        for idx, (name, blk) in enumerate(full.named_blocks()):
-            stack = np.stack(
-                [list(s.named_blocks())[idx][1].weight for s in singles]
-            )
-            np.testing.assert_allclose(blk.weight, stack.mean(axis=0), atol=1e-12)
+        spans = seeded_spans(cfg, 4)
+        full = gradients(params, spans, cfg)
+        singles = np.stack([gradients(params, spans[i : i + 1], cfg) for i in range(4)])
+        np.testing.assert_allclose(full, singles.mean(axis=0), atol=1e-12)
 
 
 class TestGradientCheckFiniteDifferences:
     def test_wavelet_kind_all_blocks(self):
         cfg = tiny_config()
         params = init_params(cfg, 123)
-        report = gradient_check(params, seeded_batch(cfg, 3), cfg)
+        report = gradient_check(params, seeded_spans(cfg, 3), cfg)
         assert len(report) == 2 + 4 + 1
         for name, err in report.items():
             assert err < 1e-5, f"{name}: {err}"
@@ -154,7 +151,7 @@ class TestGradientCheckFiniteDifferences:
     def test_dft_kind_all_blocks(self):
         cfg = tiny_config(transform_kind="dft", lookback=10, horizon=3)
         params = init_params(cfg, 321)
-        report = gradient_check(params, seeded_batch(cfg, 3), cfg)
+        report = gradient_check(params, seeded_spans(cfg, 3), cfg)
         assert len(report) == 2 + 2 + 1
         for name, err in report.items():
             assert err < 1e-5, f"{name}: {err}"
@@ -163,14 +160,29 @@ class TestGradientCheckFiniteDifferences:
         # Even L+tau exercises the Nyquist-bin special case.
         cfg = tiny_config(transform_kind="dft", lookback=10, horizon=4)
         params = init_params(cfg, 77)
-        report = gradient_check(params, seeded_batch(cfg, 2), cfg)
+        report = gradient_check(params, seeded_spans(cfg, 2), cfg)
         for name, err in report.items():
             assert err < 1e-5, f"{name}: {err}"
 
     def test_high_order_branches(self):
         cfg = tiny_config(branch_orders=[3, 4])
         params = init_params(cfg, 55)
-        report = gradient_check(params, seeded_batch(cfg, 2), cfg)
+        report = gradient_check(params, seeded_spans(cfg, 2), cfg)
+        for name, err in report.items():
+            assert err < 1e-5, f"{name}: {err}"
+
+    def test_default_step_small_gradients_with_unit_biases(self):
+        # Standard-normal biases put some correct projection gradients near
+        # 1e-7, where the rounding noise of a 1e-6 step alone read 5e-4
+        # relative; the default step keeps every block under 1e-5.
+        cfg = tiny_config(transform_kind="dwt", branches=3, seed=2)
+        params = init_params(cfg, cfg.seed)
+        gen = np.random.default_rng(8)
+        for _, _, bias in param_blocks(params, cfg):
+            bias[...] = gen.standard_normal(bias.shape)
+        spans = gen.standard_normal((2, cfg.lookback + cfg.horizon, cfg.channels))
+        report = gradient_check(params, spans, cfg)
+        assert len(report) == 3 * 3 + 1
         for name, err in report.items():
             assert err < 1e-5, f"{name}: {err}"
 
@@ -178,7 +190,7 @@ class TestGradientCheckFiniteDifferences:
         cfg = tiny_config()
         params = init_params(cfg, 123)
         report = gradient_check(
-            params, seeded_batch(cfg, 2), cfg, corrupt_block="projection"
+            params, seeded_spans(cfg, 2), cfg, corrupt_block="projection"
         )
         assert report["projection"] > 1e-5
 
@@ -186,74 +198,92 @@ class TestGradientCheckFiniteDifferences:
         cfg = tiny_config()
         with pytest.raises(ConfigError):
             gradient_check(
-                init_params(cfg, 1), seeded_batch(cfg, 1), cfg, corrupt_block="nope"
+                init_params(cfg, 1), seeded_spans(cfg, 1), cfg, corrupt_block="nope"
             )
+
+
+def fresh_adam(params):
+    return params.copy(), np.zeros_like(params), np.zeros_like(params)
 
 
 class TestAdamStep:
     def test_zero_gradient_leaves_params(self):
         cfg = tiny_config()
-        params = init_params(cfg, 9)
-        grads = zeros_like_params(params)
-        state = AdamState.zeros(params)
-        new_params, _ = adam_step(params, grads, state, 1, TrainConfig())
-        for (_, a), (_, b) in zip(params.named_blocks(), new_params.named_blocks()):
-            np.testing.assert_array_equal(a.weight, b.weight)
+        params, m, v = fresh_adam(init_params(cfg, 9))
+        adam_step(params, np.zeros_like(params), m, v, 1, TrainConfig())
+        np.testing.assert_array_equal(params, init_params(cfg, 9))
 
     def test_first_step_magnitude(self):
         cfg = tiny_config()
-        params = init_params(cfg, 9)
-        grads = zeros_like_params(params)
-        for _, blk in grads.named_blocks():
-            blk.weight[...] = 0.5
+        start = init_params(cfg, 9)
+        params, m, v = fresh_adam(start)
         tc = TrainConfig(learning_rate=1e-3)
-        state = AdamState.zeros(params)
-        new_params, _ = adam_step(params, grads, state, 1, tc)
-        delta = params.projection.weight - new_params.projection.weight
+        adam_step(params, np.full_like(params, 0.5), m, v, 1, tc)
+        delta = projection_weight(start, cfg) - projection_weight(params, cfg)
         # First bias-corrected step is lr * g / (|g| + eps) ~= lr.
         np.testing.assert_allclose(delta, 1e-3, rtol=1e-6)
 
     def test_deterministic(self):
         cfg = tiny_config()
-        params = init_params(cfg, 9)
-        grads = gradients(params, seeded_batch(cfg, 2), cfg)
-        state = AdamState.zeros(params)
-        out1, st1 = adam_step(params, grads, state, 1, TrainConfig())
-        out2, st2 = adam_step(params, grads, state, 1, TrainConfig())
-        assert np.array_equal(out1.projection.weight, out2.projection.weight)
-        assert np.array_equal(st1.v.projection.weight, st2.v.projection.weight)
+        start = init_params(cfg, 9)
+        grads = gradients(start, seeded_spans(cfg, 2), cfg)
+        runs = []
+        for _ in range(2):
+            params, m, v = fresh_adam(start)
+            adam_step(params, grads, m, v, 1, TrainConfig())
+            runs.append((params, v))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
 
-    def test_state_not_mutated(self):
+    def test_state_updated_in_place(self):
+        # Two steps in place equal the textbook update applied element by
+        # element, bit for bit, moments included.
         cfg = tiny_config()
-        params = init_params(cfg, 9)
-        grads = gradients(params, seeded_batch(cfg, 2), cfg)
-        state = AdamState.zeros(params)
-        adam_step(params, grads, state, 1, TrainConfig())
-        assert not state.m.projection.weight.any()
+        tc = TrainConfig(learning_rate=1e-2)
+        b1, b2, eps, lr = tc.adam_beta1, tc.adam_beta2, tc.adam_epsilon, tc.learning_rate
+        start = init_params(cfg, 9)
+        params, m, v = fresh_adam(start)
+        want_p, want_m, want_v = fresh_adam(start)
+        for t, seed in ((1, 1), (2, 2)):
+            grads = gradients(params, seeded_spans(cfg, 2, seed), cfg)
+            adam_step(params, grads, m, v, t, tc)
+            want_m = b1 * want_m + (1.0 - b1) * grads
+            want_v = b2 * want_v + (1.0 - b2) * grads**2
+            m_hat = want_m / (1.0 - b1**t)
+            v_hat = want_v / (1.0 - b2**t)
+            want_p = want_p - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.array_equal(m, want_m)
+            assert np.array_equal(v, want_v)
+            assert np.array_equal(params, want_p)
+        assert not np.array_equal(params, start)
 
     def test_bad_step_index(self):
         cfg = tiny_config()
-        params = init_params(cfg, 9)
+        params, m, v = fresh_adam(init_params(cfg, 9))
         with pytest.raises(ConfigError):
-            adam_step(params, zeros_like_params(params), AdamState.zeros(params), 0, TrainConfig())
+            adam_step(params, np.zeros_like(params), m, v, 0, TrainConfig())
 
 
 class TestGradientClip:
     def test_norm_reduced_to_cap(self):
         cfg = tiny_config()
         params = init_params(cfg, 9)
-        grads = gradients(params, seeded_batch(cfg, 2), cfg)
+        grads = gradients(params, seeded_spans(cfg, 2), cfg)
         norm = global_grad_norm(grads)
-        clipped = clip_gradients(grads, norm / 2)
-        assert global_grad_norm(clipped) == pytest.approx(norm / 2, rel=1e-12)
+        assert norm == pytest.approx(
+            np.sqrt(sum(np.sum(w**2) + np.sum(b**2) for _, w, b in param_blocks(grads, cfg))),
+            rel=1e-12,
+        )
+        clip_gradients(grads, norm / 2)
+        assert global_grad_norm(grads) == pytest.approx(norm / 2, rel=1e-12)
 
     def test_below_cap_unchanged(self):
         cfg = tiny_config()
         params = init_params(cfg, 9)
-        grads = gradients(params, seeded_batch(cfg, 2), cfg)
-        before = grads.projection.weight.copy()
+        grads = gradients(params, seeded_spans(cfg, 2), cfg)
+        before = grads.copy()
         clip_gradients(grads, global_grad_norm(grads) * 10)
-        np.testing.assert_array_equal(grads.projection.weight, before)
+        np.testing.assert_array_equal(grads, before)
 
 
 class TestTrainConfigValidation:
@@ -265,10 +295,8 @@ class TestTrainConfigValidation:
         assert len(tc.problems()) == 4
 
 
-def constant_series_pairs(cfg, count, value=2.0):
-    x = np.full((cfg.lookback, cfg.channels), value)
-    y = np.full((cfg.horizon, cfg.channels), value)
-    return [(x.copy(), y.copy()) for _ in range(count)]
+def constant_series_spans(cfg, count, value=2.0):
+    return np.full((count, cfg.lookback + cfg.horizon, cfg.channels), value)
 
 
 class TestTrainLoop:
@@ -276,9 +304,9 @@ class TestTrainLoop:
         # A constant series is fit exactly by any parameters: the window
         # normalizes to zero, so only the denormalization mean survives.
         cfg = tiny_config()
-        pairs = constant_series_pairs(cfg, 8)
+        spans = constant_series_spans(cfg, 8)
         tc = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=5, patience=3, seed=1)
-        _, history = train(cfg, pairs, pairs, tc)
+        _, history = train(cfg, spans, spans, tc)
         assert history.best_val_loss < 1e-6
         assert all(e.val_loss < 1e-6 for e in history.epochs)
 
@@ -287,52 +315,67 @@ class TestTrainLoop:
         # targets, so validation strictly worsens from epoch 1.
         cfg = tiny_config()
         gen = np.random.default_rng(5)
-        xs = [gen.normal(size=(cfg.lookback, cfg.channels)) for _ in range(8)]
-        train_pairs = [(x, np.full((cfg.horizon, cfg.channels), 5.0)) for x in xs]
-        val_pairs = [(x, np.full((cfg.horizon, cfg.channels), -5.0)) for x in xs]
+        xs = np.stack([gen.normal(size=(cfg.lookback, cfg.channels)) for _ in range(8)])
+        train_spans = np.concatenate([xs, np.full((8, cfg.horizon, cfg.channels), 5.0)], axis=1)
+        val_spans = np.concatenate([xs, np.full((8, cfg.horizon, cfg.channels), -5.0)], axis=1)
         tc = TrainConfig(
             learning_rate=1e-2, batch_size=8, max_epochs=10, patience=1, seed=2
         )
-        params0 = zeros_like_params(init_params(cfg, 0))
-        _, history = train(cfg, train_pairs, val_pairs, tc, init=params0)
+        params0 = zero_params(cfg)
+        _, history = train(cfg, train_spans, val_spans, tc, init=params0)
         assert history.stopped_reason == "early_stop"
         assert history.best_epoch == 1
         assert len(history.epochs) == 2
         assert history.epochs[1].val_loss > history.epochs[0].val_loss
+        # init is copied, never updated in place.
+        assert not params0.any()
 
     def test_same_seed_identical_history(self):
         cfg = tiny_config()
-        batch = seeded_batch(cfg, 12)
+        spans = seeded_spans(cfg, 12)
         tc = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=3, patience=3, seed=9)
-        _, h1 = train(cfg, batch[:8], batch[8:], tc)
-        _, h2 = train(cfg, batch[:8], batch[8:], tc)
+        _, h1 = train(cfg, spans[:8], spans[8:], tc)
+        _, h2 = train(cfg, spans[:8], spans[8:], tc)
         assert h1.to_doc() == h2.to_doc()
 
     def test_same_seed_identical_params(self):
         cfg = tiny_config()
-        batch = seeded_batch(cfg, 12)
+        spans = seeded_spans(cfg, 12)
         tc = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=3, patience=3, seed=9)
-        p1, _ = train(cfg, batch[:8], batch[8:], tc)
-        p2, _ = train(cfg, batch[:8], batch[8:], tc)
-        for (_, a), (_, b) in zip(p1.named_blocks(), p2.named_blocks()):
-            assert np.array_equal(a.weight, b.weight)
-            assert np.array_equal(a.bias, b.bias)
+        p1, _ = train(cfg, spans[:8], spans[8:], tc)
+        p2, _ = train(cfg, spans[:8], spans[8:], tc)
+        assert np.array_equal(p1, p2)
+
+    def test_best_params_are_a_snapshot(self):
+        # Validation worsens after epoch 1, so the returned parameters are
+        # the epoch-1 snapshot, unchanged by the later updates.
+        cfg = tiny_config()
+        gen = np.random.default_rng(5)
+        xs = gen.normal(size=(8, cfg.lookback, cfg.channels))
+        train_spans = np.concatenate([xs, np.full((8, cfg.horizon, cfg.channels), 5.0)], axis=1)
+        val_spans = np.concatenate([xs, np.full((8, cfg.horizon, cfg.channels), -5.0)], axis=1)
+        one = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=1, patience=1, seed=2)
+        three = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=3, patience=3, seed=2)
+        first, _ = train(cfg, train_spans, val_spans, one, init=zero_params(cfg))
+        best, history = train(cfg, train_spans, val_spans, three, init=zero_params(cfg))
+        assert history.best_epoch == 1 and len(history.epochs) == 3
+        assert np.array_equal(best, first)
 
     def test_partial_last_batch_kept(self):
         # 10 windows, batch 4: the 2-window remainder still trains; the
         # recorded train loss averages over all 10 windows.
         cfg = tiny_config()
-        batch = seeded_batch(cfg, 12)
+        spans = seeded_spans(cfg, 12)
         tc = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=1, patience=1, seed=3)
-        _, history = train(cfg, batch[:10], batch[10:], tc)
+        _, history = train(cfg, spans[:10], spans[10:], tc)
         assert len(history.epochs) == 1
         assert np.isfinite(history.epochs[0].train_loss)
 
     def test_best_epoch_invariant(self):
         cfg = tiny_config()
-        batch = seeded_batch(cfg, 12)
+        spans = seeded_spans(cfg, 12)
         tc = TrainConfig(learning_rate=5e-3, batch_size=4, max_epochs=6, patience=6, seed=4)
-        _, history = train(cfg, batch[:8], batch[8:], tc)
+        _, history = train(cfg, spans[:8], spans[8:], tc)
         vals = [e.val_loss for e in history.epochs]
         assert history.best_val_loss == min(vals)
         assert history.epochs[history.best_epoch - 1].val_loss == min(vals)
@@ -340,11 +383,11 @@ class TestTrainLoop:
     def test_empty_validation_rejected(self):
         cfg = tiny_config()
         with pytest.raises(DataError):
-            train(cfg, seeded_batch(cfg, 4), [], TrainConfig())
+            train(cfg, seeded_spans(cfg, 4), [], TrainConfig())
 
     def test_incompatible_window_shape_rejected(self):
         cfg = tiny_config()
-        bad = [(np.zeros((7, 2)), np.zeros((4, 2)))]
+        bad = np.zeros((1, 11, 2))
         with pytest.raises(DataError):
             train(cfg, bad, bad, TrainConfig())
 
@@ -352,21 +395,21 @@ class TestTrainLoop:
     def test_nonfinite_loss_aborts_with_numerical_error(self):
         cfg = tiny_config()
         params = init_params(cfg, 1)
-        params.projection.weight[0, 0] = 1e200
-        pairs = seeded_batch(cfg, 6)
+        projection_weight(params, cfg)[0, 0] = 1e200
+        spans = seeded_spans(cfg, 6)
         # Huge weight; squaring the residual overflows to inf.
         with pytest.raises(NumericalError):
-            train(cfg, pairs, pairs, TrainConfig(max_epochs=2, batch_size=2), init=params)
+            train(cfg, spans, spans, TrainConfig(max_epochs=2, batch_size=2), init=params)
 
     def test_evaluate_loss_matches_joint_loss(self):
+        # Window mean of each span's joint loss, one window at a time.
         cfg = tiny_config()
         params = init_params(cfg, 6)
-        pairs = seeded_batch(cfg, 5)
-        from wavets.model import forward
-
-        total = 0.0
-        for x, y in pairs:
-            total += joint_loss(forward(x, params, cfg), x, y)
-        assert evaluate_loss(params, pairs, cfg) == pytest.approx(
-            total / len(pairs), rel=1e-12
+        spans = seeded_spans(cfg, 5)
+        per_window = [gradient_batch(params, spans[i : i + 1], cfg)[1] for i in range(5)]
+        assert evaluate_loss(params, spans, cfg) == pytest.approx(
+            np.mean(per_window), rel=1e-12
+        )
+        assert evaluate_loss(params, spans, cfg, chunk=2) == pytest.approx(
+            np.mean(per_window), rel=1e-12
         )
