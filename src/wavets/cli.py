@@ -40,7 +40,8 @@ from .errors import ConfigError, DataError, NumericalError
 from .metrics import MetricsReport, aggregate_report
 from .model import (
     ModelConfig,
-    forward_batch,
+    apply_operator,
+    compile_operator,
     init_params,
     load_checkpoint,
     read_field,
@@ -272,19 +273,20 @@ def forecast_predictions(
     config: ModelConfig,
     chunk: int = 256,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the model over window spans and keep only the forecast tail.
+    """Forecast the tail of every window span with the compiled operator.
 
     Returns (inputs, targets, predictions) shaped (W, L, C) / (W, H, C) /
-    (W, H, C); inputs and targets are views of the spans. Chunked so
+    (W, H, C); inputs and targets are views of the spans. Only the
+    operator's horizon columns are applied, chunk windows at a time so
     memory stays flat on large window sets.
     """
     spans = check_spans(spans, config)
     xs, ys = spans[:, : config.lookback], spans[:, config.lookback :]
+    weight, bias = compile_operator(params, config)
+    weight, bias = weight[:, config.lookback :], bias[config.lookback :]
     preds = np.concatenate(
         [
-            forward_batch(xs[i : i + chunk], params, config)[
-                :, config.lookback :, :
-            ]
+            apply_operator(xs[i : i + chunk], weight, bias, config)
             for i in range(0, xs.shape[0], chunk)
         ]
     )

@@ -19,6 +19,13 @@ band's N branch maps as one map (band_maps), and synthesises once over a
 branch axis. Everything is affine in the parameters, which keeps
 gradients closed-form (see train module).
 
+Everything between the instance normalization and the denormalization is
+affine in the input too, so for fixed parameters the model is one
+(L, L+tau) matrix and bias on normalized rows. compile_operator builds it
+by pushing the zero row and the identity rows through the same branch
+path as forward_batch, and apply_operator evaluates it with one GEMM;
+forward_batch is the training path and the operator's reference.
+
 The parameters are one float64 vector. param_layout, derived from the
 config alone, names its blocks in checkpoint order, and param_blocks
 gives each block's weight and bias as views into the vector, so the
@@ -355,22 +362,12 @@ def branch_grads(
             bias[...] = dbias[cols] * scale[n]
 
 
-def forward_batch(
-    xs: np.ndarray,
-    params: np.ndarray,
-    config: ModelConfig,
-    want_cache: bool = False,
-):
-    """Model on a (B, L, C) stack; returns (B, L+tau, C) and optionally the
-    intermediates the analytic gradients need."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 3 or len(xs) == 0 or xs.shape[1:] != (config.lookback, config.channels):
-        raise DataError(
-            f"batch shape {xs.shape} does not match (B >= 1, {config.lookback}, "
-            f"{config.channels})"
-        )
-    normed, mean, std = _normalize_batch(xs, config.std_epsilon)
-    normed_t = normed.transpose(0, 2, 1)
+def _normalized_map(
+    normed_t: np.ndarray, params: np.ndarray, config: ModelConfig
+) -> tuple[np.ndarray, dict]:
+    """The model between the normalization and the denormalization: the
+    branch path and the projection on (B, C, L) normalized rows, giving
+    (B, C, L+tau) and the intermediates the analytic gradients need."""
     total = config.lookback + config.horizon
     if config.transform_kind == "dft":
         spectrum = np.fft.rfft(normed_t, axis=-1)
@@ -401,12 +398,67 @@ def forward_batch(
     # Branch n's output occupies columns [n*total, (n+1)*total).
     zcat = z.reshape(z.shape[:-2] + (-1,))
     _, proj_weight, proj_bias = param_blocks(params, config)[-1]
-    proj = affine_apply(zcat, proj_weight, proj_bias)
+    return affine_apply(zcat, proj_weight, proj_bias), {"zcat": zcat, "bands_in": bands_in}
+
+
+def _check_batch(xs, config: ModelConfig) -> np.ndarray:
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 3 or len(xs) == 0 or xs.shape[1:] != (config.lookback, config.channels):
+        raise DataError(
+            f"batch shape {xs.shape} does not match (B >= 1, {config.lookback}, "
+            f"{config.channels})"
+        )
+    return xs
+
+
+def forward_batch(
+    xs: np.ndarray,
+    params: np.ndarray,
+    config: ModelConfig,
+    want_cache: bool = False,
+):
+    """Model on a (B, L, C) stack; returns (B, L+tau, C) and optionally the
+    intermediates the analytic gradients need.
+
+    This is the training path and the reference that compile_operator is
+    tested against."""
+    xs = _check_batch(xs, config)
+    normed, mean, std = _normalize_batch(xs, config.std_epsilon)
+    proj, cache = _normalized_map(normed.transpose(0, 2, 1), params, config)
     out = proj.transpose(0, 2, 1) * std + mean
     if not want_cache:
         return out
-    cache = {"mean": mean, "std": std, "zcat": zcat, "bands_in": bands_in}
-    return out, cache
+    return out, {"mean": mean, "std": std, **cache}
+
+
+def compile_operator(
+    params: np.ndarray, config: ModelConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The model as one affine operator on normalized rows: (weight
+    (L, L+tau), bias (L+tau,)) such that a normalized lookback row x maps
+    to x @ weight + bias, before denormalization.
+
+    Every step between the normalization and the denormalization is
+    linear or affine, so the zero row gives the bias and identity row i,
+    minus the bias, gives row i of the weight. All L+1 rows run through
+    the same branch path as forward_batch, as one batch of one channel.
+    """
+    rows = np.vstack([np.zeros(config.lookback), np.eye(config.lookback)])
+    out, _ = _normalized_map(rows[:, None, :], params, config)
+    bias = out[0, 0]
+    return out[1:, 0] - bias, bias
+
+
+def apply_operator(
+    xs: np.ndarray, weight: np.ndarray, bias: np.ndarray, config: ModelConfig
+) -> np.ndarray:
+    """A compiled operator, or a column slice of it, on a (B, L, C) stack:
+    normalize, one GEMM over the channel rows, denormalize; returns
+    (B, m, C) for m columns."""
+    xs = _check_batch(xs, config)
+    normed, mean, std = _normalize_batch(xs, config.std_epsilon)
+    out = affine_apply(normed.transpose(0, 2, 1), weight, bias)
+    return out.transpose(0, 2, 1) * std + mean
 
 
 def validate_params(params: np.ndarray, config: ModelConfig) -> None:
@@ -477,6 +529,10 @@ def load_checkpoint(path: str) -> tuple[np.ndarray, ModelConfig]:
         raise DataError(f"cannot open checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(
+            f"checkpoint {path} must hold a JSON object, got {type(doc).__name__}"
+        )
     if doc.get("version") != CHECKPOINT_VERSION:
         raise DataError(
             f"checkpoint {path} has version {doc.get('version')!r}, "
@@ -496,7 +552,9 @@ def load_checkpoint(path: str) -> tuple[np.ndarray, ModelConfig]:
             (np.array(d["weight"], dtype=np.float64), np.array(d["bias"], dtype=np.float64))
             for d in docs
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        # A stored config that does not parse is a defect of the file, so it
+        # exits like every other one, not like a bad run config.
         raise DataError(f"checkpoint {path} is malformed: {exc}") from exc
     try:
         config.ensure_valid()

@@ -32,8 +32,10 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericalError
 from .model import (
     ModelConfig,
+    apply_operator,
     branch_grads,
     channel_rows,
+    compile_operator,
     forward_batch,
     param_blocks,
     param_layout,
@@ -278,12 +280,13 @@ def evaluate_loss(
     chunk: int = 256,
 ) -> float:
     """Window-mean joint loss over (W, L+tau, C) window spans, evaluated in
-    chunks."""
+    chunks with the compiled operator (model.compile_operator)."""
     spans = check_spans(spans, config)
+    weight, bias = compile_operator(params, config)
     total_sq = 0.0
     for start in range(0, len(spans), chunk):
         part = spans[start : start + chunk]
-        out = forward_batch(part[:, : config.lookback], params, config)
+        out = apply_operator(part[:, : config.lookback], weight, bias, config)
         total_sq += float(np.sum((out - part) ** 2))
     return total_sq / spans.size
 

@@ -8,8 +8,11 @@ position j is the inner product of the signal with a row that is
 on the second half; the approximation row at depth K is the constant
 2^(-K/2) on its block of length 2^K.
 
-The per-branch forecaster at the end is the exception: it calls the
-package's transforms to run the model as the paper states it, one branch
+The per-branch forecaster and the chunked forward loops at the end are
+the exceptions. The chunked loops run model.forward_batch on each chunk
+of windows: the uncompiled model that cli.forecast_predictions and
+train.evaluate_loss, which apply the compiled operator, are compared
+with. The per-branch forecaster calls the package's transforms to run the model as the paper states it, one branch
 at a time with the derivative gains applied and divided back out, so the
 single-branch-axis model can be compared with it bit for bit. It reads
 each branch's blocks by name through model.param_blocks. Its per-block
@@ -19,7 +22,7 @@ and the gradient checks cover separately.
 
 import numpy as np
 
-from wavets.model import affine_apply, param_blocks
+from wavets.model import affine_apply, forward_batch, param_blocks
 from wavets.train import _affine_grads, _irfft_adjoint
 from wavets.wavelet import dwt_multi, make_filterbank
 from wavets.wdt import level_gains, wdt_forward, wdt_inverse
@@ -199,3 +202,26 @@ def per_branch_gradients(params: np.ndarray, spans, config):
             for name, inp, g, gain in zip(names, bands, [pyr.approx] + pyr.details, gains):
                 store(name, inp, g / gain)
     return grads, float(np.mean(residual**2))
+
+
+def forecast_predictions_chunked(params: np.ndarray, spans, config, chunk: int = 256):
+    """(inputs, targets, predictions) of window spans, forward_batch on
+    each chunk of windows and the forecast tail kept."""
+    xs, ys = spans[:, : config.lookback], spans[:, config.lookback :]
+    preds = np.concatenate(
+        [
+            forward_batch(xs[i : i + chunk], params, config)[:, config.lookback :, :]
+            for i in range(0, xs.shape[0], chunk)
+        ]
+    )
+    return xs, ys, preds
+
+
+def evaluate_loss_chunked(params: np.ndarray, spans, config, chunk: int = 256) -> float:
+    """Window-mean joint loss of window spans, forward_batch on each chunk."""
+    total_sq = 0.0
+    for start in range(0, len(spans), chunk):
+        part = spans[start : start + chunk]
+        out = forward_batch(part[:, : config.lookback], params, config)
+        total_sq += float(np.sum((out - part) ** 2))
+    return total_sq / spans.size

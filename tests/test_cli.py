@@ -7,6 +7,7 @@ emitted files are checked without spawning subprocesses.
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -693,6 +694,30 @@ def test_eval_nonfinite_forecast_exits_4(tmp_path, run_config, capsys):
     assert rc == 4
     assert "non-finite" in err and "Traceback" not in err
     assert not (tmp_path / "e" / "metrics.txt").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "null", '"x"'])
+def test_eval_checkpoint_not_an_object_exits_3(tmp_path, run_config, capsys, text):
+    path = tmp_path / "checkpoint.json"
+    path.write_text(text + "\n")
+    rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "must hold a JSON object" in err and "Traceback" not in err
+
+
+def test_eval_checkpoint_malformed_stored_config_exits_3(tmp_path, run_config, capsys):
+    # A defect in the checkpoint's own config is a data error like any other
+    # defect in the file, not a run-config error; the message names the field.
+    pinned = Path(__file__).resolve().parent / "checkpoints" / "wdt.json"
+    doc = json.loads(pinned.read_text())
+    doc["config"]["levels"] = "x"
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "model.levels must be an integer" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
