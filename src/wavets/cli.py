@@ -411,17 +411,19 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def run_training(
     run: RunConfig,
+    splits: tuple[SeriesFrame, SeriesFrame, SeriesFrame],
     out: Path,
     quiet: bool = False,
 ) -> tuple[np.ndarray, dict]:
-    """Train one model per the run config and write all artifacts to ``out``.
+    """Train one model on ``load_splits(run)``'s splits and write all
+    artifacts to ``out``.
 
     Returns the best parameters and the summary key/value mapping.  Output
     files carry no wall-clock timings, so reruns with identical inputs are
     byte-identical; timings go to stdout only.
     """
     started = time.perf_counter()
-    train_frame, val_frame, test_frame = load_splits(run)
+    train_frame, val_frame, _ = splits
     train_spans = split_window_pairs(train_frame, run)
     val_spans = split_window_pairs(val_frame, run)
 
@@ -467,7 +469,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     run = load_run_config(args.config, seed=args.seed)
     run.ensure_valid(need_data=True)
     out = _effective_out(args, run)
-    run_training(run, out)
+    run_training(run, load_splits(run), out)
     return 0
 
 
@@ -540,6 +542,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     run.ensure_valid(need_data=True)
     out = _effective_out(args, run)
     _write_json(out / "effective_config.json", run.to_dict())
+    # The variants differ only in transform_kind, which the splits do not
+    # depend on, so the CSV is read and split once for all three.
+    splits = load_splits(run)
+    test_frame = splits[2]
 
     rows = []
     for kind in ("wdt", "dwt", "dft"):
@@ -552,8 +558,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         variant.ensure_valid(need_data=True)
         kind_out = _ensure_out_dir(str(out / kind))
         print(f"== training variant: {kind}")
-        params, _ = run_training(variant, kind_out, quiet=args.quiet)
-        _, _, test_frame = load_splits(variant)
+        params, _ = run_training(variant, splits, kind_out, quiet=args.quiet)
         test_spans = split_window_pairs(test_frame, variant)
         report = split_report(params, test_spans, variant)
         rows.append((kind, report))

@@ -154,20 +154,43 @@ def energy_report(signal: np.ndarray, pyramid: DerivativePyramid) -> EnergyRepor
     )
 
 
-def band_labels(pyramid: DerivativePyramid) -> list[str]:
-    """Row labels in export order: LL_K first, then LH_K down to LH_1."""
-    k = pyramid.base.levels
-    return [f"LL{k}"] + [f"LH{lv}" for lv in range(k, 0, -1)]
-
-
 def _bands_in_export_order(
     pyramid: DerivativePyramid,
 ) -> list[tuple[str, np.ndarray, float]]:
+    """(label, coefficients, gain) per band of a valid pyramid of one series,
+    in export order: LL_K first, then LH_K down to LH_1.
+
+    The exports lay time along one axis, so a pyramid of a (..., T) batch
+    is refused rather than written with its windows run together.
+    """
+    pyramid.validate()
     k = pyramid.base.levels
     out = [(f"LL{k}", pyramid.base.approx, 1.0)]
     for lv in range(k, 0, -1):
         out.append((f"LH{lv}", pyramid.base.details[lv - 1], pyramid.gains[lv - 1]))
+    for label, coeffs, _ in out:
+        if np.ndim(coeffs) != 1:
+            raise DataError(
+                f"exports need a pyramid of one series; band {label} has "
+                f"shape {np.shape(coeffs)}"
+            )
     return out
+
+
+def _normalized_bands(pyramid: DerivativePyramid) -> list[tuple[str, np.ndarray, int]]:
+    """(label, |coefficients| / global peak, repeat count) per band.
+
+    Row l of the scalogram is the band's normalized amplitudes, each
+    repeated over the T / len(band) samples it covers. An all-zero
+    pyramid keeps its zeros.
+    """
+    bands = _bands_in_export_order(pyramid)
+    t = pyramid.base.original_length
+    amps = [np.abs(np.asarray(coeffs, dtype=np.float64)) for _, coeffs, _ in bands]
+    peak = np.max([amp.max() for amp in amps])
+    if peak > 0:
+        amps = [amp / peak for amp in amps]
+    return [(label, amp, t // amp.shape[0]) for (label, _, _), amp in zip(bands, amps)]
 
 
 def scalogram(pyramid: DerivativePyramid) -> np.ndarray:
@@ -175,18 +198,10 @@ def scalogram(pyramid: DerivativePyramid) -> np.ndarray:
 
     Row order LL_K, LH_K, ..., LH_1; each band is step-repeated up to the
     original length and |value| is divided by the global maximum over the
-    whole pyramid. An all-zero pyramid yields an all-zero grid.
+    whole pyramid. An all-zero pyramid yields an all-zero grid. Raises
+    DataError for a pyramid whose bands are not 1-D.
     """
-    pyramid.validate()
-    t = pyramid.base.original_length
-    rows = []
-    for _, coeffs, _ in _bands_in_export_order(pyramid):
-        rows.append(np.repeat(np.abs(coeffs), t // coeffs.shape[-1]))
-    grid = np.stack(rows)
-    peak = grid.max()
-    if peak > 0:
-        grid = grid / peak
-    return grid
+    return np.stack([np.repeat(amp, rep) for _, amp, rep in _normalized_bands(pyramid)])
 
 
 def change_amplification(
@@ -214,22 +229,27 @@ def write_coefficients_csv(pyramid: DerivativePyramid, path: str) -> None:
     """Write one row per coefficient: band,index,value,gain.
 
     Values use repr precision so they round-trip to the same float64.
+    The file is written one band at a time; a pyramid whose bands are not
+    1-D raises DataError.
     """
-    lines = ["band,index,value,gain"]
-    for label, coeffs, gain in _bands_in_export_order(pyramid):
-        for idx, val in enumerate(np.asarray(coeffs, dtype=np.float64).ravel()):
-            lines.append(f"{label},{idx},{float(val)!r},{gain!r}")
+    bands = _bands_in_export_order(pyramid)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("band,index,value,gain\n")
+        for label, coeffs, gain in bands:
+            values = np.asarray(coeffs, dtype=np.float64).tolist()
+            tail = f",{gain!r}\n"
+            fh.write("".join([f"{label},{i},{v!r}{tail}" for i, v in enumerate(values)]))
 
 
 def write_scalogram_csv(pyramid: DerivativePyramid, path: str) -> None:
-    """Write the normalized scalogram grid, one labeled row per band."""
-    grid = scalogram(pyramid)
-    labels = band_labels(pyramid)
-    header = "band," + ",".join(str(i) for i in range(grid.shape[1]))
-    lines = [header]
-    for label, row in zip(labels, grid):
-        lines.append(label + "," + ",".join(repr(float(v)) for v in row))
+    """Write the normalized scalogram grid, one labeled row per band.
+
+    The cells equal `scalogram(pyramid)`, but each band's distinct values
+    are formatted once and repeated, and the file is written one band at
+    a time.
+    """
+    bands = _normalized_bands(pyramid)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("band," + ",".join(map(str, range(pyramid.base.original_length))) + "\n")
+        for label, amp, rep in bands:
+            fh.write(label + "".join([f",{v!r}" * rep for v in amp.tolist()]) + "\n")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from wavets.cli import main
+from wavets.data import load_csv
 from wavets.wavelet import make_filterbank, dwt_multi
 from wavets.wdt import DerivativePyramid, write_coefficients_csv
 
@@ -791,6 +792,23 @@ def test_ablate_dwt_variant_equals_orders_forced_to_zero(
     assert (tmp_path / "a" / "dwt" / "summary.txt").read_bytes() == (
         out / "summary.txt"
     ).read_bytes()
+
+
+def test_ablate_reads_the_csv_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting_load_csv(path):
+        calls.append(path)
+        return load_csv(path)
+
+    monkeypatch.setattr("wavets.cli.load_csv", counting_load_csv)
+    config = Path(__file__).resolve().parent.parent / "configs" / "tiny_synthetic.json"
+    rc = main(["ablate", "--config", str(config), "--out", str(tmp_path / "a"), "--quiet"])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(calls) == 1
+    for kind in ("wdt", "dwt", "dft"):
+        assert (tmp_path / "a" / kind / "checkpoint.json").exists()
 
 
 # ---------------------------------------------------------------------------
