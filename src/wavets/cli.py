@@ -21,11 +21,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from .config import ModelConfig, RunConfig, load_run_config
 from .data import (
     ETT_HOURLY_BORDERS,
     SeriesFrame,
@@ -39,196 +40,18 @@ from .data import (
 from .errors import ConfigError, DataError, NumericalError
 from .metrics import MetricsReport, aggregate_report
 from .model import (
-    ModelConfig,
     apply_operator,
     compile_operator,
     init_params,
     load_checkpoint,
-    read_field,
     save_checkpoint,
 )
-from .train import TrainConfig, check_spans, gradient_check, train
+from .train import check_spans, gradient_check, train
 from .wavelet import SUPPORTED_WAVELETS, make_filterbank
 from .wdt import wdt_forward, write_coefficients_csv, write_scalogram_csv
 
 GRADCHECK_TOLERANCE = 1e-5
 GRADCHECK_MAX_DIM = 16
-SPLIT_KINDS = ("ratio", "ett_hourly")
-
-
-# ---------------------------------------------------------------------------
-# run configuration
-
-
-@dataclass
-class DataSection:
-    """Where the series lives and how it is split into train/val/test."""
-
-    csv: str
-    split_kind: str = "ratio"
-    ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
-    stride: int = 1
-    standardize: bool = True
-
-    def problems(self) -> list[str]:
-        out = []
-        if not self.csv:
-            out.append("data.csv path must be non-empty")
-        if self.split_kind not in SPLIT_KINDS:
-            out.append(
-                f"data.split.kind must be one of {SPLIT_KINDS}, "
-                f"got {self.split_kind!r}"
-            )
-        if self.split_kind == "ratio":
-            if len(self.ratios) != 3:
-                out.append("data.split.ratios must have three entries")
-            elif any(r <= 0.0 for r in self.ratios):
-                out.append("data.split.ratios must all be positive")
-            elif abs(sum(self.ratios) - 1.0) > 1e-9:
-                out.append("data.split.ratios must sum to 1")
-        if self.stride < 1:
-            out.append(f"data.stride must be >= 1, got {self.stride}")
-        return out
-
-    def to_dict(self) -> dict:
-        doc = {
-            "csv": self.csv,
-            "split": {"kind": self.split_kind},
-            "stride": self.stride,
-            "standardize": self.standardize,
-        }
-        if self.split_kind == "ratio":
-            doc["split"]["ratios"] = list(self.ratios)
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict, base: Path) -> "DataSection":
-        if not isinstance(doc, dict):
-            raise ConfigError("data section must be an object")
-        known = {"csv", "split", "stride", "standardize"}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ConfigError(f"unknown data keys: {', '.join(unknown)}")
-        csv = read_field(doc, "csv", str, "data", "")
-        split = doc.get("split", {"kind": "ratio"})
-        if isinstance(split, str):
-            split = {"kind": split}
-        if not isinstance(split, dict):
-            raise ConfigError("data.split must be an object or a kind name")
-        bad = sorted(set(split) - {"kind", "ratios"})
-        if bad:
-            raise ConfigError(f"unknown data.split keys: {', '.join(bad)}")
-        ratios = read_field(split, "ratios", float, "data.split", cls.ratios, many=True)
-        return cls(
-            csv=_resolve_path(base, csv) if csv else "",
-            split_kind=read_field(split, "kind", str, "data.split", "ratio"),
-            ratios=tuple(ratios),
-            stride=read_field(doc, "stride", int, "data", 1),
-            standardize=read_field(doc, "standardize", bool, "data", True),
-        )
-
-
-@dataclass
-class MetricsSection:
-    mode: str = "long"
-    period: int = 1
-
-    def problems(self) -> list[str]:
-        out = []
-        if self.mode not in ("long", "short"):
-            out.append(f"metrics.mode must be 'long' or 'short', got {self.mode!r}")
-        if self.period < 1:
-            out.append(f"metrics.period must be >= 1, got {self.period}")
-        return out
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "period": self.period}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MetricsSection":
-        if not isinstance(doc, dict):
-            raise ConfigError("metrics section must be an object")
-        unknown = sorted(set(doc) - {"mode", "period"})
-        if unknown:
-            raise ConfigError(f"unknown metrics keys: {', '.join(unknown)}")
-        return cls(
-            mode=read_field(doc, "mode", str, "metrics", "long"),
-            period=read_field(doc, "period", int, "metrics", 1),
-        )
-
-
-@dataclass
-class RunConfig:
-    """Everything one training or evaluation run needs."""
-
-    model: ModelConfig
-    train: TrainConfig = field(default_factory=TrainConfig)
-    data: DataSection | None = None
-    metrics: MetricsSection = field(default_factory=MetricsSection)
-    out: str | None = None
-
-    def ensure_valid(self, need_data: bool) -> None:
-        problems = list(self.model.problems()) + list(self.train.problems())
-        if self.data is not None:
-            problems += self.data.problems()
-        elif need_data:
-            problems.append("config is missing the data section")
-        problems += self.metrics.problems()
-        if problems:
-            raise ConfigError("; ".join(problems))
-
-    def to_dict(self) -> dict:
-        doc = {"model": self.model.to_dict(), "train": self.train.to_dict()}
-        if self.data is not None:
-            doc["data"] = self.data.to_dict()
-        doc["metrics"] = self.metrics.to_dict()
-        return doc
-
-
-def _resolve_path(base: Path, value: str) -> str:
-    path = Path(value)
-    if path.is_absolute():
-        return str(path)
-    return str((base / path).resolve())
-
-
-def load_run_config(path: str, seed: int | None = None) -> RunConfig:
-    """Parse a JSON run config; relative paths resolve against its directory.
-
-    ``seed``, when given, overrides both the model and training seeds so a
-    single flag reruns the whole pipeline under a different draw.
-    """
-    cfg_path = Path(path)
-    try:
-        text = cfg_path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    unknown = sorted(set(doc) - {"model", "train", "data", "metrics", "out"})
-    if unknown:
-        raise ConfigError(f"unknown config sections: {', '.join(unknown)}")
-    if "model" not in doc:
-        raise ConfigError("config is missing the model section")
-    for name in ("model", "train", "data", "metrics"):
-        if name in doc and not isinstance(doc[name], dict):
-            raise ConfigError(f"config section {name} must be a JSON object")
-    base = cfg_path.resolve().parent
-    model = ModelConfig.from_dict(doc["model"])
-    train_cfg = TrainConfig.from_dict(doc.get("train", {}))
-    data = DataSection.from_dict(doc["data"], base) if "data" in doc else None
-    metrics = MetricsSection.from_dict(doc.get("metrics", {}))
-    out = _resolve_path(base, str(doc["out"])) if doc.get("out") else None
-    if seed is not None:
-        model = replace(model, seed=int(seed))
-        train_cfg = replace(train_cfg, seed=int(seed))
-    return RunConfig(
-        model=model, train=train_cfg, data=data, metrics=metrics, out=out
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +70,10 @@ def load_splits(run: RunConfig) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:
             f"model.channels is {run.model.channels} but {run.data.csv} "
             f"has {frame.channels} channels"
         )
-    if run.data.split_kind == "ett_hourly":
+    if run.data.split.kind == "ett_hourly":
         parts = chronological_split_borders(frame, ETT_HOURLY_BORDERS)
     else:
-        parts = chronological_split(frame, run.data.ratios)
+        parts = chronological_split(frame, run.data.split.ratios)
     if run.data.standardize:
         stats = standardize_fit(parts[0])
         parts = tuple(standardize_apply(p, stats) for p in parts)
@@ -480,17 +303,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _check_config_matches_checkpoint(
     run_model: ModelConfig, ckpt_model: ModelConfig
 ) -> None:
-    fields = (
-        "lookback",
-        "horizon",
-        "channels",
-        "branches",
-        "levels",
-        "transform_kind",
-    )
-    for name in fields:
+    ckpt_shape = {**ckpt_model.sizes(), "transform_kind": ckpt_model.transform_kind}
+    for name, b in ckpt_shape.items():
         a = getattr(run_model, name)
-        b = getattr(ckpt_model, name)
         if a != b:
             raise ConfigError(
                 f"config {name} is {a} but checkpoint was trained with {b}"
@@ -549,12 +364,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
     rows = []
     for kind in ("wdt", "dwt", "dft"):
-        variant = RunConfig(
-            model=replace(run.model, transform_kind=kind),
-            train=run.train,
-            data=run.data,
-            metrics=run.metrics,
-        )
+        variant = replace(run, model=replace(run.model, transform_kind=kind))
         variant.ensure_valid(need_data=True)
         kind_out = _ensure_out_dir(str(out / kind))
         print(f"== training variant: {kind}")
@@ -591,14 +401,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     run = load_run_config(args.config, seed=args.seed)
     run.ensure_valid(need_data=False)
     model = run.model
-    dims = {
-        "lookback": model.lookback,
-        "horizon": model.horizon,
-        "channels": model.channels,
-        "branches": model.branches,
-        "levels": model.levels,
-    }
-    oversized = {k: v for k, v in dims.items() if v > GRADCHECK_MAX_DIM}
+    oversized = {k: v for k, v in model.sizes().items() if v > GRADCHECK_MAX_DIM}
     if oversized:
         listing = ", ".join(f"{k}={v}" for k, v in sorted(oversized.items()))
         raise ConfigError(

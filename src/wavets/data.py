@@ -54,51 +54,60 @@ def load_csv(path: str) -> SeriesFrame:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        has_date = bool(header) and header[0].strip().lower() == "date"
-        names = [h.strip() for h in (header[1:] if has_date else header)]
-        if not names:
-            raise DataError(f"{path}: header declares no value columns")
-        stamps: list[str] = []
-        rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path} line {line_no}: {len(row)} fields, "
-                    f"header has {len(header)}"
-                )
-            if has_date:
-                stamps.append(row[0].strip())
-                cells = row[1:]
-            else:
-                cells = row
-            parsed = []
-            for col, cell in zip(names, cells):
-                try:
-                    val = float(cell)
-                except ValueError:
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file, expected a header row") from None
+            has_date = bool(header) and header[0].strip().lower() == "date"
+            names = [h.strip() for h in (header[1:] if has_date else header)]
+            if not names:
+                raise DataError(f"{path}: header declares no value columns")
+            stamps: list[str] = []
+            rows: list[list[float]] = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
                     raise DataError(
-                        f"{path} line {line_no}, column {col}: "
-                        f"cannot parse {cell!r} as a real number"
-                    ) from None
-                if not math.isfinite(val):
-                    raise DataError(
-                        f"{path} line {line_no}, column {col}: "
-                        f"non-finite value {cell!r}"
+                        f"{path} line {line_no}: {len(row)} fields, "
+                        f"header has {len(header)}"
                     )
-                parsed.append(val)
-            rows.append(parsed)
+                if has_date:
+                    stamps.append(row[0].strip())
+                    cells = row[1:]
+                else:
+                    cells = row
+                parsed = []
+                for col, cell in zip(names, cells):
+                    try:
+                        val = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path} line {line_no}, column {col}: "
+                            f"cannot parse {cell!r} as a real number"
+                        ) from None
+                    if not math.isfinite(val):
+                        raise DataError(
+                            f"{path} line {line_no}, column {col}: "
+                            f"non-finite value {cell!r}"
+                        )
+                    parsed.append(val)
+                rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     timestamps = stamps if has_date else None
-    if timestamps is not None and not _timestamps_strictly_increasing(timestamps):
+    try:
+        increasing = timestamps is None or _timestamps_strictly_increasing(timestamps)
+    except TypeError:
+        raise DataError(f"{path}: timestamps mix naive and offset-aware times") from None
+    if not increasing:
         raise DataError(f"{path}: timestamps are not strictly increasing")
     return SeriesFrame(
         values=np.array(rows, dtype=np.float64),
@@ -123,7 +132,7 @@ def chronological_split(
     Sizes are floor(T*train), floor(T*val), and the remainder; together
     the three parts partition the frame exactly.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios):
         raise ConfigError(f"split ratios must be three positive numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {ratios}")

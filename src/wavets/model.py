@@ -36,181 +36,16 @@ vector at once.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, fields
 from itertools import zip_longest
 
 import numpy as np
 
+from .config import TRANSFORM_KINDS, ModelConfig  # noqa: F401 (TRANSFORM_KINDS re-exported)
 from .errors import ConfigError, DataError
 from .wavelet import WaveletPyramid, dwt_multi, idwt_multi, make_filterbank
 from .wdt import level_gains
 
 CHECKPOINT_VERSION = 1
-
-TRANSFORM_KINDS = ("wdt", "dwt", "dft")
-
-
-_REQUIRED = object()
-
-
-def _strict_value(value, kind: type, name: str):
-    if kind is str:
-        return str(value)
-    if kind is bool:
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if kind is int:
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-
-
-def read_field(
-    doc: dict, key: str, kind: type, section: str, default=_REQUIRED, many=False
-):
-    """Read one config entry as kind (int, float, bool or str), or with
-    many=True as a list of them; every config section reads through here.
-
-    Integers are JSON integers or floats without a fraction (32.0, never
-    32.7). Floats also take numeric strings such as "nan", which the
-    bounds checks then name. No bool counts as a number, and a bool field
-    takes only true or false. A missing or null entry gives the default.
-    """
-    name = f"{section}.{key}"
-    value = doc.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"{name} is required")
-        return default
-    if not many:
-        return _strict_value(value, kind, name)
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list, got {value!r}")
-    return [_strict_value(v, kind, f"{name}[{i}]") for i, v in enumerate(value)]
-
-
-@dataclass
-class ModelConfig:
-    lookback: int
-    horizon: int
-    channels: int
-    branches: int
-    levels: int
-    transform_kind: str = "wdt"
-    std_epsilon: float = 1e-5
-    seed: int = 0
-    branch_orders: list[int] | None = None
-
-    def problems(self) -> list[str]:
-        """All validation failures at once; empty list means valid."""
-        out = []
-        for name in ("lookback", "horizon", "channels", "branches", "levels"):
-            if getattr(self, name) < 1:
-                out.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.transform_kind not in TRANSFORM_KINDS:
-            out.append(
-                f"transform_kind must be one of {TRANSFORM_KINDS}, "
-                f"got {self.transform_kind!r}"
-            )
-        if self.transform_kind in ("wdt", "dwt") and self.levels >= 1:
-            block = 2**self.levels
-            for label, length in (
-                ("lookback", self.lookback),
-                ("lookback+horizon", self.lookback + self.horizon),
-            ):
-                if length % block != 0:
-                    out.append(
-                        f"{label} = {length} must be divisible by "
-                        f"2^levels = {block}"
-                    )
-        # Written so NaN and inf fail too; zero would divide a constant
-        # window by a zero std.
-        if not (math.isfinite(self.std_epsilon) and self.std_epsilon > 0):
-            out.append(
-                f"std_epsilon must be finite and > 0, got {self.std_epsilon}"
-            )
-        if self.branch_orders is not None:
-            if len(self.branch_orders) != self.branches:
-                out.append(
-                    f"branch_orders has {len(self.branch_orders)} entries "
-                    f"for {self.branches} branches"
-                )
-            elif any(o < 0 for o in self.branch_orders):
-                out.append(f"branch_orders must be >= 0, got {self.branch_orders}")
-        return out
-
-    def ensure_valid(self) -> None:
-        probs = self.problems()
-        if probs:
-            raise ConfigError("; ".join(probs))
-
-    def effective_orders(self) -> list[int]:
-        """Derivative order per branch: 1..N by default, all 0 for dwt."""
-        if self.transform_kind == "dwt":
-            return [0] * self.branches
-        if self.branch_orders is not None:
-            return list(self.branch_orders)
-        return list(range(1, self.branches + 1))
-
-    def band_sizes(self) -> list[tuple[int, int]]:
-        """(input, output) length per band, approx first then levels 1..K."""
-        sizes = [
-            (
-                self.lookback // 2**self.levels,
-                (self.lookback + self.horizon) // 2**self.levels,
-            )
-        ]
-        for lv in range(1, self.levels + 1):
-            sizes.append(
-                (self.lookback // 2**lv, (self.lookback + self.horizon) // 2**lv)
-            )
-        return sizes
-
-    def spectrum_sizes(self) -> tuple[int, int]:
-        """(input, output) half-spectrum lengths for the dft kind."""
-        return (
-            self.lookback // 2 + 1,
-            (self.lookback + self.horizon) // 2 + 1,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "lookback": self.lookback,
-            "horizon": self.horizon,
-            "channels": self.channels,
-            "branches": self.branches,
-            "levels": self.levels,
-            "transform_kind": self.transform_kind,
-            "std_epsilon": self.std_epsilon,
-            "seed": self.seed,
-            "branch_orders": self.branch_orders,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("model config must be a JSON object")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"unknown model keys: {', '.join(unknown)}")
-        sizes = ("lookback", "horizon", "channels", "branches", "levels")
-        return cls(
-            **{key: read_field(doc, key, int, "model") for key in sizes},
-            transform_kind=read_field(doc, "transform_kind", str, "model", "wdt"),
-            std_epsilon=read_field(doc, "std_epsilon", float, "model", 1e-5),
-            seed=read_field(doc, "seed", int, "model", 0),
-            branch_orders=read_field(doc, "branch_orders", int, "model", None, many=True),
-        )
 
 
 def channel_rows(x: np.ndarray, width: int) -> np.ndarray:
@@ -527,7 +362,9 @@ def load_checkpoint(path: str) -> tuple[np.ndarray, ModelConfig]:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot open checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError also covers bytes that are not UTF-8 and an integer past
+    # Python's digit limit.
+    except ValueError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(

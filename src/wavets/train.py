@@ -23,12 +23,12 @@ a span is the span itself.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TrainConfig
 from .errors import ConfigError, DataError, NumericalError
 from .model import (
     ModelConfig,
@@ -39,87 +39,9 @@ from .model import (
     forward_batch,
     param_blocks,
     param_layout,
-    read_field,
     validate_params,
 )
 from .wavelet import dwt_multi, make_filterbank
-
-
-def _finite_positive(value: float) -> bool:
-    return math.isfinite(value) and value > 0
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    max_epochs: int = 50
-    patience: int = 3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    grad_clip: float | None = None
-    seed: int = 0
-
-    def problems(self) -> list[str]:
-        out = []
-        # Positive bounds are written as "finite and > 0" so that NaN, which
-        # fails every comparison, and inf fail them instead of passing.
-        if not _finite_positive(self.learning_rate):
-            out.append(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}"
-            )
-        if self.batch_size < 1:
-            out.append(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            out.append(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 1:
-            out.append(f"patience must be >= 1, got {self.patience}")
-        for name in ("adam_beta1", "adam_beta2"):
-            val = getattr(self, name)
-            if not 0.0 < val < 1.0:
-                out.append(f"{name} must be in (0, 1), got {val}")
-        if not _finite_positive(self.adam_epsilon):
-            out.append(
-                f"adam_epsilon must be finite and > 0, got {self.adam_epsilon}"
-            )
-        if self.grad_clip is not None and not _finite_positive(self.grad_clip):
-            out.append(
-                f"grad_clip must be finite and > 0 when set, got {self.grad_clip}"
-            )
-        return out
-
-    def ensure_valid(self) -> None:
-        probs = self.problems()
-        if probs:
-            raise ConfigError("; ".join(probs))
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_epsilon": self.adam_epsilon,
-            "grad_clip": self.grad_clip,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        defaults = cls().to_dict()
-        unknown = sorted(set(doc) - set(defaults))
-        if unknown:
-            raise ConfigError(f"unknown train keys: {', '.join(unknown)}")
-        counts = ("batch_size", "max_epochs", "patience", "seed")
-        return cls(
-            **{
-                key: read_field(doc, key, int if key in counts else float, "train", value)
-                for key, value in defaults.items()
-            }
-        )
 
 
 def check_spans(spans, config: ModelConfig) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .wavelet import FilterBank, WaveletPyramid, dwt_multi, idwt_multi
 
 
@@ -161,7 +161,8 @@ def _bands_in_export_order(
     in export order: LL_K first, then LH_K down to LH_1.
 
     The exports lay time along one axis, so a pyramid of a (..., T) batch
-    is refused rather than written with its windows run together.
+    is refused rather than written with its windows run together, and a
+    non-finite coefficient raises NumericalError before any file opens.
     """
     pyramid.validate()
     k = pyramid.base.levels
@@ -174,6 +175,8 @@ def _bands_in_export_order(
                 f"exports need a pyramid of one series; band {label} has "
                 f"shape {np.shape(coeffs)}"
             )
+        if not np.all(np.isfinite(coeffs)):
+            raise NumericalError(f"band {label} has non-finite coefficients")
     return out
 
 

@@ -279,6 +279,22 @@ def test_transform_bad_flags_exit_2(tmp_path, series_csv):
     assert main(base + ["--wavelet", "db4"]) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["transform", "scalogram"])
+def test_transform_overflowing_gains_exit_4_before_writing(tmp_path, capsys, command):
+    # Finite input near the float64 limit: the order-4 gains overflow it.
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text("a\n" + "".join(f"{(-1) ** t * 1e306!r}\n" for t in range(16)))
+    out = tmp_path / "out"
+    rc = main(
+        [command, "--csv", str(csv_path), "--levels", "3", "--order", "4", "--out", str(out)]
+    )
+    assert rc == 4
+    assert "non-finite coefficients" in capsys.readouterr().err
+    assert not (out / "coefficients.csv").exists()
+    assert not (out / "scalogram.csv").exists()
+
+
 def test_transform_missing_csv_exits_3(tmp_path):
     rc = main(
         [
@@ -306,6 +322,13 @@ def test_train_invalid_json_exits_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_train_json_integer_past_digit_limit_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "big.json"
+    cfg.write_text('{"model": {"lookback": ' + "1" * 5000 + "}}")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_train_unknown_section_exits_2(tmp_path, series_csv, capsys):
@@ -452,10 +475,14 @@ def test_malformed_section_exits_2_without_traceback(
         ({"train": {"grad_clip": "inf"}}, "grad_clip"),
         ({"model": {"std_epsilon": 0}}, "std_epsilon"),
         ({"model": {"std_epsilon": "nan"}}, "std_epsilon"),
+        (
+            {"data": {"split": {"kind": "ratio", "ratios": ["nan", 0.5, 0.5]}}},
+            "data.split.ratios[0]",
+        ),
     ],
     ids=[
         "lr-nan", "lr-inf", "eps-nan", "eps-neginf", "clip-nan", "clip-inf",
-        "std-eps-zero", "std-eps-nan",
+        "std-eps-zero", "std-eps-nan", "ratio-nan",
     ],
 )
 def test_nonfinite_or_zero_bound_exits_2(tmp_path, series_csv, capsys, overrides, field):
@@ -481,11 +508,17 @@ def test_nonfinite_or_zero_bound_exits_2(tmp_path, series_csv, capsys, overrides
         ({"data": {"standardize": "false"}}, "data.standardize"),
         ({"data": {"standardize": 0}}, "data.standardize"),
         ({"metrics": {"period": True}}, "metrics.period"),
+        ({"data": {"csv": 123}}, "data.csv"),
+        ({"model": {"transform_kind": ["wdt"]}}, "model.transform_kind"),
+        ({"data": {"split": {"kind": 1}}}, "data.split.kind"),
+        ({"metrics": {"mode": 1}}, "metrics.mode"),
+        ({"out": 7}, "config.out"),
     ],
     ids=[
         "lookback-fraction", "levels-bool", "seed-string", "orders-fraction",
         "batch-fraction", "epochs-bool", "lr-bool", "stride-fraction",
-        "standardize-string", "standardize-int", "period-bool",
+        "standardize-string", "standardize-int", "period-bool", "csv-number",
+        "kind-list", "split-kind-number", "mode-number", "out-number",
     ],
 )
 def test_config_numbers_read_strictly_exit_2(
@@ -705,6 +738,15 @@ def test_eval_checkpoint_not_an_object_exits_3(tmp_path, run_config, capsys, tex
     err = capsys.readouterr().err
     assert rc == 3
     assert "must hold a JSON object" in err and "Traceback" not in err
+
+
+def test_eval_checkpoint_not_utf8_exits_3(tmp_path, run_config, capsys):
+    path = tmp_path / "checkpoint.json"
+    path.write_bytes(b'{"version": 1, "config": "\xe9"}\n')
+    rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "is not valid JSON" in err and "Traceback" not in err
 
 
 def test_eval_checkpoint_malformed_stored_config_exits_3(tmp_path, run_config, capsys):

@@ -74,6 +74,26 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(str(tmp_path / "absent.csv"))
 
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a\n1\n2\n".encode() + "caf\xe9\n".encode("latin-1"))
+        with pytest.raises(DataError, match=r"latin1\.csv: not UTF-8 text"):
+            load_csv(str(path))
+
+    def test_field_over_csv_limit_rejected(self, tmp_path):
+        path = write(tmp_path, "a\n1\n" + "9" * 200_000 + "\n", name="wide.csv")
+        with pytest.raises(DataError, match=r"wide\.csv line 3: field larger"):
+            load_csv(path)
+
+    def test_naive_and_aware_timestamps_rejected(self, tmp_path):
+        path = write(
+            tmp_path,
+            "date,a\n2016-07-01 00:00:00,1\n2016-07-01 01:00:00+00:00,2\n",
+            name="mixed.csv",
+        )
+        with pytest.raises(DataError, match=r"mixed\.csv: timestamps mix naive"):
+            load_csv(path)
+
     def test_out_of_order_timestamps_rejected(self, tmp_path):
         path = write(
             tmp_path,
@@ -101,6 +121,11 @@ class TestChronologicalSplit:
     def test_nonpositive_ratio(self):
         with pytest.raises(ConfigError):
             chronological_split(frame_of(np.arange(10.0)), (1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_ratio(self, bad):
+        with pytest.raises(ConfigError):
+            chronological_split(frame_of(np.arange(10.0)), (bad, 0.5, 0.5))
 
     def test_partition_exact(self, rng):
         values = rng.normal(size=(57, 3))

@@ -1,11 +1,18 @@
-"""Property tests over random valid shapes, drawn by Hypothesis.
+"""Property tests over random valid shapes and malformed inputs, drawn by
+Hypothesis.
 
 Examples are derandomized, so every run draws the same cases and the
-suite stays deterministic; the draws still cover shapes no hand-written
-case names. The module is skipped where Hypothesis is not installed.
+suite stays deterministic; the draws still cover shapes and inputs no
+hand-written case names. The module is skipped where Hypothesis is not
+installed.
 """
 
+import copy
+import io
+import json
+import math
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +22,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from wavets.cli import main  # noqa: E402
+from wavets.data import load_csv  # noqa: E402
+from wavets.errors import DataError  # noqa: E402
 from wavets.model import (  # noqa: E402
     TRANSFORM_KINDS,
     ModelConfig,
@@ -130,3 +140,186 @@ def test_exports_parse_back_to_the_bands_and_grid(case):
         ]
         assert same_bits([float(r[2]) for r in chunk], band)
     assert start == len(records)
+
+
+# ---------------------------------------------------------------------------
+# the run contract: a malformed config exits 2, a malformed CSV exits 3
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """main()'s exit code and stderr. An exception that escapes main, which
+    would end the command in a traceback, fails the test instead."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+# Every field set explicitly, so that each can be the one that breaks.
+VALID_CONFIG = {
+    "model": {
+        "lookback": 16, "horizon": 8, "channels": 1, "branches": 2, "levels": 2,
+        "transform_kind": "wdt", "std_epsilon": 1e-5, "seed": 0, "branch_orders": [1, 2],
+    },
+    "train": {
+        "learning_rate": 0.01, "batch_size": 16, "max_epochs": 1, "patience": 1,
+        "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_epsilon": 1e-8, "grad_clip": 1.0,
+        "seed": 0,
+    },
+    "data": {
+        "csv": "series.csv",
+        "split": {"kind": "ratio", "ratios": [0.7, 0.15, 0.15]},
+        "stride": 2,
+        "standardize": True,
+    },
+    "metrics": {"mode": "long", "period": 1},
+}
+
+
+def train_on(doc: dict) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = "".join(f"{math.sin(t / 5.0)!r}\n" for t in range(200))
+        (Path(tmp) / "series.csv").write_text("a\n" + rows)
+        config = Path(tmp) / "run.json"
+        config.write_text(json.dumps(doc))
+        return run_cli(["train", "--config", str(config), "--out", str(Path(tmp) / "o")])
+
+
+def fractions():
+    return st.floats(0.1, 100.0).filter(lambda v: not v.is_integer())
+
+
+# Wrong JSON types. No string here reads as a number, no dict is empty.
+NOT_SCALAR = st.lists(st.integers(), max_size=2) | st.dictionaries(
+    st.text("xyz", min_size=1, max_size=2), st.integers(), min_size=1, max_size=1
+)
+NOT_A_NUMBER = st.booleans() | st.text("xyz", min_size=1, max_size=3) | NOT_SCALAR
+NOT_A_STRING = st.integers() | st.floats(allow_nan=False) | st.booleans() | NOT_SCALAR
+NOT_A_BOOL = st.integers() | st.floats(allow_nan=False) | st.text(max_size=5) | NOT_SCALAR
+# Per kind of field: values its bound rejects, and wrong types.
+COUNT = st.integers(max_value=0) | fractions() | NOT_A_NUMBER
+SIZE = COUNT | st.none()
+SEED = st.integers(max_value=-1) | fractions() | NOT_A_NUMBER
+POSITIVE = (
+    st.floats(max_value=0.0)
+    | st.sampled_from([math.nan, math.inf, "nan", "inf", "-inf"])
+    | NOT_A_NUMBER
+)
+OPEN_UNIT = st.floats().filter(lambda v: not 0.0 < v < 1.0) | NOT_A_NUMBER
+CHOICE = st.text(max_size=6).filter(
+    lambda v: v not in ("wdt", "dwt", "dft", "ratio", "ett_hourly", "long", "short")
+) | NOT_A_STRING
+ORDERS = (
+    st.lists(st.integers(0, 3), max_size=4).filter(lambda v: len(v) != 2)
+    | st.tuples(st.integers(max_value=-1), st.integers(0, 3)).map(list)
+    | st.lists(NOT_A_NUMBER | fractions(), min_size=1, max_size=2)
+    | st.integers()
+    | st.text(max_size=3)
+)
+RATIOS = (
+    st.tuples(POSITIVE, st.just(0.5), st.just(0.5)).map(list)
+    | st.lists(st.floats(0.01, 1.0), max_size=4).filter(lambda v: len(v) != 3)
+    | st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3).filter(
+        lambda v: abs(sum(v) - 1.0) > 1e-6
+    )
+    | st.floats(0.01, 1.0)
+    | st.text("xyz", max_size=3)
+)
+NOT_AN_OBJECT = st.none() | st.integers() | st.booleans() | st.text(max_size=3) | st.lists(
+    st.integers(), max_size=2
+)
+
+# (key path, values that must each exit 2 when set there alone).
+BROKEN_FIELDS = {
+    **{("model", key): SIZE for key in ("lookback", "horizon", "branches")},
+    # One more level and 16 + 8 is no longer a multiple of 2^levels; two
+    # channels do not match the one-column CSV.
+    ("model", "levels"): SIZE | st.just(4),
+    ("model", "channels"): SIZE | st.just(2),
+    ("model", "transform_kind"): CHOICE,
+    ("model", "std_epsilon"): POSITIVE,
+    ("model", "seed"): SEED,
+    ("model", "branch_orders"): ORDERS,
+    **{("train", key): POSITIVE for key in ("learning_rate", "adam_epsilon", "grad_clip")},
+    **{("train", key): COUNT for key in ("batch_size", "max_epochs", "patience")},
+    **{("train", key): OPEN_UNIT for key in ("adam_beta1", "adam_beta2")},
+    ("train", "seed"): SEED,
+    ("data", "csv"): st.just("") | st.none() | NOT_A_STRING,
+    ("data", "split"): CHOICE | st.none(),
+    ("data", "split", "kind"): CHOICE,
+    ("data", "split", "ratios"): RATIOS,
+    ("data", "stride"): COUNT,
+    ("data", "standardize"): NOT_A_BOOL,
+    ("metrics", "mode"): CHOICE,
+    ("metrics", "period"): COUNT,
+    ("out",): NOT_A_STRING,
+    **{(section,): NOT_AN_OBJECT for section in ("model", "train", "data", "metrics")},
+}
+
+
+@st.composite
+def broken_configs(draw) -> tuple[tuple[str, ...], object]:
+    """VALID_CONFIG with one entry set to a bad value, or one unknown key
+    added to an object; returns the key path and the value."""
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(sorted(BROKEN_FIELDS)))
+        return path, draw(BROKEN_FIELDS[path])
+    parent = draw(st.sampled_from([(), ("model",), ("train",), ("data",), ("data", "split"), ("metrics",)]))
+    known = VALID_CONFIG
+    for key in parent:
+        known = known[key]
+    key = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in known and k != "out"))
+    return parent + (key,), draw(st.integers())
+
+
+def test_valid_config_of_the_contract_tests_trains():
+    # Every broken config below differs from this one in one entry only.
+    assert train_on(VALID_CONFIG)[0] == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=broken_configs())
+def test_any_one_broken_config_entry_exits_2(case):
+    path, value = case
+    doc = copy.deepcopy(VALID_CONFIG)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    rc, err = train_on(doc)
+    assert rc == 2, (path, value, err)
+    assert err.startswith("config error: "), (path, value, err)
+
+
+CSV_CELLS = st.sampled_from(
+    [
+        "1", "-2.5", "1e3", "1e999", "nan", "inf", "", "x", "1_0", " 3 ", '"4"', '"5',
+        "2016-07-01 00:00:00", "2016-07-01 01:00:00+00:00", "2016-07-01T02:00", "date",
+    ]
+) | st.text(max_size=4)
+
+
+@st.composite
+def csv_bytes(draw) -> bytes:
+    """Raw bytes, or rows of cells under a header, possibly followed by
+    bytes that are not UTF-8."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=64))
+    header = draw(st.sampled_from(["date,a", "date,a,b", "a", "a,b", "date", ""]))
+    rows = draw(st.lists(st.lists(CSV_CELLS, min_size=1, max_size=3), max_size=6))
+    text = "\n".join([header] + [",".join(row) for row in rows])
+    return text.encode("utf-8") + draw(st.sampled_from([b"", b"\n", b"\xff\xfe", b"\xe9\n"]))
+
+
+@PROPERTY_SETTINGS
+@given(content=csv_bytes())
+def test_any_csv_loads_or_exits_3(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_bytes(content)
+        try:
+            load_csv(str(path))
+        except DataError:
+            rc, err = run_cli(["transform", "--csv", str(path), "--out", str(Path(tmp) / "o")])
+            assert rc == 3, (content, err)
+            assert err.startswith("data error: "), (content, err)
