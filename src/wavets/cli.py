@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ModelConfig, RunConfig, load_run_config
+from .config import ModelConfig, RunConfig, load_run_config, power_of_two_text
 from .data import (
     ETT_HOURLY_BORDERS,
     SeriesFrame,
@@ -48,7 +48,7 @@ from .model import (
 )
 from .train import check_spans, gradient_check, train
 from .wavelet import SUPPORTED_WAVELETS, make_filterbank
-from .wdt import wdt_forward, write_coefficients_csv, write_scalogram_csv
+from .wdt import MAX_GAIN_EXPONENT, wdt_forward, write_coefficients_csv, write_scalogram_csv
 
 GRADCHECK_TOLERANCE = 1e-5
 GRADCHECK_MAX_DIM = 16
@@ -196,6 +196,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
         raise ConfigError(f"--levels must be >= 1, got {args.levels}")
     if args.order < 0:
         raise ConfigError(f"--order must be >= 0, got {args.order}")
+    if args.order * args.levels > MAX_GAIN_EXPONENT:
+        raise ConfigError(
+            f"--order {args.order} at --levels {args.levels} needs the gain "
+            f"2^(order*levels); order*levels must be at most {MAX_GAIN_EXPONENT}"
+        )
     if args.wavelet not in SUPPORTED_WAVELETS:
         raise ConfigError(
             f"--wavelet must be one of {SUPPORTED_WAVELETS}, got {args.wavelet!r}"
@@ -203,17 +208,17 @@ def cmd_transform(args: argparse.Namespace) -> int:
     frame = load_csv(args.csv)
     idx = _parse_channel(frame, args.channel)
     series = frame.values[:, idx]
-    block = 2 ** args.levels
-    usable = (series.shape[0] // block) * block
+    # Shifts, not 2**levels: a huge levels gives 0 without building the power.
+    usable = series.shape[0] >> args.levels << args.levels
     if usable == 0:
         raise ConfigError(
-            f"series has {series.shape[0]} samples; need at least {block} "
-            f"for {args.levels} levels"
+            f"series has {series.shape[0]} samples; need at least "
+            f"{power_of_two_text(args.levels)} for {args.levels} levels"
         )
     if usable != series.shape[0]:
         print(
             f"truncating {series.shape[0]} samples to {usable} "
-            f"(multiple of {block})"
+            f"(multiple of {2**args.levels})"
         )
     fb = make_filterbank(args.wavelet)
     pyramid = wdt_forward(series[:usable], fb, levels=args.levels, order=args.order)

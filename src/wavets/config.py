@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Any, Callable, ClassVar, NamedTuple
 
 from .errors import ConfigError
+from .wdt import MAX_GAIN_EXPONENT
 
 TRANSFORM_KINDS = ("wdt", "dwt", "dft")
 
@@ -40,6 +41,12 @@ NON_EMPTY = Bound("non-empty", bool)
 
 def one_of(choices: tuple[str, ...]) -> Bound:
     return Bound(f"one of {choices}", lambda v: v in choices)
+
+
+def power_of_two_text(exponent: int) -> str:
+    """2^exponent in digits while it is short; past that as the power, whose
+    digits could pass Python's limit on int-to-str conversion."""
+    return str(2**exponent) if exponent < 64 else f"2^{exponent}"
 
 
 def _strict_value(value, kind: type, name: str):
@@ -201,16 +208,29 @@ class ModelConfig(Section):
     def cross_problems(self) -> list[str]:
         out = []
         if self.transform_kind in ("wdt", "dwt") and self.levels >= 1:
-            block = 2**self.levels
             for label, length in (
                 ("lookback", self.lookback),
                 ("lookback+horizon", self.lookback + self.horizon),
             ):
-                if length % block != 0:
+                # 2^levels divides length iff length has at least levels
+                # trailing zero bits; a huge levels' power would not fit in
+                # memory.
+                if length and (length & -length).bit_length() <= self.levels:
                     out.append(
                         f"{label} = {length} must be divisible by "
-                        f"2^levels = {block}"
+                        f"2^levels = {power_of_two_text(self.levels)}"
                     )
+        if self.transform_kind == "wdt" and self.levels >= 1:
+            # The largest of effective_orders(), N for the default 1..N,
+            # without listing a huge N.
+            orders = self.branch_orders if self.branch_orders is not None else [self.branches]
+            top = max(orders, default=0)
+            if top * self.levels > MAX_GAIN_EXPONENT:
+                out.append(
+                    f"derivative order {top} at levels = {self.levels} needs the "
+                    f"gain 2^(order*levels); order*levels must be at most "
+                    f"{MAX_GAIN_EXPONENT}"
+                )
         if self.branch_orders is not None and len(self.branch_orders) != self.branches:
             out.append(
                 f"branch_orders has {len(self.branch_orders)} entries "

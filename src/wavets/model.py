@@ -16,8 +16,18 @@ band by g, mapping it and dividing by g again is exact and leaves only
 the bias scaled by 1/g (bias_scales). Every branch therefore reads the
 same coefficients: forward_batch analyses the batch once, applies each
 band's N branch maps as one map (band_maps), and synthesises once over a
-branch axis. Everything is affine in the parameters, which keeps
-gradients closed-form (see train module).
+branch axis.
+
+This module owns the branch path in both directions. Everything is affine
+in the parameters, so gradients are exact closed forms, and
+_normalized_map_adjoint mirrors the forward's single branch axis: the
+projection's gradients, one adjoint synthesis over all branches, and one
+weight gradient per band, written into the per-branch blocks with each
+bias gradient scaled like its bias. The adjoint of the orthonormal
+inverse wavelet cascade is the forward analysis cascade (_analyse); the
+adjoint of the inverse real FFT is a forward real FFT with half-spectrum
+bin weighting (interior bins carry factor 2/M, the DC bin 1/M, and for
+even M the Nyquist bin 1/M with a dead imaginary part).
 
 Everything between the instance normalization and the denormalization is
 affine in the input too, so for fixed parameters the model is one
@@ -47,6 +57,9 @@ from .wdt import level_gains
 
 CHECKPOINT_VERSION = 1
 
+# The filter bank of every wavelet kind's analysis and synthesis.
+_HAAR = make_filterbank("db1")
+
 
 def channel_rows(x: np.ndarray, width: int) -> np.ndarray:
     """View a (..., width) stack as a (rows, width) matrix.
@@ -71,6 +84,34 @@ def affine_apply(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndar
     out = channel_rows(x, m_in) @ weight
     out += bias
     return out.reshape(x.shape[:-1] + (m_out,))
+
+
+def _affine_grads(inp: np.ndarray, gout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (weight, bias) gradients for inp (..., m), gout (..., m'): the sum over
+    # windows and channels is the inner dimension of one row-GEMM,
+    # inp_rows.T @ gout_rows.
+    gout_rows = channel_rows(gout, gout.shape[-1])
+    return channel_rows(inp, inp.shape[-1]).T @ gout_rows, gout_rows.sum(axis=0)
+
+
+def _affine_input_grad(weight: np.ndarray, gout: np.ndarray) -> np.ndarray:
+    # Adjoint of affine_apply in its input: gout (..., m') -> (..., m).
+    m_in, m_out = weight.shape
+    rows = channel_rows(gout, m_out) @ weight.T
+    return rows.reshape(gout.shape[:-1] + (m_in,))
+
+
+def _irfft_adjoint(dz: np.ndarray, n_time: int) -> tuple[np.ndarray, np.ndarray]:
+    # Gradient of sum(dz * irfft(re + i*im, n)) w.r.t. (re, im).
+    spec = np.fft.rfft(dz, axis=-1)
+    grad_re = (2.0 / n_time) * spec.real
+    grad_im = (2.0 / n_time) * spec.imag
+    grad_re[..., 0] *= 0.5
+    grad_im[..., 0] = 0.0
+    if n_time % 2 == 0:
+        grad_re[..., -1] *= 0.5
+        grad_im[..., -1] = 0.0
+    return grad_re, grad_im
 
 
 def param_layout(config: ModelConfig) -> list[tuple[str, int, tuple[int, int]]]:
@@ -175,26 +216,17 @@ def band_maps(
     ]
 
 
-def branch_grads(
-    band_grads: list[tuple[np.ndarray, np.ndarray]],
-    grads: np.ndarray,
-    config: ModelConfig,
-) -> None:
-    """Write band_maps gradients into the per-branch blocks of grads.
+def _analyse(rows: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
+    """The bands of (..., T) rows: the approximation then detail levels
+    1..K of the Haar cascade, or the real then the imaginary half-spectrum.
 
-    A branch's weight gradient is its column block; its bias gradient is
-    its slice of the band's bias gradient times the same bias_scales
-    factor. The projection block is left as it was.
-    """
-    blocks = [(weight, bias) for _, weight, bias in param_blocks(grads, config)]
-    for (dweight, dbias), maps, scale in zip(
-        band_grads, _per_band(blocks, config), bias_scales(config)
-    ):
-        m_out = dweight.shape[1] // config.branches
-        for n, (weight, bias) in enumerate(maps):
-            cols = slice(n * m_out, (n + 1) * m_out)
-            weight[...] = dweight[:, cols]
-            bias[...] = dbias[cols] * scale[n]
+    The Haar cascade is orthonormal, so for the wavelet kinds this is also
+    the adjoint of the synthesis."""
+    if config.transform_kind == "dft":
+        spectrum = np.fft.rfft(rows, axis=-1)
+        return [spectrum.real, spectrum.imag]
+    pyr = dwt_multi(rows, _HAAR, config.levels)
+    return [pyr.approx] + pyr.details
 
 
 def _normalized_map(
@@ -202,14 +234,9 @@ def _normalized_map(
 ) -> tuple[np.ndarray, dict]:
     """The model between the normalization and the denormalization: the
     branch path and the projection on (B, C, L) normalized rows, giving
-    (B, C, L+tau) and the intermediates the analytic gradients need."""
+    (B, C, L+tau) and the intermediates _normalized_map_adjoint needs."""
     total = config.lookback + config.horizon
-    if config.transform_kind == "dft":
-        spectrum = np.fft.rfft(normed_t, axis=-1)
-        bands_in = [spectrum.real, spectrum.imag]
-    else:
-        pyr = dwt_multi(normed_t, make_filterbank("db1"), config.levels)
-        bands_in = [pyr.approx] + pyr.details
+    bands_in = _analyse(normed_t, config)
     # (B, C, N*m_out) -> (B, C, N, m_out): synthesis runs over the branch axis.
     bands_out = [
         affine_apply(band, weight, bias).reshape(band.shape[:-1] + (config.branches, -1))
@@ -228,12 +255,48 @@ def _normalized_map(
                 details=bands_out[1:],
                 original_length=total,
             ),
-            make_filterbank("db1"),
+            _HAAR,
         )
     # Branch n's output occupies columns [n*total, (n+1)*total).
     zcat = z.reshape(z.shape[:-2] + (-1,))
     _, proj_weight, proj_bias = param_blocks(params, config)[-1]
     return affine_apply(zcat, proj_weight, proj_bias), {"zcat": zcat, "bands_in": bands_in}
+
+
+def _normalized_map_adjoint(
+    dproj: np.ndarray, cache: dict, params: np.ndarray, config: ModelConfig
+) -> np.ndarray:
+    """Adjoint of _normalized_map in its parameters: the gradient vector of
+    sum(dproj * output) for the forward that filled cache, where dproj has
+    the output's (B, C, L+tau) shape. A branch's weight gradient is its
+    column block of the band's; its bias gradient is its slice of the
+    band's, times its bias_scales factor."""
+    total = config.lookback + config.horizon
+    zcat = cache["zcat"]
+    # One row copy serves the projection's weight and input gradients.
+    dproj_rows = channel_rows(dproj, total)
+    _, proj_weight, _ = param_blocks(params, config)[-1]
+    dz = _affine_input_grad(proj_weight, dproj_rows).reshape(
+        zcat.shape[:-1] + (config.branches, total)
+    )
+    if config.transform_kind == "dft":
+        band_grads = _irfft_adjoint(dz, total)
+    else:
+        band_grads = _analyse(dz, config)
+    grads = np.empty_like(params)
+    blocks = [(weight, bias) for _, weight, bias in param_blocks(grads, config)]
+    for inp, gout, maps, scale in zip(
+        cache["bands_in"], band_grads, _per_band(blocks, config), bias_scales(config)
+    ):
+        dweight, dbias = _affine_grads(inp, gout.reshape(gout.shape[:-2] + (-1,)))
+        m_out = dweight.shape[1] // config.branches
+        for n, (weight, bias) in enumerate(maps):
+            cols = slice(n * m_out, (n + 1) * m_out)
+            weight[...] = dweight[:, cols]
+            bias[...] = dbias[cols] * scale[n]
+    dweight, dbias = blocks[-1]
+    dweight[...], dbias[...] = _affine_grads(zcat, dproj_rows)
+    return grads
 
 
 def _check_batch(xs, config: ModelConfig) -> np.ndarray:

@@ -1,20 +1,11 @@
-"""Joint backcast+forecast objective, closed-form gradients, Adam, and the
-training loop with validation-based early stopping.
+"""Joint backcast+forecast objective, its gradient, Adam, and the training
+loop with validation-based early stopping.
 
-The model output is affine in every learned block, so gradients are exact
-closed forms: the loss gradient flows back through the denormalization
-scale, the projection, and each branch's inverse transform. Every channel
-of every window is one row (``model.channel_rows``), so each block's
-weight gradient is one row-GEMM, input rows transposed times output-
-gradient rows, and the projection's input gradient is one more. The
-backward pass mirrors the forward's single branch axis: one adjoint
-synthesis over all branches, one weight gradient per band, written into
-the per-branch blocks of one gradient vector with each bias gradient
-scaled like its bias (model.branch_grads). The adjoint of the
-orthonormal inverse wavelet cascade is the forward analysis cascade;
-the adjoint of the inverse real-FFT step is a forward real-FFT with
-half-spectrum bin weighting (interior bins carry factor 2/M, the DC bin
-1/M, and for even M the Nyquist bin 1/M with a dead imaginary part).
+The model module owns the branch path in both directions, the forward
+map and its adjoint; this module owns the loss, the optimizer and the
+loop. The loss gradient runs back through the denormalization, which
+multiplies by the per-window std, and model._normalized_map_adjoint
+takes it from there to the gradient vector.
 
 Data arrive as window spans: a (W, L+tau, C) array whose span i is the
 lookback spans[i, :L] followed by its target, so the joint-loss target of
@@ -32,16 +23,14 @@ from .config import TrainConfig
 from .errors import ConfigError, DataError, NumericalError
 from .model import (
     ModelConfig,
+    _normalized_map_adjoint,
     apply_operator,
-    branch_grads,
-    channel_rows,
     compile_operator,
     forward_batch,
     param_blocks,
     param_layout,
     validate_params,
 )
-from .wavelet import dwt_multi, make_filterbank
 
 
 def check_spans(spans, config: ModelConfig) -> np.ndarray:
@@ -57,34 +46,6 @@ def check_spans(spans, config: ModelConfig) -> np.ndarray:
     return spans
 
 
-def _irfft_adjoint(dz: np.ndarray, n_time: int) -> tuple[np.ndarray, np.ndarray]:
-    # Gradient of sum(dz * irfft(re + i*im, n)) w.r.t. (re, im).
-    spec = np.fft.rfft(dz, axis=-1)
-    grad_re = (2.0 / n_time) * spec.real
-    grad_im = (2.0 / n_time) * spec.imag
-    grad_re[..., 0] *= 0.5
-    grad_im[..., 0] = 0.0
-    if n_time % 2 == 0:
-        grad_re[..., -1] *= 0.5
-        grad_im[..., -1] = 0.0
-    return grad_re, grad_im
-
-
-def _affine_grads(inp: np.ndarray, gout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (weight, bias) gradients for inp (..., m), gout (..., m'): the sum over
-    # windows and channels is the inner dimension of one row-GEMM,
-    # inp_rows.T @ gout_rows.
-    gout_rows = channel_rows(gout, gout.shape[-1])
-    return channel_rows(inp, inp.shape[-1]).T @ gout_rows, gout_rows.sum(axis=0)
-
-
-def _affine_input_grad(weight: np.ndarray, gout: np.ndarray) -> np.ndarray:
-    # Adjoint of model.affine_apply in its input: gout (..., m') -> (..., m).
-    m_in, m_out = weight.shape
-    rows = channel_rows(gout, m_out) @ weight.T
-    return rows.reshape(gout.shape[:-1] + (m_in,))
-
-
 def gradient_batch(
     params: np.ndarray,
     spans: np.ndarray,
@@ -96,36 +57,9 @@ def gradient_batch(
     out, cache = forward_batch(spans[:, : config.lookback], params, config, want_cache=True)
     residual = out - spans
     loss = float(np.mean(residual**2))
-    total = config.lookback + config.horizon
-
-    dout = (2.0 / residual.size) * residual
     # Denormalization multiplies by the per-window std; mean adds nothing.
-    # The (B, L+tau, C) -> (B*C, L+tau) row copy is made once, for both
-    # the projection's weight gradient and its input gradient.
-    dproj = channel_rows((dout * cache["std"]).transpose(0, 2, 1), total)
-
-    # The adjoint synthesis runs once over the branch axis: (B, C, N, L+tau).
-    _, proj_weight, _ = param_blocks(params, config)[-1]
-    dz = _affine_input_grad(proj_weight, dproj).reshape(
-        cache["zcat"].shape[:-1] + (config.branches, total)
-    )
-    if config.transform_kind == "dft":
-        band_grads = _irfft_adjoint(dz, total)
-    else:
-        pyr = dwt_multi(dz, make_filterbank("db1"), config.levels)
-        band_grads = [pyr.approx] + pyr.details
-    grads = np.empty_like(params)
-    branch_grads(
-        [
-            _affine_grads(inp, gout.reshape(gout.shape[:-2] + (-1,)))
-            for inp, gout in zip(cache["bands_in"], band_grads)
-        ],
-        grads,
-        config,
-    )
-    _, dweight, dbias = param_blocks(grads, config)[-1]
-    dweight[...], dbias[...] = _affine_grads(cache["zcat"], dproj)
-    return grads, loss
+    dproj = ((2.0 / residual.size) * residual * cache["std"]).transpose(0, 2, 1)
+    return _normalized_map_adjoint(dproj, cache, params, config), loss
 
 
 def global_grad_norm(grads: np.ndarray) -> float:

@@ -13,6 +13,7 @@ restores the input to within DWT round-trip error.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +22,18 @@ from .errors import DataError, NumericalError
 from .wavelet import FilterBank, WaveletPyramid, dwt_multi, idwt_multi
 
 
+# The largest power of two a float64 holds is 2^1023, so a gain 2^(n*k)
+# needs n*k <= MAX_GAIN_EXPONENT.
+MAX_GAIN_EXPONENT = sys.float_info.max_exp - 1
+
+
 def derivative_gain(order: int, scale: int) -> float:
     """Gain applied at scale index k for derivative order n: (-1)^n * 2^(n*k)."""
+    if order * scale > MAX_GAIN_EXPONENT:
+        raise DataError(
+            f"derivative order {order} at scale {scale} needs the gain "
+            f"2^(order*scale), past the largest float64 power 2^{MAX_GAIN_EXPONENT}"
+        )
     sign = -1.0 if order % 2 else 1.0
     return sign * float(2.0 ** (order * scale))
 

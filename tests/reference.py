@@ -23,7 +23,7 @@ and the gradient checks cover separately.
 import numpy as np
 
 from wavets.model import affine_apply, forward_batch, param_blocks
-from wavets.train import _affine_grads, _irfft_adjoint
+from wavets.model import _affine_grads, _irfft_adjoint
 from wavets.wavelet import dwt_multi, make_filterbank
 from wavets.wdt import level_gains, wdt_forward, wdt_inverse
 

@@ -295,6 +295,25 @@ def test_transform_overflowing_gains_exit_4_before_writing(tmp_path, capsys, com
     assert not (out / "scalogram.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # The default order 1 times 20000 levels overflows the gain.
+        ["--levels", "20000"],
+        # Order 0 has no gain; the series is shorter than 2^20000.
+        ["--levels", "20000", "--order", "0"],
+        ["--levels", "1", "--order", "2000"],
+    ],
+)
+def test_transform_huge_levels_or_order_exits_2(tmp_path, series_csv, capsys, flags):
+    out = tmp_path / "out"
+    rc = main(["transform", "--csv", str(series_csv), "--out", str(out)] + flags)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_transform_missing_csv_exits_3(tmp_path):
     rc = main(
         [
@@ -354,6 +373,34 @@ def test_train_divisibility_error_names_constraint(tmp_path, series_csv, capsys)
     assert rc == 2
     err = capsys.readouterr().err
     assert "100" in err and "divisible by 2^levels = 8" in err
+
+
+@pytest.mark.parametrize(
+    "model, words",
+    [
+        ({"levels": 20000}, "2^levels = 2^20000"),
+        ({"branch_orders": [2000, 1]}, "order*levels must be at most 1023"),
+        # The default orders 1..N count too: 2 * 512 > 1023.
+        ({"levels": 512}, "derivative order 2 at levels = 512"),
+    ],
+)
+def test_train_huge_levels_or_order_exits_2(tmp_path, series_csv, capsys, model, words):
+    cfg = write_run_config(tmp_path / "run.json", series_csv, model=model)
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and words in err and "Traceback" not in err
+
+
+def test_train_dwt_ignores_orders_in_the_gain_bound(tmp_path, series_csv):
+    # dwt forces every order to 0, so no gain can overflow.
+    cfg = write_run_config(
+        tmp_path / "run.json",
+        series_csv,
+        model={"transform_kind": "dwt", "branch_orders": [2000, 1]},
+        train={"max_epochs": 1},
+    )
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_train_missing_data_section_exits_2(tmp_path, series_csv, capsys):
@@ -763,6 +810,19 @@ def test_eval_checkpoint_malformed_stored_config_exits_3(tmp_path, run_config, c
     assert "model.levels must be an integer" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", [{"levels": 20000}, {"branch_orders": [2000, 1]}])
+def test_eval_checkpoint_huge_levels_or_order_exits_3(tmp_path, run_config, capsys, entry):
+    pinned = Path(__file__).resolve().parent / "checkpoints" / "wdt.json"
+    doc = json.loads(pinned.read_text())
+    doc["config"].update(entry)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "fails validation" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # ablate
 
@@ -932,6 +992,14 @@ def test_gradcheck_rejects_large_dims(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "lookback=32" in err
+
+
+@pytest.mark.parametrize("model", [{"levels": 20000}, {"branch_orders": [2000, 1]}])
+def test_gradcheck_huge_levels_or_order_exits_2(tmp_path, capsys, model):
+    rc = main(["gradcheck", "--config", str(gradcheck_config(tmp_path, **model))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 def test_gradcheck_report_file(tmp_path, capsys):

@@ -18,12 +18,14 @@ from reference import (
 from wavets import DataError
 from wavets.model import (
     ModelConfig,
+    _affine_grads,
+    _affine_input_grad,
     affine_apply,
     forward_batch,
     init_params,
     param_blocks,
 )
-from wavets.train import _affine_grads, _affine_input_grad, gradient_batch
+from wavets.train import gradient_batch
 
 SHAPES = [(3, 2), (1, 2), (3, 1), (1, 1)]
 LOOKBACK, TOTAL = 16, 24

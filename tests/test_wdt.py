@@ -39,6 +39,15 @@ class TestDerivativeGain:
         # Level 1 (finest band) maps to scale K, so K=3 n=1 gives -8,-4,-2.
         assert level_gains(3, 1) == [-8.0, -4.0, -2.0]
 
+    def test_largest_float64_power_is_the_limit(self):
+        # 2^1023 is the largest power of two a float64 holds; one more
+        # doubling is a DataError, not an OverflowError.
+        assert derivative_gain(1, 1023) == -(2.0**1023)
+        with pytest.raises(DataError, match="2\\^1023"):
+            derivative_gain(1024, 1)
+        with pytest.raises(DataError):
+            level_gains(1, 2000)
+
 
 class TestWdtForward:
     def test_single_level_hand_values(self, fb):
