@@ -40,13 +40,13 @@ from .data import (
 from .errors import ConfigError, DataError, NumericalError
 from .metrics import MetricsReport, aggregate_report
 from .model import (
-    apply_operator,
-    compile_operator,
+    check_windows,
     init_params,
     load_checkpoint,
+    operator_chunks,
     save_checkpoint,
 )
-from .train import check_spans, gradient_check, train
+from .train import gradient_check, train
 from .wavelet import SUPPORTED_WAVELETS, make_filterbank
 from .wdt import MAX_GAIN_EXPONENT, wdt_forward, write_coefficients_csv, write_scalogram_csv
 
@@ -94,26 +94,18 @@ def forecast_predictions(
     params: np.ndarray,
     spans: np.ndarray,
     config: ModelConfig,
-    chunk: int = 256,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forecast the tail of every window span with the compiled operator.
 
     Returns (inputs, targets, predictions) shaped (W, L, C) / (W, H, C) /
     (W, H, C); inputs and targets are views of the spans. Only the
-    operator's horizon columns are applied, chunk windows at a time so
-    memory stays flat on large window sets.
+    operator's horizon columns are applied (model.operator_chunks).
     """
-    spans = check_spans(spans, config)
-    xs, ys = spans[:, : config.lookback], spans[:, config.lookback :]
-    weight, bias = compile_operator(params, config)
-    weight, bias = weight[:, config.lookback :], bias[config.lookback :]
+    spans = check_windows(spans, config, config.lookback + config.horizon)
     preds = np.concatenate(
-        [
-            apply_operator(xs[i : i + chunk], weight, bias, config)
-            for i in range(0, xs.shape[0], chunk)
-        ]
+        [out for _, out in operator_chunks(params, spans, config, config.lookback)]
     )
-    return xs, ys, preds
+    return spans[:, : config.lookback], spans[:, config.lookback :], preds
 
 
 def split_report(
@@ -142,7 +134,11 @@ def split_report(
 
 def _ensure_out_dir(path: str) -> Path:
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    # An existing file at the path or above it is a bad --out, not a crash.
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return out
 
 

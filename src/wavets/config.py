@@ -376,8 +376,9 @@ def load_run_config(path: str, seed: int | None = None) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}")
     try:
         doc = json.loads(text)
-    # ValueError also covers an integer past Python's digit limit.
-    except ValueError as exc:
+    # ValueError also covers an integer past Python's digit limit, and
+    # RecursionError nesting deeper than the decoder can follow.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")

@@ -15,34 +15,47 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 
-def _check_same_shape(truth: np.ndarray, pred: np.ndarray) -> None:
+def _same_shape(truth, pred) -> tuple[np.ndarray, np.ndarray]:
+    # Both as float64 arrays; DataError unless their shapes agree.
+    truth = np.asarray(truth, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.float64)
     if truth.shape != pred.shape:
         raise DataError(f"shape mismatch: truth {truth.shape} vs pred {pred.shape}")
+    return truth, pred
 
 
 def mse(truth: np.ndarray, pred: np.ndarray) -> float:
-    truth = np.asarray(truth, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    _check_same_shape(truth, pred)
+    truth, pred = _same_shape(truth, pred)
     return float(np.mean((truth - pred) ** 2))
 
 
 def mae(truth: np.ndarray, pred: np.ndarray) -> float:
-    truth = np.asarray(truth, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    _check_same_shape(truth, pred)
+    truth, pred = _same_shape(truth, pred)
     return float(np.mean(np.abs(truth - pred)))
+
+
+def _smape_rows(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    # SMAPE of every series along the last axis.
+    num = np.abs(truth - pred)
+    den = np.abs(truth) + np.abs(pred)
+    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return 200.0 * terms.mean(axis=-1)
+
+
+def _mase_rows(truth: np.ndarray, pred: np.ndarray, period: int) -> np.ndarray:
+    # MASE of every series along the last axis, NaN where the denominator
+    # is zero; truth may broadcast against a stack of forecasts.
+    h = truth.shape[-1]
+    if not 1 <= period < h:
+        raise ConfigError(f"seasonal period {period} must satisfy 1 <= m < H={h}")
+    denom = np.abs(truth[..., period:] - truth[..., :-period]).mean(axis=-1)
+    num = np.abs(truth - pred).mean(axis=-1)
+    return np.divide(num, denom, out=np.full(num.shape, np.nan), where=denom != 0)
 
 
 def smape(truth: np.ndarray, pred: np.ndarray) -> float:
     """(200/H) * sum |x - xhat| / (|x| + |xhat|), 0/0 terms count as 0."""
-    truth = np.asarray(truth, dtype=np.float64).ravel()
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    _check_same_shape(truth, pred)
-    num = np.abs(truth - pred)
-    den = np.abs(truth) + np.abs(pred)
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return float(200.0 * terms.mean())
+    return float(_smape_rows(*_same_shape(np.ravel(truth), np.ravel(pred))))
 
 
 def mase(truth: np.ndarray, pred: np.ndarray, period: int) -> float | None:
@@ -52,16 +65,8 @@ def mase(truth: np.ndarray, pred: np.ndarray, period: int) -> float | None:
     when the denominator is zero (e.g. constant or perfectly periodic
     truth), since the ratio is undefined there.
     """
-    truth = np.asarray(truth, dtype=np.float64).ravel()
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    _check_same_shape(truth, pred)
-    h = truth.shape[0]
-    if not 1 <= period < h:
-        raise ConfigError(f"seasonal period {period} must satisfy 1 <= m < H={h}")
-    denom = float(np.mean(np.abs(truth[period:] - truth[:-period])))
-    if denom == 0.0:
-        return None
-    return float(np.mean(np.abs(truth - pred)) / denom)
+    value = float(_mase_rows(*_same_shape(np.ravel(truth), np.ravel(pred)), period))
+    return None if np.isnan(value) else value
 
 
 def owa(model: tuple[float, float], ref: tuple[float, float]) -> float:
@@ -75,24 +80,22 @@ def owa(model: tuple[float, float], ref: tuple[float, float]) -> float:
     return float(0.5 * (model_smape / ref_smape + model_mase / ref_mase))
 
 
-def naive_repeat_last(window: np.ndarray, horizon: int) -> np.ndarray:
-    """Forecast by repeating the last observed row."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.shape[0] < 1:
-        raise DataError("empty lookback window")
-    return np.tile(window[-1:], (horizon, 1) if window.ndim == 2 else horizon)
-
-
 def naive_seasonal(window: np.ndarray, horizon: int, period: int) -> np.ndarray:
-    """Copy the last observed seasonal cycle forward; m=1 is repeat-last."""
+    """Copy the last observed seasonal cycle of the time axis, axis 0,
+    forward; m=1 repeats the last row."""
     window = np.asarray(window, dtype=np.float64)
     length = window.shape[0]
     if period < 1 or period > length:
         raise ConfigError(
             f"seasonal period {period} exceeds window length {length}"
         )
-    idx = [length - period + (i % period) for i in range(horizon)]
-    return window[idx]
+    return window[length - period + np.arange(horizon) % period]
+
+
+def _mean_defined(values: np.ndarray) -> float | None:
+    # Mean over the entries that are not NaN; None when there are none.
+    defined = values[~np.isnan(values)]
+    return float(defined.mean()) if defined.size else None
 
 
 @dataclass
@@ -137,15 +140,11 @@ def aggregate_report(
     over every entry. In short mode, SMAPE and MASE are computed per
     (window, channel) series and averaged, skipping undefined MASE terms;
     OWA compares the aggregates against the seasonal-naive reference
-    built from each window's tail.
+    built from each window's tail. Every series of both forecasts is
+    scored at once.
     """
-    truths = np.asarray(truths, dtype=np.float64)
-    preds = np.asarray(preds, dtype=np.float64)
-    if truths.shape != preds.shape:
-        raise DataError(
-            f"shape mismatch: truths {truths.shape} vs preds {preds.shape}"
-        )
-    w, h, c = truths.shape
+    truths, preds = _same_shape(truths, preds)
+    _, h, c = truths.shape
     report = MetricsReport(
         mse=mse(truths, preds), mae=mae(truths, preds), horizon=h, channels=c
     )
@@ -154,24 +153,22 @@ def aggregate_report(
     if mode != "short":
         raise ConfigError(f"metric mode must be 'long' or 'short', got {mode!r}")
     windows_x = np.asarray(windows_x, dtype=np.float64)
-    refs = np.stack([naive_seasonal(x, h, period) for x in windows_x])
-
-    def mean_metrics(pred_set: np.ndarray) -> tuple[float, float | None]:
-        smapes = []
-        mases = []
-        for i in range(w):
-            for ch in range(c):
-                smapes.append(smape(truths[i, :, ch], pred_set[i, :, ch]))
-                if h > period:
-                    m_val = mase(truths[i, :, ch], pred_set[i, :, ch], period)
-                    if m_val is not None:
-                        mases.append(m_val)
-        mean_mase = float(np.mean(mases)) if mases else None
-        return float(np.mean(smapes)), mean_mase
-
+    # Time first, so one index builds every window's reference.
+    refs = naive_seasonal(windows_x.swapaxes(0, 1), h, period).swapaxes(0, 1)
+    # (3, W, C, H): truth, model, reference, contiguous along the horizon
+    # so each series reduces exactly as it would alone.
+    series = np.ascontiguousarray(np.stack([truths, preds, refs]).swapaxes(-1, -2))
+    truth, forecasts = series[0], series[1:]
+    smapes = _smape_rows(truth, forecasts)
+    if h > period:
+        mases = _mase_rows(truth, forecasts, period)
+    else:
+        mases = np.full(smapes.shape, np.nan)
+    (report.smape, report.mase), (ref_smape, ref_mase) = [
+        (float(smape_set.mean()), _mean_defined(mase_set))
+        for smape_set, mase_set in zip(smapes, mases)
+    ]
     report.period = period
-    report.smape, report.mase = mean_metrics(preds)
-    ref_smape, ref_mase = mean_metrics(refs)
     if (
         report.mase is not None
         and ref_mase is not None

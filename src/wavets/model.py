@@ -35,6 +35,9 @@ affine in the input too, so for fixed parameters the model is one
 by pushing the zero row and the identity rows through the same branch
 path as forward_batch, and apply_operator evaluates it with one GEMM;
 forward_batch is the training path and the operator's reference.
+operator_chunks is the one loop behind every fixed-parameter forecast:
+it compiles once and applies the operator OPERATOR_CHUNK windows at a
+time. check_windows is the one shape check of window arrays.
 
 The parameters are one float64 vector. param_layout, derived from the
 config alone, names its blocks in checkpoint order, and param_blocks
@@ -56,6 +59,9 @@ from .wavelet import WaveletPyramid, dwt_multi, idwt_multi, make_filterbank
 from .wdt import level_gains
 
 CHECKPOINT_VERSION = 1
+
+# Windows per GEMM on the fixed-parameter paths (operator_chunks).
+OPERATOR_CHUNK = 256
 
 # The filter bank of every wavelet kind's analysis and synthesis.
 _HAAR = make_filterbank("db1")
@@ -299,11 +305,14 @@ def _normalized_map_adjoint(
     return grads
 
 
-def _check_batch(xs, config: ModelConfig) -> np.ndarray:
+def check_windows(xs, config: ModelConfig, length: int) -> np.ndarray:
+    """xs as a float64 (W >= 1, length, C) array of windows, without a copy
+    when it already is one; DataError otherwise. Lookback batches have
+    length L, window spans L+tau."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 3 or len(xs) == 0 or xs.shape[1:] != (config.lookback, config.channels):
+    if xs.ndim != 3 or len(xs) == 0 or xs.shape[1:] != (length, config.channels):
         raise DataError(
-            f"batch shape {xs.shape} does not match (B >= 1, {config.lookback}, "
+            f"windows of shape {xs.shape} do not match (W >= 1, {length}, "
             f"{config.channels})"
         )
     return xs
@@ -320,7 +329,7 @@ def forward_batch(
 
     This is the training path and the reference that compile_operator is
     tested against."""
-    xs = _check_batch(xs, config)
+    xs = check_windows(xs, config, config.lookback)
     normed, mean, std = _normalize_batch(xs, config.std_epsilon)
     proj, cache = _normalized_map(normed.transpose(0, 2, 1), params, config)
     out = proj.transpose(0, 2, 1) * std + mean
@@ -353,10 +362,23 @@ def apply_operator(
     """A compiled operator, or a column slice of it, on a (B, L, C) stack:
     normalize, one GEMM over the channel rows, denormalize; returns
     (B, m, C) for m columns."""
-    xs = _check_batch(xs, config)
+    xs = check_windows(xs, config, config.lookback)
     normed, mean, std = _normalize_batch(xs, config.std_epsilon)
     out = affine_apply(normed.transpose(0, 2, 1), weight, bias)
     return out.transpose(0, 2, 1) * std + mean
+
+
+def operator_chunks(
+    params: np.ndarray, spans: np.ndarray, config: ModelConfig, start: int = 0
+):
+    """Compile the operator once and apply its columns start: to checked
+    (W, L+tau, C) window spans, OPERATOR_CHUNK windows at a time so memory
+    stays flat; yields (span chunk, its forecast columns)."""
+    weight, bias = compile_operator(params, config)
+    weight, bias = weight[:, start:], bias[start:]
+    for lo in range(0, len(spans), OPERATOR_CHUNK):
+        part = spans[lo : lo + OPERATOR_CHUNK]
+        yield part, apply_operator(part[:, : config.lookback], weight, bias, config)
 
 
 def validate_params(params: np.ndarray, config: ModelConfig) -> None:
@@ -426,8 +448,9 @@ def load_checkpoint(path: str) -> tuple[np.ndarray, ModelConfig]:
     except OSError as exc:
         raise DataError(f"cannot open checkpoint {path}: {exc}") from exc
     # ValueError also covers bytes that are not UTF-8 and an integer past
-    # Python's digit limit.
-    except ValueError as exc:
+    # Python's digit limit, and RecursionError nesting deeper than the
+    # decoder can follow.
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(

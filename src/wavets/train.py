@@ -9,7 +9,8 @@ takes it from there to the gradient vector.
 
 Data arrive as window spans: a (W, L+tau, C) array whose span i is the
 lookback spans[i, :L] followed by its target, so the joint-loss target of
-a span is the span itself.
+a span is the span itself. model.check_windows checks them, and the
+validation loss runs the compiled operator through model.operator_chunks.
 """
 
 from __future__ import annotations
@@ -20,30 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, NumericalError
 from .model import (
     ModelConfig,
     _normalized_map_adjoint,
-    apply_operator,
-    compile_operator,
+    check_windows,
     forward_batch,
+    init_params,
+    operator_chunks,
     param_blocks,
     param_layout,
     validate_params,
 )
-
-
-def check_spans(spans, config: ModelConfig) -> np.ndarray:
-    """spans as a float64 (W >= 1, L+tau, C) array, without a copy when it
-    already is one; DataError otherwise."""
-    spans = np.asarray(spans, dtype=np.float64)
-    want = (config.lookback + config.horizon, config.channels)
-    if spans.ndim != 3 or len(spans) == 0 or spans.shape[1:] != want:
-        raise DataError(
-            f"window spans of shape {spans.shape} do not match "
-            f"(W >= 1, {want[0]}, {want[1]})"
-        )
-    return spans
 
 
 def gradient_batch(
@@ -53,7 +42,7 @@ def gradient_batch(
 ) -> tuple[np.ndarray, float]:
     """Exact batch-mean gradients of the joint loss over (B, L+tau, C) window
     spans; returns (gradient vector, loss)."""
-    spans = check_spans(spans, config)
+    spans = check_windows(spans, config, config.lookback + config.horizon)
     out, cache = forward_batch(spans[:, : config.lookback], params, config, want_cache=True)
     residual = out - spans
     loss = float(np.mean(residual**2))
@@ -129,20 +118,12 @@ class TrainHistory:
         }
 
 
-def evaluate_loss(
-    params: np.ndarray,
-    spans: np.ndarray,
-    config: ModelConfig,
-    chunk: int = 256,
-) -> float:
-    """Window-mean joint loss over (W, L+tau, C) window spans, evaluated in
-    chunks with the compiled operator (model.compile_operator)."""
-    spans = check_spans(spans, config)
-    weight, bias = compile_operator(params, config)
+def evaluate_loss(params: np.ndarray, spans: np.ndarray, config: ModelConfig) -> float:
+    """Window-mean joint loss over (W, L+tau, C) window spans, with the
+    squared error summed chunk by chunk (model.operator_chunks)."""
+    spans = check_windows(spans, config, config.lookback + config.horizon)
     total_sq = 0.0
-    for start in range(0, len(spans), chunk):
-        part = spans[start : start + chunk]
-        out = apply_operator(part[:, : config.lookback], weight, bias, config)
+    for part, out in operator_chunks(params, spans, config):
         total_sq += float(np.sum((out - part) ** 2))
     return total_sq / spans.size
 
@@ -164,11 +145,9 @@ def train(
     """
     model_config.ensure_valid()
     train_config.ensure_valid()
-    train_spans = check_spans(train_spans, model_config)
-    val_spans = check_spans(val_spans, model_config)
-
-    from .model import init_params  # local import to keep module load light
-
+    span = model_config.lookback + model_config.horizon
+    train_spans = check_windows(train_spans, model_config, span)
+    val_spans = check_windows(val_spans, model_config, span)
     params = init.copy() if init is not None else init_params(model_config, model_config.seed)
     validate_params(params, model_config)
 
@@ -197,7 +176,7 @@ def train(
                 clip_gradients(grads, train_config.grad_clip)
             step += 1
             adam_step(params, grads, adam_m, adam_v, step, train_config)
-            n_out = len(idx) * (model_config.lookback + model_config.horizon)
+            n_out = len(idx) * span
             sq_sum += batch_loss * n_out * model_config.channels
             sq_count += n_out * model_config.channels
         train_loss = sq_sum / sq_count
@@ -247,7 +226,7 @@ def gradient_check(
     relative on correct gradients near 1e-7; h = 1e-3 shrinks it a
     thousandfold.
     """
-    spans = check_spans(spans, config)
+    spans = check_windows(spans, config, config.lookback + config.horizon)
     grads, _ = gradient_batch(params, spans, config)
     layout = param_layout(config)
     if corrupt_block is not None:

@@ -8,6 +8,9 @@ position j is the inner product of the signal with a row that is
 on the second half; the approximation row at depth K is the constant
 2^(-K/2) on its block of length 2^K.
 
+The short-horizon suite's loop is written from the displayed formulas
+too: one series at a time, each with its own seasonal-naive reference.
+
 The per-branch forecaster and the chunked forward loops at the end are
 the exceptions. The chunked loops run model.forward_batch on each chunk
 of windows: the uncompiled model that cli.forecast_predictions and
@@ -225,3 +228,51 @@ def evaluate_loss_chunked(params: np.ndarray, spans, config, chunk: int = 256) -
         out = forward_batch(part[:, : config.lookback], params, config)
         total_sq += float(np.sum((out - part) ** 2))
     return total_sq / spans.size
+
+
+def series_smape(truth: np.ndarray, pred: np.ndarray) -> float:
+    """SMAPE of one series; 0/0 terms count as 0."""
+    num = np.abs(truth - pred)
+    den = np.abs(truth) + np.abs(pred)
+    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return float(200.0 * terms.mean())
+
+
+def series_mase(truth: np.ndarray, pred: np.ndarray, period: int):
+    """MASE of one series over its in-window seasonal difference; None when
+    that difference is all zero."""
+    denom = float(np.mean(np.abs(truth[period:] - truth[:-period])))
+    if denom == 0.0:
+        return None
+    return float(np.mean(np.abs(truth - pred)) / denom)
+
+
+def short_suite_loop(windows_x, truths, preds, period: int):
+    """(smape, mase, owa) of a (W, H, C) forecast set, one (window, channel)
+    series at a time; mase and owa are None when undefined.
+
+    The seasonal-naive reference is built window by window from each
+    lookback's last cycle, and the OWA reference is its own suite."""
+    w, h, c = truths.shape
+    length = windows_x.shape[1]
+    idx = [length - period + (i % period) for i in range(h)]
+    refs = np.stack([x[idx] for x in windows_x])
+
+    def mean_metrics(pred_set):
+        smapes, mases = [], []
+        for i in range(w):
+            for ch in range(c):
+                smapes.append(series_smape(truths[i, :, ch], pred_set[i, :, ch]))
+                if h > period:
+                    m_val = series_mase(truths[i, :, ch], pred_set[i, :, ch], period)
+                    if m_val is not None:
+                        mases.append(m_val)
+        return float(np.mean(smapes)), float(np.mean(mases)) if mases else None
+
+    model_smape, model_mase = mean_metrics(preds)
+    ref_smape, ref_mase = mean_metrics(refs)
+    if model_mase is None or ref_mase is None or ref_smape <= 0 or ref_mase <= 0:
+        return model_smape, model_mase, None
+    return model_smape, model_mase, float(
+        0.5 * (model_smape / ref_smape + model_mase / ref_mase)
+    )

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from wavets.cli import load_run_config, load_splits, main, split_window_pairs
-from wavets.metrics import mae, mase, mse, naive_repeat_last, owa, smape
+from wavets.metrics import mae, mase, mse, naive_seasonal, owa, smape
 from wavets.model import (
     ModelConfig,
     forward_batch,
@@ -226,7 +226,7 @@ def test_criterion_07_beats_repeat_last_naive(tiny_run, capsys):
     xs, ys = test_spans[:, : run.model.lookback], test_spans[:, run.model.lookback :]
 
     # naive oracle first, model second
-    naive_preds = np.stack([naive_repeat_last(x, run.model.horizon) for x in xs])
+    naive_preds = np.stack([naive_seasonal(x, run.model.horizon, 1) for x in xs])
     naive_mse = mse(ys, naive_preds)
 
     params, config = load_checkpoint(str(tiny_run["out"] / "checkpoint.json"))

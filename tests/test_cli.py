@@ -350,6 +350,14 @@ def test_train_json_integer_past_digit_limit_exits_2(tmp_path, capsys):
     assert "is not valid JSON" in capsys.readouterr().err
 
 
+def test_train_deeply_nested_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 200000 + "]" * 200000)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "is not valid JSON" in err and "Traceback" not in err
+
+
 def test_train_unknown_section_exits_2(tmp_path, series_csv, capsys):
     cfg = write_run_config(tmp_path / "run.json", series_csv, extras={"x": 1})
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -796,6 +804,15 @@ def test_eval_checkpoint_not_utf8_exits_3(tmp_path, run_config, capsys):
     assert "is not valid JSON" in err and "Traceback" not in err
 
 
+def test_eval_deeply_nested_checkpoint_exits_3(tmp_path, run_config, capsys):
+    path = tmp_path / "checkpoint.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "is not valid JSON" in err and "Traceback" not in err
+
+
 def test_eval_checkpoint_malformed_stored_config_exits_3(tmp_path, run_config, capsys):
     # A defect in the checkpoint's own config is a data error like any other
     # defect in the file, not a run-config error; the message names the field.
@@ -1000,6 +1017,32 @@ def test_gradcheck_huge_levels_or_order_exits_2(tmp_path, capsys, model):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath_file"])
+@pytest.mark.parametrize("command", ["transform", "train", "eval", "ablate", "gradcheck"])
+def test_out_on_an_existing_file_exits_2(
+    tmp_path, series_csv, run_config, capsys, command, beneath
+):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if beneath else blocker
+    if command == "eval":
+        checkpoint = run_train(tmp_path, run_config, "r") / "checkpoint.json"
+        argv = ["eval", "--checkpoint", str(checkpoint)]
+    else:
+        argv = {
+            "transform": ["transform", "--csv", str(series_csv)],
+            "train": ["train", "--config", str(run_config)],
+            "ablate": ["ablate", "--config", str(run_config), "--quiet"],
+            "gradcheck": ["gradcheck", "--config", str(gradcheck_config(tmp_path))],
+        }[command]
+    capsys.readouterr()
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"cannot create output directory {out}" in err and "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
 
 
 def test_gradcheck_report_file(tmp_path, capsys):

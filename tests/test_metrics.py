@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from reference import short_suite_loop
 from wavets import ConfigError, DataError
 from wavets.metrics import (
     MetricsReport,
+    aggregate_report,
     mae,
     mase,
     mse,
-    naive_repeat_last,
     naive_seasonal,
     owa,
     smape,
@@ -108,12 +109,6 @@ class TestOwa:
 
 
 class TestNaiveForecasters:
-    def test_repeat_last(self):
-        window = np.array([[1.0], [2.0], [7.0]])
-        np.testing.assert_array_equal(
-            naive_repeat_last(window, 3), [[7.0], [7.0], [7.0]]
-        )
-
     def test_seasonal_copy(self):
         window = np.array([[1.0], [2.0], [1.0], [2.0]])
         np.testing.assert_array_equal(naive_seasonal(window, 2, 2), [[1.0], [2.0]])
@@ -123,15 +118,75 @@ class TestNaiveForecasters:
         out = naive_seasonal(window, 5, 3)
         np.testing.assert_array_equal(out[:, 0], [1.0, 2.0, 3.0, 1.0, 2.0])
 
-    def test_period_one_is_repeat_last(self, rng):
-        window = rng.normal(size=(6, 2))
+    def test_period_one_is_repeat_last(self):
+        window = np.array([[1.0, -4.0], [2.0, 5.0], [7.0, 0.5]])
         np.testing.assert_array_equal(
-            naive_seasonal(window, 4, 1), naive_repeat_last(window, 4)
+            naive_seasonal(window, 3, 1), [[7.0, 0.5], [7.0, 0.5], [7.0, 0.5]]
         )
 
     def test_period_too_large(self):
         with pytest.raises(ConfigError):
             naive_seasonal(np.zeros((4, 1)), 2, 5)
+
+
+def short_case(w, lookback, h, c, seed=3):
+    gen = np.random.default_rng(seed)
+    windows_x = gen.normal(size=(w, lookback, c))
+    truths = gen.normal(size=(w, h, c))
+    preds = truths + 0.3 * gen.normal(size=(w, h, c))
+    return windows_x, truths, preds
+
+
+class TestShortSuite:
+    """aggregate_report(mode="short") against the per-series loop in
+    tests/reference.py, bit for bit."""
+
+    def check(self, windows_x, truths, preds, period):
+        rep = aggregate_report(windows_x, truths, preds, mode="short", period=period)
+        assert (rep.smape, rep.mase, rep.owa) == short_suite_loop(
+            windows_x, truths, preds, period
+        )
+        assert rep.period == period
+        return rep
+
+    @pytest.mark.parametrize(
+        "w, lookback, h, c, period",
+        [
+            (23, 32, 16, 3, 4),
+            (300, 336, 96, 7, 24),
+            (9, 20, 12, 5, 1),
+            (1, 16, 8, 4, 3),
+            (6, 16, 8, 1, 2),
+            (1, 8, 5, 1, 1),
+        ],
+    )
+    def test_matches_loop(self, w, lookback, h, c, period):
+        rep = self.check(*short_case(w, lookback, h, c), period)
+        assert rep.mase is not None and rep.owa is not None
+
+    def test_constant_truth_series_skipped_in_mase(self):
+        windows_x, truths, preds = short_case(7, 24, 12, 3)
+        truths[2, :, 1] = 2.5
+        # An exact forecast of zero makes 0/0 SMAPE terms.
+        truths[4, :5, 0] = 0.0
+        preds[4, :5, 0] = 0.0
+        rep = self.check(windows_x, truths, preds, 4)
+        assert rep.mase is not None
+
+    def test_every_truth_constant_leaves_mase_undefined(self):
+        windows_x, truths, preds = short_case(4, 16, 8, 2)
+        truths[...] = 1.0
+        rep = self.check(windows_x, truths, preds, 2)
+        assert rep.mase is None and rep.owa is None and rep.smape > 0
+
+    @pytest.mark.parametrize("period", [8, 12])
+    def test_horizon_within_period_leaves_mase_undefined(self, period):
+        rep = self.check(*short_case(5, 16, 8, 3), period)
+        assert rep.mase is None and rep.owa is None
+
+    def test_period_past_lookback_rejected(self):
+        with pytest.raises(ConfigError):
+            aggregate_report(*short_case(3, 8, 4, 2), mode="short", period=9)
 
 
 class TestMetricsReport:

@@ -87,12 +87,13 @@ def small_config(kind: str) -> ModelConfig:
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_forecast_predictions_matches_chunked_forward(kind):
+def test_forecast_predictions_matches_chunked_forward(kind, monkeypatch):
     cfg = small_config(kind)
     params = params_with_biases(cfg)
     # 23 windows in chunks of 5: the last chunk is partial.
+    monkeypatch.setattr(wavets.model, "OPERATOR_CHUNK", 5)
     spans = seeded((23, cfg.lookback + cfg.horizon, cfg.channels))
-    xs, ys, preds = forecast_predictions(params, spans, cfg, chunk=5)
+    xs, ys, preds = forecast_predictions(params, spans, cfg)
     ref_xs, ref_ys, ref_preds = forecast_predictions_chunked(params, spans, cfg, chunk=5)
     assert np.array_equal(xs, ref_xs) and np.array_equal(ys, ref_ys)
     assert preds.shape == ref_preds.shape == (23, cfg.horizon, cfg.channels)
@@ -100,12 +101,13 @@ def test_forecast_predictions_matches_chunked_forward(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_evaluate_loss_matches_chunked_forward(kind):
+def test_evaluate_loss_matches_chunked_forward(kind, monkeypatch):
     cfg = small_config(kind)
     params = params_with_biases(cfg)
+    monkeypatch.setattr(wavets.model, "OPERATOR_CHUNK", 5)
     spans = seeded((23, cfg.lookback + cfg.horizon, cfg.channels))
     want = evaluate_loss_chunked(params, spans, cfg, chunk=5)
-    assert evaluate_loss(params, spans, cfg, chunk=5) == pytest.approx(want, rel=REL_TOL)
+    assert evaluate_loss(params, spans, cfg) == pytest.approx(want, rel=REL_TOL)
 
 
 def test_fixed_parameter_paths_do_not_run_forward_batch(monkeypatch):

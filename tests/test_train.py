@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import wavets.model
 from wavets import ConfigError, DataError, NumericalError
 from wavets.model import (
     ModelConfig,
@@ -401,7 +402,7 @@ class TestTrainLoop:
         with pytest.raises(NumericalError):
             train(cfg, spans, spans, TrainConfig(max_epochs=2, batch_size=2), init=params)
 
-    def test_evaluate_loss_matches_joint_loss(self):
+    def test_evaluate_loss_matches_joint_loss(self, monkeypatch):
         # Window mean of each span's joint loss, one window at a time.
         cfg = tiny_config()
         params = init_params(cfg, 6)
@@ -410,6 +411,7 @@ class TestTrainLoop:
         assert evaluate_loss(params, spans, cfg) == pytest.approx(
             np.mean(per_window), rel=1e-12
         )
-        assert evaluate_loss(params, spans, cfg, chunk=2) == pytest.approx(
+        monkeypatch.setattr(wavets.model, "OPERATOR_CHUNK", 2)
+        assert evaluate_loss(params, spans, cfg) == pytest.approx(
             np.mean(per_window), rel=1e-12
         )
