@@ -46,7 +46,7 @@ from .model import (
     operator_chunks,
     save_checkpoint,
 )
-from .train import gradient_check, train
+from .train import check_corrupt_block, gradient_check, train
 from .wavelet import SUPPORTED_WAVELETS, make_filterbank
 from .wdt import MAX_GAIN_EXPONENT, wdt_forward, write_coefficients_csv, write_scalogram_csv
 
@@ -132,24 +132,35 @@ def split_report(
 # output helpers
 
 
-def _ensure_out_dir(path: str) -> Path:
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    # An existing file at the path or above it is a bad --out, not a crash.
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+def _claim_out(
+    args: argparse.Namespace, run: RunConfig | None = None, subdirs: tuple[str, ...] = ()
+) -> Path | None:
+    """Create --out, else the run config's out entry, and its subdirs.
+
+    Every command calls it once its inputs pass their checks and before it
+    reads data, so a rejected input leaves no directory and prints no
+    report. Without a run (eval, gradcheck) --out is optional and flag-only.
+    """
+    target = args.out or (run.out if run is not None else None)
+    if not target:
+        if run is None:
+            return None
+        raise ConfigError("no output directory: pass --out or set 'out' in the config")
+    out = Path(target)
+    for path in [out] + [out / name for name in subdirs]:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        # An existing file at the path or above it is a bad --out, not a crash.
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return out
 
 
-def _effective_out(args: argparse.Namespace, run: RunConfig) -> Path:
-    # --out wins over the config's out entry.
-    target = args.out or run.out
-    if not target:
-        raise ConfigError(
-            "no output directory: pass --out or set 'out' in the config"
-        )
-    return _ensure_out_dir(str(target))
+def _load_run(args: argparse.Namespace, need_data: bool) -> RunConfig:
+    """The --config run under --seed, checked."""
+    run = load_run_config(args.config, seed=args.seed)
+    run.ensure_valid(need_data=need_data)
+    return run
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -211,6 +222,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
             f"series has {series.shape[0]} samples; need at least "
             f"{power_of_two_text(args.levels)} for {args.levels} levels"
         )
+    out = _claim_out(args)
     if usable != series.shape[0]:
         print(
             f"truncating {series.shape[0]} samples to {usable} "
@@ -218,11 +230,10 @@ def cmd_transform(args: argparse.Namespace) -> int:
         )
     fb = make_filterbank(args.wavelet)
     pyramid = wdt_forward(series[:usable], fb, levels=args.levels, order=args.order)
-    out = _ensure_out_dir(args.out)
     coeff_path = out / "coefficients.csv"
     write_coefficients_csv(pyramid, str(coeff_path))
     print(f"wrote {coeff_path}")
-    if args.command == "scalogram" or getattr(args, "scalogram", False):
+    if args.scalogram:
         grid_path = out / "scalogram.csv"
         write_scalogram_csv(pyramid, str(grid_path))
         print(f"wrote {grid_path}")
@@ -290,9 +301,8 @@ def run_training(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    run = load_run_config(args.config, seed=args.seed)
-    run.ensure_valid(need_data=True)
-    out = _effective_out(args, run)
+    run = _load_run(args, need_data=True)
+    out = _claim_out(args, run)
     run_training(run, load_splits(run), out)
     return 0
 
@@ -325,15 +335,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
         config_path = str(sibling)
     run = load_run_config(config_path)
-    run.ensure_valid(need_data=True)
-    _check_config_matches_checkpoint(run.model, ckpt_model)
-    # The checkpoint's model config is authoritative for the forward pass.
-    run.model = ckpt_model
     if args.metrics is not None:
         run.metrics.mode = args.metrics
     if args.period is not None:
         run.metrics.period = int(args.period)
     run.ensure_valid(need_data=True)
+    _check_config_matches_checkpoint(run.model, ckpt_model)
+    # The checkpoint's model config is authoritative for the forward pass.
+    run.model = ckpt_model
+    out = _claim_out(args)
 
     frames = dict(zip(("train", "val", "test"), load_splits(run)))
     spans = split_window_pairs(frames[args.split], run)
@@ -341,8 +351,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     text = report.to_text()
     print(f"split={args.split}")
     print(text, end="")
-    if args.out:
-        out = _ensure_out_dir(args.out)
+    if out is not None:
         (out / "metrics.txt").write_text(f"split={args.split}\n" + text)
         _write_json(out / "effective_config.json", run.to_dict())
         print(f"wrote {out / 'metrics.txt'}")
@@ -354,9 +363,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    run = load_run_config(args.config, seed=args.seed)
-    run.ensure_valid(need_data=True)
-    out = _effective_out(args, run)
+    run = _load_run(args, need_data=True)
+    variants = {
+        kind: replace(run, model=replace(run.model, transform_kind=kind))
+        for kind in ("wdt", "dwt", "dft")
+    }
+    for variant in variants.values():
+        variant.ensure_valid(need_data=True)
+    out = _claim_out(args, run, subdirs=tuple(variants))
     _write_json(out / "effective_config.json", run.to_dict())
     # The variants differ only in transform_kind, which the splits do not
     # depend on, so the CSV is read and split once for all three.
@@ -364,12 +378,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     test_frame = splits[2]
 
     rows = []
-    for kind in ("wdt", "dwt", "dft"):
-        variant = replace(run, model=replace(run.model, transform_kind=kind))
-        variant.ensure_valid(need_data=True)
-        kind_out = _ensure_out_dir(str(out / kind))
+    for kind, variant in variants.items():
         print(f"== training variant: {kind}")
-        params, _ = run_training(variant, splits, kind_out, quiet=args.quiet)
+        params, _ = run_training(variant, splits, out / kind, quiet=args.quiet)
         test_spans = split_window_pairs(test_frame, variant)
         report = split_report(params, test_spans, variant)
         rows.append((kind, report))
@@ -399,8 +410,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    run = load_run_config(args.config, seed=args.seed)
-    run.ensure_valid(need_data=False)
+    run = _load_run(args, need_data=False)
     model = run.model
     oversized = {k: v for k, v in model.sizes().items() if v > GRADCHECK_MAX_DIM}
     if oversized:
@@ -409,6 +419,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             f"gradcheck needs a tiny model (every dimension <= "
             f"{GRADCHECK_MAX_DIM}); too large: {listing}"
         )
+    check_corrupt_block(args.corrupt_block, model)
+    out = _claim_out(args)
 
     params = init_params(model, seed=model.seed)
     # Batch draws come from a stream offset from the init seed so the two
@@ -433,8 +445,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     )
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    if args.out:
-        out = _ensure_out_dir(args.out)
+    if out is not None:
         (out / "gradcheck.txt").write_text(text)
         _write_json(out / "effective_config.json", run.to_dict())
     return 0 if ok else 1
@@ -442,6 +453,27 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # parser / entry point
+
+
+# --out's help by how _claim_out treats it: required by the parser,
+# falling back on the run config's out entry, or optional and flag-only.
+_OUT_HELP = {
+    "required": "output directory",
+    "config": "output directory (overrides the config's out entry)",
+    "optional": "optional output directory",
+}
+
+
+def _add_out(p: argparse.ArgumentParser, rule: str) -> None:
+    p.add_argument("--out", required=rule == "required", help=_OUT_HELP[rule])
+
+
+def _add_run_parser(sub, name: str, brief: str, config_help: str = "JSON run config"):
+    """A subcommand that reads its run through _load_run."""
+    p = sub.add_parser(name, help=brief)
+    p.add_argument("--config", required=True, help=config_help)
+    p.add_argument("--seed", type=int, default=None, help="override both seeds")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,23 +501,17 @@ def build_parser() -> argparse.ArgumentParser:
             default="db1",
             help="wavelet name: db1, bior1.1, or rbio1.1",
         )
-        p.add_argument("--out", required=True, help="output directory")
+        _add_out(p, "required")
         if name == "transform":
             p.add_argument(
                 "--scalogram",
                 action="store_true",
                 help="also write the time-scale grid",
             )
-        p.set_defaults(func=cmd_transform)
+        p.set_defaults(func=cmd_transform, scalogram=name == "scalogram")
 
-    p = sub.add_parser("train", help="train a forecaster from a run config")
-    p.add_argument("--config", required=True, help="JSON run config")
-    p.add_argument("--seed", type=int, default=None, help="override both seeds")
-    p.add_argument(
-        "--out",
-        default=None,
-        help="output directory (overrides the config's out entry)",
-    )
+    p = _add_run_parser(sub, "train", "train a forecaster from a run config")
+    _add_out(p, "config")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on one split")
@@ -513,35 +539,28 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="seasonal period for the short-horizon suite",
     )
-    p.add_argument("--out", default=None, help="optional output directory")
+    _add_out(p, "optional")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser(
-        "ablate", help="train wdt, dwt, and dft variants and compare"
-    )
-    p.add_argument("--config", required=True, help="JSON run config")
-    p.add_argument("--seed", type=int, default=None, help="override both seeds")
-    p.add_argument(
-        "--out",
-        default=None,
-        help="output directory (overrides the config's out entry)",
-    )
+    p = _add_run_parser(sub, "ablate", "train wdt, dwt, and dft variants and compare")
+    _add_out(p, "config")
     p.add_argument(
         "--quiet", action="store_true", help="suppress per-epoch progress"
     )
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser(
-        "gradcheck", help="finite-difference audit of the analytic gradients"
+    p = _add_run_parser(
+        sub,
+        "gradcheck",
+        "finite-difference audit of the analytic gradients",
+        config_help="JSON run config (tiny model)",
     )
-    p.add_argument("--config", required=True, help="JSON run config (tiny model)")
-    p.add_argument("--seed", type=int, default=None, help="override both seeds")
     p.add_argument(
         "--corrupt-block",
         default=None,
         help="perturb this block's gradient first (self-test hook)",
     )
-    p.add_argument("--out", default=None, help="optional output directory")
+    _add_out(p, "optional")
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

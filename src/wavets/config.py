@@ -250,27 +250,6 @@ class ModelConfig(Section):
             return list(self.branch_orders)
         return list(range(1, self.branches + 1))
 
-    def band_sizes(self) -> list[tuple[int, int]]:
-        """(input, output) length per band, approx first then levels 1..K."""
-        sizes = [
-            (
-                self.lookback // 2**self.levels,
-                (self.lookback + self.horizon) // 2**self.levels,
-            )
-        ]
-        for lv in range(1, self.levels + 1):
-            sizes.append(
-                (self.lookback // 2**lv, (self.lookback + self.horizon) // 2**lv)
-            )
-        return sizes
-
-    def spectrum_sizes(self) -> tuple[int, int]:
-        """(input, output) half-spectrum lengths for the dft kind."""
-        return (
-            self.lookback // 2 + 1,
-            (self.lookback + self.horizon) // 2 + 1,
-        )
-
 
 @dataclass
 class TrainConfig(Section):
@@ -347,6 +326,12 @@ class RunConfig:
 
     def ensure_valid(self, need_data: bool) -> None:
         problems = [p for s in self._sections().values() for p in s.problems()]
+        # The seasonal-naive reference copies the last period of each lookback.
+        if self.metrics.mode == "short" and self.metrics.period > self.model.lookback:
+            problems.append(
+                f"metrics.period = {self.metrics.period} must be at most "
+                f"model.lookback = {self.model.lookback} in short mode"
+            )
         if need_data and self.data is None:
             problems.append("config is missing the data section")
         if problems:

@@ -49,7 +49,7 @@ vector at once.
 from __future__ import annotations
 
 import json
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -130,16 +130,17 @@ def param_layout(config: ModelConfig) -> list[tuple[str, int, tuple[int, int]]]:
     projection comes last.
     """
     branches = range(1, config.branches + 1)
-    total = config.lookback + config.horizon
+    lookback, total, k = config.lookback, config.lookback + config.horizon, config.levels
     if config.transform_kind == "dft":
-        spec = config.spectrum_sizes()
+        # Half-spectrum lengths of the lookback and of the whole span.
+        spec = (lookback // 2 + 1, total // 2 + 1)
         bands = [(f"fru_{p}[branch{n}]", spec) for p in ("real", "imag") for n in branches]
     else:
-        sizes = config.band_sizes()
-        bands = [(f"fru_ll[branch{n}]", sizes[0]) for n in branches] + [
-            (f"fru_lh[branch{n}][level{lv}]", sizes[lv])
+        # A level-l band is 2^l times shorter than its signal; LL_K is at level K.
+        bands = [(f"fru_ll[branch{n}]", (lookback >> k, total >> k)) for n in branches] + [
+            (f"fru_lh[branch{n}][level{lv}]", (lookback >> lv, total >> lv))
             for n in branches
-            for lv in range(1, config.levels + 1)
+            for lv in range(1, k + 1)
         ]
     layout, offset = [], 0
     for name, (m_in, m_out) in bands + [("projection", (config.branches * total, total))]:
@@ -492,6 +493,12 @@ def load_checkpoint(path: str) -> tuple[np.ndarray, ModelConfig]:
                     f"the {config.transform_kind} config, which expects "
                     f"{expected or 'none'}"
                 )
+        # The float64 blocks above also took numeric strings and bools;
+        # the shapes matched, so each weight is a list of rows.
+        for (name, _, _), d in zip(layout, docs):
+            if not set(map(type, chain(d["bias"], *d["weight"]))) <= {int, float}:
+                bad = next(v for v in chain(d["bias"], *d["weight"]) if type(v) not in (int, float))
+                raise ConfigError(f"{name} holds {json.dumps(bad)}, not a JSON number")
         params = np.concatenate([part.ravel() for block in blocks for part in block])
         validate_params(params, config)
     except ConfigError as exc:

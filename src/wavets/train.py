@@ -206,6 +206,16 @@ def train(
     return best_params, history
 
 
+def check_corrupt_block(name: str | None, config: ModelConfig) -> None:
+    """Reject a gradient_check corrupt_block that names no parameter block."""
+    names = [block for block, _, _ in param_layout(config)]
+    if name is not None and name not in names:
+        raise ConfigError(
+            f"corrupt_block {name!r} is not a parameter block; "
+            f"known blocks: {', '.join(names)}"
+        )
+
+
 def gradient_check(
     params: np.ndarray,
     spans: np.ndarray,
@@ -230,12 +240,7 @@ def gradient_check(
     grads, _ = gradient_batch(params, spans, config)
     layout = param_layout(config)
     if corrupt_block is not None:
-        names = [name for name, _, _ in layout]
-        if corrupt_block not in names:
-            raise ConfigError(
-                f"corrupt_block {corrupt_block!r} is not a parameter block; "
-                f"known blocks: {', '.join(names)}"
-            )
+        check_corrupt_block(corrupt_block, config)
         for name, weight, _ in param_blocks(grads, config):
             if name == corrupt_block:
                 weight += 1e-3

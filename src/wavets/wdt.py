@@ -122,6 +122,17 @@ class EnergyReport:
     per_band: list[BandEnergy] = field(default_factory=list)
 
 
+def _band_walk(pyramid: DerivativePyramid) -> list[tuple[str, np.ndarray, float]]:
+    """(label, coefficients, gain) per band of a valid pyramid, in export
+    order: LL_K first, with gain 1.0, then LH_K down to LH_1."""
+    pyramid.validate()
+    k = pyramid.base.levels
+    return [(f"LL{k}", pyramid.base.approx, 1.0)] + [
+        (f"LH{lv}", pyramid.base.details[lv - 1], pyramid.gains[lv - 1])
+        for lv in range(k, 0, -1)
+    ]
+
+
 def energy_report(signal: np.ndarray, pyramid: DerivativePyramid) -> EnergyReport:
     """Compare signal energy with coefficient energy, per band and in total.
 
@@ -130,33 +141,22 @@ def energy_report(signal: np.ndarray, pyramid: DerivativePyramid) -> EnergyRepor
     but is not an invariant, since gains deliberately change energy.
     """
     signal = np.asarray(signal, dtype=np.float64)
-    pyramid.validate()
+    walk = _band_walk(pyramid)
     if signal.shape[-1] != pyramid.base.original_length:
         raise DataError(
             f"signal length {signal.shape[-1]} does not match pyramid "
             f"original length {pyramid.base.original_length}"
         )
-    k = pyramid.base.levels
+    # Dividing by the approximation's gain 1.0 is exact.
     bands = [
         BandEnergy(
-            band=f"LL{k}",
-            gain=1.0,
-            energy_scaled=float(np.sum(pyramid.base.approx**2)),
-            energy_unscaled=float(np.sum(pyramid.base.approx**2)),
+            band=label,
+            gain=g,
+            energy_scaled=float(np.sum(coeffs**2)),
+            energy_unscaled=float(np.sum((coeffs / g) ** 2)),
         )
+        for label, coeffs, g in walk
     ]
-    for lv in range(k, 0, -1):
-        det = pyramid.base.details[lv - 1]
-        g = pyramid.gains[lv - 1]
-        scaled = float(np.sum(det**2))
-        bands.append(
-            BandEnergy(
-                band=f"LH{lv}",
-                gain=g,
-                energy_scaled=scaled,
-                energy_unscaled=float(np.sum((det / g) ** 2)),
-            )
-        )
     return EnergyReport(
         signal_energy=float(np.sum(signal**2)),
         coeff_energy_unscaled=sum(b.energy_unscaled for b in bands),
@@ -168,18 +168,13 @@ def energy_report(signal: np.ndarray, pyramid: DerivativePyramid) -> EnergyRepor
 def _bands_in_export_order(
     pyramid: DerivativePyramid,
 ) -> list[tuple[str, np.ndarray, float]]:
-    """(label, coefficients, gain) per band of a valid pyramid of one series,
-    in export order: LL_K first, then LH_K down to LH_1.
+    """_band_walk of a pyramid of one series with finite coefficients.
 
     The exports lay time along one axis, so a pyramid of a (..., T) batch
     is refused rather than written with its windows run together, and a
     non-finite coefficient raises NumericalError before any file opens.
     """
-    pyramid.validate()
-    k = pyramid.base.levels
-    out = [(f"LL{k}", pyramid.base.approx, 1.0)]
-    for lv in range(k, 0, -1):
-        out.append((f"LH{lv}", pyramid.base.details[lv - 1], pyramid.gains[lv - 1]))
+    out = _band_walk(pyramid)
     for label, coeffs, _ in out:
         if np.ndim(coeffs) != 1:
             raise DataError(

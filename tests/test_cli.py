@@ -400,6 +400,32 @@ def test_train_huge_levels_or_order_exits_2(tmp_path, series_csv, capsys, model,
     assert err.startswith("config error: ") and words in err and "Traceback" not in err
 
 
+def test_train_short_period_past_lookback_exits_2_before_training(
+    tmp_path, series_csv, capsys
+):
+    cfg = write_run_config(
+        tmp_path / "run.json", series_csv, metrics={"mode": "short", "period": 17}
+    )
+    out = tmp_path / "o"
+    rc = main(["train", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "metrics.period = 17 must be at most model.lookback = 16" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_train_long_mode_ignores_the_period_bound(tmp_path, series_csv, capsys):
+    # The seasonal-naive reference only runs in short mode.
+    cfg = write_run_config(
+        tmp_path / "run.json",
+        series_csv,
+        metrics={"mode": "long", "period": 17},
+        train={"max_epochs": 1},
+    )
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_train_dwt_ignores_orders_in_the_gain_bound(tmp_path, series_csv):
     # dwt forces every order to 0, so no gain can overflow.
     cfg = write_run_config(
@@ -748,6 +774,50 @@ def test_eval_short_metrics_flag(tmp_path, run_config, capsys):
     assert "period=4" in text
 
 
+def test_eval_short_period_past_lookback_exits_2_before_forecasting(
+    tmp_path, run_config, capsys
+):
+    out = run_train(tmp_path, run_config, "r")
+    capsys.readouterr()
+    argv = ["eval", "--checkpoint", str(out / "checkpoint.json")]
+    rc = main(argv + ["--metrics", "short", "--period", "17", "--out", str(tmp_path / "e")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "metrics.period = 17 must be at most model.lookback = 16" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "e").exists()
+    # The period equal to the lookback is the longest one allowed.
+    assert main(argv + ["--metrics", "short", "--period", "16"]) == 0
+
+
+@pytest.mark.parametrize(
+    "block, entry, shown",
+    [
+        # Strings of numbers would parse as float64 weights.
+        ("projection", "0.25", '"0.25"'),
+        # NumPy reads [0.5, true] as float64 and [1, true] as int64.
+        ("fru_lh[branch2][level1]", True, "true"),
+    ],
+    ids=["string", "bool"],
+)
+def test_eval_checkpoint_non_number_weight_exits_3(
+    tmp_path, run_config, capsys, block, entry, shown
+):
+    pinned = Path(__file__).resolve().parent / "checkpoints" / "wdt.json"
+    doc = json.loads(pinned.read_text())
+    if block == "projection":
+        doc["projection"]["bias"] = [entry] * len(doc["projection"]["bias"])
+    else:
+        doc["fru_lh"][1][0]["weight"][0][0] = entry
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert f"{block} holds {shown}, not a JSON number" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_eval_writes_metrics_file(tmp_path, run_config, capsys):
     out = run_train(tmp_path, run_config, "r")
     capsys.readouterr()
@@ -913,6 +983,22 @@ def test_ablate_dwt_variant_equals_orders_forced_to_zero(
     ).read_bytes()
 
 
+def test_ablate_checks_every_variant_before_writing(tmp_path, series_csv, capsys):
+    # Valid for dft, but 36 is not divisible by 2^3 for the wavelet variants.
+    cfg = write_run_config(
+        tmp_path / "run.json",
+        series_csv,
+        model={"transform_kind": "dft", "lookback": 36, "horizon": 12, "levels": 3},
+    )
+    out = tmp_path / "a"
+    rc = main(["ablate", "--config", str(cfg), "--out", str(out), "--quiet"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "lookback = 36 must be divisible by 2^levels = 8" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_ablate_reads_the_csv_once(tmp_path, monkeypatch, capsys):
     calls = []
 
@@ -1020,7 +1106,9 @@ def test_gradcheck_huge_levels_or_order_exits_2(tmp_path, capsys, model):
 
 
 @pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath_file"])
-@pytest.mark.parametrize("command", ["transform", "train", "eval", "ablate", "gradcheck"])
+@pytest.mark.parametrize(
+    "command", ["transform", "scalogram", "train", "eval", "ablate", "gradcheck"]
+)
 def test_out_on_an_existing_file_exits_2(
     tmp_path, series_csv, run_config, capsys, command, beneath
 ):
@@ -1033,16 +1121,51 @@ def test_out_on_an_existing_file_exits_2(
     else:
         argv = {
             "transform": ["transform", "--csv", str(series_csv)],
+            "scalogram": ["scalogram", "--csv", str(series_csv)],
             "train": ["train", "--config", str(run_config)],
             "ablate": ["ablate", "--config", str(run_config), "--quiet"],
             "gradcheck": ["gradcheck", "--config", str(gradcheck_config(tmp_path))],
         }[command]
     capsys.readouterr()
     rc = main(argv + ["--out", str(out)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == 2
-    assert f"cannot create output directory {out}" in err and "Traceback" not in err
+    assert f"cannot create output directory {out}" in captured.err
+    assert "Traceback" not in captured.err
+    # The directory is claimed before any work, so no report reaches stdout.
+    assert captured.out == ""
     assert blocker.read_text() == "keep\n"
+
+
+def test_out_flag_wins_over_the_config_entry(tmp_path, series_csv, capsys):
+    cfg = write_run_config(tmp_path / "run.json", series_csv, out="from_config")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "checkpoint.json").exists()
+    assert not (tmp_path / "from_config").exists()
+    # Without the flag the entry is the directory, relative to the config.
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert (tmp_path / "from_config" / "checkpoint.json").exists()
+    # gradcheck's --out is flag-only: the entry creates nothing.
+    gc = gradcheck_config(tmp_path)
+    doc = json.loads(gc.read_text())
+    gc.write_text(json.dumps({**doc, "out": "gc_from_config"}))
+    assert main(["gradcheck", "--config", str(gc)]) == 0
+    assert not (tmp_path / "gc_from_config").exists()
+
+
+def test_train_without_any_out_exits_2(tmp_path, run_config, capsys):
+    rc = main(["train", "--config", str(run_config)])
+    assert rc == 2
+    assert "no output directory" in capsys.readouterr().err
+
+
+def test_gradcheck_unknown_corrupt_block_leaves_no_out(tmp_path, capsys):
+    out = tmp_path / "g"
+    cfg = gradcheck_config(tmp_path)
+    rc = main(["gradcheck", "--config", str(cfg), "--corrupt-block", "zzz", "--out", str(out)])
+    assert rc == 2
+    assert "not a parameter block" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gradcheck_report_file(tmp_path, capsys):

@@ -419,6 +419,23 @@ class TestParamHelpers:
             offset += (m_in + 1) * m_out
         assert offset == param_count(cfg)
 
+    @pytest.mark.parametrize(
+        "kind, shapes",
+        [
+            ("wdt", [(42, 54), (168, 216), (84, 108), (42, 54)]),
+            ("dft", [(169, 217)]),
+        ],
+    )
+    def test_layout_shapes_at_the_etth1_shape(self, kind, shapes):
+        # L=336, tau=96, K=3: wavelet bands are L/2^l -> (L+tau)/2^l with
+        # LL_K at level K, and dft maps the half-spectra L/2+1 -> (L+tau)/2+1.
+        cfg = ModelConfig(
+            lookback=336, horizon=96, channels=7, branches=1, levels=3, transform_kind=kind
+        )
+        got = [shape for _, _, shape in param_layout(cfg)]
+        bands = shapes if kind == "wdt" else shapes * 2
+        assert got == bands + [(432, 432)]
+
     def test_block_views_write_the_vector(self):
         cfg = tiny_config()
         vec = np.zeros(param_count(cfg))
