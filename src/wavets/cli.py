@@ -98,13 +98,16 @@ def forecast_predictions(
     """Forecast the tail of every window span with the compiled operator.
 
     Returns (inputs, targets, predictions) shaped (W, L, C) / (W, H, C) /
-    (W, H, C); inputs and targets are views of the spans. Only the
-    operator's horizon columns are applied (model.operator_chunks).
+    (W, H, C); inputs and targets are views of the spans, and the
+    predictions one C-contiguous array that every chunk is written into.
+    Only the operator's horizon columns are applied (model.operator_chunks).
     """
     spans = check_windows(spans, config, config.lookback + config.horizon)
-    preds = np.concatenate(
-        [out for _, out in operator_chunks(params, spans, config, config.lookback)]
-    )
+    preds = np.empty((len(spans), config.horizon, config.channels))
+    lo = 0
+    for part, out in operator_chunks(params, spans, config, config.lookback):
+        preds[lo : lo + len(part)] = out
+        lo += len(part)
     return spans[:, : config.lookback], spans[:, config.lookback :], preds
 
 
@@ -137,9 +140,11 @@ def _claim_out(
 ) -> Path | None:
     """Create --out, else the run config's out entry, and its subdirs.
 
-    Every command calls it once its inputs pass their checks and before it
-    reads data, so a rejected input leaves no directory and prints no
-    report. Without a run (eval, gradcheck) --out is optional and flag-only.
+    Every command calls it once its inputs pass their checks, data CSVs
+    included (train, eval and ablate read and window their splits first),
+    and before it writes or prints anything, so a rejected input leaves no
+    directory and prints no report. Without a run (eval, gradcheck) --out is
+    optional and flag-only.
     """
     target = args.out or (run.out if run is not None else None)
     if not target:
@@ -246,22 +251,19 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 def run_training(
     run: RunConfig,
-    splits: tuple[SeriesFrame, SeriesFrame, SeriesFrame],
+    spans: tuple[np.ndarray, np.ndarray],
     out: Path,
     quiet: bool = False,
 ) -> tuple[np.ndarray, dict]:
-    """Train one model on ``load_splits(run)``'s splits and write all
-    artifacts to ``out``.
+    """Train one model on the (train, val) window spans of
+    ``load_splits(run)``'s splits and write all artifacts to ``out``.
 
     Returns the best parameters and the summary key/value mapping.  Output
     files carry no wall-clock timings, so reruns with identical inputs are
     byte-identical; timings go to stdout only.
     """
     started = time.perf_counter()
-    train_frame, val_frame, _ = splits
-    train_spans = split_window_pairs(train_frame, run)
-    val_spans = split_window_pairs(val_frame, run)
-
+    train_spans, val_spans = spans
     params, history = train(run.model, train_spans, val_spans, run.train)
     if not quiet:
         for rec in history.epochs:
@@ -302,8 +304,9 @@ def run_training(
 
 def cmd_train(args: argparse.Namespace) -> int:
     run = _load_run(args, need_data=True)
-    out = _claim_out(args, run)
-    run_training(run, load_splits(run), out)
+    train_frame, val_frame, _ = load_splits(run)
+    spans = (split_window_pairs(train_frame, run), split_window_pairs(val_frame, run))
+    run_training(run, spans, _claim_out(args, run))
     return 0
 
 
@@ -343,10 +346,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _check_config_matches_checkpoint(run.model, ckpt_model)
     # The checkpoint's model config is authoritative for the forward pass.
     run.model = ckpt_model
-    out = _claim_out(args)
-
     frames = dict(zip(("train", "val", "test"), load_splits(run)))
     spans = split_window_pairs(frames[args.split], run)
+    out = _claim_out(args)
+
     report = split_report(params, spans, run)
     text = report.to_text()
     print(f"split={args.split}")
@@ -370,18 +373,20 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     }
     for variant in variants.values():
         variant.ensure_valid(need_data=True)
+    # The variants differ only in transform_kind, which the splits and
+    # their windows do not depend on, so both are made once for all three.
+    train_spans, val_spans, test_spans = (
+        split_window_pairs(frame, run) for frame in load_splits(run)
+    )
     out = _claim_out(args, run, subdirs=tuple(variants))
     _write_json(out / "effective_config.json", run.to_dict())
-    # The variants differ only in transform_kind, which the splits do not
-    # depend on, so the CSV is read and split once for all three.
-    splits = load_splits(run)
-    test_frame = splits[2]
 
     rows = []
     for kind, variant in variants.items():
         print(f"== training variant: {kind}")
-        params, _ = run_training(variant, splits, out / kind, quiet=args.quiet)
-        test_spans = split_window_pairs(test_frame, variant)
+        params, _ = run_training(
+            variant, (train_spans, val_spans), out / kind, quiet=args.quiet
+        )
         report = split_report(params, test_spans, variant)
         rows.append((kind, report))
 

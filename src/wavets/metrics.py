@@ -145,8 +145,15 @@ def aggregate_report(
     """
     truths, preds = _same_shape(truths, preds)
     _, h, c = truths.shape
+    # One residual for both: the same operations as mse and mae, so the
+    # same bits; squared in place once MAE has read it.
+    residual = truths - preds
+    mae_value = float(np.mean(np.abs(residual)))
     report = MetricsReport(
-        mse=mse(truths, preds), mae=mae(truths, preds), horizon=h, channels=c
+        mse=float(np.mean(np.square(residual, out=residual))),
+        mae=mae_value,
+        horizon=h,
+        channels=c,
     )
     if mode == "long":
         return report

@@ -33,11 +33,16 @@ Everything between the instance normalization and the denormalization is
 affine in the input too, so for fixed parameters the model is one
 (L, L+tau) matrix and bias on normalized rows. compile_operator builds it
 by pushing the zero row and the identity rows through the same branch
-path as forward_batch, and apply_operator evaluates it with one GEMM;
-forward_batch is the training path and the operator's reference.
-operator_chunks is the one loop behind every fixed-parameter forecast:
-it compiles once and applies the operator OPERATOR_CHUNK windows at a
-time. check_windows is the one shape check of window arrays.
+path as forward_batch, and apply_operator evaluates it with one GEMM on
+contiguous channel rows: it copies the lookback once into (B*C, L) rows
+and normalizes, applies and denormalizes them in place.
+forward_batch is the training path and the operator's reference, and it
+keeps its own normalization on the (B, L, C) stack, which
+tests/checkpoints pins bit for bit. operator_chunks is the one loop
+behind every fixed-parameter forecast: it compiles once and applies the
+operator OPERATOR_CHUNK windows at a time, and cli.forecast_predictions
+writes each chunk into one preallocated array. check_windows is the one
+shape check of window arrays.
 
 The parameters are one float64 vector. param_layout, derived from the
 config alone, names its blocks in checkpoint order, and param_blocks
@@ -362,11 +367,27 @@ def apply_operator(
 ) -> np.ndarray:
     """A compiled operator, or a column slice of it, on a (B, L, C) stack:
     normalize, one GEMM over the channel rows, denormalize; returns
-    (B, m, C) for m columns."""
+    (B, m, C) for m columns.
+
+    The lookback is copied once into contiguous (B*C, L) channel rows, so
+    the statistics reduce along the contiguous axis and every later step
+    works in place on that copy or on the GEMM's output. It agrees with
+    forward_batch's normalization to rounding, not bit for bit."""
     xs = check_windows(xs, config, config.lookback)
-    normed, mean, std = _normalize_batch(xs, config.std_epsilon)
-    out = affine_apply(normed.transpose(0, 2, 1), weight, bias)
-    return out.transpose(0, 2, 1) * std + mean
+    # A real copy: at C=1 the transpose is already contiguous, and the
+    # in-place steps must never write into the caller's windows.
+    rows = channel_rows(xs.transpose(0, 2, 1).copy(), config.lookback)
+    mean = rows.mean(axis=1, keepdims=True)
+    rows -= mean
+    # np.std's own steps on the centred rows: its bits, without centring twice.
+    std = np.sqrt(np.square(rows).mean(axis=1, keepdims=True))
+    std += config.std_epsilon
+    rows /= std
+    out = rows @ weight
+    out += bias
+    out *= std
+    out += mean
+    return out.reshape(len(xs), config.channels, -1).transpose(0, 2, 1)
 
 
 def operator_chunks(

@@ -459,6 +459,49 @@ def test_train_missing_csv_exits_3(tmp_path):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+@pytest.mark.parametrize(
+    "case, code, message",
+    [
+        ("channel-mismatch", 2, "has 2 channels"),
+        ("missing-csv", 3, "cannot open"),
+        ("split-too-short", 3, "too short for lookback"),
+    ],
+)
+def test_data_rejected_before_out_is_created(
+    tmp_path, series_csv, run_config, capsys, command, case, code, message
+):
+    # The data CSV is read, split and windowed before --out is claimed.
+    if case == "channel-mismatch":
+        bad = write_run_config(
+            tmp_path / "bad.json", write_series_csv(tmp_path / "two.csv", 400, channels=2)
+        )
+    elif case == "missing-csv":
+        bad = write_run_config(tmp_path / "bad.json", tmp_path / "absent.csv")
+    else:
+        # 400 rows at 0.9/0.05/0.05 leave 20-row val and test splits, one
+        # short of L + tau = 24.
+        bad = write_run_config(
+            tmp_path / "bad.json",
+            series_csv,
+            data={"split": {"kind": "ratio", "ratios": [0.9, 0.05, 0.05]}},
+        )
+    out = tmp_path / "o"
+    argv = [command, "--config", str(bad), "--out", str(out)]
+    if command == "eval":
+        trained = run_train(tmp_path, run_config, "trained")
+        argv += ["--checkpoint", str(trained / "checkpoint.json")]
+    elif command == "ablate":
+        argv.append("--quiet")
+    capsys.readouterr()
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == code
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_relative_csv_resolves_against_config_dir(tmp_path):
     sub = tmp_path / "cfgdir"
     sub.mkdir()

@@ -189,6 +189,24 @@ class TestShortSuite:
             aggregate_report(*short_case(3, 8, 4, 2), mode="short", period=9)
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_long_mode_matches_mse_and_mae_on_window_layouts(layout):
+    # Truths as the strided sliding-window view eval scores, predictions in
+    # forecast_predictions' C-contiguous layout or a transposed one.
+    gen = np.random.default_rng(9)
+    spans = np.lib.stride_tricks.sliding_window_view(
+        gen.standard_normal((300, 7)), 48, axis=0
+    ).transpose(0, 2, 1)
+    windows_x, truths = spans[:, :32], spans[:, 32:]
+    preds = np.ascontiguousarray(truths + 0.3 * gen.standard_normal(truths.shape))
+    if layout == "transposed":
+        preds = np.ascontiguousarray(preds.transpose(0, 2, 1)).transpose(0, 2, 1)
+    assert not truths.flags.c_contiguous
+    assert preds.flags.c_contiguous == (layout == "contiguous")
+    rep = aggregate_report(windows_x, truths, preds, mode="long")
+    assert rep.mse == mse(truths, preds) and rep.mae == mae(truths, preds)
+
+
 class TestMetricsReport:
     def test_long_term_text(self):
         rep = MetricsReport(mse=0.25, mae=0.5, horizon=96, channels=7)

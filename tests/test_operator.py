@@ -17,6 +17,7 @@ import wavets.model
 import wavets.train
 from reference import evaluate_loss_chunked, forecast_predictions_chunked
 from wavets.cli import forecast_predictions
+from wavets.data import SeriesFrame, windows
 from wavets.model import (
     ModelConfig,
     apply_operator,
@@ -29,6 +30,7 @@ from wavets.train import evaluate_loss
 
 KINDS = ("wdt", "dwt", "dft")
 REL_TOL = 1e-10
+CHUNK = wavets.model.OPERATOR_CHUNK
 
 
 def config_for(kind: str, **overrides) -> ModelConfig:
@@ -82,8 +84,36 @@ def test_operator_is_the_normalized_map_on_any_row(kind):
     assert rel_err(rows[:, 0] @ weight + bias, want[:, 0]) <= REL_TOL
 
 
-def small_config(kind: str) -> ModelConfig:
-    return config_for(kind, lookback=32, horizon=16, channels=3, levels=2)
+def small_config(kind: str, channels: int = 3) -> ModelConfig:
+    return config_for(kind, lookback=32, horizon=16, channels=channels, levels=2)
+
+
+@pytest.mark.parametrize("batch, channels", [(4, 1), (1, 3), (1, 1), (4, 3)])
+def test_apply_operator_leaves_writable_input_unchanged(batch, channels):
+    # At C=1 the channel-row transpose of a contiguous stack is itself
+    # contiguous, so only a real copy keeps the in-place steps off it.
+    cfg = small_config("wdt", channels)
+    params = params_with_biases(cfg)
+    weight, bias = compile_operator(params, cfg)
+    xs = seeded((batch, cfg.lookback, channels))
+    before = xs.copy()
+    got = apply_operator(xs, weight, bias, cfg)
+    assert np.array_equal(xs, before)
+    assert rel_err(got, forward_batch(before, params, cfg)) <= REL_TOL
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_apply_operator_reads_read_only_window_views(channels):
+    cfg = small_config("dft", channels)
+    params = params_with_biases(cfg)
+    weight, bias = compile_operator(params, cfg)
+    frame = SeriesFrame(seeded((60, channels)), [f"c{i}" for i in range(channels)])
+    values = frame.values.copy()
+    lookbacks = windows(frame, cfg.lookback, cfg.horizon)[:, : cfg.lookback]
+    assert not lookbacks.flags.writeable
+    got = apply_operator(lookbacks, weight, bias, cfg)
+    assert np.array_equal(frame.values, values)
+    assert rel_err(got, forward_batch(lookbacks, params, cfg)) <= REL_TOL
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -98,6 +128,23 @@ def test_forecast_predictions_matches_chunked_forward(kind, monkeypatch):
     assert np.array_equal(xs, ref_xs) and np.array_equal(ys, ref_ys)
     assert preds.shape == ref_preds.shape == (23, cfg.horizon, cfg.channels)
     assert rel_err(preds, ref_preds) <= REL_TOL
+
+
+@pytest.mark.parametrize(
+    "count", [CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1], ids=["below", "multiple", "one-past"]
+)
+@pytest.mark.parametrize("kind", KINDS)
+def test_forecast_predictions_fills_one_contiguous_array(kind, count):
+    # Every row of the preallocated array must be written, whether the
+    # last chunk is partial, full, or one window long.
+    cfg = small_config(kind)
+    params = params_with_biases(cfg)
+    spans = seeded((count, cfg.lookback + cfg.horizon, cfg.channels))
+    _, _, want = forecast_predictions_chunked(params, spans, cfg)
+    _, _, preds = forecast_predictions(params, spans, cfg)
+    assert preds.shape == (count, cfg.horizon, cfg.channels)
+    assert preds.dtype == np.float64 and preds.flags.c_contiguous
+    assert rel_err(preds, want) <= REL_TOL
 
 
 @pytest.mark.parametrize("kind", KINDS)
