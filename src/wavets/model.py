@@ -53,8 +53,8 @@ vector at once.
 
 from __future__ import annotations
 
+import base64
 import json
-from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from .errors import ConfigError, DataError
 from .wavelet import WaveletPyramid, dwt_multi, idwt_multi, make_filterbank
 from .wdt import level_gains
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Windows per GEMM on the fixed-parameter paths (operator_chunks).
 OPERATOR_CHUNK = 256
@@ -437,26 +437,15 @@ def init_params(config: ModelConfig, seed: int) -> np.ndarray:
 
 
 def save_checkpoint(params: np.ndarray, config: ModelConfig, path: str) -> None:
-    """Versioned JSON checkpoint; floats round-trip to identical bits.
+    """Versioned JSON checkpoint: the model config and the parameter vector
+    as base64 of its little-endian float64 bytes, so every bit round-trips.
 
-    Blocks are stored per kind: fru_ll[branch] and fru_lh[branch][level]
-    for the wavelet kinds, fru_real[branch] and fru_imag[branch] for dft,
-    and the projection; the other kind's lists are empty.
+    The config fixes the vector's layout (param_layout), so none is stored.
     """
-    docs = [
-        {"weight": weight.tolist(), "bias": bias.tolist()}
-        for _, weight, bias in param_blocks(params, config)
-    ]
-    bands = _per_band(docs, config)
-    dft = config.transform_kind == "dft"
     doc = {
         "version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
-        "fru_ll": [] if dft else bands[0],
-        "fru_lh": [] if dft else [list(levels) for levels in zip(*bands[1:])],
-        "fru_real": bands[0] if dft else [],
-        "fru_imag": bands[1] if dft else [],
-        "projection": docs[-1],
+        "params": base64.b64encode(params.astype("<f8", copy=False).tobytes()).decode("ascii"),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -483,44 +472,32 @@ def load_checkpoint(path: str) -> tuple[np.ndarray, ModelConfig]:
             f"checkpoint {path} has version {doc.get('version')!r}, "
             f"expected {CHECKPOINT_VERSION}"
         )
+    # A stored config that does not parse or check is a defect of the file,
+    # so it exits like every other one, not like a bad run config; it is
+    # checked before param_count reads its sizes.
     try:
-        config = ModelConfig.from_dict(doc["config"])
-        # Every stored block in param_layout order, either kind's lists.
-        docs = (
-            doc["fru_ll"]
-            + [block for levels in doc["fru_lh"] for block in levels]
-            + doc["fru_real"]
-            + doc["fru_imag"]
-            + [doc["projection"]]
-        )
-        blocks = [
-            (np.array(d["weight"], dtype=np.float64), np.array(d["bias"], dtype=np.float64))
-            for d in docs
-        ]
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        # A stored config that does not parse is a defect of the file, so it
-        # exits like every other one, not like a bad run config.
-        raise DataError(f"checkpoint {path} is malformed: {exc}") from exc
-    try:
+        config = ModelConfig.from_dict(doc.get("config"))
         config.ensure_valid()
-        layout = param_layout(config)
-        have = [(weight.shape, bias.shape) for weight, bias in blocks]
-        want = [(shape, shape[1:]) for _, _, shape in layout]
-        for i, (got, expected) in enumerate(zip_longest(have, want)):
-            if got != expected:
-                name = layout[i][0] if i < len(layout) else f"extra block {i + 1}"
-                raise ConfigError(
-                    f"{name} weight/bias shapes {got or 'missing'} do not match "
-                    f"the {config.transform_kind} config, which expects "
-                    f"{expected or 'none'}"
-                )
-        # The float64 blocks above also took numeric strings and bools;
-        # the shapes matched, so each weight is a list of rows.
-        for (name, _, _), d in zip(layout, docs):
-            if not set(map(type, chain(d["bias"], *d["weight"]))) <= {int, float}:
-                bad = next(v for v in chain(d["bias"], *d["weight"]) if type(v) not in (int, float))
-                raise ConfigError(f"{name} holds {json.dumps(bad)}, not a JSON number")
-        params = np.concatenate([part.ravel() for block in blocks for part in block])
+    except ConfigError as exc:
+        raise DataError(f"checkpoint {path} config fails validation: {exc}") from exc
+    encoded = doc.get("params")
+    if not isinstance(encoded, str):
+        raise DataError(
+            f"checkpoint {path} params must be a base64 string, got {type(encoded).__name__}"
+        )
+    try:
+        raw = base64.b64decode(encoded, validate=True)
+    except ValueError as exc:
+        raise DataError(f"checkpoint {path} params are not valid base64: {exc}") from exc
+    count = param_count(config)
+    if len(raw) != 8 * count:
+        raise DataError(
+            f"checkpoint {path} holds {len(raw) / 8:.12g} parameter values, "
+            f"but its {config.transform_kind} config expects {count}"
+        )
+    # A native, owned, writable copy of the little-endian values.
+    params = np.frombuffer(raw, "<f8").astype(np.float64)
+    try:
         validate_params(params, config)
     except ConfigError as exc:
         raise DataError(f"checkpoint {path} fails validation: {exc}") from exc

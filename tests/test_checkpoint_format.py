@@ -1,11 +1,15 @@
 """The checkpoint file format, pinned by files an earlier writer made.
 
-tests/checkpoints/wdt.json and dft.json were written by save_checkpoint as
-it stood before the parameters became one vector (commit 11c4c93), at the
-gradcheck shape (L=8, tau=4, C=2, N=2, K=2, seed 2) with standard-normal
-biases, so a bias or block placed at the wrong offset shows. Next to each,
-<kind>_forward.json holds a seeded (3, L, C) batch and that code's
-forward_batch output on it.
+tests/checkpoints/wdt.json and dft.json were first written by
+save_checkpoint as it stood before the parameters became one vector
+(commit 11c4c93), at the gradcheck shape (L=8, tau=4, C=2, N=2, K=2,
+seed 2) with standard-normal biases, so a bias or block placed at the
+wrong offset shows. When format version 2 replaced version 1, they were
+converted by reading them with the version 1 loader (commit ecdb0c3) and
+writing them with the version 2 writer. Next to each, <kind>_forward.json
+holds a seeded (3, L, C) batch and the original code's forward_batch
+output on it; the conversion left it untouched, so reproducing it bit for
+bit shows the conversion is exact.
 """
 
 import json

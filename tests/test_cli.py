@@ -4,6 +4,7 @@ Every test drives main() in-process with argv lists, so exit codes and
 emitted files are checked without spawning subprocesses.
 """
 
+import base64
 import json
 import math
 import shutil
@@ -14,6 +15,7 @@ import pytest
 
 from wavets.cli import main
 from wavets.data import load_csv
+from wavets.model import ModelConfig, load_checkpoint, param_blocks, save_checkpoint
 from wavets.wavelet import make_filterbank, dwt_multi
 from wavets.wdt import DerivativePyramid, write_coefficients_csv
 
@@ -833,31 +835,54 @@ def test_eval_short_period_past_lookback_exits_2_before_forecasting(
     assert main(argv + ["--metrics", "short", "--period", "16"]) == 0
 
 
+CHECKPOINTS = Path(__file__).resolve().parent / "checkpoints"
+
+
+def pinned_params(kind: str) -> bytes:
+    return base64.b64decode(json.loads((CHECKPOINTS / f"{kind}.json").read_text())["params"])
+
+
+def nan_in_fru_ll_branch2(raw: bytes) -> bytes:
+    doc = json.loads((CHECKPOINTS / "wdt.json").read_text())
+    params = np.frombuffer(raw, "<f8").copy()
+    param_blocks(params, ModelConfig.from_dict(doc["config"]))[1][1][0, 0] = np.nan
+    return params.tobytes()
+
+
+def b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
 @pytest.mark.parametrize(
-    "block, entry, shown",
+    "field, value, message",
     [
-        # Strings of numbers would parse as float64 weights.
-        ("projection", "0.25", '"0.25"'),
-        # NumPy reads [0.5, true] as float64 and [1, true] as int64.
-        ("fru_lh[branch2][level1]", True, "true"),
+        ("params", lambda raw: np.frombuffer(raw, "<f8").tolist(),
+         "params must be a base64 string, got list"),
+        ("params", lambda raw: None, "params must be a base64 string, got NoneType"),
+        ("params", lambda raw: "@@@", "params are not valid base64"),
+        ("params", lambda raw: b64(raw[:-8]),
+         "holds 395 parameter values, but its wdt config expects 396"),
+        ("params", lambda raw: b64(raw + raw[:8]),
+         "holds 397 parameter values, but its wdt config expects 396"),
+        ("params", lambda raw: b64(pinned_params("dft")),
+         "holds 468 parameter values, but its wdt config expects 396"),
+        ("params", lambda raw: b64(nan_in_fru_ll_branch2(raw)),
+         r"fails validation: fru_ll[branch2] contains non-finite entries"),
+        ("version", lambda raw: 1, "has version 1, expected 2"),
     ],
-    ids=["string", "bool"],
+    ids=["list", "null", "bad-base64", "one-short", "one-extra", "dft-payload", "nan", "v1"],
 )
-def test_eval_checkpoint_non_number_weight_exits_3(
-    tmp_path, run_config, capsys, block, entry, shown
+def test_eval_malformed_checkpoint_params_exits_3(
+    tmp_path, run_config, capsys, field, value, message
 ):
-    pinned = Path(__file__).resolve().parent / "checkpoints" / "wdt.json"
-    doc = json.loads(pinned.read_text())
-    if block == "projection":
-        doc["projection"]["bias"] = [entry] * len(doc["projection"]["bias"])
-    else:
-        doc["fru_lh"][1][0]["weight"][0][0] = entry
+    doc = json.loads((CHECKPOINTS / "wdt.json").read_text())
+    doc[field] = value(pinned_params("wdt"))
     path = tmp_path / "checkpoint.json"
     path.write_text(json.dumps(doc))
     rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
     captured = capsys.readouterr()
     assert rc == 3
-    assert f"{block} holds {shown}, not a JSON number" in captured.err
+    assert message in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
 
 
@@ -885,11 +910,9 @@ def test_eval_nonfinite_forecast_exits_4(tmp_path, run_config, capsys):
     # overflow, and eval must fail instead of writing mse=inf.
     out = run_train(tmp_path, run_config, "r")
     path = out / "checkpoint.json"
-    doc = json.loads(path.read_text())
-    doc["projection"]["weight"] = [
-        [1e300] * len(row) for row in doc["projection"]["weight"]
-    ]
-    path.write_text(json.dumps(doc))
+    params, config = load_checkpoint(str(path))
+    param_blocks(params, config)[-1][1][...] = 1e300
+    save_checkpoint(params, config, str(path))
     capsys.readouterr()
     rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e")])
     err = capsys.readouterr().err
@@ -929,7 +952,7 @@ def test_eval_deeply_nested_checkpoint_exits_3(tmp_path, run_config, capsys):
 def test_eval_checkpoint_malformed_stored_config_exits_3(tmp_path, run_config, capsys):
     # A defect in the checkpoint's own config is a data error like any other
     # defect in the file, not a run-config error; the message names the field.
-    pinned = Path(__file__).resolve().parent / "checkpoints" / "wdt.json"
+    pinned = CHECKPOINTS / "wdt.json"
     doc = json.loads(pinned.read_text())
     doc["config"]["levels"] = "x"
     path = tmp_path / "checkpoint.json"
@@ -942,7 +965,7 @@ def test_eval_checkpoint_malformed_stored_config_exits_3(tmp_path, run_config, c
 
 @pytest.mark.parametrize("entry", [{"levels": 20000}, {"branch_orders": [2000, 1]}])
 def test_eval_checkpoint_huge_levels_or_order_exits_3(tmp_path, run_config, capsys, entry):
-    pinned = Path(__file__).resolve().parent / "checkpoints" / "wdt.json"
+    pinned = CHECKPOINTS / "wdt.json"
     doc = json.loads(pinned.read_text())
     doc["config"].update(entry)
     path = tmp_path / "checkpoint.json"

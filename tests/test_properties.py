@@ -7,6 +7,7 @@ hand-written case names. The module is skipped where Hypothesis is not
 installed.
 """
 
+import base64
 import copy
 import io
 import json
@@ -32,7 +33,10 @@ from wavets.model import (  # noqa: E402
     compile_operator,
     forward_batch,
     init_params,
+    load_checkpoint,
     param_blocks,
+    param_count,
+    save_checkpoint,
 )
 from wavets.wavelet import SUPPORTED_WAVELETS, make_filterbank  # noqa: E402
 from wavets.wdt import (  # noqa: E402
@@ -331,3 +335,61 @@ def test_any_csv_loads_or_exits_3(content):
             rc, err = run_cli(["transform", "--csv", str(path), "--out", str(Path(tmp) / "o")])
             assert rc == 3, (content, err)
             assert err.startswith("data error: "), (content, err)
+
+
+# ---------------------------------------------------------------------------
+# the checkpoint: every finite vector round-trips, any params text loads or
+# raises DataError
+
+# The gradcheck shape of tests/checkpoints: 396 parameters.
+CHECKPOINT_CONFIG = ModelConfig(
+    lookback=8, horizon=4, channels=2, branches=2, levels=2, transform_kind="wdt", seed=2
+)
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.finfo(np.float64).max,
+               -np.finfo(np.float64).max, 1.0, np.nextafter(1.0, 2.0)]
+
+
+@PROPERTY_SETTINGS
+@given(
+    params=arrays(
+        np.float64,
+        param_count(CHECKPOINT_CONFIG),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+@example(params=np.resize(EDGE_VALUES, param_count(CHECKPOINT_CONFIG)))
+def test_any_finite_vector_round_trips_bit_for_bit(params):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "checkpoint.json")
+        save_checkpoint(params, CHECKPOINT_CONFIG, path)
+        loaded, config = load_checkpoint(path)
+    assert config == CHECKPOINT_CONFIG
+    assert np.array_equal(loaded.view(np.uint64), params.view(np.uint64))
+    assert loaded.dtype == np.float64 and loaded.dtype.isnative
+    assert loaded.flags.c_contiguous and loaded.flags.writeable and loaded.flags.owndata
+
+
+@PROPERTY_SETTINGS
+@given(
+    encoded=st.text(max_size=64)
+    | (
+        # Short payloads, and payloads of the right length, which load
+        # unless a value is NaN or infinite.
+        st.binary(max_size=64)
+        | st.binary(
+            min_size=8 * param_count(CHECKPOINT_CONFIG),
+            max_size=8 * param_count(CHECKPOINT_CONFIG),
+        )
+    ).map(lambda raw: base64.b64encode(raw).decode("ascii"))
+)
+def test_any_params_text_loads_or_raises_data_error(encoded):
+    doc = {"version": 2, "config": CHECKPOINT_CONFIG.to_dict(), "params": encoded}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        try:
+            params, _ = load_checkpoint(str(path))
+        except DataError:
+            return
+    assert params.shape == (param_count(CHECKPOINT_CONFIG),)
+    assert np.all(np.isfinite(params))
