@@ -18,11 +18,10 @@ from .errors import ConfigError, DataError
 
 @dataclass
 class SeriesFrame:
-    """A T x C multivariate series with optional row timestamps."""
+    """A T x C multivariate series and its channel names."""
 
     values: np.ndarray
     channel_names: list[str]
-    timestamps: list[str] | None = None
 
     @property
     def length(self) -> int:
@@ -35,7 +34,7 @@ class SeriesFrame:
 
 def _timestamps_strictly_increasing(stamps: list[str]) -> bool:
     # Enforceable only when every stamp parses as an ISO datetime; raw
-    # strings in unknown formats are stored but not ordered-checked.
+    # strings in unknown formats are accepted but not order-checked.
     try:
         parsed = [datetime.fromisoformat(s) for s in stamps]
     except ValueError:
@@ -46,7 +45,8 @@ def _timestamps_strictly_increasing(stamps: list[str]) -> bool:
 def load_csv(path: str) -> SeriesFrame:
     """Parse a comma-separated file with a header row into a SeriesFrame.
 
-    A first column named `date` becomes timestamps; every other column
+    A first column named `date` holds timestamps, which must be strictly
+    increasing and are then dropped; every other column is a channel and
     must parse as a finite real. Errors name the offending row and column
     (1-based line numbers counting the header as line 1).
     """
@@ -102,26 +102,17 @@ def load_csv(path: str) -> SeriesFrame:
         raise DataError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
-    timestamps = stamps if has_date else None
     try:
-        increasing = timestamps is None or _timestamps_strictly_increasing(timestamps)
+        increasing = _timestamps_strictly_increasing(stamps)
     except TypeError:
         raise DataError(f"{path}: timestamps mix naive and offset-aware times") from None
     if not increasing:
         raise DataError(f"{path}: timestamps are not strictly increasing")
-    return SeriesFrame(
-        values=np.array(rows, dtype=np.float64),
-        channel_names=names,
-        timestamps=timestamps,
-    )
+    return SeriesFrame(values=np.array(rows, dtype=np.float64), channel_names=names)
 
 
 def _slice_frame(frame: SeriesFrame, start: int, stop: int) -> SeriesFrame:
-    return SeriesFrame(
-        values=frame.values[start:stop],
-        channel_names=frame.channel_names,
-        timestamps=frame.timestamps[start:stop] if frame.timestamps else None,
-    )
+    return SeriesFrame(values=frame.values[start:stop], channel_names=frame.channel_names)
 
 
 def chronological_split(
@@ -192,9 +183,7 @@ def standardize_apply(frame: SeriesFrame, stats: StandardizeStats) -> SeriesFram
             f"frame has {frame.channels}"
         )
     return SeriesFrame(
-        values=(frame.values - stats.mean) / stats.std,
-        channel_names=frame.channel_names,
-        timestamps=frame.timestamps,
+        values=(frame.values - stats.mean) / stats.std, channel_names=frame.channel_names
     )
 
 

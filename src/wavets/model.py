@@ -60,7 +60,7 @@ import numpy as np
 
 from .config import TRANSFORM_KINDS, ModelConfig  # noqa: F401 (TRANSFORM_KINDS re-exported)
 from .errors import ConfigError, DataError
-from .wavelet import WaveletPyramid, dwt_multi, idwt_multi, make_filterbank
+from .wavelet import dwt_multi, idwt_multi, make_filterbank
 from .wdt import level_gains
 
 CHECKPOINT_VERSION = 2
@@ -237,8 +237,7 @@ def _analyse(rows: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
     if config.transform_kind == "dft":
         spectrum = np.fft.rfft(rows, axis=-1)
         return [spectrum.real, spectrum.imag]
-    pyr = dwt_multi(rows, _HAAR, config.levels)
-    return [pyr.approx] + pyr.details
+    return dwt_multi(rows, _HAAR, config.levels)
 
 
 def _normalized_map(
@@ -260,15 +259,7 @@ def _normalized_map(
         spectrum += bands_out[0]
         z = np.fft.irfft(spectrum, n=total, axis=-1)
     else:
-        z = idwt_multi(
-            WaveletPyramid(
-                levels=config.levels,
-                approx=bands_out[0],
-                details=bands_out[1:],
-                original_length=total,
-            ),
-            _HAAR,
-        )
+        z = idwt_multi(bands_out, _HAAR)
     # Branch n's output occupies columns [n*total, (n+1)*total).
     zcat = z.reshape(z.shape[:-2] + (-1,))
     _, proj_weight, proj_bias = param_blocks(params, config)[-1]

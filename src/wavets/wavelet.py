@@ -6,12 +6,14 @@ boundary extension is ever needed and every level exactly halves the
 time dimension, which keeps the cascade perfectly invertible.
 
 All transforms act along the last axis, so arrays shaped (..., T) work
-unchanged; the trailing dimension is "time" throughout.
+unchanged; the trailing dimension is "time" throughout. A K-level pyramid
+is the plain band list [LL_K, LH_1, ..., LH_K]: its level count and the
+signal length follow from the list, so nothing else is stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,43 +92,11 @@ def idwt_level(approx: np.ndarray, detail: np.ndarray, fb: FilterBank) -> np.nda
     return out
 
 
-@dataclass
-class WaveletPyramid:
-    """Multi-level coefficient set: approx LL_K plus details LH_1..LH_K.
-
-    details[0] is LH_1, the finest band (length T/2); details[-1] is
-    LH_K, the coarsest (length T/2^K). approx is LL_K, length T/2^K.
-    """
-
-    levels: int
-    approx: np.ndarray
-    details: list[np.ndarray] = field(default_factory=list)
-    original_length: int = 0
-
-    def validate(self) -> None:
-        """Check the dyadic length invariants; raise DataError if violated."""
-        t = self.original_length
-        if self.levels < 1 or len(self.details) != self.levels:
-            raise DataError(
-                f"pyramid has {len(self.details)} detail bands for K={self.levels}"
-            )
-        for lv, det in enumerate(self.details, start=1):
-            want = t // (2**lv)
-            if t % (2**lv) != 0 or det.shape[-1] != want:
-                raise DataError(
-                    f"detail band {lv} has length {det.shape[-1]}, "
-                    f"expected {t} / 2^{lv}"
-                )
-        want = t // (2**self.levels)
-        if self.approx.shape[-1] != want:
-            raise DataError(
-                f"approx band has length {self.approx.shape[-1]}, expected {want}"
-            )
-
-
-def dwt_multi(signal: np.ndarray, fb: FilterBank, levels: int) -> WaveletPyramid:
+def dwt_multi(signal: np.ndarray, fb: FilterBank, levels: int) -> list[np.ndarray]:
     """K-level cascade: repeatedly split the running approximation.
 
+    Returns the bands [LL_K, LH_1, ..., LH_K]: the approximation, then the
+    details from the finest (length T/2) to the coarsest (length T/2^K).
     Requires the signal length divisible by 2^levels so every level
     halves exactly; the error names the first level that cannot split.
     """
@@ -147,15 +117,18 @@ def dwt_multi(signal: np.ndarray, fb: FilterBank, levels: int) -> WaveletPyramid
     for _ in range(levels):
         approx, detail = dwt_level(approx, fb)
         details.append(detail)
-    return WaveletPyramid(
-        levels=levels, approx=approx, details=details, original_length=n
-    )
+    return [approx] + details
 
 
-def idwt_multi(pyramid: WaveletPyramid, fb: FilterBank) -> np.ndarray:
-    """Reconstruct the original signal from a pyramid (exact inverse)."""
-    pyramid.validate()
-    out = pyramid.approx
-    for detail in reversed(pyramid.details):
+def idwt_multi(bands: list[np.ndarray], fb: FilterBank) -> np.ndarray:
+    """Reconstruct the signal from dwt_multi's bands (exact inverse).
+
+    idwt_level's shape check is the length check: a band of the wrong
+    length raises DataError at the level that meets it.
+    """
+    if len(bands) < 2:
+        raise DataError(f"a pyramid needs LL_K and at least one detail band, got {len(bands)}")
+    out = bands[0]
+    for detail in reversed(bands[1:]):
         out = idwt_level(out, detail, fb)
     return out

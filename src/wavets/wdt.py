@@ -8,7 +8,8 @@ detail band at cascade level l (l = 1 finest) is multiplied by the gain
 so the finest band receives the largest gain 2^(n*K). The approximation
 band passes through unscaled. Gains are signed powers of two, so applying
 and removing them is exact in binary floating point and the inverse
-restores the input to within DWT round-trip error.
+restores the input to within DWT round-trip error. A DerivativePyramid is
+the order and the scaled band list; its gains are derived from the two.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .wavelet import FilterBank, WaveletPyramid, dwt_multi, idwt_multi
+from .wavelet import FilterBank, dwt_multi, idwt_multi
 
 
 # The largest power of two a float64 holds is 2^1023, so a gain 2^(n*k)
@@ -45,29 +46,27 @@ def level_gains(levels: int, order: int) -> list[float]:
 
 @dataclass
 class DerivativePyramid:
-    """WaveletPyramid with gain-rescaled details plus the gains applied.
+    """The bands [LL_K, LH_1, ..., LH_K] of an order-n transform, with each
+    detail band LH_l already times its gain g_l.
 
-    gains[l-1] is the factor already multiplied into base.details[l-1];
-    storing them makes exported coefficient files self-describing and
-    lets the inverse undo scaling without re-deriving anything.
+    levels, length (each LL_K coefficient covers 2^K samples) and gains are
+    derived from the bands and the order, so they cannot disagree with them.
     """
 
     order: int
-    base: WaveletPyramid
-    gains: list[float] = field(default_factory=list)
+    bands: list[np.ndarray]
 
-    def validate(self) -> None:
-        self.base.validate()
-        if len(self.gains) != self.base.levels:
-            raise DataError(
-                f"pyramid stores {len(self.gains)} gains for K={self.base.levels}"
-            )
-        expected = level_gains(self.base.levels, self.order)
-        for got, want in zip(self.gains, expected):
-            if got != want:
-                raise DataError(
-                    f"stored gains {self.gains} do not match order {self.order}"
-                )
+    @property
+    def levels(self) -> int:
+        return len(self.bands) - 1
+
+    @property
+    def length(self) -> int:
+        return np.shape(self.bands[0])[-1] << self.levels
+
+    @property
+    def gains(self) -> list[float]:
+        return level_gains(self.levels, self.order)
 
 
 def wdt_forward(
@@ -80,28 +79,18 @@ def wdt_forward(
     """
     if order < 0:
         raise DataError(f"derivative order must be >= 0, got {order}")
-    base = dwt_multi(signal, fb, levels)
-    gains = level_gains(levels, order)
-    for idx, g in enumerate(gains):
+    bands = dwt_multi(signal, fb, levels)
+    for lv, g in enumerate(level_gains(levels, order), start=1):
         if g != 1.0:
-            base.details[idx] = base.details[idx] * g
-    return DerivativePyramid(order=order, base=base, gains=gains)
+            bands[lv] = bands[lv] * g
+    return DerivativePyramid(order=order, bands=bands)
 
 
 def wdt_inverse(pyramid: DerivativePyramid, fb: FilterBank) -> np.ndarray:
     """Undo the gains, then invert the DWT cascade; exact signal recovery."""
-    pyramid.validate()
-    details = [
-        det if g == 1.0 else det / g
-        for det, g in zip(pyramid.base.details, pyramid.gains)
-    ]
-    plain = WaveletPyramid(
-        levels=pyramid.base.levels,
-        approx=pyramid.base.approx,
-        details=details,
-        original_length=pyramid.base.original_length,
-    )
-    return idwt_multi(plain, fb)
+    bands = pyramid.bands
+    plain = [det if g == 1.0 else det / g for det, g in zip(bands[1:], pyramid.gains)]
+    return idwt_multi(bands[:1] + plain, fb)
 
 
 @dataclass
@@ -123,13 +112,25 @@ class EnergyReport:
 
 
 def _band_walk(pyramid: DerivativePyramid) -> list[tuple[str, np.ndarray, float]]:
-    """(label, coefficients, gain) per band of a valid pyramid, in export
-    order: LL_K first, with gain 1.0, then LH_K down to LH_1."""
-    pyramid.validate()
-    k = pyramid.base.levels
-    return [(f"LL{k}", pyramid.base.approx, 1.0)] + [
-        (f"LH{lv}", pyramid.base.details[lv - 1], pyramid.gains[lv - 1])
-        for lv in range(k, 0, -1)
+    """(label, coefficients, gain) per band, in export order: LL_K first,
+    with gain 1.0, then LH_K down to LH_1.
+
+    Detail level l must hold length >> l coefficients, so a pyramid with a
+    missing or mis-sized band raises DataError naming it.
+    """
+    k = pyramid.levels
+    if k < 1:
+        raise DataError(f"a pyramid needs LL_K and at least one detail band, got {k + 1}")
+    bands, t, gains = pyramid.bands, pyramid.length, pyramid.gains
+    for lv in range(1, k + 1):
+        got = np.shape(bands[lv])[-1]
+        if got != t >> lv:
+            raise DataError(
+                f"band LH{lv} has length {got}, but LL{k} of length "
+                f"{np.shape(bands[0])[-1]} needs {t >> lv}"
+            )
+    return [(f"LL{k}", bands[0], 1.0)] + [
+        (f"LH{lv}", bands[lv], gains[lv - 1]) for lv in range(k, 0, -1)
     ]
 
 
@@ -142,10 +143,10 @@ def energy_report(signal: np.ndarray, pyramid: DerivativePyramid) -> EnergyRepor
     """
     signal = np.asarray(signal, dtype=np.float64)
     walk = _band_walk(pyramid)
-    if signal.shape[-1] != pyramid.base.original_length:
+    if signal.shape[-1] != pyramid.length:
         raise DataError(
             f"signal length {signal.shape[-1]} does not match pyramid "
-            f"original length {pyramid.base.original_length}"
+            f"length {pyramid.length}"
         )
     # Dividing by the approximation's gain 1.0 is exact.
     bands = [
@@ -194,7 +195,7 @@ def _normalized_bands(pyramid: DerivativePyramid) -> list[tuple[str, np.ndarray,
     pyramid keeps its zeros.
     """
     bands = _bands_in_export_order(pyramid)
-    t = pyramid.base.original_length
+    t = pyramid.length
     amps = [np.abs(np.asarray(coeffs, dtype=np.float64)) for _, coeffs, _ in bands]
     peak = np.max([amp.max() for amp in amps])
     if peak > 0:
@@ -221,17 +222,10 @@ def change_amplification(
     Equals 2^(n*(K-l+1)) exactly wherever the plain detail band is nonzero;
     an all-zero band has no defined ratio and reports None.
     """
-    plain = dwt_multi(signal, fb, levels)
-    scaled = wdt_forward(signal, fb, levels, order)
-    ratios: list[float | None] = []
-    for lv in range(1, levels + 1):
-        denom = float(np.max(np.abs(plain.details[lv - 1])))
-        if denom == 0.0:
-            ratios.append(None)
-        else:
-            num = float(np.max(np.abs(scaled.base.details[lv - 1])))
-            ratios.append(num / denom)
-    return ratios
+    plain = dwt_multi(signal, fb, levels)[1:]
+    scaled = wdt_forward(signal, fb, levels, order).bands[1:]
+    peaks = [(float(np.max(np.abs(s))), float(np.max(np.abs(p)))) for s, p in zip(scaled, plain)]
+    return [num / denom if denom else None for num, denom in peaks]
 
 
 def write_coefficients_csv(pyramid: DerivativePyramid, path: str) -> None:
@@ -259,6 +253,6 @@ def write_scalogram_csv(pyramid: DerivativePyramid, path: str) -> None:
     """
     bands = _normalized_bands(pyramid)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("band," + ",".join(map(str, range(pyramid.base.original_length))) + "\n")
+        fh.write("band," + ",".join(map(str, range(pyramid.length))) + "\n")
         for label, amp, rep in bands:
             fh.write(label + "".join([f",{v!r}" * rep for v in amp.tolist()]) + "\n")

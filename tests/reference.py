@@ -28,7 +28,7 @@ import numpy as np
 from wavets.model import affine_apply, forward_batch, param_blocks
 from wavets.model import _affine_grads, _irfft_adjoint
 from wavets.wavelet import dwt_multi, make_filterbank
-from wavets.wdt import level_gains, wdt_forward, wdt_inverse
+from wavets.wdt import DerivativePyramid, level_gains, wdt_forward, wdt_inverse
 
 
 def haar_detail_rows(t: int, level: int) -> np.ndarray:
@@ -157,12 +157,9 @@ def per_branch_forward(xs, params: np.ndarray, config):
             re_out, im_out = (affine_apply(b, *wb) for wb, b in zip(maps, bands))
             z = np.fft.irfft(re_out + 1j * im_out, n=total, axis=-1)
         else:
-            pyr = wdt_forward(normed_t, fb, config.levels, order)
-            bands = [pyr.base.approx] + pyr.base.details
+            bands = wdt_forward(normed_t, fb, config.levels, order).bands
             out = [affine_apply(b, *wb) for wb, b in zip(maps, bands)]
-            pyr.base.approx, pyr.base.details = out[0], out[1:]
-            pyr.base.original_length = total
-            z = wdt_inverse(pyr, fb)
+            z = wdt_inverse(DerivativePyramid(order=order, bands=out), fb)
         zs.append(z)
         branches.append((order, bands))
     zcat = np.concatenate(zs, axis=-1)
@@ -200,9 +197,8 @@ def per_branch_gradients(params: np.ndarray, spans, config):
             for name, inp, g in zip(names, bands, _irfft_adjoint(dz, total)):
                 store(name, inp, g)
         else:
-            pyr = dwt_multi(dz, fb, config.levels)
             gains = [1.0] + level_gains(config.levels, order)
-            for name, inp, g, gain in zip(names, bands, [pyr.approx] + pyr.details, gains):
+            for name, inp, g, gain in zip(names, bands, dwt_multi(dz, fb, config.levels), gains):
                 store(name, inp, g / gain)
     return grads, float(np.mean(residual**2))
 

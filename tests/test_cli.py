@@ -228,8 +228,8 @@ def test_transform_order0_matches_plain_dwt_bytes(tmp_path, series_csv):
         rows = list(csvmod.reader(fh))
     series = np.array([float(r[1]) for r in rows[1:]])
     usable = (series.shape[0] // 8) * 8
-    base = dwt_multi(series[:usable], make_filterbank("db1"), levels=3)
-    plain = DerivativePyramid(order=0, base=base, gains=[1.0, 1.0, 1.0])
+    bands = dwt_multi(series[:usable], make_filterbank("db1"), levels=3)
+    plain = DerivativePyramid(order=0, bands=bands)
     write_coefficients_csv(plain, str(tmp_path / "plain.csv"))
     assert (tmp_path / "plain.csv").read_bytes() == (
         tmp_path / "out" / "coefficients.csv"

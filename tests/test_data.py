@@ -32,7 +32,7 @@ def frame_of(values, names=None):
 
 
 class TestLoadCsv:
-    def test_date_column_becomes_timestamps(self, tmp_path):
+    def test_date_column_is_not_a_channel(self, tmp_path):
         path = write(
             tmp_path,
             "date,HUFL,OT\n2016-07-01 00:00:00,5.8,30.5\n2016-07-01 01:00:00,5.7,27.8\n",
@@ -41,14 +41,13 @@ class TestLoadCsv:
         assert frame.channels == 2
         assert frame.length == 2
         assert frame.channel_names == ["HUFL", "OT"]
-        assert frame.timestamps == ["2016-07-01 00:00:00", "2016-07-01 01:00:00"]
         np.testing.assert_allclose(frame.values, [[5.8, 30.5], [5.7, 27.8]])
 
     def test_no_date_column(self, tmp_path):
         path = write(tmp_path, "a,b,c\n1,2,3\n4,5,6\n")
         frame = load_csv(path)
         assert frame.channels == 3
-        assert frame.timestamps is None
+        assert frame.channel_names == ["a", "b", "c"]
 
     def test_nan_cell_named(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n3,NaN\n")
@@ -133,16 +132,6 @@ class TestChronologicalSplit:
         tr, va, te = chronological_split(frame, (0.6, 0.2, 0.2))
         rebuilt = np.concatenate([tr.values, va.values, te.values])
         np.testing.assert_array_equal(rebuilt, values)
-
-    def test_timestamps_sliced(self):
-        frame = SeriesFrame(
-            values=np.arange(10.0)[:, None],
-            channel_names=["a"],
-            timestamps=[f"t{i}" for i in range(10)],
-        )
-        tr, va, te = chronological_split(frame, (0.7, 0.1, 0.2))
-        assert tr.timestamps == [f"t{i}" for i in range(7)]
-        assert te.timestamps == ["t8", "t9"]
 
 
 class TestBorderSplit:

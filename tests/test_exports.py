@@ -126,8 +126,8 @@ def test_pyramid_of_a_batch_rejected(tmp_path, monkeypatch, export):
 
 
 def test_coefficient_export_validates_the_pyramid(tmp_path):
-    pyr = wdt_forward(np.arange(8.0), make_filterbank("db1"), 2, 1)
-    bad = DerivativePyramid(order=1, base=pyr.base, gains=[1.0, 1.0])
-    with pytest.raises(DataError, match="do not match order 1"):
+    bands = wdt_forward(np.arange(8.0), make_filterbank("db1"), 2, 1).bands
+    bad = DerivativePyramid(order=1, bands=[bands[0], bands[1], bands[2][:1]])
+    with pytest.raises(DataError, match="band LH2 has length 1, but LL2 of length 2 needs 2"):
         write_coefficients_csv(bad, str(tmp_path / "c.csv"))
     assert not (tmp_path / "c.csv").exists()

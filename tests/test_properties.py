@@ -38,8 +38,10 @@ from wavets.model import (  # noqa: E402
     param_count,
     save_checkpoint,
 )
-from wavets.wavelet import SUPPORTED_WAVELETS, make_filterbank  # noqa: E402
+from wavets.wavelet import SUPPORTED_WAVELETS, idwt_multi, make_filterbank  # noqa: E402
 from wavets.wdt import (  # noqa: E402
+    energy_report,
+    level_gains,
     scalogram,
     wdt_forward,
     wdt_inverse,
@@ -134,8 +136,8 @@ def test_exports_parse_back_to_the_bands_and_grid(case):
 
     assert coeff_lines[0] == "band,index,value,gain"
     records = [line.split(",") for line in coeff_lines[1:]]
-    bands = [(f"LL{levels}", pyr.base.approx, 1.0)] + [
-        (f"LH{lv}", pyr.base.details[lv - 1], pyr.gains[lv - 1]) for lv in range(levels, 0, -1)
+    bands = [(f"LL{levels}", pyr.bands[0], 1.0)] + [
+        (f"LH{lv}", pyr.bands[lv], pyr.gains[lv - 1]) for lv in range(levels, 0, -1)
     ]
     start = 0
     for label, band, gain in bands:
@@ -146,6 +148,41 @@ def test_exports_parse_back_to_the_bands_and_grid(case):
         ]
         assert same_bits([float(r[2]) for r in chunk], band)
     assert start == len(records)
+
+
+@PROPERTY_SETTINGS
+@given(
+    levels=st.integers(1, 6),
+    blocks=st.integers(1, 4),
+    order=st.integers(0, 4),
+    data=st.data(),
+)
+def test_a_band_one_sample_off_is_a_data_error(levels, blocks, order, data):
+    # The length of each band is checked against the others, never stored:
+    # one band a sample too long or too short must stop every consumer with
+    # DataError (not an IndexError or a ValueError) before a file opens.
+    fb = make_filterbank("db1")
+    signal = data.draw(
+        arrays(np.float64, blocks << levels, elements=st.floats(-100.0, 100.0, allow_nan=False))
+    )
+    pyr = wdt_forward(signal, fb, levels, order)
+    assert pyr.gains == level_gains(levels, order)
+    idx = data.draw(st.integers(0, levels), label="band")
+    band = pyr.bands[idx]
+    pyr.bands[idx] = band[:-1] if data.draw(st.booleans(), label="shorter") else np.append(band, 0.0)
+    consumers = {
+        "idwt_multi": lambda path: idwt_multi(pyr.bands, fb),
+        "wdt_inverse": lambda path: wdt_inverse(pyr, fb),
+        "energy_report": lambda path: energy_report(signal, pyr),
+        "write_coefficients_csv": lambda path: write_coefficients_csv(pyr, path),
+        "write_scalogram_csv": lambda path: write_scalogram_csv(pyr, path),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, consume in consumers.items():
+            path = Path(tmp) / f"{name}.csv"
+            with pytest.raises(DataError):
+                consume(str(path))
+            assert not path.exists(), name
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 import reference
 from wavets import DataError
 from wavets.wavelet import (
-    WaveletPyramid,
     dwt_level,
     dwt_multi,
     idwt_level,
@@ -101,19 +100,17 @@ class TestIdwtLevel:
 
 class TestDwtMulti:
     def test_two_level_hand_values(self, fb):
-        pyr = dwt_multi([1.0, 2.0, 3.0, 4.0], fb, 2)
-        np.testing.assert_allclose(pyr.approx, [5.0], atol=1e-8)
-        np.testing.assert_allclose(pyr.details[1], [-2.0], atol=1e-8)
-        np.testing.assert_allclose(
-            pyr.details[0], [-0.70710678, -0.70710678], atol=1e-8
-        )
-        assert pyr.levels == 2 and pyr.original_length == 4
+        bands = dwt_multi([1.0, 2.0, 3.0, 4.0], fb, 2)
+        assert len(bands) == 3
+        np.testing.assert_allclose(bands[0], [5.0], atol=1e-8)
+        np.testing.assert_allclose(bands[2], [-2.0], atol=1e-8)
+        np.testing.assert_allclose(bands[1], [-0.70710678, -0.70710678], atol=1e-8)
 
     def test_constant_concentrates_in_approx(self, fb):
         c = 3.7
-        pyr = dwt_multi(np.full(8, c), fb, 3)
-        np.testing.assert_allclose(pyr.approx, [c * 2**1.5], atol=1e-12)
-        for det in pyr.details:
+        approx, *details = dwt_multi(np.full(8, c), fb, 3)
+        np.testing.assert_allclose(approx, [c * 2**1.5], atol=1e-12)
+        for det in details:
             np.testing.assert_allclose(det, 0.0, atol=1e-12)
 
     def test_divisibility_error_names_level(self, fb):
@@ -128,10 +125,10 @@ class TestDwtMulti:
         # Independent O(T^2) oracle: explicit orthonormal Haar rows.
         for t, k in [(8, 1), (8, 3), (16, 2), (16, 4)]:
             x = rng.normal(size=t)
-            pyr = dwt_multi(x, fb, k)
+            approx, *details = dwt_multi(x, fb, k)
             ref_approx, ref_details = reference.haar_coeffs(x, k)
-            np.testing.assert_allclose(pyr.approx, ref_approx, atol=1e-12)
-            for got, want in zip(pyr.details, ref_details):
+            np.testing.assert_allclose(approx, ref_approx, atol=1e-12)
+            for got, want in zip(details, ref_details):
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_linearity(self, fb, rng):
@@ -141,21 +138,13 @@ class TestDwtMulti:
         combo = dwt_multi(a * x + b * y, fb, 3)
         px = dwt_multi(x, fb, 3)
         py = dwt_multi(y, fb, 3)
-        np.testing.assert_allclose(
-            combo.approx, a * px.approx + b * py.approx, atol=1e-12
-        )
-        for lv in range(3):
-            np.testing.assert_allclose(
-                combo.details[lv],
-                a * px.details[lv] + b * py.details[lv],
-                atol=1e-12,
-            )
+        for got, bx, by in zip(combo, px, py):
+            np.testing.assert_allclose(got, a * bx + b * by, atol=1e-12)
 
     def test_parseval(self, fb, rng):
         for _ in range(20):
             x = rng.normal(size=64)
-            pyr = dwt_multi(x, fb, 4)
-            coeff = np.sum(pyr.approx**2) + sum(np.sum(d**2) for d in pyr.details)
+            coeff = sum(np.sum(band**2) for band in dwt_multi(x, fb, 4))
             assert abs(coeff - np.sum(x**2)) / np.sum(x**2) < 1e-12
 
 
@@ -167,42 +156,28 @@ class TestIdwtMulti:
         )
 
     def test_zero_pyramid(self, fb):
-        pyr = WaveletPyramid(
-            levels=2,
-            approx=np.zeros(2),
-            details=[np.zeros(4), np.zeros(2)],
-            original_length=8,
-        )
-        np.testing.assert_array_equal(idwt_multi(pyr, fb), np.zeros(8))
+        bands = [np.zeros(2), np.zeros(4), np.zeros(2)]
+        np.testing.assert_array_equal(idwt_multi(bands, fb), np.zeros(8))
 
     def test_approx_only_synthesis(self, fb):
-        pyr = WaveletPyramid(
-            levels=2,
-            approx=np.array([5.0]),
-            details=[np.zeros(2), np.zeros(1)],
-            original_length=4,
-        )
-        np.testing.assert_allclose(idwt_multi(pyr, fb), [2.5, 2.5, 2.5, 2.5], atol=1e-12)
+        bands = [np.array([5.0]), np.zeros(2), np.zeros(1)]
+        np.testing.assert_allclose(idwt_multi(bands, fb), [2.5, 2.5, 2.5, 2.5], atol=1e-12)
 
     def test_inconsistent_pyramid_rejected(self, fb):
-        bad = WaveletPyramid(
-            levels=2,
-            approx=np.zeros(2),
-            details=[np.zeros(4), np.zeros(3)],
-            original_length=8,
-        )
-        with pytest.raises(DataError):
-            idwt_multi(bad, fb)
+        with pytest.raises(DataError, match="shape mismatch"):
+            idwt_multi([np.zeros(2), np.zeros(4), np.zeros(3)], fb)
+
+    def test_pyramid_without_details_rejected(self, fb):
+        for bands in ([], [np.zeros(8)]):
+            with pytest.raises(DataError, match="at least one detail band"):
+                idwt_multi(bands, fb)
 
     def test_synthesis_matches_matrix_oracle(self, fb, rng):
         t, k = 16, 3
         approx = rng.normal(size=t // 2**k)
         details = [rng.normal(size=t // 2**lv) for lv in range(1, k + 1)]
-        pyr = WaveletPyramid(
-            levels=k, approx=approx, details=details, original_length=t
-        )
         want = reference.haar_synthesis(approx, details, t)
-        np.testing.assert_allclose(idwt_multi(pyr, fb), want, atol=1e-12)
+        np.testing.assert_allclose(idwt_multi([approx] + details, fb), want, atol=1e-12)
 
     def test_reconstruction_sweep(self, fb, rng):
         for t in (8, 32, 256, 1024):
