@@ -144,8 +144,11 @@ def _claim_out(
     included (train, eval and ablate read and window their splits first),
     and before it writes or prints anything, so a rejected input leaves no
     directory and prints no report. Without a run (eval, gradcheck) --out is
-    optional and flag-only.
+    optional and flag-only. An explicit empty --out names no directory, so
+    it is rejected, not read as absent.
     """
+    if args.out == "":
+        raise ConfigError("--out is empty; pass an output directory")
     target = args.out or (run.out if run is not None else None)
     if not target:
         if run is None:

@@ -48,10 +48,11 @@ def load_csv(path: str) -> SeriesFrame:
     A first column named `date` holds timestamps, which must be strictly
     increasing and are then dropped; every other column is a channel and
     must parse as a finite real. Errors name the offending row and column
-    (1-based line numbers counting the header as line 1).
+    (1-based line numbers counting the header as line 1). A leading UTF-8
+    byte order mark is dropped, so it never joins the first header name.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     try:

@@ -15,15 +15,16 @@ The derivative gains are signed powers of two, so multiplying a detail
 band by g, mapping it and dividing by g again is exact and leaves only
 the bias scaled by 1/g (bias_scales). Every branch therefore reads the
 same coefficients: forward_batch analyses the batch once, applies each
-band's N branch maps as one map (band_maps), and synthesises once over a
-branch axis.
+band's N branch maps as one map, and synthesises once over a branch
+axis. That map is the band's parameter block as stored: band_maps hands
+out its weight as a view and scales only its bias.
 
 This module owns the branch path in both directions. Everything is affine
 in the parameters, so gradients are exact closed forms, and
 _normalized_map_adjoint mirrors the forward's single branch axis: the
 projection's gradients, one adjoint synthesis over all branches, and one
-weight gradient per band, written into the per-branch blocks with each
-bias gradient scaled like its bias. The adjoint of the orthonormal
+weight and bias gradient per band, written whole into the band's block,
+the bias gradient scaled like its bias. The adjoint of the orthonormal
 inverse wavelet cascade is the forward analysis cascade (_analyse); the
 adjoint of the inverse real FFT is a forward real FFT with half-spectrum
 bin weighting (interior bins carry factor 2/M, the DC bin 1/M, and for
@@ -45,10 +46,10 @@ writes each chunk into one preallocated array. check_windows is the one
 shape check of window arrays.
 
 The parameters are one float64 vector. param_layout, derived from the
-config alone, names its blocks in checkpoint order, and param_blocks
-gives each block's weight and bias as views into the vector, so the
-optimizer, the gradient norm and the gradient checker work on the whole
-vector at once.
+config alone, names its blocks in checkpoint order (one per band, then
+the projection), and param_blocks gives each block's weight and bias as
+views into the vector, so the optimizer, the gradient norm and the
+gradient checker work on the whole vector at once.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .errors import ConfigError, DataError
 from .wavelet import dwt_multi, idwt_multi, make_filterbank
 from .wdt import level_gains
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Windows per GEMM on the fixed-parameter paths (operator_chunks).
 OPERATOR_CHUNK = 256
@@ -130,25 +131,25 @@ def param_layout(config: ModelConfig) -> list[tuple[str, int, tuple[int, int]]]:
     vector, in checkpoint order; a block is its row-major weight followed
     by its bias.
 
-    Wavelet kinds have fru_ll per branch, then fru_lh per branch and detail
-    level; the dft kind has fru_real then fru_imag per branch. The
-    projection comes last.
+    One block per band, in the order _analyse returns the bands: fru_ll
+    then fru_lh[level l] for l = 1..K, or fru_real then fru_imag. A band's
+    (m_in, N*m_out) weight holds branch n's map in columns
+    [n*m_out, (n+1)*m_out), and its bias is N*m_out long, so the forward
+    applies the block as it is stored. The projection comes last.
     """
-    branches = range(1, config.branches + 1)
-    lookback, total, k = config.lookback, config.lookback + config.horizon, config.levels
+    n, lookback, k = config.branches, config.lookback, config.levels
+    total = lookback + config.horizon
     if config.transform_kind == "dft":
         # Half-spectrum lengths of the lookback and of the whole span.
-        spec = (lookback // 2 + 1, total // 2 + 1)
-        bands = [(f"fru_{p}[branch{n}]", spec) for p in ("real", "imag") for n in branches]
+        spec = (lookback // 2 + 1, n * (total // 2 + 1))
+        bands = [(f"fru_{p}", spec) for p in ("real", "imag")]
     else:
         # A level-l band is 2^l times shorter than its signal; LL_K is at level K.
-        bands = [(f"fru_ll[branch{n}]", (lookback >> k, total >> k)) for n in branches] + [
-            (f"fru_lh[branch{n}][level{lv}]", (lookback >> lv, total >> lv))
-            for n in branches
-            for lv in range(1, k + 1)
+        bands = [("fru_ll", (lookback >> k, n * (total >> k)))] + [
+            (f"fru_lh[level{lv}]", (lookback >> lv, n * (total >> lv))) for lv in range(1, k + 1)
         ]
     layout, offset = [], 0
-    for name, (m_in, m_out) in bands + [("projection", (config.branches * total, total))]:
+    for name, (m_in, m_out) in bands + [("projection", (n * total, total))]:
         layout.append((name, offset, (m_in, m_out)))
         offset += (m_in + 1) * m_out
     return layout
@@ -177,16 +178,6 @@ def param_blocks(
     return out
 
 
-def _per_band(items: list, config: ModelConfig) -> list[list]:
-    """Per band, the N items of branches 1..N, from per-block items in
-    param_layout order: the approximation band then detail levels 1..K, or
-    the real then the imaginary half-spectrum. The projection is left out."""
-    n, k = config.branches, config.levels
-    if config.transform_kind == "dft":
-        return [items[:n], items[n : 2 * n]]
-    return [items[:n]] + [items[n + lv : n + n * k : k] for lv in range(k)]
-
-
 def _normalize_batch(xs: np.ndarray, std_epsilon: float):
     # xs is (B, L, C); stats are per window per channel.
     mean = xs.mean(axis=1, keepdims=True)
@@ -195,7 +186,8 @@ def _normalize_batch(xs: np.ndarray, std_epsilon: float):
 
 
 def bias_scales(config: ModelConfig) -> list[np.ndarray]:
-    """Per band, the factor on each branch's bias inside the band's map.
+    """Per band, the factor on each entry of its (N*m_out) bias inside the
+    band's map: branch n's factor repeated over its m_out entries.
 
     The derivative transform multiplies detail level l by the gain g_n(l)
     before branch n's map and divides the map's output by g_n(l) again.
@@ -203,28 +195,26 @@ def bias_scales(config: ModelConfig) -> list[np.ndarray]:
     the pair equals, bit for bit, the plain map with its bias times
     1/g_n(l). Approximation bands, dwt (order 0) and dft have factor 1.
     """
-    ones = np.ones(config.branches)
-    if config.transform_kind == "dft":
-        return [ones, ones]
-    gains = np.array(
-        [level_gains(config.levels, order) for order in config.effective_orders()]
-    )
-    return [ones] + list(1.0 / gains.T)
+    bands = param_layout(config)[:-1]
+    scales = np.ones((len(bands), config.branches))
+    if config.transform_kind != "dft":
+        gains = [level_gains(config.levels, order) for order in config.effective_orders()]
+        scales[1:] = 1.0 / np.array(gains).T
+    return [
+        np.repeat(scale, width // config.branches)
+        for scale, (_, _, (_, width)) in zip(scales, bands)
+    ]
 
 
 def band_maps(
     params: np.ndarray, config: ModelConfig
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each band's N branch maps as one (weight, bias) map on the band they
-    all read: weights side by side (m_in, N*m_out), biases end to end, each
-    scaled by its bias_scales factor."""
-    blocks = [(weight, bias) for _, weight, bias in param_blocks(params, config)]
+    """Each band's N branch maps as one map on the band they all read: its
+    (m_in, N*m_out) weight, a view into params, and its bias times
+    bias_scales."""
     return [
-        (
-            np.concatenate([weight for weight, _ in maps], axis=1),
-            (np.stack([bias for _, bias in maps]) * scale[:, None]).ravel(),
-        )
-        for maps, scale in zip(_per_band(blocks, config), bias_scales(config))
+        (weight, bias * scale)
+        for (_, weight, bias), scale in zip(param_blocks(params, config), bias_scales(config))
     ]
 
 
@@ -271,9 +261,8 @@ def _normalized_map_adjoint(
 ) -> np.ndarray:
     """Adjoint of _normalized_map in its parameters: the gradient vector of
     sum(dproj * output) for the forward that filled cache, where dproj has
-    the output's (B, C, L+tau) shape. A branch's weight gradient is its
-    column block of the band's; its bias gradient is its slice of the
-    band's, times its bias_scales factor."""
+    the output's (B, C, L+tau) shape. Each band's block takes its map's
+    gradients whole, the bias gradient times bias_scales."""
     total = config.lookback + config.horizon
     zcat = cache["zcat"]
     # One row copy serves the projection's weight and input gradients.
@@ -287,18 +276,14 @@ def _normalized_map_adjoint(
     else:
         band_grads = _analyse(dz, config)
     grads = np.empty_like(params)
-    blocks = [(weight, bias) for _, weight, bias in param_blocks(grads, config)]
-    for inp, gout, maps, scale in zip(
-        cache["bands_in"], band_grads, _per_band(blocks, config), bias_scales(config)
+    blocks = param_blocks(grads, config)
+    for inp, gout, (_, weight, bias), scale in zip(
+        cache["bands_in"], band_grads, blocks, bias_scales(config)
     ):
-        dweight, dbias = _affine_grads(inp, gout.reshape(gout.shape[:-2] + (-1,)))
-        m_out = dweight.shape[1] // config.branches
-        for n, (weight, bias) in enumerate(maps):
-            cols = slice(n * m_out, (n + 1) * m_out)
-            weight[...] = dweight[:, cols]
-            bias[...] = dbias[cols] * scale[n]
-    dweight, dbias = blocks[-1]
-    dweight[...], dbias[...] = _affine_grads(zcat, dproj_rows)
+        weight[...], bias[...] = _affine_grads(inp, gout.reshape(gout.shape[:-2] + (-1,)))
+        bias *= scale
+    _, weight, bias = blocks[-1]
+    weight[...], bias[...] = _affine_grads(zcat, dproj_rows)
     return grads
 
 
@@ -411,15 +396,17 @@ def validate_params(params: np.ndarray, config: ModelConfig) -> None:
 def init_params(config: ModelConfig, seed: int) -> np.ndarray:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero biases.
 
-    Draw order is fixed (branches in order, approx band then detail levels
-    1..K, or real then imag; projection last) so a seed fully determines
-    every weight byte.
+    Draw order is fixed (branch by branch, that branch's columns of the
+    approx band then of detail levels 1..K, or of real then imag;
+    projection last) so a seed fully determines every weight byte.
     """
     config.ensure_valid()
     rng = np.random.Generator(np.random.PCG64(seed))
     params = np.zeros(param_count(config))
     weights = [weight for _, weight, _ in param_blocks(params, config)]
-    draws = [band[n] for n in range(config.branches) for band in _per_band(weights, config)]
+    # Each band's weight as N column views, one per branch.
+    columns = [np.split(weight, config.branches, axis=1) for weight in weights[:-1]]
+    draws = [band[n] for n in range(config.branches) for band in columns]
     for weight in draws + weights[-1:]:
         bound = 1.0 / np.sqrt(weight.shape[0])
         weight[...] = rng.uniform(-bound, bound, size=weight.shape)

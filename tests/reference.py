@@ -18,7 +18,8 @@ train.evaluate_loss, which apply the compiled operator, are compared
 with. The per-branch forecaster calls the package's transforms to run the model as the paper states it, one branch
 at a time with the derivative gains applied and divided back out, so the
 single-branch-axis model can be compared with it bit for bit. It reads
-each branch's blocks by name through model.param_blocks. Its per-block
+the band blocks by name through model.param_blocks and takes branch n's
+map as columns [n*m_out, (n+1)*m_out) of each. Its per-block
 gradient and irfft adjoint are the package's own, which test_gemm_maps
 and the gradient checks cover separately.
 """
@@ -125,13 +126,20 @@ def blocks_by_name(params: np.ndarray, config) -> dict:
     return {name: (w, b) for name, w, b in param_blocks(params, config)}
 
 
-def branch_block_names(config, n: int) -> list[str]:
-    """Branch n's (0-based) block names, in the order its bands are read."""
+def branch_maps(blocks: dict, config, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Branch n's (0-based) (weight, bias) views, one per band in the order
+    its bands are read: columns [n*m_out, (n+1)*m_out) of the band's block."""
     if config.transform_kind == "dft":
-        return [f"fru_real[branch{n + 1}]", f"fru_imag[branch{n + 1}]"]
-    return [f"fru_ll[branch{n + 1}]"] + [
-        f"fru_lh[branch{n + 1}][level{lv}]" for lv in range(1, config.levels + 1)
-    ]
+        names = ["fru_real", "fru_imag"]
+    else:
+        names = ["fru_ll"] + [f"fru_lh[level{lv}]" for lv in range(1, config.levels + 1)]
+    maps = []
+    for name in names:
+        weight, bias = blocks[name]
+        m_out = weight.shape[1] // config.branches
+        cols = slice(n * m_out, (n + 1) * m_out)
+        maps.append((weight[:, cols], bias[cols]))
+    return maps
 
 
 def per_branch_forward(xs, params: np.ndarray, config):
@@ -150,7 +158,7 @@ def per_branch_forward(xs, params: np.ndarray, config):
     fb = make_filterbank("db1")
     zs, branches = [], []
     for n, order in enumerate(config.effective_orders()):
-        maps = [blocks[name] for name in branch_block_names(config, n)]
+        maps = branch_maps(blocks, config, n)
         if config.transform_kind == "dft":
             spectrum = np.fft.rfft(normed_t, axis=-1)
             bands = [spectrum.real, spectrum.imag]
@@ -182,24 +190,24 @@ def per_branch_gradients(params: np.ndarray, spans, config):
     grads = np.zeros_like(params)
     blocks = blocks_by_name(grads, config)
 
-    def store(name, inp, gout):
-        weight, bias = blocks[name]
+    def store(weight_bias, inp, gout):
+        weight, bias = weight_bias
         weight[...], bias[...] = _affine_grads(inp, gout)
 
-    store("projection", cache["zcat"], dproj)
+    store(blocks["projection"], cache["zcat"], dproj)
     proj_weight = blocks_by_name(params, config)["projection"][0]
     dzcat = (dproj.reshape(-1, total) @ proj_weight.T).reshape(cache["zcat"].shape)
     fb = make_filterbank("db1")
     for n, (order, bands) in enumerate(cache["branches"]):
         dz = dzcat[..., n * total : (n + 1) * total]
-        names = branch_block_names(config, n)
+        maps = branch_maps(blocks, config, n)
         if config.transform_kind == "dft":
-            for name, inp, g in zip(names, bands, _irfft_adjoint(dz, total)):
-                store(name, inp, g)
+            for wb, inp, g in zip(maps, bands, _irfft_adjoint(dz, total)):
+                store(wb, inp, g)
         else:
             gains = [1.0] + level_gains(config.levels, order)
-            for name, inp, g, gain in zip(names, bands, dwt_multi(dz, fb, config.levels), gains):
-                store(name, inp, g / gain)
+            for wb, inp, g, gain in zip(maps, bands, dwt_multi(dz, fb, config.levels), gains):
+                store(wb, inp, g / gain)
     return grads, float(np.mean(residual**2))
 
 

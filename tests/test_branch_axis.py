@@ -12,7 +12,7 @@ biases make a branch-order or bias-scale mix-up in the reshapes visible.
 import numpy as np
 import pytest
 
-from reference import blocks_by_name, per_branch_forward, per_branch_gradients
+from reference import blocks_by_name, branch_maps, per_branch_forward, per_branch_gradients
 from wavets.model import ModelConfig, forward_batch, init_params, param_blocks
 from wavets.train import gradient_batch, gradient_check
 from wavets.wdt import level_gains
@@ -77,7 +77,7 @@ class TestAgainstPerBranchOracle:
         spans = rng.normal(size=(2, cfg.lookback + cfg.horizon, cfg.channels))
         report = gradient_check(params, spans, cfg)
         bands = 2 if kind == "dft" else cfg.levels + 1
-        assert len(report) == cfg.branches * bands + 1
+        assert len(report) == bands + 1
         for name, err in report.items():
             assert err < 1e-5, f"{name}: {err}"
 
@@ -104,11 +104,12 @@ def test_wdt_is_dwt_with_detail_biases_scaled_by_inverse_gain(rng):
     for name, (a, _) in blocks_wdt.items():
         assert np.array_equal(a, blocks_dwt[name][0]), name
     for n, order in enumerate(cfg_wdt.effective_orders()):
-        ll = f"fru_ll[branch{n + 1}]"
-        assert np.array_equal(blocks_wdt[ll][1], blocks_dwt[ll][1])
-        for lv, gain in enumerate(level_gains(cfg_wdt.levels, order), start=1):
-            lh = f"fru_lh[branch{n + 1}][level{lv}]"
-            a, b = blocks_wdt[lh][1], blocks_dwt[lh][1]
+        # Branch n's bias gradients: the approx band's, then each level's.
+        ll_wdt, *lh_wdt = [bias for _, bias in branch_maps(blocks_wdt, cfg_wdt, n)]
+        ll_dwt, *lh_dwt = [bias for _, bias in branch_maps(blocks_dwt, cfg_dwt, n)]
+        assert np.array_equal(ll_wdt, ll_dwt)
+        for lv, gain in enumerate(level_gains(cfg_wdt.levels, order)):
+            a, b = lh_wdt[lv], lh_dwt[lv]
             assert abs(gain) > 1 and np.all(b != 0)
-            assert np.array_equal(a, b * (1.0 / gain)), (n, lv)
+            assert np.array_equal(a, b * (1.0 / gain)), (n, lv + 1)
     assert np.array_equal(blocks_wdt["projection"][1], blocks_dwt["projection"][1])

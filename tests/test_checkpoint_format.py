@@ -6,10 +6,14 @@ save_checkpoint as it stood before the parameters became one vector
 seed 2) with standard-normal biases, so a bias or block placed at the
 wrong offset shows. When format version 2 replaced version 1, they were
 converted by reading them with the version 1 loader (commit ecdb0c3) and
-writing them with the version 2 writer. Next to each, <kind>_forward.json
-holds a seeded (3, L, C) batch and the original code's forward_batch
-output on it; the conversion left it untouched, so reproducing it bit for
-bit shows the conversion is exact.
+writing them with the version 2 writer. When version 3 stored one block
+per band, each band's branch maps side by side, they were converted the
+same way: read with the version 2 loader (commit 02b0a4d), each branch's
+block copied into its columns of the band's block, and written with the
+version 3 writer. Next to each, <kind>_forward.json holds a seeded
+(3, L, C) batch and the original code's forward_batch output on it; both
+conversions left it untouched, so reproducing it bit for bit shows they
+are exact.
 """
 
 import json

@@ -842,10 +842,13 @@ def pinned_params(kind: str) -> bytes:
     return base64.b64decode(json.loads((CHECKPOINTS / f"{kind}.json").read_text())["params"])
 
 
-def nan_in_fru_ll_branch2(raw: bytes) -> bytes:
+def nan_in_fru_lh_level2(raw: bytes) -> bytes:
     doc = json.loads((CHECKPOINTS / "wdt.json").read_text())
     params = np.frombuffer(raw, "<f8").copy()
-    param_blocks(params, ModelConfig.from_dict(doc["config"]))[1][1][0, 0] = np.nan
+    config = ModelConfig.from_dict(doc["config"])
+    weight = {name: w for name, w, _ in param_blocks(params, config)}["fru_lh[level2]"]
+    # Branch 2's first column of the coarsest detail band's weight.
+    weight[0, weight.shape[1] // 2] = np.nan
     return params.tobytes()
 
 
@@ -866,11 +869,12 @@ def b64(raw: bytes) -> str:
          "holds 397 parameter values, but its wdt config expects 396"),
         ("params", lambda raw: b64(pinned_params("dft")),
          "holds 468 parameter values, but its wdt config expects 396"),
-        ("params", lambda raw: b64(nan_in_fru_ll_branch2(raw)),
-         r"fails validation: fru_ll[branch2] contains non-finite entries"),
-        ("version", lambda raw: 1, "has version 1, expected 2"),
+        ("params", lambda raw: b64(nan_in_fru_lh_level2(raw)),
+         r"fails validation: fru_lh[level2] contains non-finite entries"),
+        ("version", lambda raw: 1, "has version 1, expected 3"),
+        ("version", lambda raw: 2, "has version 2, expected 3"),
     ],
-    ids=["list", "null", "bad-base64", "one-short", "one-extra", "dft-payload", "nan", "v1"],
+    ids=["list", "null", "bad-base64", "one-short", "one-extra", "dft-payload", "nan", "v1", "v2"],
 )
 def test_eval_malformed_checkpoint_params_exits_3(
     tmp_path, run_config, capsys, field, value, message
@@ -1109,18 +1113,8 @@ def test_gradcheck_passes_and_lists_every_block(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     block_lines = [ln for ln in lines if not ln.startswith("overall")]
     names = [ln.split()[0] for ln in block_lines]
-    # 2 branches: 2 approx units + 4 detail units + shared projection
-    expected = {
-        "fru_ll[branch1]",
-        "fru_ll[branch2]",
-        "fru_lh[branch1][level1]",
-        "fru_lh[branch1][level2]",
-        "fru_lh[branch2][level1]",
-        "fru_lh[branch2][level2]",
-        "projection",
-    }
-    assert set(names) == expected
-    assert len(names) == len(set(names))
+    # One block per band, holding both branches, then the projection.
+    assert sorted(names) == ["fru_lh[level1]", "fru_lh[level2]", "fru_ll", "projection"]
     assert lines[-1].endswith("pass")
 
 
@@ -1133,13 +1127,7 @@ def test_gradcheck_dft_blocks(tmp_path, capsys):
         for ln in capsys.readouterr().out.strip().splitlines()
         if not ln.startswith("overall")
     }
-    assert names == {
-        "fru_real[branch1]",
-        "fru_real[branch2]",
-        "fru_imag[branch1]",
-        "fru_imag[branch2]",
-        "projection",
-    }
+    assert names == {"fru_real", "fru_imag", "projection"}
 
 
 def test_gradcheck_corrupt_block_exits_1(tmp_path, capsys):
@@ -1201,6 +1189,37 @@ def test_out_on_an_existing_file_exits_2(
     # The directory is claimed before any work, so no report reaches stdout.
     assert captured.out == ""
     assert blocker.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize(
+    "command", ["transform", "scalogram", "train", "eval", "ablate", "gradcheck"]
+)
+def test_empty_out_exits_2(tmp_path, series_csv, capsys, monkeypatch, command):
+    # An explicit --out "" is a bad flag: it neither falls back on the
+    # config's out entry nor reaches a writer as "no directory".
+    cfg = write_run_config(tmp_path / "run.json", series_csv, out="from_config")
+    if command == "eval":
+        checkpoint = run_train(tmp_path, cfg, "r") / "checkpoint.json"
+        argv = ["eval", "--checkpoint", str(checkpoint)]
+    else:
+        argv = {
+            "transform": ["transform", "--csv", str(series_csv)],
+            "scalogram": ["scalogram", "--csv", str(series_csv)],
+            "train": ["train", "--config", str(cfg)],
+            "ablate": ["ablate", "--config", str(cfg), "--quiet"],
+            "gradcheck": ["gradcheck", "--config", str(gradcheck_config(tmp_path))],
+        }[command]
+    work = tmp_path / "cwd"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    capsys.readouterr()
+    rc = main(argv + ["--out", ""])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "config error: --out is empty" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "from_config").exists()
+    assert list(work.iterdir()) == []
 
 
 def test_out_flag_wins_over_the_config_entry(tmp_path, series_csv, capsys):

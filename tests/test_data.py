@@ -43,6 +43,15 @@ class TestLoadCsv:
         assert frame.channel_names == ["HUFL", "OT"]
         np.testing.assert_allclose(frame.values, [[5.8, 30.5], [5.7, 27.8]])
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        text = "date,HUFL,OT\n2016-07-01 00:00:00,5.8,30.5\n2016-07-01 01:00:00,5.7,27.8\n"
+        plain = load_csv(write(tmp_path, text))
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        frame = load_csv(str(bom))
+        assert frame.channel_names == plain.channel_names == ["HUFL", "OT"]
+        assert np.array_equal(frame.values, plain.values)
+
     def test_no_date_column(self, tmp_path):
         path = write(tmp_path, "a,b,c\n1,2,3\n4,5,6\n")
         frame = load_csv(path)

@@ -9,6 +9,7 @@ from wavets.model import (
     CHECKPOINT_VERSION,
     ModelConfig,
     affine_apply,
+    band_maps,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -198,30 +199,33 @@ class TestInitParams:
     def test_dft_structure(self):
         cfg = tiny_config(transform_kind="dft")
         layout = param_layout(cfg)
-        assert [name for name, _, _ in layout] == [
-            "fru_real[branch1]", "fru_real[branch2]",
-            "fru_imag[branch1]", "fru_imag[branch2]", "projection",
-        ]
-        assert layout[0][2] == (8 // 2 + 1, 12 // 2 + 1)
+        assert [name for name, _, _ in layout] == ["fru_real", "fru_imag", "projection"]
+        # Both branches' maps side by side: (m_in, N*m_out).
+        assert layout[0][2] == (8 // 2 + 1, 2 * (12 // 2 + 1))
         assert init_params(cfg, 5).shape == (param_count(cfg),)
 
     def test_draw_order(self):
-        # One generator fills the weights branch by branch, the approx band
-        # then detail levels 1..K (or real then imag), the projection last,
-        # so a seed fixes every byte of the vector, which keeps checkpoint
-        # bytes stable across changes to the vector's layout.
-        for kind, per_branch in (
-            ("wdt", ["fru_ll[branch{n}]", "fru_lh[branch{n}][level1]", "fru_lh[branch{n}][level2]"]),
-            ("dft", ["fru_real[branch{n}]", "fru_imag[branch{n}]"]),
+        # One generator fills the weights branch by branch, that branch's
+        # columns of the approx band then of detail levels 1..K (or of real
+        # then imag), the projection last, so a seed fixes every byte of
+        # every logical weight whatever order the vector stores them in.
+        for kind, bands in (
+            ("wdt", ["fru_ll", "fru_lh[level1]", "fru_lh[level2]"]),
+            ("dft", ["fru_real", "fru_imag"]),
         ):
             cfg = tiny_config(transform_kind=kind)
             rng = np.random.Generator(np.random.PCG64(13))
             blocks = {name: w for name, w, _ in param_blocks(init_params(cfg, 13), cfg)}
-            order = [f.format(n=n) for n in (1, 2) for f in per_branch] + ["projection"]
-            for name in order:
-                bound = 1.0 / np.sqrt(blocks[name].shape[0])
-                want = rng.uniform(-bound, bound, size=blocks[name].shape)
-                assert np.array_equal(blocks[name], want), (kind, name)
+
+            def branch(name, n):
+                m_out = blocks[name].shape[1] // 2
+                return blocks[name][:, n * m_out : (n + 1) * m_out]
+
+            draws = [(name, branch(name, n)) for n in (0, 1) for name in bands]
+            for name, weight in draws + [("projection", blocks["projection"])]:
+                bound = 1.0 / np.sqrt(weight.shape[0])
+                want = rng.uniform(-bound, bound, size=weight.shape)
+                assert np.array_equal(weight, want), (kind, name)
 
 
 class TestForward:
@@ -327,8 +331,10 @@ class TestValidateParams:
     def test_rejects_nonfinite(self):
         cfg = tiny_config()
         params = init_params(cfg, 1)
-        param_blocks(params, cfg)[1][1][0, 0] = np.nan
-        with pytest.raises(ConfigError, match=r"fru_ll\[branch2\] contains non-finite"):
+        # Branch 2's half of the approx band's weight.
+        weight = param_blocks(params, cfg)[0][1]
+        weight[0, weight.shape[1] // 2] = np.nan
+        with pytest.raises(ConfigError, match=r"fru_ll contains non-finite"):
             validate_params(params, cfg)
 
     def test_rejects_mixed_kind_blocks(self):
@@ -389,8 +395,8 @@ class TestParamHelpers:
         layout = param_layout(cfg)
         names = [name for name, _, _ in layout]
         assert len(names) == len(set(names))
-        # 3 approx + 3*2 detail + projection
-        assert len(names) == 3 + 6 + 1
+        # One block per band (approx, 2 detail levels) + projection.
+        assert names == ["fru_ll", "fru_lh[level1]", "fru_lh[level2]", "projection"]
         # Each block is its weight then its bias, the blocks end to end.
         offset = 0
         for _, start, (m_in, m_out) in layout:
@@ -421,10 +427,23 @@ class TestParamHelpers:
         for i, (_, weight, bias) in enumerate(param_blocks(vec, cfg), start=1):
             weight[...] = i
             bias[...] = -i
-        np.testing.assert_array_equal(np.unique(np.abs(vec)), np.arange(1, 8))
+        np.testing.assert_array_equal(np.unique(np.abs(vec)), np.arange(1, 5))
         _, start, (m_in, m_out) = param_layout(cfg)[1]
         np.testing.assert_array_equal(vec[start : start + m_in * m_out], 2.0)
         np.testing.assert_array_equal(vec[start + m_in * m_out : start + (m_in + 1) * m_out], -2.0)
+
+    @pytest.mark.parametrize("kind", ["wdt", "dft"])
+    def test_band_maps_weights_are_views_into_params(self, kind):
+        # The forward applies each band's block as stored: no weight copy.
+        cfg = tiny_config(transform_kind=kind, branches=3)
+        params = init_params(cfg, 3)
+        maps = band_maps(params, cfg)
+        assert len(maps) == len(param_layout(cfg)) - 1
+        for (name, offset, (m_in, m_out)), (weight, bias) in zip(param_layout(cfg), maps):
+            assert weight.shape == (m_in, m_out) and bias.shape == (m_out,), name
+            assert np.shares_memory(weight, params), name
+            stored = params[offset : offset + m_in * m_out].reshape(m_in, m_out)
+            assert np.array_equal(weight, stored), name
 
     def test_wrong_length_rejected(self):
         cfg = tiny_config()

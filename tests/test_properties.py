@@ -27,6 +27,7 @@ from wavets.cli import main  # noqa: E402
 from wavets.data import load_csv  # noqa: E402
 from wavets.errors import DataError  # noqa: E402
 from wavets.model import (  # noqa: E402
+    CHECKPOINT_VERSION,
     TRANSFORM_KINDS,
     ModelConfig,
     apply_operator,
@@ -350,14 +351,16 @@ CSV_CELLS = st.sampled_from(
 
 @st.composite
 def csv_bytes(draw) -> bytes:
-    """Raw bytes, or rows of cells under a header, possibly followed by
-    bytes that are not UTF-8."""
+    """Raw bytes, or rows of cells under a header, possibly led by a byte
+    order mark and possibly followed by bytes that are not UTF-8."""
     if draw(st.integers(0, 3)) == 0:
         return draw(st.binary(max_size=64))
     header = draw(st.sampled_from(["date,a", "date,a,b", "a", "a,b", "date", ""]))
     rows = draw(st.lists(st.lists(CSV_CELLS, min_size=1, max_size=3), max_size=6))
     text = "\n".join([header] + [",".join(row) for row in rows])
-    return text.encode("utf-8") + draw(st.sampled_from([b"", b"\n", b"\xff\xfe", b"\xe9\n"]))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    tail = draw(st.sampled_from([b"", b"\n", b"\xff\xfe", b"\xe9\n"]))
+    return bom + text.encode("utf-8") + tail
 
 
 @PROPERTY_SETTINGS
@@ -420,7 +423,7 @@ def test_any_finite_vector_round_trips_bit_for_bit(params):
     ).map(lambda raw: base64.b64encode(raw).decode("ascii"))
 )
 def test_any_params_text_loads_or_raises_data_error(encoded):
-    doc = {"version": 2, "config": CHECKPOINT_CONFIG.to_dict(), "params": encoded}
+    doc = {"version": CHECKPOINT_VERSION, "config": CHECKPOINT_CONFIG.to_dict(), "params": encoded}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "checkpoint.json"
         path.write_text(json.dumps(doc))

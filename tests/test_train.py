@@ -145,7 +145,7 @@ class TestGradientCheckFiniteDifferences:
         cfg = tiny_config()
         params = init_params(cfg, 123)
         report = gradient_check(params, seeded_spans(cfg, 3), cfg)
-        assert len(report) == 2 + 4 + 1
+        assert list(report) == ["fru_ll", "fru_lh[level1]", "fru_lh[level2]", "projection"]
         for name, err in report.items():
             assert err < 1e-5, f"{name}: {err}"
 
@@ -153,7 +153,7 @@ class TestGradientCheckFiniteDifferences:
         cfg = tiny_config(transform_kind="dft", lookback=10, horizon=3)
         params = init_params(cfg, 321)
         report = gradient_check(params, seeded_spans(cfg, 3), cfg)
-        assert len(report) == 2 + 2 + 1
+        assert list(report) == ["fru_real", "fru_imag", "projection"]
         for name, err in report.items():
             assert err < 1e-5, f"{name}: {err}"
 
@@ -183,7 +183,8 @@ class TestGradientCheckFiniteDifferences:
             bias[...] = gen.standard_normal(bias.shape)
         spans = gen.standard_normal((2, cfg.lookback + cfg.horizon, cfg.channels))
         report = gradient_check(params, spans, cfg)
-        assert len(report) == 3 * 3 + 1
+        # One block per band (approx, two detail levels), then the projection.
+        assert len(report) == 3 + 1
         for name, err in report.items():
             assert err < 1e-5, f"{name}: {err}"
 
