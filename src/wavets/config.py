@@ -341,7 +341,10 @@ class RunConfig:
         return {name: s.to_dict() for name, s in self._sections().items()}
 
 
-def _resolve_path(base: Path, value: str) -> str:
+def _resolve_path(base: Path, value: str, name: str) -> str:
+    # The OS takes no NUL in a path; Path and open() would raise ValueError.
+    if "\0" in value:
+        raise ConfigError(f"{name} must not contain a NUL character, got {value!r}")
     path = Path(value)
     if path.is_absolute():
         return str(path)
@@ -381,9 +384,9 @@ def load_run_config(path: str, seed: int | None = None) -> RunConfig:
     )
     base = cfg_path.resolve().parent
     if run.data is not None and run.data.csv:
-        run.data.csv = _resolve_path(base, run.data.csv)
+        run.data.csv = _resolve_path(base, run.data.csv, "data.csv")
     if run.out is not None:
-        run.out = _resolve_path(base, run.out)
+        run.out = _resolve_path(base, run.out, "config.out")
     if seed is not None:
         run.model.seed = run.train.seed = int(seed)
     return run

@@ -7,9 +7,13 @@ strided view into the frame's value matrix rather than copies.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain, repeat
+from operator import itemgetter, lt
+from typing import Iterable
 
 import numpy as np
 
@@ -36,72 +40,160 @@ def _timestamps_strictly_increasing(stamps: list[str]) -> bool:
     # Enforceable only when every stamp parses as an ISO datetime; raw
     # strings in unknown formats are accepted but not order-checked.
     try:
-        parsed = [datetime.fromisoformat(s) for s in stamps]
+        parsed = list(map(datetime.fromisoformat, stamps))
     except ValueError:
         return True
-    return all(a < b for a, b in zip(parsed, parsed[1:]))
+    return all(map(lt, parsed, parsed[1:]))
+
+
+def _read_text(path: str) -> str:
+    """The whole file as UTF-8 text, a leading byte order mark dropped and
+    line ends kept as they are."""
+    try:
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _records(text: str) -> tuple[list[list[str]], str | None]:
+    """The records csv.reader reads from text, [] for a blank line, and the
+    csv error that ended the read early ("line N: reason"), else None."""
+    records: list[list[str]] = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            records.append(row)
+    except csv.Error as exc:
+        return records, f"line {reader.line_num}: {exc}"
+    return records, None
+
+
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of text when csv.reader's record of each is line.split(","),
+    [] for a blank one; else None.
+
+    That holds when the text has no quote, carriage return or NUL and no
+    line is longer than csv.field_size_limit(), so no field can be either.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the last line's end opens no record
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    return lines
+
+
+def _columns(
+    body: list, plain: bool, width: int, has_date: bool
+) -> tuple[list[str], Iterable[str]] | None:
+    """The stripped date cells and every value cell, in reading order, of
+    the non-blank records after the header; None when one of them is not
+    as wide as the header.
+
+    A plain body holds the lines themselves, each split at its commas only
+    as its cells are read, so no list of every cell is held at once.
+    """
+    if plain:
+        if set(map(str.count, body, repeat(","))) - {width - 1}:
+            return None
+        records = map(str.split, body, repeat(","))
+        firsts = [line.partition(",")[0] for line in body] if has_date else []
+    else:
+        if set(map(len, body)) - {width}:
+            return None
+        records = body
+        firsts = [row[0] for row in body] if has_date else []
+    if has_date:
+        records = map(itemgetter(slice(1, None)), records)
+    return list(map(str.strip, firsts)), chain.from_iterable(records)
+
+
+def _first_bad_record(
+    path: str, records: list[list[str]], names: list[str], has_date: bool
+) -> DataError | None:
+    """The DataError for the first data record, in reading order, that is
+    not as wide as the header or holds a cell that is not a finite real;
+    None when every record is good."""
+    width = len(records[0])
+    for line_no, row in enumerate(records[1:], start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            return DataError(
+                f"{path} line {line_no}: {len(row)} fields, header has {width}"
+            )
+        for col, cell in zip(names, row[1:] if has_date else row):
+            try:
+                val = float(cell)
+            except ValueError:
+                return DataError(
+                    f"{path} line {line_no}, column {col}: "
+                    f"cannot parse {cell!r} as a real number"
+                )
+            if not math.isfinite(val):
+                return DataError(
+                    f"{path} line {line_no}, column {col}: non-finite value {cell!r}"
+                )
+    return None
 
 
 def load_csv(path: str) -> SeriesFrame:
     """Parse a comma-separated file with a header row into a SeriesFrame.
 
-    A first column named `date` holds timestamps, which must be strictly
-    increasing and are then dropped; every other column is a channel and
-    must parse as a finite real. Errors name the offending row and column
-    (1-based line numbers counting the header as line 1). A leading UTF-8
-    byte order mark is dropped, so it never joins the first header name.
+    The file is read as the csv module's default dialect, and blank lines
+    are skipped. A first column named `date` holds timestamps, which must
+    be strictly increasing and are then dropped; every other column is a
+    channel whose cells must parse with float() as finite reals. Errors
+    name the offending row and column (1-based line numbers counting the
+    header as line 1). A leading UTF-8 byte order mark is dropped, so it
+    never joins the first header name.
+
+    Text with no quote, carriage return or NUL is split at newlines and
+    commas directly, other text by csv.reader. Either way every value cell
+    is converted in one pass, and the record-by-record checks run only to
+    name the first bad cell.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    try:
-        with fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file, expected a header row") from None
-            has_date = bool(header) and header[0].strip().lower() == "date"
-            names = [h.strip() for h in (header[1:] if has_date else header)]
-            if not names:
-                raise DataError(f"{path}: header declares no value columns")
-            stamps: list[str] = []
-            rows: list[list[float]] = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path} line {line_no}: {len(row)} fields, "
-                        f"header has {len(header)}"
-                    )
-                if has_date:
-                    stamps.append(row[0].strip())
-                    cells = row[1:]
-                else:
-                    cells = row
-                parsed = []
-                for col, cell in zip(names, cells):
-                    try:
-                        val = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path} line {line_no}, column {col}: "
-                            f"cannot parse {cell!r} as a real number"
-                        ) from None
-                    if not math.isfinite(val):
-                        raise DataError(
-                            f"{path} line {line_no}, column {col}: "
-                            f"non-finite value {cell!r}"
-                        )
-                    parsed.append(val)
-                rows.append(parsed)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise DataError(f"{path} line {reader.line_num}: {exc}") from None
-    if not rows:
+    text = _read_text(path)
+    lines = _plain_lines(text)
+    if lines is None:
+        rows, error = _records(text)
+        header = rows[0] if rows else None
+    else:
+        rows, error = lines, None
+        header = (lines[0].split(",") if lines[0] else []) if lines else None
+    if header is None:
+        if error:
+            raise DataError(f"{path} {error}")
+        raise DataError(f"{path}: empty file, expected a header row")
+    has_date = bool(header) and header[0].strip().lower() == "date"
+    names = [h.strip() for h in (header[1:] if has_date else header)]
+    if not names:
+        raise DataError(f"{path}: header declares no value columns")
+    body = list(filter(None, rows[1:]))
+    if lines is not None and "," not in text:
+        # One column: each line is its one cell.
+        columns = [], body
+    else:
+        columns = _columns(body, lines is not None, len(header), has_date)
+    values = None
+    if columns is not None:
+        stamps, cells = columns
+        try:
+            values = np.fromiter(map(float, cells), np.float64, count=len(body) * len(names))
+        except ValueError:
+            pass
+    if values is None or not np.isfinite(values).all():
+        raise _first_bad_record(path, _records(text)[0], names, has_date)
+    if error:
+        raise DataError(f"{path} {error}")
+    if not body:
         raise DataError(f"{path}: no data rows")
     try:
         increasing = _timestamps_strictly_increasing(stamps)
@@ -109,7 +201,7 @@ def load_csv(path: str) -> SeriesFrame:
         raise DataError(f"{path}: timestamps mix naive and offset-aware times") from None
     if not increasing:
         raise DataError(f"{path}: timestamps are not strictly increasing")
-    return SeriesFrame(values=np.array(rows, dtype=np.float64), channel_names=names)
+    return SeriesFrame(values=values.reshape(len(body), len(names)), channel_names=names)
 
 
 def _slice_frame(frame: SeriesFrame, start: int, stop: int) -> SeriesFrame:

@@ -22,10 +22,21 @@ the band blocks by name through model.param_blocks and takes branch n's
 map as columns [n*m_out, (n+1)*m_out) of each. Its per-block
 gradient and irfft adjoint are the package's own, which test_gemm_maps
 and the gradient checks cover separately.
+
+The CSV loader at the end is the one exception of another kind: it is
+the package's own per-cell loader as it stood before the one-pass parse,
+copied verbatim, so data.load_csv can be checked against it outcome for
+outcome: the same values bit for bit, or the same error message.
 """
+
+import csv
+import math
+from datetime import datetime
 
 import numpy as np
 
+from wavets.data import SeriesFrame
+from wavets.errors import DataError
 from wavets.model import affine_apply, forward_batch, param_blocks
 from wavets.model import _affine_grads, _irfft_adjoint
 from wavets.wavelet import dwt_multi, make_filterbank
@@ -280,3 +291,87 @@ def short_suite_loop(windows_x, truths, preds, period: int):
     return model_smape, model_mase, float(
         0.5 * (model_smape / ref_smape + model_mase / ref_mase)
     )
+
+
+# ---------------------------------------------------------------------------
+# the per-cell CSV loader
+
+
+def _timestamps_strictly_increasing(stamps: list[str]) -> bool:
+    # Enforceable only when every stamp parses as an ISO datetime; raw
+    # strings in unknown formats are accepted but not order-checked.
+    try:
+        parsed = [datetime.fromisoformat(s) for s in stamps]
+    except ValueError:
+        return True
+    return all(a < b for a, b in zip(parsed, parsed[1:]))
+
+
+def load_csv(path: str) -> SeriesFrame:
+    """Parse a comma-separated file with a header row into a SeriesFrame.
+
+    A first column named `date` holds timestamps, which must be strictly
+    increasing and are then dropped; every other column is a channel and
+    must parse as a finite real. Errors name the offending row and column
+    (1-based line numbers counting the header as line 1). A leading UTF-8
+    byte order mark is dropped, so it never joins the first header name.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file, expected a header row") from None
+            has_date = bool(header) and header[0].strip().lower() == "date"
+            names = [h.strip() for h in (header[1:] if has_date else header)]
+            if not names:
+                raise DataError(f"{path}: header declares no value columns")
+            stamps: list[str] = []
+            rows: list[list[float]] = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path} line {line_no}: {len(row)} fields, "
+                        f"header has {len(header)}"
+                    )
+                if has_date:
+                    stamps.append(row[0].strip())
+                    cells = row[1:]
+                else:
+                    cells = row
+                parsed = []
+                for col, cell in zip(names, cells):
+                    try:
+                        val = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path} line {line_no}, column {col}: "
+                            f"cannot parse {cell!r} as a real number"
+                        ) from None
+                    if not math.isfinite(val):
+                        raise DataError(
+                            f"{path} line {line_no}, column {col}: "
+                            f"non-finite value {cell!r}"
+                        )
+                    parsed.append(val)
+                rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    try:
+        increasing = _timestamps_strictly_increasing(stamps)
+    except TypeError:
+        raise DataError(f"{path}: timestamps mix naive and offset-aware times") from None
+    if not increasing:
+        raise DataError(f"{path}: timestamps are not strictly increasing")
+    return SeriesFrame(values=np.array(rows, dtype=np.float64), channel_names=names)

@@ -590,6 +590,24 @@ def test_malformed_section_exits_2_without_traceback(
     assert "config error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("anchor", ["absolute", "relative"])
+@pytest.mark.parametrize("field", ["data.csv", "config.out"])
+def test_nul_in_a_config_path_exits_2(tmp_path, series_csv, capsys, field, anchor):
+    # open() and Path reject a NUL only with ValueError, deep in the command.
+    bad = (str(tmp_path / "x") if anchor == "absolute" else "x") + "\0y"
+    if field == "data.csv":
+        cfg = write_run_config(tmp_path / "run.json", bad, out="o")
+    else:
+        cfg = write_run_config(tmp_path / "run.json", series_csv, out=bad)
+    before = sorted(tmp_path.iterdir())
+    rc = main(["train", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"config error: {field} must not contain a NUL character")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize(
     "overrides,field",
     [

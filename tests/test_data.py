@@ -8,6 +8,7 @@ from wavets.data import (
     ETT_HOURLY_BORDERS,
     SeriesFrame,
     StandardizeStats,
+    _plain_lines,
     chronological_split,
     chronological_split_borders,
     load_csv,
@@ -78,6 +79,22 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             load_csv(path)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["split", "csv_reader"])
+    @pytest.mark.parametrize(
+        "last, words",
+        [("x,4", r"line 4, column a: cannot parse 'x'"), ("3", r"line 4: 1 fields, header has 2")],
+        ids=["bad_cell", "ragged_row"],
+    )
+    def test_line_numbers_count_blank_lines(self, tmp_path, end, last, words):
+        # The header is line 1 and the blank line 3, so the last row is line 4;
+        # a CR sends the text through csv.reader, plain text is split directly.
+        text = end.join(["a,b", "1,2", "", last]) + end
+        assert (_plain_lines(text) is None) == ("\r" in end)
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DataError, match=r"series\.csv " + words):
+            load_csv(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(str(tmp_path / "absent.csv"))
@@ -86,6 +103,14 @@ class TestLoadCsv:
         path = tmp_path / "latin1.csv"
         path.write_bytes("a\n1\n2\n".encode() + "caf\xe9\n".encode("latin-1"))
         with pytest.raises(DataError, match=r"latin1\.csv: not UTF-8 text"):
+            load_csv(str(path))
+
+    def test_non_utf8_named_before_an_earlier_bad_cell(self, tmp_path):
+        # The file is decoded whole before any cell is read; the truncated
+        # sequence at its end is not UTF-8 even though line 2 is bad too.
+        path = tmp_path / "tail.csv"
+        path.write_bytes(b"a\nx\n\xe9")
+        with pytest.raises(DataError, match=r"tail\.csv: not UTF-8 text"):
             load_csv(str(path))
 
     def test_field_over_csv_limit_rejected(self, tmp_path):

@@ -23,6 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+import reference  # noqa: E402
 from wavets.cli import main  # noqa: E402
 from wavets.data import load_csv  # noqa: E402
 from wavets.errors import DataError  # noqa: E402
@@ -341,25 +342,53 @@ def test_any_one_broken_config_entry_exits_2(case):
     assert err.startswith("config error: "), (path, value, err)
 
 
-CSV_CELLS = st.sampled_from(
+# Cells float() reads: any float's repr, one past the float64 range,
+# Unicode digits and spaces, a digit group, and quoted numbers, one of
+# them holding a newline.
+CSV_NUMBERS = st.floats().map(repr) | st.sampled_from(
     [
-        "1", "-2.5", "1e3", "1e999", "nan", "inf", "", "x", "1_0", " 3 ", '"4"', '"5',
+        "1", "-2.5", "1e3", "1e999", "1_0", " 3 ", '"4"', '"1\n"',
+        "\u0661\u0662", "\uff17.5", "\u20036\u3000",
+    ]
+)
+CSV_CELLS = CSV_NUMBERS | st.sampled_from(
+    [
+        "nan", "inf", "", "x", '"5', " ", "\t",
         "2016-07-01 00:00:00", "2016-07-01 01:00:00+00:00", "2016-07-01T02:00", "date",
+        # NUL, and quoted cells holding a comma, line ends or a doubled quote.
+        "\0", "7\0", '"8,9"', '"2\r\n3"', '"a""b"',
+        # One field past csv.field_size_limit()'s default of 131072 characters.
+        "9" * 131073,
     ]
 ) | st.text(max_size=4)
+
+LINE_ENDS = ["\n", "\r\n", "\r"]
 
 
 @st.composite
 def csv_bytes(draw) -> bytes:
     """Raw bytes, or rows of cells under a header, possibly led by a byte
-    order mark and possibly followed by bytes that are not UTF-8."""
+    order mark and possibly followed by bytes that are not UTF-8.
+
+    Half the files hold only numbers, in rows as wide as the header, so
+    that many load; the rest mix in any cell and any width. A row with no
+    cells is a blank line."""
     if draw(st.integers(0, 3)) == 0:
         return draw(st.binary(max_size=64))
-    header = draw(st.sampled_from(["date,a", "date,a,b", "a", "a,b", "date", ""]))
-    rows = draw(st.lists(st.lists(CSV_CELLS, min_size=1, max_size=3), max_size=6))
-    text = "\n".join([header] + [",".join(row) for row in rows])
+    # "date,a" and "a" come twice, so that most headers name a channel.
+    header = draw(st.sampled_from(["date,a", "date,a,b", "a", "a,b", "date,a", "a", "date", ""]))
+    width = header.count(",") + 1
+    if draw(st.booleans()):
+        row = st.lists(CSV_NUMBERS, min_size=width, max_size=width)
+    else:
+        row = st.lists(CSV_CELLS, min_size=width, max_size=width) | st.lists(CSV_CELLS, max_size=3)
+    rows = draw(st.lists(row | st.just([]), min_size=1, max_size=6))
+    # One line end for the whole file, or each one drawn on its own.
+    each = st.sampled_from(LINE_ENDS)
+    ends = draw(st.sampled_from([st.just(end) for end in LINE_ENDS] + [each]))
+    text = header + "".join(draw(ends) + ",".join(cells) for cells in rows)
     bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
-    tail = draw(st.sampled_from([b"", b"\n", b"\xff\xfe", b"\xe9\n"]))
+    tail = draw(st.sampled_from([b"", b"\n", b"\r\n", b"\xff\xfe", b"\xe9\n"]))
     return bom + text.encode("utf-8") + tail
 
 
@@ -375,6 +404,47 @@ def test_any_csv_loads_or_exits_3(content):
             rc, err = run_cli(["transform", "--csv", str(path), "--out", str(Path(tmp) / "o")])
             assert rc == 3, (content, err)
             assert err.startswith("data error: "), (content, err)
+
+
+def load_outcome(loader, path: str):
+    """What a loader makes of a file: its channel names and value bits, or
+    its DataError message."""
+    try:
+        frame = loader(path)
+    except DataError as exc:
+        return str(exc)
+    assert frame.values.dtype == np.float64 and frame.values.flags.c_contiguous
+    return frame.channel_names, frame.values.shape, frame.values.view(np.uint64).tolist()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(content=csv_bytes())
+# Each of these sends the text through csv.reader rather than str.split:
+# CRLF and lone CR line ends, a NUL, quoted cells, a quoted comma, a
+# quoted newline, and a field past the csv module's size limit.
+@example(content=b"date,a\r\n2016-07-01,1\r\n2016-07-02,2\r\n")
+@example(content=b"a,b\r1,2\r\r3,4\r")
+@example(content=b"a\n1\n7\x00\n")
+@example(content=b'a,b\n1,"2"\n"3",4\n')
+@example(content=b'date,a\n"July 1, 2016",1\n"July 2, 2016",2\n')
+@example(content=b'a\n"1\n"\n2\n')
+@example(content=b"a\n1\n" + b"9" * 131073 + b"\n")
+def test_load_csv_matches_the_per_cell_loader(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "series.csv")
+        Path(path).write_bytes(content)
+        got = load_outcome(load_csv, path)
+        want = load_outcome(reference.load_csv, path)
+    try:
+        content.decode("utf-8")
+    except UnicodeDecodeError:
+        # The whole file is decoded before any cell is read, so a byte that
+        # is not UTF-8 is named even where the per-cell loader, reading on,
+        # met a bad cell first.
+        assert isinstance(want, str), (content, want)
+        assert isinstance(got, str) and ": not UTF-8 text (" in got, (content, got)
+        return
+    assert got == want, content
 
 
 # ---------------------------------------------------------------------------
