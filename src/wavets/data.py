@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain, repeat
-from operator import itemgetter, lt
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -40,10 +40,10 @@ def _timestamps_strictly_increasing(stamps: list[str]) -> bool:
     # Enforceable only when every stamp parses as an ISO datetime; raw
     # strings in unknown formats are accepted but not order-checked.
     try:
-        parsed = list(map(datetime.fromisoformat, stamps))
+        parsed = [datetime.fromisoformat(s) for s in stamps]
     except ValueError:
         return True
-    return all(map(lt, parsed, parsed[1:]))
+    return all(a < b for a, b in zip(parsed, parsed[1:]))
 
 
 def _read_text(path: str) -> str:
@@ -117,10 +117,11 @@ def _columns(
 
 def _first_bad_record(
     path: str, records: list[list[str]], names: list[str], has_date: bool
-) -> DataError | None:
+) -> DataError:
     """The DataError for the first data record, in reading order, that is
-    not as wide as the header or holds a cell that is not a finite real;
-    None when every record is good."""
+    not as wide as the header or holds a cell that is not a finite real.
+    Called only once the one-pass parse has failed, so such a record
+    exists."""
     width = len(records[0])
     for line_no, row in enumerate(records[1:], start=2):
         if not row:
@@ -141,7 +142,7 @@ def _first_bad_record(
                 return DataError(
                     f"{path} line {line_no}, column {col}: non-finite value {cell!r}"
                 )
-    return None
+    raise AssertionError(f"{path}: the one-pass parse failed on no bad record")
 
 
 def load_csv(path: str) -> SeriesFrame:
@@ -178,7 +179,9 @@ def load_csv(path: str) -> SeriesFrame:
         raise DataError(f"{path}: header declares no value columns")
     body = list(filter(None, rows[1:]))
     if lines is not None and "," not in text:
-        # One column: each line is its one cell.
+        # One column: each line is its one cell, so _columns' per-line
+        # comma count and split, a third of the set-up time of a long
+        # single-series file, are skipped.
         columns = [], body
     else:
         columns = _columns(body, lines is not None, len(header), has_date)

@@ -26,16 +26,17 @@ and the gradient checks cover separately.
 The CSV loader at the end is the one exception of another kind: it is
 the package's own per-cell loader as it stood before the one-pass parse,
 copied verbatim, so data.load_csv can be checked against it outcome for
-outcome: the same values bit for bit, or the same error message.
+outcome: the same values bit for bit, or the same error message. The
+timestamp check it calls is the package's own, which the one-pass parse
+left as it was.
 """
 
 import csv
 import math
-from datetime import datetime
 
 import numpy as np
 
-from wavets.data import SeriesFrame
+from wavets.data import SeriesFrame, _timestamps_strictly_increasing
 from wavets.errors import DataError
 from wavets.model import affine_apply, forward_batch, param_blocks
 from wavets.model import _affine_grads, _irfft_adjoint
@@ -295,16 +296,6 @@ def short_suite_loop(windows_x, truths, preds, period: int):
 
 # ---------------------------------------------------------------------------
 # the per-cell CSV loader
-
-
-def _timestamps_strictly_increasing(stamps: list[str]) -> bool:
-    # Enforceable only when every stamp parses as an ISO datetime; raw
-    # strings in unknown formats are accepted but not order-checked.
-    try:
-        parsed = [datetime.fromisoformat(s) for s in stamps]
-    except ValueError:
-        return True
-    return all(a < b for a, b in zip(parsed, parsed[1:]))
 
 
 def load_csv(path: str) -> SeriesFrame:

@@ -8,6 +8,7 @@ from wavets.data import (
     ETT_HOURLY_BORDERS,
     SeriesFrame,
     StandardizeStats,
+    _first_bad_record,
     _plain_lines,
     chronological_split,
     chronological_split_borders,
@@ -98,6 +99,13 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(str(tmp_path / "absent.csv"))
+
+    def test_first_bad_record_insists_on_a_bad_record(self):
+        # load_csv raises what this returns; with every record good it must
+        # fail loudly rather than hand back something that is not an error.
+        records = [["date", "a"], ["2016-07-01", "1"], [], ["2016-07-02", "2"]]
+        with pytest.raises(AssertionError, match="no bad record"):
+            _first_bad_record("good.csv", records, ["a"], True)
 
     def test_non_utf8_bytes_rejected(self, tmp_path):
         path = tmp_path / "latin1.csv"
