@@ -51,7 +51,8 @@ def _read_text(path: str) -> str:
     line ends kept as they are."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
+    # ValueError: a path holding a NUL byte, which no file can have.
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
         try:

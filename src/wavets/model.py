@@ -34,16 +34,17 @@ Everything between the instance normalization and the denormalization is
 affine in the input too, so for fixed parameters the model is one
 (L, L+tau) matrix and bias on normalized rows. compile_operator builds it
 by pushing the zero row and the identity rows through the same branch
-path as forward_batch, and apply_operator evaluates it with one GEMM on
-contiguous channel rows: it copies the lookback once into (B*C, L) rows
-and normalizes, applies and denormalizes them in place.
-forward_batch is the training path and the operator's reference, and it
-keeps its own normalization on the (B, L, C) stack, which
-tests/checkpoints pins bit for bit. operator_chunks is the one loop
-behind every fixed-parameter forecast: it compiles once and applies the
-operator OPERATOR_CHUNK windows at a time, and cli.forecast_predictions
-writes each chunk into one preallocated array. check_windows is the one
-shape check of window arrays.
+path as forward_batch, and apply_operator evaluates it with one GEMM.
+Both share one instance normalization, _normalize_rows: it copies the
+lookback once into contiguous (B*C, L) channel rows and centres and
+scales them in place, and each caller denormalizes its own fresh output
+in place. forward_batch is the training path and the operator's
+reference; the two differ only in the order their products are summed.
+operator_chunks is the one loop behind every fixed-parameter forecast:
+it compiles once and applies the operator OPERATOR_CHUNK windows at a
+time, and cli.forecast_predictions writes each chunk into one
+preallocated array. check_windows is the one shape check of window
+arrays.
 
 The parameters are one float64 vector. param_layout, derived from the
 config alone, names its blocks in checkpoint order (one per band, then
@@ -178,13 +179,6 @@ def param_blocks(
     return out
 
 
-def _normalize_batch(xs: np.ndarray, std_epsilon: float):
-    # xs is (B, L, C); stats are per window per channel.
-    mean = xs.mean(axis=1, keepdims=True)
-    std = xs.std(axis=1, keepdims=True) + std_epsilon
-    return (xs - mean) / std, mean, std
-
-
 def bias_scales(config: ModelConfig) -> list[np.ndarray]:
     """Per band, the factor on each entry of its (N*m_out) bias inside the
     band's map: branch n's factor repeated over its m_out entries.
@@ -300,6 +294,29 @@ def check_windows(xs, config: ModelConfig, length: int) -> np.ndarray:
     return xs
 
 
+def _normalize_rows(
+    xs: np.ndarray, config: ModelConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The instance normalization of a (B, L, C) lookback stack: its
+    normalized (B*C, L) channel rows, and each row's mean and std
+    (epsilon added) as (B*C, 1).
+
+    The lookback is copied once into contiguous rows, so the statistics
+    reduce along the contiguous axis and the centring and scaling work in
+    place on that copy."""
+    xs = check_windows(xs, config, config.lookback)
+    # A real copy: at C=1 the transpose is already contiguous, and the
+    # in-place steps must never write into the caller's windows.
+    rows = channel_rows(xs.transpose(0, 2, 1).copy(), config.lookback)
+    mean = rows.mean(axis=1, keepdims=True)
+    rows -= mean
+    # np.std's own steps on the centred rows: its bits, without centring twice.
+    std = np.sqrt(np.square(rows).mean(axis=1, keepdims=True))
+    std += config.std_epsilon
+    rows /= std
+    return rows, mean, std
+
+
 def forward_batch(
     xs: np.ndarray,
     params: np.ndarray,
@@ -310,14 +327,21 @@ def forward_batch(
     intermediates the analytic gradients need.
 
     This is the training path and the reference that compile_operator is
-    tested against."""
-    xs = check_windows(xs, config, config.lookback)
-    normed, mean, std = _normalize_batch(xs, config.std_epsilon)
-    proj, cache = _normalized_map(normed.transpose(0, 2, 1), params, config)
-    out = proj.transpose(0, 2, 1) * std + mean
+    tested against. The output is a transposed view of the model's
+    (B, C, L+tau) output, and the cache's std is the (B*C, 1) one of
+    _normalize_rows."""
+    rows, mean, std = _normalize_rows(xs, config)
+    proj, cache = _normalized_map(
+        rows.reshape(-1, config.channels, config.lookback), params, config
+    )
+    # The projection's fresh output, denormalized in place as channel rows.
+    out_rows = channel_rows(proj, proj.shape[-1])
+    out_rows *= std
+    out_rows += mean
+    out = proj.transpose(0, 2, 1)
     if not want_cache:
         return out
-    return out, {"mean": mean, "std": std, **cache}
+    return out, {"std": std, **cache}
 
 
 def compile_operator(
@@ -342,28 +366,15 @@ def apply_operator(
     xs: np.ndarray, weight: np.ndarray, bias: np.ndarray, config: ModelConfig
 ) -> np.ndarray:
     """A compiled operator, or a column slice of it, on a (B, L, C) stack:
-    normalize, one GEMM over the channel rows, denormalize; returns
-    (B, m, C) for m columns.
-
-    The lookback is copied once into contiguous (B*C, L) channel rows, so
-    the statistics reduce along the contiguous axis and every later step
-    works in place on that copy or on the GEMM's output. It agrees with
-    forward_batch's normalization to rounding, not bit for bit."""
-    xs = check_windows(xs, config, config.lookback)
-    # A real copy: at C=1 the transpose is already contiguous, and the
-    # in-place steps must never write into the caller's windows.
-    rows = channel_rows(xs.transpose(0, 2, 1).copy(), config.lookback)
-    mean = rows.mean(axis=1, keepdims=True)
-    rows -= mean
-    # np.std's own steps on the centred rows: its bits, without centring twice.
-    std = np.sqrt(np.square(rows).mean(axis=1, keepdims=True))
-    std += config.std_epsilon
-    rows /= std
+    normalize (_normalize_rows), one GEMM over the channel rows,
+    denormalize the GEMM's output in place; returns (B, m, C) for m
+    columns."""
+    rows, mean, std = _normalize_rows(xs, config)
     out = rows @ weight
     out += bias
     out *= std
     out += mean
-    return out.reshape(len(xs), config.channels, -1).transpose(0, 2, 1)
+    return out.reshape(-1, config.channels, out.shape[-1]).transpose(0, 2, 1)
 
 
 def operator_chunks(

@@ -44,10 +44,12 @@ def gradient_batch(
     spans; returns (gradient vector, loss)."""
     spans = check_windows(spans, config, config.lookback + config.horizon)
     out, cache = forward_batch(spans[:, : config.lookback], params, config, want_cache=True)
-    residual = out - spans
+    # In the (B, C, L+tau) layout the model computed, so dproj is too.
+    residual = out.transpose(0, 2, 1) - spans.transpose(0, 2, 1)
     loss = float(np.mean(residual**2))
     # Denormalization multiplies by the per-window std; mean adds nothing.
-    dproj = ((2.0 / residual.size) * residual * cache["std"]).transpose(0, 2, 1)
+    std = cache["std"].reshape(len(spans), config.channels, 1)
+    dproj = (2.0 / residual.size) * residual * std
     return _normalized_map_adjoint(dproj, cache, params, config), loss
 
 

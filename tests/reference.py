@@ -15,13 +15,17 @@ The per-branch forecaster and the chunked forward loops at the end are
 the exceptions. The chunked loops run model.forward_batch on each chunk
 of windows: the uncompiled model that cli.forecast_predictions and
 train.evaluate_loss, which apply the compiled operator, are compared
-with. The per-branch forecaster calls the package's transforms to run the model as the paper states it, one branch
-at a time with the derivative gains applied and divided back out, so the
-single-branch-axis model can be compared with it bit for bit. It reads
-the band blocks by name through model.param_blocks and takes branch n's
-map as columns [n*m_out, (n+1)*m_out) of each. Its per-block
-gradient and irfft adjoint are the package's own, which test_gemm_maps
-and the gradient checks cover separately.
+with. The per-branch forecaster calls the package's transforms to run
+the model as the paper states it, one branch at a time with the
+derivative gains applied and divided back out, so the single-branch-axis
+model can be compared with it bit for bit. It reads the band blocks by
+name through model.param_blocks and takes branch n's map as columns
+[n*m_out, (n+1)*m_out) of each. Its subject is the branch axis, so it
+reuses the package's instance normalization, model._normalize_rows,
+which tests/test_model.py checks by hand; its per-block gradient and
+irfft adjoint are the package's own too (model._affine_grads,
+model._irfft_adjoint), which test_gemm_maps and the gradient checks
+cover separately.
 
 The CSV loader at the end is the one exception of another kind: it is
 the package's own per-cell loader as it stood before the one-pass parse,
@@ -39,7 +43,7 @@ import numpy as np
 from wavets.data import SeriesFrame, _timestamps_strictly_increasing
 from wavets.errors import DataError
 from wavets.model import affine_apply, forward_batch, param_blocks
-from wavets.model import _affine_grads, _irfft_adjoint
+from wavets.model import _affine_grads, _irfft_adjoint, _normalize_rows
 from wavets.wavelet import dwt_multi, make_filterbank
 from wavets.wdt import DerivativePyramid, level_gains, wdt_forward, wdt_inverse
 
@@ -160,12 +164,12 @@ def per_branch_forward(xs, params: np.ndarray, config):
     wdt/dwt branch n: wdt_forward of order n, the branch's per-band maps
     on the gain-scaled bands, wdt_inverse at length L+tau. dft branch n:
     rfft, real and imaginary maps, irfft at L+tau. The branch outputs are
-    concatenated along time and projected, then denormalized.
+    concatenated along time and projected, then denormalized; the cache
+    holds the (B*C, 1) std of model._normalize_rows.
     """
     blocks = blocks_by_name(params, config)
-    mean = xs.mean(axis=1, keepdims=True)
-    std = xs.std(axis=1, keepdims=True) + config.std_epsilon
-    normed_t = ((xs - mean) / std).transpose(0, 2, 1)
+    rows, mean, std = _normalize_rows(xs, config)
+    normed_t = rows.reshape(-1, config.channels, config.lookback)
     total = config.lookback + config.horizon
     fb = make_filterbank("db1")
     zs, branches = [], []
@@ -183,8 +187,10 @@ def per_branch_forward(xs, params: np.ndarray, config):
         zs.append(z)
         branches.append((order, bands))
     zcat = np.concatenate(zs, axis=-1)
-    out = affine_apply(zcat, *blocks["projection"]).transpose(0, 2, 1) * std + mean
-    return out, {"std": std, "zcat": zcat, "branches": branches}
+    stats = (len(normed_t), config.channels, 1)
+    proj = affine_apply(zcat, *blocks["projection"])
+    out = proj * std.reshape(stats) + mean.reshape(stats)
+    return out.transpose(0, 2, 1), {"std": std, "zcat": zcat, "branches": branches}
 
 
 def per_branch_gradients(params: np.ndarray, spans, config):
@@ -196,9 +202,10 @@ def per_branch_gradients(params: np.ndarray, spans, config):
     the branch's map read.
     """
     out, cache = per_branch_forward(spans[:, : config.lookback], params, config)
-    residual = out - spans
+    residual = out.transpose(0, 2, 1) - spans.transpose(0, 2, 1)
     total = config.lookback + config.horizon
-    dproj = ((2.0 / residual.size) * residual * cache["std"]).transpose(0, 2, 1)
+    std = cache["std"].reshape(len(spans), config.channels, 1)
+    dproj = (2.0 / residual.size) * residual * std
     grads = np.zeros_like(params)
     blocks = blocks_by_name(grads, config)
 

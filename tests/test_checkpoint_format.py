@@ -11,9 +11,18 @@ per band, each band's branch maps side by side, they were converted the
 same way: read with the version 2 loader (commit 02b0a4d), each branch's
 block copied into its columns of the band's block, and written with the
 version 3 writer. Next to each, <kind>_forward.json holds a seeded
-(3, L, C) batch and the original code's forward_batch output on it; both
-conversions left it untouched, so reproducing it bit for bit shows they
-are exact.
+(3, L, C) batch and forward_batch's output on it. The output the original
+code recorded survived both conversions bit for bit, which showed them
+exact, and is kept as stack_normalized_out.
+
+The output was re-recorded as out when forward_batch and apply_operator
+came to share one instance normalization (model._normalize_rows, after
+commit 863b834). It used to normalize the strided (B, L, C) stack; it
+now reduces contiguous channel rows, which rounds differently, so some
+outputs moved in their last bits. The checkpoints themselves were not
+touched. out must stay within 1e-12 relative of stack_normalized_out,
+entry by entry, so the re-record cannot hide a defect; forward_batch
+must reproduce out bit for bit.
 """
 
 import json
@@ -38,9 +47,20 @@ def test_load_then_save_is_byte_identical(tmp_path, kind):
     assert again.read_bytes() == pinned.read_bytes()
 
 
+def forward_record(kind: str) -> dict:
+    return json.loads((CHECKPOINTS / f"{kind}_forward.json").read_text())
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_recorded_forecast_reproduced_bit_for_bit(kind):
     params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
-    record = json.loads((CHECKPOINTS / f"{kind}_forward.json").read_text())
+    record = forward_record(kind)
     out = forward_batch(np.array(record["xs"]), params, config)
     assert np.array_equal(out, np.array(record["out"]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rerecorded_forecast_within_rounding_of_the_original(kind):
+    record = forward_record(kind)
+    original = np.array(record["stack_normalized_out"])
+    np.testing.assert_allclose(np.array(record["out"]), original, rtol=1e-12, atol=0)

@@ -100,6 +100,11 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(str(tmp_path / "absent.csv"))
 
+    def test_path_with_nul_byte(self):
+        # open raises ValueError, not OSError, for such a path.
+        with pytest.raises(DataError, match="embedded null byte"):
+            load_csv("x\0y.csv")
+
     def test_first_bad_record_insists_on_a_bad_record(self):
         # load_csv raises what this returns; with every record good it must
         # fail loudly rather than hand back something that is not an error.

@@ -99,9 +99,10 @@ class TestRowGemmMaps:
         spans = rng.normal(size=(batch, TOTAL, channels))
         grads, _ = gradient_batch(params, spans, cfg)
         out, cache = forward_batch(spans[:, :LOOKBACK], params, cfg, want_cache=True)
-        residual = out - spans
-        dproj = ((2.0 / residual.size) * residual * cache["std"]).transpose(0, 2, 1)
-        dweight, dbias = affine_grads_slices(cache["zcat"], dproj)
+        # Row b*C + c is window b's channel c, as in the (B*C, 1) std.
+        residual = (out - spans).transpose(0, 2, 1).reshape(-1, TOTAL)
+        dproj = (2.0 / residual.size) * residual * cache["std"]
+        dweight, dbias = affine_grads_slices(cache["zcat"].reshape(len(dproj), -1), dproj)
         _, proj_weight, proj_bias = param_blocks(grads, cfg)[-1]
         assert rel_err(proj_weight, dweight) <= REL_TOL
         assert rel_err(proj_bias, dbias) <= REL_TOL

@@ -8,6 +8,7 @@ from wavets import ConfigError, DataError
 from wavets.model import (
     CHECKPOINT_VERSION,
     ModelConfig,
+    _normalize_rows,
     affine_apply,
     band_maps,
     forward_batch,
@@ -44,11 +45,12 @@ def projection_bias(params: np.ndarray, config: ModelConfig) -> np.ndarray:
     return param_blocks(params, config)[-1][2]
 
 
-# Instance normalization and denormalization are checked through
-# forward_batch. With identity band maps and one branch, the cached branch
-# output zcat holds the normalized window in its first L columns; with all
-# maps zero, the output is the denormalized projection bias. An epsilon of
-# 1e-20 vanishes against a unit std, so hand cases stay exact.
+# Instance normalization is checked on model._normalize_rows, the one
+# normalization every path calls; it gives (B*C, L) channel rows, row
+# b*C + c holding window b's channel c, and (B*C, 1) stats. The
+# denormalization is checked through forward_batch: with all maps zero,
+# its output is the denormalized projection bias. An epsilon of 1e-20
+# vanishes against a unit std, so hand cases stay exact.
 EXACT_EPS = 1e-20
 
 
@@ -59,12 +61,10 @@ def normalization_config(lookback, horizon, channels, std_epsilon=EXACT_EPS):
     )
 
 
-def normalized_windows(xs: np.ndarray, std_epsilon: float = EXACT_EPS):
-    """(normalized (B, L, C), mean, std) as forward_batch computes them."""
+def normalized_rows(xs: np.ndarray, std_epsilon: float = EXACT_EPS):
+    """(normalized (B*C, L) rows, mean, std) of a (B, L, C) stack."""
     cfg = normalization_config(xs.shape[1], 2, xs.shape[2], std_epsilon)
-    _, cache = forward_batch(xs, identity_block_params(cfg), cfg, want_cache=True)
-    normed = cache["zcat"][:, :, : cfg.lookback].transpose(0, 2, 1)
-    return normed, cache["mean"], cache["std"]
+    return _normalize_rows(xs, cfg)
 
 
 def denormalized(xs: np.ndarray, horizon: int, proj_bias: np.ndarray) -> np.ndarray:
@@ -78,22 +78,23 @@ def denormalized(xs: np.ndarray, horizon: int, proj_bias: np.ndarray) -> np.ndar
 
 class TestInstanceNormalize:
     def test_hand_case(self):
-        normed, mean, std = normalized_windows(np.array([[[1.0], [3.0]]]))
-        # zcat went through a Haar analysis and synthesis: a few ulp.
-        np.testing.assert_allclose(normed[0, :, 0], [-1.0, 1.0], atol=1e-15)
-        assert mean[0, 0, 0] == 2.0
-        assert std[0, 0, 0] == 1.0
+        rows, mean, std = normalized_rows(np.array([[[1.0], [3.0]]]))
+        np.testing.assert_array_equal(rows, [[-1.0, 1.0]])
+        np.testing.assert_array_equal(mean, [[2.0]])
+        np.testing.assert_array_equal(std, [[1.0]])
 
     def test_constant_channel_guarded(self):
-        normed, _, std = normalized_windows(np.full((1, 4, 1), 5.0), 1e-5)
-        np.testing.assert_array_equal(normed, np.zeros((1, 4, 1)))
-        assert std[0, 0, 0] == 1e-5
+        rows, _, std = normalized_rows(np.full((1, 4, 1), 5.0), 1e-5)
+        np.testing.assert_array_equal(rows, np.zeros((1, 4)))
+        np.testing.assert_array_equal(std, [[1e-5]])
 
     def test_channels_independent(self):
-        window = np.array([[[1.0, 10.0], [3.0, 10.0]]])
-        normed, mean, _ = normalized_windows(window)
-        np.testing.assert_array_equal(normed[0, :, 1], [0.0, 0.0])
-        assert mean[0, 0, 1] == 10.0
+        # Two windows of two channels; channel 1 is constant in each.
+        xs = np.array([[[1.0, 10.0], [3.0, 10.0]], [[0.0, 5.0], [4.0, 5.0]]])
+        rows, mean, std = normalized_rows(xs)
+        np.testing.assert_array_equal(rows, [[-1.0, 1.0], [0.0, 0.0], [-1.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(mean, [[2.0], [10.0], [2.0], [5.0]])
+        np.testing.assert_array_equal(std, [[1.0], [EXACT_EPS], [2.0], [EXACT_EPS]])
 
     def test_round_trip(self, rng):
         # Identity maps pass the normalized window through, so the

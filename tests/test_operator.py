@@ -3,8 +3,9 @@
 Between the instance normalization and the denormalization the model is
 affine, so model.compile_operator gives one (L, L+tau) weight and bias.
 Evaluated with one GEMM it must reproduce forward_batch to 1e-10
-relative: the two sum the same products in a different order, so they
-agree to rounding, not bit for bit. Three branches with the mixed orders
+relative. Both normalize through model._normalize_rows, so their
+statistics agree bit for bit, but the GEMM sums the branch path's
+products in another order. Three branches with the mixed orders
 [1, 0, 2] and standard-normal biases make a bias or branch mix-up show.
 cli.forecast_predictions and train.evaluate_loss apply the operator; the
 chunked forward_batch loops in tests/reference.py are their oracles.
@@ -88,18 +89,33 @@ def small_config(kind: str, channels: int = 3) -> ModelConfig:
     return config_for(kind, lookback=32, horizon=16, channels=channels, levels=2)
 
 
-@pytest.mark.parametrize("batch, channels", [(4, 1), (1, 3), (1, 1), (4, 3)])
-def test_apply_operator_leaves_writable_input_unchanged(batch, channels):
-    # At C=1 the channel-row transpose of a contiguous stack is itself
-    # contiguous, so only a real copy keeps the in-place steps off it.
+# Both paths normalize in place on their copy of the lookback. At C=1 the
+# channel-row transpose of a contiguous stack is itself contiguous, so
+# only a real copy keeps the in-place steps off the caller's windows.
+WRITABLE_CASES = [(4, 1), (1, 3), (1, 1), (4, 3)]
+
+
+def assert_leaves_writable_input_unchanged(batch, channels, run):
     cfg = small_config("wdt", channels)
     params = params_with_biases(cfg)
-    weight, bias = compile_operator(params, cfg)
     xs = seeded((batch, cfg.lookback, channels))
     before = xs.copy()
-    got = apply_operator(xs, weight, bias, cfg)
+    got = run(xs, params, cfg)
     assert np.array_equal(xs, before)
     assert rel_err(got, forward_batch(before, params, cfg)) <= REL_TOL
+
+
+@pytest.mark.parametrize("batch, channels", WRITABLE_CASES)
+def test_apply_operator_leaves_writable_input_unchanged(batch, channels):
+    def run(xs, params, cfg):
+        return apply_operator(xs, *compile_operator(params, cfg), cfg)
+
+    assert_leaves_writable_input_unchanged(batch, channels, run)
+
+
+@pytest.mark.parametrize("batch, channels", WRITABLE_CASES)
+def test_forward_batch_leaves_writable_input_unchanged(batch, channels):
+    assert_leaves_writable_input_unchanged(batch, channels, forward_batch)
 
 
 @pytest.mark.parametrize("channels", [1, 3])
