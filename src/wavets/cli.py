@@ -10,8 +10,8 @@ Subcommands:
 * ``gradcheck``   compare analytic gradients against finite differences
 
 Exit codes: 0 success, 1 gradcheck tolerance failure, 2 invalid
-configuration, 3 unusable data, 4 numerical failure (a non-finite training
-loss, forecast or metric).
+configuration or an output that cannot be written, 3 unusable data, 4
+numerical failure (a non-finite training loss, forecast or metric).
 """
 
 from __future__ import annotations
@@ -588,6 +588,11 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    # Every read turns its OSError into ConfigError or DataError, so one that
+    # gets here is a failed artifact write, which exits like a bad --out.
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -360,7 +360,8 @@ def load_run_config(path: str, seed: int | None = None) -> RunConfig:
     cfg_path = Path(path)
     try:
         text = cfg_path.read_text()
-    except OSError as exc:
+    # ValueError: bytes the text codec cannot decode, or a NUL in the path.
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     try:
         doc = json.loads(text)

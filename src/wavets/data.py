@@ -59,6 +59,8 @@ def _read_text(path: str) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def _records(text: str) -> tuple[list[list[str]], str | None]:

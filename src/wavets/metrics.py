@@ -1,9 +1,11 @@
 """Forecast evaluation metrics and naive reference forecasters.
 
+aggregate_report scores a whole forecast set; it is the only scorer.
 MSE and MAE average over every horizon step and channel. SMAPE and MASE
-follow the displayed short-term formulas: SMAPE counts 0/0 terms as 0,
-and the MASE denominator is the in-window seasonal difference, so a
-constant truth vector has no defined MASE (returned as None).
+follow the displayed short-term formulas for each (window, channel)
+series: SMAPE counts 0/0 terms as 0, and the MASE denominator is the
+in-window seasonal difference (1/(H-m)) * sum_{j=m+1..H} |x_j - x_{j-m}|,
+so a series with constant truth has no defined MASE.
 """
 
 from __future__ import annotations
@@ -13,60 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-
-
-def _same_shape(truth, pred) -> tuple[np.ndarray, np.ndarray]:
-    # Both as float64 arrays; DataError unless their shapes agree.
-    truth = np.asarray(truth, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    if truth.shape != pred.shape:
-        raise DataError(f"shape mismatch: truth {truth.shape} vs pred {pred.shape}")
-    return truth, pred
-
-
-def mse(truth: np.ndarray, pred: np.ndarray) -> float:
-    truth, pred = _same_shape(truth, pred)
-    return float(np.mean((truth - pred) ** 2))
-
-
-def mae(truth: np.ndarray, pred: np.ndarray) -> float:
-    truth, pred = _same_shape(truth, pred)
-    return float(np.mean(np.abs(truth - pred)))
-
-
-def _smape_rows(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    # SMAPE of every series along the last axis.
-    num = np.abs(truth - pred)
-    den = np.abs(truth) + np.abs(pred)
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return 200.0 * terms.mean(axis=-1)
-
-
-def _mase_rows(truth: np.ndarray, pred: np.ndarray, period: int) -> np.ndarray:
-    # MASE of every series along the last axis, NaN where the denominator
-    # is zero; truth may broadcast against a stack of forecasts.
-    h = truth.shape[-1]
-    if not 1 <= period < h:
-        raise ConfigError(f"seasonal period {period} must satisfy 1 <= m < H={h}")
-    denom = np.abs(truth[..., period:] - truth[..., :-period]).mean(axis=-1)
-    num = np.abs(truth - pred).mean(axis=-1)
-    return np.divide(num, denom, out=np.full(num.shape, np.nan), where=denom != 0)
-
-
-def smape(truth: np.ndarray, pred: np.ndarray) -> float:
-    """(200/H) * sum |x - xhat| / (|x| + |xhat|), 0/0 terms count as 0."""
-    return float(_smape_rows(*_same_shape(np.ravel(truth), np.ravel(pred))))
-
-
-def mase(truth: np.ndarray, pred: np.ndarray, period: int) -> float | None:
-    """Mean |error| over the in-window seasonal-difference mean.
-
-    Denominator: (1/(H-m)) * sum_{j=m+1..H} |x_j - x_{j-m}|. Returns None
-    when the denominator is zero (e.g. constant or perfectly periodic
-    truth), since the ratio is undefined there.
-    """
-    value = float(_mase_rows(*_same_shape(np.ravel(truth), np.ravel(pred)), period))
-    return None if np.isnan(value) else value
 
 
 def owa(model: tuple[float, float], ref: tuple[float, float]) -> float:
@@ -143,10 +91,12 @@ def aggregate_report(
     built from each window's tail. Every series of both forecasts is
     scored at once.
     """
-    truths, preds = _same_shape(truths, preds)
+    truths = np.asarray(truths, dtype=np.float64)
+    preds = np.asarray(preds, dtype=np.float64)
+    if truths.shape != preds.shape:
+        raise DataError(f"shape mismatch: truth {truths.shape} vs pred {preds.shape}")
     _, h, c = truths.shape
-    # One residual for both: the same operations as mse and mae, so the
-    # same bits; squared in place once MAE has read it.
+    # One residual for MSE and MAE, squared in place once MAE has read it.
     residual = truths - preds
     mae_value = float(np.mean(np.abs(residual)))
     report = MetricsReport(
@@ -166,11 +116,16 @@ def aggregate_report(
     # so each series reduces exactly as it would alone.
     series = np.ascontiguousarray(np.stack([truths, preds, refs]).swapaxes(-1, -2))
     truth, forecasts = series[0], series[1:]
-    smapes = _smape_rows(truth, forecasts)
+    # SMAPE of every series, 0/0 terms counted as 0.
+    num = np.abs(truth - forecasts)
+    den = np.abs(truth) + np.abs(forecasts)
+    smapes = 200.0 * np.divide(num, den, out=np.zeros_like(num), where=den > 0).mean(axis=-1)
+    # MASE of every series, NaN where the seasonal-difference denominator is
+    # zero or the horizon holds no full period.
+    mases = np.full(smapes.shape, np.nan)
     if h > period:
-        mases = _mase_rows(truth, forecasts, period)
-    else:
-        mases = np.full(smapes.shape, np.nan)
+        denom = np.abs(truth[..., period:] - truth[..., :-period]).mean(axis=-1)
+        np.divide(num.mean(axis=-1), denom, out=mases, where=denom != 0)
     (report.smape, report.mase), (ref_smape, ref_mase) = [
         (float(smape_set.mean()), _mean_defined(mase_set))
         for smape_set, mase_set in zip(smapes, mases)

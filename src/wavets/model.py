@@ -443,15 +443,20 @@ def save_checkpoint(params: np.ndarray, config: ModelConfig, path: str) -> None:
 
 def load_checkpoint(path: str) -> tuple[np.ndarray, ModelConfig]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
+        fh = open(path, "r", encoding="utf-8")
+    # ValueError: a path holding a NUL byte, which no file can have.
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot open checkpoint {path}: {exc}") from exc
-    # ValueError also covers bytes that are not UTF-8 and an integer past
-    # Python's digit limit, and RecursionError nesting deeper than the
-    # decoder can follow.
-    except (ValueError, RecursionError) as exc:
-        raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    with fh:
+        try:
+            doc = json.load(fh)
+        except OSError as exc:
+            raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+        # ValueError also covers bytes that are not UTF-8 and an integer past
+        # Python's digit limit, and RecursionError nesting deeper than the
+        # decoder can follow.
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(
             f"checkpoint {path} must hold a JSON object, got {type(doc).__name__}"

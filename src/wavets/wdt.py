@@ -187,47 +187,6 @@ def _bands_in_export_order(
     return out
 
 
-def _normalized_bands(pyramid: DerivativePyramid) -> list[tuple[str, np.ndarray, int]]:
-    """(label, |coefficients| / global peak, repeat count) per band.
-
-    Row l of the scalogram is the band's normalized amplitudes, each
-    repeated over the T / len(band) samples it covers. An all-zero
-    pyramid keeps its zeros.
-    """
-    bands = _bands_in_export_order(pyramid)
-    t = pyramid.length
-    amps = [np.abs(np.asarray(coeffs, dtype=np.float64)) for _, coeffs, _ in bands]
-    peak = np.max([amp.max() for amp in amps])
-    if peak > 0:
-        amps = [amp / peak for amp in amps]
-    return [(label, amp, t // amp.shape[0]) for (label, _, _), amp in zip(bands, amps)]
-
-
-def scalogram(pyramid: DerivativePyramid) -> np.ndarray:
-    """(K+1) x T grid of normalized coefficient amplitudes.
-
-    Row order LL_K, LH_K, ..., LH_1; each band is step-repeated up to the
-    original length and |value| is divided by the global maximum over the
-    whole pyramid. An all-zero pyramid yields an all-zero grid. Raises
-    DataError for a pyramid whose bands are not 1-D.
-    """
-    return np.stack([np.repeat(amp, rep) for _, amp, rep in _normalized_bands(pyramid)])
-
-
-def change_amplification(
-    signal: np.ndarray, fb: FilterBank, levels: int, order: int
-) -> list[float | None]:
-    """Per-level ratio max|WDT detail| / max|DWT detail|, finest level first.
-
-    Equals 2^(n*(K-l+1)) exactly wherever the plain detail band is nonzero;
-    an all-zero band has no defined ratio and reports None.
-    """
-    plain = dwt_multi(signal, fb, levels)[1:]
-    scaled = wdt_forward(signal, fb, levels, order).bands[1:]
-    peaks = [(float(np.max(np.abs(s))), float(np.max(np.abs(p)))) for s, p in zip(scaled, plain)]
-    return [num / denom if denom else None for num, denom in peaks]
-
-
 def write_coefficients_csv(pyramid: DerivativePyramid, path: str) -> None:
     """Write one row per coefficient: band,index,value,gain.
 
@@ -245,14 +204,23 @@ def write_coefficients_csv(pyramid: DerivativePyramid, path: str) -> None:
 
 
 def write_scalogram_csv(pyramid: DerivativePyramid, path: str) -> None:
-    """Write the normalized scalogram grid, one labeled row per band.
+    """Write the (K+1) x T scalogram grid, one labeled row per band.
 
-    The cells equal `scalogram(pyramid)`, but each band's distinct values
-    are formatted once and repeated, and the file is written one band at
-    a time.
+    Rows run LL_K, LH_K, ..., LH_1. Each cell is a coefficient's |value|
+    divided by the largest |value| in the whole pyramid, repeated over the
+    T / len(band) samples the coefficient covers; an all-zero pyramid
+    keeps its zeros. Each band's distinct values are formatted once and
+    repeated, and the file is written one band at a time; a pyramid whose
+    bands are not 1-D raises DataError.
     """
-    bands = _normalized_bands(pyramid)
+    bands = _bands_in_export_order(pyramid)
+    amps = [np.abs(np.asarray(coeffs, dtype=np.float64)) for _, coeffs, _ in bands]
+    peak = np.max([amp.max() for amp in amps])
+    if peak > 0:
+        amps = [amp / peak for amp in amps]
+    t = pyramid.length
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("band," + ",".join(map(str, range(pyramid.length))) + "\n")
-        for label, amp, rep in bands:
+        fh.write("band," + ",".join(map(str, range(t))) + "\n")
+        for (label, _, _), amp in zip(bands, amps):
+            rep = t // amp.shape[0]
             fh.write(label + "".join([f",{v!r}" * rep for v in amp.tolist()]) + "\n")

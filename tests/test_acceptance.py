@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from wavets.cli import load_run_config, load_splits, main, split_window_pairs
-from wavets.metrics import mae, mase, mse, naive_seasonal, owa, smape
+from wavets.metrics import aggregate_report, naive_seasonal, owa
 from wavets.model import (
     ModelConfig,
     forward_batch,
@@ -25,7 +25,7 @@ from wavets.model import (
 )
 from wavets.train import evaluate_loss
 from wavets.wavelet import dwt_multi, make_filterbank
-from wavets.wdt import change_amplification, energy_report, wdt_forward, wdt_inverse
+from wavets.wdt import energy_report, wdt_forward, wdt_inverse
 
 REPO = Path(__file__).resolve().parent.parent
 TINY_CONFIG = REPO / "configs" / "tiny_synthetic.json"
@@ -147,8 +147,11 @@ def test_criterion_04_gain_exactness(capsys):
         levels = int(rng.integers(1, 5))
         order = int(rng.integers(0, 4))
         x = rng.standard_normal((2**levels) * int(rng.integers(2, 9)))
-        ratios = change_amplification(x, fb, levels, order)
-        for lv, ratio in zip(range(1, levels + 1), ratios):
+        # Per level, finest first: max|WDT detail| / max|DWT detail|.
+        plain = dwt_multi(x, fb, levels)[1:]
+        scaled = wdt_forward(x, fb, levels, order).bands[1:]
+        for lv, (s, p) in enumerate(zip(scaled, plain), start=1):
+            ratio = float(np.max(np.abs(s))) / float(np.max(np.abs(p)))
             expected = float(2 ** (order * (levels - lv + 1)))
             exact &= ratio == expected
     with capsys.disabled():
@@ -226,11 +229,11 @@ def test_criterion_07_beats_repeat_last_naive(tiny_run, capsys):
 
     # naive oracle first, model second
     naive_preds = np.stack([naive_seasonal(x, run.model.horizon, 1) for x in xs])
-    naive_mse = mse(ys, naive_preds)
+    naive_mse = aggregate_report(xs, ys, naive_preds).mse
 
     params, config = load_checkpoint(str(tiny_run["out"] / "checkpoint.json"))
     model_preds = forward_batch(xs, params, config)[:, config.lookback :, :]
-    model_mse = mse(ys, model_preds)
+    model_mse = aggregate_report(xs, ys, model_preds).mse
     with capsys.disabled():
         report(
             7,
@@ -267,8 +270,8 @@ def test_criterion_08_hourly_benchmark_reproduction(capsys):
             for i in range(0, xs.shape[0], 256)
         ]
     )
-    test_mse = mse(ys, preds)
-    test_mae = mae(ys, preds)
+    scores = aggregate_report(xs, ys, preds)
+    test_mse, test_mae = scores.mse, scores.mae
     ok = test_mse <= 0.41 and test_mae <= 0.43 and seconds < 600.0
     with capsys.disabled():
         report(
@@ -281,13 +284,18 @@ def test_criterion_08_hourly_benchmark_reproduction(capsys):
 
 
 def test_criterion_09_metric_unit_values(capsys):
+    def scored(truth, pred):
+        # One series as a (1, H, 1) forecast set, its truth as the lookback.
+        truth, pred = (np.reshape(v, (1, -1, 1)) for v in (truth, pred))
+        return aggregate_report(truth, truth, pred, mode="short", period=1)
+
     checks = [
-        abs(mse(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])) - 0.0),
-        abs(mse(np.array([0.0, 0.0]), np.array([2.0, 0.0])) - 2.0),
-        abs(mae(np.array([0.0, 0.0]), np.array([1.0, 3.0])) - 2.0),
-        abs(smape(np.array([1.0]), np.array([3.0])) - 100.0),
-        abs(smape(np.array([0.0, 0.0]), np.array([0.0, 0.0])) - 0.0),
-        abs(mase(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0]), 1) - 1.0),
+        abs(scored([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]).mse - 0.0),
+        abs(scored([0.0, 0.0], [2.0, 0.0]).mse - 2.0),
+        abs(scored([0.0, 0.0], [1.0, 3.0]).mae - 2.0),
+        abs(scored([1.0], [3.0]).smape - 100.0),
+        abs(scored([0.0, 0.0], [0.0, 0.0]).smape - 0.0),
+        abs(scored([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]).mase - 1.0),
         abs(owa((50.0, 0.5), (100.0, 1.0)) - 0.5),
     ]
     worst = max(checks)

@@ -345,6 +345,16 @@ def test_train_invalid_json_exits_2(tmp_path):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+def test_train_config_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"model": "\xe9"}')
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: cannot read config") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_json_integer_past_digit_limit_exits_2(tmp_path, capsys):
     cfg = tmp_path / "big.json"
     cfg.write_text('{"model": {"lookback": ' + "1" * 5000 + "}}")
@@ -1177,6 +1187,21 @@ def test_gradcheck_huge_levels_or_order_exits_2(tmp_path, capsys, model):
     assert err.startswith("config error: ") and "Traceback" not in err
 
 
+def writing_argv(command, tmp_path, csv, cfg):
+    """The argv of one writing command, less its --out; eval first trains
+    cfg for a checkpoint."""
+    if command == "eval":
+        checkpoint = run_train(tmp_path, cfg, "r") / "checkpoint.json"
+        return ["eval", "--checkpoint", str(checkpoint)]
+    return {
+        "transform": ["transform", "--csv", str(csv)],
+        "scalogram": ["scalogram", "--csv", str(csv)],
+        "train": ["train", "--config", str(cfg)],
+        "ablate": ["ablate", "--config", str(cfg), "--quiet"],
+        "gradcheck": ["gradcheck", "--config", str(gradcheck_config(tmp_path))],
+    }[command]
+
+
 @pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath_file"])
 @pytest.mark.parametrize(
     "command", ["transform", "scalogram", "train", "eval", "ablate", "gradcheck"]
@@ -1187,17 +1212,7 @@ def test_out_on_an_existing_file_exits_2(
     blocker = tmp_path / "blocker"
     blocker.write_text("keep\n")
     out = blocker / "sub" if beneath else blocker
-    if command == "eval":
-        checkpoint = run_train(tmp_path, run_config, "r") / "checkpoint.json"
-        argv = ["eval", "--checkpoint", str(checkpoint)]
-    else:
-        argv = {
-            "transform": ["transform", "--csv", str(series_csv)],
-            "scalogram": ["scalogram", "--csv", str(series_csv)],
-            "train": ["train", "--config", str(run_config)],
-            "ablate": ["ablate", "--config", str(run_config), "--quiet"],
-            "gradcheck": ["gradcheck", "--config", str(gradcheck_config(tmp_path))],
-        }[command]
+    argv = writing_argv(command, tmp_path, series_csv, run_config)
     capsys.readouterr()
     rc = main(argv + ["--out", str(out)])
     captured = capsys.readouterr()
@@ -1209,6 +1224,58 @@ def test_out_on_an_existing_file_exits_2(
     assert blocker.read_text() == "keep\n"
 
 
+REPO = Path(__file__).resolve().parent.parent
+TINY_CSV = REPO / "data" / "synthetic_tiny.csv"
+
+
+def tiny_one_epoch_config(tmp_path):
+    """configs/tiny_synthetic.json trained for one epoch."""
+    doc = json.loads((REPO / "configs" / "tiny_synthetic.json").read_text())
+    doc["data"]["csv"] = str(TINY_CSV)
+    doc["train"]["max_epochs"] = 1
+    cfg = tmp_path / "tiny_one_epoch.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, artifact",
+    [
+        ("transform", "coefficients.csv"),
+        ("scalogram", "scalogram.csv"),
+        ("train", "checkpoint.json"),
+        ("eval", "metrics.txt"),
+        ("ablate", "ablation.csv"),
+        ("gradcheck", "gradcheck.txt"),
+    ],
+)
+def test_failed_artifact_write_exits_2(tmp_path, capsys, command, artifact):
+    # The directory is claimed, but a directory sits where one of its files
+    # goes, so the write itself fails.
+    argv = writing_argv(command, tmp_path, TINY_CSV, tiny_one_epoch_config(tmp_path))
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    capsys.readouterr()
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: cannot write output: ")
+    assert artifact in err and "Traceback" not in err
+
+
+@pytest.mark.skipif(not Path("/proc/self/mem").exists(), reason="needs Linux /proc")
+@pytest.mark.parametrize("flag", ["--csv", "--checkpoint"])
+def test_read_that_fails_after_open_exits_3(tmp_path, capsys, flag):
+    # /proc/self/mem opens, but reading from offset 0 fails with EIO: a
+    # failed read, not a failed write.
+    argv = ["transform", "--csv"] if flag == "--csv" else ["eval", "--checkpoint"]
+    rc = main(argv + ["/proc/self/mem", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("data error: cannot read") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "command", ["transform", "scalogram", "train", "eval", "ablate", "gradcheck"]
 )
@@ -1216,17 +1283,7 @@ def test_empty_out_exits_2(tmp_path, series_csv, capsys, monkeypatch, command):
     # An explicit --out "" is a bad flag: it neither falls back on the
     # config's out entry nor reaches a writer as "no directory".
     cfg = write_run_config(tmp_path / "run.json", series_csv, out="from_config")
-    if command == "eval":
-        checkpoint = run_train(tmp_path, cfg, "r") / "checkpoint.json"
-        argv = ["eval", "--checkpoint", str(checkpoint)]
-    else:
-        argv = {
-            "transform": ["transform", "--csv", str(series_csv)],
-            "scalogram": ["scalogram", "--csv", str(series_csv)],
-            "train": ["train", "--config", str(cfg)],
-            "ablate": ["ablate", "--config", str(cfg), "--quiet"],
-            "gradcheck": ["gradcheck", "--config", str(gradcheck_config(tmp_path))],
-        }[command]
+    argv = writing_argv(command, tmp_path, series_csv, cfg)
     work = tmp_path / "cwd"
     work.mkdir()
     monkeypatch.chdir(work)

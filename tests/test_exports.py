@@ -18,7 +18,6 @@ from wavets.cli import main
 from wavets.wavelet import make_filterbank
 from wavets.wdt import (
     DerivativePyramid,
-    scalogram,
     wdt_forward,
     write_coefficients_csv,
     write_scalogram_csv,
@@ -110,11 +109,10 @@ def test_constant_series_exports_one_lit_band(tmp_path):
 @pytest.mark.parametrize(
     "export",
     [
-        scalogram,
         lambda pyr: write_scalogram_csv(pyr, "unused.csv"),
         lambda pyr: write_coefficients_csv(pyr, "unused.csv"),
     ],
-    ids=["scalogram", "write_scalogram_csv", "write_coefficients_csv"],
+    ids=["write_scalogram_csv", "write_coefficients_csv"],
 )
 def test_pyramid_of_a_batch_rejected(tmp_path, monkeypatch, export):
     # A (2, 8) input would otherwise export its two windows side by side.

@@ -5,40 +5,45 @@ import pytest
 
 from reference import short_suite_loop
 from wavets import ConfigError, DataError
-from wavets.metrics import (
-    MetricsReport,
-    aggregate_report,
-    mae,
-    mase,
-    mse,
-    naive_seasonal,
-    owa,
-    smape,
-)
+from wavets.metrics import MetricsReport, aggregate_report, naive_seasonal, owa
+
+
+def long_report(truth, pred):
+    # A (H, C) truth and forecast scored as a one-window set.
+    truth, pred = np.asarray(truth)[None], np.asarray(pred)[None]
+    return aggregate_report(truth, truth, pred, mode="long")
+
+
+def series_report(truth, pred, period=1):
+    # One series as a (1, H, 1) set in short mode, its truth as the lookback.
+    truth = np.asarray(truth, dtype=np.float64).reshape(1, -1, 1)
+    pred = np.asarray(pred, dtype=np.float64).reshape(1, -1, 1)
+    return aggregate_report(truth, truth, pred, mode="short", period=period)
 
 
 class TestMseMae:
     def test_zero_on_equal(self, rng):
         x = rng.normal(size=(5, 2))
-        assert mse(x, x) == 0.0
-        assert mae(x, x) == 0.0
+        rep = long_report(x, x)
+        assert rep.mse == 0.0
+        assert rep.mae == 0.0
 
     def test_hand_values(self):
-        truth = np.array([[1.0], [3.0]])
-        pred = np.array([[2.0], [5.0]])
-        assert mse(truth, pred) == pytest.approx(2.5, abs=1e-12)
-        assert mae(truth, pred) == pytest.approx(1.5, abs=1e-12)
+        rep = long_report([[1.0], [3.0]], [[2.0], [5.0]])
+        assert rep.mse == pytest.approx(2.5, abs=1e-12)
+        assert rep.mae == pytest.approx(1.5, abs=1e-12)
 
     def test_homogeneity(self, rng):
         truth = rng.normal(size=(8, 3))
         pred = truth + rng.normal(size=(8, 3))
         doubled = truth + 2 * (pred - truth)
-        assert mse(truth, doubled) == pytest.approx(4 * mse(truth, pred), rel=1e-12)
-        assert mae(truth, doubled) == pytest.approx(2 * mae(truth, pred), rel=1e-12)
+        rep, rep2 = long_report(truth, pred), long_report(truth, doubled)
+        assert rep2.mse == pytest.approx(4 * rep.mse, rel=1e-12)
+        assert rep2.mae == pytest.approx(2 * rep.mae, rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
-            mse(np.zeros((2, 2)), np.zeros((3, 2)))
+            aggregate_report(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), np.zeros((1, 3, 2)))
 
     def test_against_loop_oracle(self, rng):
         truth = rng.normal(size=(7, 4))
@@ -49,48 +54,51 @@ class TestMseMae:
             for c in range(4):
                 acc_sq += (truth[i, c] - pred[i, c]) ** 2
                 acc_abs += abs(truth[i, c] - pred[i, c])
-        assert abs(mse(truth, pred) - acc_sq / 28) < 1e-12
-        assert abs(mae(truth, pred) - acc_abs / 28) < 1e-12
+        rep = long_report(truth, pred)
+        assert abs(rep.mse - acc_sq / 28) < 1e-12
+        assert abs(rep.mae - acc_abs / 28) < 1e-12
 
 
 class TestSmape:
     def test_zero_on_equal_nonzero(self):
-        assert smape(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        assert series_report([1.0, 2.0], [1.0, 2.0]).smape == 0.0
 
     def test_hand_value(self):
-        assert smape(np.array([2.0]), np.array([1.0])) == pytest.approx(
-            200.0 / 3.0, abs=1e-9
-        )
+        assert series_report([2.0], [1.0]).smape == pytest.approx(200.0 / 3.0, abs=1e-9)
 
     def test_zero_over_zero_convention(self):
-        assert smape(np.array([0.0]), np.array([0.0])) == 0.0
+        assert series_report([0.0], [0.0]).smape == 0.0
 
     def test_bounded(self, rng):
         x = rng.normal(size=50)
         y = rng.normal(size=50)
-        assert 0.0 <= smape(x, y) <= 200.0
+        assert 0.0 <= series_report(x, y).smape <= 200.0
 
 
 class TestMase:
     def test_hand_value(self):
-        val = mase(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0]), 1)
+        val = series_report([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]).mase
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_on_equal(self):
-        assert mase(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]), 1) == 0.0
+        assert series_report([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]).mase == 0.0
 
     def test_constant_truth_undefined(self):
-        assert mase(np.array([2.0, 2.0, 2.0]), np.array([1.0, 1.0, 1.0]), 1) is None
+        assert series_report([2.0, 2.0, 2.0], [1.0, 1.0, 1.0]).mase is None
 
     def test_period_bounds(self):
-        with pytest.raises(ConfigError):
-            mase(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 2)
+        # A period must be at least 1 and fit in the lookback; one that
+        # fits but spans the whole horizon leaves MASE undefined.
+        for period in (0, 3):
+            with pytest.raises(ConfigError):
+                series_report([1.0, 2.0], [1.0, 2.0], period)
+        assert series_report([1.0, 2.0], [1.0, 2.0], 2).mase is None
 
     def test_seasonal_denominator(self):
         # m=2 on [1,2,3,4]: denominator mean(|3-1|,|4-2|) = 2.
         truth = np.array([1.0, 2.0, 3.0, 4.0])
         pred = truth + 1.0
-        assert mase(truth, pred, 2) == pytest.approx(0.5, abs=1e-12)
+        assert series_report(truth, pred, 2).mase == pytest.approx(0.5, abs=1e-12)
 
 
 class TestOwa:
@@ -204,7 +212,8 @@ def test_long_mode_matches_mse_and_mae_on_window_layouts(layout):
     assert not truths.flags.c_contiguous
     assert preds.flags.c_contiguous == (layout == "contiguous")
     rep = aggregate_report(windows_x, truths, preds, mode="long")
-    assert rep.mse == mse(truths, preds) and rep.mae == mae(truths, preds)
+    residual = truths - preds
+    assert rep.mse == np.mean(residual**2) and rep.mae == np.mean(np.abs(residual))
 
 
 class TestMetricsReport:

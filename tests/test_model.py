@@ -389,6 +389,11 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(str(path))
 
+    def test_nul_in_path_cannot_be_opened(self):
+        # open() rejects the NUL with ValueError, which is not a parse error.
+        with pytest.raises(DataError, match="cannot open checkpoint"):
+            load_checkpoint("x\0y.json")
+
 
 class TestParamHelpers:
     def test_named_blocks_cover_everything_once(self):

@@ -44,7 +44,6 @@ from wavets.wavelet import SUPPORTED_WAVELETS, idwt_multi, make_filterbank  # no
 from wavets.wdt import (  # noqa: E402
     energy_report,
     level_gains,
-    scalogram,
     wdt_forward,
     wdt_inverse,
     write_coefficients_csv,
@@ -130,7 +129,11 @@ def test_exports_parse_back_to_the_bands_and_grid(case):
         write_scalogram_csv(pyr, str(grid_path))
         coeff_lines = coeffs_path.read_text().splitlines()
         grid_lines = grid_path.read_text().splitlines()
-    grid = scalogram(pyr)
+    # Each band's |coefficients| over the pyramid's peak, each held for the
+    # samples it covers.
+    amps = [np.abs(band) for band in [pyr.bands[0]] + pyr.bands[:0:-1]]
+    peak = max(amp.max() for amp in amps)
+    grid = [np.repeat(amp / peak if peak else amp, pyr.length // amp.size) for amp in amps]
     assert grid_lines[0] == "band," + ",".join(str(i) for i in range(signal.shape[0]))
     rows = [line.split(",") for line in grid_lines[1:]]
     assert [row[0] for row in rows] == [f"LL{levels}"] + [f"LH{lv}" for lv in range(levels, 0, -1)]
