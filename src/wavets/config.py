@@ -116,16 +116,11 @@ class Section:
     with spec(); messages name a field as "<section>.<field>"."""
 
     section: ClassVar[str]
-    # A section given as a bare string is read as {shorthand: string}.
-    shorthand: ClassVar[str | None] = None
 
     @classmethod
     def from_dict(cls, doc) -> Section:
-        if cls.shorthand and isinstance(doc, str):
-            doc = {cls.shorthand: doc}
         if not isinstance(doc, dict):
-            what = f"an object or a {cls.shorthand} name" if cls.shorthand else "a JSON object"
-            raise ConfigError(f"config section {cls.section} must be {what}")
+            raise ConfigError(f"config section {cls.section} must be a JSON object")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown {cls.section} keys: {', '.join(unknown)}")
@@ -272,7 +267,6 @@ class SplitSection(Section):
     fixed hourly ETT borders."""
 
     section = "data.split"
-    shorthand = "kind"
 
     kind: str = spec(str, one_of(("ratio", "ett_hourly")), "ratio")
     ratios: tuple[float, float, float] = spec(

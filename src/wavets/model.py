@@ -19,16 +19,21 @@ band's N branch maps as one map, and synthesises once over a branch
 axis. That map is the band's parameter block as stored: band_maps hands
 out its weight as a view and scales only its bias.
 
-This module owns the branch path in both directions. Everything is affine
-in the parameters, so gradients are exact closed forms, and
-_normalized_map_adjoint mirrors the forward's single branch axis: the
-projection's gradients, one adjoint synthesis over all branches, and one
-weight and bias gradient per band, written whole into the band's block,
-the bias gradient scaled like its bias. The adjoint of the orthonormal
-inverse wavelet cascade is the forward analysis cascade (_analyse); the
-adjoint of the inverse real FFT is a forward real FFT with half-spectrum
-bin weighting (interior bins carry factor 2/M, the DC bin 1/M, and for
-even M the Nyquist bin 1/M with a dead imaginary part).
+This module owns the branch path in both directions, on 2-D channel
+rows: _normalized_map takes (R, L) normalized rows, one per channel of
+each window, and returns (R, L+tau). Each learned map is one GEMM,
+rows @ weight, then += bias. Everything is affine in the parameters, so
+gradients are exact closed forms, and _normalized_map_adjoint mirrors
+the forward's single branch axis on (R, L+tau) output gradients: the
+projection's input gradient dproj @ weight.T, one adjoint synthesis over
+all branches, and per map the weight gradient inp.T @ gout (the sum over
+rows is the GEMM's inner dimension) and the bias gradient
+gout.sum(axis=0), written whole into the block, a band's bias gradient
+scaled like its bias. The adjoint of the orthonormal inverse wavelet
+cascade is the forward analysis cascade (_analyse); the adjoint of the
+inverse real FFT is a forward real FFT with half-spectrum bin weighting
+(interior bins carry factor 2/M, the DC bin 1/M, and for even M the
+Nyquist bin 1/M with a dead imaginary part).
 
 Everything between the instance normalization and the denormalization is
 affine in the input too, so for fixed parameters the model is one
@@ -37,14 +42,14 @@ by pushing the zero row and the identity rows through the same branch
 path as forward_batch, and apply_operator evaluates it with one GEMM.
 Both share one instance normalization, _normalize_rows: it copies the
 lookback once into contiguous (B*C, L) channel rows and centres and
-scales them in place, and each caller denormalizes its own fresh output
-in place. forward_batch is the training path and the operator's
-reference; the two differ only in the order their products are summed.
-operator_chunks is the one loop behind every fixed-parameter forecast:
-it compiles once and applies the operator OPERATOR_CHUNK windows at a
-time, and cli.forecast_predictions writes each chunk into one
-preallocated array. check_windows is the one shape check of window
-arrays.
+scales them in place. forward_batch hands those rows to _normalized_map
+as they are, and each caller denormalizes its own fresh output in place.
+forward_batch is the training path and the operator's reference; the
+two differ only in the order their products are summed. operator_chunks
+is the one loop behind every fixed-parameter forecast: it compiles once
+and applies the operator OPERATOR_CHUNK windows at a time, and
+cli.forecast_predictions writes each chunk into one preallocated array.
+check_windows is the one shape check of window arrays.
 
 The parameters are one float64 vector. param_layout, derived from the
 config alone, names its blocks in checkpoint order (one per band, then
@@ -72,46 +77,6 @@ OPERATOR_CHUNK = 256
 
 # The filter bank of every wavelet kind's analysis and synthesis.
 _HAAR = make_filterbank("db1")
-
-
-def channel_rows(x: np.ndarray, width: int) -> np.ndarray:
-    """View a (..., width) stack as a (rows, width) matrix.
-
-    Every channel of every window becomes one row, so each learned map,
-    its weight gradient and its input gradient cost one 2-D GEMM. The
-    width is checked before the reshape, which would otherwise accept any
-    size divisible by it.
-    """
-    if x.shape[-1] != width:
-        raise DataError(
-            f"affine map of width {width} does not match an array whose "
-            f"last axis is {x.shape[-1]}"
-        )
-    return x.reshape(-1, width)
-
-
-def affine_apply(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """One learned map x @ weight + bias on a (..., m_in) stack; weight is
-    (m_in, m_out)."""
-    m_in, m_out = weight.shape
-    out = channel_rows(x, m_in) @ weight
-    out += bias
-    return out.reshape(x.shape[:-1] + (m_out,))
-
-
-def _affine_grads(inp: np.ndarray, gout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (weight, bias) gradients for inp (..., m), gout (..., m'): the sum over
-    # windows and channels is the inner dimension of one row-GEMM,
-    # inp_rows.T @ gout_rows.
-    gout_rows = channel_rows(gout, gout.shape[-1])
-    return channel_rows(inp, inp.shape[-1]).T @ gout_rows, gout_rows.sum(axis=0)
-
-
-def _affine_input_grad(weight: np.ndarray, gout: np.ndarray) -> np.ndarray:
-    # Adjoint of affine_apply in its input: gout (..., m') -> (..., m).
-    m_in, m_out = weight.shape
-    rows = channel_rows(gout, m_out) @ weight.T
-    return rows.reshape(gout.shape[:-1] + (m_in,))
 
 
 def _irfft_adjoint(dz: np.ndarray, n_time: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,18 +190,19 @@ def _analyse(rows: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
 
 
 def _normalized_map(
-    normed_t: np.ndarray, params: np.ndarray, config: ModelConfig
+    rows: np.ndarray, params: np.ndarray, config: ModelConfig
 ) -> tuple[np.ndarray, dict]:
     """The model between the normalization and the denormalization: the
-    branch path and the projection on (B, C, L) normalized rows, giving
-    (B, C, L+tau) and the intermediates _normalized_map_adjoint needs."""
+    branch path and the projection on (R, L) normalized channel rows,
+    giving (R, L+tau) and the intermediates _normalized_map_adjoint needs."""
     total = config.lookback + config.horizon
-    bands_in = _analyse(normed_t, config)
-    # (B, C, N*m_out) -> (B, C, N, m_out): synthesis runs over the branch axis.
-    bands_out = [
-        affine_apply(band, weight, bias).reshape(band.shape[:-1] + (config.branches, -1))
-        for (weight, bias), band in zip(band_maps(params, config), bands_in)
-    ]
+    bands_in = _analyse(rows, config)
+    bands_out = []
+    for (weight, bias), band in zip(band_maps(params, config), bands_in):
+        out = band @ weight
+        out += bias
+        # (R, N*m_out) -> (R, N, m_out): synthesis runs over the branch axis.
+        bands_out.append(out.reshape(len(rows), config.branches, -1))
     if config.transform_kind == "dft":
         # In place: one complex array of all branches' spectra, not two.
         spectrum = bands_out[1] * 1j
@@ -245,9 +211,11 @@ def _normalized_map(
     else:
         z = idwt_multi(bands_out, _HAAR)
     # Branch n's output occupies columns [n*total, (n+1)*total).
-    zcat = z.reshape(z.shape[:-2] + (-1,))
+    zcat = z.reshape(len(rows), -1)
     _, proj_weight, proj_bias = param_blocks(params, config)[-1]
-    return affine_apply(zcat, proj_weight, proj_bias), {"zcat": zcat, "bands_in": bands_in}
+    proj = zcat @ proj_weight
+    proj += proj_bias
+    return proj, {"zcat": zcat, "bands_in": bands_in}
 
 
 def _normalized_map_adjoint(
@@ -255,16 +223,11 @@ def _normalized_map_adjoint(
 ) -> np.ndarray:
     """Adjoint of _normalized_map in its parameters: the gradient vector of
     sum(dproj * output) for the forward that filled cache, where dproj has
-    the output's (B, C, L+tau) shape. Each band's block takes its map's
+    the output's (R, L+tau) shape. Each band's block takes its map's
     gradients whole, the bias gradient times bias_scales."""
     total = config.lookback + config.horizon
-    zcat = cache["zcat"]
-    # One row copy serves the projection's weight and input gradients.
-    dproj_rows = channel_rows(dproj, total)
     _, proj_weight, _ = param_blocks(params, config)[-1]
-    dz = _affine_input_grad(proj_weight, dproj_rows).reshape(
-        zcat.shape[:-1] + (config.branches, total)
-    )
+    dz = (dproj @ proj_weight.T).reshape(len(dproj), config.branches, total)
     if config.transform_kind == "dft":
         band_grads = _irfft_adjoint(dz, total)
     else:
@@ -274,10 +237,13 @@ def _normalized_map_adjoint(
     for inp, gout, (_, weight, bias), scale in zip(
         cache["bands_in"], band_grads, blocks, bias_scales(config)
     ):
-        weight[...], bias[...] = _affine_grads(inp, gout.reshape(gout.shape[:-2] + (-1,)))
+        gout = gout.reshape(len(inp), -1)
+        weight[...] = inp.T @ gout
+        bias[...] = gout.sum(axis=0)
         bias *= scale
     _, weight, bias = blocks[-1]
-    weight[...], bias[...] = _affine_grads(zcat, dproj_rows)
+    weight[...] = cache["zcat"].T @ dproj
+    bias[...] = dproj.sum(axis=0)
     return grads
 
 
@@ -307,7 +273,7 @@ def _normalize_rows(
     xs = check_windows(xs, config, config.lookback)
     # A real copy: at C=1 the transpose is already contiguous, and the
     # in-place steps must never write into the caller's windows.
-    rows = channel_rows(xs.transpose(0, 2, 1).copy(), config.lookback)
+    rows = xs.transpose(0, 2, 1).copy().reshape(-1, config.lookback)
     mean = rows.mean(axis=1, keepdims=True)
     rows -= mean
     # np.std's own steps on the centred rows: its bits, without centring twice.
@@ -328,17 +294,14 @@ def forward_batch(
 
     This is the training path and the reference that compile_operator is
     tested against. The output is a transposed view of the model's
-    (B, C, L+tau) output, and the cache's std is the (B*C, 1) one of
+    (B*C, L+tau) channel rows, and the cache's std is the (B*C, 1) one of
     _normalize_rows."""
     rows, mean, std = _normalize_rows(xs, config)
-    proj, cache = _normalized_map(
-        rows.reshape(-1, config.channels, config.lookback), params, config
-    )
-    # The projection's fresh output, denormalized in place as channel rows.
-    out_rows = channel_rows(proj, proj.shape[-1])
-    out_rows *= std
-    out_rows += mean
-    out = proj.transpose(0, 2, 1)
+    proj, cache = _normalized_map(rows, params, config)
+    # The projection's fresh output, denormalized in place.
+    proj *= std
+    proj += mean
+    out = proj.reshape(-1, config.channels, proj.shape[-1]).transpose(0, 2, 1)
     if not want_cache:
         return out
     return out, {"std": std, **cache}
@@ -353,13 +316,13 @@ def compile_operator(
 
     Every step between the normalization and the denormalization is
     linear or affine, so the zero row gives the bias and identity row i,
-    minus the bias, gives row i of the weight. All L+1 rows run through
-    the same branch path as forward_batch, as one batch of one channel.
+    minus the bias, gives row i of the weight. The L+1 rows run through
+    the same branch path as forward_batch, as one stack of channel rows.
     """
     rows = np.vstack([np.zeros(config.lookback), np.eye(config.lookback)])
-    out, _ = _normalized_map(rows[:, None, :], params, config)
-    bias = out[0, 0]
-    return out[1:, 0] - bias, bias
+    out, _ = _normalized_map(rows, params, config)
+    bias = out[0]
+    return out[1:] - bias, bias
 
 
 def apply_operator(

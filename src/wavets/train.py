@@ -4,7 +4,7 @@ loop with validation-based early stopping.
 The model module owns the branch path in both directions, the forward
 map and its adjoint; this module owns the loss, the optimizer and the
 loop. The loss gradient runs back through the denormalization, which
-multiplies by the per-window std, and model._normalized_map_adjoint
+multiplies each channel row by its std, and model._normalized_map_adjoint
 takes it from there to the gradient vector.
 
 Data arrive as window spans: a (W, L+tau, C) array whose span i is the
@@ -42,14 +42,15 @@ def gradient_batch(
 ) -> tuple[np.ndarray, float]:
     """Exact batch-mean gradients of the joint loss over (B, L+tau, C) window
     spans; returns (gradient vector, loss)."""
-    spans = check_windows(spans, config, config.lookback + config.horizon)
+    total = config.lookback + config.horizon
+    spans = check_windows(spans, config, total)
     out, cache = forward_batch(spans[:, : config.lookback], params, config, want_cache=True)
-    # In the (B, C, L+tau) layout the model computed, so dproj is too.
+    # In the (B, C, L+tau) layout the model computed, so its rows are
+    # dproj's channel rows.
     residual = out.transpose(0, 2, 1) - spans.transpose(0, 2, 1)
     loss = float(np.mean(residual**2))
-    # Denormalization multiplies by the per-window std; mean adds nothing.
-    std = cache["std"].reshape(len(spans), config.channels, 1)
-    dproj = (2.0 / residual.size) * residual * std
+    # Denormalization multiplies each channel row by its std; mean adds nothing.
+    dproj = (2.0 / residual.size) * residual.reshape(-1, total) * cache["std"]
     return _normalized_map_adjoint(dproj, cache, params, config), loss
 
 

@@ -20,12 +20,12 @@ the model as the paper states it, one branch at a time with the
 derivative gains applied and divided back out, so the single-branch-axis
 model can be compared with it bit for bit. It reads the band blocks by
 name through model.param_blocks and takes branch n's map as columns
-[n*m_out, (n+1)*m_out) of each. Its subject is the branch axis, so it
-reuses the package's instance normalization, model._normalize_rows,
-which tests/test_model.py checks by hand; its per-block gradient and
-irfft adjoint are the package's own too (model._affine_grads,
-model._irfft_adjoint), which test_gemm_maps and the gradient checks
-cover separately.
+[n*m_out, (n+1)*m_out) of each. It writes its own maps and their
+weight and bias gradients on channel rows. Its subject is the branch
+axis, so it reuses the package's instance normalization,
+model._normalize_rows, which tests/test_model.py checks by hand, and
+the package's irfft adjoint, model._irfft_adjoint, which the gradient
+checks cover separately.
 
 The CSV loader at the end is the one exception of another kind: it is
 the package's own per-cell loader as it stood before the one-pass parse,
@@ -42,8 +42,7 @@ import numpy as np
 
 from wavets.data import SeriesFrame, _timestamps_strictly_increasing
 from wavets.errors import DataError
-from wavets.model import affine_apply, forward_batch, param_blocks
-from wavets.model import _affine_grads, _irfft_adjoint, _normalize_rows
+from wavets.model import _irfft_adjoint, _normalize_rows, forward_batch, param_blocks
 from wavets.wavelet import dwt_multi, make_filterbank
 from wavets.wdt import DerivativePyramid, level_gains, wdt_forward, wdt_inverse
 
@@ -93,22 +92,6 @@ def haar_synthesis(
     return out
 
 
-def affine_apply_slices(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """x @ weight + bias, one (window, channel) slice at a time.
-
-    Each output entry is the explicit sum over input positions, so the
-    reference shares no reshape or batched product with the package.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    m_in, m_out = weight.shape
-    out = np.empty(x.shape[:-1] + (m_out,))
-    for idx in np.ndindex(x.shape[:-1]):
-        vec = x[idx]
-        for j in range(m_out):
-            out[idx + (j,)] = sum(vec[k] * weight[k, j] for k in range(m_in)) + bias[j]
-    return out
-
-
 def affine_grads_slices(
     inp: np.ndarray, gout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -122,19 +105,6 @@ def affine_grads_slices(
         dweight += np.outer(inp[idx], gout[idx])
         dbias += gout[idx]
     return dweight, dbias
-
-
-def affine_input_grad_slices(weight: np.ndarray, gout: np.ndarray) -> np.ndarray:
-    """Gradient of sum(gout * (x @ W + b)) in x, one slice at a time:
-    d x[k] = sum_j W[k, j] * gout[j]."""
-    gout = np.asarray(gout, dtype=np.float64)
-    m_in, m_out = weight.shape
-    out = np.empty(gout.shape[:-1] + (m_in,))
-    for idx in np.ndindex(gout.shape[:-1]):
-        vec = gout[idx]
-        for k in range(m_in):
-            out[idx + (k,)] = sum(weight[k, j] * vec[j] for j in range(m_out))
-    return out
 
 
 def blocks_by_name(params: np.ndarray, config) -> dict:
@@ -161,6 +131,7 @@ def branch_maps(blocks: dict, config, n: int) -> list[tuple[np.ndarray, np.ndarr
 def per_branch_forward(xs, params: np.ndarray, config):
     """The forecaster one branch at a time; returns (output, cache).
 
+    Every step runs on the (B*C, L) channel rows of model._normalize_rows.
     wdt/dwt branch n: wdt_forward of order n, the branch's per-band maps
     on the gain-scaled bands, wdt_inverse at length L+tau. dft branch n:
     rfft, real and imaginary maps, irfft at L+tau. The branch outputs are
@@ -169,56 +140,55 @@ def per_branch_forward(xs, params: np.ndarray, config):
     """
     blocks = blocks_by_name(params, config)
     rows, mean, std = _normalize_rows(xs, config)
-    normed_t = rows.reshape(-1, config.channels, config.lookback)
     total = config.lookback + config.horizon
     fb = make_filterbank("db1")
     zs, branches = [], []
     for n, order in enumerate(config.effective_orders()):
         maps = branch_maps(blocks, config, n)
         if config.transform_kind == "dft":
-            spectrum = np.fft.rfft(normed_t, axis=-1)
+            spectrum = np.fft.rfft(rows, axis=-1)
             bands = [spectrum.real, spectrum.imag]
-            re_out, im_out = (affine_apply(b, *wb) for wb, b in zip(maps, bands))
+            re_out, im_out = (b @ w + c for (w, c), b in zip(maps, bands))
             z = np.fft.irfft(re_out + 1j * im_out, n=total, axis=-1)
         else:
-            bands = wdt_forward(normed_t, fb, config.levels, order).bands
-            out = [affine_apply(b, *wb) for wb, b in zip(maps, bands)]
+            bands = wdt_forward(rows, fb, config.levels, order).bands
+            out = [b @ w + c for (w, c), b in zip(maps, bands)]
             z = wdt_inverse(DerivativePyramid(order=order, bands=out), fb)
         zs.append(z)
         branches.append((order, bands))
     zcat = np.concatenate(zs, axis=-1)
-    stats = (len(normed_t), config.channels, 1)
-    proj = affine_apply(zcat, *blocks["projection"])
-    out = proj * std.reshape(stats) + mean.reshape(stats)
-    return out.transpose(0, 2, 1), {"std": std, "zcat": zcat, "branches": branches}
+    proj_weight, proj_bias = blocks["projection"]
+    out = (zcat @ proj_weight + proj_bias) * std + mean
+    out = out.reshape(-1, config.channels, total).transpose(0, 2, 1)
+    return out, {"std": std, "zcat": zcat, "branches": branches}
 
 
 def per_branch_gradients(params: np.ndarray, spans, config):
     """Batch-mean joint-loss gradients of per_branch_forward over window
     spans, one branch at a time; returns (gradient vector, loss).
 
-    The adjoint of a wdt branch's synthesis is the analysis cascade with
-    each detail band divided by its gain, matching the gain-scaled band
-    the branch's map read.
+    Each map x @ W + b on channel rows has the weight gradient x.T @ g
+    and the bias gradient g.sum(axis=0) for an output gradient g. The
+    adjoint of a wdt branch's synthesis is the analysis cascade with each
+    detail band divided by its gain, matching the gain-scaled band the
+    branch's map read.
     """
     out, cache = per_branch_forward(spans[:, : config.lookback], params, config)
     residual = out.transpose(0, 2, 1) - spans.transpose(0, 2, 1)
     total = config.lookback + config.horizon
-    std = cache["std"].reshape(len(spans), config.channels, 1)
-    dproj = (2.0 / residual.size) * residual * std
+    dproj = (2.0 / residual.size) * residual.reshape(-1, total) * cache["std"]
     grads = np.zeros_like(params)
     blocks = blocks_by_name(grads, config)
 
     def store(weight_bias, inp, gout):
         weight, bias = weight_bias
-        weight[...], bias[...] = _affine_grads(inp, gout)
+        weight[...], bias[...] = inp.T @ gout, gout.sum(axis=0)
 
     store(blocks["projection"], cache["zcat"], dproj)
-    proj_weight = blocks_by_name(params, config)["projection"][0]
-    dzcat = (dproj.reshape(-1, total) @ proj_weight.T).reshape(cache["zcat"].shape)
+    dzcat = dproj @ blocks_by_name(params, config)["projection"][0].T
     fb = make_filterbank("db1")
     for n, (order, bands) in enumerate(cache["branches"]):
-        dz = dzcat[..., n * total : (n + 1) * total]
+        dz = dzcat[:, n * total : (n + 1) * total]
         maps = branch_maps(blocks, config, n)
         if config.transform_kind == "dft":
             for wb, inp, g in zip(maps, bands, _irfft_adjoint(dz, total)):

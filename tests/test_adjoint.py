@@ -8,8 +8,9 @@ stay fixed, so for a direction v_b confined to block b
 holds up to rounding, whatever the step size. Gradcheck and the
 per-branch oracle run at L <= 16; this pins the adjoint at L = 336,
 tau = 96, C = 7, N = 2, K = 3 for every kind, and at L = 335 for dft, so
-the odd-length irfft branch runs too. The rows have a nonzero mean and
-every bias is random, so no term vanishes by symmetry.
+the odd-length irfft branch runs too, on the 2-D channel rows the map
+takes. The rows have a nonzero mean and every bias is random, so no term
+vanishes by symmetry.
 """
 
 import numpy as np
@@ -38,7 +39,8 @@ def test_adjoint_matches_the_map_block_by_block(kind, lookback):
     params = init_params(cfg, cfg.seed)
     for _, _, bias in param_blocks(params, cfg):
         bias[...] = gen.normal(size=bias.shape)
-    rows = gen.normal(size=(3, cfg.channels, lookback)) + 2.5
+    # Three windows' channel rows.
+    rows = gen.normal(size=(3 * cfg.channels, lookback)) + 2.5
     out, cache = _normalized_map(rows, params, cfg)
     d = gen.normal(size=out.shape)
     grads = _normalized_map_adjoint(d, cache, params, cfg)

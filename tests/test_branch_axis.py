@@ -7,6 +7,8 @@ gains applied and divided back out. The two must agree bit for bit on the
 wavelet kinds and to 1e-12 relative on dft, whose irfft runs over a
 different batch shape. Three branches with a mixed order list and nonzero
 biases make a branch-order or bias-scale mix-up in the reshapes visible.
+Each case runs at (B, C) = (3, 2) and at the edge shapes (1, 2), (3, 1)
+and (1, 1), where the channel rows are one window's or one channel's.
 """
 
 import numpy as np
@@ -19,6 +21,13 @@ from wavets.wdt import level_gains
 
 KINDS = ("wdt", "dwt", "dft")
 ORDERS = [1, 0, 2]
+# (kind, B, C): each kind at (3, 2), under its plain kind id, then at the
+# edge shapes (1, 2), (3, 1) and (1, 1).
+CASES = [
+    pytest.param(kind, b, c, id=kind if (b, c) == (3, 2) else f"{kind}-{b}-{c}")
+    for kind in KINDS
+    for b, c in [(3, 2), (1, 2), (3, 1), (1, 1)]
+]
 DFT_REL_TOL = 1e-12
 
 
@@ -47,21 +56,21 @@ def assert_agrees(got: np.ndarray, want: np.ndarray, kind: str, label: str) -> N
         assert np.array_equal(got, want), label
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind, batch, channels", CASES)
 class TestAgainstPerBranchOracle:
-    def test_forward(self, rng, kind):
-        cfg = three_branch_config(kind)
+    def test_forward(self, rng, kind, batch, channels):
+        cfg = three_branch_config(kind, channels=channels)
         params = params_with_biases(cfg, rng)
-        xs = rng.normal(size=(3, cfg.lookback, cfg.channels))
+        xs = rng.normal(size=(batch, cfg.lookback, channels))
         want, _ = per_branch_forward(xs, params, cfg)
         assert_agrees(forward_batch(xs, params, cfg), want, kind, "forward")
 
-    def test_gradients(self, rng, kind):
-        cfg = three_branch_config(kind)
+    def test_gradients(self, rng, kind, batch, channels):
+        cfg = three_branch_config(kind, channels=channels)
         params = params_with_biases(cfg, rng)
-        # Drawn as lookbacks then targets, the spans of three windows.
-        xs = rng.normal(size=(3, cfg.lookback, cfg.channels))
-        ys = rng.normal(size=(3, cfg.horizon, cfg.channels))
+        # Drawn as lookbacks then targets, the spans of the windows.
+        xs = rng.normal(size=(batch, cfg.lookback, channels))
+        ys = rng.normal(size=(batch, cfg.horizon, channels))
         spans = np.concatenate([xs, ys], axis=1)
         grads, loss = gradient_batch(params, spans, cfg)
         want, want_loss = per_branch_gradients(params, spans, cfg)
@@ -71,10 +80,10 @@ class TestAgainstPerBranchOracle:
             assert_agrees(weight, ref_weight, kind, f"{name} weight")
             assert_agrees(bias, ref_bias, kind, f"{name} bias")
 
-    def test_gradient_check_three_branches(self, rng, kind):
-        cfg = three_branch_config(kind, lookback=8, horizon=4)
+    def test_gradient_check_three_branches(self, rng, kind, batch, channels):
+        cfg = three_branch_config(kind, lookback=8, horizon=4, channels=channels)
         params = params_with_biases(cfg, rng)
-        spans = rng.normal(size=(2, cfg.lookback + cfg.horizon, cfg.channels))
+        spans = rng.normal(size=(batch, cfg.lookback + cfg.horizon, channels))
         report = gradient_check(params, spans, cfg)
         bands = 2 if kind == "dft" else cfg.levels + 1
         assert len(report) == bands + 1

@@ -23,6 +23,15 @@ outputs moved in their last bits. The checkpoints themselves were not
 touched. out must stay within 1e-12 relative of stack_normalized_out,
 entry by entry, so the re-record cannot hide a defect; forward_batch
 must reproduce out bit for bit.
+
+Two more records per kind pin the other paths through the branch map,
+written by the code of commit 1e3ab09 on each checkpoint's parameters.
+<kind>_gradient.json holds a seeded (3, L+tau, C) batch of window spans
+under spans, and gradient_batch's gradient vector and loss on it under
+grads and loss. <kind>_operator.json holds compile_operator's weight
+(L, L+tau) and bias (L+tau,). Python's JSON floats round-trip every
+float64, and the tests compare the uint64 bit patterns, so a sign of
+zero that moved shows too.
 """
 
 import json
@@ -31,7 +40,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavets.model import forward_batch, load_checkpoint, save_checkpoint
+from wavets.model import compile_operator, forward_batch, load_checkpoint, save_checkpoint
+from wavets.train import gradient_batch
 
 CHECKPOINTS = Path(__file__).resolve().parent / "checkpoints"
 KINDS = ("wdt", "dft")
@@ -47,20 +57,44 @@ def test_load_then_save_is_byte_identical(tmp_path, kind):
     assert again.read_bytes() == pinned.read_bytes()
 
 
-def forward_record(kind: str) -> dict:
-    return json.loads((CHECKPOINTS / f"{kind}_forward.json").read_text())
+def record(kind: str, what: str) -> dict:
+    return json.loads((CHECKPOINTS / f"{kind}_{what}.json").read_text())
+
+
+def assert_same_bits(got, want) -> None:
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_recorded_forecast_reproduced_bit_for_bit(kind):
     params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
-    record = forward_record(kind)
-    out = forward_batch(np.array(record["xs"]), params, config)
-    assert np.array_equal(out, np.array(record["out"]))
+    pinned = record(kind, "forward")
+    out = forward_batch(np.array(pinned["xs"]), params, config)
+    assert_same_bits(out, pinned["out"])
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rerecorded_forecast_within_rounding_of_the_original(kind):
-    record = forward_record(kind)
-    original = np.array(record["stack_normalized_out"])
-    np.testing.assert_allclose(np.array(record["out"]), original, rtol=1e-12, atol=0)
+    pinned = record(kind, "forward")
+    original = np.array(pinned["stack_normalized_out"])
+    np.testing.assert_allclose(np.array(pinned["out"]), original, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_recorded_gradient_reproduced_bit_for_bit(kind):
+    params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
+    pinned = record(kind, "gradient")
+    grads, loss = gradient_batch(params, np.array(pinned["spans"]), config)
+    assert_same_bits(grads, pinned["grads"])
+    assert_same_bits(loss, pinned["loss"])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_recorded_operator_reproduced_bit_for_bit(kind):
+    params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
+    pinned = record(kind, "operator")
+    weight, bias = compile_operator(params, config)
+    assert_same_bits(weight, pinned["weight"])
+    assert_same_bits(bias, pinned["bias"])

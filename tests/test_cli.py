@@ -281,7 +281,9 @@ def test_transform_bad_flags_exit_2(tmp_path, series_csv):
     assert main(base + ["--wavelet", "db4"]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# Every numpy warning is an error here: the overflow that makes the run
+# fail must show only as the one numerical-error line.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["transform", "scalogram"])
 def test_transform_overflowing_gains_exit_4_before_writing(tmp_path, capsys, command):
     # Finite input near the float64 limit: the order-4 gains overflow it.
@@ -292,7 +294,8 @@ def test_transform_overflowing_gains_exit_4_before_writing(tmp_path, capsys, com
         [command, "--csv", str(csv_path), "--levels", "3", "--order", "4", "--out", str(out)]
     )
     assert rc == 4
-    assert "non-finite coefficients" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "non-finite coefficients" in err
     assert not (out / "coefficients.csv").exists()
     assert not (out / "scalogram.csv").exists()
 
@@ -551,6 +554,16 @@ def test_unknown_split_key_exits_2(tmp_path, series_csv, capsys):
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "unknown data.split keys: fraction" in capsys.readouterr().err
+
+
+def test_split_given_as_a_bare_kind_exits_2(tmp_path, series_csv, capsys):
+    # A split is always an object, {"kind": "ett_hourly"}, never the name alone.
+    cfg = write_run_config(tmp_path / "run.json", series_csv, data={"split": "ett_hourly"})
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error: config section data.split must be a JSON object" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -936,7 +949,7 @@ def test_eval_writes_metrics_file(tmp_path, run_config, capsys):
     assert "mse=" in text
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_eval_nonfinite_forecast_exits_4(tmp_path, run_config, capsys):
     # A valid checkpoint whose projection weights are 1e300: forecasts
     # overflow, and eval must fail instead of writing mse=inf.
@@ -949,7 +962,7 @@ def test_eval_nonfinite_forecast_exits_4(tmp_path, run_config, capsys):
     rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e")])
     err = capsys.readouterr().err
     assert rc == 4
-    assert "non-finite" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "non-finite" in err
     assert not (tmp_path / "e" / "metrics.txt").exists()
 
 
@@ -1340,7 +1353,7 @@ def test_gradcheck_report_file(tmp_path, capsys):
 # numerical failure
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_train_nonfinite_loss_exits_4(tmp_path, series_csv, capsys):
     cfg = write_run_config(
         tmp_path / "hot.json",
@@ -1348,5 +1361,6 @@ def test_train_nonfinite_loss_exits_4(tmp_path, series_csv, capsys):
         train={"learning_rate": 1e200, "max_epochs": 3, "patience": 3},
     )
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
     assert rc == 4
-    assert "non-finite" in capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "non-finite" in err

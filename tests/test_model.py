@@ -9,7 +9,6 @@ from wavets.model import (
     CHECKPOINT_VERSION,
     ModelConfig,
     _normalize_rows,
-    affine_apply,
     band_maps,
     forward_batch,
     init_params,
@@ -123,27 +122,6 @@ class TestInstanceDenormalize:
         out = denormalized(xs, 4, 1.0)
         np.testing.assert_array_equal(out[0, :, 0], np.full(6, 3.0))
         np.testing.assert_array_equal(out[0, :, 1], np.full(6, 2.0))
-
-
-class TestFruApply:
-    # The band maps run as affine_apply on (B, C, m) stacks of bands.
-    def test_zero_map(self):
-        out = affine_apply(np.array([[[1.0, 2.0]], [[3.0, 4.0]]]), np.zeros((2, 3)), np.zeros(3))
-        np.testing.assert_array_equal(out, np.zeros((2, 1, 3)))
-
-    def test_identity_block_selection(self):
-        out = affine_apply(np.array([[[1.0, 2.0], [5.0, 6.0]]]), np.eye(2, 3), np.zeros(3))
-        np.testing.assert_array_equal(out, [[[1.0, 2.0, 0.0], [5.0, 6.0, 0.0]]])
-
-    def test_hand_product(self):
-        weight = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
-        bias = np.array([0.0, 0.0, 1.0])
-        out = affine_apply(np.array([[[1.0, 1.0]], [[2.0, 0.0]]]), weight, bias)
-        np.testing.assert_array_equal(out, [[[1.0, 1.0, 1.0]], [[1.0, 1.0, 1.0]]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DataError):
-            affine_apply(np.ones((2, 1, 3)), np.eye(2, 3), np.zeros(3))
 
 
 class TestConfigValidation:
