@@ -92,6 +92,22 @@ def haar_synthesis(
     return out
 
 
+def affine_apply_slices(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """x @ weight + bias, one (window, channel) slice at a time.
+
+    Each output entry is the explicit sum over input positions, so the
+    reference shares no reshape or batched product with the package.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    m_in, m_out = weight.shape
+    out = np.empty(x.shape[:-1] + (m_out,))
+    for idx in np.ndindex(x.shape[:-1]):
+        vec = x[idx]
+        for j in range(m_out):
+            out[idx + (j,)] = sum(vec[k] * weight[k, j] for k in range(m_in)) + bias[j]
+    return out
+
+
 def affine_grads_slices(
     inp: np.ndarray, gout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -105,6 +121,19 @@ def affine_grads_slices(
         dweight += np.outer(inp[idx], gout[idx])
         dbias += gout[idx]
     return dweight, dbias
+
+
+def affine_input_grad_slices(weight: np.ndarray, gout: np.ndarray) -> np.ndarray:
+    """Gradient of sum(gout * (x @ W + b)) in x, one slice at a time:
+    d x[k] = sum_j W[k, j] * gout[j]."""
+    gout = np.asarray(gout, dtype=np.float64)
+    m_in, m_out = weight.shape
+    out = np.empty(gout.shape[:-1] + (m_in,))
+    for idx in np.ndindex(gout.shape[:-1]):
+        vec = gout[idx]
+        for k in range(m_in):
+            out[idx + (k,)] = sum(weight[k, j] * vec[j] for j in range(m_out))
+    return out
 
 
 def blocks_by_name(params: np.ndarray, config) -> dict:
