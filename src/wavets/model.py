@@ -28,8 +28,9 @@ the forward's single branch axis on (R, L+tau) output gradients: the
 projection's input gradient dproj @ weight.T, one adjoint synthesis over
 all branches, and per map the weight gradient inp.T @ gout (the sum over
 rows is the GEMM's inner dimension) and the bias gradient
-gout.sum(axis=0), written whole into the block, a band's bias gradient
-scaled like its bias. The adjoint of the orthonormal inverse wavelet
+gout.sum(axis=0), each written by its GEMM or sum straight into the
+block's view of the gradient vector, a band's bias gradient then scaled
+like its bias. The adjoint of the orthonormal inverse wavelet
 cascade is the forward analysis cascade (_analyse); the adjoint of the
 inverse real FFT is a forward real FFT with half-spectrum bin weighting
 (interior bins carry factor 2/M, the DC bin 1/M, and for even M the
@@ -238,12 +239,12 @@ def _normalized_map_adjoint(
         cache["bands_in"], band_grads, blocks, bias_scales(config)
     ):
         gout = gout.reshape(len(inp), -1)
-        weight[...] = inp.T @ gout
-        bias[...] = gout.sum(axis=0)
+        np.matmul(inp.T, gout, out=weight)
+        np.sum(gout, axis=0, out=bias)
         bias *= scale
     _, weight, bias = blocks[-1]
-    weight[...] = cache["zcat"].T @ dproj
-    bias[...] = dproj.sum(axis=0)
+    np.matmul(cache["zcat"].T, dproj, out=weight)
+    np.sum(dproj, axis=0, out=bias)
     return grads
 
 

@@ -34,6 +34,11 @@ from .model import (
     validate_params,
 )
 
+# Elements per block of adam_step: a block of each of the four vectors and
+# the two work buffers take 6 * 128 KiB, inside a per-core L2 cache of
+# 1 MiB or more.
+ADAM_BLOCK = 16384
+
 
 def gradient_batch(
     params: np.ndarray,
@@ -45,12 +50,16 @@ def gradient_batch(
     total = config.lookback + config.horizon
     spans = check_windows(spans, config, total)
     out, cache = forward_batch(spans[:, : config.lookback], params, config, want_cache=True)
-    # In the (B, C, L+tau) layout the model computed, so its rows are
-    # dproj's channel rows.
-    residual = out.transpose(0, 2, 1) - spans.transpose(0, 2, 1)
-    loss = float(np.mean(residual**2))
-    # Denormalization multiplies each channel row by its std; mean adds nothing.
-    dproj = (2.0 / residual.size) * residual.reshape(-1, total) * cache["std"]
+    # In the (B, C, L+tau) layout the model computed, written over the
+    # model's fresh output, so its rows are dproj's channel rows.
+    residual = out.transpose(0, 2, 1)
+    residual -= spans.transpose(0, 2, 1)
+    loss = float(np.mean(np.square(residual)))
+    # Denormalization multiplies each channel row by its std; mean adds
+    # nothing. dproj is the residual, scaled in place.
+    dproj = residual.reshape(-1, total)
+    dproj *= 2.0 / residual.size
+    dproj *= cache["std"]
     return _normalized_map_adjoint(dproj, cache, params, config), loss
 
 
@@ -76,20 +85,41 @@ def adam_step(
     """One bias-corrected Adam update of params and the moment vectors m and
     v, in place; t is the 1-based step index.
 
-    Each element sees the textbook operation order, b1 * m + (1 - b1) * g
-    and so on, so the update is the same to the bit however the vectors
-    are blocked.
+    The vectors are walked in ADAM_BLOCK-element blocks, and the update of
+    a block runs in place through two block-sized work buffers, so no
+    full-length temporary is built and each block is read while it is in
+    cache. Each element sees the textbook operations in the textbook
+    order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2, then
+    p -= lr * (m/c1) / (sqrt(v/c2) + eps) with c1 = 1 - b1**t and
+    c2 = 1 - b2**t, so the update is the same to the bit as the
+    whole-vector expressions.
     """
     if t < 1:
         raise ConfigError(f"step index must be >= 1, got {t}")
     b1, b2 = config.adam_beta1, config.adam_beta2
-    m *= b1
-    m += (1.0 - b1) * grads
-    v *= b2
-    v += (1.0 - b2) * grads**2
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    lr, eps = config.learning_rate, config.adam_epsilon
+    work_a = np.empty(min(ADAM_BLOCK, params.size))
+    work_b = np.empty_like(work_a)
+    for lo in range(0, params.size, ADAM_BLOCK):
+        p, g = params[lo : lo + ADAM_BLOCK], grads[lo : lo + ADAM_BLOCK]
+        m_blk, v_blk = m[lo : lo + ADAM_BLOCK], v[lo : lo + ADAM_BLOCK]
+        a, b = work_a[: len(p)], work_b[: len(p)]
+        m_blk *= b1
+        np.multiply(g, 1.0 - b1, out=a)
+        m_blk += a
+        v_blk *= b2
+        np.square(g, out=a)
+        a *= 1.0 - b2
+        v_blk += a
+        # a = lr * m_hat, b = sqrt(v_hat) + eps.
+        np.divide(m_blk, c1, out=a)
+        a *= lr
+        np.divide(v_blk, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p -= a
 
 
 @dataclass
@@ -123,11 +153,22 @@ class TrainHistory:
 
 def evaluate_loss(params: np.ndarray, spans: np.ndarray, config: ModelConfig) -> float:
     """Window-mean joint loss over (W, L+tau, C) window spans, with the
-    squared error summed chunk by chunk (model.operator_chunks)."""
+    squared error summed chunk by chunk (model.operator_chunks).
+
+    Each chunk's error is formed in the operator's (B, C, L+tau)
+    channel-row layout: the span's channel rows are subtracted from the
+    fresh output in place, and the difference is squared in place. The
+    sum reads a window-major (B, L+tau, C) copy: a pairwise sum's bits
+    depend on the order it reads, and summing in channel-row order would
+    move the last digit of some validation losses.
+    """
     spans = check_windows(spans, config, config.lookback + config.horizon)
     total_sq = 0.0
     for part, out in operator_chunks(params, spans, config):
-        total_sq += float(np.sum((out - part) ** 2))
+        residual = out.transpose(0, 2, 1)
+        residual -= part.transpose(0, 2, 1)
+        np.square(residual, out=residual)
+        total_sq += float(np.sum(np.ascontiguousarray(out)))
     return total_sq / spans.size
 
 

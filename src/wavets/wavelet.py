@@ -62,33 +62,60 @@ def make_filterbank(name: str) -> FilterBank:
     )
 
 
+def _time_length(signal: np.ndarray) -> int:
+    """The length of the last (time) axis; DataError for a 0-d array,
+    which has none."""
+    if signal.ndim == 0:
+        raise DataError("a scalar has no time axis: expected an array shaped (..., T)")
+    return signal.shape[-1]
+
+
 def dwt_level(signal: np.ndarray, fb: FilterBank) -> tuple[np.ndarray, np.ndarray]:
     """One analysis level: split (..., T) into approx and detail of length T/2.
 
     approx_j = sum_i dec_lo[i] * signal[2j+i], detail_j likewise with dec_hi.
+    Every supported bank is Haar, dec_lo = (c, c) and dec_hi = (c, -c), so
+    each sample is multiplied by the one tap c once, and the level is the
+    sum and the difference of the even and odd products. Negation is
+    exact, so these are c*even + c*odd and c*even + (-c)*odd to the bit,
+    with no fused multiply-add. Besides its two outputs the level holds
+    one half-length temporary.
     """
     signal = np.asarray(signal, dtype=np.float64)
-    n = signal.shape[-1]
+    n = _time_length(signal)
     if n < 2 or n % 2 != 0:
         raise DataError(f"signal length {n} must be even and >= 2")
-    even = signal[..., 0::2]
-    odd = signal[..., 1::2]
-    approx = fb.dec_lo[0] * even + fb.dec_lo[1] * odd
-    detail = fb.dec_hi[0] * even + fb.dec_hi[1] * odd
-    return approx, detail
+    c = fb.dec_lo[0]
+    even = c * signal[..., 0::2]
+    odd = c * signal[..., 1::2]
+    approx = even + odd
+    # The detail overwrites the even products, which approx has read.
+    return approx, np.subtract(even, odd, out=even)
 
 
 def idwt_level(approx: np.ndarray, detail: np.ndarray, fb: FilterBank) -> np.ndarray:
-    """Exact inverse of dwt_level; interleaves back to length 2*len(approx)."""
+    """Exact inverse of dwt_level; interleaves back to length 2*len(approx).
+
+    out[2j] = rec_lo[0]*a_j + rec_hi[0]*d_j and out[2j+1] likewise with the
+    second taps. With the Haar tap c that is c*a + c*d and c*a - c*d: c*a
+    goes straight into the even slots and c*d into one half-length
+    temporary, the odd slots take their difference, and then the even
+    slots add c*d in place.
+    """
     approx = np.asarray(approx, dtype=np.float64)
     detail = np.asarray(detail, dtype=np.float64)
     if approx.shape != detail.shape:
         raise DataError(
             f"approx/detail shape mismatch: {approx.shape} vs {detail.shape}"
         )
-    out = np.empty(approx.shape[:-1] + (2 * approx.shape[-1],), dtype=np.float64)
-    out[..., 0::2] = fb.rec_lo[0] * approx + fb.rec_hi[0] * detail
-    out[..., 1::2] = fb.rec_lo[1] * approx + fb.rec_hi[1] * detail
+    n = _time_length(approx)
+    c = fb.rec_lo[0]
+    out = np.empty(approx.shape[:-1] + (2 * n,), dtype=np.float64)
+    even, odd = out[..., 0::2], out[..., 1::2]
+    np.multiply(approx, c, out=even)
+    scaled_detail = c * detail
+    np.subtract(even, scaled_detail, out=odd)
+    even += scaled_detail
     return out
 
 
@@ -103,10 +130,15 @@ def dwt_multi(signal: np.ndarray, fb: FilterBank, levels: int) -> list[np.ndarra
     signal = np.asarray(signal, dtype=np.float64)
     if levels < 1:
         raise DataError(f"level count must be >= 1, got {levels}")
-    n = signal.shape[-1]
+    n = _time_length(signal)
     run = n
     for lv in range(1, levels + 1):
-        if run < 2 or run % 2 != 0:
+        if run < 2:
+            raise DataError(
+                f"signal length {n} is too short: level {lv} of {levels} "
+                f"would split a length {run} < 2"
+            )
+        if run % 2 != 0:
             raise DataError(
                 f"length {n} not divisible by 2^{levels}: "
                 f"level {lv} would split an odd length {run}"

@@ -8,6 +8,11 @@ position j is the inner product of the signal with a row that is
 on the second half; the approximation row at depth K is the constant
 2^(-K/2) on its block of length 2^K.
 
+The single Haar levels and the Adam update are written as the textbook
+states them: each level output as the two-tap sum dec_lo[0]*even +
+dec_lo[1]*odd (and its twins), and Adam as whole-vector expressions. The
+package computes both in other steps that must give the same bits.
+
 The short-horizon suite's loop is written from the displayed formulas
 too: one series at a time, each with its own seasonal-naive reference.
 
@@ -90,6 +95,36 @@ def haar_synthesis(
     for lv, det in enumerate(details, start=1):
         out = out + haar_detail_rows(t, lv).T @ det
     return out
+
+
+def haar_level(signal: np.ndarray, fb) -> tuple[np.ndarray, np.ndarray]:
+    """One analysis level as the two-tap sums of the textbook:
+    dec_lo[0]*even + dec_lo[1]*odd and dec_hi[0]*even + dec_hi[1]*odd."""
+    even, odd = signal[..., 0::2], signal[..., 1::2]
+    approx = fb.dec_lo[0] * even + fb.dec_lo[1] * odd
+    detail = fb.dec_hi[0] * even + fb.dec_hi[1] * odd
+    return approx, detail
+
+
+def haar_level_inverse(approx: np.ndarray, detail: np.ndarray, fb) -> np.ndarray:
+    """One synthesis level as the two-tap sums of the textbook, interleaved:
+    out[2j+i] = rec_lo[i]*approx[j] + rec_hi[i]*detail[j]."""
+    out = np.empty(approx.shape[:-1] + (2 * approx.shape[-1],))
+    out[..., 0::2] = fb.rec_lo[0] * approx + fb.rec_hi[0] * detail
+    out[..., 1::2] = fb.rec_lo[1] * approx + fb.rec_hi[1] * detail
+    return out
+
+
+def adam_step(params, grads, m, v, t: int, config):
+    """The bias-corrected Adam update (Kingma & Ba, 2015) as whole-vector
+    expressions; returns new (params, m, v) and writes nothing."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    m = b1 * m + (1.0 - b1) * grads
+    v = b2 * v + (1.0 - b2) * grads**2
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+    return params, m, v
 
 
 def affine_apply_slices(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:

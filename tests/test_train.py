@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference
 import wavets.model
 from wavets import ConfigError, DataError, NumericalError
 from wavets.model import (
@@ -13,6 +14,7 @@ from wavets.model import (
     param_count,
 )
 from wavets.train import (
+    ADAM_BLOCK,
     TrainConfig,
     adam_step,
     clip_gradients,
@@ -242,22 +244,40 @@ class TestAdamStep:
         # element, bit for bit, moments included.
         cfg = tiny_config()
         tc = TrainConfig(learning_rate=1e-2)
-        b1, b2, eps, lr = tc.adam_beta1, tc.adam_beta2, tc.adam_epsilon, tc.learning_rate
         start = init_params(cfg, 9)
         params, m, v = fresh_adam(start)
         want_p, want_m, want_v = fresh_adam(start)
         for t, seed in ((1, 1), (2, 2)):
             grads = gradients(params, seeded_spans(cfg, 2, seed), cfg)
             adam_step(params, grads, m, v, t, tc)
-            want_m = b1 * want_m + (1.0 - b1) * grads
-            want_v = b2 * want_v + (1.0 - b2) * grads**2
-            m_hat = want_m / (1.0 - b1**t)
-            v_hat = want_v / (1.0 - b2**t)
-            want_p = want_p - lr * m_hat / (np.sqrt(v_hat) + eps)
+            want_p, want_m, want_v = reference.adam_step(want_p, grads, want_m, want_v, t, tc)
             assert np.array_equal(m, want_m)
             assert np.array_equal(v, want_v)
             assert np.array_equal(params, want_p)
         assert not np.array_equal(params, start)
+
+    @pytest.mark.parametrize(
+        "size", [1, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1, 474336]
+    )
+    def test_blocks_match_textbook_bits(self, size):
+        # The blocked in-place update against the whole-vector expressions,
+        # as uint64 bit patterns, at lengths around one block and at the
+        # ETTh1 parameter count (474336, which ends in a partial block).
+        # Gradients span 16 decades, with zeros and +-1e-8, +-1e8 mixed in.
+        gen = np.random.default_rng(size)
+        tc = TrainConfig(learning_rate=5e-4)
+        params, m, v = fresh_adam(gen.normal(size=size))
+        want_p, want_m, want_v = fresh_adam(params)
+        specials = np.array([0.0, 1e-8, -1e-8, 1e8, -1e8])
+        for t in range(1, 7):
+            grads = gen.normal(size=size) * 10.0 ** gen.integers(-8, 9, size=size)
+            grads[gen.random(size) < 0.1] = 0.0
+            picks = gen.integers(0, size, size=min(size, 64))
+            grads[picks] = gen.choice(specials, size=len(picks))
+            adam_step(params, grads, m, v, t, tc)
+            want_p, want_m, want_v = reference.adam_step(want_p, grads, want_m, want_v, t, tc)
+            for got, want in ((params, want_p), (m, want_m), (v, want_v)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_bad_step_index(self):
         cfg = tiny_config()

@@ -187,3 +187,60 @@ class TestIdwtMulti:
                 x = rng.normal(size=t)
                 err = np.max(np.abs(idwt_multi(dwt_multi(x, fb, k), fb) - x))
                 assert err < 1e-9
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestLevelBits:
+    # The one-multiply levels against the textbook two-tap sums
+    # (reference.haar_level), bit for bit: 1-D, (B, C, T) channel rows,
+    # (B, N, T) branch rows, and transform_long's 160000-sample series.
+    SHAPES = [(64,), (3, 7, 336), (3, 2, 432), (160000,)]
+
+    @staticmethod
+    def mixed(rng, shape):
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_dwt_level(self, fb, rng, shape):
+        x = self.mixed(rng, shape)
+        for got, want in zip(dwt_level(x, fb), reference.haar_level(x, fb)):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_idwt_level(self, fb, rng, shape):
+        half = shape[:-1] + (shape[-1] // 2,)
+        approx, detail = self.mixed(rng, half), self.mixed(rng, half)
+        want = reference.haar_level_inverse(approx, detail, fb)
+        assert same_bits(idwt_level(approx, detail, fb), want)
+
+    def test_transposed_views(self, fb, rng):
+        # Non-contiguous inputs: time runs along the slowest axis in memory.
+        x = self.mixed(rng, (32, 7, 5)).transpose(2, 1, 0)
+        for got, want in zip(dwt_level(x, fb), reference.haar_level(x, fb)):
+            assert same_bits(got, want)
+        approx = self.mixed(rng, (16, 7, 5)).transpose(2, 1, 0)
+        detail = self.mixed(rng, (16, 7, 5)).transpose(2, 1, 0)
+        want = reference.haar_level_inverse(approx, detail, fb)
+        assert same_bits(idwt_level(approx, detail, fb), want)
+
+
+class TestScalarAndEmptyInput:
+    def test_scalar_rejected(self, fb):
+        # A 0-d array has no time axis to split or interleave.
+        with pytest.raises(DataError, match="no time axis"):
+            dwt_level(3.0, fb)
+        with pytest.raises(DataError, match="no time axis"):
+            dwt_multi(np.float64(3.0), fb, 1)
+        with pytest.raises(DataError, match="no time axis"):
+            idwt_level(1.0, 2.0, fb)
+
+    def test_empty_signal_too_short(self, fb):
+        with pytest.raises(DataError, match="too short: level 1 of 1"):
+            dwt_multi(np.zeros(0), fb, 1)
+
+    def test_short_signal_names_level(self, fb):
+        with pytest.raises(DataError, match="too short: level 3 of 3"):
+            dwt_multi(np.zeros(4), fb, 3)
