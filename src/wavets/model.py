@@ -14,27 +14,25 @@ separate affine maps on the real and imaginary parts).
 The derivative gains are signed powers of two, so multiplying a detail
 band by g, mapping it and dividing by g again is exact and leaves only
 the bias scaled by 1/g (bias_scales). Every branch therefore reads the
-same coefficients: forward_batch analyses the batch once, applies each
-band's N branch maps as one map, and synthesises once over a branch
-axis. That map is the band's parameter block as stored: band_maps hands
-out its weight as a view and scales only its bias.
+same coefficients: each band's N branch maps are one map, the band's
+parameter block as stored: band_maps hands out its weight as a view and
+scales only its bias.
 
 This module owns the branch path in both directions, on 2-D channel
 rows: _normalized_map takes (R, L) normalized rows, one per channel of
-each window, and returns (R, L+tau). Each learned map is one GEMM,
-rows @ weight, then += bias. Everything is affine in the parameters, so
-gradients are exact closed forms, and _normalized_map_adjoint mirrors
-the forward's single branch axis on (R, L+tau) output gradients: the
-projection's input gradient dproj @ weight.T, one adjoint synthesis over
-all branches, and per map the weight gradient inp.T @ gout (the sum over
-rows is the GEMM's inner dimension) and the bias gradient
-gout.sum(axis=0), each written by its GEMM or sum straight into the
-block's view of the gradient vector, a band's bias gradient then scaled
-like its bias. The adjoint of the orthonormal inverse wavelet
-cascade is the forward analysis cascade (_analyse); the adjoint of the
-inverse real FFT is a forward real FFT with half-spectrum bin weighting
-(interior bins carry factor 2/M, the DC bin 1/M, and for even M the
-Nyquist bin 1/M with a dead imaginary part).
+each window, and returns (R, L+tau). The band maps, the synthesis and
+the projection are all linear, so _normalized_map carries the projection
+back through the synthesis (_synthesis_adjoint) and applies the band
+maps and the projection as one band-domain operator to the analysed
+rows, and _normalized_map_adjoint runs the same factoring back from
+(R, L+tau) output gradients. No row is synthesised: a step costs two
+(L, L+tau) products per channel row plus a fixed cost in the size of the
+parameters, so at the ETTh1 shape it beats synthesising every row from
+about 40 windows of 7 channels up and loses below. The adjoint of the
+orthonormal Haar synthesis is the analysis cascade (_analyse); the
+adjoint of the inverse real FFT is a forward real FFT with half-spectrum
+bin weighting (_irfft_adjoint: interior bins carry factor 2/M, the DC
+bin 1/M, and for even M the Nyquist bin 1/M with a dead imaginary part).
 
 Everything between the instance normalization and the denormalization is
 affine in the input too, so for fixed parameters the model is one
@@ -190,33 +188,65 @@ def _analyse(rows: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
     return dwt_multi(rows, _HAAR, config.levels)
 
 
+def _synthesise(bands: list[np.ndarray], config: ModelConfig) -> np.ndarray:
+    """The inverse of _analyse at length L+tau: the Haar synthesis
+    cascade, or the inverse real FFT of real + i*imag."""
+    if config.transform_kind == "dft":
+        # In place: one complex array, not two.
+        spectrum = bands[1] * 1j
+        spectrum += bands[0]
+        return np.fft.irfft(spectrum, n=config.lookback + config.horizon, axis=-1)
+    return idwt_multi(bands, _HAAR)
+
+
+def _synthesis_adjoint(z: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
+    """The adjoint of _synthesise on (..., L+tau) rows, band by band: the
+    analysis cascade (the Haar synthesis is orthonormal), or the weighted
+    forward real FFT of _irfft_adjoint."""
+    if config.transform_kind == "dft":
+        return list(_irfft_adjoint(z, config.lookback + config.horizon))
+    return _analyse(z, config)
+
+
+def _augmented_maps(params: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
+    """Each band's map as one (m_in+1, N*m_out) matrix, its band_maps
+    weight with the scaled bias as a last row, so that a band row x maps
+    to [x, 1] @ it."""
+    return [np.vstack([weight, bias]) for weight, bias in band_maps(params, config)]
+
+
 def _normalized_map(
     rows: np.ndarray, params: np.ndarray, config: ModelConfig
 ) -> tuple[np.ndarray, dict]:
     """The model between the normalization and the denormalization: the
     branch path and the projection on (R, L) normalized channel rows,
-    giving (R, L+tau) and the intermediates _normalized_map_adjoint needs."""
+    giving (R, L+tau) and the intermediates _normalized_map_adjoint needs.
+
+    The synthesis and the projection are linear, so the projection is
+    carried back through the synthesis: q_k, the synthesis adjoint of the
+    projection weight's columns, is band k's (L+tau, N*m_out) projection.
+    Band k then reaches the output through V_k = W_k @ q_k.T and its
+    scaled bias through c_k = b_k @ q_k.T, so the whole map is one GEMM,
+    xb @ V + p, on the bands side by side, each followed by a ones column
+    (xb), and V, each band's [V_k; c_k] stacked: the band-domain
+    operator."""
     total = config.lookback + config.horizon
-    bands_in = _analyse(rows, config)
-    bands_out = []
-    for (weight, bias), band in zip(band_maps(params, config), bands_in):
-        out = band @ weight
-        out += bias
-        # (R, N*m_out) -> (R, N, m_out): synthesis runs over the branch axis.
-        bands_out.append(out.reshape(len(rows), config.branches, -1))
-    if config.transform_kind == "dft":
-        # In place: one complex array of all branches' spectra, not two.
-        spectrum = bands_out[1] * 1j
-        spectrum += bands_out[0]
-        z = np.fft.irfft(spectrum, n=total, axis=-1)
-    else:
-        z = idwt_multi(bands_out, _HAAR)
-    # Branch n's output occupies columns [n*total, (n+1)*total).
-    zcat = z.reshape(len(rows), -1)
     _, proj_weight, proj_bias = param_blocks(params, config)[-1]
-    proj = zcat @ proj_weight
+    # Output column j's projection weights as N branch series of length L+tau.
+    qs = [
+        q.reshape(total, -1)
+        for q in _synthesis_adjoint(proj_weight.T.reshape(total, config.branches, total), config)
+    ]
+    ones = np.ones((len(rows), 1))
+    xb = np.concatenate([x for band in _analyse(rows, config) for x in (band, ones)], axis=1)
+    operator = np.empty((xb.shape[1], total))
+    lo = 0
+    for aug, q in zip(_augmented_maps(params, config), qs):
+        np.matmul(aug, q.T, out=operator[lo : lo + len(aug)])
+        lo += len(aug)
+    proj = xb @ operator
     proj += proj_bias
-    return proj, {"zcat": zcat, "bands_in": bands_in}
+    return proj, {"xb": xb, "q": qs}
 
 
 def _normalized_map_adjoint(
@@ -224,27 +254,34 @@ def _normalized_map_adjoint(
 ) -> np.ndarray:
     """Adjoint of _normalized_map in its parameters: the gradient vector of
     sum(dproj * output) for the forward that filled cache, where dproj has
-    the output's (R, L+tau) shape. Each band's block takes its map's
-    gradients whole, the bias gradient times bias_scales."""
+    the output's (R, L+tau) shape.
+
+    The band-domain operator's gradient is G = xb.T @ dproj; band k's rows
+    of it are [G_k; s], s = dproj.sum(axis=0) coming from the ones column.
+    They give band k's block whole, [G_k; s] @ q_k, the bias row then
+    scaled like its bias, and q_k's gradient [G_k; s].T @ [W_k; b_k]. The
+    projection's weight gradient is the synthesis of the q_k gradients,
+    its bias gradient s. cache is emptied as it is read, so the forward's
+    intermediates are freed before that synthesis."""
     total = config.lookback + config.horizon
-    _, proj_weight, _ = param_blocks(params, config)[-1]
-    dz = (dproj @ proj_weight.T).reshape(len(dproj), config.branches, total)
-    if config.transform_kind == "dft":
-        band_grads = _irfft_adjoint(dz, total)
-    else:
-        band_grads = _analyse(dz, config)
+    gv = cache.pop("xb").T @ dproj
+    qs = cache.pop("q")
     grads = np.empty_like(params)
-    blocks = param_blocks(grads, config)
-    for inp, gout, (_, weight, bias), scale in zip(
-        cache["bands_in"], band_grads, blocks, bias_scales(config)
+    dqs, lo = [], 0
+    for (_, offset, (m_in, m_out)), aug, scale in zip(
+        param_layout(config), _augmented_maps(params, config), bias_scales(config)
     ):
-        gout = gout.reshape(len(inp), -1)
-        np.matmul(inp.T, gout, out=weight)
-        np.sum(gout, axis=0, out=bias)
-        bias *= scale
-    _, weight, bias = blocks[-1]
-    np.matmul(cache["zcat"].T, dproj, out=weight)
-    np.sum(dproj, axis=0, out=bias)
+        g = gv[lo : lo + m_in + 1]
+        lo += m_in + 1
+        # The block's weight then bias: [G_k; s] @ q_k in one product.
+        block = grads[offset : offset + (m_in + 1) * m_out].reshape(m_in + 1, m_out)
+        np.matmul(g, qs.pop(0), out=block)
+        block[-1] *= scale
+        dqs.append((g.T @ aug).reshape(total, config.branches, -1))
+    # The projection weight's rows are the synthesised columns of dq.
+    _, proj_weight, proj_bias = param_blocks(grads, config)[-1]
+    proj_weight[...] = _synthesise(dqs, config).reshape(total, -1).T
+    np.sum(dproj, axis=0, out=proj_bias)
     return grads
 
 

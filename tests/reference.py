@@ -16,14 +16,21 @@ package computes both in other steps that must give the same bits.
 The short-horizon suite's loop is written from the displayed formulas
 too: one series at a time, each with its own seasonal-naive reference.
 
+The band-domain operator and its gradients are built from dense basis
+matrices the same way: the Haar rows above, and the real DFT and
+inverse-real-FFT bases written out as cosines and sines. They read the
+maps one branch at a time, as the per-branch forecaster below does, and
+sum the operator's gradient one (window, channel) slice at a time.
+
 The per-branch forecaster and the chunked forward loops at the end are
 the exceptions. The chunked loops run model.forward_batch on each chunk
 of windows: the uncompiled model that cli.forecast_predictions and
 train.evaluate_loss, which apply the compiled operator, are compared
 with. The per-branch forecaster calls the package's transforms to run
 the model as the paper states it, one branch at a time with the
-derivative gains applied and divided back out, so the single-branch-axis
-model can be compared with it bit for bit. It reads the band blocks by
+derivative gains applied and divided back out, synthesis then
+projection, so the band-domain model can be compared with it (to 1e-12
+relative: the two sum their products in different orders). It reads the band blocks by
 name through model.param_blocks and takes branch n's map as columns
 [n*m_out, (n+1)*m_out) of each. It writes its own maps and their
 weight and bias gradients on channel rows. Its subject is the branch
@@ -158,19 +165,6 @@ def affine_grads_slices(
     return dweight, dbias
 
 
-def affine_input_grad_slices(weight: np.ndarray, gout: np.ndarray) -> np.ndarray:
-    """Gradient of sum(gout * (x @ W + b)) in x, one slice at a time:
-    d x[k] = sum_j W[k, j] * gout[j]."""
-    gout = np.asarray(gout, dtype=np.float64)
-    m_in, m_out = weight.shape
-    out = np.empty(gout.shape[:-1] + (m_in,))
-    for idx in np.ndindex(gout.shape[:-1]):
-        vec = gout[idx]
-        for k in range(m_in):
-            out[idx + (k,)] = sum(weight[k, j] * vec[j] for j in range(m_out))
-    return out
-
-
 def blocks_by_name(params: np.ndarray, config) -> dict:
     """{name: (weight view, bias view)} of a parameter-shaped vector."""
     return {name: (w, b) for name, w, b in param_blocks(params, config)}
@@ -262,6 +256,122 @@ def per_branch_gradients(params: np.ndarray, spans, config):
             for wb, inp, g, gain in zip(maps, bands, dwt_multi(dz, fb, config.levels), gains):
                 store(wb, inp, g / gain)
     return grads, float(np.mean(residual**2))
+
+
+def band_matrices(t: int, config, synthesis: bool) -> list[np.ndarray]:
+    """Per band, in the order the package reads the bands, the (m, t)
+    matrix of its basis rows for length-t series.
+
+    Wavelet kinds: the Haar rows, approximation at depth K then detail
+    levels 1..K; the cascade is orthonormal, so the same rows analyse
+    (band = row @ x) and synthesise (x = sum of band @ rows). dft analysis
+    rows are the real and imaginary parts of the forward DFT, cos and
+    -sin at bins 0..t//2. dft synthesis rows are what the inverse real FFT
+    makes of a unit real or imaginary coefficient at bin j:
+    w_j/t * cos and -w_j/t * sin, with w_j = 1 at DC and at an even t's
+    Nyquist bin, 2 elsewhere; the imaginary part of those two bins is
+    dropped, so their rows are zero.
+    """
+    if config.transform_kind != "dft":
+        return [haar_approx_rows(t, config.levels)] + [
+            haar_detail_rows(t, lv) for lv in range(1, config.levels + 1)
+        ]
+    bins = np.arange(t // 2 + 1)[:, None]
+    angle = 2.0 * np.pi * bins * np.arange(t)[None, :] / t
+    if not synthesis:
+        return [np.cos(angle), -np.sin(angle)]
+    weight = np.full((len(bins), 1), 2.0 / t)
+    weight[0] = 1.0 / t
+    imag = -weight * np.sin(angle)
+    imag[0] = 0.0
+    if t % 2 == 0:
+        weight[-1] = 1.0 / t
+        imag[-1] = 0.0
+    return [weight * np.cos(angle), imag]
+
+
+def band_bias_factors(config) -> list[list[float]]:
+    """Per band, per branch, the factor on the branch's bias inside its
+    map: 1 / g_n(l) on a wdt detail band of level l, else 1."""
+    orders = config.effective_orders()
+    if config.transform_kind == "dft":
+        return [[1.0] * len(orders)] * 2
+    gains = [[1.0] + level_gains(config.levels, order) for order in orders]
+    return [[1.0 / g[k] for g in gains] for k in range(config.levels + 1)]
+
+
+def band_domain_operator(params: np.ndarray, config) -> dict:
+    """The branch path and the projection as one affine map on (R, L)
+    normalized rows, built from dense basis matrices one branch at a
+    time: rows @ analysis.T @ operator + offset.
+
+    Branch n's output series is the sum over bands k of its mapped band
+    times S_k (band_matrices, synthesis), and the projection multiplies it
+    by P_n, the branch's (L+tau, L+tau) rows of the projection weight. So
+    band k and branch n meet the projection as q[k][n] = S_k @ P_n, its
+    map contributes W_kn @ q[k][n] to the operator and its scaled bias
+    b_kn @ q[k][n] to the offset. Returns the analysis matrix (the bands'
+    analysis rows stacked), the operator, the offset, q and the per-band,
+    per-branch maps with their scaled biases.
+    """
+    total = config.lookback + config.horizon
+    blocks = blocks_by_name(params, config)
+    proj_weight, proj_bias = blocks["projection"]
+    analysis = np.vstack(band_matrices(config.lookback, config, synthesis=False))
+    synthesis = band_matrices(total, config, synthesis=True)
+    branches = range(config.branches)
+    maps = [branch_maps(blocks, config, n) for n in branches]
+    factors = band_bias_factors(config)
+    q = [
+        [s_k @ proj_weight[n * total : (n + 1) * total] for n in branches]
+        for s_k in synthesis
+    ]
+    # Per band, per branch: the map's weight and its scaled bias.
+    scaled = [
+        [(maps[n][k][0], maps[n][k][1] * factors[k][n]) for n in branches]
+        for k in range(len(synthesis))
+    ]
+    operator = np.vstack(
+        [sum(w @ q_kn for (w, _), q_kn in zip(scaled[k], q[k])) for k in range(len(q))]
+    )
+    offset = proj_bias + sum(
+        b @ q_kn for k in range(len(q)) for (_, b), q_kn in zip(scaled[k], q[k])
+    )
+    return {
+        "analysis": analysis, "operator": operator, "offset": offset,
+        "q": q, "maps": scaled, "synthesis": synthesis,
+    }
+
+
+def band_domain_gradients(params: np.ndarray, rows: np.ndarray, dproj, config) -> np.ndarray:
+    """Gradient vector of sum(dproj * band_domain_operator's map of rows).
+
+    The operator's gradient G (and the offset's, s) are summed slice by
+    slice over the analysed rows (affine_grads_slices). Band k's rows G_k
+    of G and branch n's q[k][n] then give its map's gradients,
+    G_k @ q[k][n].T and (q[k][n] @ s) times the bias factor, and q[k][n]'s
+    own gradient, W_kn.T @ G_k + outer(b_kn, s), which S_k.T carries back
+    to branch n's rows of the projection weight.
+    """
+    op = band_domain_operator(params, config)
+    xb = rows @ op["analysis"].T
+    gv, gs = affine_grads_slices(xb, dproj)
+    grads = np.zeros_like(params)
+    blocks = blocks_by_name(grads, config)
+    proj_weight, proj_bias = blocks["projection"]
+    total = config.lookback + config.horizon
+    factors = band_bias_factors(config)
+    lo = 0
+    for k, s_k in enumerate(op["synthesis"]):
+        g_k = gv[lo : lo + op["maps"][k][0][0].shape[0]]
+        lo += len(g_k)
+        for n, ((w, b), q_kn) in enumerate(zip(op["maps"][k], op["q"][k])):
+            dw, db = branch_maps(blocks, config, n)[k]
+            dw[...] = g_k @ q_kn.T
+            db[...] = (q_kn @ gs) * factors[k][n]
+            proj_weight[n * total : (n + 1) * total] += s_k.T @ (w.T @ g_k + np.outer(b, gs))
+    proj_bias[...] = gs
+    return grads
 
 
 def forecast_predictions_chunked(params: np.ndarray, spans, config, chunk: int = 256):

@@ -5,11 +5,11 @@ stay fixed, so for a direction v_b confined to block b
 
     <d, map(p + v_b) - map(p)> = <adjoint(d), v_b>
 
-holds up to rounding, whatever the step size. Gradcheck and the
-per-branch oracle run at L <= 16; this pins the adjoint at L = 336,
-tau = 96, C = 7, N = 2, K = 3 for every kind, and at L = 335 for dft, so
-the odd-length irfft branch runs too, on the 2-D channel rows the map
-takes. The rows have a nonzero mean and every bias is random, so no term
+holds up to rounding, whatever the step size. Gradcheck runs at
+L <= 16, and the per-branch oracle at B = 2 with three branches; this
+pins the adjoint at L = 336, tau = 96, C = 7, N = 2, K = 3 for every
+kind, and at L = 335 for dft, so the odd-length irfft branch runs too,
+on the 2-D channel rows the map takes. The rows have a nonzero mean and every bias is random, so no term
 vanishes by symmetry.
 """
 

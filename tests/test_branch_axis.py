@@ -1,14 +1,20 @@
 """One branch axis against the per-branch forecaster, and the gain finding.
 
-forward_batch and gradient_batch analyse once per batch, run each band's
-N branch maps as one map and synthesise once over a branch axis.
-reference.per_branch_forward keeps the per-branch algorithm, derivative
-gains applied and divided back out. The two must agree bit for bit on the
-wavelet kinds and to 1e-12 relative on dft, whose irfft runs over a
-different batch shape. Three branches with a mixed order list and nonzero
-biases make a branch-order or bias-scale mix-up in the reshapes visible.
-Each case runs at (B, C) = (3, 2) and at the edge shapes (1, 2), (3, 1)
-and (1, 1), where the channel rows are one window's or one channel's.
+forward_batch and gradient_batch analyse once per batch, carry the
+projection back through the synthesis and run the branch path as one
+band-domain operator. reference.per_branch_forward keeps the per-branch
+algorithm, derivative gains applied and divided back out, synthesis then
+projection. The two sum their products in different orders, so they
+must agree to 1e-12 relative (of the block's largest entry), for every
+kind. Three branches with a mixed order list and nonzero biases make a
+branch-order or bias-scale mix-up in the reshapes visible. Each case
+runs at (B, C) = (3, 2) and at the edge shapes (1, 2), (3, 1) and
+(1, 1), where the channel rows are one window's or one channel's; one
+more runs at the ETTh1 depth (L = 336, tau = 96, K = 3, C = 7, B = 2),
+so the bound holds over sums of 336 terms.
+
+The gain finding stays exact: wdt is dwt with its detail biases scaled
+by the inverse gains, bit for bit.
 """
 
 import numpy as np
@@ -28,7 +34,9 @@ CASES = [
     for kind in KINDS
     for b, c in [(3, 2), (1, 2), (3, 1), (1, 1)]
 ]
-DFT_REL_TOL = 1e-12
+REL_TOL = 1e-12
+# The ETTh1 depth, three branches of the mixed order list.
+DEEP = dict(lookback=336, horizon=96, levels=3, channels=7)
 
 
 def three_branch_config(kind: str, **overrides) -> ModelConfig:
@@ -47,38 +55,41 @@ def params_with_biases(cfg: ModelConfig, gen: np.random.Generator):
     return params
 
 
-def assert_agrees(got: np.ndarray, want: np.ndarray, kind: str, label: str) -> None:
+def assert_agrees(got: np.ndarray, want: np.ndarray, label: str) -> None:
     assert got.shape == want.shape, label
-    if kind == "dft":
-        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-        assert err <= DFT_REL_TOL, f"{label}: {err}"
-    else:
-        assert np.array_equal(got, want), label
+    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    assert err <= REL_TOL, f"{label}: {err}"
+
+
+def assert_forward_agrees(cfg: ModelConfig, gen: np.random.Generator, batch: int) -> None:
+    params = params_with_biases(cfg, gen)
+    xs = gen.normal(size=(batch, cfg.lookback, cfg.channels))
+    want, _ = per_branch_forward(xs, params, cfg)
+    assert_agrees(forward_batch(xs, params, cfg), want, "forward")
+
+
+def assert_gradients_agree(cfg: ModelConfig, gen: np.random.Generator, batch: int) -> None:
+    params = params_with_biases(cfg, gen)
+    # Drawn as lookbacks then targets, the spans of the windows.
+    xs = gen.normal(size=(batch, cfg.lookback, cfg.channels))
+    ys = gen.normal(size=(batch, cfg.horizon, cfg.channels))
+    spans = np.concatenate([xs, ys], axis=1)
+    grads, loss = gradient_batch(params, spans, cfg)
+    want, want_loss = per_branch_gradients(params, spans, cfg)
+    assert loss == pytest.approx(want_loss, rel=REL_TOL)
+    for name, weight, bias in param_blocks(grads, cfg):
+        ref_weight, ref_bias = blocks_by_name(want, cfg)[name]
+        assert_agrees(weight, ref_weight, f"{name} weight")
+        assert_agrees(bias, ref_bias, f"{name} bias")
 
 
 @pytest.mark.parametrize("kind, batch, channels", CASES)
 class TestAgainstPerBranchOracle:
     def test_forward(self, rng, kind, batch, channels):
-        cfg = three_branch_config(kind, channels=channels)
-        params = params_with_biases(cfg, rng)
-        xs = rng.normal(size=(batch, cfg.lookback, channels))
-        want, _ = per_branch_forward(xs, params, cfg)
-        assert_agrees(forward_batch(xs, params, cfg), want, kind, "forward")
+        assert_forward_agrees(three_branch_config(kind, channels=channels), rng, batch)
 
     def test_gradients(self, rng, kind, batch, channels):
-        cfg = three_branch_config(kind, channels=channels)
-        params = params_with_biases(cfg, rng)
-        # Drawn as lookbacks then targets, the spans of the windows.
-        xs = rng.normal(size=(batch, cfg.lookback, channels))
-        ys = rng.normal(size=(batch, cfg.horizon, channels))
-        spans = np.concatenate([xs, ys], axis=1)
-        grads, loss = gradient_batch(params, spans, cfg)
-        want, want_loss = per_branch_gradients(params, spans, cfg)
-        assert loss == pytest.approx(want_loss, rel=DFT_REL_TOL)
-        for name, weight, bias in param_blocks(grads, cfg):
-            ref_weight, ref_bias = blocks_by_name(want, cfg)[name]
-            assert_agrees(weight, ref_weight, kind, f"{name} weight")
-            assert_agrees(bias, ref_bias, kind, f"{name} bias")
+        assert_gradients_agree(three_branch_config(kind, channels=channels), rng, batch)
 
     def test_gradient_check_three_branches(self, rng, kind, batch, channels):
         cfg = three_branch_config(kind, lookback=8, horizon=4, channels=channels)
@@ -89,6 +100,16 @@ class TestAgainstPerBranchOracle:
         assert len(report) == bands + 1
         for name, err in report.items():
             assert err < 1e-5, f"{name}: {err}"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_forward_at_the_etth1_depth(rng, kind):
+    assert_forward_agrees(three_branch_config(kind, **DEEP), rng, 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gradients_at_the_etth1_depth(rng, kind):
+    assert_gradients_agree(three_branch_config(kind, **DEEP), rng, 2)
 
 
 def test_wdt_is_dwt_with_detail_biases_scaled_by_inverse_gain(rng):

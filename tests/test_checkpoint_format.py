@@ -32,6 +32,20 @@ grads and loss. <kind>_operator.json holds compile_operator's weight
 (L, L+tau) and bias (L+tau,). Python's JSON floats round-trip every
 float64, and the tests compare the uint64 bit patterns, so a sign of
 zero that moved shows too.
+
+All three were re-recorded when the branch path moved into the band
+domain (after commit 43400e3): _normalized_map carries the projection
+back through the synthesis and applies one band-domain operator to the
+analysed rows, and its adjoint forms the band and projection gradients from
+that operator's gradient. Every product sums in another order, so the
+values moved in their last bits. The values the branch path recorded
+before are kept under branch_path_out, branch_path_grads and
+branch_path_loss, and branch_path_weight and branch_path_bias. The new
+forward output must stay within 1e-12 relative of branch_path_out, entry
+by entry, and each gradient block and the operator's weight and bias
+within 1e-12 of the largest entry of the old block, so the re-record
+cannot hide a defect; the code must reproduce the new values bit for
+bit.
 """
 
 import json
@@ -40,7 +54,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavets.model import compile_operator, forward_batch, load_checkpoint, save_checkpoint
+from wavets.model import (
+    compile_operator,
+    forward_batch,
+    load_checkpoint,
+    param_blocks,
+    save_checkpoint,
+)
 from wavets.train import gradient_batch
 
 CHECKPOINTS = Path(__file__).resolve().parent / "checkpoints"
@@ -80,6 +100,39 @@ def test_rerecorded_forecast_within_rounding_of_the_original(kind):
     pinned = record(kind, "forward")
     original = np.array(pinned["stack_normalized_out"])
     np.testing.assert_allclose(np.array(pinned["out"]), original, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rerecorded_forecast_within_rounding_of_the_branch_path(kind):
+    pinned = record(kind, "forward")
+    original = np.array(pinned["branch_path_out"])
+    np.testing.assert_allclose(np.array(pinned["out"]), original, rtol=1e-12, atol=0)
+
+
+def assert_within_block_max(got, want, label: str) -> None:
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape, label
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), label
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rerecorded_gradient_within_rounding_of_the_branch_path(kind):
+    _, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
+    pinned = record(kind, "gradient")
+    new = param_blocks(np.array(pinned["grads"]), config)
+    old = param_blocks(np.array(pinned["branch_path_grads"]), config)
+    for (name, weight, bias), (_, old_weight, old_bias) in zip(new, old):
+        assert_within_block_max(
+            np.append(weight, bias), np.append(old_weight, old_bias), name
+        )
+    assert pinned["loss"] == pytest.approx(pinned["branch_path_loss"], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rerecorded_operator_within_rounding_of_the_branch_path(kind):
+    pinned = record(kind, "operator")
+    assert_within_block_max(pinned["weight"], pinned["branch_path_weight"], "weight")
+    assert_within_block_max(pinned["bias"], pinned["branch_path_bias"], "bias")
 
 
 @pytest.mark.parametrize("kind", KINDS)

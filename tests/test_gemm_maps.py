@@ -1,15 +1,25 @@
-"""The branch path's row-GEMM learned maps against per-slice references.
+"""The branch path's band-domain products against dense references.
 
 _normalized_map and _normalized_map_adjoint run on (R, L) channel rows,
-one per channel of each window, so every learned map is rows @ weight
-then += bias, its weight gradient inp.T @ gout, its bias gradient
-gout.sum(axis=0), and the projection's input gradient dproj @ weight.T.
-These tests check those products slice by slice on the layouts the maps
-meet: the non-contiguous rfft real/imag views of the dft bands, the
-(B, L, C) windows transposed into channel rows and back, an output
-gradient held column-major, and the B=1 / C=1 edge shapes.
-tests/test_branch_axis.py checks the whole path against the per-branch
-oracle at the same shapes.
+one per channel of each window. The forward analyses the rows into xb,
+carries the projection back through the synthesis into q_k, one
+(L+tau, N*m_out) matrix per band, and applies xb @ V + c with
+V_k = W_k @ q_k.T and c = p + sum_k q_k @ b_k. The package holds
+each band followed by a ones column, so V carries c_k as the row after
+V_k. The adjoint forms G = xb.T @ dproj, which holds s = dproj.sum(axis=0)
+in those rows, then the band gradients G_k @ q_k and s @ q_k, q_k's
+gradient G_k.T @ W_k + outer(s, b_k), and the projection gradient as the
+synthesis of the q_k gradients.
+
+reference.band_domain_operator and reference.band_domain_gradients
+build each of these from dense basis matrices (the Haar rows and the
+real DFT and inverse-real-FFT bases), one branch at a time, and sum G
+slice by slice. These tests check the package's products against them
+on the layouts the maps meet: the non-contiguous rfft real/imag views of
+the dft bands, the (B, L, C) windows transposed into channel rows and
+back, an output gradient held column-major, and the B=1 / C=1 edge
+shapes. tests/test_branch_axis.py checks the whole path against the
+per-branch oracle at the same shapes.
 """
 
 import numpy as np
@@ -17,26 +27,26 @@ import pytest
 
 from reference import (
     affine_apply_slices,
-    affine_grads_slices,
-    affine_input_grad_slices,
+    band_domain_gradients,
+    band_domain_operator,
     blocks_by_name,
 )
 from wavets.model import (
     ModelConfig,
-    _irfft_adjoint,
+    _analyse,
     _normalize_rows,
     _normalized_map,
     _normalized_map_adjoint,
-    band_maps,
-    bias_scales,
+    compile_operator,
     forward_batch,
     init_params,
     param_blocks,
+    param_layout,
 )
 from wavets.train import gradient_batch
-from wavets.wavelet import dwt_multi, make_filterbank
 
 SHAPES = [(3, 2), (1, 2), (3, 1), (1, 1)]
+KINDS = ("wdt", "dft")
 LOOKBACK, TOTAL = 16, 24
 REL_TOL = 1e-12
 
@@ -76,21 +86,54 @@ def column_major_gradient(gen, rows: int) -> np.ndarray:
     return gen.normal(size=(TOTAL, rows)).T
 
 
+def with_ones_columns(xb: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """The analysed rows as the package holds them: a ones column after
+    each band's columns."""
+    bands = np.split(xb, np.cumsum([m_in for _, _, (m_in, _) in param_layout(cfg)[:-2]]), axis=1)
+    ones = np.ones((len(xb), 1))
+    return np.hstack([x for band in bands for x in (band, ones)])
+
+
+def assert_forward_matches(cfg, params, rows, out, cache) -> None:
+    """xb, then xb @ V + c, against the dense operator slice by slice."""
+    op = band_domain_operator(params, cfg)
+    xb = affine_apply_slices(rows, op["analysis"].T, np.zeros(len(op["analysis"])))
+    assert rel_err(cache["xb"], with_ones_columns(xb, cfg)) <= REL_TOL
+    assert rel_err(out, affine_apply_slices(xb, op["operator"], op["offset"])) <= REL_TOL
+
+
+def assert_grads_match(cfg, params, rows, cache, dproj, blocks: slice) -> None:
+    """The adjoint's blocks[...] against the dense gradients."""
+    grads = _normalized_map_adjoint(dproj, cache, params, cfg)
+    want = blocks_by_name(band_domain_gradients(params, rows, dproj, cfg), cfg)
+    for name, weight, bias in param_blocks(grads, cfg)[blocks]:
+        assert rel_err(weight, want[name][0]) <= REL_TOL, name
+        assert rel_err(bias, want[name][1]) <= REL_TOL, name
+
+
+BANDS, PROJECTION = slice(None, -1), slice(-1, None)
+
+
 @pytest.mark.parametrize("batch,channels", SHAPES)
 class TestRowGemmMaps:
     def test_apply_on_spectrum_views(self, rng, batch, channels):
         cfg, params, rows, out, cache = mapped_rows(rng, "dft", batch, channels)
-        parts = cache["bands_in"]
-        for part in parts:
+        for part in _analyse(rows, cfg):
             assert not part.flags.c_contiguous
-        real, imag = (
-            affine_apply_slices(part, weight, bias)
-            for (weight, bias), part in zip(band_maps(params, cfg), parts)
-        )
-        spectrum = (real + 1j * imag).reshape(len(rows), cfg.branches, -1)
-        zcat = np.fft.irfft(spectrum, n=TOTAL, axis=-1).reshape(len(rows), -1)
-        _, proj_weight, proj_bias = param_blocks(params, cfg)[-1]
-        assert rel_err(out, affine_apply_slices(zcat, proj_weight, proj_bias)) <= REL_TOL
+        assert_forward_matches(cfg, params, rows, out, cache)
+
+    def test_apply_on_wavelet_bands(self, rng, batch, channels):
+        cfg, params, rows, out, cache = mapped_rows(rng, "wdt", batch, channels)
+        assert_forward_matches(cfg, params, rows, out, cache)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_projection_carried_back_through_the_synthesis(self, rng, kind, batch, channels):
+        # q_k's column block n is branch n's q[k][n].T.
+        cfg, params, _, _, cache = mapped_rows(rng, kind, batch, channels)
+        op = band_domain_operator(params, cfg)
+        assert len(cache["q"]) == len(op["q"])
+        for got, per_branch in zip(cache["q"], op["q"]):
+            assert rel_err(got, np.hstack([q.T for q in per_branch])) <= REL_TOL
 
     def test_apply_on_transposed_stack(self, rng, batch, channels):
         # forward_batch transposes (B, L, C) windows into channel rows and
@@ -110,42 +153,25 @@ class TestRowGemmMaps:
     def test_weight_grads_on_spectrum_views(self, rng, batch, channels):
         cfg, params, rows, _, cache = mapped_rows(rng, "dft", batch, channels)
         dproj = rng.normal(size=(len(rows), TOTAL))
-        grads = _normalized_map_adjoint(dproj, cache, params, cfg)
-        _, proj_weight, _ = param_blocks(params, cfg)[-1]
-        dz = affine_input_grad_slices(proj_weight, dproj).reshape(len(rows), cfg.branches, TOTAL)
-        for (_, weight, bias), part, gout in zip(
-            param_blocks(grads, cfg), cache["bands_in"], _irfft_adjoint(dz, TOTAL)
-        ):
-            assert not part.flags.c_contiguous
-            dweight, dbias = affine_grads_slices(part, gout.reshape(len(rows), -1))
-            assert rel_err(weight, dweight) <= REL_TOL
-            assert rel_err(bias, dbias) <= REL_TOL
+        assert_grads_match(cfg, params, rows, cache, dproj, BANDS)
 
     def test_weight_grads_with_transposed_gradient(self, rng, batch, channels):
         cfg, params, rows, _, cache = mapped_rows(rng, "wdt", batch, channels)
         dproj = column_major_gradient(rng, len(rows))
-        grads = _normalized_map_adjoint(dproj, cache, params, cfg)
-        dweight, dbias = affine_grads_slices(cache["zcat"], dproj)
-        proj_weight, proj_bias = blocks_by_name(grads, cfg)["projection"]
-        assert rel_err(proj_weight, dweight) <= REL_TOL
-        assert rel_err(proj_bias, dbias) <= REL_TOL
+        assert_grads_match(cfg, params, rows, cache, dproj, BANDS)
 
     def test_input_grad_with_transposed_gradient(self, rng, batch, channels):
-        # The projection's input gradient reaches the parameters only
-        # through the band gradients, so each band's block is checked
-        # against dz built slice by slice, then analysed.
+        # q_k is the input the band maps meet the projection through; its
+        # gradient reaches the parameters only through the synthesis into
+        # the projection's weight gradient, checked here.
         cfg, params, rows, _, cache = mapped_rows(rng, "wdt", batch, channels)
         dproj = column_major_gradient(rng, len(rows))
-        grads = _normalized_map_adjoint(dproj, cache, params, cfg)
-        _, proj_weight, _ = param_blocks(params, cfg)[-1]
-        dz = affine_input_grad_slices(proj_weight, dproj).reshape(len(rows), cfg.branches, TOTAL)
-        band_grads = dwt_multi(dz, make_filterbank("db1"), cfg.levels)
-        for (name, weight, bias), inp, gout, scale in zip(
-            param_blocks(grads, cfg), cache["bands_in"], band_grads, bias_scales(cfg)
-        ):
-            dweight, dbias = affine_grads_slices(inp, gout.reshape(len(rows), -1))
-            assert rel_err(weight, dweight) <= REL_TOL, name
-            assert rel_err(bias, dbias * scale) <= REL_TOL, name
+        assert_grads_match(cfg, params, rows, cache, dproj, PROJECTION)
+
+    def test_projection_grads_on_spectrum_views(self, rng, batch, channels):
+        cfg, params, rows, _, cache = mapped_rows(rng, "dft", batch, channels)
+        dproj = column_major_gradient(rng, len(rows))
+        assert_grads_match(cfg, params, rows, cache, dproj, PROJECTION)
 
     def test_projection_grads_in_gradient_batch(self, rng, batch, channels):
         cfg = ModelConfig(
@@ -155,11 +181,24 @@ class TestRowGemmMaps:
         params = init_params(cfg, cfg.seed)
         spans = rng.normal(size=(batch, TOTAL, channels))
         grads, _ = gradient_batch(params, spans, cfg)
-        out, cache = forward_batch(spans[:, :LOOKBACK], params, cfg, want_cache=True)
+        rows, _, std = _normalize_rows(spans[:, :LOOKBACK], cfg)
+        out = forward_batch(spans[:, :LOOKBACK], params, cfg)
         # Row b*C + c is window b's channel c, as in the (B*C, 1) std.
         residual = (out - spans).transpose(0, 2, 1).reshape(-1, TOTAL)
-        dproj = (2.0 / residual.size) * residual * cache["std"]
-        dweight, dbias = affine_grads_slices(cache["zcat"], dproj)
+        dproj = (2.0 / residual.size) * residual * std
+        want = blocks_by_name(band_domain_gradients(params, rows, dproj, cfg), cfg)
         _, proj_weight, proj_bias = param_blocks(grads, cfg)[-1]
-        assert rel_err(proj_weight, dweight) <= REL_TOL
-        assert rel_err(proj_bias, dbias) <= REL_TOL
+        assert rel_err(proj_weight, want["projection"][0]) <= REL_TOL
+        assert rel_err(proj_bias, want["projection"][1]) <= REL_TOL
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_compiled_operator_is_the_band_domain_operator(rng, kind):
+    # The zero row gives c; identity row i, minus c, gives row i of the
+    # analysis matrix's transpose times V.
+    cfg = two_branch_config(kind, 2)
+    params = params_with_biases(cfg, rng)
+    weight, bias = compile_operator(params, cfg)
+    op = band_domain_operator(params, cfg)
+    assert rel_err(bias, op["offset"]) <= REL_TOL
+    assert rel_err(weight, op["analysis"].T @ op["operator"]) <= REL_TOL
