@@ -100,7 +100,8 @@ def forecast_predictions(
     Returns (inputs, targets, predictions) shaped (W, L, C) / (W, H, C) /
     (W, H, C); inputs and targets are views of the spans, and the
     predictions one C-contiguous array that every chunk is written into.
-    Only the operator's horizon columns are applied (model.operator_chunks).
+    Only the operator's horizon columns are compiled and applied
+    (model.operator_chunks).
     """
     spans = check_windows(spans, config, config.lookback + config.horizon)
     preds = np.empty((len(spans), config.horizon, config.channels))

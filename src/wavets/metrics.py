@@ -96,9 +96,10 @@ def aggregate_report(
     if truths.shape != preds.shape:
         raise DataError(f"shape mismatch: truth {truths.shape} vs pred {preds.shape}")
     _, h, c = truths.shape
-    # One residual for MSE and MAE, squared in place once MAE has read it.
+    # One array for MSE and MAE: the residual's magnitude, taken in place,
+    # then squared in place once MAE has read it (|r|^2 is r^2 exactly).
     residual = truths - preds
-    mae_value = float(np.mean(np.abs(residual)))
+    mae_value = float(np.mean(np.abs(residual, out=residual)))
     report = MetricsReport(
         mse=float(np.mean(np.square(residual, out=residual))),
         mae=mae_value,

@@ -37,18 +37,23 @@ bin 1/M, and for even M the Nyquist bin 1/M with a dead imaginary part).
 Everything between the instance normalization and the denormalization is
 affine in the input too, so for fixed parameters the model is one
 (L, L+tau) matrix and bias on normalized rows. compile_operator builds it
-by pushing the zero row and the identity rows through the same branch
-path as forward_batch, and apply_operator evaluates it with one GEMM.
-Both share one instance normalization, _normalize_rows: it copies the
-lookback once into contiguous (B*C, L) channel rows and centres and
-scales them in place. forward_batch hands those rows to _normalized_map
-as they are, and each caller denormalizes its own fresh output in place.
-forward_batch is the training path and the operator's reference; the
-two differ only in the order their products are summed. operator_chunks
-is the one loop behind every fixed-parameter forecast: it compiles once
-and applies the operator OPERATOR_CHUNK windows at a time, and
-cli.forecast_predictions writes each chunk into one preallocated array.
-check_windows is the one shape check of window arrays.
+as one (L+1, m) array [weight; bias] by pushing the identity rows and the
+zero row through the same branch path as forward_batch, carrying only
+the m output columns from a given start, so a forecast compiles just the
+horizon. Both paths share one instance normalization, _centre_rows: it
+copies the lookback once into (B*C, L+1) channel rows, centres them in
+place and puts each row's std in the last column. forward_batch divides
+the rows by that column and hands them to _normalized_map, then
+denormalizes its fresh output in place. apply_operator divides nothing:
+since std * ((x - mean) / std @ weight + bias) = [x - mean, std] @
+[weight; bias], one GEMM of the whole array by the operator leaves only
+the mean to add. forward_batch is the training path and the operator's
+reference; the two differ only in rounding, since they sum their
+products in other orders and scale by the std at other steps.
+operator_chunks is the one loop behind every fixed-parameter forecast: it
+compiles once and applies the operator OPERATOR_CHUNK windows at a time,
+and cli.forecast_predictions writes each chunk into one preallocated
+array. check_windows is the one shape check of window arrays.
 
 The parameters are one float64 vector. param_layout, derived from the
 config alone, names its blocks in checkpoint order (one per band, then
@@ -74,6 +79,11 @@ CHECKPOINT_VERSION = 3
 # Windows per GEMM on the fixed-parameter paths (operator_chunks).
 OPERATOR_CHUNK = 256
 
+# compile_operator carries its columns from a multiple of this: BLAS
+# kernels tile a product's columns in blocks of up to 16 counted from its
+# first column, and a column's bits depend on the block that holds it.
+_COLUMN_TILE = 16
+
 # The filter bank of every wavelet kind's analysis and synthesis.
 _HAAR = make_filterbank("db1")
 
@@ -81,6 +91,9 @@ _HAAR = make_filterbank("db1")
 def _irfft_adjoint(dz: np.ndarray, n_time: int) -> tuple[np.ndarray, np.ndarray]:
     # Gradient of sum(dz * irfft(re + i*im, n)) w.r.t. (re, im).
     spec = np.fft.rfft(dz, axis=-1)
+    # Fresh contiguous arrays, not the spectrum's views weighted in place:
+    # the GEMMs that read them would copy strided views again, which made
+    # a dft training step slower.
     grad_re = (2.0 / n_time) * spec.real
     grad_im = (2.0 / n_time) * spec.imag
     grad_re[..., 0] *= 0.5
@@ -216,11 +229,12 @@ def _augmented_maps(params: np.ndarray, config: ModelConfig) -> list[np.ndarray]
 
 
 def _normalized_map(
-    rows: np.ndarray, params: np.ndarray, config: ModelConfig
+    rows: np.ndarray, params: np.ndarray, config: ModelConfig, start: int = 0
 ) -> tuple[np.ndarray, dict]:
     """The model between the normalization and the denormalization: the
     branch path and the projection on (R, L) normalized channel rows,
-    giving (R, L+tau) and the intermediates _normalized_map_adjoint needs.
+    giving the output columns start: of (R, L+tau), and the intermediates
+    _normalized_map_adjoint needs (whose output is every column).
 
     The synthesis and the projection are linear, so the projection is
     carried back through the synthesis: q_k, the synthesis adjoint of the
@@ -229,23 +243,22 @@ def _normalized_map(
     scaled bias through c_k = b_k @ q_k.T, so the whole map is one GEMM,
     xb @ V + p, on the bands side by side, each followed by a ones column
     (xb), and V, each band's [V_k; c_k] stacked: the band-domain
-    operator."""
+    operator. Only the projection columns start: are carried back, so the
+    q_k, V and the GEMM all shrink with the columns left out."""
     total = config.lookback + config.horizon
     _, proj_weight, proj_bias = param_blocks(params, config)[-1]
     # Output column j's projection weights as N branch series of length L+tau.
-    qs = [
-        q.reshape(total, -1)
-        for q in _synthesis_adjoint(proj_weight.T.reshape(total, config.branches, total), config)
-    ]
+    columns = proj_weight.T[start:].reshape(-1, config.branches, total)
+    qs = [q.reshape(len(columns), -1) for q in _synthesis_adjoint(columns, config)]
     ones = np.ones((len(rows), 1))
     xb = np.concatenate([x for band in _analyse(rows, config) for x in (band, ones)], axis=1)
-    operator = np.empty((xb.shape[1], total))
+    operator = np.empty((xb.shape[1], len(columns)))
     lo = 0
     for aug, q in zip(_augmented_maps(params, config), qs):
         np.matmul(aug, q.T, out=operator[lo : lo + len(aug)])
         lo += len(aug)
     proj = xb @ operator
-    proj += proj_bias
+    proj += proj_bias[start:]
     return proj, {"xb": xb, "q": qs}
 
 
@@ -298,27 +311,32 @@ def check_windows(xs, config: ModelConfig, length: int) -> np.ndarray:
     return xs
 
 
-def _normalize_rows(
-    xs: np.ndarray, config: ModelConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The instance normalization of a (B, L, C) lookback stack: its
-    normalized (B*C, L) channel rows, and each row's mean and std
-    (epsilon added) as (B*C, 1).
+def _centre_rows(xs: np.ndarray, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The instance normalization of a (B, L, C) lookback stack, short of
+    its division: a (B*C, L+1) array of the centred channel rows, each
+    followed by its std (epsilon added), and each row's mean as (B*C, 1).
 
-    The lookback is copied once into contiguous rows, so the statistics
-    reduce along the contiguous axis and the centring and scaling work in
-    place on that copy."""
+    The lookback is copied once into the rows, so the statistics reduce
+    along the contiguous axis and the centring works in place on that
+    copy. forward_batch divides the rows by the std column; the compiled
+    operator multiplies the whole array by [weight; bias], since
+    std * ((x - mean) / std @ weight + bias) = [x - mean, std] @ [weight; bias]."""
     xs = check_windows(xs, config, config.lookback)
-    # A real copy: at C=1 the transpose is already contiguous, and the
-    # in-place steps must never write into the caller's windows.
-    rows = xs.transpose(0, 2, 1).copy().reshape(-1, config.lookback)
+    batch, lookback, channels = xs.shape
+    centred = np.empty((batch * channels, lookback + 1))
+    rows, std = centred[:, :lookback], centred[:, lookback:]
+    # A real copy, so the in-place steps never write into the caller's windows.
+    np.copyto(centred.reshape(batch, channels, -1)[..., :lookback], xs.transpose(0, 2, 1))
     mean = rows.mean(axis=1, keepdims=True)
-    rows -= mean
+    # The centring and the squaring run over the whole contiguous array,
+    # which takes about half the time of the rows' strided view; the std
+    # column is zeroed first and overwritten after.
+    std[...] = 0.0
+    centred -= mean
     # np.std's own steps on the centred rows: its bits, without centring twice.
-    std = np.sqrt(np.square(rows).mean(axis=1, keepdims=True))
+    np.sqrt(np.square(centred)[:, :lookback].mean(axis=1, keepdims=True), out=std)
     std += config.std_epsilon
-    rows /= std
-    return rows, mean, std
+    return centred, mean
 
 
 def forward_batch(
@@ -332,9 +350,14 @@ def forward_batch(
 
     This is the training path and the reference that compile_operator is
     tested against. The output is a transposed view of the model's
-    (B*C, L+tau) channel rows, and the cache's std is the (B*C, 1) one of
-    _normalize_rows."""
-    rows, mean, std = _normalize_rows(xs, config)
+    (B*C, L+tau) channel rows, and the cache's std is a (B*C, 1) copy of
+    the std column of _centre_rows."""
+    centred, mean = _centre_rows(xs, config)
+    # Fresh contiguous rows, which the Haar levels read faster than the
+    # strided view, and a copy of the std, so the cache does not keep
+    # centred alive.
+    std = centred[:, -1:].copy()
+    rows = centred[:, :-1] / std
     proj, cache = _normalized_map(rows, params, config)
     # The projection's fresh output, denormalized in place.
     proj *= std
@@ -345,35 +368,35 @@ def forward_batch(
     return out, {"std": std, **cache}
 
 
-def compile_operator(
-    params: np.ndarray, config: ModelConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """The model as one affine operator on normalized rows: (weight
-    (L, L+tau), bias (L+tau,)) such that a normalized lookback row x maps
-    to x @ weight + bias, before denormalization.
+def compile_operator(params: np.ndarray, config: ModelConfig, start: int = 0) -> np.ndarray:
+    """The model's output columns start: as one affine operator on
+    normalized rows: the (L+1, m) array [weight; bias], m = L+tau-start,
+    such that a normalized lookback row x maps to x @ weight + bias
+    before denormalization.
 
     Every step between the normalization and the denormalization is
     linear or affine, so the zero row gives the bias and identity row i,
-    minus the bias, gives row i of the weight. The L+1 rows run through
-    the same branch path as forward_batch, as one stack of channel rows.
+    minus the bias, gives row i of the weight. The identity rows and the
+    zero row run through the same branch path as forward_batch, as one
+    stack of channel rows, which lands the bias in the last row. Only the
+    columns from the multiple of _COLUMN_TILE at or below start are
+    carried through it, so each GEMM tiles them as it tiles every column
+    and they keep the full compile's bits.
     """
-    rows = np.vstack([np.zeros(config.lookback), np.eye(config.lookback)])
-    out, _ = _normalized_map(rows, params, config)
-    bias = out[0]
-    return out[1:] - bias, bias
+    first = start - start % _COLUMN_TILE
+    rows = np.vstack([np.eye(config.lookback), np.zeros(config.lookback)])
+    operator, _ = _normalized_map(rows, params, config, first)
+    operator = operator[:, start - first :]
+    operator[:-1] -= operator[-1]
+    return operator
 
 
-def apply_operator(
-    xs: np.ndarray, weight: np.ndarray, bias: np.ndarray, config: ModelConfig
-) -> np.ndarray:
-    """A compiled operator, or a column slice of it, on a (B, L, C) stack:
-    normalize (_normalize_rows), one GEMM over the channel rows,
-    denormalize the GEMM's output in place; returns (B, m, C) for m
-    columns."""
-    rows, mean, std = _normalize_rows(xs, config)
-    out = rows @ weight
-    out += bias
-    out *= std
+def apply_operator(xs: np.ndarray, operator: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """A compiled (L+1, m) operator on a (B, L, C) stack: centre
+    (_centre_rows), one GEMM of [x - mean, std] by [weight; bias] over the
+    channel rows, add the mean back in place; returns (B, m, C)."""
+    centred, mean = _centre_rows(xs, config)
+    out = centred @ operator
     out += mean
     return out.reshape(-1, config.channels, out.shape[-1]).transpose(0, 2, 1)
 
@@ -381,14 +404,13 @@ def apply_operator(
 def operator_chunks(
     params: np.ndarray, spans: np.ndarray, config: ModelConfig, start: int = 0
 ):
-    """Compile the operator once and apply its columns start: to checked
+    """Compile the operator's columns start: once and apply them to checked
     (W, L+tau, C) window spans, OPERATOR_CHUNK windows at a time so memory
     stays flat; yields (span chunk, its forecast columns)."""
-    weight, bias = compile_operator(params, config)
-    weight, bias = weight[:, start:], bias[start:]
+    operator = compile_operator(params, config, start)
     for lo in range(0, len(spans), OPERATOR_CHUNK):
         part = spans[lo : lo + OPERATOR_CHUNK]
-        yield part, apply_operator(part[:, : config.lookback], weight, bias, config)
+        yield part, apply_operator(part[:, : config.lookback], operator, config)
 
 
 def validate_params(params: np.ndarray, config: ModelConfig) -> None:

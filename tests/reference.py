@@ -35,7 +35,8 @@ name through model.param_blocks and takes branch n's map as columns
 [n*m_out, (n+1)*m_out) of each. It writes its own maps and their
 weight and bias gradients on channel rows. Its subject is the branch
 axis, so it reuses the package's instance normalization,
-model._normalize_rows, which tests/test_model.py checks by hand, and
+model._centre_rows, which tests/test_model.py checks by hand, divided as
+forward_batch divides it (normalized_rows), and
 the package's irfft adjoint, model._irfft_adjoint, which the gradient
 checks cover separately.
 
@@ -54,7 +55,7 @@ import numpy as np
 
 from wavets.data import SeriesFrame, _timestamps_strictly_increasing
 from wavets.errors import DataError
-from wavets.model import _irfft_adjoint, _normalize_rows, forward_batch, param_blocks
+from wavets.model import _centre_rows, _irfft_adjoint, forward_batch, param_blocks
 from wavets.wavelet import dwt_multi, make_filterbank
 from wavets.wdt import DerivativePyramid, level_gains, wdt_forward, wdt_inverse
 
@@ -186,18 +187,26 @@ def branch_maps(blocks: dict, config, n: int) -> list[tuple[np.ndarray, np.ndarr
     return maps
 
 
+def normalized_rows(xs, config):
+    """(normalized (B*C, L) channel rows, mean, std) of a (B, L, C) stack:
+    model._centre_rows divided by its std column, as forward_batch does."""
+    centred, mean = _centre_rows(xs, config)
+    std = centred[:, -1:]
+    return centred[:, :-1] / std, mean, std
+
+
 def per_branch_forward(xs, params: np.ndarray, config):
     """The forecaster one branch at a time; returns (output, cache).
 
-    Every step runs on the (B*C, L) channel rows of model._normalize_rows.
+    Every step runs on the (B*C, L) channel rows of normalized_rows.
     wdt/dwt branch n: wdt_forward of order n, the branch's per-band maps
     on the gain-scaled bands, wdt_inverse at length L+tau. dft branch n:
     rfft, real and imaginary maps, irfft at L+tau. The branch outputs are
     concatenated along time and projected, then denormalized; the cache
-    holds the (B*C, 1) std of model._normalize_rows.
+    holds the (B*C, 1) std of normalized_rows.
     """
     blocks = blocks_by_name(params, config)
-    rows, mean, std = _normalize_rows(xs, config)
+    rows, mean, std = normalized_rows(xs, config)
     total = config.lookback + config.horizon
     fb = make_filterbank("db1")
     zs, branches = [], []

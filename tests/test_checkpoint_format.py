@@ -16,11 +16,11 @@ code recorded survived both conversions bit for bit, which showed them
 exact, and is kept as stack_normalized_out.
 
 The output was re-recorded as out when forward_batch and apply_operator
-came to share one instance normalization (model._normalize_rows, after
-commit 863b834). It used to normalize the strided (B, L, C) stack; it
-now reduces contiguous channel rows, which rounds differently, so some
-outputs moved in their last bits. The checkpoints themselves were not
-touched. out must stay within 1e-12 relative of stack_normalized_out,
+came to share one instance normalization (model._normalize_rows, now
+_centre_rows, after commit 863b834). It used to normalize the strided
+(B, L, C) stack; it now reduces contiguous channel rows, which rounds
+differently, so some outputs moved in their last bits. The checkpoints
+themselves were not touched. out must stay within 1e-12 relative of stack_normalized_out,
 entry by entry, so the re-record cannot hide a defect; forward_batch
 must reproduce out bit for bit.
 
@@ -29,9 +29,9 @@ written by the code of commit 1e3ab09 on each checkpoint's parameters.
 <kind>_gradient.json holds a seeded (3, L+tau, C) batch of window spans
 under spans, and gradient_batch's gradient vector and loss on it under
 grads and loss. <kind>_operator.json holds compile_operator's weight
-(L, L+tau) and bias (L+tau,). Python's JSON floats round-trip every
-float64, and the tests compare the uint64 bit patterns, so a sign of
-zero that moved shows too.
+(L, L+tau) and bias (L+tau,), the rows of the (L+1, L+tau) array it now
+returns. Python's JSON floats round-trip every float64, and the tests
+compare the uint64 bit patterns, so a sign of zero that moved shows too.
 
 All three were re-recorded when the branch path moved into the band
 domain (after commit 43400e3): _normalized_map carries the projection
@@ -148,6 +148,6 @@ def test_recorded_gradient_reproduced_bit_for_bit(kind):
 def test_recorded_operator_reproduced_bit_for_bit(kind):
     params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
     pinned = record(kind, "operator")
-    weight, bias = compile_operator(params, config)
-    assert_same_bits(weight, pinned["weight"])
-    assert_same_bits(bias, pinned["bias"])
+    operator = compile_operator(params, config)
+    assert_same_bits(operator[:-1], pinned["weight"])
+    assert_same_bits(operator[-1], pinned["bias"])

@@ -860,6 +860,18 @@ def test_eval_short_metrics_flag(tmp_path, run_config, capsys):
     assert "period=4" in text
 
 
+@pytest.mark.parametrize("flags", [(), ("--metrics", "short", "--period", "4")], ids=["long", "short"])
+def test_eval_rerun_writes_byte_identical_metrics(tmp_path, run_config, capsys, flags):
+    out = run_train(tmp_path, run_config, "r")
+    argv = ["eval", "--checkpoint", str(out / "checkpoint.json"), *flags]
+    assert main(argv + ["--out", str(tmp_path / "e1")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "e2")]) == 0
+    capsys.readouterr()
+    first = (tmp_path / "e1" / "metrics.txt").read_bytes()
+    assert first == (tmp_path / "e2" / "metrics.txt").read_bytes()
+    assert (b"owa=" in first) == bool(flags)
+
+
 def test_eval_short_period_past_lookback_exits_2_before_forecasting(
     tmp_path, run_config, capsys
 ):

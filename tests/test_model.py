@@ -8,7 +8,7 @@ from wavets import ConfigError, DataError
 from wavets.model import (
     CHECKPOINT_VERSION,
     ModelConfig,
-    _normalize_rows,
+    _centre_rows,
     band_maps,
     forward_batch,
     init_params,
@@ -44,9 +44,10 @@ def projection_bias(params: np.ndarray, config: ModelConfig) -> np.ndarray:
     return param_blocks(params, config)[-1][2]
 
 
-# Instance normalization is checked on model._normalize_rows, the one
-# normalization every path calls; it gives (B*C, L) channel rows, row
-# b*C + c holding window b's channel c, and (B*C, 1) stats. The
+# Instance normalization is checked on model._centre_rows, the one
+# normalization every path calls; it gives (B*C, L+1) channel rows, row
+# b*C + c holding window b's channel c centred and then its std, and the
+# (B*C, 1) means. forward_batch divides the rows by the std column. The
 # denormalization is checked through forward_batch: with all maps zero,
 # its output is the denormalized projection bias. An epsilon of 1e-20
 # vanishes against a unit std, so hand cases stay exact.
@@ -60,10 +61,11 @@ def normalization_config(lookback, horizon, channels, std_epsilon=EXACT_EPS):
     )
 
 
-def normalized_rows(xs: np.ndarray, std_epsilon: float = EXACT_EPS):
-    """(normalized (B*C, L) rows, mean, std) of a (B, L, C) stack."""
+def centred_rows(xs: np.ndarray, std_epsilon: float = EXACT_EPS):
+    """(centred (B*C, L+1) rows, each row's std last, and the means) of a
+    (B, L, C) stack."""
     cfg = normalization_config(xs.shape[1], 2, xs.shape[2], std_epsilon)
-    return _normalize_rows(xs, cfg)
+    return _centre_rows(xs, cfg)
 
 
 def denormalized(xs: np.ndarray, horizon: int, proj_bias: np.ndarray) -> np.ndarray:
@@ -77,23 +79,23 @@ def denormalized(xs: np.ndarray, horizon: int, proj_bias: np.ndarray) -> np.ndar
 
 class TestInstanceNormalize:
     def test_hand_case(self):
-        rows, mean, std = normalized_rows(np.array([[[1.0], [3.0]]]))
-        np.testing.assert_array_equal(rows, [[-1.0, 1.0]])
+        centred, mean = centred_rows(np.array([[[1.0], [3.0]]]))
+        np.testing.assert_array_equal(centred, [[-1.0, 1.0, 1.0]])
         np.testing.assert_array_equal(mean, [[2.0]])
-        np.testing.assert_array_equal(std, [[1.0]])
 
     def test_constant_channel_guarded(self):
-        rows, _, std = normalized_rows(np.full((1, 4, 1), 5.0), 1e-5)
-        np.testing.assert_array_equal(rows, np.zeros((1, 4)))
-        np.testing.assert_array_equal(std, [[1e-5]])
+        centred, _ = centred_rows(np.full((1, 4, 1), 5.0), 1e-5)
+        np.testing.assert_array_equal(centred, [[0.0, 0.0, 0.0, 0.0, 1e-5]])
 
     def test_channels_independent(self):
         # Two windows of two channels; channel 1 is constant in each.
         xs = np.array([[[1.0, 10.0], [3.0, 10.0]], [[0.0, 5.0], [4.0, 5.0]]])
-        rows, mean, std = normalized_rows(xs)
-        np.testing.assert_array_equal(rows, [[-1.0, 1.0], [0.0, 0.0], [-1.0, 1.0], [0.0, 0.0]])
+        centred, mean = centred_rows(xs)
+        np.testing.assert_array_equal(
+            centred,
+            [[-1.0, 1.0, 1.0], [0.0, 0.0, EXACT_EPS], [-2.0, 2.0, 2.0], [0.0, 0.0, EXACT_EPS]],
+        )
         np.testing.assert_array_equal(mean, [[2.0], [10.0], [2.0], [5.0]])
-        np.testing.assert_array_equal(std, [[1.0], [EXACT_EPS], [2.0], [EXACT_EPS]])
 
     def test_round_trip(self, rng):
         # Identity maps pass the normalized window through, so the

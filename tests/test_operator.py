@@ -1,11 +1,14 @@
 """The compiled affine operator against forward_batch.
 
 Between the instance normalization and the denormalization the model is
-affine, so model.compile_operator gives one (L, L+tau) weight and bias.
+affine, so model.compile_operator gives one (L+1, L+tau) array: an
+(L, L+tau) weight with the bias as its last row.
 Evaluated with one GEMM it must reproduce forward_batch to 1e-10
-relative. Both normalize through model._normalize_rows, so their
+relative. Both normalize through model._centre_rows, so their
 statistics agree bit for bit, but the GEMM sums the branch path's
-products in another order. Three branches with the mixed orders
+products in another order and applies the std inside the product. A
+compile of the columns from any start must give the full compile's
+columns bit for bit. Three branches with the mixed orders
 [1, 0, 2] and standard-normal biases make a bias or branch mix-up show.
 cli.forecast_predictions and train.evaluate_loss apply the operator; the
 chunked forward_batch loops in tests/reference.py are their oracles.
@@ -65,10 +68,10 @@ def rel_err(got: np.ndarray, want: np.ndarray) -> float:
 def test_operator_matches_forward_batch_etth1_shape(kind, batch):
     cfg = config_for(kind)
     params = params_with_biases(cfg)
-    weight, bias = compile_operator(params, cfg)
-    assert weight.shape == (336, 432) and bias.shape == (432,)
+    operator = compile_operator(params, cfg)
+    assert operator.shape == (337, 432)
     xs = seeded((batch, cfg.lookback, cfg.channels))
-    got = apply_operator(xs, weight, bias, cfg)
+    got = apply_operator(xs, operator, cfg)
     assert rel_err(got, forward_batch(xs, params, cfg)) <= REL_TOL
 
 
@@ -79,10 +82,51 @@ def test_operator_is_the_normalized_map_on_any_row(kind):
     # through the map between the normalizations can.
     cfg = config_for(kind, lookback=16, horizon=8, channels=1, levels=2)
     params = params_with_biases(cfg)
-    weight, bias = compile_operator(params, cfg)
+    operator = compile_operator(params, cfg)
     rows = seeded((5, cfg.lookback))
     want, _ = wavets.model._normalized_map(rows, params, cfg)
-    assert rel_err(rows @ weight + bias, want) <= REL_TOL
+    assert rel_err(rows @ operator[:-1] + operator[-1], want) <= REL_TOL
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_operator_centres_before_its_gemm_at_a_large_mean(kind):
+    # Unit-scale windows around 1e6: the GEMM must read the centred rows.
+    # Both paths round when they add the mean back, so they may differ by
+    # an ulp of 1e6 (1.2e-10) or two; folding the mean into the operator
+    # instead, x @ W - mean * colsum(W), leaves 15 to 28 ulps here.
+    cfg = config_for(kind)
+    params = params_with_biases(cfg)
+    xs = 1e6 + seeded((16, cfg.lookback, cfg.channels)) / 3.0
+    got = apply_operator(xs, compile_operator(params, cfg), cfg)
+    assert np.max(np.abs(got - forward_batch(xs, params, cfg))) <= 4 * np.spacing(1e6)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+ONE_BRANCH = {"branches": 1, "branch_orders": None}
+
+
+# The ETTh1 shape with three mixed-order branches and with one, and a dft
+# span of odd length L+tau; each at start 0, at an odd start and at L.
+@pytest.mark.parametrize(
+    "kind, overrides, starts",
+    [(kind, {}, (0, 7, 336)) for kind in KINDS]
+    + [(kind, ONE_BRANCH, (0, 7, 336)) for kind in KINDS]
+    + [("dft", {"lookback": 32, "horizon": 15, "levels": 2}, (0, 5, 32))],
+    ids=[*KINDS, *(f"{kind}-n1" for kind in KINDS), "dft-odd-span"],
+)
+def test_column_range_compile_is_the_full_compile_bit_for_bit(kind, overrides, starts):
+    # Only the columns start: are carried through the branch path, and
+    # each one is the full compile's column with the same bits.
+    cfg = config_for(kind, **overrides)
+    params = params_with_biases(cfg)
+    full = compile_operator(params, cfg)
+    assert full.shape == (cfg.lookback + 1, cfg.lookback + cfg.horizon)
+    for start in starts:
+        assert_same_bits(compile_operator(params, cfg, start), full[:, start:])
 
 
 def small_config(kind: str, channels: int = 3) -> ModelConfig:
@@ -108,7 +152,7 @@ def assert_leaves_writable_input_unchanged(batch, channels, run):
 @pytest.mark.parametrize("batch, channels", WRITABLE_CASES)
 def test_apply_operator_leaves_writable_input_unchanged(batch, channels):
     def run(xs, params, cfg):
-        return apply_operator(xs, *compile_operator(params, cfg), cfg)
+        return apply_operator(xs, compile_operator(params, cfg), cfg)
 
     assert_leaves_writable_input_unchanged(batch, channels, run)
 
@@ -122,12 +166,12 @@ def test_forward_batch_leaves_writable_input_unchanged(batch, channels):
 def test_apply_operator_reads_read_only_window_views(channels):
     cfg = small_config("dft", channels)
     params = params_with_biases(cfg)
-    weight, bias = compile_operator(params, cfg)
+    operator = compile_operator(params, cfg)
     frame = SeriesFrame(seeded((60, channels)), [f"c{i}" for i in range(channels)])
     values = frame.values.copy()
     lookbacks = windows(frame, cfg.lookback, cfg.horizon)[:, : cfg.lookback]
     assert not lookbacks.flags.writeable
-    got = apply_operator(lookbacks, weight, bias, cfg)
+    got = apply_operator(lookbacks, operator, cfg)
     assert np.array_equal(frame.values, values)
     assert rel_err(got, forward_batch(lookbacks, params, cfg)) <= REL_TOL
 

@@ -85,8 +85,7 @@ def test_compiled_operator_matches_forward_batch(cfg, batch, seed):
         bias[...] = gen.standard_normal(bias.shape)
     xs = 2.0 * gen.standard_normal((batch, cfg.lookback, cfg.channels)) - 1.0
     before = xs.copy()
-    weight, bias = compile_operator(params, cfg)
-    got = apply_operator(xs, weight, bias, cfg)
+    got = apply_operator(xs, compile_operator(params, cfg), cfg)
     assert np.array_equal(xs, before)
     want = forward_batch(xs, params, cfg)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
