@@ -257,9 +257,10 @@ def run_training(
     run: RunConfig,
     spans: tuple[np.ndarray, np.ndarray],
     out: Path,
+    init: np.ndarray,
     quiet: bool = False,
 ) -> tuple[np.ndarray, dict]:
-    """Train one model on the (train, val) window spans of
+    """Train one model from ``init`` on the (train, val) window spans of
     ``load_splits(run)``'s splits and write all artifacts to ``out``.
 
     Returns the best parameters and the summary key/value mapping.  Output
@@ -268,7 +269,7 @@ def run_training(
     """
     started = time.perf_counter()
     train_spans, val_spans = spans
-    params, history = train(run.model, train_spans, val_spans, run.train)
+    params, history = train(run.model, train_spans, val_spans, run.train, init)
     if not quiet:
         for rec in history.epochs:
             print(
@@ -310,7 +311,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     run = _load_run(args, need_data=True)
     train_frame, val_frame, _ = load_splits(run)
     spans = (split_window_pairs(train_frame, run), split_window_pairs(val_frame, run))
-    run_training(run, spans, _claim_out(args, run))
+    # Allocated before --out is claimed: a model no memory can hold is a
+    # config error that leaves no directory.
+    init = init_params(run.model, run.model.seed)
+    run_training(run, spans, _claim_out(args, run), init)
     return 0
 
 
@@ -382,6 +386,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     train_spans, val_spans, test_spans = (
         split_window_pairs(frame, run) for frame in load_splits(run)
     )
+    # Allocated before --out is claimed, as in cmd_train.
+    inits = {kind: init_params(v.model, v.model.seed) for kind, v in variants.items()}
     out = _claim_out(args, run, subdirs=tuple(variants))
     _write_json(out / "effective_config.json", run.to_dict())
 
@@ -389,7 +395,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     for kind, variant in variants.items():
         print(f"== training variant: {kind}")
         params, _ = run_training(
-            variant, (train_spans, val_spans), out / kind, quiet=args.quiet
+            variant, (train_spans, val_spans), out / kind, inits.pop(kind), quiet=args.quiet
         )
         report = split_report(params, test_spans, variant)
         rows.append((kind, report))
@@ -440,13 +446,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         params, spans, model, corrupt_block=args.corrupt_block
     )
 
-    lines = []
-    overall = 0.0
-    for name in sorted(worst):
-        err = worst[name]
-        overall = max(overall, err)
-        status = "pass" if err < GRADCHECK_TOLERANCE else "FAIL"
-        lines.append(f"{name} {err:.3e} {status}")
+    lines = [
+        f"{name} {err:.3e} {'pass' if err < GRADCHECK_TOLERANCE else 'FAIL'}"
+        for name, err in sorted(worst.items())
+    ]
+    # np.max, unlike max, keeps a NaN error, which fails.
+    overall = float(np.max(list(worst.values())))
     ok = overall < GRADCHECK_TOLERANCE
     lines.append(
         f"overall max {overall:.3e} tolerance {GRADCHECK_TOLERANCE:.0e} "

@@ -15,8 +15,8 @@ The derivative gains are signed powers of two, so multiplying a detail
 band by g, mapping it and dividing by g again is exact and leaves only
 the bias scaled by 1/g (bias_scales). Every branch therefore reads the
 same coefficients: each band's N branch maps are one map, the band's
-parameter block as stored: band_maps hands out its weight as a view and
-scales only its bias.
+parameter block [W; b] as stored, and _scaled_band_maps copies it with
+only its bias row scaled.
 
 This module owns the branch path in both directions, on 2-D channel
 rows: _normalized_map takes (R, L) normalized rows, one per channel of
@@ -57,9 +57,9 @@ array. check_windows is the one shape check of window arrays.
 
 The parameters are one float64 vector. param_layout, derived from the
 config alone, names its blocks in checkpoint order (one per band, then
-the projection), and param_blocks gives each block's weight and bias as
-views into the vector, so the optimizer, the gradient norm and the
-gradient checker work on the whole vector at once.
+the projection), and param_blocks gives each block as one (m_in+1, m_out)
+view [weight; bias] into the vector, so the optimizer, the gradient norm
+and the gradient checker work on the whole vector at once.
 """
 
 from __future__ import annotations
@@ -137,23 +137,20 @@ def param_count(config: ModelConfig) -> int:
     return sum((m_in + 1) * m_out for _, _, (m_in, m_out) in param_layout(config))
 
 
-def param_blocks(
-    params: np.ndarray, config: ModelConfig
-) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """(name, weight view, bias view) of every block of a parameter-shaped
-    vector (the parameters, a gradient or an Adam moment), in param_layout
-    order; writing to a view writes the vector."""
+def param_blocks(params: np.ndarray, config: ModelConfig) -> list[tuple[str, np.ndarray]]:
+    """(name, block) of every block of a parameter-shaped vector (the
+    parameters, a gradient or an Adam moment), in param_layout order: the
+    block is the stored (m_in+1, m_out) view [weight; bias], its weight
+    block[:-1] and its bias block[-1]; writing to a view writes the vector."""
     if params.shape != (param_count(config),):
         raise ConfigError(
             f"parameter vector of shape {params.shape} does not match the "
             f"{config.transform_kind} config, which expects ({param_count(config)},)"
         )
-    out = []
-    for name, offset, (m_in, m_out) in param_layout(config):
-        stop = offset + m_in * m_out
-        weight = params[offset:stop].reshape(m_in, m_out)
-        out.append((name, weight, params[stop : stop + m_out]))
-    return out
+    return [
+        (name, params[offset : offset + (m_in + 1) * m_out].reshape(m_in + 1, m_out))
+        for name, offset, (m_in, m_out) in param_layout(config)
+    ]
 
 
 def bias_scales(config: ModelConfig) -> list[np.ndarray]:
@@ -177,16 +174,15 @@ def bias_scales(config: ModelConfig) -> list[np.ndarray]:
     ]
 
 
-def band_maps(
-    params: np.ndarray, config: ModelConfig
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each band's N branch maps as one map on the band they all read: its
-    (m_in, N*m_out) weight, a view into params, and its bias times
-    bias_scales."""
-    return [
-        (weight, bias * scale)
-        for (_, weight, bias), scale in zip(param_blocks(params, config), bias_scales(config))
-    ]
+def _scaled_band_maps(params: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
+    """Each band's N branch maps as one (m_in+1, N*m_out) map on the band
+    they all read, so that a band row x maps to [x, 1] @ it: a copy of the
+    band's block with its bias row times bias_scales. The copy keeps the
+    scaling out of params; no other forward step scales a bias."""
+    maps = [block.copy() for _, block in param_blocks(params, config)[:-1]]
+    for scaled, scale in zip(maps, bias_scales(config)):
+        scaled[-1] *= scale
+    return maps
 
 
 def _analyse(rows: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
@@ -221,13 +217,6 @@ def _synthesis_adjoint(z: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
     return _analyse(z, config)
 
 
-def _augmented_maps(params: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
-    """Each band's map as one (m_in+1, N*m_out) matrix, its band_maps
-    weight with the scaled bias as a last row, so that a band row x maps
-    to [x, 1] @ it."""
-    return [np.vstack([weight, bias]) for weight, bias in band_maps(params, config)]
-
-
 def _normalized_map(
     rows: np.ndarray, params: np.ndarray, config: ModelConfig, start: int = 0
 ) -> tuple[np.ndarray, dict]:
@@ -246,19 +235,19 @@ def _normalized_map(
     operator. Only the projection columns start: are carried back, so the
     q_k, V and the GEMM all shrink with the columns left out."""
     total = config.lookback + config.horizon
-    _, proj_weight, proj_bias = param_blocks(params, config)[-1]
+    _, projection = param_blocks(params, config)[-1]
     # Output column j's projection weights as N branch series of length L+tau.
-    columns = proj_weight.T[start:].reshape(-1, config.branches, total)
+    columns = projection[:-1].T[start:].reshape(-1, config.branches, total)
     qs = [q.reshape(len(columns), -1) for q in _synthesis_adjoint(columns, config)]
     ones = np.ones((len(rows), 1))
     xb = np.concatenate([x for band in _analyse(rows, config) for x in (band, ones)], axis=1)
     operator = np.empty((xb.shape[1], len(columns)))
     lo = 0
-    for aug, q in zip(_augmented_maps(params, config), qs):
-        np.matmul(aug, q.T, out=operator[lo : lo + len(aug)])
-        lo += len(aug)
+    for scaled, q in zip(_scaled_band_maps(params, config), qs):
+        np.matmul(scaled, q.T, out=operator[lo : lo + len(scaled)])
+        lo += len(scaled)
     proj = xb @ operator
-    proj += proj_bias[start:]
+    proj += projection[-1, start:]
     return proj, {"xb": xb, "q": qs}
 
 
@@ -272,29 +261,28 @@ def _normalized_map_adjoint(
     The band-domain operator's gradient is G = xb.T @ dproj; band k's rows
     of it are [G_k; s], s = dproj.sum(axis=0) coming from the ones column.
     They give band k's block whole, [G_k; s] @ q_k, the bias row then
-    scaled like its bias, and q_k's gradient [G_k; s].T @ [W_k; b_k]. The
-    projection's weight gradient is the synthesis of the q_k gradients,
+    scaled like its bias, and q_k's gradient [G_k; s].T times the band's
+    _scaled_band_maps map. The projection's weight gradient is the synthesis of the q_k gradients,
     its bias gradient s. cache is emptied as it is read, so the forward's
     intermediates are freed before that synthesis."""
     total = config.lookback + config.horizon
     gv = cache.pop("xb").T @ dproj
     qs = cache.pop("q")
     grads = np.empty_like(params)
+    *bands, (_, projection) = param_blocks(grads, config)
     dqs, lo = [], 0
-    for (_, offset, (m_in, m_out)), aug, scale in zip(
-        param_layout(config), _augmented_maps(params, config), bias_scales(config)
+    for (_, block), scaled, scale in zip(
+        bands, _scaled_band_maps(params, config), bias_scales(config)
     ):
-        g = gv[lo : lo + m_in + 1]
-        lo += m_in + 1
+        g = gv[lo : lo + len(block)]
+        lo += len(block)
         # The block's weight then bias: [G_k; s] @ q_k in one product.
-        block = grads[offset : offset + (m_in + 1) * m_out].reshape(m_in + 1, m_out)
         np.matmul(g, qs.pop(0), out=block)
         block[-1] *= scale
-        dqs.append((g.T @ aug).reshape(total, config.branches, -1))
+        dqs.append((g.T @ scaled).reshape(total, config.branches, -1))
     # The projection weight's rows are the synthesised columns of dq.
-    _, proj_weight, proj_bias = param_blocks(grads, config)[-1]
-    proj_weight[...] = _synthesise(dqs, config).reshape(total, -1).T
-    np.sum(dproj, axis=0, out=proj_bias)
+    projection[:-1] = _synthesise(dqs, config).reshape(total, -1).T
+    np.sum(dproj, axis=0, out=projection[-1])
     return grads
 
 
@@ -422,8 +410,8 @@ def validate_params(params: np.ndarray, config: ModelConfig) -> None:
             f"parameters must be a float64 vector, got {type(params).__name__} "
             f"of {getattr(params, 'dtype', 'no dtype')}"
         )
-    for name, weight, bias in param_blocks(params, config):
-        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
+    for name, block in param_blocks(params, config):
+        if not np.all(np.isfinite(block)):
             raise ConfigError(f"{name} contains non-finite entries")
 
 
@@ -436,8 +424,15 @@ def init_params(config: ModelConfig, seed: int) -> np.ndarray:
     """
     config.ensure_valid()
     rng = np.random.Generator(np.random.PCG64(seed))
-    params = np.zeros(param_count(config))
-    weights = [weight for _, weight, _ in param_blocks(params, config)]
+    try:
+        params = np.zeros(param_count(config))
+    # A model too large for any memory (MemoryError) or address space
+    # (ValueError) is a config error, not a crash.
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(
+            f"the {config.transform_kind} model has {param_count(config)} parameters: {exc}"
+        ) from exc
+    weights = [block[:-1] for _, block in param_blocks(params, config)]
     # Each band's weight as N column views, one per branch.
     columns = [np.split(weight, config.branches, axis=1) for weight in weights[:-1]]
     draws = [band[n] for n in range(config.branches) for band in columns]

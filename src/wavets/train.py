@@ -39,6 +39,13 @@ from .model import (
 # 1 MiB or more.
 ADAM_BLOCK = 16384
 
+# gradient_check's central-difference step. The joint loss is quadratic in
+# any one entry, so a central difference has no truncation error and the
+# step only sets the rounding noise, about 1e-16 * loss / step. At 1e-6
+# that noise alone read 5e-4 relative on correct gradients near 1e-7;
+# 1e-3 shrinks it a thousandfold.
+GRADCHECK_STEP = 1e-3
+
 
 def gradient_batch(
     params: np.ndarray,
@@ -264,48 +271,36 @@ def gradient_check(
     params: np.ndarray,
     spans: np.ndarray,
     config: ModelConfig,
-    h: float = 1e-3,
     corrupt_block: str | None = None,
 ) -> dict[str, float]:
     """Max relative error of analytic vs central-difference gradients,
     reported per parameter block.
 
-    Every entry of the parameter vector is probed, block by block.
-    corrupt_block deliberately perturbs one block's analytic weight
-    gradient (negative control for the CLI's failure path).
-
-    The joint loss is quadratic in any one entry, so a central difference
-    has no truncation error and the step h only sets the rounding noise,
-    about 1e-16 * loss / h. At h = 1e-6 that noise alone read 5e-4
-    relative on correct gradients near 1e-7; h = 1e-3 shrinks it a
-    thousandfold.
+    Every entry of the parameter vector is probed with a step of
+    GRADCHECK_STEP. corrupt_block deliberately perturbs one block's
+    analytic weight gradient (negative control for the CLI's failure
+    path).
     """
     spans = check_windows(spans, config, config.lookback + config.horizon)
     grads, _ = gradient_batch(params, spans, config)
-    layout = param_layout(config)
     if corrupt_block is not None:
         check_corrupt_block(corrupt_block, config)
-        for name, weight, _ in param_blocks(grads, config):
-            if name == corrupt_block:
-                weight += 1e-3
+        dict(param_blocks(grads, config))[corrupt_block][:-1] += 1e-3
 
     def loss_at(p: np.ndarray) -> float:
         out = forward_batch(spans[:, : config.lookback], p, config)
         return float(np.mean((out - spans) ** 2))
 
+    h = GRADCHECK_STEP
     probe = params.copy()
-    report: dict[str, float] = {}
-    for name, offset, (m_in, m_out) in layout:
-        worst = 0.0
-        for i in range(offset, offset + (m_in + 1) * m_out):
-            keep = probe[i]
-            probe[i] = keep + h
-            up = loss_at(probe)
-            probe[i] = keep - h
-            down = loss_at(probe)
-            probe[i] = keep
-            fd = (up - down) / (2.0 * h)
-            denom = max(abs(grads[i]), abs(fd), 1e-8)
-            worst = max(worst, abs(grads[i] - fd) / denom)
-        report[name] = worst
-    return report
+    errors = np.empty_like(params)
+    for i, grad in enumerate(grads):
+        keep = probe[i]
+        probe[i] = keep + h
+        up = loss_at(probe)
+        probe[i] = keep - h
+        down = loss_at(probe)
+        probe[i] = keep
+        fd = (up - down) / (2.0 * h)
+        errors[i] = abs(grad - fd) / max(abs(grad), abs(fd), 1e-8)
+    return {name: float(np.max(block)) for name, block in param_blocks(errors, config)}

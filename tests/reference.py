@@ -168,7 +168,7 @@ def affine_grads_slices(
 
 def blocks_by_name(params: np.ndarray, config) -> dict:
     """{name: (weight view, bias view)} of a parameter-shaped vector."""
-    return {name: (w, b) for name, w, b in param_blocks(params, config)}
+    return {name: (block[:-1], block[-1]) for name, block in param_blocks(params, config)}
 
 
 def branch_maps(blocks: dict, config, n: int) -> list[tuple[np.ndarray, np.ndarray]]:

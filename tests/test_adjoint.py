@@ -22,7 +22,6 @@ from wavets.model import (
     _normalized_map_adjoint,
     init_params,
     param_blocks,
-    param_layout,
 )
 
 REL_TOL = 1e-10
@@ -37,8 +36,8 @@ def test_adjoint_matches_the_map_block_by_block(kind, lookback):
     )
     gen = np.random.default_rng(7)
     params = init_params(cfg, cfg.seed)
-    for _, _, bias in param_blocks(params, cfg):
-        bias[...] = gen.normal(size=bias.shape)
+    for _, block in param_blocks(params, cfg):
+        block[-1] = gen.normal(size=block.shape[1])
     # Three windows' channel rows.
     rows = gen.normal(size=(3 * cfg.channels, lookback)) + 2.5
     out, cache = _normalized_map(rows, params, cfg)
@@ -46,11 +45,11 @@ def test_adjoint_matches_the_map_block_by_block(kind, lookback):
     grads = _normalized_map_adjoint(d, cache, params, cfg)
     assert grads.shape == params.shape
 
-    for name, offset, (m_in, m_out) in param_layout(cfg):
-        block = slice(offset, offset + (m_in + 1) * m_out)
+    for i, (name, grad) in enumerate(param_blocks(grads, cfg)):
         step = np.zeros_like(params)
-        step[block] = gen.normal(size=(m_in + 1) * m_out)
+        block = param_blocks(step, cfg)[i][1]
+        block[...] = gen.normal(size=block.shape)
         moved, _ = _normalized_map(rows, params + step, cfg)
         want = float(np.sum(d * (moved - out)))
-        got = float(grads[block] @ step[block])
+        got = float(grad.ravel() @ block.ravel())
         assert abs(got - want) <= REL_TOL * abs(want), (name, got, want)

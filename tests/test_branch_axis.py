@@ -50,8 +50,8 @@ def three_branch_config(kind: str, **overrides) -> ModelConfig:
 
 def params_with_biases(cfg: ModelConfig, gen: np.random.Generator):
     params = init_params(cfg, cfg.seed)
-    for _, _, bias in param_blocks(params, cfg):
-        bias[...] = gen.normal(size=bias.shape)
+    for _, block in param_blocks(params, cfg):
+        block[-1] = gen.normal(size=block.shape[1])
     return params
 
 
@@ -77,10 +77,10 @@ def assert_gradients_agree(cfg: ModelConfig, gen: np.random.Generator, batch: in
     grads, loss = gradient_batch(params, spans, cfg)
     want, want_loss = per_branch_gradients(params, spans, cfg)
     assert loss == pytest.approx(want_loss, rel=REL_TOL)
-    for name, weight, bias in param_blocks(grads, cfg):
+    for name, block in param_blocks(grads, cfg):
         ref_weight, ref_bias = blocks_by_name(want, cfg)[name]
-        assert_agrees(weight, ref_weight, f"{name} weight")
-        assert_agrees(bias, ref_bias, f"{name} bias")
+        assert_agrees(block[:-1], ref_weight, f"{name} weight")
+        assert_agrees(block[-1], ref_bias, f"{name} bias")
 
 
 @pytest.mark.parametrize("kind, batch, channels", CASES)

@@ -46,6 +46,17 @@ by entry, and each gradient block and the operator's weight and bias
 within 1e-12 of the largest entry of the old block, so the re-record
 cannot hide a defect; the code must reproduce the new values bit for
 bit.
+
+The bits of a GEMM depend on the OpenBLAS kernel that runs it
+(blas_kernel.py), so each record keeps its pinned values under
+recorded, keyed by kernel name: out; grads and loss; weight and bias.
+The values above were recorded under SkylakeX. The Haswell values were
+added under OPENBLAS_CORETYPE=Haswell by code that reproduces every
+SkylakeX value bit for bit (after commit 32bce3c); Zen runs the Haswell
+kernel. A kernel whose entry is another kernel's name gave that kernel's
+bits: every dft value is the same under Haswell as under SkylakeX. A pin
+test reads the recording of the running kernel and fails, naming the
+kernel, when there is none; the bounds above hold for every recording.
 """
 
 import json
@@ -62,6 +73,8 @@ from wavets.model import (
     save_checkpoint,
 )
 from wavets.train import gradient_batch
+
+from blas_kernel import openblas_corename
 
 CHECKPOINTS = Path(__file__).resolve().parent / "checkpoints"
 KINDS = ("wdt", "dft")
@@ -81,6 +94,24 @@ def record(kind: str, what: str) -> dict:
     return json.loads((CHECKPOINTS / f"{kind}_{what}.json").read_text())
 
 
+def recordings(pinned: dict) -> list[dict]:
+    """Every kernel's own recorded values in a record."""
+    return [values for values in pinned["recorded"].values() if isinstance(values, dict)]
+
+
+def running_kernel_recording(pinned: dict) -> dict:
+    """The recorded values of the running OpenBLAS kernel."""
+    by_kernel = pinned["recorded"]
+    kernel = openblas_corename()
+    if kernel not in by_kernel:
+        pytest.fail(
+            f"no values recorded for OpenBLAS kernel {kernel}; "
+            f"recorded kernels: {', '.join(by_kernel)}"
+        )
+    values = by_kernel[kernel]
+    return by_kernel[values] if isinstance(values, str) else values
+
+
 def assert_same_bits(got, want) -> None:
     got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
     assert got.shape == want.shape
@@ -92,21 +123,23 @@ def test_recorded_forecast_reproduced_bit_for_bit(kind):
     params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
     pinned = record(kind, "forward")
     out = forward_batch(np.array(pinned["xs"]), params, config)
-    assert_same_bits(out, pinned["out"])
+    assert_same_bits(out, running_kernel_recording(pinned)["out"])
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rerecorded_forecast_within_rounding_of_the_original(kind):
     pinned = record(kind, "forward")
     original = np.array(pinned["stack_normalized_out"])
-    np.testing.assert_allclose(np.array(pinned["out"]), original, rtol=1e-12, atol=0)
+    for values in recordings(pinned):
+        np.testing.assert_allclose(np.array(values["out"]), original, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rerecorded_forecast_within_rounding_of_the_branch_path(kind):
     pinned = record(kind, "forward")
     original = np.array(pinned["branch_path_out"])
-    np.testing.assert_allclose(np.array(pinned["out"]), original, rtol=1e-12, atol=0)
+    for values in recordings(pinned):
+        np.testing.assert_allclose(np.array(values["out"]), original, rtol=1e-12, atol=0)
 
 
 def assert_within_block_max(got, want, label: str) -> None:
@@ -119,20 +152,20 @@ def assert_within_block_max(got, want, label: str) -> None:
 def test_rerecorded_gradient_within_rounding_of_the_branch_path(kind):
     _, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
     pinned = record(kind, "gradient")
-    new = param_blocks(np.array(pinned["grads"]), config)
     old = param_blocks(np.array(pinned["branch_path_grads"]), config)
-    for (name, weight, bias), (_, old_weight, old_bias) in zip(new, old):
-        assert_within_block_max(
-            np.append(weight, bias), np.append(old_weight, old_bias), name
-        )
-    assert pinned["loss"] == pytest.approx(pinned["branch_path_loss"], rel=1e-12, abs=0)
+    for values in recordings(pinned):
+        new = param_blocks(np.array(values["grads"]), config)
+        for (name, block), (_, old_block) in zip(new, old):
+            assert_within_block_max(block, old_block, name)
+        assert values["loss"] == pytest.approx(pinned["branch_path_loss"], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rerecorded_operator_within_rounding_of_the_branch_path(kind):
     pinned = record(kind, "operator")
-    assert_within_block_max(pinned["weight"], pinned["branch_path_weight"], "weight")
-    assert_within_block_max(pinned["bias"], pinned["branch_path_bias"], "bias")
+    for values in recordings(pinned):
+        assert_within_block_max(values["weight"], pinned["branch_path_weight"], "weight")
+        assert_within_block_max(values["bias"], pinned["branch_path_bias"], "bias")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -140,8 +173,9 @@ def test_recorded_gradient_reproduced_bit_for_bit(kind):
     params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
     pinned = record(kind, "gradient")
     grads, loss = gradient_batch(params, np.array(pinned["spans"]), config)
-    assert_same_bits(grads, pinned["grads"])
-    assert_same_bits(loss, pinned["loss"])
+    values = running_kernel_recording(pinned)
+    assert_same_bits(grads, values["grads"])
+    assert_same_bits(loss, values["loss"])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -149,5 +183,6 @@ def test_recorded_operator_reproduced_bit_for_bit(kind):
     params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
     pinned = record(kind, "operator")
     operator = compile_operator(params, config)
-    assert_same_bits(operator[:-1], pinned["weight"])
-    assert_same_bits(operator[-1], pinned["bias"])
+    values = running_kernel_recording(pinned)
+    assert_same_bits(operator[:-1], values["weight"])
+    assert_same_bits(operator[-1], values["bias"])

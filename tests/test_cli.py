@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from wavets.cli import main
+from wavets.config import load_run_config
 from wavets.data import load_csv
-from wavets.model import ModelConfig, load_checkpoint, param_blocks, save_checkpoint
+from wavets.model import ModelConfig, load_checkpoint, param_blocks, param_count, save_checkpoint
 from wavets.wavelet import make_filterbank, dwt_multi
 from wavets.wdt import DerivativePyramid, write_coefficients_csv
 
@@ -899,9 +900,9 @@ def nan_in_fru_lh_level2(raw: bytes) -> bytes:
     doc = json.loads((CHECKPOINTS / "wdt.json").read_text())
     params = np.frombuffer(raw, "<f8").copy()
     config = ModelConfig.from_dict(doc["config"])
-    weight = {name: w for name, w, _ in param_blocks(params, config)}["fru_lh[level2]"]
+    block = dict(param_blocks(params, config))["fru_lh[level2]"]
     # Branch 2's first column of the coarsest detail band's weight.
-    weight[0, weight.shape[1] // 2] = np.nan
+    block[0, block.shape[1] // 2] = np.nan
     return params.tobytes()
 
 
@@ -968,7 +969,7 @@ def test_eval_nonfinite_forecast_exits_4(tmp_path, run_config, capsys):
     out = run_train(tmp_path, run_config, "r")
     path = out / "checkpoint.json"
     params, config = load_checkpoint(str(path))
-    param_blocks(params, config)[-1][1][...] = 1e300
+    param_blocks(params, config)[-1][1][:-1] = 1e300
     save_checkpoint(params, config, str(path))
     capsys.readouterr()
     rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e")])
@@ -1122,6 +1123,32 @@ def test_ablate_checks_every_variant_before_writing(tmp_path, series_csv, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("branches", [10**12, 10**15])
+@pytest.mark.parametrize("kind", ["dwt", "dft"])
+def test_model_too_large_to_allocate_exits_2(tmp_path, capsys, kind, branches):
+    # 10**12 branches at L+tau = 320 need over 2^59 bytes of parameters,
+    # past any 64-bit address space, so the allocation fails everywhere;
+    # 10**15 need more bytes than NumPy can even count. The vector is
+    # allocated before --out is claimed, so nothing is left behind. The
+    # wdt gains overflow first, which ablate meets in its wdt variant.
+    series = write_series_csv(tmp_path / "series.csv", 2400)
+    model = {"transform_kind": kind, "branches": branches, "lookback": 256, "horizon": 64}
+    cfg = write_run_config(tmp_path / "run.json", series, model=model)
+    count = param_count(load_run_config(str(cfg)).model)
+    assert 8 * count > 2**59
+    for command, words in (
+        ("train", f"the {kind} model has {count} parameters"),
+        ("ablate", "must be at most 1023"),
+    ):
+        out = tmp_path / command
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, command
+        assert err.startswith("config error: ") and words in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_ablate_reads_the_csv_once(tmp_path, monkeypatch, capsys):
     calls = []
 
@@ -1189,6 +1216,16 @@ def test_gradcheck_corrupt_block_exits_1(tmp_path, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "projection" in out and "FAIL" in out
+
+
+@pytest.mark.parametrize("errors", [(float("nan"), 0.0), (0.0, float("nan"))])
+def test_gradcheck_nan_error_fails_overall(tmp_path, monkeypatch, capsys, errors):
+    # A NaN block error is no pass, wherever it falls in the report.
+    report = dict(zip(("fru_ll", "projection"), errors))
+    monkeypatch.setattr("wavets.cli.gradient_check", lambda *args, **kwargs: report)
+    rc = main(["gradcheck", "--config", str(gradcheck_config(tmp_path))])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines()[-1].endswith("FAIL")
 
 
 def test_gradcheck_unknown_corrupt_block_exits_2(tmp_path):

@@ -66,8 +66,8 @@ def two_branch_config(kind: str, channels: int) -> ModelConfig:
 def params_with_biases(cfg: ModelConfig, gen: np.random.Generator) -> np.ndarray:
     # Nonzero biases, so a dropped or misplaced bias term shows.
     params = init_params(cfg, cfg.seed)
-    for _, _, bias in param_blocks(params, cfg):
-        bias[...] = gen.normal(size=bias.shape)
+    for _, block in param_blocks(params, cfg):
+        block[-1] = gen.normal(size=block.shape[1])
     return params
 
 
@@ -106,9 +106,9 @@ def assert_grads_match(cfg, params, rows, cache, dproj, blocks: slice) -> None:
     """The adjoint's blocks[...] against the dense gradients."""
     grads = _normalized_map_adjoint(dproj, cache, params, cfg)
     want = blocks_by_name(band_domain_gradients(params, rows, dproj, cfg), cfg)
-    for name, weight, bias in param_blocks(grads, cfg)[blocks]:
-        assert rel_err(weight, want[name][0]) <= REL_TOL, name
-        assert rel_err(bias, want[name][1]) <= REL_TOL, name
+    for name, block in param_blocks(grads, cfg)[blocks]:
+        assert rel_err(block[:-1], want[name][0]) <= REL_TOL, name
+        assert rel_err(block[-1], want[name][1]) <= REL_TOL, name
 
 
 BANDS, PROJECTION = slice(None, -1), slice(-1, None)
@@ -187,9 +187,9 @@ class TestRowGemmMaps:
         residual = (out - spans).transpose(0, 2, 1).reshape(-1, TOTAL)
         dproj = (2.0 / residual.size) * residual * std
         want = blocks_by_name(band_domain_gradients(params, rows, dproj, cfg), cfg)
-        _, proj_weight, proj_bias = param_blocks(grads, cfg)[-1]
-        assert rel_err(proj_weight, want["projection"][0]) <= REL_TOL
-        assert rel_err(proj_bias, want["projection"][1]) <= REL_TOL
+        _, projection = param_blocks(grads, cfg)[-1]
+        assert rel_err(projection[:-1], want["projection"][0]) <= REL_TOL
+        assert rel_err(projection[-1], want["projection"][1]) <= REL_TOL
 
 
 @pytest.mark.parametrize("kind", KINDS)

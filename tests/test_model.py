@@ -9,7 +9,7 @@ from wavets.model import (
     CHECKPOINT_VERSION,
     ModelConfig,
     _centre_rows,
-    band_maps,
+    compile_operator,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -19,6 +19,7 @@ from wavets.model import (
     save_checkpoint,
     validate_params,
 )
+from wavets.train import evaluate_loss, gradient_batch
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -34,14 +35,14 @@ def identity_block_params(config: ModelConfig) -> np.ndarray:
     """FRUs embed each band into its padded slot; projection passes the
     first branch straight through."""
     params = np.zeros(param_count(config))
-    for _, weight, _ in param_blocks(params, config):
-        m = min(weight.shape)
-        weight[:m, :m] = np.eye(m)
+    for _, block in param_blocks(params, config):
+        m = min(block.shape[0] - 1, block.shape[1])
+        block[:m, :m] = np.eye(m)
     return params
 
 
 def projection_bias(params: np.ndarray, config: ModelConfig) -> np.ndarray:
-    return param_blocks(params, config)[-1][2]
+    return param_blocks(params, config)[-1][1][-1]
 
 
 # Instance normalization is checked on model._centre_rows, the one
@@ -165,17 +166,17 @@ class TestInitParams:
 
     def test_different_seeds_differ(self):
         cfg = tiny_config()
-        a = param_blocks(init_params(cfg, 11), cfg)[-1][1]
-        b = param_blocks(init_params(cfg, 12), cfg)[-1][1]
+        a = param_blocks(init_params(cfg, 11), cfg)[-1][1][:-1]
+        b = param_blocks(init_params(cfg, 12), cfg)[-1][1][:-1]
         assert not np.array_equal(a, b)
 
     def test_fan_in_bound(self):
         cfg = tiny_config()
         params = init_params(cfg, 3)
-        for _, weight, bias in param_blocks(params, cfg):
-            bound = 1.0 / np.sqrt(weight.shape[0])
-            assert np.all(np.abs(weight) <= bound)
-            np.testing.assert_array_equal(bias, 0.0)
+        for _, block in param_blocks(params, cfg):
+            bound = 1.0 / np.sqrt(len(block) - 1)
+            assert np.all(np.abs(block[:-1]) <= bound)
+            np.testing.assert_array_equal(block[-1], 0.0)
 
     def test_dft_structure(self):
         cfg = tiny_config(transform_kind="dft")
@@ -196,7 +197,7 @@ class TestInitParams:
         ):
             cfg = tiny_config(transform_kind=kind)
             rng = np.random.Generator(np.random.PCG64(13))
-            blocks = {name: w for name, w, _ in param_blocks(init_params(cfg, 13), cfg)}
+            blocks = {name: b[:-1] for name, b in param_blocks(init_params(cfg, 13), cfg)}
 
             def branch(name, n):
                 m_out = blocks[name].shape[1] // 2
@@ -289,6 +290,29 @@ class TestForward:
                 forward_batch(np.zeros(shape), params, cfg)
 
 
+@pytest.mark.parametrize("kind", ["wdt", "dwt", "dft"])
+def test_model_never_writes_into_params(kind):
+    # The forward scales a copy of each band's bias row (by 1/g on the wdt
+    # detail bands), never the stored row: every path that reads the
+    # parameters leaves their bits as they were.
+    cfg = tiny_config(transform_kind=kind)
+    params = init_params(cfg, 4)
+    gen = np.random.default_rng(5)
+    for _, block in param_blocks(params, cfg):
+        block[-1] = gen.standard_normal(block.shape[1])
+    bits = params.view(np.uint64).copy()
+    spans = gen.standard_normal((3, cfg.lookback + cfg.horizon, cfg.channels))
+    calls = {
+        "forward_batch": lambda: forward_batch(spans[:, : cfg.lookback], params, cfg),
+        "gradient_batch": lambda: gradient_batch(params, spans, cfg),
+        "compile_operator": lambda: compile_operator(params, cfg),
+        "evaluate_loss": lambda: evaluate_loss(params, spans, cfg),
+    }
+    for name, call in calls.items():
+        call()
+        assert np.array_equal(params.view(np.uint64), bits), name
+
+
 class TestValidateParams:
     # The vector carries no shapes: validate_params checks its type,
     # length and values. tests/test_cli.py checks that load_checkpoint
@@ -313,8 +337,8 @@ class TestValidateParams:
         cfg = tiny_config()
         params = init_params(cfg, 1)
         # Branch 2's half of the approx band's weight.
-        weight = param_blocks(params, cfg)[0][1]
-        weight[0, weight.shape[1] // 2] = np.nan
+        block = param_blocks(params, cfg)[0][1]
+        block[0, block.shape[1] // 2] = np.nan
         with pytest.raises(ConfigError, match=r"fru_ll contains non-finite"):
             validate_params(params, cfg)
 
@@ -410,26 +434,26 @@ class TestParamHelpers:
     def test_block_views_write_the_vector(self):
         cfg = tiny_config()
         vec = np.zeros(param_count(cfg))
-        for i, (_, weight, bias) in enumerate(param_blocks(vec, cfg), start=1):
-            weight[...] = i
-            bias[...] = -i
+        for i, (_, block) in enumerate(param_blocks(vec, cfg), start=1):
+            block[:-1] = i
+            block[-1] = -i
         np.testing.assert_array_equal(np.unique(np.abs(vec)), np.arange(1, 5))
         _, start, (m_in, m_out) = param_layout(cfg)[1]
         np.testing.assert_array_equal(vec[start : start + m_in * m_out], 2.0)
         np.testing.assert_array_equal(vec[start + m_in * m_out : start + (m_in + 1) * m_out], -2.0)
 
     @pytest.mark.parametrize("kind", ["wdt", "dft"])
-    def test_band_maps_weights_are_views_into_params(self, kind):
-        # The forward applies each band's block as stored: no weight copy.
+    def test_blocks_are_the_stored_views(self, kind):
+        # Each block is [W; b] as stored, its weight rows then its bias row.
         cfg = tiny_config(transform_kind=kind, branches=3)
         params = init_params(cfg, 3)
-        maps = band_maps(params, cfg)
-        assert len(maps) == len(param_layout(cfg)) - 1
-        for (name, offset, (m_in, m_out)), (weight, bias) in zip(param_layout(cfg), maps):
-            assert weight.shape == (m_in, m_out) and bias.shape == (m_out,), name
-            assert np.shares_memory(weight, params), name
-            stored = params[offset : offset + m_in * m_out].reshape(m_in, m_out)
-            assert np.array_equal(weight, stored), name
+        blocks = param_blocks(params, cfg)
+        assert len(blocks) == len(param_layout(cfg))
+        for (name, offset, (m_in, m_out)), (_, block) in zip(param_layout(cfg), blocks):
+            assert block.shape == (m_in + 1, m_out), name
+            assert np.shares_memory(block, params), name
+            stored = params[offset : offset + (m_in + 1) * m_out]
+            assert np.array_equal(block.ravel(), stored), name
 
     def test_wrong_length_rejected(self):
         cfg = tiny_config()

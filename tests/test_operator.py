@@ -49,8 +49,8 @@ def config_for(kind: str, **overrides) -> ModelConfig:
 def params_with_biases(cfg: ModelConfig, seed: int = 11) -> np.ndarray:
     params = init_params(cfg, cfg.seed)
     gen = np.random.default_rng(seed)
-    for _, _, bias in param_blocks(params, cfg):
-        bias[...] = gen.standard_normal(bias.shape)
+    for _, block in param_blocks(params, cfg):
+        block[-1] = gen.standard_normal(block.shape[1])
     return params
 
 

@@ -81,8 +81,8 @@ def test_compiled_operator_matches_forward_batch(cfg, batch, seed):
     cfg.ensure_valid()
     gen = np.random.default_rng(seed)
     params = init_params(cfg, cfg.seed)
-    for _, _, bias in param_blocks(params, cfg):
-        bias[...] = gen.standard_normal(bias.shape)
+    for _, block in param_blocks(params, cfg):
+        block[-1] = gen.standard_normal(block.shape[1])
     xs = 2.0 * gen.standard_normal((batch, cfg.lookback, cfg.channels)) - 1.0
     before = xs.copy()
     got = apply_operator(xs, compile_operator(params, cfg), cfg)

@@ -49,7 +49,7 @@ def zero_params(cfg):
 
 
 def projection_weight(params, cfg):
-    return param_blocks(params, cfg)[-1][1]
+    return param_blocks(params, cfg)[-1][1][:-1]
 
 
 class TestJointLoss:
@@ -100,9 +100,8 @@ class TestGradients:
         # by zero parameters, so the quadratic sits at its minimum.
         cfg = tiny_config()
         grads = gradients(zero_params(cfg), np.full((1, 12, 2), 3.0), cfg)
-        for name, weight, bias in param_blocks(grads, cfg):
-            np.testing.assert_array_equal(weight, 0.0, err_msg=name)
-            np.testing.assert_array_equal(bias, 0.0, err_msg=name)
+        for name, block in param_blocks(grads, cfg):
+            np.testing.assert_array_equal(block, 0.0, err_msg=name)
 
     def test_linearity_in_forecast_residual(self):
         # The gradient is affine in the targets: scaling the forecast
@@ -121,12 +120,10 @@ class TestGradients:
         g1 = gradients(params, with_residual_scale(1.0), cfg)
         g2 = gradients(params, with_residual_scale(2.0), cfg)
         g3 = gradients(params, with_residual_scale(3.0), cfg)
-        for (name, b1, _), (_, b2, _), (_, b3, _) in zip(
+        for (name, b1), (_, b2), (_, b3) in zip(
             param_blocks(g1, cfg), param_blocks(g2, cfg), param_blocks(g3, cfg)
         ):
-            np.testing.assert_allclose(
-                b3 - b1, 2.0 * (b2 - b1), atol=1e-12, err_msg=name
-            )
+            np.testing.assert_allclose(b3 - b1, 2.0 * (b2 - b1), atol=1e-12, err_msg=name)
 
     def test_empty_batch_rejected(self):
         cfg = tiny_config()
@@ -181,8 +178,8 @@ class TestGradientCheckFiniteDifferences:
         cfg = tiny_config(transform_kind="dwt", branches=3, seed=2)
         params = init_params(cfg, cfg.seed)
         gen = np.random.default_rng(8)
-        for _, _, bias in param_blocks(params, cfg):
-            bias[...] = gen.standard_normal(bias.shape)
+        for _, block in param_blocks(params, cfg):
+            block[-1] = gen.standard_normal(block.shape[1])
         spans = gen.standard_normal((2, cfg.lookback + cfg.horizon, cfg.channels))
         report = gradient_check(params, spans, cfg)
         # One block per band (approx, two detail levels), then the projection.
@@ -293,7 +290,7 @@ class TestGradientClip:
         grads = gradients(params, seeded_spans(cfg, 2), cfg)
         norm = global_grad_norm(grads)
         assert norm == pytest.approx(
-            np.sqrt(sum(np.sum(w**2) + np.sum(b**2) for _, w, b in param_blocks(grads, cfg))),
+            np.sqrt(sum(np.sum(block**2) for _, block in param_blocks(grads, cfg))),
             rel=1e-12,
         )
         clip_gradients(grads, norm / 2)
