@@ -18,10 +18,17 @@ same coefficients: each band's N branch maps are one map, the band's
 parameter block [W; b] as stored, and _scaled_band_maps copies it with
 only its bias row scaled.
 
+Instance normalization (RevIN) divides a row by its std, maps it and
+multiplies the output back, so std * ((x - mean) / std @ W + b) =
+[x - mean, std] @ [W; b]: the std is one more input column, the one every
+bias meets, and nothing divides by it. _centre_rows, the one instance
+normalization, writes the (B*C, L+1) channel rows [x - mean, std]; short
+of adding the mean back, the model is linear in them.
+
 This module owns the branch path in both directions, on 2-D channel
-rows: _normalized_map takes (R, L) normalized rows, one per channel of
-each window, and returns (R, L+tau). The band maps, the synthesis and
-the projection are all linear, so _normalized_map carries the projection
+rows: _normalized_map takes those (R, L+1) rows, one per channel of each
+window, and returns (R, L+tau). The band maps, the synthesis and the
+projection are all linear, so _normalized_map carries the projection
 back through the synthesis (_synthesis_adjoint) and applies the band
 maps and the projection as one band-domain operator to the analysed
 rows, and _normalized_map_adjoint runs the same factoring back from
@@ -34,22 +41,15 @@ adjoint of the inverse real FFT is a forward real FFT with half-spectrum
 bin weighting (_irfft_adjoint: interior bins carry factor 2/M, the DC
 bin 1/M, and for even M the Nyquist bin 1/M with a dead imaginary part).
 
-Everything between the instance normalization and the denormalization is
-affine in the input too, so for fixed parameters the model is one
-(L, L+tau) matrix and bias on normalized rows. compile_operator builds it
-as one (L+1, m) array [weight; bias] by pushing the identity rows and the
-zero row through the same branch path as forward_batch, carrying only
-the m output columns from a given start, so a forecast compiles just the
-horizon. Both paths share one instance normalization, _centre_rows: it
-copies the lookback once into (B*C, L+1) channel rows, centres them in
-place and puts each row's std in the last column. forward_batch divides
-the rows by that column and hands them to _normalized_map, then
-denormalizes its fresh output in place. apply_operator divides nothing:
-since std * ((x - mean) / std @ weight + bias) = [x - mean, std] @
-[weight; bias], one GEMM of the whole array by the operator leaves only
-the mean to add. forward_batch is the training path and the operator's
-reference; the two differ only in rounding, since they sum their
-products in other orders and scale by the std at other steps.
+So for fixed parameters the model is one (L+1, m) array [weight; bias]
+on those rows, and compile_operator builds it as the map of the identity
+rows through the same branch path as forward_batch, carrying only the m
+output columns from a given start, so a forecast compiles just the
+horizon. forward_batch hands _centre_rows' array to _normalized_map and
+apply_operator multiplies it by the operator in one GEMM; both add the
+mean to their fresh output in place. forward_batch is the training path
+and the operator's reference; the two differ only in rounding, since
+they sum their products in other orders.
 operator_chunks is the one loop behind every fixed-parameter forecast: it
 compiles once and applies the operator OPERATOR_CHUNK windows at a time,
 and cli.forecast_predictions writes each chunk into one preallocated
@@ -176,7 +176,8 @@ def bias_scales(config: ModelConfig) -> list[np.ndarray]:
 
 def _scaled_band_maps(params: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
     """Each band's N branch maps as one (m_in+1, N*m_out) map on the band
-    they all read, so that a band row x maps to [x, 1] @ it: a copy of the
+    they all read, so that a band row x of a centred row with std s maps
+    to [x, s] @ it: a copy of the
     band's block with its bias row times bias_scales. The copy keeps the
     scaling out of params; no other forward step scales a bias."""
     maps = [block.copy() for _, block in param_blocks(params, config)[:-1]]
@@ -218,10 +219,10 @@ def _synthesis_adjoint(z: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
 
 
 def _normalized_map(
-    rows: np.ndarray, params: np.ndarray, config: ModelConfig, start: int = 0
+    centred: np.ndarray, params: np.ndarray, config: ModelConfig, start: int = 0
 ) -> tuple[np.ndarray, dict]:
-    """The model between the normalization and the denormalization: the
-    branch path and the projection on (R, L) normalized channel rows,
+    """The model short of adding the mean back: the branch path and the
+    projection on the (R, L+1) rows [x - mean, std] of _centre_rows,
     giving the output columns start: of (R, L+tau), and the intermediates
     _normalized_map_adjoint needs (whose output is every column).
 
@@ -230,25 +231,27 @@ def _normalized_map(
     projection weight's columns, is band k's (L+tau, N*m_out) projection.
     Band k then reaches the output through V_k = W_k @ q_k.T and its
     scaled bias through c_k = b_k @ q_k.T, so the whole map is one GEMM,
-    xb @ V + p, on the bands side by side, each followed by a ones column
-    (xb), and V, each band's [V_k; c_k] stacked: the band-domain
-    operator. Only the projection columns start: are carried back, so the
-    q_k, V and the GEMM all shrink with the columns left out."""
+    xb @ V, on the analysed first L columns, each band followed by the std
+    column (xb), and V, each band's [V_k; c_k] stacked with the projection
+    bias added to its last row: the band-domain operator. Only the
+    projection columns start: are carried back, so the q_k, V and the
+    GEMM all shrink with the columns left out."""
     total = config.lookback + config.horizon
     _, projection = param_blocks(params, config)[-1]
     # Output column j's projection weights as N branch series of length L+tau.
     columns = projection[:-1].T[start:].reshape(-1, config.branches, total)
     qs = [q.reshape(len(columns), -1) for q in _synthesis_adjoint(columns, config)]
-    ones = np.ones((len(rows), 1))
-    xb = np.concatenate([x for band in _analyse(rows, config) for x in (band, ones)], axis=1)
+    std = centred[:, -1:]
+    xb = np.concatenate(
+        [x for band in _analyse(centred[:, :-1], config) for x in (band, std)], axis=1
+    )
     operator = np.empty((xb.shape[1], len(columns)))
     lo = 0
     for scaled, q in zip(_scaled_band_maps(params, config), qs):
         np.matmul(scaled, q.T, out=operator[lo : lo + len(scaled)])
         lo += len(scaled)
-    proj = xb @ operator
-    proj += projection[-1, start:]
-    return proj, {"xb": xb, "q": qs}
+    operator[-1] += projection[-1, start:]
+    return xb @ operator, {"xb": xb, "q": qs}
 
 
 def _normalized_map_adjoint(
@@ -259,12 +262,13 @@ def _normalized_map_adjoint(
     the output's (R, L+tau) shape.
 
     The band-domain operator's gradient is G = xb.T @ dproj; band k's rows
-    of it are [G_k; s], s = dproj.sum(axis=0) coming from the ones column.
+    of it are [G_k; s], s = std.T @ dproj coming from the std column.
     They give band k's block whole, [G_k; s] @ q_k, the bias row then
     scaled like its bias, and q_k's gradient [G_k; s].T times the band's
-    _scaled_band_maps map. The projection's weight gradient is the synthesis of the q_k gradients,
-    its bias gradient s. cache is emptied as it is read, so the forward's
-    intermediates are freed before that synthesis."""
+    _scaled_band_maps map. The projection's weight gradient is the
+    synthesis of the q_k gradients, its bias gradient s, the last row of G.
+    cache is emptied as it is read, so the forward's intermediates are
+    freed before that synthesis."""
     total = config.lookback + config.horizon
     gv = cache.pop("xb").T @ dproj
     qs = cache.pop("q")
@@ -282,7 +286,7 @@ def _normalized_map_adjoint(
         dqs.append((g.T @ scaled).reshape(total, config.branches, -1))
     # The projection weight's rows are the synthesised columns of dq.
     projection[:-1] = _synthesise(dqs, config).reshape(total, -1).T
-    np.sum(dproj, axis=0, out=projection[-1])
+    projection[-1] = gv[-1]
     return grads
 
 
@@ -306,9 +310,8 @@ def _centre_rows(xs: np.ndarray, config: ModelConfig) -> tuple[np.ndarray, np.nd
 
     The lookback is copied once into the rows, so the statistics reduce
     along the contiguous axis and the centring works in place on that
-    copy. forward_batch divides the rows by the std column; the compiled
-    operator multiplies the whole array by [weight; bias], since
-    std * ((x - mean) / std @ weight + bias) = [x - mean, std] @ [weight; bias]."""
+    copy. Nothing divides by the std column: _normalized_map and the
+    compiled operator take the rows [x - mean, std] whole."""
     xs = check_windows(xs, config, config.lookback)
     batch, lookback, channels = xs.shape
     centred = np.empty((batch * channels, lookback + 1))
@@ -337,46 +340,39 @@ def forward_batch(
     intermediates the analytic gradients need.
 
     This is the training path and the reference that compile_operator is
-    tested against. The output is a transposed view of the model's
-    (B*C, L+tau) channel rows, and the cache's std is a (B*C, 1) copy of
-    the std column of _centre_rows."""
+    tested against: _normalized_map of the centred rows, with the mean
+    added back in place. The output is a transposed view of the model's
+    (B*C, L+tau) channel rows.
+
+    The step maps the analysed rows, not the rows through compile_operator
+    with an operator-domain adjoint: that runs a second Haar cascade over
+    the (L+tau, L) operator every step (24 -> 51 idwt_level calls per
+    train_wdt operation), and read 12% fewer train_wdt windows/s."""
     centred, mean = _centre_rows(xs, config)
-    # Fresh contiguous rows, which the Haar levels read faster than the
-    # strided view, and a copy of the std, so the cache does not keep
-    # centred alive.
-    std = centred[:, -1:].copy()
-    rows = centred[:, :-1] / std
-    proj, cache = _normalized_map(rows, params, config)
-    # The projection's fresh output, denormalized in place.
-    proj *= std
+    proj, cache = _normalized_map(centred, params, config)
     proj += mean
     out = proj.reshape(-1, config.channels, proj.shape[-1]).transpose(0, 2, 1)
     if not want_cache:
         return out
-    return out, {"std": std, **cache}
+    return out, cache
 
 
 def compile_operator(params: np.ndarray, config: ModelConfig, start: int = 0) -> np.ndarray:
-    """The model's output columns start: as one affine operator on
-    normalized rows: the (L+1, m) array [weight; bias], m = L+tau-start,
-    such that a normalized lookback row x maps to x @ weight + bias
-    before denormalization.
+    """The model's output columns start: as one linear operator on the
+    centred rows: the (L+1, m) array [weight; bias], m = L+tau-start, such
+    that a row [x - mean, std] of _centre_rows maps to its output less the
+    mean, (x - mean) @ weight + std * bias.
 
-    Every step between the normalization and the denormalization is
-    linear or affine, so the zero row gives the bias and identity row i,
-    minus the bias, gives row i of the weight. The identity rows and the
-    zero row run through the same branch path as forward_batch, as one
-    stack of channel rows, which lands the bias in the last row. Only the
-    columns from the multiple of _COLUMN_TILE at or below start are
-    carried through it, so each GEMM tiles them as it tiles every column
-    and they keep the full compile's bits.
+    _normalized_map is linear in those rows, so the operator is its map of
+    the identity: row i < L gives row i of the weight, and the last row,
+    the unit std, the bias. Only the columns from the multiple of
+    _COLUMN_TILE at or below start are carried through it, so each GEMM
+    tiles them as it tiles every column and they keep the full compile's
+    bits.
     """
     first = start - start % _COLUMN_TILE
-    rows = np.vstack([np.eye(config.lookback), np.zeros(config.lookback)])
-    operator, _ = _normalized_map(rows, params, config, first)
-    operator = operator[:, start - first :]
-    operator[:-1] -= operator[-1]
-    return operator
+    operator, _ = _normalized_map(np.eye(config.lookback + 1), params, config, first)
+    return operator[:, start - first :]
 
 
 def apply_operator(xs: np.ndarray, operator: np.ndarray, config: ModelConfig) -> np.ndarray:

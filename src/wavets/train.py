@@ -3,9 +3,9 @@ loop with validation-based early stopping.
 
 The model module owns the branch path in both directions, the forward
 map and its adjoint; this module owns the loss, the optimizer and the
-loop. The loss gradient runs back through the denormalization, which
-multiplies each channel row by its std, and model._normalized_map_adjoint
-takes it from there to the gradient vector.
+loop. The model's output is its map of the centred rows [x - mean, std]
+plus the mean, so the loss gradient goes to model._normalized_map_adjoint
+as it is, and that takes it to the gradient vector.
 
 Data arrive as window spans: a (W, L+tau, C) array whose span i is the
 lookback spans[i, :L] followed by its target, so the joint-loss target of
@@ -62,11 +62,10 @@ def gradient_batch(
     residual = out.transpose(0, 2, 1)
     residual -= spans.transpose(0, 2, 1)
     loss = float(np.mean(np.square(residual)))
-    # Denormalization multiplies each channel row by its std; mean adds
-    # nothing. dproj is the residual, scaled in place.
+    # Adding the mean back adds nothing to the gradient, so dproj is the
+    # residual, scaled in place.
     dproj = residual.reshape(-1, total)
     dproj *= 2.0 / residual.size
-    dproj *= cache["std"]
     return _normalized_map_adjoint(dproj, cache, params, config), loss
 
 

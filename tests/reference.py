@@ -35,8 +35,9 @@ name through model.param_blocks and takes branch n's map as columns
 [n*m_out, (n+1)*m_out) of each. It writes its own maps and their
 weight and bias gradients on channel rows. Its subject is the branch
 axis, so it reuses the package's instance normalization,
-model._centre_rows, which tests/test_model.py checks by hand, divided as
-forward_batch divides it (normalized_rows), and
+model._centre_rows, which tests/test_model.py checks by hand, with the
+rows divided by their std as RevIN states it (normalized_rows), which no
+package path does, and
 the package's irfft adjoint, model._irfft_adjoint, which the gradient
 checks cover separately.
 
@@ -189,7 +190,7 @@ def branch_maps(blocks: dict, config, n: int) -> list[tuple[np.ndarray, np.ndarr
 
 def normalized_rows(xs, config):
     """(normalized (B*C, L) channel rows, mean, std) of a (B, L, C) stack:
-    model._centre_rows divided by its std column, as forward_batch does."""
+    model._centre_rows divided by its std column."""
     centred, mean = _centre_rows(xs, config)
     std = centred[:, -1:]
     return centred[:, :-1] / std, mean, std

@@ -9,8 +9,9 @@ holds up to rounding, whatever the step size. Gradcheck runs at
 L <= 16, and the per-branch oracle at B = 2 with three branches; this
 pins the adjoint at L = 336, tau = 96, C = 7, N = 2, K = 3 for every
 kind, and at L = 335 for dft, so the odd-length irfft branch runs too,
-on the 2-D channel rows the map takes. The rows have a nonzero mean and every bias is random, so no term
-vanishes by symmetry.
+on the (R, L+1) channel rows [x - mean, std] the map takes. The rows
+have a nonzero mean, the std column varies and every bias is random, so
+no term vanishes by symmetry.
 """
 
 import numpy as np
@@ -38,8 +39,9 @@ def test_adjoint_matches_the_map_block_by_block(kind, lookback):
     params = init_params(cfg, cfg.seed)
     for _, block in param_blocks(params, cfg):
         block[-1] = gen.normal(size=block.shape[1])
-    # Three windows' channel rows.
-    rows = gen.normal(size=(3 * cfg.channels, lookback)) + 2.5
+    # Three windows' channel rows, each followed by a std.
+    count = 3 * cfg.channels
+    rows = np.hstack([gen.normal(size=(count, lookback)) + 2.5, gen.uniform(0.5, 2.0, (count, 1))])
     out, cache = _normalized_map(rows, params, cfg)
     d = gen.normal(size=out.shape)
     grads = _normalized_map_adjoint(d, cache, params, cfg)

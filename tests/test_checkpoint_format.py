@@ -57,6 +57,19 @@ kernel. A kernel whose entry is another kernel's name gave that kernel's
 bits: every dft value is the same under Haswell as under SkylakeX. A pin
 test reads the recording of the running kernel and fails, naming the
 kernel, when there is none; the bounds above hold for every recording.
+
+Both kernels' values were re-recorded when the std became an input
+column of the branch path (after commit 8a35d08): _normalized_map takes
+the centred rows [x - mean, std] of _centre_rows and is linear in them,
+so forward_batch no longer divides the rows by the std and multiplies
+the output back, gradient_batch no longer scales the output gradient by
+it, and compile_operator is the map of the identity rows. The products
+meet other operands, so the values moved in their last bits again: the
+forward output by up to 2.4e-14 relative of branch_path_out, entry by
+entry, and the gradients and the operator by up to 3e-16 and 1.1e-15 of
+their block maxima; the loss kept its bits. stack_normalized_out and the
+branch_path_* values keep their bounds, and every dft value is again the
+same under Haswell as under SkylakeX.
 """
 
 import json

@@ -1,20 +1,25 @@
 """The branch path's band-domain products against dense references.
 
-_normalized_map and _normalized_map_adjoint run on (R, L) channel rows,
-one per channel of each window. The forward analyses the rows into xb,
-carries the projection back through the synthesis into q_k, one
-(L+tau, N*m_out) matrix per band, and applies xb @ V + c with
-V_k = W_k @ q_k.T and c = p + sum_k q_k @ b_k. The package holds
-each band followed by a ones column, so V carries c_k as the row after
-V_k. The adjoint forms G = xb.T @ dproj, which holds s = dproj.sum(axis=0)
-in those rows, then the band gradients G_k @ q_k and s @ q_k, q_k's
-gradient G_k.T @ W_k + outer(s, b_k), and the projection gradient as the
-synthesis of the q_k gradients.
+_normalized_map and _normalized_map_adjoint run on the (R, L+1) channel
+rows [x - mean, std] of _centre_rows, one per channel of each window.
+On the normalized rows x' = (x - mean) / std the map is x' @ A.T @ V + c:
+A analyses the rows, q_k carries the projection back through the
+synthesis, one (L+tau, N*m_out) matrix per band, V_k = W_k @ q_k.T and
+c = p + sum_k q_k @ b_k. The package maps the centred rows to std times
+that, linearly: it holds each analysed band followed by the std column
+(xb, std times the normalized bands each followed by a one), so V
+carries c_k as the row after V_k and p in its last row. The adjoint forms
+G = xb.T @ dproj, which holds s = std.T @ dproj in those rows, then the
+band gradients G_k @ q_k and s @ q_k, q_k's gradient
+G_k.T @ W_k + outer(s, b_k), and the projection gradient as the
+synthesis of the q_k gradients. On normalized rows that is the gradient
+for the output gradient std * dproj.
 
 reference.band_domain_operator and reference.band_domain_gradients
-build each of these from dense basis matrices (the Haar rows and the
-real DFT and inverse-real-FFT bases), one branch at a time, and sum G
-slice by slice. These tests check the package's products against them
+build each of these on the normalized rows, from dense basis matrices
+(the Haar rows and the real DFT and inverse-real-FFT bases), one branch
+at a time, and sum G slice by slice. These tests check the package's
+products against them
 on the layouts the maps meet: the non-contiguous rfft real/imag views of
 the dft bands, the (B, L, C) windows transposed into channel rows and
 back, an output gradient held column-major, and the B=1 / C=1 edge
@@ -35,6 +40,7 @@ from reference import (
 from wavets.model import (
     ModelConfig,
     _analyse,
+    _centre_rows,
     _normalized_map,
     _normalized_map_adjoint,
     compile_operator,
@@ -72,13 +78,15 @@ def params_with_biases(cfg: ModelConfig, gen: np.random.Generator) -> np.ndarray
 
 
 def mapped_rows(gen, kind, batch, channels):
-    """(config, params, channel rows, output, cache) of one _normalized_map
-    call on the normalized rows of random (B, L, C) windows."""
+    """(config, params, normalized rows, std, output, cache) of one
+    _normalized_map call on the centred rows of random (B, L, C) windows;
+    the references read the rows divided by their std."""
     cfg = two_branch_config(kind, channels)
     params = params_with_biases(cfg, gen)
-    rows, _, _ = normalized_rows(gen.normal(size=(batch, LOOKBACK, channels)), cfg)
-    out, cache = _normalized_map(rows, params, cfg)
-    return cfg, params, rows, out, cache
+    xs = gen.normal(size=(batch, LOOKBACK, channels))
+    out, cache = _normalized_map(_centre_rows(xs, cfg)[0], params, cfg)
+    rows, _, std = normalized_rows(xs, cfg)
+    return cfg, params, rows, std, out, cache
 
 
 def column_major_gradient(gen, rows: int) -> np.ndarray:
@@ -87,25 +95,28 @@ def column_major_gradient(gen, rows: int) -> np.ndarray:
 
 
 def with_ones_columns(xb: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """The analysed rows as the package holds them: a ones column after
-    each band's columns."""
+    """Analysed normalized rows with a ones column after each band's
+    columns: the package's xb divided by the std."""
     bands = np.split(xb, np.cumsum([m_in for _, _, (m_in, _) in param_layout(cfg)[:-2]]), axis=1)
     ones = np.ones((len(xb), 1))
     return np.hstack([x for band in bands for x in (band, ones)])
 
 
-def assert_forward_matches(cfg, params, rows, out, cache) -> None:
-    """xb, then xb @ V + c, against the dense operator slice by slice."""
+def assert_forward_matches(cfg, params, rows, std, out, cache) -> None:
+    """xb, then xb @ V, against std times the dense operator's normalized
+    bands and their map xb' @ V + c, slice by slice."""
     op = band_domain_operator(params, cfg)
     xb = affine_apply_slices(rows, op["analysis"].T, np.zeros(len(op["analysis"])))
-    assert rel_err(cache["xb"], with_ones_columns(xb, cfg)) <= REL_TOL
-    assert rel_err(out, affine_apply_slices(xb, op["operator"], op["offset"])) <= REL_TOL
+    assert rel_err(cache["xb"], std * with_ones_columns(xb, cfg)) <= REL_TOL
+    want = std * affine_apply_slices(xb, op["operator"], op["offset"])
+    assert rel_err(out, want) <= REL_TOL
 
 
-def assert_grads_match(cfg, params, rows, cache, dproj, blocks: slice) -> None:
-    """The adjoint's blocks[...] against the dense gradients."""
+def assert_grads_match(cfg, params, rows, std, cache, dproj, blocks: slice) -> None:
+    """The adjoint's blocks[...] against the dense gradients on the
+    normalized rows for std * dproj."""
     grads = _normalized_map_adjoint(dproj, cache, params, cfg)
-    want = blocks_by_name(band_domain_gradients(params, rows, dproj, cfg), cfg)
+    want = blocks_by_name(band_domain_gradients(params, rows, std * dproj, cfg), cfg)
     for name, block in param_blocks(grads, cfg)[blocks]:
         assert rel_err(block[:-1], want[name][0]) <= REL_TOL, name
         assert rel_err(block[-1], want[name][1]) <= REL_TOL, name
@@ -117,19 +128,19 @@ BANDS, PROJECTION = slice(None, -1), slice(-1, None)
 @pytest.mark.parametrize("batch,channels", SHAPES)
 class TestRowGemmMaps:
     def test_apply_on_spectrum_views(self, rng, batch, channels):
-        cfg, params, rows, out, cache = mapped_rows(rng, "dft", batch, channels)
+        cfg, params, rows, std, out, cache = mapped_rows(rng, "dft", batch, channels)
         for part in _analyse(rows, cfg):
             assert not part.flags.c_contiguous
-        assert_forward_matches(cfg, params, rows, out, cache)
+        assert_forward_matches(cfg, params, rows, std, out, cache)
 
     def test_apply_on_wavelet_bands(self, rng, batch, channels):
-        cfg, params, rows, out, cache = mapped_rows(rng, "wdt", batch, channels)
-        assert_forward_matches(cfg, params, rows, out, cache)
+        cfg, params, rows, std, out, cache = mapped_rows(rng, "wdt", batch, channels)
+        assert_forward_matches(cfg, params, rows, std, out, cache)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_projection_carried_back_through_the_synthesis(self, rng, kind, batch, channels):
         # q_k's column block n is branch n's q[k][n].T.
-        cfg, params, _, _, cache = mapped_rows(rng, kind, batch, channels)
+        cfg, params, _, _, _, cache = mapped_rows(rng, kind, batch, channels)
         op = band_domain_operator(params, cfg)
         assert len(cache["q"]) == len(op["q"])
         for got, per_branch in zip(cache["q"], op["q"]):
@@ -151,27 +162,27 @@ class TestRowGemmMaps:
         assert rel_err(out, want) <= REL_TOL
 
     def test_weight_grads_on_spectrum_views(self, rng, batch, channels):
-        cfg, params, rows, _, cache = mapped_rows(rng, "dft", batch, channels)
+        cfg, params, rows, std, _, cache = mapped_rows(rng, "dft", batch, channels)
         dproj = rng.normal(size=(len(rows), TOTAL))
-        assert_grads_match(cfg, params, rows, cache, dproj, BANDS)
+        assert_grads_match(cfg, params, rows, std, cache, dproj, BANDS)
 
     def test_weight_grads_with_transposed_gradient(self, rng, batch, channels):
-        cfg, params, rows, _, cache = mapped_rows(rng, "wdt", batch, channels)
+        cfg, params, rows, std, _, cache = mapped_rows(rng, "wdt", batch, channels)
         dproj = column_major_gradient(rng, len(rows))
-        assert_grads_match(cfg, params, rows, cache, dproj, BANDS)
+        assert_grads_match(cfg, params, rows, std, cache, dproj, BANDS)
 
     def test_input_grad_with_transposed_gradient(self, rng, batch, channels):
         # q_k is the input the band maps meet the projection through; its
         # gradient reaches the parameters only through the synthesis into
         # the projection's weight gradient, checked here.
-        cfg, params, rows, _, cache = mapped_rows(rng, "wdt", batch, channels)
+        cfg, params, rows, std, _, cache = mapped_rows(rng, "wdt", batch, channels)
         dproj = column_major_gradient(rng, len(rows))
-        assert_grads_match(cfg, params, rows, cache, dproj, PROJECTION)
+        assert_grads_match(cfg, params, rows, std, cache, dproj, PROJECTION)
 
     def test_projection_grads_on_spectrum_views(self, rng, batch, channels):
-        cfg, params, rows, _, cache = mapped_rows(rng, "dft", batch, channels)
+        cfg, params, rows, std, _, cache = mapped_rows(rng, "dft", batch, channels)
         dproj = column_major_gradient(rng, len(rows))
-        assert_grads_match(cfg, params, rows, cache, dproj, PROJECTION)
+        assert_grads_match(cfg, params, rows, std, cache, dproj, PROJECTION)
 
     def test_projection_grads_in_gradient_batch(self, rng, batch, channels):
         cfg = ModelConfig(
@@ -194,7 +205,7 @@ class TestRowGemmMaps:
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_compiled_operator_is_the_band_domain_operator(rng, kind):
-    # The zero row gives c; identity row i, minus c, gives row i of the
+    # The unit std row gives c; identity row i gives row i of the
     # analysis matrix's transpose times V.
     cfg = two_branch_config(kind, 2)
     params = params_with_biases(cfg, rng)

@@ -48,10 +48,10 @@ def projection_bias(params: np.ndarray, config: ModelConfig) -> np.ndarray:
 # Instance normalization is checked on model._centre_rows, the one
 # normalization every path calls; it gives (B*C, L+1) channel rows, row
 # b*C + c holding window b's channel c centred and then its std, and the
-# (B*C, 1) means. forward_batch divides the rows by the std column. The
-# denormalization is checked through forward_batch: with all maps zero,
-# its output is the denormalized projection bias. An epsilon of 1e-20
-# vanishes against a unit std, so hand cases stay exact.
+# (B*C, 1) means. forward_batch maps the rows with the std column, which
+# the biases meet. The denormalization is checked through forward_batch:
+# with all maps zero, its output is the denormalized projection bias. An
+# epsilon of 1e-20 vanishes against a unit std, so hand cases stay exact.
 EXACT_EPS = 1e-20
 
 

@@ -1,12 +1,13 @@
-"""The compiled affine operator against forward_batch.
+"""The compiled linear operator against forward_batch.
 
-Between the instance normalization and the denormalization the model is
-affine, so model.compile_operator gives one (L+1, L+tau) array: an
-(L, L+tau) weight with the bias as its last row.
-Evaluated with one GEMM it must reproduce forward_batch to 1e-10
-relative. Both normalize through model._centre_rows, so their
-statistics agree bit for bit, but the GEMM sums the branch path's
-products in another order and applies the std inside the product. A
+Short of adding the mean back, the model is linear in the centred rows
+[x - mean, std] of model._centre_rows, so model.compile_operator gives
+one (L+1, L+tau) array: an (L, L+tau) weight with the bias, the map of
+the unit std, as its last row. Evaluated with one GEMM it must reproduce
+forward_batch to 1e-10 relative. Both centre through _centre_rows, so
+their statistics agree bit for bit, but the GEMM sums the branch path's
+products in another order. The map of the zero row is zero and the map
+of a scaled row the scaled map, in any row and parameters. A
 compile of the columns from any start must give the full compile's
 columns bit for bit. Three branches with the mixed orders
 [1, 0, 2] and standard-normal biases make a bias or branch mix-up show.
@@ -35,6 +36,7 @@ from wavets.train import evaluate_loss
 KINDS = ("wdt", "dwt", "dft")
 REL_TOL = 1e-10
 CHUNK = wavets.model.OPERATOR_CHUNK
+ONE_BRANCH = {"branches": 1, "branch_orders": None}
 
 
 def config_for(kind: str, **overrides) -> ModelConfig:
@@ -77,15 +79,31 @@ def test_operator_matches_forward_batch_etth1_shape(kind, batch):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_operator_is_the_normalized_map_on_any_row(kind):
-    # Normalized rows sum to zero, so forward_batch alone cannot tell the
-    # weight from the weight plus a constant row; rows of nonzero mean
-    # through the map between the normalizations can.
+    # Centred rows sum to zero, so forward_batch alone cannot tell the
+    # weight from the weight plus a constant row; rows of nonzero mean,
+    # each with any std, through the map short of the mean can.
     cfg = config_for(kind, lookback=16, horizon=8, channels=1, levels=2)
     params = params_with_biases(cfg)
     operator = compile_operator(params, cfg)
-    rows = seeded((5, cfg.lookback))
+    rows = seeded((5, cfg.lookback + 1))
     want, _ = wavets.model._normalized_map(rows, params, cfg)
-    assert rel_err(rows @ operator[:-1] + operator[-1], want) <= REL_TOL
+    assert rel_err(rows @ operator, want) <= REL_TOL
+
+
+@pytest.mark.parametrize("overrides", [{}, ONE_BRANCH], ids=["n3", "n1"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_normalized_map_is_linear_in_its_rows(kind, overrides):
+    # The std column carries the biases, so the zero row maps to exactly
+    # zero and a scaled row, std included, to the scaled output.
+    cfg = config_for(kind, lookback=16, horizon=8, channels=1, levels=2, **overrides)
+    params = params_with_biases(cfg)
+    zero, _ = wavets.model._normalized_map(np.zeros((1, cfg.lookback + 1)), params, cfg)
+    assert np.array_equal(zero, np.zeros((1, cfg.lookback + cfg.horizon)))
+    rows = seeded((5, cfg.lookback + 1))
+    want, _ = wavets.model._normalized_map(rows, params, cfg)
+    for scale in (-3.7, 0.3, 1e3):
+        got, _ = wavets.model._normalized_map(scale * rows, params, cfg)
+        assert rel_err(got, scale * want) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -104,9 +122,6 @@ def test_operator_centres_before_its_gemm_at_a_large_mean(kind):
 def assert_same_bits(got: np.ndarray, want: np.ndarray):
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-ONE_BRANCH = {"branches": 1, "branch_orders": None}
 
 
 # The ETTh1 shape with three mixed-order branches and with one, and a dft
