@@ -27,16 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ModelConfig, RunConfig, load_run_config, power_of_two_text
-from .data import (
-    ETT_HOURLY_BORDERS,
-    SeriesFrame,
-    chronological_split,
-    chronological_split_borders,
-    load_csv,
-    standardize_apply,
-    standardize_fit,
-    windows,
-)
+from .data import SeriesFrame, chronological_split, load_csv, standardize, windows
 from .errors import ConfigError, DataError, NumericalError
 from .metrics import MetricsReport, aggregate_report
 from .model import (
@@ -59,25 +50,17 @@ GRADCHECK_MAX_DIM = 16
 
 
 def load_splits(run: RunConfig) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:
-    """Load the CSV, check the channel count, split, and standardize.
-
-    Standardization statistics come from the training split only and are
-    applied to all three, so later splits never influence the scaling.
-    """
+    """Load the CSV, check the channel count, cut it at the rows
+    run.data.split.borders gives and, when run.data.standardize is on,
+    z-score all three parts with the training part's statistics."""
     frame = load_csv(run.data.csv)
     if frame.channels != run.model.channels:
         raise ConfigError(
             f"model.channels is {run.model.channels} but {run.data.csv} "
             f"has {frame.channels} channels"
         )
-    if run.data.split.kind == "ett_hourly":
-        parts = chronological_split_borders(frame, ETT_HOURLY_BORDERS)
-    else:
-        parts = chronological_split(frame, run.data.split.ratios)
-    if run.data.standardize:
-        stats = standardize_fit(parts[0])
-        parts = tuple(standardize_apply(p, stats) for p in parts)
-    return parts
+    parts = chronological_split(frame, run.data.split.borders(frame.length))
+    return standardize(parts) if run.data.standardize else parts
 
 
 def split_window_pairs(frame: SeriesFrame, run: RunConfig) -> np.ndarray:

@@ -7,7 +7,9 @@ read as, the bound it must meet and its default, stated once. Section
 reads every field strictly (read_field), reports every bound failure at
 once (problems) and writes the fields back in declaration order
 (to_dict). The only checks written by hand relate two fields
-(cross_problems). No other module knows the format.
+(cross_problems). Beside them, SplitSection.borders turns the split into
+the rows where the series is cut. No other module knows the format or
+the split rule.
 """
 
 from __future__ import annotations
@@ -261,6 +263,11 @@ class TrainConfig(Section):
     seed: int = spec(int, AT_LEAST_0, 0)
 
 
+# Hourly ETT convention: 12/4/4 months of 30 days at 24 samples per day;
+# rows beyond the last border are unused.
+ETT_HOURLY_BORDERS = (8640, 11520, 14400)
+
+
 @dataclass
 class SplitSection(Section):
     """How the series is cut into train/val/test: by ratios, or at the
@@ -281,6 +288,16 @@ class SplitSection(Section):
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             return ["data.split.ratios must sum to 1"]
         return []
+
+    def borders(self, length: int) -> tuple[int, int, int]:
+        """The rows (train_end, val_end, test_end) at which a series of
+        length rows is cut: ETT_HOURLY_BORDERS for ett_hourly, else
+        floor(T*r0), that plus floor(T*r1), and T, so the three ratio
+        parts partition the series exactly."""
+        if self.kind == "ett_hourly":
+            return ETT_HOURLY_BORDERS
+        train_end = int(length * self.ratios[0])
+        return train_end, train_end + int(length * self.ratios[1]), length
 
 
 @dataclass

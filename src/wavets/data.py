@@ -1,7 +1,9 @@
-"""CSV ingestion, chronological splitting, standardization, windowing.
+"""CSV ingestion, chronological cutting, standardization, windowing.
 
 Frames are treated as immutable after load; windows are a read-only
-strided view into the frame's value matrix rather than copies.
+strided view into the frame's value matrix rather than copies. Where the
+series is cut is decided by config.SplitSection.borders; this module only
+cuts at the rows it is given.
 """
 
 from __future__ import annotations
@@ -210,79 +212,32 @@ def load_csv(path: str) -> SeriesFrame:
     return SeriesFrame(values=values.reshape(len(body), len(names)), channel_names=names)
 
 
-def _slice_frame(frame: SeriesFrame, start: int, stop: int) -> SeriesFrame:
-    return SeriesFrame(values=frame.values[start:stop], channel_names=frame.channel_names)
-
-
 def chronological_split(
-    frame: SeriesFrame, ratios: tuple[float, float, float]
-) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:
-    """Contiguous prefix/middle/suffix split with floor-based sizing.
-
-    Sizes are floor(T*train), floor(T*val), and the remainder; together
-    the three parts partition the frame exactly.
-    """
-    if len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios):
-        raise ConfigError(f"split ratios must be three positive numbers, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios}")
-    t = frame.length
-    n_train = int(t * ratios[0])
-    n_val = int(t * ratios[1])
-    return (
-        _slice_frame(frame, 0, n_train),
-        _slice_frame(frame, n_train, n_train + n_val),
-        _slice_frame(frame, n_train + n_val, t),
-    )
-
-
-# Hourly ETT convention: 12/4/4 months of 30 days at 24 samples per day;
-# rows beyond the last border are unused.
-ETT_HOURLY_BORDERS = (8640, 11520, 14400)
-
-
-def chronological_split_borders(
     frame: SeriesFrame, borders: tuple[int, int, int]
 ) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:
-    """Split at fixed row borders (train_end, val_end, test_end)."""
-    train_end, val_end, test_end = borders
-    if not 0 < train_end < val_end < test_end:
-        raise ConfigError(f"borders must be increasing and positive, got {borders}")
-    if frame.length < test_end:
+    """The rows before train_end, from there to val_end and from there to
+    test_end, for borders (train_end, val_end, test_end); rows past
+    test_end are unused."""
+    if frame.length < borders[2]:
         raise DataError(
-            f"frame has {frame.length} rows, borders need at least {test_end}"
+            f"frame has {frame.length} rows, borders need at least {borders[2]}"
         )
-    return (
-        _slice_frame(frame, 0, train_end),
-        _slice_frame(frame, train_end, val_end),
-        _slice_frame(frame, val_end, test_end),
+    return tuple(
+        SeriesFrame(values=frame.values[lo:hi], channel_names=frame.channel_names)
+        for lo, hi in zip((0,) + borders[:2], borders)
     )
 
 
-@dataclass
-class StandardizeStats:
-    """Per-channel affine parameters fitted on the training split."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-
-def standardize_fit(train_frame: SeriesFrame) -> StandardizeStats:
-    """Per-channel mean and population std; zero std becomes 1e-8."""
-    mean = train_frame.values.mean(axis=0)
-    std = train_frame.values.std(axis=0)
+def standardize(parts: tuple[SeriesFrame, ...]) -> tuple[SeriesFrame, ...]:
+    """Every part z-scored with the per-channel mean and population std of
+    the first part, a zero std taken as 1e-8, so later parts never
+    influence the scaling."""
+    mean = parts[0].values.mean(axis=0)
+    std = parts[0].values.std(axis=0)
     std = np.where(std == 0.0, 1e-8, std)
-    return StandardizeStats(mean=mean, std=std)
-
-
-def standardize_apply(frame: SeriesFrame, stats: StandardizeStats) -> SeriesFrame:
-    if stats.mean.shape[0] != frame.channels:
-        raise DataError(
-            f"stats fitted for {stats.mean.shape[0]} channels, "
-            f"frame has {frame.channels}"
-        )
-    return SeriesFrame(
-        values=(frame.values - stats.mean) / stats.std, channel_names=frame.channel_names
+    return tuple(
+        SeriesFrame(values=(p.values - mean) / std, channel_names=p.channel_names)
+        for p in parts
     )
 
 

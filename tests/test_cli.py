@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavets.cli import main
+from wavets.cli import load_splits, main
 from wavets.config import load_run_config
 from wavets.data import load_csv
 from wavets.model import ModelConfig, load_checkpoint, param_blocks, param_count, save_checkpoint
@@ -374,6 +374,17 @@ def test_train_deeply_nested_config_exits_2(tmp_path, capsys):
     assert "is not valid JSON" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "null", '"x"'])
+def test_train_config_not_an_object_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text + "\n")
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"config error: config {cfg} must be a JSON object\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_unknown_section_exits_2(tmp_path, series_csv, capsys):
     cfg = write_run_config(tmp_path / "run.json", series_csv, extras={"x": 1})
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -712,6 +723,23 @@ def test_integral_float_counts_accepted(tmp_path, series_csv):
     assert run.data.stride == 2 and type(run.data.stride) is int
 
 
+def test_load_splits_cuts_at_the_ett_hourly_borders(tmp_path, rng):
+    # 14400 rows, the last border of the preset, so every row is used.
+    values = rng.normal(size=(14400, 2))
+    csv = tmp_path / "ett.csv"
+    np.savetxt(csv, values, fmt="%.17g", delimiter=",", header="a,b", comments="")
+    cfg = write_run_config(
+        tmp_path / "run.json", csv, model={"channels": 2}, data={"split": {"kind": "ett_hourly"}}
+    )
+    run = load_run_config(str(cfg))
+    run.ensure_valid(need_data=True)
+    parts = load_splits(run)
+    assert [part.length for part in parts] == [8640, 2880, 2880]
+    mean, std = values[:8640].mean(axis=0), values[:8640].std(axis=0)
+    for part, lo, hi in zip(parts, (0, 8640, 11520), (8640, 11520, 14400)):
+        np.testing.assert_array_equal(part.values, (values[lo:hi] - mean) / std)
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
@@ -962,21 +990,36 @@ def test_eval_writes_metrics_file(tmp_path, run_config, capsys):
     assert "mse=" in text
 
 
-@pytest.mark.filterwarnings("error")
-def test_eval_nonfinite_forecast_exits_4(tmp_path, run_config, capsys):
-    # A valid checkpoint whose projection weights are 1e300: forecasts
-    # overflow, and eval must fail instead of writing mse=inf.
+def eval_with_projection_weights(tmp_path, run_config, capsys, weight):
+    """eval's exit code and stderr for a trained checkpoint whose projection
+    weights are all set to weight; no metrics file may be written."""
     out = run_train(tmp_path, run_config, "r")
     path = out / "checkpoint.json"
     params, config = load_checkpoint(str(path))
-    param_blocks(params, config)[-1][1][:-1] = 1e300
+    param_blocks(params, config)[-1][1][:-1] = weight
     save_checkpoint(params, config, str(path))
     capsys.readouterr()
     rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e")])
-    err = capsys.readouterr().err
-    assert rc == 4
-    assert len(err.splitlines()) == 1 and "non-finite" in err
     assert not (tmp_path / "e" / "metrics.txt").exists()
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_nonfinite_forecast_exits_4(tmp_path, run_config, capsys):
+    # A valid checkpoint whose projection weights are 1e300: the forecasts
+    # stay finite but the MSE overflows, and eval must fail instead of
+    # writing mse=inf.
+    rc, err = eval_with_projection_weights(tmp_path, run_config, capsys, 1e300)
+    assert rc == 4
+    assert len(err.splitlines()) == 1 and "forecast mse is non-finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_overflowing_forecast_exits_4(tmp_path, run_config, capsys):
+    # At 1e308 the forecasts themselves overflow, before any metric.
+    rc, err = eval_with_projection_weights(tmp_path, run_config, capsys, 1e308)
+    assert rc == 4
+    assert err == "numerical error: the model produced a non-finite forecast\n"
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "null", '"x"'])
@@ -1076,6 +1119,21 @@ def test_ablate_table_and_determinism(tmp_path, run_config, capsys):
     ).read_bytes()
     for kind in ("wdt", "dwt", "dft"):
         assert (tmp_path / "a1" / kind / "checkpoint.json").exists()
+
+
+def test_ablate_short_mode_table(tmp_path, series_csv, capsys):
+    cfg = write_run_config(
+        tmp_path / "run.json", series_csv, train={"max_epochs": 2},
+        metrics={"mode": "short", "period": 4},
+    )
+    rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "a"), "--quiet"])
+    assert rc == 0
+    capsys.readouterr()
+    table = (tmp_path / "a" / "ablation.csv").read_text().splitlines()
+    assert table[0] == "kind,mse,mae,smape,mase,owa"
+    assert [row.split(",")[0] for row in table[1:]] == ["wdt", "dwt", "dft"]
+    for row in table[1:]:
+        assert all(float(cell) >= 0.0 for cell in row.split(",")[1:])
 
 
 def test_ablate_dwt_variant_equals_orders_forced_to_zero(
@@ -1413,3 +1471,19 @@ def test_train_nonfinite_loss_exits_4(tmp_path, series_csv, capsys):
     err = capsys.readouterr().err
     assert rc == 4
     assert len(err.splitlines()) == 1 and "non-finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_nonfinite_validation_loss_exits_4(tmp_path, series_csv, capsys):
+    # One batch holds all 129 train windows, so the only step's loss is
+    # finite; the step at learning rate 1e300 then sends the validation
+    # loss to inf.
+    cfg = write_run_config(
+        tmp_path / "hot.json",
+        series_csv,
+        train={"learning_rate": 1e300, "batch_size": 256, "max_epochs": 3, "patience": 3},
+    )
+    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err == "numerical error: non-finite validation loss at epoch 1\n"

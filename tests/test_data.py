@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from wavets import ConfigError, DataError
+from wavets.config import SplitSection
 from wavets.data import (
-    ETT_HOURLY_BORDERS,
     SeriesFrame,
-    StandardizeStats,
     _first_bad_record,
     _plain_lines,
     chronological_split,
-    chronological_split_borders,
     load_csv,
-    standardize_apply,
-    standardize_fit,
+    standardize,
     windows,
 )
 
@@ -149,34 +146,46 @@ class TestLoadCsv:
             load_csv(path)
 
 
+def ratio_split(frame, ratios):
+    borders = SplitSection(kind="ratio", ratios=ratios).borders(frame.length)
+    return chronological_split(frame, borders)
+
+
+def ratios_checked(ratios):
+    SplitSection.from_dict({"kind": "ratio", "ratios": list(ratios)}).ensure_valid()
+
+
 class TestChronologicalSplit:
     def test_sizes_floor_remainder(self):
         frame = frame_of(np.arange(100.0))
-        tr, va, te = chronological_split(frame, (0.7, 0.1, 0.2))
+        tr, va, te = ratio_split(frame, (0.7, 0.1, 0.2))
         assert (tr.length, va.length, te.length) == (70, 10, 20)
 
     def test_small_frame(self):
+        # floor(10*0.7) = 7 and floor(10*0.1) = 1; the test part takes the rest.
         frame = frame_of(np.arange(10.0))
-        tr, va, te = chronological_split(frame, (0.7, 0.1, 0.2))
+        assert SplitSection(ratios=(0.7, 0.1, 0.2)).borders(10) == (7, 8, 10)
+        tr, va, te = ratio_split(frame, (0.7, 0.1, 0.2))
         assert (tr.length, va.length, te.length) == (7, 1, 2)
 
+    # The ratios are checked once, by the config, before any data is read.
     def test_bad_ratio_sum(self):
-        with pytest.raises(ConfigError):
-            chronological_split(frame_of(np.arange(10.0)), (0.5, 0.5, 0.5))
+        with pytest.raises(ConfigError, match="data.split.ratios must sum to 1"):
+            ratios_checked((0.5, 0.5, 0.5))
 
     def test_nonpositive_ratio(self):
-        with pytest.raises(ConfigError):
-            chronological_split(frame_of(np.arange(10.0)), (1.0, 0.0, 0.0))
+        with pytest.raises(ConfigError, match=r"ratios\[1\] must be finite and > 0"):
+            ratios_checked((1.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_nonfinite_ratio(self, bad):
-        with pytest.raises(ConfigError):
-            chronological_split(frame_of(np.arange(10.0)), (bad, 0.5, 0.5))
+        with pytest.raises(ConfigError, match=r"ratios\[0\] must be finite and > 0"):
+            ratios_checked((bad, 0.5, 0.5))
 
     def test_partition_exact(self, rng):
         values = rng.normal(size=(57, 3))
         frame = frame_of(values)
-        tr, va, te = chronological_split(frame, (0.6, 0.2, 0.2))
+        tr, va, te = ratio_split(frame, (0.6, 0.2, 0.2))
         rebuilt = np.concatenate([tr.values, va.values, te.values])
         np.testing.assert_array_equal(rebuilt, values)
 
@@ -184,51 +193,50 @@ class TestChronologicalSplit:
 class TestBorderSplit:
     def test_ett_hourly_borders(self):
         frame = frame_of(np.arange(17420.0))
-        tr, va, te = chronological_split_borders(frame, ETT_HOURLY_BORDERS)
+        borders = SplitSection(kind="ett_hourly").borders(frame.length)
+        assert borders == (8640, 11520, 14400)
+        tr, va, te = chronological_split(frame, borders)
         assert (tr.length, va.length, te.length) == (8640, 2880, 2880)
+        # Rows past the last border are unused.
+        np.testing.assert_array_equal(te.values[[0, -1], 0], [11520.0, 14399.0])
 
     def test_short_frame_rejected(self):
-        with pytest.raises(DataError):
-            chronological_split_borders(frame_of(np.arange(100.0)), ETT_HOURLY_BORDERS)
-
-    def test_bad_border_order(self):
-        with pytest.raises(ConfigError):
-            chronological_split_borders(frame_of(np.arange(100.0)), (50, 40, 60))
+        borders = SplitSection(kind="ett_hourly").borders(100)
+        with pytest.raises(DataError, match="frame has 100 rows, borders need at least 14400"):
+            chronological_split(frame_of(np.arange(100.0)), borders)
 
 
 class TestStandardize:
     def test_hand_values(self):
-        stats = standardize_fit(frame_of([0.0, 2.0]))
-        assert stats.mean[0] == 1.0
-        assert stats.std[0] == 1.0
-        out = standardize_apply(frame_of([0.0, 2.0]), stats)
-        np.testing.assert_allclose(out.values[:, 0], [-1.0, 1.0])
+        # Mean 1 and population std 1, from the first part.
+        first, later = standardize((frame_of([0.0, 2.0]), frame_of([4.0])))
+        np.testing.assert_array_equal(first.values[:, 0], [-1.0, 1.0])
+        np.testing.assert_array_equal(later.values[:, 0], [3.0])
 
     def test_identity_stats(self, rng):
+        # The statistics come from the first part only: mean 0 and std 1
+        # here, which leave the second part as it is.
         frame = frame_of(rng.normal(size=(20, 2)))
-        stats = standardize_fit(frame_of(np.array([[-1.0, -1.0], [1.0, 1.0]])))
-        out = standardize_apply(frame, stats)
+        first = frame_of(np.array([[-1.0, -1.0], [1.0, 1.0]]))
+        _, out = standardize((first, frame))
         np.testing.assert_allclose(out.values, frame.values)
 
     def test_constant_channel_epsilon(self):
-        frame = frame_of(np.full(5, 7.0))
-        stats = standardize_fit(frame)
-        assert stats.std[0] == 1e-8
-        out = standardize_apply(frame, stats)
-        np.testing.assert_allclose(out.values, 0.0)
+        # A zero std becomes 1e-8: the constant first part maps to 0 and a
+        # later part's offset of 1e-8 to 1.
+        first, later = standardize((frame_of(np.full(5, 7.0)), frame_of([7.0 + 1e-8])))
+        np.testing.assert_allclose(first.values, 0.0)
+        np.testing.assert_allclose(later.values, 1.0, rtol=1e-6)
 
     def test_round_trip_with_inverted_stats(self, rng):
+        # A two-row first part with mean -m/s and std 1/s inverts the
+        # z-score (x - m) / s.
         frame = frame_of(rng.normal(size=(30, 4)))
-        stats = standardize_fit(frame)
-        standardized = standardize_apply(frame, stats)
-        inverse = StandardizeStats(mean=-stats.mean / stats.std, std=1.0 / stats.std)
-        back = standardize_apply(standardized, inverse)
+        mean, std = frame.values.mean(axis=0), frame.values.std(axis=0)
+        (standardized,) = standardize((frame,))
+        inverse = frame_of(np.stack([(-mean - 1.0) / std, (-mean + 1.0) / std]))
+        _, back = standardize((inverse, standardized))
         assert np.max(np.abs(back.values - frame.values)) < 1e-12
-
-    def test_channel_count_mismatch(self, rng):
-        stats = standardize_fit(frame_of(rng.normal(size=(10, 2))))
-        with pytest.raises(DataError):
-            standardize_apply(frame_of(rng.normal(size=(10, 3))), stats)
 
 
 class TestWindows:
@@ -247,6 +255,11 @@ class TestWindows:
     def test_too_short_frame(self):
         with pytest.raises(DataError):
             windows(frame_of(np.arange(5.0)), 4, 2)
+
+    @pytest.mark.parametrize("sizes", [(0, 2, 1), (4, 0, 1), (4, 2, 0), (4, 2, -1)])
+    def test_nonpositive_size_rejected(self, sizes):
+        with pytest.raises(ConfigError, match="lookback, horizon, stride must be positive"):
+            windows(frame_of(np.arange(10.0)), *sizes)
 
     def test_stride(self):
         spans = windows(frame_of(np.arange(20.0)), 4, 2, stride=3)
@@ -274,7 +287,7 @@ class TestWindows:
     def test_no_leakage_across_splits(self, rng):
         # Windows are built after splitting, so none can span a border.
         frame = frame_of(rng.normal(size=(50, 1)))
-        tr, va, te = chronological_split(frame, (0.6, 0.2, 0.2))
+        tr, va, te = ratio_split(frame, (0.6, 0.2, 0.2))
         for part, lo, hi in ((tr, 0, 30), (va, 30, 40), (te, 40, 50)):
             for origin, span in enumerate(windows(part, 4, 2)):
                 np.testing.assert_array_equal(

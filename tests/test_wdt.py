@@ -155,6 +155,16 @@ class TestEnergyReport:
         assert [b.band for b in rep.per_band] == ["LL2", "LH2", "LH1"]
         assert rep.per_band[0].gain == 1.0
 
+    def test_one_band_pyramid_rejected(self, fb, tmp_path):
+        # LL_K alone is no pyramid: every consumer of the band walk refuses it.
+        pyr = DerivativePyramid(order=1, bands=[np.arange(4.0)])
+        with pytest.raises(DataError, match="at least one detail band, got 1"):
+            energy_report(np.arange(4.0), pyr)
+        for write in (write_coefficients_csv, write_scalogram_csv):
+            with pytest.raises(DataError, match="at least one detail band"):
+                write(pyr, str(tmp_path / "out.csv"))
+            assert not (tmp_path / "out.csv").exists()
+
     def test_length_mismatch_rejected(self, fb):
         pyr = wdt_forward(np.arange(8.0), fb, 2, 1)
         with pytest.raises(DataError):
