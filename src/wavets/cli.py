@@ -12,6 +12,9 @@ Subcommands:
 Exit codes: 0 success, 1 gradcheck tolerance failure, 2 invalid
 configuration or an output that cannot be written, 3 unusable data, 4
 numerical failure (a non-finite training loss, forecast or metric).
+
+Every report file takes its metric names and cells from metrics.py
+(MetricsReport.scores, key_value_text); this module names no metric.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ModelConfig, RunConfig, load_run_config, power_of_two_text
+from .config import TRANSFORM_KINDS, ModelConfig, RunConfig, load_run_config, power_of_two_text
 from .data import SeriesFrame, chronological_split, load_csv, standardize, windows
 from .errors import ConfigError, DataError, NumericalError
-from .metrics import MetricsReport, aggregate_report
+from .metrics import MetricsReport, aggregate_report, format_value, key_value_text
 from .model import (
     check_windows,
     init_params,
@@ -108,8 +111,7 @@ def split_report(
     report = aggregate_report(
         xs, ys, preds, mode=run.metrics.mode, period=run.metrics.period
     )
-    for name in ("mse", "mae", "smape", "mase", "owa"):
-        value = getattr(report, name)
+    for name, value in report.scores():
         if value is not None and not math.isfinite(value):
             raise NumericalError(f"forecast {name} is non-finite ({value})")
     return report
@@ -157,16 +159,6 @@ def _load_run(args: argparse.Namespace, need_data: bool) -> RunConfig:
 
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=1) + "\n")
-
-
-def _summary_text(items: list[tuple[str, object]]) -> str:
-    lines = []
-    for key, value in items:
-        if isinstance(value, float):
-            lines.append(f"{key}={value!r}")
-        else:
-            lines.append(f"{key}={value}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +234,16 @@ def run_training(
     out: Path,
     init: np.ndarray,
     quiet: bool = False,
-) -> tuple[np.ndarray, dict]:
+) -> np.ndarray:
     """Train one model from ``init`` on the (train, val) window spans of
     ``load_splits(run)``'s splits and write all artifacts to ``out``.
 
-    Returns the best parameters and the summary key/value mapping.  Output
-    files carry no wall-clock timings, so reruns with identical inputs are
-    byte-identical; timings go to stdout only.
+    Returns the best parameters.  Output files carry no wall-clock
+    timings, so reruns with identical inputs are byte-identical; timings go
+    to stdout only.
     """
     started = time.perf_counter()
-    train_spans, val_spans = spans
-    params, history = train(run.model, train_spans, val_spans, run.train, init)
+    params, history = train(run.model, *spans, run.train, init)
     if not quiet:
         for rec in history.epochs:
             print(
@@ -268,26 +259,23 @@ def run_training(
         {"version": 1, "config": run.to_dict(), "history": history.to_doc()},
     )
 
-    train_report = split_report(params, train_spans, run)
-    val_report = split_report(params, val_spans, run)
-    (out / "metrics_train.txt").write_text(train_report.to_text())
-    (out / "metrics_val.txt").write_text(val_report.to_text())
-
-    summary_items = [
+    reports = {
+        split: split_report(params, part, run) for split, part in zip(("train", "val"), spans)
+    }
+    summary = [
         ("best_epoch", history.best_epoch),
         ("best_val_loss", history.best_val_loss),
         ("epochs_run", len(history.epochs)),
         ("stopped_reason", history.stopped_reason),
-        ("train_forecast_mse", train_report.mse),
-        ("train_forecast_mae", train_report.mae),
-        ("val_forecast_mse", val_report.mse),
-        ("val_forecast_mae", val_report.mae),
     ]
-    (out / "summary.txt").write_text(_summary_text(summary_items))
+    for split, report in reports.items():
+        (out / f"metrics_{split}.txt").write_text(report.to_text())
+        summary += [(f"{split}_forecast_{name}", value) for name, value in report.scores()[:2]]
+    (out / "summary.txt").write_text(key_value_text(summary))
     if not quiet:
         print(f"training wall time {time.perf_counter() - started:.1f}s")
         print(f"artifacts in {out}")
-    return params, dict(summary_items)
+    return params
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -341,12 +329,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     spans = split_window_pairs(frames[args.split], run)
     out = _claim_out(args)
 
-    report = split_report(params, spans, run)
-    text = report.to_text()
-    print(f"split={args.split}")
+    text = key_value_text([("split", args.split)]) + split_report(params, spans, run).to_text()
     print(text, end="")
     if out is not None:
-        (out / "metrics.txt").write_text(f"split={args.split}\n" + text)
+        (out / "metrics.txt").write_text(text)
         _write_json(out / "effective_config.json", run.to_dict())
         print(f"wrote {out / 'metrics.txt'}")
     return 0
@@ -360,7 +346,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     run = _load_run(args, need_data=True)
     variants = {
         kind: replace(run, model=replace(run.model, transform_kind=kind))
-        for kind in ("wdt", "dwt", "dft")
+        for kind in TRANSFORM_KINDS
     }
     for variant in variants.values():
         variant.ensure_valid(need_data=True)
@@ -377,23 +363,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     rows = []
     for kind, variant in variants.items():
         print(f"== training variant: {kind}")
-        params, _ = run_training(
+        params = run_training(
             variant, (train_spans, val_spans), out / kind, inits.pop(kind), quiet=args.quiet
         )
-        report = split_report(params, test_spans, variant)
-        rows.append((kind, report))
-
-    header = ["kind", "mse", "mae"]
-    if run.metrics.mode == "short":
-        header += ["smape", "mase", "owa"]
-    lines = [",".join(header)]
-    for kind, report in rows:
-        cells = [kind, repr(report.mse), repr(report.mae)]
-        if run.metrics.mode == "short":
-            for value in (report.smape, report.mase, report.owa):
-                cells.append("undefined" if value is None else repr(value))
-        lines.append(",".join(cells))
-    table = "\n".join(lines) + "\n"
+        scores = split_report(params, test_spans, variant).scores()
+        if not rows:
+            rows.append(["kind"] + [name for name, _ in scores])
+        rows.append([kind] + [format_value(value) for _, value in scores])
+    table = "".join(",".join(row) + "\n" for row in rows)
     (out / "ablation.csv").write_text(table)
     print("test-split metrics by transform:")
     print(table, end="")

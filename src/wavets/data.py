@@ -231,7 +231,10 @@ def chronological_split(
 def standardize(parts: tuple[SeriesFrame, ...]) -> tuple[SeriesFrame, ...]:
     """Every part z-scored with the per-channel mean and population std of
     the first part, a zero std taken as 1e-8, so later parts never
-    influence the scaling."""
+    influence the scaling. A first part with no rows has no statistics,
+    which is a DataError."""
+    if parts[0].length == 0:
+        raise DataError("the train part has 0 rows, no statistics to standardize with")
     mean = parts[0].values.mean(axis=0)
     std = parts[0].values.std(axis=0)
     std = np.where(std == 0.0, 1e-8, std)

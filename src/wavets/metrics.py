@@ -1,4 +1,4 @@
-"""Forecast evaluation metrics and naive reference forecasters.
+"""Forecast metrics, naive reference forecasters and the run report.
 
 aggregate_report scores a whole forecast set; it is the only scorer.
 MSE and MAE average over every horizon step and channel. SMAPE and MASE
@@ -6,6 +6,10 @@ follow the displayed short-term formulas for each (window, channel)
 series: SMAPE counts 0/0 terms as 0, and the MASE denominator is the
 in-window seasonal difference (1/(H-m)) * sum_{j=m+1..H} |x_j - x_{j-m}|,
 so a series with constant truth has no defined MASE.
+
+MetricsReport.scores names a suite's metrics in file order; format_value
+is the one cell rule and key_value_text the one key=value writer, for
+every metric file, the training summary and the ablation table alike.
 """
 
 from __future__ import annotations
@@ -46,6 +50,18 @@ def _mean_defined(values: np.ndarray) -> float | None:
     return float(defined.mean()) if defined.size else None
 
 
+def format_value(value: object) -> str:
+    """A report cell: undefined for None, a float's repr, else str."""
+    if value is None:
+        return "undefined"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def key_value_text(items) -> str:
+    """One key=value line per (key, value) item, in format_value cells."""
+    return "".join(f"{key}={format_value(value)}\n" for key, value in items)
+
+
 @dataclass
 class MetricsReport:
     """Flat metric bundle; short-term fields stay None in long-term mode."""
@@ -59,20 +75,22 @@ class MetricsReport:
     owa: float | None = None
     period: int | None = None
 
-    def to_text(self) -> str:
-        """key=value lines, one metric per line; None serialized as a word."""
-        rows = [
-            f"mse={self.mse!r}",
-            f"mae={self.mae!r}",
-            f"horizon={self.horizon}",
-            f"channels={self.channels}",
-        ]
+    def scores(self) -> list[tuple[str, float | None]]:
+        """(name, value) of every metric of the suite, in file order: mse
+        and mae, then smape, mase and owa when the short suite set period."""
+        names = ["mse", "mae"]
         if self.period is not None:
-            rows.append(f"period={self.period}")
-            for key in ("smape", "mase", "owa"):
-                val = getattr(self, key)
-                rows.append(f"{key}={'undefined' if val is None else repr(val)}")
-        return "\n".join(rows) + "\n"
+            names += ["smape", "mase", "owa"]
+        return [(name, getattr(self, name)) for name in names]
+
+    def to_text(self) -> str:
+        """key=value lines: mse and mae, the shape, then the period and the
+        short-term metrics when set; None is written as undefined."""
+        scores = self.scores()
+        shape = [("horizon", self.horizon), ("channels", self.channels)]
+        if self.period is not None:
+            shape.append(("period", self.period))
+        return key_value_text(scores[:2] + shape + scores[2:])
 
 
 def aggregate_report(

@@ -69,7 +69,7 @@ import json
 
 import numpy as np
 
-from .config import TRANSFORM_KINDS, ModelConfig  # noqa: F401 (TRANSFORM_KINDS re-exported)
+from .config import ModelConfig
 from .errors import ConfigError, DataError
 from .wavelet import dwt_multi, idwt_multi, make_filterbank
 from .wdt import level_gains
@@ -153,9 +153,9 @@ def param_blocks(params: np.ndarray, config: ModelConfig) -> list[tuple[str, np.
     ]
 
 
-def bias_scales(config: ModelConfig) -> list[np.ndarray]:
-    """Per band, the factor on each entry of its (N*m_out) bias inside the
-    band's map: branch n's factor repeated over its m_out entries.
+def bias_scales(config: ModelConfig) -> np.ndarray:
+    """The (bands, N) factors on the biases inside the band maps: row k,
+    column n scales branch n's m_out entries of band k's (N*m_out) bias.
 
     The derivative transform multiplies detail level l by the gain g_n(l)
     before branch n's map and divides the map's output by g_n(l) again.
@@ -163,15 +163,11 @@ def bias_scales(config: ModelConfig) -> list[np.ndarray]:
     the pair equals, bit for bit, the plain map with its bias times
     1/g_n(l). Approximation bands, dwt (order 0) and dft have factor 1.
     """
-    bands = param_layout(config)[:-1]
-    scales = np.ones((len(bands), config.branches))
+    scales = np.ones((len(param_layout(config)) - 1, config.branches))
     if config.transform_kind != "dft":
         gains = [level_gains(config.levels, order) for order in config.effective_orders()]
         scales[1:] = 1.0 / np.array(gains).T
-    return [
-        np.repeat(scale, width // config.branches)
-        for scale, (_, _, (_, width)) in zip(scales, bands)
-    ]
+    return scales
 
 
 def _scaled_band_maps(params: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
@@ -182,7 +178,7 @@ def _scaled_band_maps(params: np.ndarray, config: ModelConfig) -> list[np.ndarra
     scaling out of params; no other forward step scales a bias."""
     maps = [block.copy() for _, block in param_blocks(params, config)[:-1]]
     for scaled, scale in zip(maps, bias_scales(config)):
-        scaled[-1] *= scale
+        scaled[-1].reshape(config.branches, -1)[...] *= scale[:, None]
     return maps
 
 
@@ -282,7 +278,7 @@ def _normalized_map_adjoint(
         lo += len(block)
         # The block's weight then bias: [G_k; s] @ q_k in one product.
         np.matmul(g, qs.pop(0), out=block)
-        block[-1] *= scale
+        block[-1].reshape(config.branches, -1)[...] *= scale[:, None]
         dqs.append((g.T @ scaled).reshape(total, config.branches, -1))
     # The projection weight's rows are the synthesised columns of dq.
     projection[:-1] = _synthesise(dqs, config).reshape(total, -1).T

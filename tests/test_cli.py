@@ -486,6 +486,7 @@ def test_train_missing_csv_exits_3(tmp_path):
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
 @pytest.mark.parametrize(
     "case, code, message",
@@ -493,18 +494,28 @@ def test_train_missing_csv_exits_3(tmp_path):
         ("channel-mismatch", 2, "has 2 channels"),
         ("missing-csv", 3, "cannot open"),
         ("split-too-short", 3, "too short for lookback"),
+        ("empty-train-part", 3, "train part has 0 rows"),
     ],
 )
 def test_data_rejected_before_out_is_created(
     tmp_path, series_csv, run_config, capsys, command, case, code, message
 ):
-    # The data CSV is read, split and windowed before --out is claimed.
+    # The data CSV is read, split and windowed before --out is claimed, and
+    # the rejection is one stderr line with no NumPy warning before it.
     if case == "channel-mismatch":
         bad = write_run_config(
             tmp_path / "bad.json", write_series_csv(tmp_path / "two.csv", 400, channels=2)
         )
     elif case == "missing-csv":
         bad = write_run_config(tmp_path / "bad.json", tmp_path / "absent.csv")
+    elif case == "empty-train-part":
+        # floor(400 * 0.001) = 0 train rows: nothing to standardize with,
+        # even for eval, which windows only the test part.
+        bad = write_run_config(
+            tmp_path / "bad.json",
+            series_csv,
+            data={"split": {"kind": "ratio", "ratios": [0.001, 0.5, 0.499]}},
+        )
     else:
         # 400 rows at 0.9/0.05/0.05 leave 20-row val and test splits, one
         # short of L + tau = 24.
@@ -524,7 +535,7 @@ def test_data_rejected_before_out_is_created(
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == code
-    assert message in captured.err and "Traceback" not in captured.err
+    assert message in captured.err and len(captured.err.splitlines()) == 1
     assert captured.out == ""
     assert not out.exists()
 

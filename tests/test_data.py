@@ -128,6 +128,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"wide\.csv line 3: field larger"):
             load_csv(path)
 
+    def test_header_field_over_csv_limit_rejected(self, tmp_path):
+        # A quote sends the text through csv.reader, which stops inside the
+        # header record, so no header is read.
+        path = write(tmp_path, '"' + "a" * 200_000 + '"\n1\n', name="wide.csv")
+        with pytest.raises(
+            DataError, match=r"wide\.csv line 1: field larger than field limit \(131072\)"
+        ):
+            load_csv(path)
+
     def test_naive_and_aware_timestamps_rejected(self, tmp_path):
         path = write(
             tmp_path,

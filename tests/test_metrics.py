@@ -5,7 +5,14 @@ import pytest
 
 from reference import short_suite_loop
 from wavets import ConfigError, DataError
-from wavets.metrics import MetricsReport, aggregate_report, naive_seasonal, owa
+from wavets.metrics import (
+    MetricsReport,
+    aggregate_report,
+    format_value,
+    key_value_text,
+    naive_seasonal,
+    owa,
+)
 
 
 def long_report(truth, pred):
@@ -196,6 +203,10 @@ class TestShortSuite:
         with pytest.raises(ConfigError):
             aggregate_report(*short_case(3, 8, 4, 2), mode="short", period=9)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="'long' or 'short', got 'medium'"):
+            aggregate_report(*short_case(3, 8, 4, 2), mode="medium")
+
 
 @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
 def test_long_mode_matches_mse_and_mae_on_window_layouts(layout):
@@ -231,3 +242,22 @@ class TestMetricsReport:
         text = rep.to_text()
         assert "mase=undefined" in text
         assert "period=2" in text
+
+    def test_scores_in_file_order(self):
+        long = MetricsReport(mse=0.25, mae=0.5, horizon=96, channels=7)
+        assert long.scores() == [("mse", 0.25), ("mae", 0.5)]
+        short = MetricsReport(
+            mse=1.0, mae=2.0, horizon=4, channels=1,
+            smape=3.2, mase=None, owa=None, period=2,
+        )
+        assert [name for name, _ in short.scores()] == ["mse", "mae", "smape", "mase", "owa"]
+        assert short.to_text() == (
+            "mse=1.0\nmae=2.0\nhorizon=4\nchannels=1\nperiod=2\n"
+            "smape=3.2\nmase=undefined\nowa=undefined\n"
+        )
+
+    def test_key_value_cells(self):
+        # None is a word, a float its repr (every digit), anything else str.
+        items = [("a", None), ("b", 0.1 + 0.2), ("c", 3), ("d", "patience")]
+        assert key_value_text(items) == "a=undefined\nb=0.30000000000000004\nc=3\nd=patience\n"
+        assert format_value(float("inf")) == "inf"

@@ -25,11 +25,11 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 import reference  # noqa: E402
 from wavets.cli import main  # noqa: E402
+from wavets.config import TRANSFORM_KINDS  # noqa: E402
 from wavets.data import load_csv  # noqa: E402
 from wavets.errors import DataError  # noqa: E402
 from wavets.model import (  # noqa: E402
     CHECKPOINT_VERSION,
-    TRANSFORM_KINDS,
     ModelConfig,
     apply_operator,
     compile_operator,
