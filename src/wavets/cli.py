@@ -10,8 +10,8 @@ Subcommands:
 * ``gradcheck``   compare analytic gradients against finite differences
 
 Exit codes: 0 success, 1 gradcheck tolerance failure, 2 invalid
-configuration or an output that cannot be written, 3 unusable data, 4
-numerical failure (a non-finite training loss, forecast or metric).
+configuration, an unwritable output or no memory left, 3 unusable data,
+4 numerical failure (a non-finite training loss, forecast or metric).
 
 Every report file takes its metric names and cells from metrics.py
 (MetricsReport.scores, key_value_text); this module names no metric.
@@ -561,6 +561,11 @@ def main(argv: list[str] | None = None) -> int:
     # gets here is a failed artifact write, which exits like a bad --out.
     except OSError as exc:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    # Past the memory the process may use (NumPy's _ArrayMemoryError is a
+    # MemoryError): the config asks for more than this run can hold.
+    except MemoryError as exc:
+        print(f"config error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -47,13 +47,18 @@ rows through the same branch path as forward_batch, carrying only the m
 output columns from a given start, so a forecast compiles just the
 horizon. forward_batch hands _centre_rows' array to _normalized_map and
 apply_operator multiplies it by the operator in one GEMM; both add the
-mean to their fresh output in place. forward_batch is the training path
-and the operator's reference; the two differ only in rounding, since
-they sum their products in other orders.
+mean to their fresh output in place. forward_batch is the operator's
+reference; the two differ only in rounding, since they sum their
+products in other orders.
 operator_chunks is the one loop behind every fixed-parameter forecast: it
 compiles once and applies the operator OPERATOR_CHUNK windows at a time,
 and cli.forecast_predictions writes each chunk into one preallocated
 array. check_windows is the one shape check of window arrays.
+
+gradient_batch, the training step, and evaluate_loss, the validation
+loss, form the joint loss's residual over the channel rows of a fresh
+output, so every function that reads that layout lives here; the
+adjoint's only caller is gradient_batch.
 
 The parameters are one float64 vector. param_layout, derived from the
 config alone, names its blocks in checkpoint order (one per band, then
@@ -326,31 +331,45 @@ def _centre_rows(xs: np.ndarray, config: ModelConfig) -> tuple[np.ndarray, np.nd
     return centred, mean
 
 
-def forward_batch(
-    xs: np.ndarray,
-    params: np.ndarray,
-    config: ModelConfig,
-    want_cache: bool = False,
-):
-    """Model on a (B, L, C) stack; returns (B, L+tau, C) and optionally the
-    intermediates the analytic gradients need.
+def forward_batch(xs: np.ndarray, params: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Model on a (B, L, C) stack; returns (B, L+tau, C), a transposed view
+    of the model's (B*C, L+tau) channel rows: _normalized_map of the
+    centred rows, the mean added back in place. It is the reference that
+    compile_operator is tested against."""
+    centred, mean = _centre_rows(xs, config)
+    proj, _ = _normalized_map(centred, params, config)
+    proj += mean
+    return proj.reshape(-1, config.channels, proj.shape[-1]).transpose(0, 2, 1)
 
-    This is the training path and the reference that compile_operator is
-    tested against: _normalized_map of the centred rows, with the mean
-    added back in place. The output is a transposed view of the model's
-    (B*C, L+tau) channel rows.
+
+def gradient_batch(
+    params: np.ndarray,
+    spans: np.ndarray,
+    config: ModelConfig,
+) -> tuple[np.ndarray, float]:
+    """Exact batch-mean gradients of the joint loss over (B, L+tau, C) window
+    spans; returns (gradient vector, loss).
+
+    forward_batch's steps on the lookbacks; the residual against the span
+    is formed over the fresh output's channel rows and, scaled in place,
+    is dproj: adding the mean back adds nothing to the gradient.
 
     The step maps the analysed rows, not the rows through compile_operator
     with an operator-domain adjoint: that runs a second Haar cascade over
     the (L+tau, L) operator every step (24 -> 51 idwt_level calls per
     train_wdt operation), and read 12% fewer train_wdt windows/s."""
-    centred, mean = _centre_rows(xs, config)
-    proj, cache = _normalized_map(centred, params, config)
-    proj += mean
-    out = proj.reshape(-1, config.channels, proj.shape[-1]).transpose(0, 2, 1)
-    if not want_cache:
-        return out
-    return out, cache
+    total = config.lookback + config.horizon
+    spans = check_windows(spans, config, total)
+    centred, mean = _centre_rows(spans[:, : config.lookback], config)
+    dproj, cache = _normalized_map(centred, params, config)
+    # Not read again: freed before the adjoint allocates.
+    del centred
+    dproj += mean
+    residual = dproj.reshape(-1, config.channels, total)
+    residual -= spans.transpose(0, 2, 1)
+    loss = float(np.mean(np.square(residual)))
+    dproj *= 2.0 / residual.size
+    return _normalized_map_adjoint(dproj, cache, params, config), loss
 
 
 def compile_operator(params: np.ndarray, config: ModelConfig, start: int = 0) -> np.ndarray:
@@ -391,6 +410,27 @@ def operator_chunks(
     for lo in range(0, len(spans), OPERATOR_CHUNK):
         part = spans[lo : lo + OPERATOR_CHUNK]
         yield part, apply_operator(part[:, : config.lookback], operator, config)
+
+
+def evaluate_loss(params: np.ndarray, spans: np.ndarray, config: ModelConfig) -> float:
+    """Window-mean joint loss over (W, L+tau, C) window spans, with the
+    squared error summed chunk by chunk (operator_chunks).
+
+    Each chunk's error is formed in the operator's (B, C, L+tau)
+    channel-row layout: the span's channel rows are subtracted from the
+    fresh output in place, and the difference is squared in place. The
+    sum reads a window-major (B, L+tau, C) copy: a pairwise sum's bits
+    depend on the order it reads, and summing in channel-row order would
+    move the last digit of some validation losses.
+    """
+    spans = check_windows(spans, config, config.lookback + config.horizon)
+    total_sq = 0.0
+    for part, out in operator_chunks(params, spans, config):
+        residual = out.transpose(0, 2, 1)
+        residual -= part.transpose(0, 2, 1)
+        np.square(residual, out=residual)
+        total_sq += float(np.sum(np.ascontiguousarray(out)))
+    return total_sq / spans.size
 
 
 def validate_params(params: np.ndarray, config: ModelConfig) -> None:

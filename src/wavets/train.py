@@ -1,16 +1,12 @@
-"""Joint backcast+forecast objective, its gradient, Adam, and the training
-loop with validation-based early stopping.
+"""Adam, gradient clipping, the training loop with validation-based early
+stopping, and the finite-difference gradient checker.
 
-The model module owns the branch path in both directions, the forward
-map and its adjoint; this module owns the loss, the optimizer and the
-loop. The model's output is its map of the centred rows [x - mean, std]
-plus the mean, so the loss gradient goes to model._normalized_map_adjoint
-as it is, and that takes it to the gradient vector.
-
-Data arrive as window spans: a (W, L+tau, C) array whose span i is the
-lookback spans[i, :L] followed by its target, so the joint-loss target of
-a span is the span itself. model.check_windows checks them, and the
-validation loss runs the compiled operator through model.operator_chunks.
+The model module owns the joint loss and its exact gradient
+(model.gradient_batch) and the validation loss (model.evaluate_loss),
+beside the forward map and its adjoint; this module calls them through
+its own names, so a caller can reach them as train.gradient_batch and
+train.evaluate_loss too. Data arrive as (W, L+tau, C) window spans:
+span i is the lookback spans[i, :L] followed by its target.
 """
 
 from __future__ import annotations
@@ -24,11 +20,11 @@ from .config import TrainConfig
 from .errors import ConfigError, NumericalError
 from .model import (
     ModelConfig,
-    _normalized_map_adjoint,
     check_windows,
+    evaluate_loss,
     forward_batch,
+    gradient_batch,
     init_params,
-    operator_chunks,
     param_blocks,
     param_layout,
     validate_params,
@@ -45,28 +41,6 @@ ADAM_BLOCK = 16384
 # that noise alone read 5e-4 relative on correct gradients near 1e-7;
 # 1e-3 shrinks it a thousandfold.
 GRADCHECK_STEP = 1e-3
-
-
-def gradient_batch(
-    params: np.ndarray,
-    spans: np.ndarray,
-    config: ModelConfig,
-) -> tuple[np.ndarray, float]:
-    """Exact batch-mean gradients of the joint loss over (B, L+tau, C) window
-    spans; returns (gradient vector, loss)."""
-    total = config.lookback + config.horizon
-    spans = check_windows(spans, config, total)
-    out, cache = forward_batch(spans[:, : config.lookback], params, config, want_cache=True)
-    # In the (B, C, L+tau) layout the model computed, written over the
-    # model's fresh output, so its rows are dproj's channel rows.
-    residual = out.transpose(0, 2, 1)
-    residual -= spans.transpose(0, 2, 1)
-    loss = float(np.mean(np.square(residual)))
-    # Adding the mean back adds nothing to the gradient, so dproj is the
-    # residual, scaled in place.
-    dproj = residual.reshape(-1, total)
-    dproj *= 2.0 / residual.size
-    return _normalized_map_adjoint(dproj, cache, params, config), loss
 
 
 def global_grad_norm(grads: np.ndarray) -> float:
@@ -155,27 +129,6 @@ class TrainHistory:
             "best_val_loss": self.best_val_loss,
             "stopped_reason": self.stopped_reason,
         }
-
-
-def evaluate_loss(params: np.ndarray, spans: np.ndarray, config: ModelConfig) -> float:
-    """Window-mean joint loss over (W, L+tau, C) window spans, with the
-    squared error summed chunk by chunk (model.operator_chunks).
-
-    Each chunk's error is formed in the operator's (B, C, L+tau)
-    channel-row layout: the span's channel rows are subtracted from the
-    fresh output in place, and the difference is squared in place. The
-    sum reads a window-major (B, L+tau, C) copy: a pairwise sum's bits
-    depend on the order it reads, and summing in channel-row order would
-    move the last digit of some validation losses.
-    """
-    spans = check_windows(spans, config, config.lookback + config.horizon)
-    total_sq = 0.0
-    for part, out in operator_chunks(params, spans, config):
-        residual = out.transpose(0, 2, 1)
-        residual -= part.transpose(0, 2, 1)
-        np.square(residual, out=residual)
-        total_sq += float(np.sum(np.ascontiguousarray(out)))
-    return total_sq / spans.size
 
 
 def train(

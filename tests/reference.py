@@ -25,7 +25,7 @@ sum the operator's gradient one (window, channel) slice at a time.
 The per-branch forecaster and the chunked forward loops at the end are
 the exceptions. The chunked loops run model.forward_batch on each chunk
 of windows: the uncompiled model that cli.forecast_predictions and
-train.evaluate_loss, which apply the compiled operator, are compared
+model.evaluate_loss, which apply the compiled operator, are compared
 with. The per-branch forecaster calls the package's transforms to run
 the model as the paper states it, one branch at a time with the
 derivative gains applied and divided back out, synthesis then

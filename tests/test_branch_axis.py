@@ -20,6 +20,7 @@ by the inverse gains, bit for bit.
 import numpy as np
 import pytest
 
+from helpers import params_with_biases
 from reference import blocks_by_name, branch_maps, per_branch_forward, per_branch_gradients
 from wavets.model import ModelConfig, forward_batch, init_params, param_blocks
 from wavets.train import gradient_batch, gradient_check
@@ -46,13 +47,6 @@ def three_branch_config(kind: str, **overrides) -> ModelConfig:
     )
     base.update(overrides)
     return ModelConfig(**base)
-
-
-def params_with_biases(cfg: ModelConfig, gen: np.random.Generator):
-    params = init_params(cfg, cfg.seed)
-    for _, block in param_blocks(params, cfg):
-        block[-1] = gen.normal(size=block.shape[1])
-    return params
 
 
 def assert_agrees(got: np.ndarray, want: np.ndarray, label: str) -> None:

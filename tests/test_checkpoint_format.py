@@ -88,6 +88,7 @@ from wavets.model import (
 from wavets.train import gradient_batch
 
 from blas_kernel import openblas_corename
+from helpers import same_bits
 
 CHECKPOINTS = Path(__file__).resolve().parent / "checkpoints"
 KINDS = ("wdt", "dft")
@@ -125,18 +126,12 @@ def running_kernel_recording(pinned: dict) -> dict:
     return by_kernel[values] if isinstance(values, str) else values
 
 
-def assert_same_bits(got, want) -> None:
-    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_recorded_forecast_reproduced_bit_for_bit(kind):
     params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
     pinned = record(kind, "forward")
     out = forward_batch(np.array(pinned["xs"]), params, config)
-    assert_same_bits(out, running_kernel_recording(pinned)["out"])
+    assert same_bits(out, running_kernel_recording(pinned)["out"])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -187,8 +182,8 @@ def test_recorded_gradient_reproduced_bit_for_bit(kind):
     pinned = record(kind, "gradient")
     grads, loss = gradient_batch(params, np.array(pinned["spans"]), config)
     values = running_kernel_recording(pinned)
-    assert_same_bits(grads, values["grads"])
-    assert_same_bits(loss, values["loss"])
+    assert same_bits(grads, values["grads"])
+    assert same_bits(loss, values["loss"])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -197,5 +192,5 @@ def test_recorded_operator_reproduced_bit_for_bit(kind):
     pinned = record(kind, "operator")
     operator = compile_operator(params, config)
     values = running_kernel_recording(pinned)
-    assert_same_bits(operator[:-1], values["weight"])
-    assert_same_bits(operator[-1], values["bias"])
+    assert same_bits(operator[:-1], values["weight"])
+    assert same_bits(operator[-1], values["bias"])

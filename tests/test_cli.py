@@ -1,13 +1,17 @@
 """End-to-end tests for the command-line interface.
 
-Every test drives main() in-process with argv lists, so exit codes and
-emitted files are checked without spawning subprocesses.
+Every test drives main() with argv lists, so exit codes and emitted
+files are checked without spawning the console command. All but one run
+it in-process; the out-of-memory test runs it in a child process, so
+that the address-space limit it sets is that process's own.
 """
 
 import base64
 import json
 import math
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1216,6 +1220,37 @@ def test_model_too_large_to_allocate_exits_2(tmp_path, capsys, kind, branches):
         assert err.startswith("config error: ") and words in err, err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is a Linux limit")
+def test_out_of_memory_mid_run_exits_2(tmp_path):
+    # A 25.8M-parameter (197 MiB) wdt model, L=4096 and tau=64, allocates
+    # under an 800 MiB address space, and so does train's copy of it; the
+    # Adam moments and the best copy then do not fit. The child process
+    # lowers only its own limit, after its imports. With Python 3.11 and
+    # NumPy 2.4 on x86-64 Linux, limits from 500 to 1300 MiB all
+    # fail inside train with a MemoryError, which must exit 2 with one
+    # line, not 1 with a traceback.
+    csv = tmp_path / "series.csv"
+    csv.write_text("s\n" + "".join(f"{math.sin(t / 7.0) + 1e-4 * t!r}\n" for t in range(16000)))
+    model = {"lookback": 4096, "horizon": 64, "branches": 1, "levels": 1}
+    data = {"split": {"kind": "ratio", "ratios": [0.4, 0.3, 0.3]}, "stride": 512}
+    cfg = write_run_config(tmp_path / "run.json", csv, model=model, data=data)
+    child = (
+        "import resource, sys\n"
+        "from wavets.cli import main\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (800 << 20, hard))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("config error: out of memory: "), done.stderr
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_ablate_reads_the_csv_once(tmp_path, monkeypatch, capsys):

@@ -30,6 +30,7 @@ per-branch oracle at the same shapes.
 import numpy as np
 import pytest
 
+from helpers import params_with_biases, rel_err
 from reference import (
     affine_apply_slices,
     band_domain_gradients,
@@ -57,24 +58,11 @@ LOOKBACK, TOTAL = 16, 24
 REL_TOL = 1e-12
 
 
-def rel_err(got: np.ndarray, want: np.ndarray) -> float:
-    assert got.shape == want.shape
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-
-
 def two_branch_config(kind: str, channels: int) -> ModelConfig:
     return ModelConfig(
         lookback=LOOKBACK, horizon=TOTAL - LOOKBACK, channels=channels,
         branches=2, levels=2, transform_kind=kind, seed=3,
     )
-
-
-def params_with_biases(cfg: ModelConfig, gen: np.random.Generator) -> np.ndarray:
-    # Nonzero biases, so a dropped or misplaced bias term shows.
-    params = init_params(cfg, cfg.seed)
-    for _, block in param_blocks(params, cfg):
-        block[-1] = gen.normal(size=block.shape[1])
-    return params
 
 
 def mapped_rows(gen, kind, batch, channels):

@@ -4,6 +4,7 @@ checkpoint round-trips."""
 import numpy as np
 import pytest
 
+from helpers import tiny_config
 from wavets import ConfigError, DataError
 from wavets.model import (
     CHECKPOINT_VERSION,
@@ -20,15 +21,6 @@ from wavets.model import (
     validate_params,
 )
 from wavets.train import evaluate_loss, gradient_batch
-
-
-def tiny_config(**overrides) -> ModelConfig:
-    base = dict(
-        lookback=8, horizon=4, channels=2, branches=2, levels=2,
-        transform_kind="wdt", std_epsilon=1e-5, seed=7,
-    )
-    base.update(overrides)
-    return ModelConfig(**base)
 
 
 def identity_block_params(config: ModelConfig) -> np.ndarray:

@@ -20,6 +20,7 @@ import pytest
 
 import wavets.model
 import wavets.train
+from helpers import params_with_biases, rel_err, same_bits
 from reference import evaluate_loss_chunked, forecast_predictions_chunked
 from wavets.cli import forecast_predictions
 from wavets.data import SeriesFrame, windows
@@ -28,8 +29,6 @@ from wavets.model import (
     apply_operator,
     compile_operator,
     forward_batch,
-    init_params,
-    param_blocks,
 )
 from wavets.train import evaluate_loss
 
@@ -48,28 +47,16 @@ def config_for(kind: str, **overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def params_with_biases(cfg: ModelConfig, seed: int = 11) -> np.ndarray:
-    params = init_params(cfg, cfg.seed)
-    gen = np.random.default_rng(seed)
-    for _, block in param_blocks(params, cfg):
-        block[-1] = gen.standard_normal(block.shape[1])
-    return params
-
-
 def seeded(shape, seed: int = 12) -> np.ndarray:
     # Offset and scaled, so the denormalization is not the identity.
     return 3.0 * np.random.default_rng(seed).standard_normal(shape) + 1.5
-
-
-def rel_err(got: np.ndarray, want: np.ndarray) -> float:
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("batch", [8, 1])
 @pytest.mark.parametrize("kind", KINDS)
 def test_operator_matches_forward_batch_etth1_shape(kind, batch):
     cfg = config_for(kind)
-    params = params_with_biases(cfg)
+    params = params_with_biases(cfg, np.random.default_rng(11))
     operator = compile_operator(params, cfg)
     assert operator.shape == (337, 432)
     xs = seeded((batch, cfg.lookback, cfg.channels))
@@ -83,7 +70,7 @@ def test_operator_is_the_normalized_map_on_any_row(kind):
     # weight from the weight plus a constant row; rows of nonzero mean,
     # each with any std, through the map short of the mean can.
     cfg = config_for(kind, lookback=16, horizon=8, channels=1, levels=2)
-    params = params_with_biases(cfg)
+    params = params_with_biases(cfg, np.random.default_rng(11))
     operator = compile_operator(params, cfg)
     rows = seeded((5, cfg.lookback + 1))
     want, _ = wavets.model._normalized_map(rows, params, cfg)
@@ -96,7 +83,7 @@ def test_normalized_map_is_linear_in_its_rows(kind, overrides):
     # The std column carries the biases, so the zero row maps to exactly
     # zero and a scaled row, std included, to the scaled output.
     cfg = config_for(kind, lookback=16, horizon=8, channels=1, levels=2, **overrides)
-    params = params_with_biases(cfg)
+    params = params_with_biases(cfg, np.random.default_rng(11))
     zero, _ = wavets.model._normalized_map(np.zeros((1, cfg.lookback + 1)), params, cfg)
     assert np.array_equal(zero, np.zeros((1, cfg.lookback + cfg.horizon)))
     rows = seeded((5, cfg.lookback + 1))
@@ -113,15 +100,10 @@ def test_operator_centres_before_its_gemm_at_a_large_mean(kind):
     # an ulp of 1e6 (1.2e-10) or two; folding the mean into the operator
     # instead, x @ W - mean * colsum(W), leaves 15 to 28 ulps here.
     cfg = config_for(kind)
-    params = params_with_biases(cfg)
+    params = params_with_biases(cfg, np.random.default_rng(11))
     xs = 1e6 + seeded((16, cfg.lookback, cfg.channels)) / 3.0
     got = apply_operator(xs, compile_operator(params, cfg), cfg)
     assert np.max(np.abs(got - forward_batch(xs, params, cfg))) <= 4 * np.spacing(1e6)
-
-
-def assert_same_bits(got: np.ndarray, want: np.ndarray):
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # The ETTh1 shape with three mixed-order branches and with one, and a dft
@@ -137,11 +119,11 @@ def test_column_range_compile_is_the_full_compile_bit_for_bit(kind, overrides, s
     # Only the columns start: are carried through the branch path, and
     # each one is the full compile's column with the same bits.
     cfg = config_for(kind, **overrides)
-    params = params_with_biases(cfg)
+    params = params_with_biases(cfg, np.random.default_rng(11))
     full = compile_operator(params, cfg)
     assert full.shape == (cfg.lookback + 1, cfg.lookback + cfg.horizon)
     for start in starts:
-        assert_same_bits(compile_operator(params, cfg, start), full[:, start:])
+        assert same_bits(compile_operator(params, cfg, start), full[:, start:])
 
 
 def small_config(kind: str, channels: int = 3) -> ModelConfig:
@@ -156,7 +138,7 @@ WRITABLE_CASES = [(4, 1), (1, 3), (1, 1), (4, 3)]
 
 def assert_leaves_writable_input_unchanged(batch, channels, run):
     cfg = small_config("wdt", channels)
-    params = params_with_biases(cfg)
+    params = params_with_biases(cfg, np.random.default_rng(11))
     xs = seeded((batch, cfg.lookback, channels))
     before = xs.copy()
     got = run(xs, params, cfg)
@@ -180,7 +162,7 @@ def test_forward_batch_leaves_writable_input_unchanged(batch, channels):
 @pytest.mark.parametrize("channels", [1, 3])
 def test_apply_operator_reads_read_only_window_views(channels):
     cfg = small_config("dft", channels)
-    params = params_with_biases(cfg)
+    params = params_with_biases(cfg, np.random.default_rng(11))
     operator = compile_operator(params, cfg)
     frame = SeriesFrame(seeded((60, channels)), [f"c{i}" for i in range(channels)])
     values = frame.values.copy()
@@ -194,7 +176,7 @@ def test_apply_operator_reads_read_only_window_views(channels):
 @pytest.mark.parametrize("kind", KINDS)
 def test_forecast_predictions_matches_chunked_forward(kind, monkeypatch):
     cfg = small_config(kind)
-    params = params_with_biases(cfg)
+    params = params_with_biases(cfg, np.random.default_rng(11))
     # 23 windows in chunks of 5: the last chunk is partial.
     monkeypatch.setattr(wavets.model, "OPERATOR_CHUNK", 5)
     spans = seeded((23, cfg.lookback + cfg.horizon, cfg.channels))
@@ -213,7 +195,7 @@ def test_forecast_predictions_fills_one_contiguous_array(kind, count):
     # Every row of the preallocated array must be written, whether the
     # last chunk is partial, full, or one window long.
     cfg = small_config(kind)
-    params = params_with_biases(cfg)
+    params = params_with_biases(cfg, np.random.default_rng(11))
     spans = seeded((count, cfg.lookback + cfg.horizon, cfg.channels))
     _, _, want = forecast_predictions_chunked(params, spans, cfg)
     _, _, preds = forecast_predictions(params, spans, cfg)
@@ -225,7 +207,7 @@ def test_forecast_predictions_fills_one_contiguous_array(kind, count):
 @pytest.mark.parametrize("kind", KINDS)
 def test_evaluate_loss_matches_chunked_forward(kind, monkeypatch):
     cfg = small_config(kind)
-    params = params_with_biases(cfg)
+    params = params_with_biases(cfg, np.random.default_rng(11))
     monkeypatch.setattr(wavets.model, "OPERATOR_CHUNK", 5)
     spans = seeded((23, cfg.lookback + cfg.horizon, cfg.channels))
     want = evaluate_loss_chunked(params, spans, cfg, chunk=5)
@@ -234,7 +216,7 @@ def test_evaluate_loss_matches_chunked_forward(kind, monkeypatch):
 
 def test_fixed_parameter_paths_do_not_run_forward_batch(monkeypatch):
     cfg = small_config("wdt")
-    params = params_with_biases(cfg)
+    params = params_with_biases(cfg, np.random.default_rng(11))
     spans = seeded((4, cfg.lookback + cfg.horizon, cfg.channels))
 
     def refuse(*args, **kwargs):

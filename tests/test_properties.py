@@ -24,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 import reference  # noqa: E402
+from helpers import same_bits  # noqa: E402
 from wavets.cli import main  # noqa: E402
 from wavets.config import TRANSFORM_KINDS  # noqa: E402
 from wavets.data import load_csv  # noqa: E402
@@ -109,12 +110,6 @@ def test_wdt_round_trip_any_valid_length_level_order(case):
     rebuilt = wdt_inverse(wdt_forward(signal, fb, levels, order), fb)
     assert rebuilt.shape == signal.shape
     assert np.max(np.abs(rebuilt - signal)) <= 1e-9
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal shapes and float64 bit patterns, so -0.0 and 0.0 differ."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @PROPERTY_SETTINGS

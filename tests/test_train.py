@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import reference
+from helpers import tiny_config
 import wavets.model
 from wavets import ConfigError, DataError, NumericalError
 from wavets.model import (
-    ModelConfig,
     forward_batch,
     init_params,
     param_blocks,
@@ -24,15 +24,6 @@ from wavets.train import (
     gradient_check,
     train,
 )
-
-
-def tiny_config(**overrides) -> ModelConfig:
-    base = dict(
-        lookback=8, horizon=4, channels=2, branches=2, levels=2,
-        transform_kind="wdt", std_epsilon=1e-5, seed=7,
-    )
-    base.update(overrides)
-    return ModelConfig(**base)
 
 
 def seeded_spans(cfg, count, seed=404):

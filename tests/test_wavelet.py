@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import reference
+from helpers import same_bits
 from wavets import DataError
 from wavets.wavelet import (
     dwt_level,
@@ -187,10 +188,6 @@ class TestIdwtMulti:
                 x = rng.normal(size=t)
                 err = np.max(np.abs(idwt_multi(dwt_multi(x, fb, k), fb) - x))
                 assert err < 1e-9
-
-
-def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
-    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLevelBits:
