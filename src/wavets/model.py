@@ -26,30 +26,27 @@ normalization, writes the (B*C, L+1) channel rows [x - mean, std]; short
 of adding the mean back, the model is linear in them.
 
 This module owns the branch path in both directions, on 2-D channel
-rows: _normalized_map takes those (R, L+1) rows, one per channel of each
-window, and returns (R, L+tau). The band maps, the synthesis and the
-projection are all linear, so _normalized_map carries the projection
-back through the synthesis (_synthesis_adjoint) and applies the band
-maps and the projection as one band-domain operator to the analysed
-rows, and _normalized_map_adjoint runs the same factoring back from
-(R, L+tau) output gradients. No row is synthesised: a step costs two
-(L, L+tau) products per channel row plus a fixed cost in the size of the
-parameters, so at the ETTh1 shape it beats synthesising every row from
-about 40 windows of 7 channels up and loses below. The adjoint of the
-orthonormal Haar synthesis is the analysis cascade (_analyse); the
-adjoint of the inverse real FFT is a forward real FFT with half-spectrum
-bin weighting (_irfft_adjoint: interior bins carry factor 2/M, the DC
-bin 1/M, and for even M the Nyquist bin 1/M with a dead imaginary part).
+rows, one per channel of each window. The band maps, the synthesis and
+the projection are all linear, so short of adding the mean back the
+model is one product, xb @ V: _band_rows analyses the rows into xb, and
+_band_operator carries the projection back through the synthesis
+(_synthesis_adjoint) to the band maps, the band-domain operator V.
+_pull_back takes a gradient of V to the parameters. No row is
+synthesised: a step costs two (L, L+tau) products per channel row plus
+a fixed cost in the size of the parameters, so at the ETTh1 shape it
+beats synthesising every row from about 40 windows of 7 channels up and
+loses below. The adjoint of the orthonormal Haar synthesis is the
+analysis cascade (_analyse); the adjoint of the inverse real FFT is a
+forward real FFT with half-spectrum bin weighting (_irfft_adjoint:
+interior bins carry factor 2/M, the DC bin 1/M, and for even M the
+Nyquist bin 1/M with a dead imaginary part).
 
-So for fixed parameters the model is one (L+1, m) array [weight; bias]
-on those rows, and compile_operator builds it as the map of the identity
-rows through the same branch path as forward_batch, carrying only the m
-output columns from a given start, so a forecast compiles just the
-horizon. forward_batch hands _centre_rows' array to _normalized_map and
-apply_operator multiplies it by the operator in one GEMM; both add the
-mean to their fresh output in place. forward_batch is the operator's
-reference; the two differ only in rounding, since they sum their
-products in other orders.
+Each caller forms the product itself: forward_batch on _centre_rows'
+array, and compile_operator on the identity rows, which gives the model
+as one (L+1, m) array [weight; bias] of the m output columns from a
+given start, so a forecast compiles just the horizon. apply_operator
+multiplies the centred rows by it in one GEMM. forward_batch is the
+operator's reference; the two differ only in rounding.
 operator_chunks is the one loop behind every fixed-parameter forecast: it
 compiles once and applies the operator OPERATOR_CHUNK windows at a time,
 and cli.forecast_predictions writes each chunk into one preallocated
@@ -57,8 +54,7 @@ array. check_windows is the one shape check of window arrays.
 
 gradient_batch, the training step, and evaluate_loss, the validation
 loss, form the joint loss's residual over the channel rows of a fresh
-output, so every function that reads that layout lives here; the
-adjoint's only caller is gradient_batch.
+output, so every function that reads that layout lives here.
 
 The parameters are one float64 vector. param_layout, derived from the
 config alone, names its blocks in checkpoint order (one per band, then
@@ -219,60 +215,55 @@ def _synthesis_adjoint(z: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
     return _analyse(z, config)
 
 
-def _normalized_map(
-    centred: np.ndarray, params: np.ndarray, config: ModelConfig, start: int = 0
-) -> tuple[np.ndarray, dict]:
-    """The model short of adding the mean back: the branch path and the
-    projection on the (R, L+1) rows [x - mean, std] of _centre_rows,
-    giving the output columns start: of (R, L+tau), and the intermediates
-    _normalized_map_adjoint needs (whose output is every column).
+def _band_rows(centred: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """xb: the analysed first L columns of the (R, L+1) rows [x - mean, std]
+    of _centre_rows, each band followed by the std column, (R, L + bands).
+    Every map of the model reads its rows through this."""
+    bands = _analyse(centred[:, :-1], config)
+    return np.concatenate([x for band in bands for x in (band, centred[:, -1:])], axis=1)
 
-    The synthesis and the projection are linear, so the projection is
-    carried back through the synthesis: q_k, the synthesis adjoint of the
-    projection weight's columns, is band k's (L+tau, N*m_out) projection.
-    Band k then reaches the output through V_k = W_k @ q_k.T and its
-    scaled bias through c_k = b_k @ q_k.T, so the whole map is one GEMM,
-    xb @ V, on the analysed first L columns, each band followed by the std
-    column (xb), and V, each band's [V_k; c_k] stacked with the projection
-    bias added to its last row: the band-domain operator. Only the
-    projection columns start: are carried back, so the q_k, V and the
-    GEMM all shrink with the columns left out."""
+
+def _band_operator(
+    params: np.ndarray, config: ModelConfig, start: int = 0
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """V, the band-domain operator of the output columns start:, such that
+    _band_rows(centred) @ V is the model short of adding the mean back,
+    and the q_k it was built from.
+
+    q_k, the synthesis adjoint of the projection weight's columns, is band
+    k's (L+tau-start, N*m_out) projection. V stacks each band's [V_k; c_k],
+    its map V_k = W_k @ q_k.T and its scaled bias c_k = b_k @ q_k.T, with
+    the projection bias added to its last row; the q_k and V shrink with
+    the columns left out."""
     total = config.lookback + config.horizon
-    _, projection = param_blocks(params, config)[-1]
+    *bands, (_, projection) = param_blocks(params, config)
     # Output column j's projection weights as N branch series of length L+tau.
     columns = projection[:-1].T[start:].reshape(-1, config.branches, total)
     qs = [q.reshape(len(columns), -1) for q in _synthesis_adjoint(columns, config)]
-    std = centred[:, -1:]
-    xb = np.concatenate(
-        [x for band in _analyse(centred[:, :-1], config) for x in (band, std)], axis=1
-    )
-    operator = np.empty((xb.shape[1], len(columns)))
+    operator = np.empty((sum(len(block) for _, block in bands), len(columns)))
     lo = 0
     for scaled, q in zip(_scaled_band_maps(params, config), qs):
         np.matmul(scaled, q.T, out=operator[lo : lo + len(scaled)])
         lo += len(scaled)
     operator[-1] += projection[-1, start:]
-    return xb @ operator, {"xb": xb, "q": qs}
+    return operator, qs
 
 
-def _normalized_map_adjoint(
-    dproj: np.ndarray, cache: dict, params: np.ndarray, config: ModelConfig
+def _pull_back(
+    gv: np.ndarray, qs: list[np.ndarray], params: np.ndarray, config: ModelConfig
 ) -> np.ndarray:
-    """Adjoint of _normalized_map in its parameters: the gradient vector of
-    sum(dproj * output) for the forward that filled cache, where dproj has
-    the output's (R, L+tau) shape.
+    """The gradient vector of <gv, V> in the parameters, for a gradient gv
+    of the V that _band_operator built from params with every column, and
+    qs its q_k.
 
-    The band-domain operator's gradient is G = xb.T @ dproj; band k's rows
-    of it are [G_k; s], s = std.T @ dproj coming from the std column.
-    They give band k's block whole, [G_k; s] @ q_k, the bias row then
-    scaled like its bias, and q_k's gradient [G_k; s].T times the band's
-    _scaled_band_maps map. The projection's weight gradient is the
-    synthesis of the q_k gradients, its bias gradient s, the last row of G.
-    cache is emptied as it is read, so the forward's intermediates are
-    freed before that synthesis."""
+    Band k's rows of gv, [G_k; s] with s the std row, give its block
+    whole, [G_k; s] @ q_k, the bias row then scaled like its bias, and
+    q_k's gradient [G_k; s].T times the band's _scaled_band_maps map. The
+    projection's weight gradient is the synthesis of the q_k gradients,
+    its bias gradient gv's last row. Each q_k is popped from qs once its
+    band is pulled back, so none is alive during that synthesis and the
+    caller's list is left empty."""
     total = config.lookback + config.horizon
-    gv = cache.pop("xb").T @ dproj
-    qs = cache.pop("q")
     grads = np.empty_like(params)
     *bands, (_, projection) = param_blocks(grads, config)
     dqs, lo = [], 0
@@ -311,8 +302,8 @@ def _centre_rows(xs: np.ndarray, config: ModelConfig) -> tuple[np.ndarray, np.nd
 
     The lookback is copied once into the rows, so the statistics reduce
     along the contiguous axis and the centring works in place on that
-    copy. Nothing divides by the std column: _normalized_map and the
-    compiled operator take the rows [x - mean, std] whole."""
+    copy. Nothing divides by the std column: _band_rows and the compiled
+    operator take the rows [x - mean, std] whole."""
     xs = check_windows(xs, config, config.lookback)
     batch, lookback, channels = xs.shape
     centred = np.empty((batch * channels, lookback + 1))
@@ -333,11 +324,12 @@ def _centre_rows(xs: np.ndarray, config: ModelConfig) -> tuple[np.ndarray, np.nd
 
 def forward_batch(xs: np.ndarray, params: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Model on a (B, L, C) stack; returns (B, L+tau, C), a transposed view
-    of the model's (B*C, L+tau) channel rows: _normalized_map of the
-    centred rows, the mean added back in place. It is the reference that
+    of the model's (B*C, L+tau) channel rows: xb @ V of the centred rows,
+    the mean added back in place. It is the reference that
     compile_operator is tested against."""
     centred, mean = _centre_rows(xs, config)
-    proj, _ = _normalized_map(centred, params, config)
+    operator, _ = _band_operator(params, config)
+    proj = _band_rows(centred, config) @ operator
     proj += mean
     return proj.reshape(-1, config.channels, proj.shape[-1]).transpose(0, 2, 1)
 
@@ -350,26 +342,34 @@ def gradient_batch(
     """Exact batch-mean gradients of the joint loss over (B, L+tau, C) window
     spans; returns (gradient vector, loss).
 
-    forward_batch's steps on the lookbacks; the residual against the span
-    is formed over the fresh output's channel rows and, scaled in place,
-    is dproj: adding the mean back adds nothing to the gradient.
+    forward_batch's product xb @ V on the lookbacks; the residual against
+    the span is formed over the fresh output's channel rows and, scaled in
+    place, is dproj: adding the mean back adds nothing to the gradient.
+    _pull_back takes V's gradient xb.T @ dproj to the parameters. Each
+    array is freed once last read (the centred rows and V after the
+    product, xb after V's gradient, each q_k in _pull_back), so none is
+    alive during the pull-back's synthesis.
 
-    The step maps the analysed rows, not the rows through compile_operator
-    with an operator-domain adjoint: that runs a second Haar cascade over
-    the (L+tau, L) operator every step (24 -> 51 idwt_level calls per
+    The step pulls back from the analysed rows, not from the operator
+    domain, _pull_back(_band_rows(I).T @ (centred.T @ dproj)) with
+    compile_operator's forward: that runs a second Haar cascade over the
+    (L+tau, L) operator every step (24 -> 51 idwt_level calls per
     train_wdt operation), and read 12% fewer train_wdt windows/s."""
     total = config.lookback + config.horizon
     spans = check_windows(spans, config, total)
     centred, mean = _centre_rows(spans[:, : config.lookback], config)
-    dproj, cache = _normalized_map(centred, params, config)
-    # Not read again: freed before the adjoint allocates.
-    del centred
+    operator, qs = _band_operator(params, config)
+    xb = _band_rows(centred, config)
+    dproj = xb @ operator
+    del centred, operator
     dproj += mean
     residual = dproj.reshape(-1, config.channels, total)
     residual -= spans.transpose(0, 2, 1)
     loss = float(np.mean(np.square(residual)))
     dproj *= 2.0 / residual.size
-    return _normalized_map_adjoint(dproj, cache, params, config), loss
+    gv = xb.T @ dproj
+    del xb
+    return _pull_back(gv, qs, params, config), loss
 
 
 def compile_operator(params: np.ndarray, config: ModelConfig, start: int = 0) -> np.ndarray:
@@ -378,16 +378,16 @@ def compile_operator(params: np.ndarray, config: ModelConfig, start: int = 0) ->
     that a row [x - mean, std] of _centre_rows maps to its output less the
     mean, (x - mean) @ weight + std * bias.
 
-    _normalized_map is linear in those rows, so the operator is its map of
-    the identity: row i < L gives row i of the weight, and the last row,
+    xb @ V is linear in those rows, so the operator is its map of the
+    identity: row i < L gives row i of the weight, and the last row,
     the unit std, the bias. Only the columns from the multiple of
     _COLUMN_TILE at or below start are carried through it, so each GEMM
     tiles them as it tiles every column and they keep the full compile's
     bits.
     """
     first = start - start % _COLUMN_TILE
-    operator, _ = _normalized_map(np.eye(config.lookback + 1), params, config, first)
-    return operator[:, start - first :]
+    operator, _ = _band_operator(params, config, first)
+    return (_band_rows(np.eye(config.lookback + 1), config) @ operator)[:, start - first :]
 
 
 def apply_operator(xs: np.ndarray, operator: np.ndarray, config: ModelConfig) -> np.ndarray:

@@ -1,17 +1,17 @@
-"""The branch path's band-domain products against dense references.
+"""The band-domain factors against dense references.
 
-_normalized_map and _normalized_map_adjoint run on the (R, L+1) channel
-rows [x - mean, std] of _centre_rows, one per channel of each window.
-On the normalized rows x' = (x - mean) / std the map is x' @ A.T @ V + c:
-A analyses the rows, q_k carries the projection back through the
-synthesis, one (L+tau, N*m_out) matrix per band, V_k = W_k @ q_k.T and
-c = p + sum_k q_k @ b_k. The package maps the centred rows to std times
-that, linearly: it holds each analysed band followed by the std column
-(xb, std times the normalized bands each followed by a one), so V
-carries c_k as the row after V_k and p in its last row. The adjoint forms
-G = xb.T @ dproj, which holds s = std.T @ dproj in those rows, then the
-band gradients G_k @ q_k and s @ q_k, q_k's gradient
-G_k.T @ W_k + outer(s, b_k), and the projection gradient as the
+The model short of adding the mean back is one product, xb @ V, on the
+(R, L+1) channel rows [x - mean, std] of _centre_rows, one per channel of
+each window. On the normalized rows x' = (x - mean) / std it is
+x' @ A.T @ V + c: A analyses the rows, q_k carries the projection back
+through the synthesis, one (L+tau, N*m_out) matrix per band,
+V_k = W_k @ q_k.T and c = p + sum_k q_k @ b_k. _band_rows gives xb, each
+analysed band followed by the std column (std times the normalized bands
+each followed by a one), and _band_operator gives V, which carries c_k
+as the row after V_k and p in its last row, and the q_k. _pull_back
+takes V's gradient G = xb.T @ dproj, which holds s = std.T @ dproj in
+the std rows, to the band gradients G_k @ q_k and s @ q_k, q_k's
+gradient G_k.T @ W_k + outer(s, b_k), and the projection gradient as the
 synthesis of the q_k gradients. On normalized rows that is the gradient
 for the output gradient std * dproj.
 
@@ -19,7 +19,7 @@ reference.band_domain_operator and reference.band_domain_gradients
 build each of these on the normalized rows, from dense basis matrices
 (the Haar rows and the real DFT and inverse-real-FFT bases), one branch
 at a time, and sum G slice by slice. These tests check the package's
-products against them
+factors against them
 on the layouts the maps meet: the non-contiguous rfft real/imag views of
 the dft bands, the (B, L, C) windows transposed into channel rows and
 back, an output gradient held column-major, and the B=1 / C=1 edge
@@ -41,9 +41,10 @@ from reference import (
 from wavets.model import (
     ModelConfig,
     _analyse,
+    _band_operator,
+    _band_rows,
     _centre_rows,
-    _normalized_map,
-    _normalized_map_adjoint,
+    _pull_back,
     compile_operator,
     forward_batch,
     init_params,
@@ -65,16 +66,18 @@ def two_branch_config(kind: str, channels: int) -> ModelConfig:
     )
 
 
-def mapped_rows(gen, kind, batch, channels):
-    """(config, params, normalized rows, std, output, cache) of one
-    _normalized_map call on the centred rows of random (B, L, C) windows;
-    the references read the rows divided by their std."""
+def band_factors(gen, kind, batch, channels):
+    """(config, params, normalized rows, std, xb, V, q_k): _band_rows of
+    the centred rows of random (B, L, C) windows and _band_operator of
+    seeded parameters; the references read the rows divided by their
+    std."""
     cfg = two_branch_config(kind, channels)
     params = params_with_biases(cfg, gen)
     xs = gen.normal(size=(batch, LOOKBACK, channels))
-    out, cache = _normalized_map(_centre_rows(xs, cfg)[0], params, cfg)
+    xb = _band_rows(_centre_rows(xs, cfg)[0], cfg)
+    operator, qs = _band_operator(params, cfg)
     rows, _, std = normalized_rows(xs, cfg)
-    return cfg, params, rows, std, out, cache
+    return cfg, params, rows, std, xb, operator, qs
 
 
 def column_major_gradient(gen, rows: int) -> np.ndarray:
@@ -90,20 +93,20 @@ def with_ones_columns(xb: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return np.hstack([x for band in bands for x in (band, ones)])
 
 
-def assert_forward_matches(cfg, params, rows, std, out, cache) -> None:
+def assert_forward_matches(cfg, params, rows, std, xb, operator) -> None:
     """xb, then xb @ V, against std times the dense operator's normalized
     bands and their map xb' @ V + c, slice by slice."""
     op = band_domain_operator(params, cfg)
-    xb = affine_apply_slices(rows, op["analysis"].T, np.zeros(len(op["analysis"])))
-    assert rel_err(cache["xb"], std * with_ones_columns(xb, cfg)) <= REL_TOL
-    want = std * affine_apply_slices(xb, op["operator"], op["offset"])
-    assert rel_err(out, want) <= REL_TOL
+    xb_ref = affine_apply_slices(rows, op["analysis"].T, np.zeros(len(op["analysis"])))
+    assert rel_err(xb, std * with_ones_columns(xb_ref, cfg)) <= REL_TOL
+    want = std * affine_apply_slices(xb_ref, op["operator"], op["offset"])
+    assert rel_err(xb @ operator, want) <= REL_TOL
 
 
-def assert_grads_match(cfg, params, rows, std, cache, dproj, blocks: slice) -> None:
-    """The adjoint's blocks[...] against the dense gradients on the
-    normalized rows for std * dproj."""
-    grads = _normalized_map_adjoint(dproj, cache, params, cfg)
+def assert_grads_match(cfg, params, rows, std, xb, qs, dproj, blocks: slice) -> None:
+    """The pull-back of xb.T @ dproj, blocks[...], against the dense
+    gradients on the normalized rows for std * dproj."""
+    grads = _pull_back(xb.T @ dproj, qs, params, cfg)
     want = blocks_by_name(band_domain_gradients(params, rows, std * dproj, cfg), cfg)
     for name, block in param_blocks(grads, cfg)[blocks]:
         assert rel_err(block[:-1], want[name][0]) <= REL_TOL, name
@@ -116,22 +119,22 @@ BANDS, PROJECTION = slice(None, -1), slice(-1, None)
 @pytest.mark.parametrize("batch,channels", SHAPES)
 class TestRowGemmMaps:
     def test_apply_on_spectrum_views(self, rng, batch, channels):
-        cfg, params, rows, std, out, cache = mapped_rows(rng, "dft", batch, channels)
+        cfg, params, rows, std, xb, operator, _ = band_factors(rng, "dft", batch, channels)
         for part in _analyse(rows, cfg):
             assert not part.flags.c_contiguous
-        assert_forward_matches(cfg, params, rows, std, out, cache)
+        assert_forward_matches(cfg, params, rows, std, xb, operator)
 
     def test_apply_on_wavelet_bands(self, rng, batch, channels):
-        cfg, params, rows, std, out, cache = mapped_rows(rng, "wdt", batch, channels)
-        assert_forward_matches(cfg, params, rows, std, out, cache)
+        cfg, params, rows, std, xb, operator, _ = band_factors(rng, "wdt", batch, channels)
+        assert_forward_matches(cfg, params, rows, std, xb, operator)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_projection_carried_back_through_the_synthesis(self, rng, kind, batch, channels):
         # q_k's column block n is branch n's q[k][n].T.
-        cfg, params, _, _, _, cache = mapped_rows(rng, kind, batch, channels)
+        cfg, params, _, _, _, _, qs = band_factors(rng, kind, batch, channels)
         op = band_domain_operator(params, cfg)
-        assert len(cache["q"]) == len(op["q"])
-        for got, per_branch in zip(cache["q"], op["q"]):
+        assert len(qs) == len(op["q"])
+        for got, per_branch in zip(qs, op["q"]):
             assert rel_err(got, np.hstack([q.T for q in per_branch])) <= REL_TOL
 
     def test_apply_on_transposed_stack(self, rng, batch, channels):
@@ -150,27 +153,27 @@ class TestRowGemmMaps:
         assert rel_err(out, want) <= REL_TOL
 
     def test_weight_grads_on_spectrum_views(self, rng, batch, channels):
-        cfg, params, rows, std, _, cache = mapped_rows(rng, "dft", batch, channels)
+        cfg, params, rows, std, xb, _, qs = band_factors(rng, "dft", batch, channels)
         dproj = rng.normal(size=(len(rows), TOTAL))
-        assert_grads_match(cfg, params, rows, std, cache, dproj, BANDS)
+        assert_grads_match(cfg, params, rows, std, xb, qs, dproj, BANDS)
 
     def test_weight_grads_with_transposed_gradient(self, rng, batch, channels):
-        cfg, params, rows, std, _, cache = mapped_rows(rng, "wdt", batch, channels)
+        cfg, params, rows, std, xb, _, qs = band_factors(rng, "wdt", batch, channels)
         dproj = column_major_gradient(rng, len(rows))
-        assert_grads_match(cfg, params, rows, std, cache, dproj, BANDS)
+        assert_grads_match(cfg, params, rows, std, xb, qs, dproj, BANDS)
 
     def test_input_grad_with_transposed_gradient(self, rng, batch, channels):
         # q_k is the input the band maps meet the projection through; its
         # gradient reaches the parameters only through the synthesis into
         # the projection's weight gradient, checked here.
-        cfg, params, rows, std, _, cache = mapped_rows(rng, "wdt", batch, channels)
+        cfg, params, rows, std, xb, _, qs = band_factors(rng, "wdt", batch, channels)
         dproj = column_major_gradient(rng, len(rows))
-        assert_grads_match(cfg, params, rows, std, cache, dproj, PROJECTION)
+        assert_grads_match(cfg, params, rows, std, xb, qs, dproj, PROJECTION)
 
     def test_projection_grads_on_spectrum_views(self, rng, batch, channels):
-        cfg, params, rows, std, _, cache = mapped_rows(rng, "dft", batch, channels)
+        cfg, params, rows, std, xb, _, qs = band_factors(rng, "dft", batch, channels)
         dproj = column_major_gradient(rng, len(rows))
-        assert_grads_match(cfg, params, rows, std, cache, dproj, PROJECTION)
+        assert_grads_match(cfg, params, rows, std, xb, qs, dproj, PROJECTION)
 
     def test_projection_grads_in_gradient_batch(self, rng, batch, channels):
         cfg = ModelConfig(

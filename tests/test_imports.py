@@ -1,9 +1,12 @@
-"""No package module imports another's private name.
+"""No package module imports another's private name, and every private
+name has a caller in the package.
 
 A `_`-prefixed name is its module's own: a module that imports one from
 another has to know what lies behind it, which is where the code that
-reads it belongs. The check walks each module's import statements, so it
-reads the source and imports nothing.
+reads it belongs. A private function, class or constant that no package
+module reads outside its own definition is kept only for tests, and the
+tests should call what the program runs instead. The checks walk each
+module's syntax tree, so they read the source and import nothing.
 """
 
 import ast
@@ -29,6 +32,50 @@ def private_imports(path: Path) -> list[str]:
     return found
 
 
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) of every module-level `_`-prefixed function, class
+    or assigned constant, dunders excepted."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        private = [name for name in names if name.startswith("_") and not name.endswith("__")]
+        found += [(name, node) for name in private]
+    return found
+
+
+def read_names(node: ast.AST) -> set[str]:
+    """Every name that node reads: loaded names, attributes and imported names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def unread_private_names() -> list[str]:
+    """`module.name` of every private definition that no package module
+    reads outside the statement that defines it."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    # Names read by each top-level statement of every module.
+    reads = [(node, read_names(node)) for tree in trees.values() for node in tree.body]
+    unread = []
+    for module, tree in trees.items():
+        for name, definition in private_definitions(tree):
+            if not any(name in names for node, names in reads if node is not definition):
+                unread.append(f"{module}.{name}")
+    return unread
+
+
 def test_the_package_has_modules():
     assert {"model.py", "train.py", "cli.py"} <= {path.name for path in MODULES}
 
@@ -36,3 +83,7 @@ def test_the_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_no_module_imports_a_private_name(path):
     assert private_imports(path) == []
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    assert unread_private_names() == []

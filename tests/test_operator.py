@@ -6,8 +6,9 @@ one (L+1, L+tau) array: an (L, L+tau) weight with the bias, the map of
 the unit std, as its last row. Evaluated with one GEMM it must reproduce
 forward_batch to 1e-10 relative. Both centre through _centre_rows, so
 their statistics agree bit for bit, but the GEMM sums the branch path's
-products in another order. The map of the zero row is zero and the map
-of a scaled row the scaled map, in any row and parameters. A
+products in another order. The band-domain map
+_band_rows(rows) @ _band_operator(params) takes the zero row to zero and
+a scaled row to the scaled map, in any row and parameters. A
 compile of the columns from any start must give the full compile's
 columns bit for bit. Three branches with the mixed orders
 [1, 0, 2] and standard-normal biases make a bias or branch mix-up show.
@@ -52,6 +53,11 @@ def seeded(shape, seed: int = 12) -> np.ndarray:
     return 3.0 * np.random.default_rng(seed).standard_normal(shape) + 1.5
 
 
+def band_map(rows: np.ndarray, params: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    # The model short of adding the mean back, on any (R, L+1) rows.
+    return wavets.model._band_rows(rows, cfg) @ wavets.model._band_operator(params, cfg)[0]
+
+
 @pytest.mark.parametrize("batch", [8, 1])
 @pytest.mark.parametrize("kind", KINDS)
 def test_operator_matches_forward_batch_etth1_shape(kind, batch):
@@ -73,8 +79,7 @@ def test_operator_is_the_normalized_map_on_any_row(kind):
     params = params_with_biases(cfg, np.random.default_rng(11))
     operator = compile_operator(params, cfg)
     rows = seeded((5, cfg.lookback + 1))
-    want, _ = wavets.model._normalized_map(rows, params, cfg)
-    assert rel_err(rows @ operator, want) <= REL_TOL
+    assert rel_err(rows @ operator, band_map(rows, params, cfg)) <= REL_TOL
 
 
 @pytest.mark.parametrize("overrides", [{}, ONE_BRANCH], ids=["n3", "n1"])
@@ -84,12 +89,12 @@ def test_normalized_map_is_linear_in_its_rows(kind, overrides):
     # zero and a scaled row, std included, to the scaled output.
     cfg = config_for(kind, lookback=16, horizon=8, channels=1, levels=2, **overrides)
     params = params_with_biases(cfg, np.random.default_rng(11))
-    zero, _ = wavets.model._normalized_map(np.zeros((1, cfg.lookback + 1)), params, cfg)
+    zero = band_map(np.zeros((1, cfg.lookback + 1)), params, cfg)
     assert np.array_equal(zero, np.zeros((1, cfg.lookback + cfg.horizon)))
     rows = seeded((5, cfg.lookback + 1))
-    want, _ = wavets.model._normalized_map(rows, params, cfg)
+    want = band_map(rows, params, cfg)
     for scale in (-3.7, 0.3, 1e3):
-        got, _ = wavets.model._normalized_map(scale * rows, params, cfg)
+        got = band_map(scale * rows, params, cfg)
         assert rel_err(got, scale * want) <= 1e-12
 
 
