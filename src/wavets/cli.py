@@ -12,6 +12,8 @@ Subcommands:
 Exit codes: 0 success, 1 gradcheck tolerance failure, 2 invalid
 configuration, an unwritable output or no memory left, 3 unusable data,
 4 numerical failure (a non-finite training loss, forecast or metric).
+A command that exits 2, 3 or 4 removes each directory it created that is
+still empty.
 
 Every report file takes its metric names and cells from metrics.py
 (MetricsReport.scores, key_value_text); this module names no metric.
@@ -20,6 +22,7 @@ Every report file takes its metric names and cells from metrics.py
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -40,7 +43,7 @@ from .model import (
     operator_chunks,
     save_checkpoint,
 )
-from .train import check_corrupt_block, gradient_check, train
+from .train import gradient_check, train
 from .wavelet import SUPPORTED_WAVELETS, make_filterbank
 from .wdt import MAX_GAIN_EXPONENT, wdt_forward, write_coefficients_csv, write_scalogram_csv
 
@@ -129,9 +132,11 @@ def _claim_out(
     Every command calls it once its inputs pass their checks, data CSVs
     included (train, eval and ablate read and window their splits first),
     and before it writes or prints anything, so a rejected input leaves no
-    directory and prints no report. Without a run (eval, gradcheck) --out is
-    optional and flag-only. An explicit empty --out names no directory, so
-    it is rejected, not read as absent.
+    directory and prints no report. Each directory it creates, parents
+    included, is appended to args.created, outermost first, so that main
+    can remove the ones still empty when the command fails later. Without
+    a run (eval, gradcheck) --out is optional and flag-only. An explicit
+    empty --out names no directory, so it is rejected, not read as absent.
     """
     if args.out == "":
         raise ConfigError("--out is empty; pass an output directory")
@@ -143,6 +148,9 @@ def _claim_out(
     out = Path(target)
     for path in [out] + [out / name for name in subdirs]:
         try:
+            # Recorded before mkdir, so that one failing partway is undone too.
+            missing = [level for level in (path, *path.parents) if not level.exists()]
+            args.created += reversed(missing)
             path.mkdir(parents=True, exist_ok=True)
         # An existing file at the path or above it is a bad --out, not a crash.
         except OSError as exc:
@@ -232,10 +240,9 @@ def run_training(
     run: RunConfig,
     spans: tuple[np.ndarray, np.ndarray],
     out: Path,
-    init: np.ndarray,
     quiet: bool = False,
 ) -> np.ndarray:
-    """Train one model from ``init`` on the (train, val) window spans of
+    """Train one model on the (train, val) window spans of
     ``load_splits(run)``'s splits and write all artifacts to ``out``.
 
     Returns the best parameters.  Output files carry no wall-clock
@@ -243,7 +250,7 @@ def run_training(
     to stdout only.
     """
     started = time.perf_counter()
-    params, history = train(run.model, *spans, run.train, init)
+    params, history = train(run.model, *spans, run.train)
     if not quiet:
         for rec in history.epochs:
             print(
@@ -282,10 +289,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     run = _load_run(args, need_data=True)
     train_frame, val_frame, _ = load_splits(run)
     spans = (split_window_pairs(train_frame, run), split_window_pairs(val_frame, run))
-    # Allocated before --out is claimed: a model no memory can hold is a
-    # config error that leaves no directory.
-    init = init_params(run.model, run.model.seed)
-    run_training(run, spans, _claim_out(args, run), init)
+    run_training(run, spans, _claim_out(args, run))
     return 0
 
 
@@ -355,18 +359,15 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     train_spans, val_spans, test_spans = (
         split_window_pairs(frame, run) for frame in load_splits(run)
     )
-    # Allocated before --out is claimed, as in cmd_train.
-    inits = {kind: init_params(v.model, v.model.seed) for kind, v in variants.items()}
     out = _claim_out(args, run, subdirs=tuple(variants))
     _write_json(out / "effective_config.json", run.to_dict())
 
     rows = []
     for kind, variant in variants.items():
         print(f"== training variant: {kind}")
-        params = run_training(
-            variant, (train_spans, val_spans), out / kind, inits.pop(kind), quiet=args.quiet
-        )
+        params = run_training(variant, (train_spans, val_spans), out / kind, quiet=args.quiet)
         scores = split_report(params, test_spans, variant).scores()
+        del params  # so that the next variant trains without them
         if not rows:
             rows.append(["kind"] + [name for name, _ in scores])
         rows.append([kind] + [format_value(value) for _, value in scores])
@@ -394,7 +395,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             f"gradcheck needs a tiny model (every dimension <= "
             f"{GRADCHECK_MAX_DIM}); too large: {listing}"
         )
-    check_corrupt_block(args.corrupt_block, model)
     out = _claim_out(args)
 
     params = init_params(model, seed=model.seed)
@@ -402,9 +402,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     # sets of random numbers are unrelated.
     rng = np.random.Generator(np.random.PCG64(model.seed + 1))
     spans = rng.standard_normal((3, model.lookback + model.horizon, model.channels))
-    worst = gradient_check(
-        params, spans, model, corrupt_block=args.corrupt_block
-    )
+    worst = gradient_check(params, spans, model)
 
     lines = [
         f"{name} {err:.3e} {'pass' if err < GRADCHECK_TOLERANCE else 'FAIL'}"
@@ -529,11 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         "finite-difference audit of the analytic gradients",
         config_help="JSON run config (tiny model)",
     )
-    p.add_argument(
-        "--corrupt-block",
-        default=None,
-        help="perturb this block's gradient first (self-test hook)",
-    )
     _add_out(p, "optional")
     p.set_defaults(func=cmd_gradcheck)
 
@@ -541,32 +534,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.created = []
     try:
         # Every output is checked for finiteness and a failure exits 4 with
         # one message, so numpy's overflow warnings would only repeat it.
         with np.errstate(all="ignore"):
             return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"config error: {exc}"
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"data error: {exc}"
     except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 4
+        code, message = 4, f"numerical error: {exc}"
     # Every read turns its OSError into ConfigError or DataError, so one that
     # gets here is a failed artifact write, which exits like a bad --out.
     except OSError as exc:
-        print(f"config error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"config error: cannot write output: {exc}"
     # Past the memory the process may use (NumPy's _ArrayMemoryError is a
     # MemoryError): the config asks for more than this run can hold.
     except MemoryError as exc:
-        print(f"config error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
-        return 2
+        code, message = 2, f"config error: out of memory: {str(exc) or 'allocation failed'}"
+    print(message, file=sys.stderr)
+    # rmdir removes only an empty directory: one holding an artifact stays.
+    for path in reversed(args.created):
+        with contextlib.suppress(OSError):
+            path.rmdir()
+    return code
 
 
 if __name__ == "__main__":

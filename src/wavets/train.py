@@ -5,8 +5,10 @@ The model module owns the joint loss and its exact gradient
 (model.gradient_batch) and the validation loss (model.evaluate_loss),
 beside the forward map and its adjoint; this module calls them through
 its own names, so a caller can reach them as train.gradient_batch and
-train.evaluate_loss too. Data arrive as (W, L+tau, C) window spans:
-span i is the lookback spans[i, :L] followed by its target.
+train.evaluate_loss too. The tests and CI replace train.gradient_batch
+to hand gradient_check a wrong gradient, its negative control. Data
+arrive as (W, L+tau, C) window spans: span i is the lookback
+spans[i, :L] followed by its target.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .model import (
     gradient_batch,
     init_params,
     param_blocks,
-    param_layout,
     validate_params,
 )
 
@@ -209,35 +210,19 @@ def train(
     return best_params, history
 
 
-def check_corrupt_block(name: str | None, config: ModelConfig) -> None:
-    """Reject a gradient_check corrupt_block that names no parameter block."""
-    names = [block for block, _, _ in param_layout(config)]
-    if name is not None and name not in names:
-        raise ConfigError(
-            f"corrupt_block {name!r} is not a parameter block; "
-            f"known blocks: {', '.join(names)}"
-        )
-
-
 def gradient_check(
     params: np.ndarray,
     spans: np.ndarray,
     config: ModelConfig,
-    corrupt_block: str | None = None,
 ) -> dict[str, float]:
     """Max relative error of analytic vs central-difference gradients,
     reported per parameter block.
 
     Every entry of the parameter vector is probed with a step of
-    GRADCHECK_STEP. corrupt_block deliberately perturbs one block's
-    analytic weight gradient (negative control for the CLI's failure
-    path).
+    GRADCHECK_STEP.
     """
     spans = check_windows(spans, config, config.lookback + config.horizon)
     grads, _ = gradient_batch(params, spans, config)
-    if corrupt_block is not None:
-        check_corrupt_block(corrupt_block, config)
-        dict(param_blocks(grads, config))[corrupt_block][:-1] += 1e-3
 
     def loss_at(p: np.ndarray) -> float:
         out = forward_batch(spans[:, : config.lookback], p, config)

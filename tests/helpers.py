@@ -1,9 +1,10 @@
 """Small helpers that several test modules share: the tiny model config,
-seeded parameters with nonzero biases, a relative error and a bit-for-bit
-comparison."""
+seeded parameters with nonzero biases, a relative error, a bit-for-bit
+comparison and gradient_check's negative control."""
 
 import numpy as np
 
+import wavets.train
 from wavets.model import ModelConfig, init_params, param_blocks
 
 
@@ -35,3 +36,17 @@ def same_bits(a, b) -> bool:
     """Equal shapes and float64 bit patterns, so -0.0 and 0.0 differ."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def corrupt_projection_gradient(monkeypatch) -> None:
+    """Make gradient_check see a wrong gradient: replace
+    wavets.train.gradient_batch, the name it calls, with one that adds 1e-3
+    to the projection block's weight gradient."""
+    exact = wavets.train.gradient_batch
+
+    def corrupted(params, spans, config):
+        grads, loss = exact(params, spans, config)
+        dict(param_blocks(grads, config))["projection"][:-1] += 1e-3
+        return grads, loss
+
+    monkeypatch.setattr(wavets.train, "gradient_batch", corrupted)

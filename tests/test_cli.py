@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wavets.cli
+from helpers import corrupt_projection_gradient
 from wavets.cli import load_splits, main
 from wavets.config import load_run_config
 from wavets.data import load_csv
@@ -301,8 +303,8 @@ def test_transform_overflowing_gains_exit_4_before_writing(tmp_path, capsys, com
     assert rc == 4
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "non-finite coefficients" in err
-    assert not (out / "coefficients.csv").exists()
-    assert not (out / "scalogram.csv").exists()
+    # The failure comes after the claim, which removes the empty --out again.
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1201,9 +1203,10 @@ def test_ablate_checks_every_variant_before_writing(tmp_path, series_csv, capsys
 def test_model_too_large_to_allocate_exits_2(tmp_path, capsys, kind, branches):
     # 10**12 branches at L+tau = 320 need over 2^59 bytes of parameters,
     # past any 64-bit address space, so the allocation fails everywhere;
-    # 10**15 need more bytes than NumPy can even count. The vector is
-    # allocated before --out is claimed, so nothing is left behind. The
-    # wdt gains overflow first, which ablate meets in its wdt variant.
+    # 10**15 need more bytes than NumPy can even count. train allocates
+    # the vector after --out is claimed, and the failure removes the empty
+    # directory again. The wdt gains overflow first, which ablate meets in
+    # its wdt variant before the claim.
     series = write_series_csv(tmp_path / "series.csv", 2400)
     model = {"transform_kind": kind, "branches": branches, "lookback": 256, "horizon": 64}
     cfg = write_run_config(tmp_path / "run.json", series, model=model)
@@ -1225,12 +1228,12 @@ def test_model_too_large_to_allocate_exits_2(tmp_path, capsys, kind, branches):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is a Linux limit")
 def test_out_of_memory_mid_run_exits_2(tmp_path):
     # A 25.8M-parameter (197 MiB) wdt model, L=4096 and tau=64, allocates
-    # under an 800 MiB address space, and so does train's copy of it; the
-    # Adam moments and the best copy then do not fit. The child process
-    # lowers only its own limit, after its imports. With Python 3.11 and
-    # NumPy 2.4 on x86-64 Linux, limits from 500 to 1300 MiB all
-    # fail inside train with a MemoryError, which must exit 2 with one
-    # line, not 1 with a traceback.
+    # under an 800 MiB address space, and so do its two Adam moments; the
+    # best copy then does not fit. The child process lowers only its own
+    # limit, after its imports. With Python 3.11 and NumPy 2.4 on x86-64
+    # Linux, limits from 500 to 1300 MiB all fail inside train with a
+    # MemoryError, which must exit 2 with one line, not 1 with a
+    # traceback, and leave no --out.
     csv = tmp_path / "series.csv"
     csv.write_text("s\n" + "".join(f"{math.sin(t / 7.0) + 1e-4 * t!r}\n" for t in range(16000)))
     model = {"lookback": 4096, "horizon": 64, "branches": 1, "levels": 1}
@@ -1251,6 +1254,7 @@ def test_out_of_memory_mid_run_exits_2(tmp_path):
     assert done.stderr.startswith("config error: out of memory: "), done.stderr
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
     assert done.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_ablate_reads_the_csv_once(tmp_path, monkeypatch, capsys):
@@ -1314,12 +1318,16 @@ def test_gradcheck_dft_blocks(tmp_path, capsys):
     assert names == {"fru_real", "fru_imag", "projection"}
 
 
-def test_gradcheck_corrupt_block_exits_1(tmp_path, capsys):
+def test_gradcheck_corrupt_block_exits_1(tmp_path, monkeypatch, capsys):
+    corrupt_projection_gradient(monkeypatch)
     cfg = gradcheck_config(tmp_path)
-    rc = main(["gradcheck", "--config", str(cfg), "--corrupt-block", "projection"])
+    rc = main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path / "g")])
     assert rc == 1
-    out = capsys.readouterr().out
-    assert "projection" in out and "FAIL" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].endswith("FAIL")
+    assert [ln for ln in lines if ln.endswith("FAIL")][0].startswith("projection ")
+    # A tolerance failure is a result, not an error: its report stays.
+    assert (tmp_path / "g" / "gradcheck.txt").read_text().splitlines() == lines
 
 
 @pytest.mark.parametrize("errors", [(float("nan"), 0.0), (0.0, float("nan"))])
@@ -1330,11 +1338,6 @@ def test_gradcheck_nan_error_fails_overall(tmp_path, monkeypatch, capsys, errors
     rc = main(["gradcheck", "--config", str(gradcheck_config(tmp_path))])
     assert rc == 1
     assert capsys.readouterr().out.splitlines()[-1].endswith("FAIL")
-
-
-def test_gradcheck_unknown_corrupt_block_exits_2(tmp_path):
-    cfg = gradcheck_config(tmp_path)
-    assert main(["gradcheck", "--config", str(cfg), "--corrupt-block", "zzz"]) == 2
 
 
 def test_gradcheck_rejects_large_dims(tmp_path, capsys):
@@ -1485,15 +1488,6 @@ def test_train_without_any_out_exits_2(tmp_path, run_config, capsys):
     assert "no output directory" in capsys.readouterr().err
 
 
-def test_gradcheck_unknown_corrupt_block_leaves_no_out(tmp_path, capsys):
-    out = tmp_path / "g"
-    cfg = gradcheck_config(tmp_path)
-    rc = main(["gradcheck", "--config", str(cfg), "--corrupt-block", "zzz", "--out", str(out)])
-    assert rc == 2
-    assert "not a parameter block" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_gradcheck_report_file(tmp_path, capsys):
     cfg = gradcheck_config(tmp_path)
     rc = main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path / "g")])
@@ -1517,6 +1511,7 @@ def test_train_nonfinite_loss_exits_4(tmp_path, series_csv, capsys):
     err = capsys.readouterr().err
     assert rc == 4
     assert len(err.splitlines()) == 1 and "non-finite" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -1533,3 +1528,49 @@ def test_train_nonfinite_validation_loss_exits_4(tmp_path, series_csv, capsys):
     err = capsys.readouterr().err
     assert rc == 4
     assert err == "numerical error: non-finite validation loss at epoch 1\n"
+    assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# a failed run removes the directories it created
+
+
+def hot_train(tmp_path, series_csv, out):
+    """train at learning rate 1e300, which exits 4 after claiming out."""
+    cfg = write_run_config(tmp_path / "hot.json", series_csv, train={"learning_rate": 1e300})
+    return main(["train", "--config", str(cfg), "--out", str(out)])
+
+
+def test_failed_run_removes_every_level_it_created(tmp_path, series_csv, capsys):
+    assert hot_train(tmp_path, series_csv, tmp_path / "a" / "b" / "c") == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
+def test_failed_run_keeps_the_directories_it_found(tmp_path, series_csv, capsys):
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert hot_train(tmp_path, series_csv, existing) == 4
+    assert hot_train(tmp_path, series_csv, existing / "new" / "run") == 4
+    assert existing.is_dir() and list(existing.iterdir()) == []
+
+
+def test_failed_ablate_keeps_what_earlier_variants_wrote(
+    tmp_path, run_config, monkeypatch, capsys
+):
+    # The dwt variant runs out of memory once wdt has written its
+    # artifacts: those stay, and the empty dwt and dft directories go.
+    exact = wavets.cli.train
+
+    def dwt_out_of_memory(model_config, *args):
+        if model_config.transform_kind == "dwt":
+            raise MemoryError()
+        return exact(model_config, *args)
+
+    monkeypatch.setattr(wavets.cli, "train", dwt_out_of_memory)
+    out = tmp_path / "a"
+    rc = main(["ablate", "--config", str(run_config), "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: out of memory: allocation failed\n"
+    assert sorted(path.name for path in out.iterdir()) == ["effective_config.json", "wdt"]
+    assert (out / "wdt" / "checkpoint.json").exists()
