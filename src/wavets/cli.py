@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 gradcheck tolerance failure, 2 invalid
 configuration, an unwritable output or no memory left, 3 unusable data,
 4 numerical failure (a non-finite training loss, forecast or metric).
 A command that exits 2, 3 or 4 removes each directory it created that is
-still empty.
+still empty. A command prints its report only once its files are written.
 
 Every report file takes its metric names and cells from metrics.py
 (MetricsReport.scores, key_value_text); this module names no metric.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
 import time
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import TRANSFORM_KINDS, ModelConfig, RunConfig, load_run_config, power_of_two_text
-from .data import SeriesFrame, chronological_split, load_csv, standardize, windows
+from .data import SeriesFrame, chronological_split, load_csv, standardize, windows, write_json
 from .errors import ConfigError, DataError, NumericalError
 from .metrics import MetricsReport, aggregate_report, format_value, key_value_text
 from .model import (
@@ -152,8 +151,8 @@ def _claim_out(
             missing = [level for level in (path, *path.parents) if not level.exists()]
             args.created += reversed(missing)
             path.mkdir(parents=True, exist_ok=True)
-        # An existing file at the path or above it is a bad --out, not a crash.
-        except OSError as exc:
+        # A file at or above the path, or a path the OS cannot encode, is a bad --out.
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return out
 
@@ -163,10 +162,6 @@ def _load_run(args: argparse.Namespace, need_data: bool) -> RunConfig:
     run = load_run_config(args.config, seed=args.seed)
     run.ensure_valid(need_data=need_data)
     return run
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +255,8 @@ def run_training(
         print(f"stopped: {history.stopped_reason} (best epoch {history.best_epoch})")
 
     save_checkpoint(params, run.model, str(out / "checkpoint.json"))
-    _write_json(out / "effective_config.json", run.to_dict())
-    _write_json(
+    write_json(out / "effective_config.json", run.to_dict())
+    write_json(
         out / "run_meta.json",
         {"version": 1, "config": run.to_dict(), "history": history.to_doc()},
     )
@@ -313,13 +308,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     params, ckpt_model = load_checkpoint(args.checkpoint)
     config_path = args.config
     if config_path is None:
-        sibling = Path(args.checkpoint).resolve().parent / "effective_config.json"
-        if not sibling.exists():
-            raise ConfigError(
-                "no --config given and no effective_config.json next to "
-                "the checkpoint"
-            )
-        config_path = str(sibling)
+        config_path = str(Path(args.checkpoint).resolve().parent / "effective_config.json")
     run = load_run_config(config_path)
     if args.metrics is not None:
         run.metrics.mode = args.metrics
@@ -334,11 +323,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out = _claim_out(args)
 
     text = key_value_text([("split", args.split)]) + split_report(params, spans, run).to_text()
-    print(text, end="")
     if out is not None:
         (out / "metrics.txt").write_text(text)
-        _write_json(out / "effective_config.json", run.to_dict())
-        print(f"wrote {out / 'metrics.txt'}")
+        write_json(out / "effective_config.json", run.to_dict())
+        text += f"wrote {out / 'metrics.txt'}\n"
+    print(text, end="")
     return 0
 
 
@@ -360,7 +349,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         split_window_pairs(frame, run) for frame in load_splits(run)
     )
     out = _claim_out(args, run, subdirs=tuple(variants))
-    _write_json(out / "effective_config.json", run.to_dict())
+    write_json(out / "effective_config.json", run.to_dict())
 
     rows = []
     for kind, variant in variants.items():
@@ -416,10 +405,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         + ("pass" if ok else "FAIL")
     )
     text = "\n".join(lines) + "\n"
-    print(text, end="")
     if out is not None:
         (out / "gradcheck.txt").write_text(text)
-        _write_json(out / "effective_config.json", run.to_dict())
+        write_json(out / "effective_config.json", run.to_dict())
+    print(text, end="")
     return 0 if ok else 1
 
 
@@ -556,9 +545,10 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         code, message = 2, f"config error: out of memory: {str(exc) or 'allocation failed'}"
     print(message, file=sys.stderr)
-    # rmdir removes only an empty directory: one holding an artifact stays.
+    # rmdir removes only an empty directory: one holding an artifact stays,
+    # and one the file system cannot encode (a ValueError) was never made.
     for path in reversed(args.created):
-        with contextlib.suppress(OSError):
+        with contextlib.suppress(OSError, ValueError):
             path.rmdir()
     return code
 

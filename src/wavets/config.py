@@ -9,17 +9,17 @@ once (problems) and writes the fields back in declaration order
 (to_dict). The only checks written by hand relate two fields
 (cross_problems). Beside them, SplitSection.borders turns the split into
 the rows where the series is cut. No other module knows the format or
-the split rule.
+the split rule; data.read_json_object reads the file.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, ClassVar, NamedTuple
 
+from .data import read_json_object
 from .errors import ConfigError
 from .wdt import MAX_GAIN_EXPONENT
 
@@ -357,9 +357,11 @@ def _resolve_path(base: Path, value: str, name: str) -> str:
     if "\0" in value:
         raise ConfigError(f"{name} must not contain a NUL character, got {value!r}")
     path = Path(value)
-    if path.is_absolute():
-        return str(path)
-    return str((base / path).resolve())
+    try:
+        return str(path if path.is_absolute() else (base / path).resolve())
+    # UnicodeEncodeError: a path the file system's encoding cannot hold.
+    except ValueError as exc:
+        raise ConfigError(f"cannot resolve {name} {value!r}: {exc}") from exc
 
 
 def load_run_config(path: str, seed: int | None = None) -> RunConfig:
@@ -368,20 +370,7 @@ def load_run_config(path: str, seed: int | None = None) -> RunConfig:
     ``seed``, when given, overrides both the model and training seeds so a
     single flag reruns the whole pipeline under a different draw.
     """
-    cfg_path = Path(path)
-    try:
-        text = cfg_path.read_text()
-    # ValueError: bytes the text codec cannot decode, or a NUL in the path.
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    try:
-        doc = json.loads(text)
-    # ValueError also covers an integer past Python's digit limit, and
-    # RecursionError nesting deeper than the decoder can follow.
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+    doc = read_json_object(path, "config ", ConfigError)
     unknown = sorted(set(doc) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ConfigError(f"unknown config sections: {', '.join(unknown)}")
@@ -394,7 +383,7 @@ def load_run_config(path: str, seed: int | None = None) -> RunConfig:
         metrics=MetricsSection.from_dict(doc.get("metrics", {})),
         out=read_field(doc, "out", str, "config", None) or None,
     )
-    base = cfg_path.resolve().parent
+    base = Path(path).resolve().parent
     if run.data is not None and run.data.csv:
         run.data.csv = _resolve_path(base, run.data.csv, "data.csv")
     if run.out is not None:

@@ -1,5 +1,9 @@
 """CSV ingestion, chronological cutting, standardization, windowing.
 
+read_text reads every input file (the CSV, and through read_json_object
+the run config and the checkpoint) as UTF-8, a leading byte order mark
+dropped; write_json writes every JSON artifact.
+
 Frames are treated as immutable after load; windows are a read-only
 strided view into the frame's value matrix rather than copies. Where the
 series is cut is decided by config.SplitSection.borders; this module only
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime
@@ -48,21 +53,44 @@ def _timestamps_strictly_increasing(stamps: list[str]) -> bool:
     return all(a < b for a, b in zip(parsed, parsed[1:]))
 
 
-def _read_text(path: str) -> str:
+def read_text(path: str, what: str = "", error: type[Exception] = DataError) -> str:
     """The whole file as UTF-8 text, a leading byte order mark dropped and
-    line ends kept as they are."""
+    line ends kept as they are. A file that cannot be opened, read or
+    decoded raises error, its message naming the file as what + path."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
-    # ValueError: a path holding a NUL byte, which no file can have.
+    # ValueError: a NUL in the path, or a path the file system cannot encode.
     except (OSError, ValueError) as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
+        raise error(f"cannot open {what}{path}: {exc}") from exc
     with fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            raise error(f"{what}{path}: not UTF-8 text ({exc.reason})") from None
         except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
+            raise error(f"cannot read {what}{path}: {exc}") from exc
+
+
+def read_json_object(path: str, what: str, error: type[Exception]) -> dict:
+    """The file's JSON object, read by read_text; a file that does not hold
+    one raises error."""
+    text = read_text(path, what, error)
+    try:
+        doc = json.loads(text)
+    # ValueError also covers an integer past Python's digit limit, and
+    # RecursionError nesting deeper than the decoder can follow.
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what}{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what}{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def write_json(path, doc: dict) -> None:
+    """doc as UTF-8 JSON indented by one space, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def _records(text: str) -> tuple[list[list[str]], str | None]:
@@ -166,7 +194,7 @@ def load_csv(path: str) -> SeriesFrame:
     is converted in one pass, and the record-by-record checks run only to
     name the first bad cell.
     """
-    text = _read_text(path)
+    text = read_text(path)
     lines = _plain_lines(text)
     if lines is None:
         rows, error = _records(text)

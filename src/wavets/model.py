@@ -61,16 +61,17 @@ config alone, names its blocks in checkpoint order (one per band, then
 the projection), and param_blocks gives each block as one (m_in+1, m_out)
 view [weight; bias] into the vector, so the optimizer, the gradient norm
 and the gradient checker work on the whole vector at once.
+Checkpoints go through data.write_json and data.read_json_object.
 """
 
 from __future__ import annotations
 
 import base64
-import json
 
 import numpy as np
 
 from .config import ModelConfig
+from .data import read_json_object, write_json
 from .errors import ConfigError, DataError
 from .wavelet import dwt_multi, idwt_multi, make_filterbank
 from .wdt import level_gains
@@ -486,31 +487,11 @@ def save_checkpoint(params: np.ndarray, config: ModelConfig, path: str) -> None:
         "config": config.to_dict(),
         "params": base64.b64encode(params.astype("<f8", copy=False).tobytes()).decode("ascii"),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path: str) -> tuple[np.ndarray, ModelConfig]:
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    # ValueError: a path holding a NUL byte, which no file can have.
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot open checkpoint {path}: {exc}") from exc
-    with fh:
-        try:
-            doc = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-        # ValueError also covers bytes that are not UTF-8 and an integer past
-        # Python's digit limit, and RecursionError nesting deeper than the
-        # decoder can follow.
-        except (ValueError, RecursionError) as exc:
-            raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(
-            f"checkpoint {path} must hold a JSON object, got {type(doc).__name__}"
-        )
+    doc = read_json_object(path, "checkpoint ", DataError)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise DataError(
             f"checkpoint {path} has version {doc.get('version')!r}, "

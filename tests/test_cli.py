@@ -1,14 +1,17 @@
 """End-to-end tests for the command-line interface.
 
 Every test drives main() with argv lists, so exit codes and emitted
-files are checked without spawning the console command. All but one run
-it in-process; the out-of-memory test runs it in a child process, so
-that the address-space limit it sets is that process's own.
+files are checked without spawning the console command. All but two run
+it in-process. The out-of-memory test runs it in a child process, so
+that the address-space limit it sets is that process's own, and so does
+the test of paths the file system cannot encode, whose locale must be
+set before the interpreter starts.
 """
 
 import base64
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -346,7 +349,7 @@ def test_transform_missing_csv_exits_3(tmp_path):
 def test_train_missing_config_exits_2(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)])
     assert rc == 2
-    assert "cannot read config" in capsys.readouterr().err
+    assert "cannot open config" in capsys.readouterr().err
 
 
 def test_train_invalid_json_exits_2(tmp_path):
@@ -361,7 +364,8 @@ def test_train_config_not_utf8_exits_2(tmp_path, capsys):
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("config error: cannot read config") and "Traceback" not in err
+    assert err.startswith(f"config error: config {cfg}: not UTF-8 text (")
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -387,7 +391,8 @@ def test_train_config_not_an_object_exits_2(tmp_path, capsys, text):
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err == f"config error: config {cfg} must be a JSON object\n"
+    got = type(json.loads(text)).__name__
+    assert err == f"config error: config {cfg} must hold a JSON object, got {got}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -1055,7 +1060,8 @@ def test_eval_checkpoint_not_utf8_exits_3(tmp_path, run_config, capsys):
     rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
     err = capsys.readouterr().err
     assert rc == 3
-    assert "is not valid JSON" in err and "Traceback" not in err
+    assert err.startswith(f"data error: checkpoint {path}: not UTF-8 text (")
+    assert "Traceback" not in err
 
 
 def test_eval_deeply_nested_checkpoint_exits_3(tmp_path, run_config, capsys):
@@ -1426,23 +1432,80 @@ def test_failed_artifact_write_exits_2(tmp_path, capsys, command, artifact):
     (out / artifact).mkdir(parents=True)
     capsys.readouterr()
     rc = main(argv + ["--out", str(out)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == 2
-    assert err.startswith("config error: cannot write output: ")
-    assert artifact in err and "Traceback" not in err
+    assert captured.err.startswith("config error: cannot write output: ")
+    assert artifact in captured.err and "Traceback" not in captured.err
+    # The report is printed only once its files are written.
+    if command in ("eval", "gradcheck"):
+        assert captured.out == ""
 
 
 @pytest.mark.skipif(not Path("/proc/self/mem").exists(), reason="needs Linux /proc")
-@pytest.mark.parametrize("flag", ["--csv", "--checkpoint"])
+@pytest.mark.parametrize("flag", ["--csv", "--checkpoint", "--config"])
 def test_read_that_fails_after_open_exits_3(tmp_path, capsys, flag):
     # /proc/self/mem opens, but reading from offset 0 fails with EIO: a
-    # failed read, not a failed write.
-    argv = ["transform", "--csv"] if flag == "--csv" else ["eval", "--checkpoint"]
-    rc = main(argv + ["/proc/self/mem", "--out", str(tmp_path / "o")])
+    # failed read, not a failed write. A run config that cannot be read is
+    # a config error.
+    argv, code, words = {
+        "--csv": (["transform"], 3, "data error: cannot read /proc"),
+        "--checkpoint": (["eval"], 3, "data error: cannot read checkpoint /proc"),
+        "--config": (["train"], 2, "config error: cannot read config /proc"),
+    }[flag]
+    rc = main(argv + [flag, "/proc/self/mem", "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
-    assert rc == 3
-    assert err.startswith("data error: cannot read") and "Traceback" not in err
+    assert rc == code
+    assert err.startswith(words) and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["config", "checkpoint"])
+def test_byte_order_mark_is_dropped(tmp_path, run_config, capsys, kind):
+    # The CSV, the run config and the checkpoint share one reader, which
+    # drops a leading UTF-8 byte order mark from each of them.
+    if kind == "config":
+        original = REPO / "configs" / "gradcheck.json"
+        argv = ["gradcheck", "--config"]
+    else:
+        original = run_train(tmp_path, run_config, "r") / "checkpoint.json"
+        argv = ["eval", "--config", str(run_config), "--checkpoint"]
+    marked = tmp_path / f"bom_{original.name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    capsys.readouterr()
+    results = [(main(argv + [str(path)]), capsys.readouterr()) for path in (original, marked)]
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][1].err == ""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs the POSIX locale")
+@pytest.mark.parametrize("case", ["relative_out", "relative_csv", "absolute_out"])
+def test_config_path_the_file_system_cannot_encode_exits_2(tmp_path, series_csv, case):
+    # Under the POSIX locale without UTF-8 mode, the file system encoding
+    # is ASCII, so a config path holding "\u00e9" cannot reach the OS. The
+    # config itself is ASCII: json.dumps writes the escape.
+    if case == "relative_out":
+        doc = json.loads((REPO / "configs" / "gradcheck.json").read_text())
+        cfg = tmp_path / "gc.json"
+        cfg.write_text(json.dumps({**doc, "out": "r\u00e9s"}))
+        argv = ["gradcheck", "--config", str(cfg)]
+    elif case == "relative_csv":
+        cfg = write_run_config(tmp_path / "run.json", "s\u00e9ries.csv")
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    else:
+        out = str(tmp_path / "r\u00e9s" / "sub")
+        cfg = write_run_config(tmp_path / "run.json", series_csv, out=out)
+        argv = ["train", "--config", str(cfg)]
+    before = sorted(tmp_path.iterdir())
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "POSIX"}
+    done = subprocess.run(
+        [sys.executable, "-m", "wavets.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("config error: "), done.stderr
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize(
