@@ -15,6 +15,7 @@ the split rule; data.read_json_object reads the file.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, ClassVar, NamedTuple
@@ -358,8 +359,10 @@ def _resolve_path(base: Path, value: str, name: str) -> str:
         raise ConfigError(f"{name} must not contain a NUL character, got {value!r}")
     path = Path(value)
     try:
+        os.fsencode(value)
         return str(path if path.is_absolute() else (base / path).resolve())
-    # UnicodeEncodeError: a path the file system's encoding cannot hold.
+    # UnicodeEncodeError: a path the file system's encoding cannot hold,
+    # absolute or relative.
     except ValueError as exc:
         raise ConfigError(f"cannot resolve {name} {value!r}: {exc}") from exc
 

@@ -2,7 +2,10 @@
 
 read_text reads every input file (the CSV, and through read_json_object
 the run config and the checkpoint) as UTF-8, a leading byte order mark
-dropped; write_json writes every JSON artifact.
+dropped; write_json writes every JSON artifact. load_csv reads a plain
+CSV's value cells with NumPy's C reader, and converts them with float()
+wherever that reader refuses a cell or would read the text otherwise, so
+every file gives the values and errors float() gives.
 
 Frames are treated as immutable after load; windows are a read-only
 strided view into the frame's value matrix rather than copies. Where the
@@ -148,6 +151,30 @@ def _columns(
     return list(map(str.strip, firsts)), chain.from_iterable(records)
 
 
+# np.loadtxt strips these around a number as whitespace, while float()
+# refuses them.
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt_values(
+    text: str, body: list[str], width: int, has_date: bool
+) -> np.ndarray | None:
+    """The value cells of the plain body lines of text, each line already
+    as wide as the header, parsed by NumPy's C reader. None when there are
+    none, when text holds one of _LOADTXT_ONLY_SPACES, or when the reader
+    refuses a cell or reads another shape, so that float() decides."""
+    if not body or any(map(text.__contains__, _LOADTXT_ONLY_SPACES)):
+        return None
+    try:
+        values = np.loadtxt(
+            body, np.float64, delimiter=",", comments=None, quotechar=None,
+            usecols=range(1, width) if has_date else None, ndmin=2,
+        )
+    except ValueError:
+        return None
+    return values if values.shape == (len(body), width - 1 if has_date else width) else None
+
+
 def _first_bad_record(
     path: str, records: list[list[str]], names: list[str], has_date: bool
 ) -> DataError:
@@ -189,10 +216,13 @@ def load_csv(path: str) -> SeriesFrame:
     header as line 1). A leading UTF-8 byte order mark is dropped, so it
     never joins the first header name.
 
-    Text with no quote, carriage return or NUL is split at newlines and
-    commas directly, other text by csv.reader. Either way every value cell
-    is converted in one pass, and the record-by-record checks run only to
-    name the first bad cell.
+    Text with no quote, carriage return or NUL is split at newlines
+    directly, other text by csv.reader. Plain text whose lines are all as
+    wide as the header has its value cells read by np.loadtxt in one call;
+    where that reader refuses a cell, and for any text it would read
+    otherwise than float() (_LOADTXT_ONLY_SPACES), every value cell is
+    converted by float() in one pass. The record-by-record checks run only
+    to name the first bad cell.
     """
     text = read_text(path)
     lines = _plain_lines(text)
@@ -221,10 +251,13 @@ def load_csv(path: str) -> SeriesFrame:
     values = None
     if columns is not None:
         stamps, cells = columns
-        try:
-            values = np.fromiter(map(float, cells), np.float64, count=len(body) * len(names))
-        except ValueError:
-            pass
+        if lines is not None:
+            values = _loadtxt_values(text, body, len(header), has_date)
+        if values is None:
+            try:
+                values = np.fromiter(map(float, cells), np.float64, count=len(body) * len(names))
+            except ValueError:
+                pass
     if values is None or not np.isfinite(values).all():
         raise _first_bad_record(path, _records(text)[0], names, has_date)
     if error:

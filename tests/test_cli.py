@@ -1478,7 +1478,9 @@ def test_byte_order_mark_is_dropped(tmp_path, run_config, capsys, kind):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs the POSIX locale")
-@pytest.mark.parametrize("case", ["relative_out", "relative_csv", "absolute_out"])
+@pytest.mark.parametrize(
+    "case", ["relative_out", "relative_csv", "absolute_out", "absolute_csv"]
+)
 def test_config_path_the_file_system_cannot_encode_exits_2(tmp_path, series_csv, case):
     # Under the POSIX locale without UTF-8 mode, the file system encoding
     # is ASCII, so a config path holding "\u00e9" cannot reach the OS. The
@@ -1488,8 +1490,9 @@ def test_config_path_the_file_system_cannot_encode_exits_2(tmp_path, series_csv,
         cfg = tmp_path / "gc.json"
         cfg.write_text(json.dumps({**doc, "out": "r\u00e9s"}))
         argv = ["gradcheck", "--config", str(cfg)]
-    elif case == "relative_csv":
-        cfg = write_run_config(tmp_path / "run.json", "s\u00e9ries.csv")
+    elif case.endswith("_csv"):
+        csv = "s\u00e9ries.csv" if case == "relative_csv" else str(tmp_path / "s\u00e9ries.csv")
+        cfg = write_run_config(tmp_path / "run.json", csv)
         argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
     else:
         out = str(tmp_path / "r\u00e9s" / "sub")

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import reference
+from helpers import same_bits
 from wavets import ConfigError, DataError
 from wavets.config import SplitSection
 from wavets.data import (
@@ -92,6 +94,34 @@ class TestLoadCsv:
         path.write_bytes(text.encode("utf-8"))
         with pytest.raises(DataError, match=r"series\.csv " + words):
             load_csv(str(path))
+
+    def test_plain_cells_parse_with_loadtxt_and_fall_back_on_float(self, tmp_path, monkeypatch):
+        # An ETT-shaped file takes the fast path: one np.loadtxt call reads
+        # every value cell. A "1_0" cell, which loadtxt refuses and float()
+        # reads as 10.0, sends the file through float(). Both give the
+        # per-cell loader's bits.
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        values = np.random.default_rng(7).normal(10.0, 5.0, size=(48, 7))
+        rows = [
+            f"2016-07-{1 + i // 24:02d} {i % 24:02d}:00:00," + ",".join(f"{v:.3f}" for v in row)
+            for i, row in enumerate(values)
+        ]
+        ett = write(tmp_path, "date,HUFL,HULL,MUFL,MULL,LUFL,LULL,OT\n" + "\n".join(rows) + "\n")
+        frame = load_csv(ett)
+        assert len(calls) == 1 and list(calls[0]["usecols"]) == list(range(1, 8))
+        assert same_bits(frame.values, reference.load_csv(ett).values)
+        underscored = write(tmp_path, "a,b\n1_0,2\n3,4_5\n", name="underscored.csv")
+        frame = load_csv(underscored)
+        assert len(calls) == 2
+        assert frame.values.tolist() == [[10.0, 2.0], [3.0, 45.0]]
+        assert same_bits(frame.values, reference.load_csv(underscored).values)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

@@ -426,6 +426,22 @@ def load_outcome(loader, path: str):
 @example(content=b'date,a\n"July 1, 2016",1\n"July 2, 2016",2\n')
 @example(content=b'a\n"1\n"\n2\n')
 @example(content=b"a\n1\n" + b"9" * 131073 + b"\n")
+# Each of these is plain text that np.loadtxt, unlike float(), would read
+# differently or not at all: an underscore between digits and an Arabic-Indic
+# digit (float() reads both), the four separator characters loadtxt strips as
+# whitespace and a "#" it would take as a comment (float() refuses all five),
+# a row one field too wide under a date column, an empty cell and a line of
+# one space.
+@example(content=b"a\n1_0\n")
+@example(content=b"a\n1\x1c\n")
+@example(content=b"a\n1\x1d\n")
+@example(content=b"a\n1\x1e\n")
+@example(content=b"a\n1\x1f\n")
+@example(content=b"a\n1.5#x\n")
+@example(content=b"date,a\n2016-07-01,1,9\n2016-07-02,2,9\n")
+@example(content=b"a,b\n1,\n")
+@example(content=b"a\n \n")
+@example(content="a\n\u0661\n".encode())
 def test_load_csv_matches_the_per_cell_loader(content):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "series.csv")
