@@ -1,20 +1,16 @@
 """End-to-end tests for the command-line interface.
 
-Every test drives main() with argv lists, so exit codes and emitted
-files are checked without spawning the console command. All but two run
-it in-process. The out-of-memory test runs it in a child process, so
-that the address-space limit it sets is that process's own, and so does
-the test of paths the file system cannot encode, whose locale must be
-set before the interpreter starts.
+Every test drives main() with argv lists in-process, so exit codes and
+emitted files are checked without spawning the console command. The
+cases that need a process of their own, an address-space limit or a
+locale set before the interpreter starts, and the exit-code contract as
+a shell sees it, are rows of test_contract.py.
 """
 
 import base64
 import json
 import math
-import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -310,25 +306,6 @@ def test_transform_overflowing_gains_exit_4_before_writing(tmp_path, capsys, com
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        # The default order 1 times 20000 levels overflows the gain.
-        ["--levels", "20000"],
-        # Order 0 has no gain; the series is shorter than 2^20000.
-        ["--levels", "20000", "--order", "0"],
-        ["--levels", "1", "--order", "2000"],
-    ],
-)
-def test_transform_huge_levels_or_order_exits_2(tmp_path, series_csv, capsys, flags):
-    out = tmp_path / "out"
-    rc = main(["transform", "--csv", str(series_csv), "--out", str(out)] + flags)
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("config error: ") and "Traceback" not in err
-    assert not out.exists()
-
-
 def test_transform_missing_csv_exits_3(tmp_path):
     rc = main(
         [
@@ -438,21 +415,6 @@ def test_train_huge_levels_or_order_exits_2(tmp_path, series_csv, capsys, model,
     assert err.startswith("config error: ") and words in err and "Traceback" not in err
 
 
-def test_train_short_period_past_lookback_exits_2_before_training(
-    tmp_path, series_csv, capsys
-):
-    cfg = write_run_config(
-        tmp_path / "run.json", series_csv, metrics={"mode": "short", "period": 17}
-    )
-    out = tmp_path / "o"
-    rc = main(["train", "--config", str(cfg), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "metrics.period = 17 must be at most model.lookback = 16" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
-
-
 def test_train_long_mode_ignores_the_period_bound(tmp_path, series_csv, capsys):
     # The seasonal-naive reference only runs in short mode.
     cfg = write_run_config(
@@ -483,13 +445,6 @@ def test_train_missing_data_section_exits_2(tmp_path, series_csv, capsys):
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "missing the data section" in capsys.readouterr().err
-
-
-def test_train_channel_mismatch_exits_2(tmp_path, series_csv, capsys):
-    cfg = write_run_config(tmp_path / "run.json", series_csv, model={"channels": 3})
-    rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "has 1 channels" in capsys.readouterr().err
 
 
 def test_train_missing_csv_exits_3(tmp_path):
@@ -1231,38 +1186,6 @@ def test_model_too_large_to_allocate_exits_2(tmp_path, capsys, kind, branches):
         assert not out.exists()
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is a Linux limit")
-def test_out_of_memory_mid_run_exits_2(tmp_path):
-    # A 25.8M-parameter (197 MiB) wdt model, L=4096 and tau=64, allocates
-    # under an 800 MiB address space, and so do its two Adam moments; the
-    # best copy then does not fit. The child process lowers only its own
-    # limit, after its imports. With Python 3.11 and NumPy 2.4 on x86-64
-    # Linux, limits from 500 to 1300 MiB all fail inside train with a
-    # MemoryError, which must exit 2 with one line, not 1 with a
-    # traceback, and leave no --out.
-    csv = tmp_path / "series.csv"
-    csv.write_text("s\n" + "".join(f"{math.sin(t / 7.0) + 1e-4 * t!r}\n" for t in range(16000)))
-    model = {"lookback": 4096, "horizon": 64, "branches": 1, "levels": 1}
-    data = {"split": {"kind": "ratio", "ratios": [0.4, 0.3, 0.3]}, "stride": 512}
-    cfg = write_run_config(tmp_path / "run.json", csv, model=model, data=data)
-    child = (
-        "import resource, sys\n"
-        "from wavets.cli import main\n"
-        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (800 << 20, hard))\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
-    done = subprocess.run(
-        [sys.executable, "-c", child, *argv], capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 2, done.stderr
-    assert done.stderr.startswith("config error: out of memory: "), done.stderr
-    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
-    assert done.stdout == ""
-    assert not (tmp_path / "out").exists()
-
-
 def test_ablate_reads_the_csv_once(tmp_path, monkeypatch, capsys):
     calls = []
 
@@ -1475,40 +1398,6 @@ def test_byte_order_mark_is_dropped(tmp_path, run_config, capsys, kind):
     results = [(main(argv + [str(path)]), capsys.readouterr()) for path in (original, marked)]
     assert results[0] == results[1]
     assert results[0][0] == 0 and results[0][1].err == ""
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs the POSIX locale")
-@pytest.mark.parametrize(
-    "case", ["relative_out", "relative_csv", "absolute_out", "absolute_csv"]
-)
-def test_config_path_the_file_system_cannot_encode_exits_2(tmp_path, series_csv, case):
-    # Under the POSIX locale without UTF-8 mode, the file system encoding
-    # is ASCII, so a config path holding "\u00e9" cannot reach the OS. The
-    # config itself is ASCII: json.dumps writes the escape.
-    if case == "relative_out":
-        doc = json.loads((REPO / "configs" / "gradcheck.json").read_text())
-        cfg = tmp_path / "gc.json"
-        cfg.write_text(json.dumps({**doc, "out": "r\u00e9s"}))
-        argv = ["gradcheck", "--config", str(cfg)]
-    elif case.endswith("_csv"):
-        csv = "s\u00e9ries.csv" if case == "relative_csv" else str(tmp_path / "s\u00e9ries.csv")
-        cfg = write_run_config(tmp_path / "run.json", csv)
-        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
-    else:
-        out = str(tmp_path / "r\u00e9s" / "sub")
-        cfg = write_run_config(tmp_path / "run.json", series_csv, out=out)
-        argv = ["train", "--config", str(cfg)]
-    before = sorted(tmp_path.iterdir())
-    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "POSIX"}
-    done = subprocess.run(
-        [sys.executable, "-m", "wavets.cli", *argv],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert done.returncode == 2, done.stderr
-    assert done.stderr.startswith("config error: "), done.stderr
-    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
-    assert done.stdout == ""
-    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize(
