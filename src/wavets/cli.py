@@ -431,7 +431,7 @@ def _add_out(p: argparse.ArgumentParser, rule: str) -> None:
 
 def _add_run_parser(sub, name: str, brief: str, config_help: str = "JSON run config"):
     """A subcommand that reads its run through _load_run."""
-    p = sub.add_parser(name, help=brief)
+    p = sub.add_parser(name, help=brief, allow_abbrev=False)
     p.add_argument("--config", required=True, help=config_help)
     p.add_argument("--seed", type=int, default=None, help="override both seeds")
     return p
@@ -441,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavets",
         description="Wavelet-derivative time series forecasting toolkit.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -448,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("transform", "decompose one channel and export coefficients"),
         ("scalogram", "decompose one channel and export coefficients plus grid"),
     ):
-        p = sub.add_parser(name, help=brief)
+        p = sub.add_parser(name, help=brief, allow_abbrev=False)
         p.add_argument("--csv", required=True, help="input series CSV")
         p.add_argument(
             "--channel",
@@ -475,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p, "config")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint on one split")
+    p = sub.add_parser("eval", help="score a checkpoint on one split", allow_abbrev=False)
     p.add_argument("--checkpoint", required=True, help="checkpoint JSON")
     p.add_argument(
         "--config",

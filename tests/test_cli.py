@@ -11,6 +11,7 @@ import base64
 import json
 import math
 import shutil
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,14 @@ from helpers import corrupt_projection_gradient
 from wavets.cli import load_splits, main
 from wavets.config import load_run_config
 from wavets.data import load_csv
-from wavets.model import ModelConfig, load_checkpoint, param_blocks, param_count, save_checkpoint
+from wavets.model import (
+    ModelConfig, load_checkpoint, param_blocks, param_count, param_layout, save_checkpoint,
+)
 from wavets.wavelet import make_filterbank, dwt_multi
 from wavets.wdt import DerivativePyramid, write_coefficients_csv
+
+REPO = Path(__file__).resolve().parent.parent
+TINY_CSV = REPO / "data" / "synthetic_tiny.csv"
 
 
 def write_series_csv(path, length, channels=1):
@@ -285,6 +291,17 @@ def test_transform_bad_flags_exit_2(tmp_path, series_csv):
     assert main(base + ["--levels", "0"]) == 2
     assert main(base + ["--order", "-1"]) == 2
     assert main(base + ["--wavelet", "db4"]) == 2
+
+
+def test_flag_prefix_is_not_a_flag(tmp_path, series_csv, capsys):
+    # A flag answers only to its full name, so a prefix cannot land on
+    # --levels today and on a different flag once a new one shares it.
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--csv", str(series_csv), "--level", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --level 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Every numpy warning is an error here: the overflow that makes the run
@@ -620,6 +637,7 @@ def test_nul_in_a_config_path_exits_2(tmp_path, series_csv, capsys, field, ancho
     assert sorted(tmp_path.iterdir()) == before
 
 
+# A NaN split ratio is the contract row train-nan-ratio.
 @pytest.mark.parametrize(
     "overrides,field",
     [
@@ -631,14 +649,10 @@ def test_nul_in_a_config_path_exits_2(tmp_path, series_csv, capsys, field, ancho
         ({"train": {"grad_clip": "inf"}}, "grad_clip"),
         ({"model": {"std_epsilon": 0}}, "std_epsilon"),
         ({"model": {"std_epsilon": "nan"}}, "std_epsilon"),
-        (
-            {"data": {"split": {"kind": "ratio", "ratios": ["nan", 0.5, 0.5]}}},
-            "data.split.ratios[0]",
-        ),
     ],
     ids=[
         "lr-nan", "lr-inf", "eps-nan", "eps-neginf", "clip-nan", "clip-inf",
-        "std-eps-zero", "std-eps-nan", "ratio-nan",
+        "std-eps-zero", "std-eps-nan",
     ],
 )
 def test_nonfinite_or_zero_bound_exits_2(tmp_path, series_csv, capsys, overrides, field):
@@ -742,6 +756,8 @@ def test_train_artifacts_and_determinism(tmp_path, run_config, capsys):
     ):
         assert (out1 / name).exists()
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    checkpoint = json.loads((out1 / "checkpoint.json").read_text())
+    assert checkpoint["version"] == 3 and isinstance(checkpoint["params"], str)
     meta = json.loads((out1 / "run_meta.json").read_text())
     assert meta["version"] == 1
     assert "seconds" not in json.dumps(meta)
@@ -878,6 +894,32 @@ def test_eval_rerun_writes_byte_identical_metrics(tmp_path, run_config, capsys, 
     assert (b"owa=" in first) == bool(flags)
 
 
+def test_etth1_shape_train_then_eval_reruns_byte_identical(tmp_path, capsys):
+    # configs/etth1.json, the ett_hourly split at L=336 and tau=96, on a
+    # synthetic 14400-row, 7-channel hourly CSV with a date column.
+    start = datetime(2016, 7, 1)
+    lines = ["date,HUFL,HULL,MUFL,MULL,LUFL,LULL,OT"]
+    for t in range(14400):
+        cells = (
+            repr(math.sin(2.0 * math.pi * t / (24 + 7 * c)) + 0.1 * c + 1e-4 * t)
+            for c in range(7)
+        )
+        lines.append(f"{start + timedelta(hours=t)}," + ",".join(cells))
+    (tmp_path / "ett.csv").write_text("\n".join(lines) + "\n")
+    doc = json.loads((REPO / "configs" / "etth1.json").read_text())
+    doc["data"]["csv"] = str(tmp_path / "ett.csv")
+    doc["data"]["stride"] = 24
+    doc["train"]["max_epochs"] = 1
+    cfg = tmp_path / "etth1.json"
+    cfg.write_text(json.dumps(doc))
+    checkpoint = run_train(tmp_path, cfg, "train") / "checkpoint.json"
+    for out in ("e1", "e2"):
+        assert main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    first = (tmp_path / "e1" / "metrics.txt").read_bytes()
+    assert first == (tmp_path / "e2" / "metrics.txt").read_bytes()
+
+
 def test_eval_short_period_past_lookback_exits_2_before_forecasting(
     tmp_path, run_config, capsys
 ):
@@ -999,7 +1041,8 @@ def test_eval_overflowing_forecast_exits_4(tmp_path, run_config, capsys):
     assert err == "numerical error: the model produced a non-finite forecast\n"
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", "null", '"x"'])
+# A list is the contract row eval-checkpoint-not-an-object.
+@pytest.mark.parametrize("text", ["null", '"x"'])
 def test_eval_checkpoint_not_an_object_exits_3(tmp_path, run_config, capsys, text):
     path = tmp_path / "checkpoint.json"
     path.write_text(text + "\n")
@@ -1104,11 +1147,15 @@ def test_ablate_short_mode_table(tmp_path, series_csv, capsys):
         tmp_path / "run.json", series_csv, train={"max_epochs": 2},
         metrics={"mode": "short", "period": 4},
     )
-    rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "a"), "--quiet"])
-    assert rc == 0
+    for out in ("a1", "a2"):
+        rc = main(["ablate", "--config", str(cfg), "--out", str(tmp_path / out), "--quiet"])
+        assert rc == 0
     capsys.readouterr()
-    table = (tmp_path / "a" / "ablation.csv").read_text().splitlines()
+    first = (tmp_path / "a1" / "ablation.csv").read_bytes()
+    assert first == (tmp_path / "a2" / "ablation.csv").read_bytes()
+    table = first.decode().splitlines()
     assert table[0] == "kind,mse,mae,smape,mase,owa"
+    assert len(table) == 4
     assert [row.split(",")[0] for row in table[1:]] == ["wdt", "dwt", "dft"]
     for row in table[1:]:
         assert all(float(cell) >= 0.0 for cell in row.split(",")[1:])
@@ -1208,48 +1255,45 @@ def test_ablate_reads_the_csv_once(tmp_path, monkeypatch, capsys):
 
 
 def gradcheck_config(tmp_path, **model_overrides):
-    model = {
-        "lookback": 8,
-        "horizon": 4,
-        "channels": 2,
-        "branches": 2,
-        "levels": 2,
-        "transform_kind": "wdt",
-        "seed": 2,
-    }
-    model.update(model_overrides)
+    """configs/gradcheck.json itself, or a copy of it in tmp_path with
+    model_overrides applied."""
+    shipped = REPO / "configs" / "gradcheck.json"
+    if not model_overrides:
+        return shipped
+    doc = json.loads(shipped.read_text())
+    doc["model"].update(model_overrides)
     cfg = tmp_path / "gc.json"
-    cfg.write_text(json.dumps({"model": model}))
+    cfg.write_text(json.dumps(doc))
     return cfg
 
 
-def test_gradcheck_passes_and_lists_every_block(tmp_path, capsys):
-    cfg = gradcheck_config(tmp_path)
+# The shipped config and copies of it with every other transform kind and
+# with one branch.
+SHIPPED_GRADCHECK = {
+    "shipped": {},
+    "dwt": {"transform_kind": "dwt"},
+    "dft": {"transform_kind": "dft"},
+    "n1": {"branches": 1},
+}
+
+
+@pytest.mark.parametrize("overrides", SHIPPED_GRADCHECK.values(), ids=SHIPPED_GRADCHECK)
+def test_gradcheck_passes_and_lists_every_block(tmp_path, capsys, overrides):
+    cfg = gradcheck_config(tmp_path, **overrides)
     rc = main(["gradcheck", "--config", str(cfg)])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    block_lines = [ln for ln in lines if not ln.startswith("overall")]
-    names = [ln.split()[0] for ln in block_lines]
-    # One block per band, holding both branches, then the projection.
-    assert sorted(names) == ["fru_lh[level1]", "fru_lh[level2]", "fru_ll", "projection"]
+    names = [ln.split()[0] for ln in lines if not ln.startswith("overall")]
+    # One line per parameter block, in name order.
+    layout = param_layout(load_run_config(str(cfg)).model)
+    assert names == sorted(name for name, _, _ in layout)
     assert lines[-1].endswith("pass")
 
 
-def test_gradcheck_dft_blocks(tmp_path, capsys):
-    cfg = gradcheck_config(tmp_path, transform_kind="dft", seed=3)
-    rc = main(["gradcheck", "--config", str(cfg)])
-    assert rc == 0
-    names = {
-        ln.split()[0]
-        for ln in capsys.readouterr().out.strip().splitlines()
-        if not ln.startswith("overall")
-    }
-    assert names == {"fru_real", "fru_imag", "projection"}
-
-
-def test_gradcheck_corrupt_block_exits_1(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("overrides", SHIPPED_GRADCHECK.values(), ids=SHIPPED_GRADCHECK)
+def test_gradcheck_corrupt_block_exits_1(tmp_path, monkeypatch, capsys, overrides):
     corrupt_projection_gradient(monkeypatch)
-    cfg = gradcheck_config(tmp_path)
+    cfg = gradcheck_config(tmp_path, **overrides)
     rc = main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path / "g")])
     assert rc == 1
     lines = capsys.readouterr().out.splitlines()
@@ -1300,9 +1344,15 @@ def writing_argv(command, tmp_path, csv, cfg):
     }[command]
 
 
-@pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath_file"])
+# transform and eval with --out on the file itself are contract rows.
 @pytest.mark.parametrize(
-    "command", ["transform", "scalogram", "train", "eval", "ablate", "gradcheck"]
+    "command, beneath",
+    [
+        pytest.param(command, beneath, id=f"{command}-{'beneath_file' if beneath else 'file'}")
+        for command in ("transform", "scalogram", "train", "eval", "ablate", "gradcheck")
+        for beneath in (False, True)
+        if beneath or command not in ("transform", "eval")
+    ],
 )
 def test_out_on_an_existing_file_exits_2(
     tmp_path, series_csv, run_config, capsys, command, beneath
@@ -1322,10 +1372,6 @@ def test_out_on_an_existing_file_exits_2(
     assert blocker.read_text() == "keep\n"
 
 
-REPO = Path(__file__).resolve().parent.parent
-TINY_CSV = REPO / "data" / "synthetic_tiny.csv"
-
-
 def tiny_one_epoch_config(tmp_path):
     """configs/tiny_synthetic.json trained for one epoch."""
     doc = json.loads((REPO / "configs" / "tiny_synthetic.json").read_text())
@@ -1342,7 +1388,6 @@ def tiny_one_epoch_config(tmp_path):
         ("transform", "coefficients.csv"),
         ("scalogram", "scalogram.csv"),
         ("train", "checkpoint.json"),
-        ("eval", "metrics.txt"),
         ("ablate", "ablation.csv"),
         ("gradcheck", "gradcheck.txt"),
     ],
@@ -1359,8 +1404,9 @@ def test_failed_artifact_write_exits_2(tmp_path, capsys, command, artifact):
     assert rc == 2
     assert captured.err.startswith("config error: cannot write output: ")
     assert artifact in captured.err and "Traceback" not in captured.err
-    # The report is printed only once its files are written.
-    if command in ("eval", "gradcheck"):
+    # The report is printed only once its files are written; eval's case
+    # is the contract row eval-metrics-txt-a-directory.
+    if command == "gradcheck":
         assert captured.out == ""
 
 
@@ -1400,9 +1446,8 @@ def test_byte_order_mark_is_dropped(tmp_path, run_config, capsys, kind):
     assert results[0][0] == 0 and results[0][1].err == ""
 
 
-@pytest.mark.parametrize(
-    "command", ["transform", "scalogram", "train", "eval", "ablate", "gradcheck"]
-)
+# transform's case is the contract row transform-empty-out.
+@pytest.mark.parametrize("command", ["scalogram", "train", "eval", "ablate", "gradcheck"])
 def test_empty_out_exits_2(tmp_path, series_csv, capsys, monkeypatch, command):
     # An explicit --out "" is a bad flag: it neither falls back on the
     # config's out entry nor reaches a writer as "no directory".
@@ -1430,8 +1475,8 @@ def test_out_flag_wins_over_the_config_entry(tmp_path, series_csv, capsys):
     assert main(["train", "--config", str(cfg)]) == 0
     assert (tmp_path / "from_config" / "checkpoint.json").exists()
     # gradcheck's --out is flag-only: the entry creates nothing.
-    gc = gradcheck_config(tmp_path)
-    doc = json.loads(gc.read_text())
+    doc = json.loads(gradcheck_config(tmp_path).read_text())
+    gc = tmp_path / "gc.json"
     gc.write_text(json.dumps({**doc, "out": "gc_from_config"}))
     assert main(["gradcheck", "--config", str(gc)]) == 0
     assert not (tmp_path / "gc_from_config").exists()

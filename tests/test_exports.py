@@ -4,7 +4,8 @@ tests/exports/SHA256SUMS holds the digests of the files that
 `wavets scalogram --csv data/synthetic_tiny.csv --channel s1 --levels 3
 --order n` wrote for n = 0, 1, 2 before the writers streamed one band at a
 time (commit 192e14c), one output directory `order<n>` per order. The
-same list checks the CLI's output with `sha256sum -c` in CI.
+same digests hold for a CRLF copy of that file and a copy with every
+cell quoted.
 """
 
 import hashlib
@@ -25,6 +26,7 @@ from wavets.wdt import (
 
 ROOT = Path(__file__).resolve().parent.parent
 SUMS = ROOT / "tests" / "exports" / "SHA256SUMS"
+TINY_CSV = ROOT / "data" / "synthetic_tiny.csv"
 
 
 def pinned_digests() -> dict[str, str]:
@@ -38,13 +40,31 @@ def test_pinned_list_names_every_export():
     ]
 
 
-@pytest.mark.parametrize("order", [0, 1, 2])
-def test_cli_exports_match_pinned_digests(tmp_path, capsys, order):
+# The bundled file takes the np.loadtxt fast path. A CRLF copy and a copy
+# with every cell quoted, each line rewritten as below, are read through
+# csv.reader, and must give the same bytes.
+COPIES = {
+    "crlf": lambda line: line + "\r",
+    "quoted": lambda line: ",".join(f'"{cell}"' for cell in line.split(",")),
+}
+
+
+@pytest.mark.parametrize(
+    "copy, order",
+    [pytest.param(None, order, id=str(order)) for order in (0, 1, 2)]
+    + [pytest.param(copy, order, id=f"{copy}-{order}") for copy in COPIES for order in (0, 1, 2)],
+)
+def test_cli_exports_match_pinned_digests(tmp_path, capsys, copy, order):
+    csv = TINY_CSV
+    if copy:
+        csv = tmp_path / f"{copy}.csv"
+        lines = TINY_CSV.read_text().splitlines()
+        csv.write_bytes("".join(COPIES[copy](line) + "\n" for line in lines).encode())
     rc = main(
         [
             "scalogram",
             "--csv",
-            str(ROOT / "data" / "synthetic_tiny.csv"),
+            str(csv),
             "--channel",
             "s1",
             "--levels",
