@@ -637,7 +637,6 @@ def test_nul_in_a_config_path_exits_2(tmp_path, series_csv, capsys, field, ancho
     assert sorted(tmp_path.iterdir()) == before
 
 
-# A NaN split ratio is the contract row train-nan-ratio.
 @pytest.mark.parametrize(
     "overrides,field",
     [
@@ -649,10 +648,14 @@ def test_nul_in_a_config_path_exits_2(tmp_path, series_csv, capsys, field, ancho
         ({"train": {"grad_clip": "inf"}}, "grad_clip"),
         ({"model": {"std_epsilon": 0}}, "std_epsilon"),
         ({"model": {"std_epsilon": "nan"}}, "std_epsilon"),
+        (
+            {"data": {"split": {"kind": "ratio", "ratios": ["nan", 0.5, 0.5]}}},
+            "data.split.ratios[0]",
+        ),
     ],
     ids=[
         "lr-nan", "lr-inf", "eps-nan", "eps-neginf", "clip-nan", "clip-inf",
-        "std-eps-zero", "std-eps-nan",
+        "std-eps-zero", "std-eps-nan", "ratio-nan",
     ],
 )
 def test_nonfinite_or_zero_bound_exits_2(tmp_path, series_csv, capsys, overrides, field):
@@ -1041,8 +1044,7 @@ def test_eval_overflowing_forecast_exits_4(tmp_path, run_config, capsys):
     assert err == "numerical error: the model produced a non-finite forecast\n"
 
 
-# A list is the contract row eval-checkpoint-not-an-object.
-@pytest.mark.parametrize("text", ["null", '"x"'])
+@pytest.mark.parametrize("text", ["[1, 2]", "null", '"x"'])
 def test_eval_checkpoint_not_an_object_exits_3(tmp_path, run_config, capsys, text):
     path = tmp_path / "checkpoint.json"
     path.write_text(text + "\n")
@@ -1344,15 +1346,9 @@ def writing_argv(command, tmp_path, csv, cfg):
     }[command]
 
 
-# transform and eval with --out on the file itself are contract rows.
+@pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath_file"])
 @pytest.mark.parametrize(
-    "command, beneath",
-    [
-        pytest.param(command, beneath, id=f"{command}-{'beneath_file' if beneath else 'file'}")
-        for command in ("transform", "scalogram", "train", "eval", "ablate", "gradcheck")
-        for beneath in (False, True)
-        if beneath or command not in ("transform", "eval")
-    ],
+    "command", ["transform", "scalogram", "train", "eval", "ablate", "gradcheck"]
 )
 def test_out_on_an_existing_file_exits_2(
     tmp_path, series_csv, run_config, capsys, command, beneath
@@ -1388,6 +1384,7 @@ def tiny_one_epoch_config(tmp_path):
         ("transform", "coefficients.csv"),
         ("scalogram", "scalogram.csv"),
         ("train", "checkpoint.json"),
+        ("eval", "metrics.txt"),
         ("ablate", "ablation.csv"),
         ("gradcheck", "gradcheck.txt"),
     ],
@@ -1404,9 +1401,8 @@ def test_failed_artifact_write_exits_2(tmp_path, capsys, command, artifact):
     assert rc == 2
     assert captured.err.startswith("config error: cannot write output: ")
     assert artifact in captured.err and "Traceback" not in captured.err
-    # The report is printed only once its files are written; eval's case
-    # is the contract row eval-metrics-txt-a-directory.
-    if command == "gradcheck":
+    # The report is printed only once its files are written.
+    if command in ("eval", "gradcheck"):
         assert captured.out == ""
 
 
@@ -1446,8 +1442,9 @@ def test_byte_order_mark_is_dropped(tmp_path, run_config, capsys, kind):
     assert results[0][0] == 0 and results[0][1].err == ""
 
 
-# transform's case is the contract row transform-empty-out.
-@pytest.mark.parametrize("command", ["scalogram", "train", "eval", "ablate", "gradcheck"])
+@pytest.mark.parametrize(
+    "command", ["transform", "scalogram", "train", "eval", "ablate", "gradcheck"]
+)
 def test_empty_out_exits_2(tmp_path, series_csv, capsys, monkeypatch, command):
     # An explicit --out "" is a bad flag: it neither falls back on the
     # config's out entry nor reaches a writer as "no directory".
