@@ -254,7 +254,7 @@ def run_training(
             )
         print(f"stopped: {history.stopped_reason} (best epoch {history.best_epoch})")
 
-    save_checkpoint(params, run.model, str(out / "checkpoint.json"))
+    save_checkpoint(params, run.model, str(out / "checkpoint.bin"))
     write_json(out / "effective_config.json", run.to_dict())
     write_json(
         out / "run_meta.json",
@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on one split", allow_abbrev=False)
-    p.add_argument("--checkpoint", required=True, help="checkpoint JSON")
+    p.add_argument("--checkpoint", required=True, help="checkpoint file")
     p.add_argument(
         "--config",
         default=None,

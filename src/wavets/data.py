@@ -1,11 +1,14 @@
 """CSV ingestion, chronological cutting, standardization, windowing.
 
-read_text reads every input file (the CSV, and through read_json_object
-the run config and the checkpoint) as UTF-8, a leading byte order mark
-dropped; write_json writes every JSON artifact. load_csv reads a plain
-CSV's value cells with NumPy's C reader, and converts them with float()
-wherever that reader refuses a cell or would read the text otherwise, so
-every file gives the values and errors float() gives.
+read_bytes opens and reads every input file: the checkpoint directly,
+and the CSV and the run config through read_text, which decodes it as
+UTF-8 with a leading byte order mark dropped. json_object parses every
+JSON object: the run config's, through read_json_object, and the
+checkpoint's header line. write_json writes every JSON artifact.
+load_csv reads a plain CSV's value cells with NumPy's C reader, and
+converts them with float() wherever that reader refuses a cell or would
+read the text otherwise, so every file gives the values and errors
+float() gives.
 
 Frames are treated as immutable after load; windows are a read-only
 strided view into the frame's value matrix rather than copies. Where the
@@ -56,37 +59,52 @@ def _timestamps_strictly_increasing(stamps: list[str]) -> bool:
     return all(a < b for a, b in zip(parsed, parsed[1:]))
 
 
-def read_text(path: str, what: str = "", error: type[Exception] = DataError) -> str:
-    """The whole file as UTF-8 text, a leading byte order mark dropped and
-    line ends kept as they are. A file that cannot be opened, read or
-    decoded raises error, its message naming the file as what + path."""
+def read_bytes(path: str, what: str = "", error: type[Exception] = DataError) -> bytes:
+    """The whole file's bytes. A file that cannot be opened or read raises
+    error, its message naming the file as what + path."""
     try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
+        fh = open(path, "rb")
     # ValueError: a NUL in the path, or a path the file system cannot encode.
     except (OSError, ValueError) as exc:
         raise error(f"cannot open {what}{path}: {exc}") from exc
     with fh:
         try:
             return fh.read()
-        except UnicodeDecodeError as exc:
-            raise error(f"{what}{path}: not UTF-8 text ({exc.reason})") from None
         except OSError as exc:
             raise error(f"cannot read {what}{path}: {exc}") from exc
 
 
-def read_json_object(path: str, what: str, error: type[Exception]) -> dict:
-    """The file's JSON object, read by read_text; a file that does not hold
-    one raises error."""
-    text = read_text(path, what, error)
+def decode_text(raw: bytes, name: str, error: type[Exception]) -> str:
+    """raw as UTF-8 text, a leading byte order mark dropped and line ends
+    kept as they are; bytes that are not UTF-8 raise error naming name."""
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"{name}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_text(path: str, what: str = "", error: type[Exception] = DataError) -> str:
+    """The whole file as text, read by read_bytes and decoded by decode_text."""
+    return decode_text(read_bytes(path, what, error), f"{what}{path}", error)
+
+
+def json_object(text: str, name: str, error: type[Exception]) -> dict:
+    """The JSON object text holds; text that does not hold one raises
+    error, its message naming name."""
     try:
         doc = json.loads(text)
     # ValueError also covers an integer past Python's digit limit, and
     # RecursionError nesting deeper than the decoder can follow.
     except (ValueError, RecursionError) as exc:
-        raise error(f"{what}{path} is not valid JSON: {exc}") from exc
+        raise error(f"{name} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise error(f"{what}{path} must hold a JSON object, got {type(doc).__name__}")
+        raise error(f"{name} must hold a JSON object, got {type(doc).__name__}")
     return doc
+
+
+def read_json_object(path: str, what: str, error: type[Exception]) -> dict:
+    """The file's JSON object, read by read_text and checked by json_object."""
+    return json_object(read_text(path, what, error), f"{what}{path}", error)
 
 
 def write_json(path, doc: dict) -> None:

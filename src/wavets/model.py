@@ -61,22 +61,23 @@ config alone, names its blocks in checkpoint order (one per band, then
 the projection), and param_blocks gives each block as one (m_in+1, m_out)
 view [weight; bias] into the vector, so the optimizer, the gradient norm
 and the gradient checker work on the whole vector at once.
-Checkpoints go through data.write_json and data.read_json_object.
+A checkpoint is one JSON header line, then the vector's bytes; it is
+read by data.read_bytes and its header checked by data.json_object.
 """
 
 from __future__ import annotations
 
-import base64
+import json
 
 import numpy as np
 
 from .config import ModelConfig
-from .data import read_json_object, write_json
+from .data import decode_text, json_object, read_bytes
 from .errors import ConfigError, DataError
 from .wavelet import dwt_multi, idwt_multi, make_filterbank
 from .wdt import level_gains
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # Windows per GEMM on the fixed-parameter paths (operator_chunks).
 OPERATOR_CHUNK = 256
@@ -477,51 +478,46 @@ def init_params(config: ModelConfig, seed: int) -> np.ndarray:
 
 
 def save_checkpoint(params: np.ndarray, config: ModelConfig, path: str) -> None:
-    """Versioned JSON checkpoint: the model config and the parameter vector
-    as base64 of its little-endian float64 bytes, so every bit round-trips.
+    """Versioned checkpoint: one line of JSON holding the version and the
+    model config, then the parameter vector's little-endian float64 bytes
+    and nothing after them, so every bit round-trips.
 
     The config fixes the vector's layout (param_layout), so none is stored.
     """
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "config": config.to_dict(),
-        "params": base64.b64encode(params.astype("<f8", copy=False).tobytes()).decode("ascii"),
-    }
-    write_json(path, doc)
+    header = json.dumps({"version": CHECKPOINT_VERSION, "config": config.to_dict()})
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        fh.write(np.ascontiguousarray(params, dtype="<f8").data)
 
 
 def load_checkpoint(path: str) -> tuple[np.ndarray, ModelConfig]:
-    doc = read_json_object(path, "checkpoint ", DataError)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise DataError(
-            f"checkpoint {path} has version {doc.get('version')!r}, "
-            f"expected {CHECKPOINT_VERSION}"
-        )
+    raw = read_bytes(path, "checkpoint ", DataError)
+    # json.dumps escapes every newline, so the first one ends the header.
+    end = raw.find(b"\n")
+    not_current = f"checkpoint {path} is not a version-{CHECKPOINT_VERSION} checkpoint"
+    if end < 0:
+        raise DataError(f"{not_current}: no newline ends its first line")
+    text = decode_text(raw[:end], f"checkpoint {path}", DataError)
+    header = json_object(text, f"{not_current}: its first line", DataError)
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise DataError(f"{not_current}: its first line gives version {header.get('version')!r}")
     # A stored config that does not parse or check is a defect of the file,
     # so it exits like every other one, not like a bad run config; it is
     # checked before param_count reads its sizes.
     try:
-        config = ModelConfig.from_dict(doc.get("config"))
+        config = ModelConfig.from_dict(header.get("config"))
         config.ensure_valid()
     except ConfigError as exc:
         raise DataError(f"checkpoint {path} config fails validation: {exc}") from exc
-    encoded = doc.get("params")
-    if not isinstance(encoded, str):
-        raise DataError(
-            f"checkpoint {path} params must be a base64 string, got {type(encoded).__name__}"
-        )
-    try:
-        raw = base64.b64decode(encoded, validate=True)
-    except ValueError as exc:
-        raise DataError(f"checkpoint {path} params are not valid base64: {exc}") from exc
+    body = memoryview(raw)[end + 1 :]
     count = param_count(config)
-    if len(raw) != 8 * count:
+    if len(body) != 8 * count:
         raise DataError(
-            f"checkpoint {path} holds {len(raw) / 8:.12g} parameter values, "
+            f"checkpoint {path} holds {len(body) / 8:.12g} parameter values, "
             f"but its {config.transform_kind} config expects {count}"
         )
     # A native, owned, writable copy of the little-endian values.
-    params = np.frombuffer(raw, "<f8").astype(np.float64)
+    params = np.frombuffer(body, "<f8").astype(np.float64)
     try:
         validate_params(params, config)
     except ConfigError as exc:

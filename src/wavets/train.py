@@ -5,10 +5,11 @@ The model module owns the joint loss and its exact gradient
 (model.gradient_batch) and the validation loss (model.evaluate_loss),
 beside the forward map and its adjoint; this module calls them through
 its own names, so a caller can reach them as train.gradient_batch and
-train.evaluate_loss too. The tests and CI replace train.gradient_batch
-to hand gradient_check a wrong gradient, its negative control. Data
-arrive as (W, L+tau, C) window spans: span i is the lookback
-spans[i, :L] followed by its target.
+train.evaluate_loss too. The tier-1 tests replace train.gradient_batch
+(tests/helpers.corrupt_projection_gradient) to hand gradient_check a
+wrong gradient, its negative control. Data arrive as (W, L+tau, C)
+window spans: span i is the lookback spans[i, :L] followed by its
+target.
 """
 
 from __future__ import annotations

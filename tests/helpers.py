@@ -1,6 +1,12 @@
 """Small helpers that several test modules share: the tiny model config,
 seeded parameters with nonzero biases, a relative error, a bit-for-bit
-comparison and gradient_check's negative control."""
+comparison, gradient_check's negative control, and the pinned
+checkpoints of tests/checkpoints taken apart or laid out as an older
+writer laid them out."""
+
+import base64
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -50,3 +56,23 @@ def corrupt_projection_gradient(monkeypatch) -> None:
         return grads, loss
 
     monkeypatch.setattr(wavets.train, "gradient_batch", corrupted)
+
+
+CHECKPOINTS = Path(__file__).resolve().parent / "checkpoints"
+
+
+def pinned_checkpoint(kind: str) -> tuple[dict, bytes]:
+    """The header object and the body of tests/checkpoints/<kind>.bin."""
+    header, body = (CHECKPOINTS / f"{kind}.bin").read_bytes().split(b"\n", 1)
+    return json.loads(header), body
+
+
+def older_checkpoint(version: int) -> bytes:
+    """The pinned wdt checkpoint as a version 1, 2 or 3 writer laid it out:
+    one JSON document indented by one space, so its first line is "{", with
+    the vector in base64 as version 3 stored it. The version 3 file is
+    byte for byte the one tests/checkpoints/wdt.json held."""
+    header, body = pinned_checkpoint("wdt")
+    params = base64.b64encode(body).decode()
+    doc = {"version": version, "config": header["config"], "params": params}
+    return (json.dumps(doc, indent=1) + "\n").encode()

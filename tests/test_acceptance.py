@@ -206,7 +206,7 @@ def test_criterion_06_convergence_to_least_squares(tiny_run, capsys):
     train_spans = split_window_pairs(train_frame, run)
 
     optimum = least_squares_optimum(run, train_spans)
-    params, _ = load_checkpoint(str(tiny_run["out"] / "checkpoint.json"))
+    params, _ = load_checkpoint(str(tiny_run["out"] / "checkpoint.bin"))
     final = evaluate_loss(params, train_spans, run.model)
     gap = abs(final - optimum)
     ok = gap < 1e-4 and tiny_run["seconds"] < 120.0
@@ -231,7 +231,7 @@ def test_criterion_07_beats_repeat_last_naive(tiny_run, capsys):
     naive_preds = np.stack([naive_seasonal(x, run.model.horizon, 1) for x in xs])
     naive_mse = aggregate_report(xs, ys, naive_preds).mse
 
-    params, config = load_checkpoint(str(tiny_run["out"] / "checkpoint.json"))
+    params, config = load_checkpoint(str(tiny_run["out"] / "checkpoint.bin"))
     model_preds = forward_batch(xs, params, config)[:, config.lookback :, :]
     model_mse = aggregate_report(xs, ys, model_preds).mse
     with capsys.disabled():
@@ -263,7 +263,7 @@ def test_criterion_08_hourly_benchmark_reproduction(capsys):
     _, _, test_frame = load_splits(run)
     test_spans = split_window_pairs(test_frame, run)
     xs, ys = test_spans[:, : run.model.lookback], test_spans[:, run.model.lookback :]
-    params, config = load_checkpoint(str(out / "checkpoint.json"))
+    params, config = load_checkpoint(str(out / "checkpoint.bin"))
     preds = np.concatenate(
         [
             forward_batch(xs[i : i + 256], params, config)[:, config.lookback :, :]
@@ -308,7 +308,7 @@ def test_criterion_10_deterministic_rerun(tiny_run, tmp_path, capsys):
         rc = main(["train", "--config", str(TINY_CONFIG), "--out", str(tmp_path)])
     assert rc == 0
     same = True
-    for name in ("checkpoint.json", "run_meta.json"):
+    for name in ("checkpoint.bin", "run_meta.json"):
         a = (tiny_run["out"] / name).read_bytes()
         b = (tmp_path / name).read_bytes()
         same &= a == b

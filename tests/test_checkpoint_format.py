@@ -1,19 +1,28 @@
 """The checkpoint file format, pinned by files an earlier writer made.
 
-tests/checkpoints/wdt.json and dft.json were first written by
-save_checkpoint as it stood before the parameters became one vector
-(commit 11c4c93), at the gradcheck shape (L=8, tau=4, C=2, N=2, K=2,
-seed 2) with standard-normal biases, so a bias or block placed at the
-wrong offset shows. When format version 2 replaced version 1, they were
-converted by reading them with the version 1 loader (commit ecdb0c3) and
-writing them with the version 2 writer. When version 3 stored one block
-per band, each band's branch maps side by side, they were converted the
-same way: read with the version 2 loader (commit 02b0a4d), each branch's
-block copied into its columns of the band's block, and written with the
-version 3 writer. Next to each, <kind>_forward.json holds a seeded
-(3, L, C) batch and forward_batch's output on it. The output the original
-code recorded survived both conversions bit for bit, which showed them
-exact, and is kept as stack_normalized_out.
+tests/checkpoints/wdt.bin and dft.bin were first written, as wdt.json
+and dft.json, by save_checkpoint as it stood before the parameters
+became one vector (commit 11c4c93), at the gradcheck shape (L=8, tau=4,
+C=2, N=2, K=2, seed 2) with standard-normal biases, so a bias or block
+placed at the wrong offset shows. When format version 2 replaced version
+1, they were converted by reading them with the version 1 loader (commit
+ecdb0c3) and writing them with the version 2 writer. When version 3
+stored one block per band, each band's branch maps side by side, they
+were converted the same way: read with the version 2 loader (commit
+02b0a4d), each branch's block copied into its columns of the band's
+block, and written with the version 3 writer. Next to each,
+<kind>_forward.json holds a seeded (3, L, C) batch and forward_batch's
+output on it. The output the original code recorded survived both
+conversions bit for bit, which showed them exact, and is kept as
+stack_normalized_out.
+
+When version 4 replaced the JSON document, its vector in base64, with
+one JSON header line followed by the vector's raw bytes, wdt.json and
+dft.json became wdt.bin and dft.bin: read with the version 3 loader
+(commit 8921294) and written with the version 4 writer. The body of
+each is the bytes its base64 held, and every record below reproduced
+bit for bit after the conversion, under SkylakeX and under Haswell,
+which showed it exact. The records themselves were not touched.
 
 The output was re-recorded as out when forward_batch and apply_operator
 came to share one instance normalization (model._normalize_rows, now
@@ -96,10 +105,10 @@ KINDS = ("wdt", "dft")
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_load_then_save_is_byte_identical(tmp_path, kind):
-    pinned = CHECKPOINTS / f"{kind}.json"
+    pinned = CHECKPOINTS / f"{kind}.bin"
     params, config = load_checkpoint(str(pinned))
     assert config.transform_kind == kind
-    again = tmp_path / "again.json"
+    again = tmp_path / "again.bin"
     save_checkpoint(params, config, str(again))
     assert again.read_bytes() == pinned.read_bytes()
 
@@ -128,7 +137,7 @@ def running_kernel_recording(pinned: dict) -> dict:
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_recorded_forecast_reproduced_bit_for_bit(kind):
-    params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
+    params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.bin"))
     pinned = record(kind, "forward")
     out = forward_batch(np.array(pinned["xs"]), params, config)
     assert same_bits(out, running_kernel_recording(pinned)["out"])
@@ -158,7 +167,7 @@ def assert_within_block_max(got, want, label: str) -> None:
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rerecorded_gradient_within_rounding_of_the_branch_path(kind):
-    _, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
+    _, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.bin"))
     pinned = record(kind, "gradient")
     old = param_blocks(np.array(pinned["branch_path_grads"]), config)
     for values in recordings(pinned):
@@ -178,7 +187,7 @@ def test_rerecorded_operator_within_rounding_of_the_branch_path(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_recorded_gradient_reproduced_bit_for_bit(kind):
-    params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
+    params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.bin"))
     pinned = record(kind, "gradient")
     grads, loss = gradient_batch(params, np.array(pinned["spans"]), config)
     values = running_kernel_recording(pinned)
@@ -188,7 +197,7 @@ def test_recorded_gradient_reproduced_bit_for_bit(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_recorded_operator_reproduced_bit_for_bit(kind):
-    params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.json"))
+    params, config = load_checkpoint(str(CHECKPOINTS / f"{kind}.bin"))
     pinned = record(kind, "operator")
     operator = compile_operator(params, config)
     values = running_kernel_recording(pinned)

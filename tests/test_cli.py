@@ -7,7 +7,6 @@ locale set before the interpreter starts, and the exit-code contract as
 a shell sees it, are rows of test_contract.py.
 """
 
-import base64
 import json
 import math
 import shutil
@@ -18,7 +17,7 @@ import numpy as np
 import pytest
 
 import wavets.cli
-from helpers import corrupt_projection_gradient
+from helpers import corrupt_projection_gradient, older_checkpoint, pinned_checkpoint
 from wavets.cli import load_splits, main
 from wavets.config import load_run_config
 from wavets.data import load_csv
@@ -511,7 +510,7 @@ def test_data_rejected_before_out_is_created(
     argv = [command, "--config", str(bad), "--out", str(out)]
     if command == "eval":
         trained = run_train(tmp_path, run_config, "trained")
-        argv += ["--checkpoint", str(trained / "checkpoint.json")]
+        argv += ["--checkpoint", str(trained / "checkpoint.bin")]
     elif command == "ablate":
         argv.append("--quiet")
     capsys.readouterr()
@@ -537,12 +536,12 @@ def test_out_from_config_with_flag_override(tmp_path, series_csv, capsys):
         tmp_path / "run.json", series_csv, out=str(tmp_path / "from_config")
     )
     assert main(["train", "--config", str(cfg)]) == 0
-    assert (tmp_path / "from_config" / "checkpoint.json").exists()
+    assert (tmp_path / "from_config" / "checkpoint.bin").exists()
     assert (
         main(["train", "--config", str(cfg), "--out", str(tmp_path / "flagged")])
         == 0
     )
-    assert (tmp_path / "flagged" / "checkpoint.json").exists()
+    assert (tmp_path / "flagged" / "checkpoint.bin").exists()
     capsys.readouterr()
     # neither flag nor config entry: nowhere to write
     bare = write_run_config(tmp_path / "bare.json", series_csv)
@@ -750,7 +749,7 @@ def test_train_artifacts_and_determinism(tmp_path, run_config, capsys):
     out2 = run_train(tmp_path, run_config, "r2")
     capsys.readouterr()
     for name in (
-        "checkpoint.json",
+        "checkpoint.bin",
         "effective_config.json",
         "run_meta.json",
         "metrics_train.txt",
@@ -759,8 +758,10 @@ def test_train_artifacts_and_determinism(tmp_path, run_config, capsys):
     ):
         assert (out1 / name).exists()
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    checkpoint = json.loads((out1 / "checkpoint.json").read_text())
-    assert checkpoint["version"] == 3 and isinstance(checkpoint["params"], str)
+    line, body = (out1 / "checkpoint.bin").read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    assert header["version"] == 4
+    assert len(body) == 8 * param_count(ModelConfig.from_dict(header["config"]))
     meta = json.loads((out1 / "run_meta.json").read_text())
     assert meta["version"] == 1
     assert "seconds" not in json.dumps(meta)
@@ -774,8 +775,8 @@ def test_train_seed_flag_overrides_both_seeds(tmp_path, run_config, capsys):
     eff = json.loads((other / "effective_config.json").read_text())
     assert eff["model"]["seed"] == 9
     assert eff["train"]["seed"] == 9
-    assert (base / "checkpoint.json").read_bytes() != (
-        other / "checkpoint.json"
+    assert (base / "checkpoint.bin").read_bytes() != (
+        other / "checkpoint.bin"
     ).read_bytes()
 
 
@@ -787,7 +788,7 @@ def test_eval_train_split_reproduces_summary(tmp_path, run_config, capsys):
     )
     capsys.readouterr()
     rc = main(
-        ["eval", "--checkpoint", str(out / "checkpoint.json"), "--split", "train"]
+        ["eval", "--checkpoint", str(out / "checkpoint.bin"), "--split", "train"]
     )
     assert rc == 0
     printed = dict(
@@ -815,7 +816,7 @@ def test_eval_uses_checkpoint_model_config(tmp_path, series_csv, run_config, cap
         [
             "eval",
             "--checkpoint",
-            str(out / "checkpoint.json"),
+            str(out / "checkpoint.bin"),
             "--config",
             str(skewed),
             "--split",
@@ -834,12 +835,12 @@ def test_eval_uses_checkpoint_model_config(tmp_path, series_csv, run_config, cap
 def test_eval_sibling_config_fallback(tmp_path, run_config, capsys):
     out = run_train(tmp_path, run_config, "r")
     capsys.readouterr()
-    assert main(["eval", "--checkpoint", str(out / "checkpoint.json")]) == 0
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.bin")]) == 0
     # checkpoint copied away from its effective_config.json: no fallback
     lone = tmp_path / "lone"
     lone.mkdir()
-    shutil.copy(out / "checkpoint.json", lone / "checkpoint.json")
-    rc = main(["eval", "--checkpoint", str(lone / "checkpoint.json")])
+    shutil.copy(out / "checkpoint.bin", lone / "checkpoint.bin")
+    rc = main(["eval", "--checkpoint", str(lone / "checkpoint.bin")])
     assert rc == 2
     assert "effective_config.json" in capsys.readouterr().err
 
@@ -854,7 +855,7 @@ def test_eval_horizon_mismatch_exits_2(tmp_path, series_csv, run_config, capsys)
         [
             "eval",
             "--checkpoint",
-            str(out / "checkpoint.json"),
+            str(out / "checkpoint.bin"),
             "--config",
             str(other),
         ]
@@ -871,7 +872,7 @@ def test_eval_short_metrics_flag(tmp_path, run_config, capsys):
         [
             "eval",
             "--checkpoint",
-            str(out / "checkpoint.json"),
+            str(out / "checkpoint.bin"),
             "--metrics",
             "short",
             "--period",
@@ -888,7 +889,7 @@ def test_eval_short_metrics_flag(tmp_path, run_config, capsys):
 @pytest.mark.parametrize("flags", [(), ("--metrics", "short", "--period", "4")], ids=["long", "short"])
 def test_eval_rerun_writes_byte_identical_metrics(tmp_path, run_config, capsys, flags):
     out = run_train(tmp_path, run_config, "r")
-    argv = ["eval", "--checkpoint", str(out / "checkpoint.json"), *flags]
+    argv = ["eval", "--checkpoint", str(out / "checkpoint.bin"), *flags]
     assert main(argv + ["--out", str(tmp_path / "e1")]) == 0
     assert main(argv + ["--out", str(tmp_path / "e2")]) == 0
     capsys.readouterr()
@@ -915,7 +916,7 @@ def test_etth1_shape_train_then_eval_reruns_byte_identical(tmp_path, capsys):
     doc["train"]["max_epochs"] = 1
     cfg = tmp_path / "etth1.json"
     cfg.write_text(json.dumps(doc))
-    checkpoint = run_train(tmp_path, cfg, "train") / "checkpoint.json"
+    checkpoint = run_train(tmp_path, cfg, "train") / "checkpoint.bin"
     for out in ("e1", "e2"):
         assert main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / out)]) == 0
     capsys.readouterr()
@@ -928,7 +929,7 @@ def test_eval_short_period_past_lookback_exits_2_before_forecasting(
 ):
     out = run_train(tmp_path, run_config, "r")
     capsys.readouterr()
-    argv = ["eval", "--checkpoint", str(out / "checkpoint.json")]
+    argv = ["eval", "--checkpoint", str(out / "checkpoint.bin")]
     rc = main(argv + ["--metrics", "short", "--period", "17", "--out", str(tmp_path / "e")])
     captured = capsys.readouterr()
     assert rc == 2
@@ -939,59 +940,69 @@ def test_eval_short_period_past_lookback_exits_2_before_forecasting(
     assert main(argv + ["--metrics", "short", "--period", "16"]) == 0
 
 
-CHECKPOINTS = Path(__file__).resolve().parent / "checkpoints"
+def checkpoint_bytes(header: dict, body: bytes) -> bytes:
+    """A checkpoint file laid out as save_checkpoint lays one out."""
+    return json.dumps(header).encode() + b"\n" + body
 
 
-def pinned_params(kind: str) -> bytes:
-    return base64.b64decode(json.loads((CHECKPOINTS / f"{kind}.json").read_text())["params"])
+def wdt_checkpoint(body=lambda raw: raw, **entries) -> bytes:
+    """The pinned wdt checkpoint, its body replaced by body(its body) and
+    its header updated with entries."""
+    header, raw = pinned_checkpoint("wdt")
+    return checkpoint_bytes({**header, **entries}, body(raw))
 
 
-def nan_in_fru_lh_level2(raw: bytes) -> bytes:
-    doc = json.loads((CHECKPOINTS / "wdt.json").read_text())
+def nan_in(block_name: str, raw: bytes) -> bytes:
+    """raw, the wdt body, with a NaN in the named band block's weight, in
+    branch 2's first column."""
+    header, _ = pinned_checkpoint("wdt")
     params = np.frombuffer(raw, "<f8").copy()
-    config = ModelConfig.from_dict(doc["config"])
-    block = dict(param_blocks(params, config))["fru_lh[level2]"]
-    # Branch 2's first column of the coarsest detail band's weight.
+    block = dict(param_blocks(params, ModelConfig.from_dict(header["config"])))[block_name]
     block[0, block.shape[1] // 2] = np.nan
     return params.tobytes()
 
 
-def b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
+NOT_V4 = "is not a version-4 checkpoint: "
+OLDER = NOT_V4 + "its first line is not valid JSON: Expecting property name"
 
 
 @pytest.mark.parametrize(
-    "field, value, message",
+    "content, message",
     [
-        ("params", lambda raw: np.frombuffer(raw, "<f8").tolist(),
-         "params must be a base64 string, got list"),
-        ("params", lambda raw: None, "params must be a base64 string, got NoneType"),
-        ("params", lambda raw: "@@@", "params are not valid base64"),
-        ("params", lambda raw: b64(raw[:-8]),
+        (lambda: wdt_checkpoint(lambda raw: raw[:-8]),
          "holds 395 parameter values, but its wdt config expects 396"),
-        ("params", lambda raw: b64(raw + raw[:8]),
+        (lambda: wdt_checkpoint(lambda raw: raw + raw[:8]),
          "holds 397 parameter values, but its wdt config expects 396"),
-        ("params", lambda raw: b64(pinned_params("dft")),
+        (lambda: wdt_checkpoint(lambda raw: raw + b"\0"),
+         "holds 396.125 parameter values, but its wdt config expects 396"),
+        (lambda: json.dumps(pinned_checkpoint("wdt")[0]).encode(),
+         NOT_V4 + "no newline ends its first line"),
+        (lambda: wdt_checkpoint(lambda raw: pinned_checkpoint("dft")[1]),
          "holds 468 parameter values, but its wdt config expects 396"),
-        ("params", lambda raw: b64(nan_in_fru_lh_level2(raw)),
-         r"fails validation: fru_lh[level2] contains non-finite entries"),
-        ("version", lambda raw: 1, "has version 1, expected 3"),
-        ("version", lambda raw: 2, "has version 2, expected 3"),
+        (lambda: wdt_checkpoint(lambda raw: nan_in("fru_lh[level2]", raw)),
+         "fails validation: fru_lh[level2] contains non-finite entries"),
+        (lambda: wdt_checkpoint(lambda raw: nan_in("fru_ll", raw)),
+         "fails validation: fru_ll contains non-finite entries"),
+        (lambda: wdt_checkpoint(version=3),
+         NOT_V4 + "its first line gives version 3"),
+        (lambda: older_checkpoint(1), OLDER),
+        (lambda: older_checkpoint(2), OLDER),
+        (lambda: older_checkpoint(3), OLDER),
     ],
-    ids=["list", "null", "bad-base64", "one-short", "one-extra", "dft-payload", "nan", "v1", "v2"],
+    ids=["one-short", "one-extra", "one-byte-extra", "no-newline", "dft-payload", "nan",
+         "nan-fru-ll", "v3-header", "v1", "v2", "v3"],
 )
 def test_eval_malformed_checkpoint_params_exits_3(
-    tmp_path, run_config, capsys, field, value, message
+    tmp_path, run_config, capsys, content, message
 ):
-    doc = json.loads((CHECKPOINTS / "wdt.json").read_text())
-    doc[field] = value(pinned_params("wdt"))
-    path = tmp_path / "checkpoint.json"
-    path.write_text(json.dumps(doc))
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(content())
     rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
     captured = capsys.readouterr()
     assert rc == 3
+    assert captured.err.startswith(f"data error: checkpoint {path} ")
     assert message in captured.err
-    assert "Traceback" not in captured.err and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_eval_writes_metrics_file(tmp_path, run_config, capsys):
@@ -1001,7 +1012,7 @@ def test_eval_writes_metrics_file(tmp_path, run_config, capsys):
         [
             "eval",
             "--checkpoint",
-            str(out / "checkpoint.json"),
+            str(out / "checkpoint.bin"),
             "--out",
             str(tmp_path / "evalout"),
         ]
@@ -1016,7 +1027,7 @@ def eval_with_projection_weights(tmp_path, run_config, capsys, weight):
     """eval's exit code and stderr for a trained checkpoint whose projection
     weights are all set to weight; no metrics file may be written."""
     out = run_train(tmp_path, run_config, "r")
-    path = out / "checkpoint.json"
+    path = out / "checkpoint.bin"
     params, config = load_checkpoint(str(path))
     param_blocks(params, config)[-1][1][:-1] = weight
     save_checkpoint(params, config, str(path))
@@ -1046,17 +1057,17 @@ def test_eval_overflowing_forecast_exits_4(tmp_path, run_config, capsys):
 
 @pytest.mark.parametrize("text", ["[1, 2]", "null", '"x"'])
 def test_eval_checkpoint_not_an_object_exits_3(tmp_path, run_config, capsys, text):
-    path = tmp_path / "checkpoint.json"
+    path = tmp_path / "checkpoint.bin"
     path.write_text(text + "\n")
     rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
     err = capsys.readouterr().err
     assert rc == 3
-    assert "must hold a JSON object" in err and "Traceback" not in err
+    assert NOT_V4 + "its first line must hold a JSON object" in err and "Traceback" not in err
 
 
 def test_eval_checkpoint_not_utf8_exits_3(tmp_path, run_config, capsys):
-    path = tmp_path / "checkpoint.json"
-    path.write_bytes(b'{"version": 1, "config": "\xe9"}\n')
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(b'{"version": 4, "config": "\xe9"}\n')
     rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
     err = capsys.readouterr().err
     assert rc == 3
@@ -1065,22 +1076,21 @@ def test_eval_checkpoint_not_utf8_exits_3(tmp_path, run_config, capsys):
 
 
 def test_eval_deeply_nested_checkpoint_exits_3(tmp_path, run_config, capsys):
-    path = tmp_path / "checkpoint.json"
-    path.write_text("[" * 200000 + "]" * 200000)
+    path = tmp_path / "checkpoint.bin"
+    path.write_text("[" * 200000 + "]" * 200000 + "\n")
     rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
     err = capsys.readouterr().err
     assert rc == 3
-    assert "is not valid JSON" in err and "Traceback" not in err
+    assert NOT_V4 + "its first line is not valid JSON" in err and "Traceback" not in err
 
 
 def test_eval_checkpoint_malformed_stored_config_exits_3(tmp_path, run_config, capsys):
     # A defect in the checkpoint's own config is a data error like any other
     # defect in the file, not a run-config error; the message names the field.
-    pinned = CHECKPOINTS / "wdt.json"
-    doc = json.loads(pinned.read_text())
-    doc["config"]["levels"] = "x"
-    path = tmp_path / "checkpoint.json"
-    path.write_text(json.dumps(doc))
+    header, body = pinned_checkpoint("wdt")
+    header["config"]["levels"] = "x"
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(checkpoint_bytes(header, body))
     rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
     err = capsys.readouterr().err
     assert rc == 3
@@ -1089,11 +1099,10 @@ def test_eval_checkpoint_malformed_stored_config_exits_3(tmp_path, run_config, c
 
 @pytest.mark.parametrize("entry", [{"levels": 20000}, {"branch_orders": [2000, 1]}])
 def test_eval_checkpoint_huge_levels_or_order_exits_3(tmp_path, run_config, capsys, entry):
-    pinned = CHECKPOINTS / "wdt.json"
-    doc = json.loads(pinned.read_text())
-    doc["config"].update(entry)
-    path = tmp_path / "checkpoint.json"
-    path.write_text(json.dumps(doc))
+    header, body = pinned_checkpoint("wdt")
+    header["config"].update(entry)
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(checkpoint_bytes(header, body))
     rc = main(["eval", "--checkpoint", str(path), "--config", str(run_config)])
     err = capsys.readouterr().err
     assert rc == 3
@@ -1141,7 +1150,7 @@ def test_ablate_table_and_determinism(tmp_path, run_config, capsys):
         tmp_path / "a2" / "ablation.csv"
     ).read_bytes()
     for kind in ("wdt", "dwt", "dft"):
-        assert (tmp_path / "a1" / kind / "checkpoint.json").exists()
+        assert (tmp_path / "a1" / kind / "checkpoint.bin").exists()
 
 
 def test_ablate_short_mode_table(tmp_path, series_csv, capsys):
@@ -1249,7 +1258,7 @@ def test_ablate_reads_the_csv_once(tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert len(calls) == 1
     for kind in ("wdt", "dwt", "dft"):
-        assert (tmp_path / "a" / kind / "checkpoint.json").exists()
+        assert (tmp_path / "a" / kind / "checkpoint.bin").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1335,7 +1344,7 @@ def writing_argv(command, tmp_path, csv, cfg):
     """The argv of one writing command, less its --out; eval first trains
     cfg for a checkpoint."""
     if command == "eval":
-        checkpoint = run_train(tmp_path, cfg, "r") / "checkpoint.json"
+        checkpoint = run_train(tmp_path, cfg, "r") / "checkpoint.bin"
         return ["eval", "--checkpoint", str(checkpoint)]
     return {
         "transform": ["transform", "--csv", str(csv)],
@@ -1383,7 +1392,7 @@ def tiny_one_epoch_config(tmp_path):
     [
         ("transform", "coefficients.csv"),
         ("scalogram", "scalogram.csv"),
-        ("train", "checkpoint.json"),
+        ("train", "checkpoint.bin"),
         ("eval", "metrics.txt"),
         ("ablate", "ablation.csv"),
         ("gradcheck", "gradcheck.txt"),
@@ -1432,7 +1441,7 @@ def test_byte_order_mark_is_dropped(tmp_path, run_config, capsys, kind):
         original = REPO / "configs" / "gradcheck.json"
         argv = ["gradcheck", "--config"]
     else:
-        original = run_train(tmp_path, run_config, "r") / "checkpoint.json"
+        original = run_train(tmp_path, run_config, "r") / "checkpoint.bin"
         argv = ["eval", "--config", str(run_config), "--checkpoint"]
     marked = tmp_path / f"bom_{original.name}"
     marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
@@ -1466,11 +1475,11 @@ def test_empty_out_exits_2(tmp_path, series_csv, capsys, monkeypatch, command):
 def test_out_flag_wins_over_the_config_entry(tmp_path, series_csv, capsys):
     cfg = write_run_config(tmp_path / "run.json", series_csv, out="from_config")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "flag")]) == 0
-    assert (tmp_path / "flag" / "checkpoint.json").exists()
+    assert (tmp_path / "flag" / "checkpoint.bin").exists()
     assert not (tmp_path / "from_config").exists()
     # Without the flag the entry is the directory, relative to the config.
     assert main(["train", "--config", str(cfg)]) == 0
-    assert (tmp_path / "from_config" / "checkpoint.json").exists()
+    assert (tmp_path / "from_config" / "checkpoint.bin").exists()
     # gradcheck's --out is flag-only: the entry creates nothing.
     doc = json.loads(gradcheck_config(tmp_path).read_text())
     gc = tmp_path / "gc.json"
@@ -1570,4 +1579,4 @@ def test_failed_ablate_keeps_what_earlier_variants_wrote(
     assert rc == 2
     assert capsys.readouterr().err == "config error: out of memory: allocation failed\n"
     assert sorted(path.name for path in out.iterdir()) == ["effective_config.json", "wdt"]
-    assert (out / "wdt" / "checkpoint.json").exists()
+    assert (out / "wdt" / "checkpoint.bin").exists()

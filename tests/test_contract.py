@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import CHECKPOINTS, older_checkpoint
 from wavets.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -228,12 +229,30 @@ ROWS = [
         "data error: {tmp}/separator.csv line 2, column b: cannot parse",
         files={"separator.csv": "a,b\n2,1\x1c\n3,4\n"},
     ),
+    # A checkpoint is one JSON header line, then the parameters' bytes.
     Row(
         "eval-checkpoint-not-an-object",
+        ("eval", "--checkpoint", "{tmp}/checkpoint.bin", "--config", TINY_CONFIG),
+        3,
+        "data error: checkpoint {tmp}/checkpoint.bin is not a version-4 checkpoint: "
+        "its first line must hold a JSON object, got list",
+        files={"checkpoint.bin": "[1, 2]\n"},
+    ),
+    Row(
+        "eval-checkpoint-version-3",
         ("eval", "--checkpoint", "{tmp}/checkpoint.json", "--config", TINY_CONFIG),
         3,
-        "data error: checkpoint {tmp}/checkpoint.json must hold a JSON object, got list",
-        files={"checkpoint.json": "[1, 2]\n"},
+        "data error: checkpoint {tmp}/checkpoint.json is not a version-4 checkpoint: "
+        "its first line is not valid JSON: ",
+        files={"checkpoint.json": older_checkpoint(3)},
+    ),
+    Row(
+        "eval-checkpoint-truncated-body",
+        ("eval", "--checkpoint", "{tmp}/checkpoint.bin", "--config", TINY_CONFIG),
+        3,
+        "data error: checkpoint {tmp}/checkpoint.bin holds 395.5 parameter values, "
+        "but its wdt config expects 396",
+        files={"checkpoint.bin": (CHECKPOINTS / "wdt.bin").read_bytes()[:-4]},
     ),
     # -- numerical errors, exit 4: the loss overflows in the first epoch,
     # after --out is claimed, and the empty --out is removed again.
@@ -273,7 +292,7 @@ def checkpoint(tmp_path_factory):
     config = out / "run.json"
     config.write_text(tiny(train={"max_epochs": 1}))
     assert main(["train", "--config", str(config), "--out", str(out / "train")]) == 0
-    return out / "train" / "checkpoint.json"
+    return out / "train" / "checkpoint.bin"
 
 
 def address_space_limit(limit):
@@ -329,7 +348,7 @@ def test_rows_parse_and_cover_every_command_and_exit_code():
     # A mistyped flag would pass an exit-2 row through argparse's usage error.
     parser = build_parser()
     for row in ROWS:
-        parser.parse_args([fill(a, "tmp", "checkpoint.json") for a in row.argv])
+        parser.parse_args([fill(a, "tmp", "checkpoint.bin") for a in row.argv])
     commands = {row.argv[0] for row in ROWS}
     assert commands == {"transform", "scalogram", "train", "eval", "ablate", "gradcheck"}
     assert {row.code for row in ROWS} == {0, 2, 3, 4}

@@ -6,8 +6,8 @@ another has to know what lies behind it, which is where the code that
 reads it belongs. A private function, class or constant that no package
 module reads outside its own definition is kept only for tests, and the
 tests should call what the program runs instead. Every input file is
-opened, decoded and parsed by data.read_text and data.read_json_object,
-so that all of them fail alike. The checks walk each module's syntax
+opened and read by data.read_bytes, and every JSON object parsed by
+data.json_object, so that all of them fail alike. The checks walk each module's syntax
 tree, so they read the source and import nothing.
 """
 
@@ -92,7 +92,7 @@ def test_every_private_name_has_a_caller_in_the_package():
 
 
 # The functions that may open a file to read it or parse JSON text.
-READERS = {"data.py": {"read_text", "read_json_object"}}
+READERS = {"data.py": {"read_bytes", "json_object"}}
 
 
 def opens_to_read(call: ast.Call) -> bool:

@@ -344,7 +344,7 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = tiny_config()
         params = init_params(cfg, 33)
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.bin")
         save_checkpoint(params, cfg, path)
         loaded, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
@@ -353,8 +353,8 @@ class TestCheckpoint:
     def test_save_is_deterministic(self, tmp_path):
         cfg = tiny_config()
         params = init_params(cfg, 33)
-        p1 = tmp_path / "a.json"
-        p2 = tmp_path / "b.json"
+        p1 = tmp_path / "a.bin"
+        p2 = tmp_path / "b.bin"
         save_checkpoint(params, cfg, str(p1))
         save_checkpoint(params, cfg, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
@@ -362,25 +362,25 @@ class TestCheckpoint:
     def test_dft_round_trip(self, tmp_path):
         cfg = tiny_config(transform_kind="dft")
         params = init_params(cfg, 5)
-        path = str(tmp_path / "model.json")
+        path = str(tmp_path / "model.bin")
         save_checkpoint(params, cfg, path)
         loaded, _ = load_checkpoint(path)
         assert np.array_equal(loaded, params)
 
     def test_wrong_version_rejected(self, tmp_path):
         cfg = tiny_config()
-        path = str(tmp_path / "model.json")
-        save_checkpoint(init_params(cfg, 1), cfg, path)
-        doc = (tmp_path / "model.json").read_text().replace(
-            f'"version": {CHECKPOINT_VERSION}', '"version": 99', 1
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_params(cfg, 1), cfg, str(path))
+        raw = path.read_bytes().replace(
+            f'"version": {CHECKPOINT_VERSION}'.encode(), b'"version": 99', 1
         )
-        assert '"version": 99' in doc
-        (tmp_path / "model.json").write_text(doc)
-        with pytest.raises(DataError, match="version"):
-            load_checkpoint(path)
+        assert raw.startswith(b'{"version": 99, ')
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match="gives version 99"):
+            load_checkpoint(str(path))
 
     def test_garbage_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
+        path = tmp_path / "bad.bin"
         path.write_text("not json at all")
         with pytest.raises(DataError):
             load_checkpoint(str(path))
@@ -388,7 +388,7 @@ class TestCheckpoint:
     def test_nul_in_path_cannot_be_opened(self):
         # open() rejects the NUL with ValueError, which is not a parse error.
         with pytest.raises(DataError, match="cannot open checkpoint"):
-            load_checkpoint("x\0y.json")
+            load_checkpoint("x\0y.bin")
 
 
 class TestParamHelpers:

@@ -7,7 +7,6 @@ hand-written case names. The module is skipped where Hypothesis is not
 installed.
 """
 
-import base64
 import copy
 import io
 import json
@@ -24,13 +23,12 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 import reference  # noqa: E402
-from helpers import same_bits  # noqa: E402
+from helpers import CHECKPOINTS, same_bits  # noqa: E402
 from wavets.cli import main  # noqa: E402
 from wavets.config import TRANSFORM_KINDS  # noqa: E402
 from wavets.data import load_csv  # noqa: E402
 from wavets.errors import DataError  # noqa: E402
 from wavets.model import (  # noqa: E402
-    CHECKPOINT_VERSION,
     ModelConfig,
     apply_operator,
     compile_operator,
@@ -461,8 +459,8 @@ def test_load_csv_matches_the_per_cell_loader(content):
 
 
 # ---------------------------------------------------------------------------
-# the checkpoint: every finite vector round-trips, any params text loads or
-# raises DataError
+# the checkpoint: every finite vector round-trips, any file loads or raises
+# DataError
 
 # The gradcheck shape of tests/checkpoints: 396 parameters.
 CHECKPOINT_CONFIG = ModelConfig(
@@ -483,7 +481,7 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.finfo(np.
 @example(params=np.resize(EDGE_VALUES, param_count(CHECKPOINT_CONFIG)))
 def test_any_finite_vector_round_trips_bit_for_bit(params):
     with tempfile.TemporaryDirectory() as tmp:
-        path = str(Path(tmp) / "checkpoint.json")
+        path = str(Path(tmp) / "checkpoint.bin")
         save_checkpoint(params, CHECKPOINT_CONFIG, path)
         loaded, config = load_checkpoint(path)
     assert config == CHECKPOINT_CONFIG
@@ -492,27 +490,45 @@ def test_any_finite_vector_round_trips_bit_for_bit(params):
     assert loaded.flags.c_contiguous and loaded.flags.writeable and loaded.flags.owndata
 
 
-@PROPERTY_SETTINGS
-@given(
-    encoded=st.text(max_size=64)
-    | (
-        # Short payloads, and payloads of the right length, which load
-        # unless a value is NaN or infinite.
-        st.binary(max_size=64)
-        | st.binary(
-            min_size=8 * param_count(CHECKPOINT_CONFIG),
-            max_size=8 * param_count(CHECKPOINT_CONFIG),
-        )
-    ).map(lambda raw: base64.b64encode(raw).decode("ascii"))
-)
-def test_any_params_text_loads_or_raises_data_error(encoded):
-    doc = {"version": CHECKPOINT_VERSION, "config": CHECKPOINT_CONFIG.to_dict(), "params": encoded}
+# A valid checkpoint of CHECKPOINT_CONFIG, and its first line.
+VALID = (CHECKPOINTS / "wdt.bin").read_bytes()
+HEADER = VALID[: VALID.index(b"\n") + 1]
+
+
+def assert_loads_or_raises_data_error(content: bytes) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "checkpoint.json"
-        path.write_text(json.dumps(doc))
+        path = Path(tmp) / "checkpoint.bin"
+        path.write_bytes(content)
         try:
-            params, _ = load_checkpoint(str(path))
+            params, config = load_checkpoint(str(path))
         except DataError:
             return
-    assert params.shape == (param_count(CHECKPOINT_CONFIG),)
+    assert params.shape == (param_count(config),)
     assert np.all(np.isfinite(params))
+
+
+@PROPERTY_SETTINGS
+@given(
+    # Short bodies, and bodies of the right length, which load unless a
+    # value is NaN or infinite.
+    body=st.binary(max_size=64)
+    | st.binary(min_size=len(VALID) - len(HEADER), max_size=len(VALID) - len(HEADER))
+)
+def test_any_body_after_a_valid_header_loads_or_raises_data_error(body):
+    assert_loads_or_raises_data_error(HEADER + body)
+
+
+def overwrite(at: int, patch: bytes) -> bytes:
+    """VALID with the bytes from at on overwritten by patch."""
+    return VALID[:at] + patch + VALID[at + len(patch) :]
+
+
+@PROPERTY_SETTINGS
+@given(
+    # Any bytes, and a valid checkpoint with a run of any bytes written
+    # over it, header or body.
+    content=st.binary(max_size=512)
+    | st.builds(overwrite, st.integers(0, len(VALID)), st.binary(min_size=1, max_size=16))
+)
+def test_any_file_loads_or_raises_data_error(content):
+    assert_loads_or_raises_data_error(content)
