@@ -13,7 +13,10 @@ Exit codes: 0 success, 1 gradcheck tolerance failure, 2 invalid
 configuration, an unwritable output or no memory left, 3 unusable data,
 4 numerical failure (a non-finite training loss, forecast or metric).
 A command that exits 2, 3 or 4 removes each directory it created that is
-still empty. A command prints its report only once its files are written.
+still empty. Each command prints its report in one call, after its last
+file is written, so a run that exits 2, 3 or 4 leaves stdout empty.
+ablate prints one block per variant once its files are written, which a
+later variant's failure leaves printed, and its table last.
 
 Every report file takes its metric names and cells from metrics.py
 (MetricsReport.scores, key_value_text); this module names no metric.
@@ -44,7 +47,7 @@ from .model import (
 )
 from .train import gradient_check, train
 from .wavelet import SUPPORTED_WAVELETS, make_filterbank
-from .wdt import MAX_GAIN_EXPONENT, wdt_forward, write_coefficients_csv, write_scalogram_csv
+from .wdt import gain_bound_problem, wdt_forward, write_coefficients_csv, write_scalogram_csv
 
 GRADCHECK_TOLERANCE = 1e-5
 GRADCHECK_MAX_DIM = 16
@@ -190,11 +193,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
         raise ConfigError(f"--levels must be >= 1, got {args.levels}")
     if args.order < 0:
         raise ConfigError(f"--order must be >= 0, got {args.order}")
-    if args.order * args.levels > MAX_GAIN_EXPONENT:
-        raise ConfigError(
-            f"--order {args.order} at --levels {args.levels} needs the gain "
-            f"2^(order*levels); order*levels must be at most {MAX_GAIN_EXPONENT}"
-        )
+    if problem := gain_bound_problem(args.order, args.levels):
+        raise ConfigError(problem)
     if args.wavelet not in SUPPORTED_WAVELETS:
         raise ConfigError(
             f"--wavelet must be one of {SUPPORTED_WAVELETS}, got {args.wavelet!r}"
@@ -210,8 +210,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
             f"{power_of_two_text(args.levels)} for {args.levels} levels"
         )
     out = _claim_out(args)
+    lines = []
     if usable != series.shape[0]:
-        print(
+        lines.append(
             f"truncating {series.shape[0]} samples to {usable} "
             f"(multiple of {2**args.levels})"
         )
@@ -219,11 +220,12 @@ def cmd_transform(args: argparse.Namespace) -> int:
     pyramid = wdt_forward(series[:usable], fb, levels=args.levels, order=args.order)
     coeff_path = out / "coefficients.csv"
     write_coefficients_csv(pyramid, str(coeff_path))
-    print(f"wrote {coeff_path}")
+    lines.append(f"wrote {coeff_path}")
     if args.scalogram:
         grid_path = out / "scalogram.csv"
         write_scalogram_csv(pyramid, str(grid_path))
-        print(f"wrote {grid_path}")
+        lines.append(f"wrote {grid_path}")
+    print("\n".join(lines))
     return 0
 
 
@@ -235,25 +237,17 @@ def run_training(
     run: RunConfig,
     spans: tuple[np.ndarray, np.ndarray],
     out: Path,
-    quiet: bool = False,
-) -> np.ndarray:
+) -> tuple[np.ndarray, str]:
     """Train one model on the (train, val) window spans of
     ``load_splits(run)``'s splits and write all artifacts to ``out``.
 
-    Returns the best parameters.  Output files carry no wall-clock
-    timings, so reruns with identical inputs are byte-identical; timings go
-    to stdout only.
+    Returns the best parameters and the report to print: one line per
+    epoch, then the stop reason, the wall time and ``out``. Output files
+    carry no wall-clock timings, so reruns with identical inputs are
+    byte-identical; timings go to the report only.
     """
     started = time.perf_counter()
     params, history = train(run.model, *spans, run.train)
-    if not quiet:
-        for rec in history.epochs:
-            print(
-                f"epoch {rec.epoch:3d}  train {rec.train_loss:.6f}  "
-                f"val {rec.val_loss:.6f}  ({rec.seconds:.2f}s)"
-            )
-        print(f"stopped: {history.stopped_reason} (best epoch {history.best_epoch})")
-
     save_checkpoint(params, run.model, str(out / "checkpoint.bin"))
     write_json(out / "effective_config.json", run.to_dict())
     write_json(
@@ -274,17 +268,24 @@ def run_training(
         (out / f"metrics_{split}.txt").write_text(report.to_text())
         summary += [(f"{split}_forecast_{name}", value) for name, value in report.scores()[:2]]
     (out / "summary.txt").write_text(key_value_text(summary))
-    if not quiet:
-        print(f"training wall time {time.perf_counter() - started:.1f}s")
-        print(f"artifacts in {out}")
-    return params
+    lines = [
+        f"epoch {rec.epoch:3d}  train {rec.train_loss:.6f}  "
+        f"val {rec.val_loss:.6f}  ({rec.seconds:.2f}s)"
+        for rec in history.epochs
+    ] + [
+        f"stopped: {history.stopped_reason} (best epoch {history.best_epoch})",
+        f"training wall time {time.perf_counter() - started:.1f}s",
+        f"artifacts in {out}",
+    ]
+    return params, "\n".join(lines) + "\n"
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     run = _load_run(args, need_data=True)
     train_frame, val_frame, _ = load_splits(run)
     spans = (split_window_pairs(train_frame, run), split_window_pairs(val_frame, run))
-    run_training(run, spans, _claim_out(args, run))
+    _, report = run_training(run, spans, _claim_out(args, run))
+    print(report, end="")
     return 0
 
 
@@ -353,8 +354,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
     rows = []
     for kind, variant in variants.items():
-        print(f"== training variant: {kind}")
-        params = run_training(variant, (train_spans, val_spans), out / kind, quiet=args.quiet)
+        params, report = run_training(variant, (train_spans, val_spans), out / kind)
+        print(f"== training variant: {kind}\n" + ("" if args.quiet else report), end="")
         scores = split_report(params, test_spans, variant).scores()
         del params  # so that the next variant trains without them
         if not rows:
@@ -362,11 +363,12 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         rows.append([kind] + [format_value(value) for _, value in scores])
     table = "".join(",".join(row) + "\n" for row in rows)
     (out / "ablation.csv").write_text(table)
-    print("test-split metrics by transform:")
-    print(table, end="")
     # The gains cancel around each linear band map (model.bias_scales).
-    print("wdt and dwt differ only in how the detail biases are scaled (1/g in wdt)")
-    print(f"wrote {out / 'ablation.csv'}")
+    print(
+        f"test-split metrics by transform:\n{table}"
+        "wdt and dwt differ only in how the detail biases are scaled (1/g in wdt)\n"
+        f"wrote {out / 'ablation.csv'}"
+    )
     return 0
 
 
@@ -507,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_run_parser(sub, "ablate", "train wdt, dwt, and dft variants and compare")
     _add_out(p, "config")
     p.add_argument(
-        "--quiet", action="store_true", help="suppress per-epoch progress"
+        "--quiet", action="store_true", help="leave out each variant's epoch lines"
     )
     p.set_defaults(func=cmd_ablate)
 

@@ -9,7 +9,8 @@ once (problems) and writes the fields back in declaration order
 (to_dict). The only checks written by hand relate two fields
 (cross_problems). Beside them, SplitSection.borders turns the split into
 the rows where the series is cut. No other module knows the format or
-the split rule; data.read_json_object reads the file.
+the split rule; data.read_text reads the file and data.json_object
+parses it.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, ClassVar, NamedTuple
 
-from .data import read_json_object
+from .data import json_object, read_text
 from .errors import ConfigError
-from .wdt import MAX_GAIN_EXPONENT
+from .wdt import gain_bound_problem
 
 TRANSFORM_KINDS = ("wdt", "dwt", "dft")
 
@@ -222,13 +223,8 @@ class ModelConfig(Section):
             # The largest of effective_orders(), N for the default 1..N,
             # without listing a huge N.
             orders = self.branch_orders if self.branch_orders is not None else [self.branches]
-            top = max(orders, default=0)
-            if top * self.levels > MAX_GAIN_EXPONENT:
-                out.append(
-                    f"derivative order {top} at levels = {self.levels} needs the "
-                    f"gain 2^(order*levels); order*levels must be at most "
-                    f"{MAX_GAIN_EXPONENT}"
-                )
+            if problem := gain_bound_problem(max(orders, default=0), self.levels):
+                out.append(problem)
         if self.branch_orders is not None and len(self.branch_orders) != self.branches:
             out.append(
                 f"branch_orders has {len(self.branch_orders)} entries "
@@ -373,7 +369,7 @@ def load_run_config(path: str, seed: int | None = None) -> RunConfig:
     ``seed``, when given, overrides both the model and training seeds so a
     single flag reruns the whole pipeline under a different draw.
     """
-    doc = read_json_object(path, "config ", ConfigError)
+    doc = json_object(read_text(path, "config ", ConfigError), f"config {path}", ConfigError)
     unknown = sorted(set(doc) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ConfigError(f"unknown config sections: {', '.join(unknown)}")

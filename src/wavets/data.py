@@ -3,12 +3,12 @@
 read_bytes opens and reads every input file: the checkpoint directly,
 and the CSV and the run config through read_text, which decodes it as
 UTF-8 with a leading byte order mark dropped. json_object parses every
-JSON object: the run config's, through read_json_object, and the
-checkpoint's header line. write_json writes every JSON artifact.
-load_csv reads a plain CSV's value cells with NumPy's C reader, and
-converts them with float() wherever that reader refuses a cell or would
-read the text otherwise, so every file gives the values and errors
-float() gives.
+JSON object: the run config's, which config.load_run_config reads with
+read_text, and the checkpoint's header line. write_json writes every
+JSON artifact. load_csv reads a plain CSV's value cells with NumPy's C
+reader, and converts them with float() wherever that reader refuses a
+cell or would read the text otherwise, so every file gives the values
+and errors float() gives.
 
 Frames are treated as immutable after load; windows are a read-only
 strided view into the frame's value matrix rather than copies. Where the
@@ -100,11 +100,6 @@ def json_object(text: str, name: str, error: type[Exception]) -> dict:
     if not isinstance(doc, dict):
         raise error(f"{name} must hold a JSON object, got {type(doc).__name__}")
     return doc
-
-
-def read_json_object(path: str, what: str, error: type[Exception]) -> dict:
-    """The file's JSON object, read by read_text and checked by json_object."""
-    return json_object(read_text(path, what, error), f"{what}{path}", error)
 
 
 def write_json(path, doc: dict) -> None:

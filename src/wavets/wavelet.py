@@ -131,8 +131,9 @@ def dwt_multi(signal: np.ndarray, fb: FilterBank, levels: int) -> list[np.ndarra
     if levels < 1:
         raise DataError(f"level count must be >= 1, got {levels}")
     n = _time_length(signal)
-    run = n
+    approx, details = signal, []
     for lv in range(1, levels + 1):
+        run = approx.shape[-1]
         if run < 2:
             raise DataError(
                 f"signal length {n} is too short: level {lv} of {levels} "
@@ -143,10 +144,6 @@ def dwt_multi(signal: np.ndarray, fb: FilterBank, levels: int) -> list[np.ndarra
                 f"length {n} not divisible by 2^{levels}: "
                 f"level {lv} would split an odd length {run}"
             )
-        run //= 2
-    approx = signal
-    details: list[np.ndarray] = []
-    for _ in range(levels):
         approx, detail = dwt_level(approx, fb)
         details.append(detail)
     return [approx] + details

@@ -28,13 +28,22 @@ from .wavelet import FilterBank, dwt_multi, idwt_multi
 MAX_GAIN_EXPONENT = sys.float_info.max_exp - 1
 
 
+def gain_bound_problem(order: int, levels: int) -> str | None:
+    """Why an order-n transform at K levels has no float64 gains, or None
+    when its largest gain 2^(n*K) is a float64. The config, the command
+    line and derivative_gain each raise this message as their own error."""
+    if order * levels <= MAX_GAIN_EXPONENT:
+        return None
+    return (
+        f"derivative order {order} at levels = {levels} needs the gain "
+        f"2^(order*levels); order*levels must be at most {MAX_GAIN_EXPONENT}"
+    )
+
+
 def derivative_gain(order: int, scale: int) -> float:
     """Gain applied at scale index k for derivative order n: (-1)^n * 2^(n*k)."""
-    if order * scale > MAX_GAIN_EXPONENT:
-        raise DataError(
-            f"derivative order {order} at scale {scale} needs the gain "
-            f"2^(order*scale), past the largest float64 power 2^{MAX_GAIN_EXPONENT}"
-        )
+    if problem := gain_bound_problem(order, scale):
+        raise DataError(problem)
     sign = -1.0 if order % 2 else 1.0
     return sign * float(2.0 ** (order * scale))
 

@@ -647,14 +647,10 @@ def test_nul_in_a_config_path_exits_2(tmp_path, series_csv, capsys, field, ancho
         ({"train": {"grad_clip": "inf"}}, "grad_clip"),
         ({"model": {"std_epsilon": 0}}, "std_epsilon"),
         ({"model": {"std_epsilon": "nan"}}, "std_epsilon"),
-        (
-            {"data": {"split": {"kind": "ratio", "ratios": ["nan", 0.5, 0.5]}}},
-            "data.split.ratios[0]",
-        ),
     ],
     ids=[
         "lr-nan", "lr-inf", "eps-nan", "eps-neginf", "clip-nan", "clip-inf",
-        "std-eps-zero", "std-eps-nan", "ratio-nan",
+        "std-eps-zero", "std-eps-nan",
     ],
 )
 def test_nonfinite_or_zero_bound_exits_2(tmp_path, series_csv, capsys, overrides, field):
@@ -1055,7 +1051,7 @@ def test_eval_overflowing_forecast_exits_4(tmp_path, run_config, capsys):
     assert err == "numerical error: the model produced a non-finite forecast\n"
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", "null", '"x"'])
+@pytest.mark.parametrize("text", ["null", '"x"'])
 def test_eval_checkpoint_not_an_object_exits_3(tmp_path, run_config, capsys, text):
     path = tmp_path / "checkpoint.bin"
     path.write_text(text + "\n")
@@ -1355,10 +1351,16 @@ def writing_argv(command, tmp_path, csv, cfg):
     }[command]
 
 
-@pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath_file"])
-@pytest.mark.parametrize(
-    "command", ["transform", "scalogram", "train", "eval", "ablate", "gradcheck"]
-)
+# transform and eval with --out on a file are contract rows.
+OUT_ON_A_FILE = {
+    f"{command}-{'beneath_file' if beneath else 'file'}": (command, beneath)
+    for command in ("transform", "scalogram", "train", "eval", "ablate", "gradcheck")
+    for beneath in (False, True)
+    if beneath or command not in ("transform", "eval")
+}
+
+
+@pytest.mark.parametrize("command, beneath", OUT_ON_A_FILE.values(), ids=OUT_ON_A_FILE)
 def test_out_on_an_existing_file_exits_2(
     tmp_path, series_csv, run_config, capsys, command, beneath
 ):
@@ -1393,7 +1395,6 @@ def tiny_one_epoch_config(tmp_path):
         ("transform", "coefficients.csv"),
         ("scalogram", "scalogram.csv"),
         ("train", "checkpoint.bin"),
-        ("eval", "metrics.txt"),
         ("ablate", "ablation.csv"),
         ("gradcheck", "gradcheck.txt"),
     ],
@@ -1410,8 +1411,9 @@ def test_failed_artifact_write_exits_2(tmp_path, capsys, command, artifact):
     assert rc == 2
     assert captured.err.startswith("config error: cannot write output: ")
     assert artifact in captured.err and "Traceback" not in captured.err
-    # The report is printed only once its files are written.
-    if command in ("eval", "gradcheck"):
+    # The report is printed only once its files are written; ablate has
+    # printed the block of each variant it finished.
+    if command != "ablate":
         assert captured.out == ""
 
 
@@ -1451,9 +1453,8 @@ def test_byte_order_mark_is_dropped(tmp_path, run_config, capsys, kind):
     assert results[0][0] == 0 and results[0][1].err == ""
 
 
-@pytest.mark.parametrize(
-    "command", ["transform", "scalogram", "train", "eval", "ablate", "gradcheck"]
-)
+# transform is a contract row.
+@pytest.mark.parametrize("command", ["scalogram", "train", "eval", "ablate", "gradcheck"])
 def test_empty_out_exits_2(tmp_path, series_csv, capsys, monkeypatch, command):
     # An explicit --out "" is a bad flag: it neither falls back on the
     # config's out entry nor reaches a writer as "no directory".

@@ -88,7 +88,7 @@ ROWS = [
         "transform-levels-20000",
         ("transform", "--csv", TINY_CSV, "--levels", "20000", "--out", "{tmp}/out"),
         2,
-        "config error: --order 1 at --levels 20000 needs the gain 2^(order*levels)",
+        "config error: derivative order 1 at levels = 20000 needs the gain 2^(order*levels)",
     ),
     Row(
         "transform-levels-20000-order-0",
@@ -102,7 +102,7 @@ ROWS = [
         ("transform", "--csv", TINY_CSV, "--levels", "1", "--order", "2000",
          "--out", "{tmp}/out"),
         2,
-        "config error: --order 2000 at --levels 1 needs the gain 2^(order*levels)",
+        "config error: derivative order 2000 at levels = 1 needs the gain 2^(order*levels)",
     ),
     # An empty --out names no directory: nothing lands in the working one.
     Row(
@@ -254,14 +254,24 @@ ROWS = [
         "but its wdt config expects 396",
         files={"checkpoint.bin": (CHECKPOINTS / "wdt.bin").read_bytes()[:-4]},
     ),
-    # -- numerical errors, exit 4: the loss overflows in the first epoch,
-    # after --out is claimed, and the empty --out is removed again.
+    # -- numerical errors, exit 4, met after --out is claimed, so the empty
+    # --out is removed again. The loss overflows in the first epoch.
     Row(
         "train-learning-rate-1e300",
         ("train", "--config", "{tmp}/run.json", "--out", "{tmp}/out"),
         4,
         "numerical error: non-finite training loss at epoch 1,",
         files={"run.json": tiny(train={"learning_rate": 1e300})},
+    ),
+    # The finest gain 2^12 takes a detail of 1.4e306 past float64, after
+    # the 17 samples are cut to 16, and the truncation is not reported.
+    Row(
+        "transform-gain-overflows-after-truncating",
+        ("transform", "--csv", "{tmp}/big.csv", "--levels", "3", "--order", "4",
+         "--out", "{tmp}/out"),
+        4,
+        "numerical error: band LH1 has non-finite coefficients",
+        files={"big.csv": "v\n" + "1e306\n-1e306\n" * 8 + "1e306\n"},
     ),
     # -- success, exit 0
     # float() reads "1_0" as 10, where np.loadtxt refuses it.

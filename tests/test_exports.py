@@ -9,6 +9,7 @@ cell quoted.
 """
 
 import hashlib
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,20 @@ def test_cli_exports_match_pinned_digests(tmp_path, capsys, copy, order):
         if name.startswith(f"order{order}/"):
             got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert got == digest, name
+
+
+def test_make_synthetic_regenerates_the_input(tmp_path, monkeypatch, capsys):
+    # The pinned exports are of data/synthetic_tiny.csv, which
+    # scripts/make_synthetic.py writes; here it writes under tmp_path.
+    spec = importlib.util.spec_from_file_location(
+        "make_synthetic", ROOT / "scripts" / "make_synthetic.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path / "synthetic_tiny.csv")
+    script.main()
+    capsys.readouterr()
+    assert script.OUT.read_bytes() == TINY_CSV.read_bytes()
 
 
 def exports(tmp_path, pyramid) -> tuple[str, str]:
