@@ -18,17 +18,25 @@ same coefficients: each band's N branch maps are one map, the band's
 parameter block [W; b] as stored, and _scaled_band_maps copies it with
 only its bias row scaled.
 
-Instance normalization (RevIN) divides a row by its std, maps it and
-multiplies the output back, so std * ((x - mean) / std @ W + b) =
-[x - mean, std] @ [W; b]: the std is one more input column, the one every
-bias meets, and nothing divides by it. _centre_rows, the one instance
-normalization, writes the (B*C, L+1) channel rows [x - mean, std]; short
-of adding the mean back, the model is linear in them.
+Instance normalization (RevIN) divides a window's channel by its std,
+maps it and multiplies the output back, so
+std * ((x - mean) / std @ W + b) = [x - mean, std] @ [W; b]: the std is
+one more input, the one every bias meets, and nothing divides by it.
+_centre_rows, the one instance normalization, writes them time-major:
+one (L+1, B*C) array whose column b*C + c is window b's channel c,
+[x - mean; std]. The lookback is copied in as L contiguous slabs of B*C
+values, and the mean and the std reduce down the columns, every column
+at once. The mean is summed in blocks (_column_sum): a plain sum down
+the time axis would lose about five times the accuracy of a pairwise
+sum along each window at a mean of 1e6. Short of adding the mean back,
+the model is linear in these columns, and no path copies them back
+into rows.
 
-This module owns the branch path in both directions, on 2-D channel
-rows, one per channel of each window. The band maps, the synthesis and
-the projection are all linear, so short of adding the mean back the
-model is one product, xb @ V: _band_rows analyses the rows into xb, and
+This module owns the branch path in both directions, on those columns.
+The band maps, the synthesis and the projection are all linear, so short
+of adding the mean back the model is one product. Written on channel
+rows it is xb @ V; the code forms its transpose, V.T @ xb.T.
+_band_rows analyses the columns into xb.T, (L + bands, R), and
 _band_operator carries the projection back through the synthesis
 (_synthesis_adjoint) to the band maps, the band-domain operator V.
 _pull_back takes a gradient of V to the parameters. No row is
@@ -41,20 +49,30 @@ forward real FFT with half-spectrum bin weighting (_irfft_adjoint:
 interior bins carry factor 2/M, the DC bin 1/M, and for even M the
 Nyquist bin 1/M with a dead imaginary part).
 
-Each caller forms the product itself: forward_batch on _centre_rows'
-array, and compile_operator on the identity rows, which gives the model
-as one (L+1, m) array [weight; bias] of the m output columns from a
-given start, so a forecast compiles just the horizon. apply_operator
-multiplies the centred rows by it in one GEMM. forward_batch is the
-operator's reference; the two differ only in rounding.
+Each caller forms the product itself. forward_batch and apply_operator
+keep the time-major columns on the right, so each output is (m, B*C),
+an (m, B, C) array that they return as a (B, m, C) view: forward_batch
+takes V.T @ xb.T of _centre_rows' array. compile_operator takes xb @ V
+of the identity, which gives the model as one (L+1, m) array
+[weight; bias] of the m output columns from a given start, so a
+forecast compiles just the horizon. apply_operator multiplies the
+centred columns by its transpose in one GEMM, operator.T @ centred. On
+a 2-vCPU Xeon with one BLAS thread, that orientation of a 256-window
+chunk at the ETTh1 horizon took 1.87 ms against 2.23 ms for the channel
+rows times the operator under OpenBLAS's SkylakeX kernel, and 3.66 ms
+against 3.89 ms under its Haswell kernel (medians of 300 interleaved
+calls). forward_batch is the operator's reference; the two differ only
+in rounding.
 operator_chunks is the one loop behind every fixed-parameter forecast: it
 compiles once and applies the operator OPERATOR_CHUNK windows at a time,
 and cli.forecast_predictions writes each chunk into one preallocated
 array. check_windows is the one shape check of window arrays.
 
 gradient_batch, the training step, and evaluate_loss, the validation
-loss, form the joint loss's residual over the channel rows of a fresh
-output, so every function that reads that layout lives here.
+loss, form the joint loss's residual in place in the (L+tau, B, C)
+array of a fresh output, so every function that reads that layout lives
+here. gradient_batch takes V's gradient as xb.T @ dproj.T, with dproj
+that (L+tau, B*C) residual scaled.
 
 The parameters are one float64 vector. param_layout, derived from the
 config alone, names its blocks in checkpoint order (one per band, then
@@ -218,18 +236,22 @@ def _synthesis_adjoint(z: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
 
 
 def _band_rows(centred: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """xb: the analysed first L columns of the (R, L+1) rows [x - mean, std]
-    of _centre_rows, each band followed by the std column, (R, L + bands).
-    Every map of the model reads its rows through this."""
-    bands = _analyse(centred[:, :-1], config)
-    return np.concatenate([x for band in bands for x in (band, centred[:, -1:])], axis=1)
+    """xb transposed: the analysed first L rows of the time-major (L+1, R)
+    array [x - mean; std] of _centre_rows, each band followed by the std
+    row, (L + bands, R). Every map of the model reads its rows through
+    this.
+
+    _analyse runs along the last axis of the (R, L) transposed view, so
+    its bands come out column-major and their transposes are contiguous."""
+    bands = _analyse(centred[:-1].T, config)
+    return np.concatenate([x for band in bands for x in (band.T, centred[-1:])], axis=0)
 
 
 def _band_operator(
     params: np.ndarray, config: ModelConfig, start: int = 0
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """V, the band-domain operator of the output columns start:, such that
-    _band_rows(centred) @ V is the model short of adding the mean back,
+    V.T @ _band_rows(centred) is the model short of adding the mean back,
     and the q_k it was built from.
 
     q_k, the synthesis adjoint of the projection weight's columns, is band
@@ -297,43 +319,70 @@ def check_windows(xs, config: ModelConfig, length: int) -> np.ndarray:
     return xs
 
 
+def _column_sum(rows: np.ndarray) -> np.ndarray:
+    """The column sums of (n, R) rows, summed in blocks: each run of 8
+    rows, then each run of 7 of those partial sums, then the rest, with
+    the rows left over at either step added last. Every step adds whole
+    contiguous rows, and a column's sum passes through about 8 + 7 + n/56
+    additions, not n as a sequential sum's does: at a mean of 1e6 a
+    forecast stays within about an ulp of the accuracy a pairwise sum
+    along each window gives, where a sequential sum down the time axis
+    loses five times as much (tests/test_operator.py)."""
+    partial, leftovers = rows, []
+    for size in (8, 7):
+        head = len(partial) - len(partial) % size
+        leftovers.append(partial[head:])
+        partial = partial[:head].reshape(-1, size, partial.shape[1]).sum(axis=1)
+    total = partial.sum(axis=0)
+    for rest in leftovers:
+        total += rest.sum(axis=0)
+    return total
+
+
 def _centre_rows(xs: np.ndarray, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """The instance normalization of a (B, L, C) lookback stack, short of
-    its division: a (B*C, L+1) array of the centred channel rows, each
-    followed by its std (epsilon added), and each row's mean as (B*C, 1).
+    its division: a time-major (L+1, B*C) array whose column b*C + c is
+    window b's channel c centred, followed by its std (epsilon added), and
+    each column's mean as (B*C,).
 
-    The lookback is copied once into the rows, so the statistics reduce
-    along the contiguous axis and the centring works in place on that
-    copy. Nothing divides by the std column: _band_rows and the compiled
-    operator take the rows [x - mean, std] whole."""
+    The lookback is copied once into the first L rows, L contiguous slabs
+    of B*C values, so the statistics reduce down the columns, every column
+    at once, and the centring works in place on that copy. The mean is _column_sum's blocked sum; the sum
+    of squares needs no squared temporary. Nothing divides by the std
+    row: _band_rows and the compiled operator take the columns
+    [x - mean; std] whole."""
     xs = check_windows(xs, config, config.lookback)
     batch, lookback, channels = xs.shape
-    centred = np.empty((batch * channels, lookback + 1))
-    rows, std = centred[:, :lookback], centred[:, lookback:]
+    centred = np.empty((lookback + 1, batch * channels))
+    rows, std = centred[:-1], centred[-1]
     # A real copy, so the in-place steps never write into the caller's windows.
-    np.copyto(centred.reshape(batch, channels, -1)[..., :lookback], xs.transpose(0, 2, 1))
-    mean = rows.mean(axis=1, keepdims=True)
-    # The centring and the squaring run over the whole contiguous array,
-    # which takes about half the time of the rows' strided view; the std
-    # column is zeroed first and overwritten after.
-    std[...] = 0.0
-    centred -= mean
-    # np.std's own steps on the centred rows: its bits, without centring twice.
-    np.sqrt(np.square(centred)[:, :lookback].mean(axis=1, keepdims=True), out=std)
+    np.copyto(rows.reshape(lookback, batch, channels), xs.transpose(1, 0, 2))
+    mean = _column_sum(rows)
+    mean /= lookback
+    rows -= mean
+    np.einsum("ij,ij->j", rows, rows, out=std)
+    std /= lookback
+    np.sqrt(std, out=std)
     std += config.std_epsilon
     return centred, mean
 
 
+def _window_view(out: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """The (m, B*C) output columns as a (B, m, C) view of their (m, B, C)
+    array: the model's output, window by window."""
+    return out.reshape(len(out), -1, config.channels).transpose(1, 0, 2)
+
+
 def forward_batch(xs: np.ndarray, params: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Model on a (B, L, C) stack; returns (B, L+tau, C), a transposed view
-    of the model's (B*C, L+tau) channel rows: xb @ V of the centred rows,
-    the mean added back in place. It is the reference that
+    of the model's (L+tau, B*C) output columns: V.T @ xb.T of the centred
+    columns, the mean added back in place. It is the reference that
     compile_operator is tested against."""
     centred, mean = _centre_rows(xs, config)
     operator, _ = _band_operator(params, config)
-    proj = _band_rows(centred, config) @ operator
+    proj = operator.T @ _band_rows(centred, config)
     proj += mean
-    return proj.reshape(-1, config.channels, proj.shape[-1]).transpose(0, 2, 1)
+    return _window_view(proj, config)
 
 
 def gradient_batch(
@@ -344,16 +393,16 @@ def gradient_batch(
     """Exact batch-mean gradients of the joint loss over (B, L+tau, C) window
     spans; returns (gradient vector, loss).
 
-    forward_batch's product xb @ V on the lookbacks; the residual against
-    the span is formed over the fresh output's channel rows and, scaled in
-    place, is dproj: adding the mean back adds nothing to the gradient.
-    _pull_back takes V's gradient xb.T @ dproj to the parameters. Each
-    array is freed once last read (the centred rows and V after the
-    product, xb after V's gradient, each q_k in _pull_back), so none is
-    alive during the pull-back's synthesis.
+    forward_batch's product V.T @ xb.T on the lookbacks; the residual
+    against the span is formed in place in the fresh (L+tau, B, C) output
+    and, scaled in place, is dproj: adding the mean back adds nothing to
+    the gradient. _pull_back takes V's gradient xb.T @ dproj.T to the
+    parameters. Each array is freed once last read (the centred columns
+    and V after the product, xb after V's gradient, each q_k in
+    _pull_back), so none is alive during the pull-back's synthesis.
 
     The step pulls back from the analysed rows, not from the operator
-    domain, _pull_back(_band_rows(I).T @ (centred.T @ dproj)) with
+    domain, _pull_back(_band_rows(I) @ (centred @ dproj.T)) with
     compile_operator's forward: that runs a second Haar cascade over the
     (L+tau, L) operator every step (24 -> 51 idwt_level calls per
     train_wdt operation), and read 12% fewer train_wdt windows/s."""
@@ -361,45 +410,46 @@ def gradient_batch(
     spans = check_windows(spans, config, total)
     centred, mean = _centre_rows(spans[:, : config.lookback], config)
     operator, qs = _band_operator(params, config)
-    xb = _band_rows(centred, config)
-    dproj = xb @ operator
+    xbt = _band_rows(centred, config)
+    dproj = operator.T @ xbt
     del centred, operator
     dproj += mean
-    residual = dproj.reshape(-1, config.channels, total)
-    residual -= spans.transpose(0, 2, 1)
+    residual = dproj.reshape(total, -1, config.channels)
+    residual -= spans.transpose(1, 0, 2)
     loss = float(np.mean(np.square(residual)))
     dproj *= 2.0 / residual.size
-    gv = xb.T @ dproj
-    del xb
+    gv = xbt @ dproj.T
+    del xbt
     return _pull_back(gv, qs, params, config), loss
 
 
 def compile_operator(params: np.ndarray, config: ModelConfig, start: int = 0) -> np.ndarray:
     """The model's output columns start: as one linear operator on the
-    centred rows: the (L+1, m) array [weight; bias], m = L+tau-start, such
-    that a row [x - mean, std] of _centre_rows maps to its output less the
-    mean, (x - mean) @ weight + std * bias.
+    centred columns: the (L+1, m) array [weight; bias], m = L+tau-start,
+    such that a column [x - mean; std] of _centre_rows maps to its output
+    less the mean, weight.T @ (x - mean) + std * bias.
 
-    xb @ V is linear in those rows, so the operator is its map of the
-    identity: row i < L gives row i of the weight, and the last row,
-    the unit std, the bias. Only the columns from the multiple of
+    V.T @ xb.T is linear in those columns, so the operator is its map of
+    the identity: column i < L gives row i of the weight, and the last
+    column, the unit std, the bias. Only the columns from the multiple of
     _COLUMN_TILE at or below start are carried through it, so each GEMM
     tiles them as it tiles every column and they keep the full compile's
     bits.
     """
     first = start - start % _COLUMN_TILE
     operator, _ = _band_operator(params, config, first)
-    return (_band_rows(np.eye(config.lookback + 1), config) @ operator)[:, start - first :]
+    return (_band_rows(np.eye(config.lookback + 1), config).T @ operator)[:, start - first :]
 
 
 def apply_operator(xs: np.ndarray, operator: np.ndarray, config: ModelConfig) -> np.ndarray:
     """A compiled (L+1, m) operator on a (B, L, C) stack: centre
-    (_centre_rows), one GEMM of [x - mean, std] by [weight; bias] over the
-    channel rows, add the mean back in place; returns (B, m, C)."""
+    (_centre_rows), one GEMM of [weight; bias].T by the centred columns
+    [x - mean; std], add the mean back in place; returns (B, m, C), a
+    transposed view of the (m, B, C) result."""
     centred, mean = _centre_rows(xs, config)
-    out = centred @ operator
+    out = operator.T @ centred
     out += mean
-    return out.reshape(-1, config.channels, out.shape[-1]).transpose(0, 2, 1)
+    return _window_view(out, config)
 
 
 def operator_chunks(
@@ -418,20 +468,17 @@ def evaluate_loss(params: np.ndarray, spans: np.ndarray, config: ModelConfig) ->
     """Window-mean joint loss over (W, L+tau, C) window spans, with the
     squared error summed chunk by chunk (operator_chunks).
 
-    Each chunk's error is formed in the operator's (B, C, L+tau)
-    channel-row layout: the span's channel rows are subtracted from the
-    fresh output in place, and the difference is squared in place. The
-    sum reads a window-major (B, L+tau, C) copy: a pairwise sum's bits
-    depend on the order it reads, and summing in channel-row order would
-    move the last digit of some validation losses.
+    Each chunk's error is formed and summed in the (L+tau, B, C) array
+    that apply_operator returns a view of: the spans are subtracted from
+    the fresh output in place, and the difference is squared in place.
     """
     spans = check_windows(spans, config, config.lookback + config.horizon)
     total_sq = 0.0
     for part, out in operator_chunks(params, spans, config):
-        residual = out.transpose(0, 2, 1)
-        residual -= part.transpose(0, 2, 1)
+        residual = out.transpose(1, 0, 2)
+        residual -= part.transpose(1, 0, 2)
         np.square(residual, out=residual)
-        total_sq += float(np.sum(np.ascontiguousarray(out)))
+        total_sq += float(np.sum(residual))
     return total_sq / spans.size
 
 

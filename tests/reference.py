@@ -189,11 +189,12 @@ def branch_maps(blocks: dict, config, n: int) -> list[tuple[np.ndarray, np.ndarr
 
 
 def normalized_rows(xs, config):
-    """(normalized (B*C, L) channel rows, mean, std) of a (B, L, C) stack:
-    model._centre_rows divided by its std column."""
+    """(normalized (B*C, L) channel rows, mean, std) of a (B, L, C) stack,
+    mean and std as (B*C, 1) columns: the time-major columns of
+    model._centre_rows divided by its std row, transposed into rows."""
     centred, mean = _centre_rows(xs, config)
-    std = centred[:, -1:]
-    return centred[:, :-1] / std, mean, std
+    std = centred[-1:]
+    return (centred[:-1] / std).T, mean[:, None], std.T
 
 
 def per_branch_forward(xs, params: np.ndarray, config):

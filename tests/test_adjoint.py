@@ -9,12 +9,12 @@ confined to block b
 holds up to rounding, whatever the step size. The gradient dV of V is
 reached in the two ways the model meets V:
 
-- from data rows: xb = _band_rows(rows) and the map xb @ V, so a
-  gradient d of the map's output gives dV = xb.T @ d, the training step's
-  route;
-- from the compiled operator: compile_operator is _band_rows(I) @ V on
-  the identity rows I, so a gradient dop of the operator gives
-  dV = _band_rows(I).T @ dop, the operator-domain route.
+- from data columns: xb.T = _band_rows(cols) of time-major columns and
+  the map V.T @ xb.T, so a gradient d of the map's (L+tau, R) output
+  gives dV = xb.T @ d.T, the training step's route;
+- from the compiled operator: compile_operator is _band_rows(I).T @ V on
+  the identity I, so a gradient dop of the operator gives
+  dV = _band_rows(I) @ dop, the operator-domain route.
 
 Either way the left side is <d, product(p + v_b) - product(p)> of the
 product that route forms. Gradcheck runs at L <= 16, and the per-branch
@@ -76,13 +76,14 @@ def assert_pull_back_matches(cfg, params, product, d, dv, gen) -> None:
 @pytest.mark.parametrize("kind, lookback, branches", CASES, ids=IDS)
 def test_adjoint_matches_the_map_block_by_block(kind, lookback, branches):
     cfg, gen, params = etth1_case(kind, lookback, branches)
-    # Three windows' channel rows, each followed by a std.
+    # Three windows' channel rows, each followed by a std, as time-major
+    # columns.
     count = 3 * cfg.channels
     rows = np.hstack([gen.normal(size=(count, lookback)) + 2.5, gen.uniform(0.5, 2.0, (count, 1))])
-    xb = _band_rows(rows, cfg)
-    d = gen.normal(size=(count, cfg.lookback + cfg.horizon))
+    xbt = _band_rows(rows.T, cfg)
+    d = gen.normal(size=(count, cfg.lookback + cfg.horizon)).T
     assert_pull_back_matches(
-        cfg, params, lambda p: xb @ _band_operator(p, cfg)[0], d, xb.T @ d, gen
+        cfg, params, lambda p: _band_operator(p, cfg)[0].T @ xbt, d, xbt @ d.T, gen
     )
 
 
@@ -90,5 +91,5 @@ def test_adjoint_matches_the_map_block_by_block(kind, lookback, branches):
 def test_adjoint_matches_the_compiled_operator_block_by_block(kind, lookback, branches):
     cfg, gen, params = etth1_case(kind, lookback, branches)
     dop = gen.normal(size=(cfg.lookback + 1, cfg.lookback + cfg.horizon))
-    dv = _band_rows(np.eye(cfg.lookback + 1), cfg).T @ dop
+    dv = _band_rows(np.eye(cfg.lookback + 1), cfg) @ dop
     assert_pull_back_matches(cfg, params, lambda p: compile_operator(p, cfg), dop, dv, gen)

@@ -79,6 +79,20 @@ entry, and the gradients and the operator by up to 3e-16 and 1.1e-15 of
 their block maxima; the loss kept its bits. stack_normalized_out and the
 branch_path_* values keep their bounds, and every dft value is again the
 same under Haswell as under SkylakeX.
+
+Both kernels' forward and gradient values were re-recorded when
+_centre_rows came to write the centred lookbacks time-major, one
+(L+1, B*C) array with a column per channel row, after commit eba6a20:
+the mean is summed in blocks down the columns, and forward_batch and
+gradient_batch form V.T @ xb.T and the gradient xb.T @ dproj.T in that
+orientation. The values moved in their last bits again, against the
+recording before: the forward output by up to 2.4e-15 (wdt) and 7.9e-16
+(dft) relative, entry by entry, the gradients by up to 3.3e-16 (wdt)
+and 3.0e-16 (dft) of their block maxima, and the dft loss by 1.3e-16
+relative. The wdt loss and both operators kept their bits, so the
+operator records were not rewritten. stack_normalized_out and the
+branch_path_* values keep their bounds, and every dft value is again the
+same under Haswell as under SkylakeX.
 """
 
 import json

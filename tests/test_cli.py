@@ -18,7 +18,7 @@ import pytest
 
 import wavets.cli
 from helpers import corrupt_projection_gradient, older_checkpoint, pinned_checkpoint
-from wavets.cli import load_splits, main
+from wavets.cli import load_splits, main, split_window_pairs
 from wavets.config import load_run_config
 from wavets.data import load_csv
 from wavets.model import (
@@ -912,6 +912,9 @@ def test_etth1_shape_train_then_eval_reruns_byte_identical(tmp_path, capsys):
     doc["train"]["max_epochs"] = 1
     cfg = tmp_path / "etth1.json"
     cfg.write_text(json.dumps(doc))
+    # The test part is rows 11520-14400: (2880 - 432) // 24 + 1 windows.
+    run = load_run_config(str(cfg))
+    assert len(split_window_pairs(load_splits(run)[2], run)) == 103
     checkpoint = run_train(tmp_path, cfg, "train") / "checkpoint.bin"
     for out in ("e1", "e2"):
         assert main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path / out)]) == 0

@@ -38,10 +38,10 @@ def projection_bias(params: np.ndarray, config: ModelConfig) -> np.ndarray:
 
 
 # Instance normalization is checked on model._centre_rows, the one
-# normalization every path calls; it gives (B*C, L+1) channel rows, row
-# b*C + c holding window b's channel c centred and then its std, and the
-# (B*C, 1) means. forward_batch maps the rows with the std column, which
-# the biases meet. The denormalization is checked through forward_batch:
+# normalization every path calls; it gives a time-major (L+1, B*C) array,
+# column b*C + c holding window b's channel c centred and then its std,
+# and the (B*C,) means. forward_batch maps the columns with the std row,
+# which the biases meet. The denormalization is checked through forward_batch:
 # with all maps zero, its output is the denormalized projection bias. An
 # epsilon of 1e-20 vanishes against a unit std, so hand cases stay exact.
 EXACT_EPS = 1e-20
@@ -55,8 +55,8 @@ def normalization_config(lookback, horizon, channels, std_epsilon=EXACT_EPS):
 
 
 def centred_rows(xs: np.ndarray, std_epsilon: float = EXACT_EPS):
-    """(centred (B*C, L+1) rows, each row's std last, and the means) of a
-    (B, L, C) stack."""
+    """(centred (L+1, B*C) columns, each column's std last, and the means)
+    of a (B, L, C) stack."""
     cfg = normalization_config(xs.shape[1], 2, xs.shape[2], std_epsilon)
     return _centre_rows(xs, cfg)
 
@@ -73,12 +73,12 @@ def denormalized(xs: np.ndarray, horizon: int, proj_bias: np.ndarray) -> np.ndar
 class TestInstanceNormalize:
     def test_hand_case(self):
         centred, mean = centred_rows(np.array([[[1.0], [3.0]]]))
-        np.testing.assert_array_equal(centred, [[-1.0, 1.0, 1.0]])
-        np.testing.assert_array_equal(mean, [[2.0]])
+        np.testing.assert_array_equal(centred, [[-1.0], [1.0], [1.0]])
+        np.testing.assert_array_equal(mean, [2.0])
 
     def test_constant_channel_guarded(self):
         centred, _ = centred_rows(np.full((1, 4, 1), 5.0), 1e-5)
-        np.testing.assert_array_equal(centred, [[0.0, 0.0, 0.0, 0.0, 1e-5]])
+        np.testing.assert_array_equal(centred, [[0.0], [0.0], [0.0], [0.0], [1e-5]])
 
     def test_channels_independent(self):
         # Two windows of two channels; channel 1 is constant in each.
@@ -86,9 +86,9 @@ class TestInstanceNormalize:
         centred, mean = centred_rows(xs)
         np.testing.assert_array_equal(
             centred,
-            [[-1.0, 1.0, 1.0], [0.0, 0.0, EXACT_EPS], [-2.0, 2.0, 2.0], [0.0, 0.0, EXACT_EPS]],
+            [[-1.0, 0.0, -2.0, 0.0], [1.0, 0.0, 2.0, 0.0], [1.0, EXACT_EPS, 2.0, EXACT_EPS]],
         )
-        np.testing.assert_array_equal(mean, [[2.0], [10.0], [2.0], [5.0]])
+        np.testing.assert_array_equal(mean, [2.0, 10.0, 2.0, 5.0])
 
     def test_round_trip(self, rng):
         # Identity maps pass the normalized window through, so the

@@ -1,16 +1,18 @@
 """The compiled linear operator against forward_batch.
 
-Short of adding the mean back, the model is linear in the centred rows
-[x - mean, std] of model._centre_rows, so model.compile_operator gives
-one (L+1, L+tau) array: an (L, L+tau) weight with the bias, the map of
-the unit std, as its last row. Evaluated with one GEMM it must reproduce
-forward_batch to 1e-10 relative. Both centre through _centre_rows, so
-their statistics agree bit for bit, but the GEMM sums the branch path's
-products in another order. The band-domain map
-_band_rows(rows) @ _band_operator(params) takes the zero row to zero and
-a scaled row to the scaled map, in any row and parameters. A
-compile of the columns from any start must give the full compile's
-columns bit for bit. Three branches with the mixed orders
+Short of adding the mean back, the model is linear in the time-major
+centred columns [x - mean; std] of model._centre_rows, so
+model.compile_operator gives one (L+1, L+tau) array: an (L, L+tau)
+weight with the bias, the map of the unit std, as its last row.
+Evaluated with one GEMM it must reproduce forward_batch to 1e-10
+relative. Both centre through _centre_rows, so their statistics agree
+bit for bit, but the GEMM sums the branch path's products in another
+order. At a mean of 1e6 both must stay within 10 ulps of a longdouble
+reference, which a mean summed sequentially down the time axis misses.
+The band-domain map V.T @ _band_rows(cols) takes the zero column to
+zero and a scaled column to the scaled map, in any column and
+parameters. A compile of the columns from any start must give the full
+compile's columns bit for bit. Three branches with the mixed orders
 [1, 0, 2] and standard-normal biases make a bias or branch mix-up show.
 cli.forecast_predictions and train.evaluate_loss apply the operator; the
 chunked forward_batch loops in tests/reference.py are their oracles.
@@ -53,9 +55,10 @@ def seeded(shape, seed: int = 12) -> np.ndarray:
     return 3.0 * np.random.default_rng(seed).standard_normal(shape) + 1.5
 
 
-def band_map(rows: np.ndarray, params: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    # The model short of adding the mean back, on any (R, L+1) rows.
-    return wavets.model._band_rows(rows, cfg) @ wavets.model._band_operator(params, cfg)[0]
+def band_map(cols: np.ndarray, params: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    # The model short of adding the mean back, on any time-major (L+1, R)
+    # columns; returns (L+tau, R).
+    return wavets.model._band_operator(params, cfg)[0].T @ wavets.model._band_rows(cols, cfg)
 
 
 @pytest.mark.parametrize("batch", [8, 1])
@@ -72,29 +75,29 @@ def test_operator_matches_forward_batch_etth1_shape(kind, batch):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_operator_is_the_normalized_map_on_any_row(kind):
-    # Centred rows sum to zero, so forward_batch alone cannot tell the
-    # weight from the weight plus a constant row; rows of nonzero mean,
+    # Centred columns sum to zero, so forward_batch alone cannot tell the
+    # weight from the weight plus a constant row; columns of nonzero mean,
     # each with any std, through the map short of the mean can.
     cfg = config_for(kind, lookback=16, horizon=8, channels=1, levels=2)
     params = params_with_biases(cfg, np.random.default_rng(11))
     operator = compile_operator(params, cfg)
-    rows = seeded((5, cfg.lookback + 1))
-    assert rel_err(rows @ operator, band_map(rows, params, cfg)) <= REL_TOL
+    cols = seeded((5, cfg.lookback + 1)).T
+    assert rel_err(operator.T @ cols, band_map(cols, params, cfg)) <= REL_TOL
 
 
 @pytest.mark.parametrize("overrides", [{}, ONE_BRANCH], ids=["n3", "n1"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_normalized_map_is_linear_in_its_rows(kind, overrides):
-    # The std column carries the biases, so the zero row maps to exactly
-    # zero and a scaled row, std included, to the scaled output.
+    # The std row carries the biases, so the zero column maps to exactly
+    # zero and a scaled column, std included, to the scaled output.
     cfg = config_for(kind, lookback=16, horizon=8, channels=1, levels=2, **overrides)
     params = params_with_biases(cfg, np.random.default_rng(11))
-    zero = band_map(np.zeros((1, cfg.lookback + 1)), params, cfg)
-    assert np.array_equal(zero, np.zeros((1, cfg.lookback + cfg.horizon)))
-    rows = seeded((5, cfg.lookback + 1))
-    want = band_map(rows, params, cfg)
+    zero = band_map(np.zeros((cfg.lookback + 1, 1)), params, cfg)
+    assert np.array_equal(zero, np.zeros((cfg.lookback + cfg.horizon, 1)))
+    cols = seeded((5, cfg.lookback + 1)).T
+    want = band_map(cols, params, cfg)
     for scale in (-3.7, 0.3, 1e3):
-        got = band_map(scale * rows, params, cfg)
+        got = band_map(scale * cols, params, cfg)
         assert rel_err(got, scale * want) <= 1e-12
 
 
@@ -109,6 +112,39 @@ def test_operator_centres_before_its_gemm_at_a_large_mean(kind):
     xs = 1e6 + seeded((16, cfg.lookback, cfg.channels)) / 3.0
     got = apply_operator(xs, compile_operator(params, cfg), cfg)
     assert np.max(np.abs(got - forward_batch(xs, params, cfg))) <= 4 * np.spacing(1e6)
+
+
+def longdouble_forecast(xs: np.ndarray, operator: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """An (L+1, m) operator applied to (B, L, C) windows with the mean,
+    the std and the product all taken in np.longdouble; (B, m, C)."""
+    x = xs.astype(np.longdouble)
+    mean = x.mean(axis=1, keepdims=True)
+    centred = x - mean
+    std = np.sqrt(np.mean(centred * centred, axis=1, keepdims=True)) + cfg.std_epsilon
+    op = operator.astype(np.longdouble)
+    return np.einsum("blc,lm->bmc", centred, op[:-1]) + std * op[-1][:, None] + mean
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 here",
+)
+@pytest.mark.parametrize("kind", ["wdt", "dft"])
+def test_forecast_at_a_large_mean_within_ulps_of_a_longdouble_reference(kind):
+    # Unit-scale windows around 1e6: an error in the window mean reaches
+    # every output, so the mean must be summed about as accurately as a
+    # pairwise sum along the window. A pairwise sum along each window
+    # read 3.7 to 4.4 ulps of 1e6 here and the blocked column sum 4.5 to
+    # 5.6; a plain sequential sum down the time axis reads 22.6 to 26.9.
+    cfg = config_for(kind)
+    params = params_with_biases(cfg, np.random.default_rng(11))
+    xs = 1e6 + seeded((64, cfg.lookback, cfg.channels)) / 3.0
+    want = longdouble_forecast(xs, compile_operator(params, cfg), cfg)
+    horizon = compile_operator(params, cfg, cfg.lookback)
+    ulp = np.spacing(1e6)
+    apply_ulps = np.max(np.abs(apply_operator(xs, horizon, cfg) - want[:, cfg.lookback :])) / ulp
+    forward_ulps = np.max(np.abs(forward_batch(xs, params, cfg) - want)) / ulp
+    assert apply_ulps <= 10 and forward_ulps <= 10, (float(apply_ulps), float(forward_ulps))
 
 
 # The ETTh1 shape with three mixed-order branches and with one, and a dft
