@@ -162,7 +162,10 @@ def _claim_out(
 
 def _load_run(args: argparse.Namespace, need_data: bool) -> RunConfig:
     """The --config run under --seed, checked."""
-    run = load_run_config(args.config, seed=args.seed)
+    run = load_run_config(args.config)
+    if args.seed is not None:
+        # One flag reruns the whole pipeline under a different draw.
+        run.model.seed = run.train.seed = args.seed
     run.ensure_valid(need_data=need_data)
     return run
 
@@ -314,7 +317,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.metrics is not None:
         run.metrics.mode = args.metrics
     if args.period is not None:
-        run.metrics.period = int(args.period)
+        run.metrics.period = args.period
     run.ensure_valid(need_data=True)
     _check_config_matches_checkpoint(run.model, ckpt_model)
     # The checkpoint's model config is authoritative for the forward pass.

@@ -1,12 +1,13 @@
 """The JSON run config: one field table per section, one implementation.
 
 A run config is an object with the sections model, train, data and
-metrics, plus an optional output directory out. Each section is a
-dataclass whose fields are declared with spec(): the kind each value is
-read as, the bound it must meet and its default, stated once. Section
-reads every field strictly (read_field), reports every bound failure at
-once (problems) and writes the fields back in declaration order
-(to_dict). The only checks written by hand relate two fields
+metrics, plus an optional output directory out. Each section, and the
+run config itself (RunConfig), is a dataclass whose fields are declared
+with spec(): the kind each value is read as, the bound it must meet and
+its default, stated once. Section reads every field strictly
+(read_field), a nested section by its own table, reports every bound
+failure at once (problems) and writes the fields back in declaration
+order (to_dict). The only checks written by hand relate two fields
 (cross_problems). Beside them, SplitSection.borders turns the split into
 the rows where the series is cut. No other module knows the format or
 the split rule; data.read_text reads the file and data.json_object
@@ -108,9 +109,9 @@ def spec(kind, bound: Bound | None = None, default=MISSING, many=False, when=Non
     held as a tuple), each value checked against bound, required unless a
     default is given. With when=(name, value) the field is checked and
     written only while field name equals value. A nested section's
-    default is its own defaults."""
+    default, unless given as None, is its own defaults."""
     metadata = {"kind": kind, "bound": bound, "many": many, "when": when}
-    if _is_section(kind):
+    if _is_section(kind) and default is MISSING:
         return field(default_factory=kind, metadata=metadata)
     return field(default=default, metadata=metadata)
 
@@ -132,8 +133,12 @@ class Section:
         for f in fields(cls):
             kind, many = f.metadata["kind"], f.metadata["many"]
             if _is_section(kind):
-                # Present but null is malformed here, as for a top-level section.
-                values[f.name] = kind.from_dict(doc[f.name]) if f.name in doc else kind()
+                # An absent section reads as {} unless its default is None;
+                # one present but null is malformed.
+                if f.name not in doc and f.default is None:
+                    values[f.name] = None
+                else:
+                    values[f.name] = kind.from_dict(doc.get(f.name, {}))
             else:
                 values[f.name] = read_field(doc, f.name, kind, cls.section, f.default, many)
         return cls(**values)
@@ -318,35 +323,35 @@ class MetricsSection(Section):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Section):
     """Everything one training or evaluation run needs."""
 
-    model: ModelConfig
-    train: TrainConfig = field(default_factory=TrainConfig)
-    data: DataSection | None = None
-    metrics: MetricsSection = field(default_factory=MetricsSection)
-    out: str | None = None
+    section = "config"
 
-    def _sections(self) -> dict[str, Section]:
-        """The sections given, by name, in document order."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: v for name, v in values.items() if isinstance(v, Section)}
+    model: ModelConfig = spec(ModelConfig)
+    train: TrainConfig = spec(TrainConfig)
+    data: DataSection | None = spec(DataSection, default=None)
+    metrics: MetricsSection = spec(MetricsSection)
+    out: str | None = spec(str, default=None)
 
-    def ensure_valid(self, need_data: bool) -> None:
-        problems = [p for s in self._sections().values() for p in s.problems()]
+    def cross_problems(self) -> list[str]:
         # The seasonal-naive reference copies the last period of each lookback.
         if self.metrics.mode == "short" and self.metrics.period > self.model.lookback:
-            problems.append(
+            return [
                 f"metrics.period = {self.metrics.period} must be at most "
                 f"model.lookback = {self.model.lookback} in short mode"
-            )
-        if need_data and self.data is None:
-            problems.append("config is missing the data section")
-        if problems:
+            ]
+        return []
+
+    def ensure_valid(self, need_data: bool) -> None:
+        missing = ["config is missing the data section"] if need_data and self.data is None else []
+        if problems := self.problems() + missing:
             raise ConfigError("; ".join(problems))
 
     def to_dict(self) -> dict:
-        return {name: s.to_dict() for name, s in self._sections().items()}
+        # Without out, and without data when absent, so the file is the
+        # same whichever directory a run writes to.
+        return {k: v for k, v in super().to_dict().items() if k != "out" and v is not None}
 
 
 def _resolve_path(base: Path, value: str, name: str) -> str:
@@ -363,30 +368,12 @@ def _resolve_path(base: Path, value: str, name: str) -> str:
         raise ConfigError(f"cannot resolve {name} {value!r}: {exc}") from exc
 
 
-def load_run_config(path: str, seed: int | None = None) -> RunConfig:
-    """Parse a JSON run config; relative paths resolve against its directory.
-
-    ``seed``, when given, overrides both the model and training seeds so a
-    single flag reruns the whole pipeline under a different draw.
-    """
+def load_run_config(path: str) -> RunConfig:
+    """Parse a JSON run config; relative paths resolve against its directory."""
     doc = json_object(read_text(path, "config ", ConfigError), f"config {path}", ConfigError)
-    unknown = sorted(set(doc) - {f.name for f in fields(RunConfig)})
-    if unknown:
-        raise ConfigError(f"unknown config sections: {', '.join(unknown)}")
-    if "model" not in doc:
-        raise ConfigError("config is missing the model section")
-    run = RunConfig(
-        model=ModelConfig.from_dict(doc["model"]),
-        train=TrainConfig.from_dict(doc.get("train", {})),
-        data=DataSection.from_dict(doc["data"]) if "data" in doc else None,
-        metrics=MetricsSection.from_dict(doc.get("metrics", {})),
-        out=read_field(doc, "out", str, "config", None) or None,
-    )
+    run = RunConfig.from_dict(doc)
     base = Path(path).resolve().parent
     if run.data is not None and run.data.csv:
         run.data.csv = _resolve_path(base, run.data.csv, "data.csv")
-    if run.out is not None:
-        run.out = _resolve_path(base, run.out, "config.out")
-    if seed is not None:
-        run.model.seed = run.train.seed = int(seed)
+    run.out = _resolve_path(base, run.out, "config.out") if run.out else None
     return run

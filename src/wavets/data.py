@@ -6,9 +6,9 @@ UTF-8 with a leading byte order mark dropped. json_object parses every
 JSON object: the run config's, which config.load_run_config reads with
 read_text, and the checkpoint's header line. write_json writes every
 JSON artifact. load_csv reads a plain CSV's value cells with NumPy's C
-reader, and converts them with float() wherever that reader refuses a
-cell or would read the text otherwise, so every file gives the values
-and errors float() gives.
+reader; any other text, and plain text that reader refuses or would
+read otherwise, goes through csv.reader and float(), so every file
+gives the values and errors float() gives.
 
 Frames are treated as immutable after load; windows are a read-only
 strided view into the frame's value matrix rather than copies. Where the
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable
 
 import numpy as np
 
@@ -139,31 +138,6 @@ def _plain_lines(text: str) -> list[str] | None:
     return lines
 
 
-def _columns(
-    body: list, plain: bool, width: int, has_date: bool
-) -> tuple[list[str], Iterable[str]] | None:
-    """The stripped date cells and every value cell, in reading order, of
-    the non-blank records after the header; None when one of them is not
-    as wide as the header.
-
-    A plain body holds the lines themselves, each split at its commas only
-    as its cells are read, so no list of every cell is held at once.
-    """
-    if plain:
-        if set(map(str.count, body, repeat(","))) - {width - 1}:
-            return None
-        records = map(str.split, body, repeat(","))
-        firsts = [line.partition(",")[0] for line in body] if has_date else []
-    else:
-        if set(map(len, body)) - {width}:
-            return None
-        records = body
-        firsts = [row[0] for row in body] if has_date else []
-    if has_date:
-        records = map(itemgetter(slice(1, None)), records)
-    return list(map(str.strip, firsts)), chain.from_iterable(records)
-
-
 # np.loadtxt strips these around a number as whitespace, while float()
 # refuses them.
 _LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
@@ -172,11 +146,14 @@ _LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 def _loadtxt_values(
     text: str, body: list[str], width: int, has_date: bool
 ) -> np.ndarray | None:
-    """The value cells of the plain body lines of text, each line already
-    as wide as the header, parsed by NumPy's C reader. None when there are
-    none, when text holds one of _LOADTXT_ONLY_SPACES, or when the reader
-    refuses a cell or reads another shape, so that float() decides."""
+    """The value cells of the plain body lines of text, parsed by NumPy's C
+    reader. None when there are none, when text holds one of
+    _LOADTXT_ONLY_SPACES, when a line under a date column is not as wide
+    as the header (usecols would drop an extra field unseen), or when the
+    reader refuses a cell or reads another shape, so that float() decides."""
     if not body or any(map(text.__contains__, _LOADTXT_ONLY_SPACES)):
+        return None
+    if has_date and set(map(str.count, body, repeat(","))) - {width - 1}:
         return None
     try:
         values = np.loadtxt(
@@ -185,7 +162,23 @@ def _loadtxt_values(
         )
     except ValueError:
         return None
-    return values if values.shape == (len(body), width - 1 if has_date else width) else None
+    return values if values.shape == (len(body), width - has_date) else None
+
+
+def _float_values(body: list[list[str]], width: int, has_date: bool) -> np.ndarray | None:
+    """The value cells of the body records converted by float() in one
+    pass; None when a record is not as wide as the header or float()
+    refuses a cell."""
+    if set(map(len, body)) - {width}:
+        return None
+    records = map(itemgetter(slice(1, None)), body) if has_date else body
+    try:
+        return np.fromiter(
+            map(float, chain.from_iterable(records)), np.float64,
+            count=len(body) * (width - has_date),
+        )
+    except ValueError:
+        return None
 
 
 def _first_bad_record(
@@ -229,13 +222,12 @@ def load_csv(path: str) -> SeriesFrame:
     header as line 1). A leading UTF-8 byte order mark is dropped, so it
     never joins the first header name.
 
-    Text with no quote, carriage return or NUL is split at newlines
-    directly, other text by csv.reader. Plain text whose lines are all as
-    wide as the header has its value cells read by np.loadtxt in one call;
-    where that reader refuses a cell, and for any text it would read
-    otherwise than float() (_LOADTXT_ONLY_SPACES), every value cell is
-    converted by float() in one pass. The record-by-record checks run only
-    to name the first bad cell.
+    Text with no quote, carriage return or NUL is split at newlines and
+    its value cells read by np.loadtxt in one call. Any other text, and
+    plain text that reader refuses or would read otherwise than float()
+    (see _loadtxt_values), is read by csv.reader and every value cell
+    converted by float() in one pass. The record-by-record checks run
+    only to name the first bad cell.
     """
     text = read_text(path)
     lines = _plain_lines(text)
@@ -254,23 +246,15 @@ def load_csv(path: str) -> SeriesFrame:
     if not names:
         raise DataError(f"{path}: header declares no value columns")
     body = list(filter(None, rows[1:]))
-    if lines is not None and "," not in text:
-        # One column: each line is its one cell, so _columns' per-line
-        # comma count and split, a third of the set-up time of a long
-        # single-series file, are skipped.
-        columns = [], body
+    if lines is None:
+        values = _float_values(body, len(header), has_date)
+        stamps = [row[0].strip() for row in body] if has_date else []
     else:
-        columns = _columns(body, lines is not None, len(header), has_date)
-    values = None
-    if columns is not None:
-        stamps, cells = columns
-        if lines is not None:
-            values = _loadtxt_values(text, body, len(header), has_date)
+        values = _loadtxt_values(text, body, len(header), has_date)
         if values is None:
-            try:
-                values = np.fromiter(map(float, cells), np.float64, count=len(body) * len(names))
-            except ValueError:
-                pass
+            values = _float_values(list(filter(None, _records(text)[0][1:])), len(header), has_date)
+        # A plain line's record is line.split(","): its first cell ends at its first comma.
+        stamps = [line.partition(",")[0].strip() for line in body] if has_date else []
     if values is None or not np.isfinite(values).all():
         raise _first_bad_record(path, _records(text)[0], names, has_date)
     if error:

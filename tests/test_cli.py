@@ -393,13 +393,17 @@ def test_train_unknown_section_exits_2(tmp_path, series_csv, capsys):
     cfg = write_run_config(tmp_path / "run.json", series_csv, extras={"x": 1})
     rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "unknown config sections: extras" in capsys.readouterr().err
+    assert "unknown config keys: extras" in capsys.readouterr().err
 
 
-def test_train_missing_model_section_exits_2(tmp_path, series_csv):
+def test_train_missing_model_section_exits_2(tmp_path, series_csv, capsys):
+    # An absent model section reads as {}, so its first required field is named.
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"data": {"csv": str(series_csv)}}))
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: model.lookback is required\n"
+    assert captured.out == "" and not (tmp_path / "o").exists()
 
 
 def test_train_divisibility_error_names_constraint(tmp_path, series_csv, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference
+import wavets.data
 from helpers import same_bits
 from wavets import ConfigError, DataError
 from wavets.config import SplitSection
@@ -122,6 +123,23 @@ class TestLoadCsv:
         assert len(calls) == 2
         assert frame.values.tolist() == [[10.0, 2.0], [3.0, 45.0]]
         assert same_bits(frame.values, reference.load_csv(underscored).values)
+
+    def test_plain_dated_and_one_column_files_skip_csv_reader(self, tmp_path, monkeypatch):
+        # The benchmark's two shapes: a dated multi-column file and a
+        # one-column series. Reaching csv.reader on either would only show
+        # as slower set-up, so its records function is made to raise.
+        def refuse(text):
+            raise AssertionError("csv.reader read a plain file that loadtxt reads")
+
+        monkeypatch.setattr(wavets.data, "_records", refuse)
+        dated = write(
+            tmp_path,
+            "date,a,b,c\n2016-07-01 00:00:00,1.5,-2,3e2\n2016-07-01 01:00:00,4,5.25,6\n",
+            name="dated.csv",
+        )
+        single = write(tmp_path, "s\n0.1\n\n-7\n1e-3\n", name="single.csv")
+        for path in (dated, single):
+            assert same_bits(load_csv(path).values, reference.load_csv(path).values)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

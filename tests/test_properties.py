@@ -440,6 +440,14 @@ def load_outcome(loader, path: str):
 @example(content=b"a,b\n1,\n")
 @example(content=b"a\n \n")
 @example(content="a\n\u0661\n".encode())
+# Plain text that np.loadtxt reads to another shape or refuses, so that
+# csv.reader decides: every row one field too wide with no date column,
+# one row too wide, one row too narrow, and under a date column a cell
+# only float() reads.
+@example(content=b"a,b\n1,2,3\n4,5,6\n")
+@example(content=b"a,b\n1,2\n3,4,5\n")
+@example(content=b"a,b,c\n1,2\n3,4\n")
+@example(content=b"date,a\n2016-07-01,1_0\n2016-07-02,2\n")
 def test_load_csv_matches_the_per_cell_loader(content):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "series.csv")
