@@ -37,7 +37,7 @@ import numpy as np
 from .config import TRANSFORM_KINDS, ModelConfig, RunConfig, load_run_config, power_of_two_text
 from .data import SeriesFrame, chronological_split, load_csv, standardize, windows, write_json
 from .errors import ConfigError, DataError, NumericalError
-from .metrics import MetricsReport, aggregate_report, format_value, key_value_text
+from .metrics import MetricsReport, format_value, key_value_text, score_chunks
 from .model import (
     check_windows,
     init_params,
@@ -92,7 +92,8 @@ def forecast_predictions(
     (W, H, C); inputs and targets are views of the spans, and the
     predictions one C-contiguous array that every chunk is written into.
     Only the operator's horizon columns are compiled and applied
-    (model.operator_chunks).
+    (model.operator_chunks). The commands score a split through
+    split_report, which holds no such array; this is for library callers.
     """
     spans = check_windows(spans, config, config.lookback + config.horizon)
     preds = np.empty((len(spans), config.horizon, config.channels))
@@ -108,13 +109,25 @@ def split_report(
     spans: np.ndarray,
     run: RunConfig,
 ) -> MetricsReport:
-    """Metrics of the forecasts over window spans; a non-finite forecast or
-    metric raises NumericalError instead of reaching a metric file."""
-    xs, ys, preds = forecast_predictions(params, spans, run.model)
-    if not np.all(np.isfinite(preds)):
-        raise NumericalError("the model produced a non-finite forecast")
-    report = aggregate_report(
-        xs, ys, preds, mode=run.metrics.mode, period=run.metrics.period
+    """Metrics of the forecasts over window spans. Each chunk that
+    model.operator_chunks forecasts goes straight to metrics.score_chunks,
+    so the split's whole forecast set is never held; a non-finite forecast
+    or metric raises NumericalError instead of reaching a metric file."""
+    config = run.model
+    spans = check_windows(spans, config, config.lookback + config.horizon)
+    lookback = config.lookback
+
+    def checked(chunk):
+        part, forecast = chunk
+        if not np.all(np.isfinite(forecast)):
+            raise NumericalError("the model produced a non-finite forecast")
+        return part[:, :lookback], part[:, lookback:], forecast
+
+    report = score_chunks(
+        map(checked, operator_chunks(params, spans, config, lookback)),
+        (len(spans), config.horizon, config.channels),
+        mode=run.metrics.mode,
+        period=run.metrics.period,
     )
     for name, value in report.scores():
         if value is not None and not math.isfinite(value):

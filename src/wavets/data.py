@@ -5,10 +5,10 @@ and the CSV and the run config through read_text, which decodes it as
 UTF-8 with a leading byte order mark dropped. json_object parses every
 JSON object: the run config's, which config.load_run_config reads with
 read_text, and the checkpoint's header line. write_json writes every
-JSON artifact. load_csv reads a plain CSV's value cells with NumPy's C
-reader; any other text, and plain text that reader refuses or would
-read otherwise, goes through csv.reader and float(), so every file
-gives the values and errors float() gives.
+JSON artifact. load_csv reads a plain CSV's value cells, LF or CRLF,
+with NumPy's C reader; any other text, and plain text that reader
+refuses or would read otherwise, goes through csv.reader and float(),
+so every file gives the values and errors float() gives.
 
 Frames are treated as immutable after load; windows are a read-only
 strided view into the frame's value matrix rather than copies. Where the
@@ -125,11 +125,17 @@ def _plain_lines(text: str) -> list[str] | None:
     """The lines of text when csv.reader's record of each is line.split(","),
     [] for a blank one; else None.
 
-    That holds when the text has no quote, carriage return or NUL and no
-    line is longer than csv.field_size_limit(), so no field can be either.
+    That holds when the text has no quote or NUL, no carriage return
+    outside a CRLF line end, which csv.reader ends a record at as at LF,
+    and no line longer than csv.field_size_limit(), so no field can be
+    any of these.
     """
-    if '"' in text or "\r" in text or "\0" in text:
+    if '"' in text or "\0" in text:
         return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()  # the last line's end opens no record
@@ -222,12 +228,12 @@ def load_csv(path: str) -> SeriesFrame:
     header as line 1). A leading UTF-8 byte order mark is dropped, so it
     never joins the first header name.
 
-    Text with no quote, carriage return or NUL is split at newlines and
-    its value cells read by np.loadtxt in one call. Any other text, and
-    plain text that reader refuses or would read otherwise than float()
-    (see _loadtxt_values), is read by csv.reader and every value cell
-    converted by float() in one pass. The record-by-record checks run
-    only to name the first bad cell.
+    Text with no quote, NUL or carriage return outside a CRLF line end is
+    split at its line ends and its value cells read by np.loadtxt in one
+    call. Any other text, and plain text that reader refuses or would read
+    otherwise than float() (see _loadtxt_values), is read by csv.reader
+    and every value cell converted by float() in one pass. The
+    record-by-record checks run only to name the first bad cell.
     """
     text = read_text(path)
     lines = _plain_lines(text)

@@ -64,7 +64,8 @@ against 3.89 ms under its Haswell kernel (medians of 300 interleaved
 calls). forward_batch is the operator's reference; the two differ only
 in rounding.
 operator_chunks is the one loop behind every fixed-parameter forecast: it
-compiles once and applies the operator OPERATOR_CHUNK windows at a time,
+compiles once and applies the operator OPERATOR_CHUNK windows at a time.
+cli.split_report scores each chunk as it comes (metrics.score_chunks),
 and cli.forecast_predictions writes each chunk into one preallocated
 array. check_windows is the one shape check of window arrays.
 
@@ -97,7 +98,8 @@ from .wdt import level_gains
 
 CHECKPOINT_VERSION = 4
 
-# Windows per GEMM on the fixed-parameter paths (operator_chunks).
+# Windows per GEMM on the fixed-parameter paths (operator_chunks), and so
+# per scored chunk (metrics.score_chunks).
 OPERATOR_CHUNK = 256
 
 # compile_operator carries its columns from a multiple of this: BLAS

@@ -13,8 +13,9 @@ states them: each level output as the two-tap sum dec_lo[0]*even +
 dec_lo[1]*odd (and its twins), and Adam as whole-vector expressions. The
 package computes both in other steps that must give the same bits.
 
-The short-horizon suite's loop is written from the displayed formulas
-too: one series at a time, each with its own seasonal-naive reference.
+The metric loops are written from the displayed formulas too: one
+series at a time, the short-horizon suite's each with its own
+seasonal-naive reference.
 
 The band-domain operator and its gradients are built from dense basis
 matrices the same way: the Haar rows above, and the real DFT and
@@ -423,6 +424,21 @@ def series_mase(truth: np.ndarray, pred: np.ndarray, period: int):
     if denom == 0.0:
         return None
     return float(np.mean(np.abs(truth - pred)) / denom)
+
+
+def long_suite_loop(truths, preds) -> tuple[float, float]:
+    """(mse, mae) of a (W, H, C) forecast set, one (window, channel) series
+    at a time: each series' sums of squared and absolute error, then the
+    mean of those sums over every series, divided by the horizon."""
+    w, h, c = truths.shape
+    sq_sums = np.empty((w, c))
+    abs_sums = np.empty((w, c))
+    for i in range(w):
+        for ch in range(c):
+            residual = truths[i, :, ch] - preds[i, :, ch]
+            sq_sums[i, ch] = np.sum(residual * residual)
+            abs_sums[i, ch] = np.sum(np.abs(residual))
+    return float(sq_sums.mean() / h), float(abs_sums.mean() / h)
 
 
 def short_suite_loop(windows_x, truths, preds, period: int):

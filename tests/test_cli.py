@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import wavets.cli
+import wavets.model
 from helpers import corrupt_projection_gradient, older_checkpoint, pinned_checkpoint
 from wavets.cli import load_splits, main, split_window_pairs
 from wavets.config import load_run_config
@@ -1056,6 +1057,34 @@ def test_eval_overflowing_forecast_exits_4(tmp_path, run_config, capsys):
     rc, err = eval_with_projection_weights(tmp_path, run_config, capsys, 1e308)
     assert rc == 4
     assert err == "numerical error: the model produced a non-finite forecast\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_nonfinite_forecast_past_the_first_chunk_exits_4(
+    tmp_path, run_config, capsys, monkeypatch
+):
+    # The split is scored chunk by chunk as it is forecast, so a non-finite
+    # forecast in a later chunk must stop eval as one in the first does,
+    # after the first chunk was scored and before metrics.txt is written.
+    out = run_train(tmp_path, run_config, "r")
+    monkeypatch.setattr(wavets.model, "OPERATOR_CHUNK", 2)
+    forecast_chunks = wavets.cli.operator_chunks
+    chunks_made = []
+
+    def poisoned(*args):
+        for part, forecast in forecast_chunks(*args):
+            chunks_made.append(len(part))
+            if len(chunks_made) == 2:
+                forecast[-1, -1, -1] = np.nan
+            yield part, forecast
+
+    monkeypatch.setattr(wavets.cli, "operator_chunks", poisoned)
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(out / "checkpoint.bin"), "--out", str(tmp_path / "e")])
+    assert rc == 4
+    assert capsys.readouterr().err == "numerical error: the model produced a non-finite forecast\n"
+    assert chunks_made == [2, 2]
+    assert not (tmp_path / "e" / "metrics.txt").exists()
 
 
 @pytest.mark.parametrize("text", ["null", '"x"'])

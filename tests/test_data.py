@@ -80,7 +80,9 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             load_csv(path)
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["split", "csv_reader"])
+    @pytest.mark.parametrize(
+        "end", ["\n", "\r\n", "\r"], ids=["split", "crlf", "csv_reader"]
+    )
     @pytest.mark.parametrize(
         "last, words",
         [("x,4", r"line 4, column a: cannot parse 'x'"), ("3", r"line 4: 1 fields, header has 2")],
@@ -88,9 +90,10 @@ class TestLoadCsv:
     )
     def test_line_numbers_count_blank_lines(self, tmp_path, end, last, words):
         # The header is line 1 and the blank line 3, so the last row is line 4;
-        # a CR sends the text through csv.reader, plain text is split directly.
+        # a lone CR sends the text through csv.reader, LF and CRLF text is
+        # split directly.
         text = end.join(["a,b", "1,2", "", last]) + end
-        assert (_plain_lines(text) is None) == ("\r" in end)
+        assert (_plain_lines(text) is None) == (end == "\r")
         path = tmp_path / "series.csv"
         path.write_bytes(text.encode("utf-8"))
         with pytest.raises(DataError, match=r"series\.csv " + words):
@@ -125,20 +128,20 @@ class TestLoadCsv:
         assert same_bits(frame.values, reference.load_csv(underscored).values)
 
     def test_plain_dated_and_one_column_files_skip_csv_reader(self, tmp_path, monkeypatch):
-        # The benchmark's two shapes: a dated multi-column file and a
-        # one-column series. Reaching csv.reader on either would only show
-        # as slower set-up, so its records function is made to raise.
+        # The benchmark's two shapes, a dated multi-column file and a
+        # one-column series, and the dated file with CRLF line ends.
+        # Reaching csv.reader on any would only show as slower set-up, so
+        # its records function is made to raise.
         def refuse(text):
             raise AssertionError("csv.reader read a plain file that loadtxt reads")
 
         monkeypatch.setattr(wavets.data, "_records", refuse)
-        dated = write(
-            tmp_path,
-            "date,a,b,c\n2016-07-01 00:00:00,1.5,-2,3e2\n2016-07-01 01:00:00,4,5.25,6\n",
-            name="dated.csv",
-        )
+        dated_text = "date,a,b,c\n2016-07-01 00:00:00,1.5,-2,3e2\n2016-07-01 01:00:00,4,5.25,6\n"
+        dated = write(tmp_path, dated_text, name="dated.csv")
+        crlf = write(tmp_path, dated_text.replace("\n", "\r\n"), name="crlf.csv")
         single = write(tmp_path, "s\n0.1\n\n-7\n1e-3\n", name="single.csv")
-        for path in (dated, single):
+        assert same_bits(load_csv(crlf).values, load_csv(dated).values)
+        for path in (dated, crlf, single):
             assert same_bits(load_csv(path).values, reference.load_csv(path).values)
 
     def test_missing_file(self, tmp_path):

@@ -41,9 +41,9 @@ def test_pinned_list_names_every_export():
     ]
 
 
-# The bundled file takes the np.loadtxt fast path. A CRLF copy and a copy
-# with every cell quoted, each line rewritten as below, are read through
-# csv.reader, and must give the same bytes.
+# The bundled file takes the np.loadtxt fast path, and so does a CRLF
+# copy; a copy with every cell quoted is read through csv.reader. Each
+# copy's lines are rewritten as below, and each must give the same bytes.
 COPIES = {
     "crlf": lambda line: line + "\r",
     "quoted": lambda line: ",".join(f'"{cell}"' for cell in line.split(",")),

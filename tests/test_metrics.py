@@ -1,10 +1,17 @@
-"""Metric hand values, degenerate cases, and brute-force oracles."""
+"""Metric hand values, degenerate cases, brute-force oracles, and the
+chunked scoring of a split."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from reference import short_suite_loop
+import wavets.model
+from helpers import params_with_biases
+from reference import long_suite_loop, short_suite_loop
 from wavets import ConfigError, DataError
+from wavets.cli import forecast_predictions, split_report
+from wavets.config import MetricsSection, ModelConfig, RunConfig, TrainConfig
 from wavets.metrics import (
     MetricsReport,
     aggregate_report,
@@ -13,6 +20,8 @@ from wavets.metrics import (
     naive_seasonal,
     owa,
 )
+
+CHUNK = wavets.model.OPERATOR_CHUNK
 
 
 def long_report(truth, pred):
@@ -161,6 +170,7 @@ class TestShortSuite:
         assert (rep.smape, rep.mase, rep.owa) == short_suite_loop(
             windows_x, truths, preds, period
         )
+        assert (rep.mse, rep.mae) == long_suite_loop(truths, preds)
         assert rep.period == period
         return rep
 
@@ -208,10 +218,21 @@ class TestShortSuite:
             aggregate_report(*short_case(3, 8, 4, 2), mode="medium")
 
 
+@pytest.mark.parametrize("w", [1, 23, CHUNK, CHUNK + 44])
+def test_long_mode_matches_loop(w):
+    # Below, at and past one chunk: the chunk cuts move no bit.
+    windows_x, truths, preds = short_case(w, 16, 24, 3)
+    rep = aggregate_report(windows_x, truths, preds, mode="long")
+    assert (rep.mse, rep.mae) == long_suite_loop(truths, preds)
+    assert rep.period is None and rep.smape is None
+
+
 @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
 def test_long_mode_matches_mse_and_mae_on_window_layouts(layout):
     # Truths as the strided sliding-window view eval scores, predictions in
-    # forecast_predictions' C-contiguous layout or a transposed one.
+    # forecast_predictions' C-contiguous layout or a transposed one. Each
+    # series is summed on its own, so the whole-array means agree only to
+    # rounding.
     gen = np.random.default_rng(9)
     spans = np.lib.stride_tricks.sliding_window_view(
         gen.standard_normal((300, 7)), 48, axis=0
@@ -223,8 +244,73 @@ def test_long_mode_matches_mse_and_mae_on_window_layouts(layout):
     assert not truths.flags.c_contiguous
     assert preds.flags.c_contiguous == (layout == "contiguous")
     rep = aggregate_report(windows_x, truths, preds, mode="long")
+    assert (rep.mse, rep.mae) == long_suite_loop(truths, preds)
     residual = truths - preds
-    assert rep.mse == np.mean(residual**2) and rep.mae == np.mean(np.abs(residual))
+    assert rep.mse == pytest.approx(np.mean(residual**2), rel=1e-15, abs=0)
+    assert rep.mae == pytest.approx(np.mean(np.abs(residual)), rel=1e-15, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# cli.split_report: each forecast chunk scored as it is made
+
+
+def run_for(kind: str, mode: str) -> RunConfig:
+    model = ModelConfig(
+        lookback=32, horizon=16, channels=3, branches=2, levels=2, transform_kind=kind, seed=5
+    )
+    return RunConfig(
+        model=model, train=TrainConfig(), metrics=MetricsSection(mode=mode, period=4)
+    )
+
+
+def split_spans(run: RunConfig, count: int) -> np.ndarray:
+    # count (W, L+tau, C) sliding windows of one seeded series.
+    cfg = run.model
+    span = cfg.lookback + cfg.horizon
+    series = np.random.default_rng(4).standard_normal((count + span - 1, cfg.channels))
+    return np.lib.stride_tricks.sliding_window_view(series, span, axis=0).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("mode", ["long", "short"])
+@pytest.mark.parametrize("kind", ["wdt", "dft"])
+def test_split_report_scores_as_aggregate_report(kind, mode):
+    # Past one chunk, so the split is scored in two.
+    run = run_for(kind, mode)
+    params = params_with_biases(run.model, np.random.default_rng(11))
+    spans = split_spans(run, CHUNK + 44)
+    want = aggregate_report(
+        *forecast_predictions(params, spans, run.model), mode=mode, period=run.metrics.period
+    )
+    assert split_report(params, spans, run) == want
+
+
+# Bytes the traced peak may grow by beyond the score rows, for the small
+# Python objects of a longer chunk loop.
+PEAK_SLACK = 16 * 1024
+
+
+@pytest.mark.parametrize("mode, rows", [("long", 2), ("short", 6)])
+def test_split_report_memory_grows_only_by_its_score_rows(mode, rows):
+    # At 4W windows the only arrays larger than at W are the score rows,
+    # (rows, W, C) float64, so the traced peak may grow by 3W*C*8 bytes per
+    # row. A forecast set or residual of the split's size would add
+    # 3W*tau*C*8 bytes per array, and a chunk's forecasts kept alive while
+    # the next chunk's are made would add tau*W*C*8 bytes.
+    run = run_for("dft", mode)
+    params = params_with_biases(run.model, np.random.default_rng(11))
+    spans = split_spans(run, 4 * CHUNK)
+
+    def traced_peak(part):
+        split_report(params, part, run)
+        tracemalloc.start()
+        try:
+            split_report(params, part, run)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = traced_peak(spans) - traced_peak(spans[:CHUNK])
+    assert growth <= rows * 3 * CHUNK * run.model.channels * 8 + PEAK_SLACK
 
 
 class TestMetricsReport:

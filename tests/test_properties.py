@@ -415,10 +415,12 @@ def load_outcome(loader, path: str):
 @settings(PROPERTY_SETTINGS, max_examples=300)
 @given(content=csv_bytes())
 # Each of these sends the text through csv.reader rather than str.split:
-# CRLF and lone CR line ends, a NUL, quoted cells, a quoted comma, a
-# quoted newline, and a field past the csv module's size limit.
-@example(content=b"date,a\r\n2016-07-01,1\r\n2016-07-02,2\r\n")
+# lone CR line ends, alone or beside CRLF ones (a CR before a CRLF ends a
+# line of its own), a NUL, quoted cells, a quoted comma, a quoted newline,
+# and a field past the csv module's size limit.
 @example(content=b"a,b\r1,2\r\r3,4\r")
+@example(content=b"a,b\r\n1,2\r3,4\r\n")
+@example(content=b"a\r\r\n1\r\nx\r\n")
 @example(content=b"a\n1\n7\x00\n")
 @example(content=b'a,b\n1,"2"\n"3",4\n')
 @example(content=b'date,a\n"July 1, 2016",1\n"July 2, 2016",2\n')
@@ -448,6 +450,11 @@ def load_outcome(loader, path: str):
 @example(content=b"a,b\n1,2\n3,4,5\n")
 @example(content=b"a,b,c\n1,2\n3,4\n")
 @example(content=b"date,a\n2016-07-01,1_0\n2016-07-02,2\n")
+# CRLF text without a lone CR is split at its line ends, as LF text is: a
+# dated file, a bad cell after a blank line and a ragged row.
+@example(content=b"date,a\r\n2016-07-01,1\r\n2016-07-02,2\r\n")
+@example(content=b"a,b\r\n1,2\r\n\r\n3,x\r\n")
+@example(content=b"a,b\r\n1,2\r\n3,4,5\r\n")
 def test_load_csv_matches_the_per_cell_loader(content):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "series.csv")
