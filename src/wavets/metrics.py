@@ -194,33 +194,49 @@ def _score_chunk(
     denominator is zero or the horizon holds no full period.
 
     Every series is laid out contiguous along its horizon, so each
-    reduces exactly as it would alone.
+    reduces exactly as it would alone. In short mode the chunk holds the
+    stacked truth, model and reference series, (3, B, C, H), and two
+    arrays of the forecasts' size, (2, B, C, H): the residual magnitudes,
+    which become the SMAPE quotients in place, and a boolean mask. The
+    series become their magnitudes in place, and the forecasts'
+    magnitudes the SMAPE denominators.
     """
     b, h, c = truths.shape
     short = len(out) == 6
     if short:
-        # Time first, so one index builds every window's reference.
-        refs = naive_seasonal(windows_x.swapaxes(0, 1), h, period).swapaxes(0, 1)
         series = np.empty((3, b, c, h))
-        for dst, src in zip(series, (truths, preds, refs)):
-            np.copyto(dst, src.swapaxes(1, 2))
+        np.copyto(series[0], truths.swapaxes(1, 2))
+        np.copyto(series[1], preds.swapaxes(1, 2))
+        # Time first, so one index builds every window's reference.
+        refs = naive_seasonal(windows_x.swapaxes(0, 1), h, period)
+        np.copyto(series[2], refs.transpose(1, 2, 0))
+        del refs
         truth, forecasts = series[0], series[1:]
-        num = np.abs(truth - forecasts)
+        num = np.subtract(truth, forecasts)
     else:
         num = np.empty((1, b, c, h))
         np.subtract(truths.swapaxes(1, 2), preds.swapaxes(1, 2), out=num[0])
-        np.abs(num, out=num)
+    np.abs(num, out=num)
     abs_sums = num.sum(axis=-1)
     out[0] = abs_sums[0]
-    if short:
-        # SMAPE, 0/0 terms counted as 0.
-        den = np.abs(truth) + np.abs(forecasts)
-        quotient = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        out[2:4] = 200.0 * quotient.mean(axis=-1)
-        out[4:6] = np.nan
-        if h > period:
-            denom = np.abs(truth[..., period:] - truth[..., :-period]).mean(axis=-1)
-            # abs_sums / h is num.mean(axis=-1) to the bit.
-            np.divide(abs_sums / h, denom, out=out[4:6], where=denom != 0)
-    # |r|^2 is r^2 exactly, so the magnitudes are squared in place last.
-    np.square(num[0], out=num[0]).sum(axis=-1, out=out[1])
+    if not short:
+        # |r|^2 is r^2 exactly, so the magnitudes are squared in place.
+        np.square(num[0], out=num[0]).sum(axis=-1, out=out[1])
+        return
+    out[4:6] = np.nan
+    if h > period:
+        step = np.subtract(truth[..., period:], truth[..., :-period])
+        denom = np.abs(step, out=step).mean(axis=-1)
+        del step
+        # abs_sums / h is num.mean(axis=-1) to the bit.
+        np.divide(abs_sums / h, denom, out=out[4:6], where=denom != 0)
+    # SMAPE's denominators |f| + |t|, which is |t| + |f| to the bit, over
+    # the forecasts; |t| then holds the squared residuals.
+    np.abs(series, out=series)
+    forecasts += truth
+    np.square(num[0], out=truth).sum(axis=-1, out=out[1])
+    positive = forecasts > 0
+    np.divide(num, forecasts, out=num, where=positive)
+    # 0/0 terms, and any whose denominator is NaN, count as 0.
+    np.copyto(num, 0.0, where=np.logical_not(positive, out=positive))
+    out[2:4] = 200.0 * num.mean(axis=-1)

@@ -38,8 +38,10 @@ of adding the mean back the model is one product. Written on channel
 rows it is xb @ V; the code forms its transpose, V.T @ xb.T.
 _band_rows analyses the columns into xb.T, (L + bands, R), and
 _band_operator carries the projection back through the synthesis
-(_synthesis_adjoint) to the band maps, the band-domain operator V.
-_pull_back takes a gradient of V to the parameters. No row is
+(_synthesis_adjoint, run along the projection's (N, L+tau, m) row
+blocks) to the band maps, the band-domain operator V.
+_pull_back takes a gradient of V to the parameters, into a caller's
+gradient vector when given one. No row is
 synthesised: a step costs two (L, L+tau) products per channel row plus
 a fixed cost in the size of the parameters, so at the ETTh1 shape it
 beats synthesising every row from about 40 windows of 7 channels up and
@@ -112,18 +114,19 @@ _HAAR = make_filterbank("db1")
 
 
 def _irfft_adjoint(dz: np.ndarray, n_time: int) -> tuple[np.ndarray, np.ndarray]:
-    # Gradient of sum(dz * irfft(re + i*im, n)) w.r.t. (re, im).
-    spec = np.fft.rfft(dz, axis=-1)
+    # Gradient of sum(dz * irfft(re + i*im, n, axis=1)) w.r.t. (re, im),
+    # on (N, n, m) rows.
+    spec = np.fft.rfft(dz, axis=1)
     # Fresh contiguous arrays, not the spectrum's views weighted in place:
     # the GEMMs that read them would copy strided views again, which made
     # a dft training step slower.
     grad_re = (2.0 / n_time) * spec.real
     grad_im = (2.0 / n_time) * spec.imag
-    grad_re[..., 0] *= 0.5
-    grad_im[..., 0] = 0.0
+    grad_re[:, 0] *= 0.5
+    grad_im[:, 0] = 0.0
     if n_time % 2 == 0:
-        grad_re[..., -1] *= 0.5
-        grad_im[..., -1] = 0.0
+        grad_re[:, -1] *= 0.5
+        grad_im[:, -1] = 0.0
     return grad_re, grad_im
 
 
@@ -217,24 +220,33 @@ def _analyse(rows: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
     return dwt_multi(rows, _HAAR, config.levels)
 
 
-def _synthesise(bands: list[np.ndarray], config: ModelConfig) -> np.ndarray:
-    """The inverse of _analyse at length L+tau: the Haar synthesis
-    cascade, or the inverse real FFT of real + i*imag."""
+def _synthesise(bands: list[np.ndarray], config: ModelConfig, out: np.ndarray) -> None:
+    """The inverse of _analyse at length L+tau along axis 1 of the
+    (N, m_k, m) bands of _synthesis_adjoint, written into out,
+    (N, L+tau, m): the Haar synthesis cascade, each level allocated in
+    the layout of its inputs and the last written straight into out, or
+    the inverse real FFT of real + i*imag."""
     if config.transform_kind == "dft":
         # In place: one complex array, not two.
         spectrum = bands[1] * 1j
         spectrum += bands[0]
-        return np.fft.irfft(spectrum, n=config.lookback + config.horizon, axis=-1)
-    return idwt_multi(bands, _HAAR)
+        out[...] = np.fft.irfft(spectrum, n=config.lookback + config.horizon, axis=1)
+        return
+    idwt_multi([np.moveaxis(band, 1, -1) for band in bands], _HAAR, np.moveaxis(out, 1, -1))
 
 
 def _synthesis_adjoint(z: np.ndarray, config: ModelConfig) -> list[np.ndarray]:
-    """The adjoint of _synthesise on (..., L+tau) rows, band by band: the
-    analysis cascade (the Haar synthesis is orthonormal), or the weighted
-    forward real FFT of _irfft_adjoint."""
+    """The adjoint of _synthesise on (N, L+tau, m) rows, time along axis
+    1, band by band as C-contiguous (N, m_k, m) arrays: the analysis
+    cascade (the Haar synthesis is orthonormal), or the weighted forward
+    real FFT of _irfft_adjoint.
+
+    The cascade runs along the last axis of the moved-axis view, so each
+    level comes out laid out like its input and its moved-back band is
+    contiguous, with no copy of z."""
     if config.transform_kind == "dft":
         return list(_irfft_adjoint(z, config.lookback + config.horizon))
-    return _analyse(z, config)
+    return [np.moveaxis(band, -1, 1) for band in _analyse(np.moveaxis(z, 1, -1), config)]
 
 
 def _band_rows(centred: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -260,13 +272,17 @@ def _band_operator(
     k's (L+tau-start, N*m_out) projection. V stacks each band's [V_k; c_k],
     its map V_k = W_k @ q_k.T and its scaled bias c_k = b_k @ q_k.T, with
     the projection bias added to its last row; the q_k and V shrink with
-    the columns left out."""
+    the columns left out.
+
+    The projection weight's (N*(L+tau), m) rows are read in place as N
+    row blocks of L+tau, and _synthesis_adjoint runs along them, so each
+    q_k.T comes out contiguous, (N*m_out, m), and q_k is its transposed
+    view: the projection is not copied."""
     total = config.lookback + config.horizon
     *bands, (_, projection) = param_blocks(params, config)
-    # Output column j's projection weights as N branch series of length L+tau.
-    columns = projection[:-1].T[start:].reshape(-1, config.branches, total)
-    qs = [q.reshape(len(columns), -1) for q in _synthesis_adjoint(columns, config)]
-    operator = np.empty((sum(len(block) for _, block in bands), len(columns)))
+    rows = projection[:-1, start:].reshape(config.branches, total, -1)
+    qs = [band.reshape(-1, rows.shape[-1]).T for band in _synthesis_adjoint(rows, config)]
+    operator = np.empty((sum(len(block) for _, block in bands), rows.shape[-1]))
     lo = 0
     for scaled, q in zip(_scaled_band_maps(params, config), qs):
         np.matmul(scaled, q.T, out=operator[lo : lo + len(scaled)])
@@ -276,21 +292,32 @@ def _band_operator(
 
 
 def _pull_back(
-    gv: np.ndarray, qs: list[np.ndarray], params: np.ndarray, config: ModelConfig
+    gv: np.ndarray,
+    qs: list[np.ndarray],
+    params: np.ndarray,
+    config: ModelConfig,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The gradient vector of <gv, V> in the parameters, for a gradient gv
     of the V that _band_operator built from params with every column, and
-    qs its q_k.
+    qs its q_k; written into out, a parameter-shaped vector, when given.
 
     Band k's rows of gv, [G_k; s] with s the std row, give its block
     whole, [G_k; s] @ q_k, the bias row then scaled like its bias, and
-    q_k's gradient [G_k; s].T times the band's _scaled_band_maps map. The
-    projection's weight gradient is the synthesis of the q_k gradients,
-    its bias gradient gv's last row. Each q_k is popped from qs once its
-    band is pulled back, so none is alive during that synthesis and the
-    caller's list is left empty."""
+    q_k's gradient [G_k; s].T times the band's _scaled_band_maps map,
+    (L+tau, N*m_out), read as (N, m_out, L+tau) without a copy. The
+    projection's weight gradient is the synthesis of the q_k gradients
+    along that middle axis, its last level written straight into the
+    weight rows of the gradient's projection block through a strided
+    view, so no (L+tau, N, L+tau) temporary is made; its bias gradient is
+    gv's last row. Each q_k is popped from qs once its band is pulled
+    back, so none is alive during that synthesis and the caller's list is
+    left empty. The q_k gradient keeps this product's orientation: its
+    transpose, the map's transpose times [G_k; s], would give a
+    contiguous row layout, but OpenBLAS rounds some shapes differently
+    in that orientation (the dft at the ETTh1 shape among them)."""
     total = config.lookback + config.horizon
-    grads = np.empty_like(params)
+    grads = np.empty_like(params) if out is None else out
     *bands, (_, projection) = param_blocks(grads, config)
     dqs, lo = [], 0
     for (_, block), scaled, scale in zip(
@@ -301,9 +328,10 @@ def _pull_back(
         # The block's weight then bias: [G_k; s] @ q_k in one product.
         np.matmul(g, qs.pop(0), out=block)
         block[-1].reshape(config.branches, -1)[...] *= scale[:, None]
-        dqs.append((g.T @ scaled).reshape(total, config.branches, -1))
-    # The projection weight's rows are the synthesised columns of dq.
-    projection[:-1] = _synthesise(dqs, config).reshape(total, -1).T
+        # q_k's gradient [G_k; s].T @ scaled, (L+tau, N*m_out), seen as
+        # (N, m_out, L+tau) without a copy.
+        dqs.append((g.T @ scaled).T.reshape(config.branches, -1, total))
+    _synthesise(dqs, config, projection[:-1].reshape(config.branches, total, total))
     projection[-1] = gv[-1]
     return grads
 
@@ -391,9 +419,12 @@ def gradient_batch(
     params: np.ndarray,
     spans: np.ndarray,
     config: ModelConfig,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Exact batch-mean gradients of the joint loss over (B, L+tau, C) window
-    spans; returns (gradient vector, loss).
+    spans; returns (gradient vector, loss). The gradient is written into
+    out, a parameter-shaped float64 vector, when given, and out is
+    returned: a training loop passes one vector to every step.
 
     forward_batch's product V.T @ xb.T on the lookbacks; the residual
     against the span is formed in place in the fresh (L+tau, B, C) output
@@ -422,7 +453,7 @@ def gradient_batch(
     dproj *= 2.0 / residual.size
     gv = xbt @ dproj.T
     del xbt
-    return _pull_back(gv, qs, params, config), loss
+    return _pull_back(gv, qs, params, config, out), loss
 
 
 def compile_operator(params: np.ndarray, config: ModelConfig, start: int = 0) -> np.ndarray:

@@ -147,6 +147,11 @@ def train(
     validation epoch are returned; init, when given, is copied, never
     updated. A non-finite loss aborts with NumericalError so the caller
     can report it cleanly.
+
+    Besides the parameters and Adam's two moments, the loop holds one
+    gradient vector, which every step's gradient_batch writes into, and
+    the best copy, taken first at epoch 1's validation (it always
+    improves on inf), so a one-epoch run never holds one during its steps.
     """
     model_config.ensure_valid()
     train_config.ensure_valid()
@@ -159,8 +164,10 @@ def train(
     rng = np.random.Generator(np.random.PCG64(train_config.seed))
     adam_m = np.zeros_like(params)
     adam_v = np.zeros_like(params)
+    grads = np.empty_like(params)
     history = TrainHistory()
-    best_params = params.copy()
+    # Taken at the first validation, which always improves on inf.
+    best_params = None
     bad_epochs = 0
     step = 0
 
@@ -171,7 +178,7 @@ def train(
         sq_count = 0
         for lo in range(0, len(order), train_config.batch_size):
             idx = order[lo : lo + train_config.batch_size]
-            grads, batch_loss = gradient_batch(params, train_spans[idx], model_config)
+            grads, batch_loss = gradient_batch(params, train_spans[idx], model_config, out=grads)
             if not np.isfinite(batch_loss):
                 raise NumericalError(
                     f"non-finite training loss at epoch {epoch}, "

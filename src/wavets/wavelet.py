@@ -93,14 +93,18 @@ def dwt_level(signal: np.ndarray, fb: FilterBank) -> tuple[np.ndarray, np.ndarra
     return approx, np.subtract(even, odd, out=even)
 
 
-def idwt_level(approx: np.ndarray, detail: np.ndarray, fb: FilterBank) -> np.ndarray:
+def idwt_level(
+    approx: np.ndarray, detail: np.ndarray, fb: FilterBank, out: np.ndarray | None = None
+) -> np.ndarray:
     """Exact inverse of dwt_level; interleaves back to length 2*len(approx).
 
     out[2j] = rec_lo[0]*a_j + rec_hi[0]*d_j and out[2j+1] likewise with the
     second taps. With the Haar tap c that is c*a + c*d and c*a - c*d: c*a
     goes straight into the even slots and c*d into one half-length
     temporary, the odd slots take their difference, and then the even
-    slots add c*d in place.
+    slots add c*d in place. The result is written into out when given,
+    else into a new array laid out in memory like approx, so a level
+    along a strided time axis writes whole runs, not single values.
     """
     approx = np.asarray(approx, dtype=np.float64)
     detail = np.asarray(detail, dtype=np.float64)
@@ -110,7 +114,8 @@ def idwt_level(approx: np.ndarray, detail: np.ndarray, fb: FilterBank) -> np.nda
         )
     n = _time_length(approx)
     c = fb.rec_lo[0]
-    out = np.empty(approx.shape[:-1] + (2 * n,), dtype=np.float64)
+    if out is None:
+        out = np.empty_like(approx, shape=approx.shape[:-1] + (2 * n,))
     even, odd = out[..., 0::2], out[..., 1::2]
     np.multiply(approx, c, out=even)
     scaled_detail = c * detail
@@ -149,15 +154,18 @@ def dwt_multi(signal: np.ndarray, fb: FilterBank, levels: int) -> list[np.ndarra
     return [approx] + details
 
 
-def idwt_multi(bands: list[np.ndarray], fb: FilterBank) -> np.ndarray:
-    """Reconstruct the signal from dwt_multi's bands (exact inverse).
+def idwt_multi(
+    bands: list[np.ndarray], fb: FilterBank, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Reconstruct the signal from dwt_multi's bands (exact inverse); the
+    last level writes into out when given.
 
     idwt_level's shape check is the length check: a band of the wrong
     length raises DataError at the level that meets it.
     """
     if len(bands) < 2:
         raise DataError(f"a pyramid needs LL_K and at least one detail band, got {len(bands)}")
-    out = bands[0]
-    for detail in reversed(bands[1:]):
-        out = idwt_level(out, detail, fb)
-    return out
+    signal, details = bands[0], bands[:0:-1]
+    for detail in details[:-1]:
+        signal = idwt_level(signal, detail, fb)
+    return idwt_level(signal, details[-1], fb, out)

@@ -27,6 +27,10 @@ from .wavelet import FilterBank, dwt_multi, idwt_multi
 # needs n*k <= MAX_GAIN_EXPONENT.
 MAX_GAIN_EXPONENT = sys.float_info.max_exp - 1
 
+# Rows of the coefficient file, or cells of a scalogram line, formatted
+# per write by the CSV exports.
+EXPORT_SLICE = 4096
+
 
 def gain_bound_problem(order: int, levels: int) -> str | None:
     """Why an order-n transform at K levels has no float64 gains, or None
@@ -178,20 +182,26 @@ def energy_report(signal: np.ndarray, pyramid: DerivativePyramid) -> EnergyRepor
 def _bands_in_export_order(
     pyramid: DerivativePyramid,
 ) -> list[tuple[str, np.ndarray, float]]:
-    """_band_walk of a pyramid of one series with finite coefficients.
+    """_band_walk of a pyramid of one series with finite coefficients,
+    each band as a float64 array.
 
     The exports lay time along one axis, so a pyramid of a (..., T) batch
     is refused rather than written with its windows run together, and a
     non-finite coefficient raises NumericalError before any file opens.
     """
-    out = _band_walk(pyramid)
+    out = [
+        (label, np.asarray(coeffs, dtype=np.float64), gain)
+        for label, coeffs, gain in _band_walk(pyramid)
+    ]
     for label, coeffs, _ in out:
-        if np.ndim(coeffs) != 1:
+        if coeffs.ndim != 1:
             raise DataError(
                 f"exports need a pyramid of one series; band {label} has "
-                f"shape {np.shape(coeffs)}"
+                f"shape {coeffs.shape}"
             )
-        if not np.all(np.isfinite(coeffs)):
+        # A NaN is the band's min and max, and an infinity one of them, so
+        # no mask of the band's size is made.
+        if coeffs.size and not np.isfinite([coeffs.min(), coeffs.max()]).all():
             raise NumericalError(f"band {label} has non-finite coefficients")
     return out
 
@@ -200,16 +210,18 @@ def write_coefficients_csv(pyramid: DerivativePyramid, path: str) -> None:
     """Write one row per coefficient: band,index,value,gain.
 
     Values use repr precision so they round-trip to the same float64.
-    The file is written one band at a time; a pyramid whose bands are not
+    The file is written EXPORT_SLICE rows at a time, so the writer's
+    memory does not grow with the series; a pyramid whose bands are not
     1-D raises DataError.
     """
     bands = _bands_in_export_order(pyramid)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("band,index,value,gain\n")
         for label, coeffs, gain in bands:
-            values = np.asarray(coeffs, dtype=np.float64).tolist()
             tail = f",{gain!r}\n"
-            fh.write("".join([f"{label},{i},{v!r}{tail}" for i, v in enumerate(values)]))
+            for lo in range(0, len(coeffs), EXPORT_SLICE):
+                values = coeffs[lo : lo + EXPORT_SLICE].tolist()
+                fh.write("".join([f"{label},{i},{v!r}{tail}" for i, v in enumerate(values, lo)]))
 
 
 def write_scalogram_csv(pyramid: DerivativePyramid, path: str) -> None:
@@ -218,18 +230,30 @@ def write_scalogram_csv(pyramid: DerivativePyramid, path: str) -> None:
     Rows run LL_K, LH_K, ..., LH_1. Each cell is a coefficient's |value|
     divided by the largest |value| in the whole pyramid, repeated over the
     T / len(band) samples the coefficient covers; an all-zero pyramid
-    keeps its zeros. Each band's distinct values are formatted once and
-    repeated, and the file is written one band at a time; a pyramid whose
+    keeps its zeros. Each distinct value is formatted once and repeated.
+    The header and every row are written about EXPORT_SLICE cells at a
+    time, each slice's |value| / peak formed as it is written, so the
+    writer's memory does not grow with the series (a coefficient covering
+    more than EXPORT_SLICE samples is written whole); a pyramid whose
     bands are not 1-D raises DataError.
     """
     bands = _bands_in_export_order(pyramid)
-    amps = [np.abs(np.asarray(coeffs, dtype=np.float64)) for _, coeffs, _ in bands]
-    peak = np.max([amp.max() for amp in amps])
-    if peak > 0:
-        amps = [amp / peak for amp in amps]
+    # max |c| is max(max c, -min c): negation is exact, and no |c| array
+    # of the band's size is made.
+    peak = max(max(coeffs.max(), -coeffs.min()) for _, coeffs, _ in bands)
     t = pyramid.length
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("band," + ",".join(map(str, range(t))) + "\n")
-        for (label, _, _), amp in zip(bands, amps):
-            rep = t // amp.shape[0]
-            fh.write(label + "".join([f",{v!r}" * rep for v in amp.tolist()]) + "\n")
+        fh.write("band")
+        for lo in range(0, t, EXPORT_SLICE):
+            fh.write("".join([f",{i}" for i in range(lo, min(lo + EXPORT_SLICE, t))]))
+        fh.write("\n")
+        for label, coeffs, _ in bands:
+            rep = t // len(coeffs)
+            step = max(1, EXPORT_SLICE // rep)
+            fh.write(label)
+            for lo in range(0, len(coeffs), step):
+                amp = np.abs(coeffs[lo : lo + step])
+                if peak > 0:
+                    amp /= peak
+                fh.write("".join([f",{v!r}" * rep for v in amp.tolist()]))
+            fh.write("\n")

@@ -10,15 +10,17 @@ cell quoted.
 
 import hashlib
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavets import DataError
+from wavets import DataError, NumericalError
 from wavets.cli import main
 from wavets.wavelet import make_filterbank
 from wavets.wdt import (
+    EXPORT_SLICE,
     DerivativePyramid,
     wdt_forward,
     write_coefficients_csv,
@@ -164,3 +166,39 @@ def test_coefficient_export_validates_the_pyramid(tmp_path):
     with pytest.raises(DataError, match="band LH2 has length 1, but LL2 of length 2 needs 2"):
         write_coefficients_csv(bad, str(tmp_path / "c.csv"))
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("export", [write_coefficients_csv, write_scalogram_csv])
+def test_nonfinite_coefficient_rejected_before_the_file_opens(tmp_path, export, bad):
+    bands = wdt_forward(np.arange(16.0), make_filterbank("db1"), 2, 1).bands
+    bands[1] = bands[1].copy()
+    bands[1][5] = bad
+    with pytest.raises(NumericalError, match="band LH1 has non-finite coefficients"):
+        export(DerivativePyramid(order=1, bands=bands), str(tmp_path / "out.csv"))
+    assert not (tmp_path / "out.csv").exists()
+
+
+# Bytes the traced peak may grow by from n to 4n samples: the writers
+# format EXPORT_SLICE rows or cells per write, so nothing they hold grows
+# with the series; a band's values or line held whole would add about
+# 3 * 40 bytes per coefficient or cell of the larger series.
+EXPORT_GROWTH = 64 * 1024
+
+
+@pytest.mark.parametrize("export", [write_coefficients_csv, write_scalogram_csv])
+def test_export_memory_does_not_grow_with_the_series(tmp_path, export):
+    fb = make_filterbank("db1")
+    series = np.random.default_rng(5).standard_normal(16 * EXPORT_SLICE).cumsum()
+
+    def traced_peak(n):
+        pyramid = wdt_forward(series[:n], fb, 3, 1)
+        tracemalloc.start()
+        try:
+            export(pyramid, str(tmp_path / "out.csv"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n = 4 * EXPORT_SLICE
+    assert traced_peak(4 * n) - traced_peak(n) <= EXPORT_GROWTH

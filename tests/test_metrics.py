@@ -300,7 +300,7 @@ def test_split_report_memory_grows_only_by_its_score_rows(mode, rows):
     params = params_with_biases(run.model, np.random.default_rng(11))
     spans = split_spans(run, 4 * CHUNK)
 
-    def traced_peak(part):
+    def traced_peak(part, run):
         split_report(params, part, run)
         tracemalloc.start()
         try:
@@ -309,8 +309,20 @@ def test_split_report_memory_grows_only_by_its_score_rows(mode, rows):
         finally:
             tracemalloc.stop()
 
-    growth = traced_peak(spans) - traced_peak(spans[:CHUNK])
+    peak = traced_peak(spans[:CHUNK], run)
+    growth = traced_peak(spans, run) - peak
     assert growth <= rows * 3 * CHUNK * run.model.channels * 8 + PEAK_SLACK
+    if mode == "short":
+        # Beyond long mode's peak, a short-mode chunk holds its four more
+        # score rows and 4.25 arrays of the chunk's forecast size: the
+        # stacked truth, model and reference series (three), the residual
+        # magnitudes of both forecasts (two, against long mode's one) and
+        # their boolean mask (a quarter). A temporary formed out of place,
+        # as a (2, B, C, tau) |truth - forecasts| or SMAPE quotient, would
+        # add two more.
+        chunk_bytes = CHUNK * run.model.horizon * run.model.channels * 8
+        extra = peak - traced_peak(spans[:CHUNK], run_for("dft", "long"))
+        assert extra <= 4 * CHUNK * run.model.channels * 8 + 5 * chunk_bytes + PEAK_SLACK
 
 
 class TestMetricsReport:

@@ -1,10 +1,12 @@
 """Loss, analytic gradients vs central differences, Adam, training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import reference
-from helpers import corrupt_projection_gradient, tiny_config
+from helpers import corrupt_projection_gradient, params_with_biases, same_bits, tiny_config
 import wavets.model
 from wavets import ConfigError, DataError, NumericalError
 from wavets.model import (
@@ -128,6 +130,20 @@ class TestGradients:
         full = gradients(params, spans, cfg)
         singles = np.stack([gradients(params, spans[i : i + 1], cfg) for i in range(4)])
         np.testing.assert_allclose(full, singles.mean(axis=0), atol=1e-12)
+
+    @pytest.mark.parametrize("branches", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["wdt", "dwt", "dft"])
+    def test_gradient_into_out_is_the_fresh_gradient(self, kind, branches):
+        # train() passes one vector to every step; a stale value in it
+        # must not reach the result.
+        cfg = tiny_config(transform_kind=kind, branches=branches)
+        params = params_with_biases(cfg, np.random.default_rng(8))
+        spans = seeded_spans(cfg, 5)
+        fresh, loss = gradient_batch(params, spans, cfg)
+        buf = np.full_like(params, np.nan)
+        got, got_loss = gradient_batch(params, spans, cfg, out=buf)
+        assert got is buf and got_loss == loss
+        assert same_bits(buf, fresh)
 
 
 class TestGradientCheckFiniteDifferences:
@@ -419,3 +435,29 @@ class TestTrainLoop:
         assert evaluate_loss(params, spans, cfg) == pytest.approx(
             np.mean(per_window), rel=1e-12
         )
+
+
+# Parameter-sized arrays train() may hold at once where the parameters
+# dominate: the parameters, Adam's two moments and the one gradient vector
+# are four; a step adds the q_k or their gradients and the synthesis'
+# levels, and the validation pass the compiled operator's q_k, under three
+# more at this size (the projection is about 80% of the vector). A best copy
+# taken before the first validation, a second gradient alive through the
+# next step, or a copy of the projection or of its synthesised gradient
+# made in transposed order each add about one.
+TRAIN_PEAK_VECTORS = 7.5
+
+
+@pytest.mark.parametrize("kind", ["wdt", "dft"])
+def test_train_holds_a_few_parameter_vectors(kind):
+    cfg = tiny_config(lookback=64, horizon=64, channels=1, levels=2, transform_kind=kind)
+    spans = seeded_spans(cfg, 12)
+    tc = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=1, seed=1)
+    train(cfg, spans[:8], spans[8:], tc)
+    tracemalloc.start()
+    try:
+        train(cfg, spans[:8], spans[8:], tc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= TRAIN_PEAK_VECTORS * 8 * param_count(cfg) + spans.nbytes

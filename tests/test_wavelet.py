@@ -223,6 +223,22 @@ class TestLevelBits:
         want = reference.haar_level_inverse(approx, detail, fb)
         assert same_bits(idwt_level(approx, detail, fb), want)
 
+    def test_inverse_keeps_its_inputs_layout(self, fb, rng):
+        # Time along the middle axis in memory, as the model's synthesis
+        # of the projection gradient meets it: the level is laid out like
+        # its inputs, and out= takes the same bits.
+        approx = np.moveaxis(self.mixed(rng, (2, 16, 5)), 1, -1)
+        detail = np.moveaxis(self.mixed(rng, (2, 16, 5)), 1, -1)
+        want = reference.haar_level_inverse(approx, detail, fb)
+        got = idwt_level(approx, detail, fb)
+        assert same_bits(got, want) and np.moveaxis(got, -1, 1).flags.c_contiguous
+        out = np.empty((2, 32, 5))
+        assert idwt_level(approx, detail, fb, np.moveaxis(out, 1, -1)).base is out
+        assert same_bits(np.moveaxis(out, 1, -1), want)
+        bands = dwt_multi(np.moveaxis(out, 1, -1), fb, 2)
+        into = np.moveaxis(np.empty_like(out), 1, -1)
+        assert same_bits(idwt_multi(bands, fb, into), idwt_multi(bands, fb))
+
 
 class TestScalarAndEmptyInput:
     def test_scalar_rejected(self, fb):
