@@ -6,9 +6,10 @@ UTF-8 with a leading byte order mark dropped. json_object parses every
 JSON object: the run config's, which config.load_run_config reads with
 read_text, and the checkpoint's header line. write_json writes every
 JSON artifact. load_csv reads a plain CSV's value cells, LF or CRLF,
-with NumPy's C reader; any other text, and plain text that reader
-refuses or would read otherwise, goes through csv.reader and float(),
-so every file gives the values and errors float() gives.
+with NumPy's C reader, a slice of the text at a time; any other text,
+and plain text that reader refuses or would read otherwise, goes through
+csv.reader and float(), so every file gives the values and errors
+float() gives.
 
 Frames are treated as immutable after load; windows are a read-only
 strided view into the frame's value matrix rather than copies. Where the
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import itemgetter, lt
 
 import numpy as np
 
@@ -46,16 +47,6 @@ class SeriesFrame:
     @property
     def channels(self) -> int:
         return self.values.shape[1]
-
-
-def _timestamps_strictly_increasing(stamps: list[str]) -> bool:
-    # Enforceable only when every stamp parses as an ISO datetime; raw
-    # strings in unknown formats are accepted but not order-checked.
-    try:
-        parsed = [datetime.fromisoformat(s) for s in stamps]
-    except ValueError:
-        return True
-    return all(a < b for a, b in zip(parsed, parsed[1:]))
 
 
 def read_bytes(path: str, what: str = "", error: type[Exception] = DataError) -> bytes:
@@ -121,44 +112,54 @@ def _records(text: str) -> tuple[list[list[str]], str | None]:
     return records, None
 
 
-def _plain_lines(text: str) -> list[str] | None:
-    """The lines of text when csv.reader's record of each is line.split(","),
-    [] for a blank one; else None.
-
-    That holds when the text has no quote or NUL, no carriage return
-    outside a CRLF line end, which csv.reader ends a record at as at LF,
-    and no line longer than csv.field_size_limit(), so no field can be
-    any of these.
-    """
-    if '"' in text or "\0" in text:
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the last line's end opens no record
-    if max(map(len, lines), default=0) > csv.field_size_limit():
-        return None
-    return lines
-
+# Characters of text that load_csv's plain path splits and parses at a
+# time (a slice runs on to the end of the line it stops in), so that the
+# lines, stamps and cells it holds at once do not grow with the file.
+LOAD_SLICE = 64 * 1024
 
 # np.loadtxt strips these around a number as whitespace, while float()
 # refuses them.
 _LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 
 
-def _loadtxt_values(
-    text: str, body: list[str], width: int, has_date: bool
-) -> np.ndarray | None:
-    """The value cells of the plain body lines of text, parsed by NumPy's C
-    reader. None when there are none, when text holds one of
-    _LOADTXT_ONLY_SPACES, when a line under a date column is not as wide
-    as the header (usecols would drop an extra field unseen), or when the
-    reader refuses a cell or reads another shape, so that float() decides."""
-    if not body or any(map(text.__contains__, _LOADTXT_ONLY_SPACES)):
+def _slices(text: str, start: int):
+    """(lo, hi) of consecutive runs of whole lines covering text[start:]:
+    each ends just past a line end, or at the end of text, at least
+    LOAD_SLICE characters after it starts."""
+    while start < len(text):
+        hi = text.find("\n", start + LOAD_SLICE - 1) + 1 or len(text)
+        yield start, hi
+        start = hi
+
+
+def _plain_lines(text: str, lo: int, hi: int) -> list[str] | None:
+    """The lines of text[lo:hi], a run of whole lines of text that holds no
+    quote or NUL, when csv.reader's record of each is line.split(","),
+    "" for a blank one; else None.
+
+    That holds when the run has no carriage return outside a CRLF line
+    end, which csv.reader ends a record at as at LF, and no line longer
+    than csv.field_size_limit(), so no field can be either.
+    """
+    part = text[lo:hi]
+    if "\r" in part:
+        part = part.replace("\r\n", "\n")
+        if "\r" in part:
+            return None
+    lines = part.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the last line's end opens no record
+    limit = csv.field_size_limit()
+    if len(part) > limit and max(map(len, lines)) > limit:
         return None
+    return lines
+
+
+def _loadtxt_values(body: list[str], width: int, has_date: bool) -> np.ndarray | None:
+    """The value cells of plain non-blank lines, parsed by NumPy's C
+    reader. None when a line under a date column is not as wide as the
+    header (usecols would drop an extra field unseen), or when the reader
+    refuses a cell or reads another shape, so that float() decides."""
     if has_date and set(map(str.count, body, repeat(","))) - {width - 1}:
         return None
     try:
@@ -217,6 +218,126 @@ def _first_bad_record(
     raise AssertionError(f"{path}: the one-pass parse failed on no bad record")
 
 
+def _header_names(path: str, header: list[str]) -> tuple[bool, list[str]]:
+    """Whether the header row's first column is a date column, and the
+    channel names it declares; a header that declares none raises
+    DataError."""
+    has_date = bool(header) and header[0].strip().lower() == "date"
+    names = [h.strip() for h in (header[1:] if has_date else header)]
+    if not names:
+        raise DataError(f"{path}: header declares no value columns")
+    return has_date, names
+
+
+class _StampOrder:
+    """Whether a date column's stamps, fed in reading order a run at a
+    time, are strictly increasing. That is enforceable only when every
+    stamp parses as an ISO datetime; raw strings in unknown formats are
+    accepted but not order-checked. So the first pair out of order, or
+    mixing naive and offset-aware times, is only noted while stamps are
+    fed, and check raises it once they all have parsed."""
+
+    def __init__(self) -> None:
+        self.tail: list[datetime] = []  # the last stamp parsed, once one has
+        self.fault: str | None = None
+        self.parsed = True
+
+    def feed(self, stamps: list[str]) -> None:
+        if not self.parsed:
+            return
+        try:
+            run = self.tail + list(map(datetime.fromisoformat, stamps))
+        except ValueError:
+            self.parsed = False
+            return
+        if self.fault is None:
+            try:
+                if not all(map(lt, run, run[1:])):
+                    self.fault = "timestamps are not strictly increasing"
+            except TypeError:
+                self.fault = "timestamps mix naive and offset-aware times"
+        self.tail = run[-1:]
+
+    def check(self, path: str) -> None:
+        if self.parsed and self.fault:
+            raise DataError(f"{path}: {self.fault}")
+
+
+def _load_plain(path: str, text: str) -> SeriesFrame | None:
+    """load_csv's frame for text with no quote, NUL or _LOADTXT_ONLY_SPACES,
+    read slice by slice (_slices) into one preallocated array; None when a
+    slice is not plain (see _plain_lines) or its cells are not what
+    float() reads (see _loadtxt_values), so that _load_records decides.
+    Besides the text and the values, nothing it holds spans more than a
+    slice."""
+    if any(map(text.__contains__, '"\0' + _LOADTXT_ONLY_SPACES)):
+        return None
+    head = text.find("\n") + 1 or len(text)
+    first = _plain_lines(text, 0, head)
+    if first is None:
+        return None
+    if not first:
+        raise DataError(f"{path}: empty file, expected a header row")
+    header = first[0].split(",") if first[0] else []
+    has_date, names = _header_names(path, header)
+    # A row per line, blank lines leaving rows unused. A row that loads
+    # takes at least 2C characters with its line end, a character per
+    # value cell and the commas between its cells, so the second bound
+    # holds every row and keeps a file of blank lines under a wide header
+    # from sizing the array past 4 bytes per character of text.
+    rows = text.count("\n", head) + (len(text) > head and not text.endswith("\n"))
+    values = np.empty((min(rows, (len(text) - head + 1) // (2 * len(names))), len(names)))
+    order = _StampOrder()
+    filled = 0
+    for lo, hi in _slices(text, head):
+        lines = _plain_lines(text, lo, hi)
+        if lines is None:
+            return None
+        body = list(filter(None, lines))
+        if not body:
+            continue
+        part = _loadtxt_values(body, len(header), has_date)
+        if part is None or not np.isfinite(part).all():
+            return None
+        values[filled : filled + len(part)] = part
+        filled += len(part)
+        if has_date:
+            # A plain line's record is line.split(","): its first cell ends at its first comma.
+            order.feed([line.partition(",")[0].strip() for line in body])
+        # Let go of this slice's lines and cells before the next slice's are made.
+        del lines, body, part
+    if not filled:
+        raise DataError(f"{path}: no data rows")
+    order.check(path)
+    values.resize((filled, len(names)), refcheck=False)  # no view of it exists yet
+    return SeriesFrame(values=values, channel_names=names)
+
+
+def _load_records(path: str, text: str) -> SeriesFrame:
+    """load_csv's frame for any text, read as csv.reader's records with
+    every value cell converted by float() in one pass. The
+    record-by-record checks run only to name the first bad cell."""
+    records, error = _records(text)
+    if not records:
+        if error:
+            raise DataError(f"{path} {error}")
+        raise DataError(f"{path}: empty file, expected a header row")
+    has_date, names = _header_names(path, records[0])
+    body = list(filter(None, records[1:]))
+    values = _float_values(body, len(records[0]), has_date)
+    if values is None or not np.isfinite(values).all():
+        raise _first_bad_record(path, records, names, has_date)
+    if error:
+        raise DataError(f"{path} {error}")
+    if not body:
+        raise DataError(f"{path}: no data rows")
+    if has_date:
+        order = _StampOrder()
+        order.feed([row[0].strip() for row in body])
+        order.check(path)
+    return SeriesFrame(values=values.reshape(len(body), len(names)), channel_names=names)
+
+
 def load_csv(path: str) -> SeriesFrame:
     """Parse a comma-separated file with a header row into a SeriesFrame.
 
@@ -229,51 +350,17 @@ def load_csv(path: str) -> SeriesFrame:
     never joins the first header name.
 
     Text with no quote, NUL or carriage return outside a CRLF line end is
-    split at its line ends and its value cells read by np.loadtxt in one
-    call. Any other text, and plain text that reader refuses or would read
-    otherwise than float() (see _loadtxt_values), is read by csv.reader
-    and every value cell converted by float() in one pass. The
-    record-by-record checks run only to name the first bad cell.
+    read a slice of about LOAD_SLICE characters at a time: each slice is
+    split at its line ends, its value cells read by one np.loadtxt call
+    into its rows of the frame's array, and its stamps checked against
+    the slice before. Any other text, and plain text that reader refuses
+    or would read otherwise than float() (see _loadtxt_values), is read
+    by csv.reader and every value cell converted by float() in one pass.
+    The record-by-record checks run only to name the first bad cell.
     """
     text = read_text(path)
-    lines = _plain_lines(text)
-    if lines is None:
-        rows, error = _records(text)
-        header = rows[0] if rows else None
-    else:
-        rows, error = lines, None
-        header = (lines[0].split(",") if lines[0] else []) if lines else None
-    if header is None:
-        if error:
-            raise DataError(f"{path} {error}")
-        raise DataError(f"{path}: empty file, expected a header row")
-    has_date = bool(header) and header[0].strip().lower() == "date"
-    names = [h.strip() for h in (header[1:] if has_date else header)]
-    if not names:
-        raise DataError(f"{path}: header declares no value columns")
-    body = list(filter(None, rows[1:]))
-    if lines is None:
-        values = _float_values(body, len(header), has_date)
-        stamps = [row[0].strip() for row in body] if has_date else []
-    else:
-        values = _loadtxt_values(text, body, len(header), has_date)
-        if values is None:
-            values = _float_values(list(filter(None, _records(text)[0][1:])), len(header), has_date)
-        # A plain line's record is line.split(","): its first cell ends at its first comma.
-        stamps = [line.partition(",")[0].strip() for line in body] if has_date else []
-    if values is None or not np.isfinite(values).all():
-        raise _first_bad_record(path, _records(text)[0], names, has_date)
-    if error:
-        raise DataError(f"{path} {error}")
-    if not body:
-        raise DataError(f"{path}: no data rows")
-    try:
-        increasing = _timestamps_strictly_increasing(stamps)
-    except TypeError:
-        raise DataError(f"{path}: timestamps mix naive and offset-aware times") from None
-    if not increasing:
-        raise DataError(f"{path}: timestamps are not strictly increasing")
-    return SeriesFrame(values=values.reshape(len(body), len(names)), channel_names=names)
+    frame = _load_plain(path, text)
+    return _load_records(path, text) if frame is None else frame
 
 
 def chronological_split(
@@ -302,10 +389,12 @@ def standardize(parts: tuple[SeriesFrame, ...]) -> tuple[SeriesFrame, ...]:
     mean = parts[0].values.mean(axis=0)
     std = parts[0].values.std(axis=0)
     std = np.where(std == 0.0, 1e-8, std)
-    return tuple(
-        SeriesFrame(values=(p.values - mean) / std, channel_names=p.channel_names)
-        for p in parts
-    )
+    scaled = []
+    for p in parts:
+        values = p.values - mean
+        values /= std  # in place, so a part makes one array of its size, not two
+        scaled.append(SeriesFrame(values=values, channel_names=p.channel_names))
+    return tuple(scaled)
 
 
 def windows(

@@ -113,7 +113,7 @@ def aggregate_report(
     """Metrics over a whole forecast set.
 
     windows_x is (W, L, C), truths/preds are (W, H, C). The arrays are
-    sliced model.OPERATOR_CHUNK windows at a time and scored by
+    sliced model.chunk_windows(C) windows at a time and scored by
     score_chunks, as cli.split_report scores a split, so no array of the
     set's size is built.
     """
@@ -122,7 +122,7 @@ def aggregate_report(
     preds = np.asarray(preds, dtype=np.float64)
     if truths.shape != preds.shape:
         raise DataError(f"shape mismatch: truth {truths.shape} vs pred {preds.shape}")
-    step = model.OPERATOR_CHUNK
+    step = model.chunk_windows(truths.shape[-1])
     chunks = (
         (windows_x[lo : lo + step], truths[lo : lo + step], preds[lo : lo + step])
         for lo in range(0, len(truths), step)

@@ -66,7 +66,7 @@ against 3.89 ms under its Haswell kernel (medians of 300 interleaved
 calls). forward_batch is the operator's reference; the two differ only
 in rounding.
 operator_chunks is the one loop behind every fixed-parameter forecast: it
-compiles once and applies the operator OPERATOR_CHUNK windows at a time.
+compiles once and applies the operator chunk_windows(C) windows at a time.
 cli.split_report scores each chunk as it comes (metrics.score_chunks),
 and cli.forecast_predictions writes each chunk into one preallocated
 array. check_windows is the one shape check of window arrays.
@@ -101,8 +101,13 @@ from .wdt import level_gains
 CHECKPOINT_VERSION = 4
 
 # Windows per GEMM on the fixed-parameter paths (operator_chunks), and so
-# per scored chunk (metrics.score_chunks).
+# per scored chunk (metrics.score_chunks), unless ROW_BUDGET allows fewer.
 OPERATOR_CHUNK = 256
+
+# (window, channel) series a chunk may hold: the model maps each series on
+# its own, so a chunk's arrays have a column per series. 256 windows at
+# C=7; a wider frame takes fewer windows per chunk.
+ROW_BUDGET = 1792
 
 # compile_operator carries its columns from a multiple of this: BLAS
 # kernels tile a product's columns in blocks of up to 16 counted from its
@@ -485,15 +490,24 @@ def apply_operator(xs: np.ndarray, operator: np.ndarray, config: ModelConfig) ->
     return _window_view(out, config)
 
 
+def chunk_windows(channels: int) -> int:
+    """Windows per chunk on the fixed-parameter paths at channels channels:
+    OPERATOR_CHUNK, or fewer, as many as ROW_BUDGET (window, channel)
+    series allow, one at least."""
+    return max(1, min(OPERATOR_CHUNK, ROW_BUDGET // max(1, channels)))
+
+
 def operator_chunks(
     params: np.ndarray, spans: np.ndarray, config: ModelConfig, start: int = 0
 ):
     """Compile the operator's columns start: once and apply them to checked
-    (W, L+tau, C) window spans, OPERATOR_CHUNK windows at a time so memory
-    stays flat; yields (span chunk, its forecast columns)."""
+    (W, L+tau, C) window spans, chunk_windows(C) windows at a time so
+    memory stays flat whatever W and C are; yields (span chunk, its
+    forecast columns)."""
     operator = compile_operator(params, config, start)
-    for lo in range(0, len(spans), OPERATOR_CHUNK):
-        part = spans[lo : lo + OPERATOR_CHUNK]
+    step = chunk_windows(config.channels)
+    for lo in range(0, len(spans), step):
+        part = spans[lo : lo + step]
         yield part, apply_operator(part[:, : config.lookback], operator, config)
 
 

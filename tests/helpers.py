@@ -1,11 +1,12 @@
 """Small helpers that several test modules share: the tiny model config,
 seeded parameters with nonzero biases, a relative error, a bit-for-bit
-comparison, gradient_check's negative control, and the pinned
-checkpoints of tests/checkpoints taken apart or laid out as an older
-writer laid them out."""
+comparison, a traced memory peak, gradient_check's negative control, and
+the pinned checkpoints of tests/checkpoints taken apart or laid out as an
+older writer laid them out."""
 
 import base64
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,17 @@ def same_bits(a, b) -> bool:
     """Equal shapes and float64 bit patterns, so -0.0 and 0.0 differ."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def traced_peak(call) -> int:
+    """The peak of the bytes tracemalloc traces while call() runs, counted
+    from zero at the call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def corrupt_projection_gradient(monkeypatch) -> None:

@@ -1,17 +1,21 @@
 """CSV loading, splitting, standardization, windowing."""
 
+import sys
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
 
 import reference
 import wavets.data
-from helpers import same_bits
+from helpers import same_bits, traced_peak
 from wavets import ConfigError, DataError
 from wavets.config import SplitSection
 from wavets.data import (
     SeriesFrame,
     _first_bad_record,
     _plain_lines,
+    _slices,
     chronological_split,
     load_csv,
     standardize,
@@ -93,7 +97,7 @@ class TestLoadCsv:
         # a lone CR sends the text through csv.reader, LF and CRLF text is
         # split directly.
         text = end.join(["a,b", "1,2", "", last]) + end
-        assert (_plain_lines(text) is None) == (end == "\r")
+        assert (_plain_lines(text, 0, len(text)) is None) == (end == "\r")
         path = tmp_path / "series.csv"
         path.write_bytes(text.encode("utf-8"))
         with pytest.raises(DataError, match=r"series\.csv " + words):
@@ -206,6 +210,186 @@ class TestLoadCsv:
             load_csv(path)
 
 
+def outcome(loader, path):
+    """A loader's channel names and value bits, or its DataError message."""
+    try:
+        frame = loader(path)
+    except DataError as exc:
+        return str(exc)
+    return frame.channel_names, frame.values.shape, frame.values.view(np.uint64).tolist()
+
+
+# One character makes every line a slice of its own, so every line end is
+# also a slice end; seven lets a slice hold a short line and the next.
+SLICE_SIZES = [1, 7, wavets.data.LOAD_SLICE]
+
+
+@pytest.mark.parametrize("size", SLICE_SIZES)
+class TestLoadSlices:
+    """load_csv reads plain text slice by slice: every slice boundary must
+    give the per-cell loader's values or its error, line number included."""
+
+    def same_as_per_cell(self, tmp_path, monkeypatch, size, content, csv_reader):
+        # csv_reader: whether the text must reach csv.reader's records.
+        monkeypatch.setattr(wavets.data, "LOAD_SLICE", size)
+        records = wavets.data._records
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return records(text)
+
+        monkeypatch.setattr(wavets.data, "_records", counted)
+        path = tmp_path / "series.csv"
+        path.write_bytes(content.encode("utf-8"))
+        got = outcome(load_csv, str(path))
+        assert got == outcome(reference.load_csv, str(path))
+        assert bool(calls) == csv_reader
+        return got
+
+    def test_slices_end_at_line_ends(self, size, monkeypatch):
+        monkeypatch.setattr(wavets.data, "LOAD_SLICE", size)
+        text = "a\n1\n\n22\r\n333"
+        bounds = list(_slices(text, 2))
+        assert bounds[0][0] == 2 and bounds[-1][1] == len(text)
+        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        assert all(text[hi - 1] == "\n" for _, hi in bounds[:-1])
+        if size == 1:
+            assert [text[lo:hi] for lo, hi in bounds] == ["1\n", "\n", "22\r\n", "333"]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_blank_line_and_line_ends(self, tmp_path, monkeypatch, size, end):
+        content = end.join(
+            ["date,a,b", "2016-07-01 00:00:00,1.5,-2", "", "2016-07-01 01:00:00,3e2,4", ""]
+        )
+        got = self.same_as_per_cell(tmp_path, monkeypatch, size, content, False)
+        assert got[1] == (2, 2)
+
+    @pytest.mark.parametrize(
+        "last, words",
+        [
+            ("5,x", "line 5, column b: cannot parse 'x' as a real number"),
+            ("5", "line 5: 1 fields, header has 2"),
+        ],
+        ids=["bad_cell", "ragged_row"],
+    )
+    def test_bad_row_in_a_later_slice(self, tmp_path, monkeypatch, size, last, words):
+        content = "a,b\n1,2\n3,4\n\n" + last + "\n6,7\n"
+        got = self.same_as_per_cell(tmp_path, monkeypatch, size, content, True)
+        assert got.endswith("series.csv " + words)
+
+    @pytest.mark.parametrize("cell", ['"3"', "3\0", "3\x1c"], ids=["quote", "nul", "fs"])
+    def test_csv_reader_text_in_a_later_slice(self, tmp_path, monkeypatch, size, cell):
+        content = "a\n1\n2\n" + cell + "\n4\n"
+        self.same_as_per_cell(tmp_path, monkeypatch, size, content, True)
+
+    def test_line_over_the_field_limit(self, tmp_path, monkeypatch, size):
+        content = "a\n1\n2\n" + "9" * 131073 + "\n"
+        got = self.same_as_per_cell(tmp_path, monkeypatch, size, content, True)
+        assert "series.csv line 4: field larger than field limit (131072)" in got
+
+    def test_long_lines_under_the_field_limit(self, tmp_path, monkeypatch, size):
+        # A slice past the limit, of lines that are not.
+        content = "a\n" + "0" * 99999 + "1\n" + "0" * 99999 + "2\n"
+        got = self.same_as_per_cell(tmp_path, monkeypatch, size, content, False)
+        assert got[1] == (2, 1)
+
+    UNORDERED = "timestamps are not strictly increasing"
+    MIXED = "timestamps mix naive and offset-aware times"
+
+    @pytest.mark.parametrize(
+        "stamps, words",
+        [
+            (["2016-07-02", "2016-07-01"], UNORDERED),
+            (["2016-07-01 00:00", "2016-07-01 01:00+00:00"], MIXED),
+            # The first fault in reading order names the error.
+            (["2016-07-02 00:00", "2016-07-01 00:00", "2016-07-03 00:00+00:00"], UNORDERED),
+            (["2016-07-01 00:00", "2016-07-02 00:00+00:00", "2016-07-01 00:00+00:00"], MIXED),
+        ],
+        ids=["order", "naive_aware", "order_then_mix", "mix_then_order"],
+    )
+    def test_stamp_faults_across_slices(self, tmp_path, monkeypatch, size, stamps, words):
+        content = "date,a\n" + "".join(f"{s},{i}\n" for i, s in enumerate(stamps))
+        got = self.same_as_per_cell(tmp_path, monkeypatch, size, content, False)
+        assert got.endswith("series.csv: " + words)
+
+    @pytest.mark.parametrize(
+        "stamps",
+        [
+            ["2016-07-02 00:00", "2016-07-01 00:00", "July 3"],
+            ["2016-07-01 00:00", "2016-07-02 00:00+00:00", "x"],
+        ],
+        ids=["order", "naive_aware"],
+    )
+    def test_an_unparseable_stamp_turns_the_order_check_off(
+        self, tmp_path, monkeypatch, size, stamps
+    ):
+        # The fault's stamps parse and a later one does not, which turns
+        # the order check off, as for a column in an unknown format: the
+        # fault raises nothing.
+        content = "date,a\n" + "".join(f"{s},{i}\n" for i, s in enumerate(stamps))
+        got = self.same_as_per_cell(tmp_path, monkeypatch, size, content, False)
+        assert got[1] == (3, 1)
+
+    def test_no_data_rows_after_blank_lines(self, tmp_path, monkeypatch, size):
+        got = self.same_as_per_cell(tmp_path, monkeypatch, size, "a,b\n\n\r\n\n", False)
+        assert got.endswith("series.csv: no data rows")
+
+
+def write_rows(tmp_path, rows: int, channels: int, dated: bool) -> str:
+    """A file of rows short cells in channels columns, after a date column
+    of hourly stamps when dated."""
+    cells = np.arange(rows * channels).reshape(rows, channels) % 10
+    lines = [",".join(f"{c}.5" for c in row) for row in cells]
+    if dated:
+        start = datetime(2016, 7, 1)
+        lines = [f"{start + timedelta(hours=i)},{line}" for i, line in enumerate(lines)]
+    header = ("date," if dated else "") + ",".join(f"c{i}" for i in range(channels))
+    return write(tmp_path, header + "\n" + "\n".join(lines) + "\n", name=f"rows{rows}.csv")
+
+
+def load_extra(path: str) -> int:
+    """load_csv's traced peak less its text and its values. The cells are
+    short, so the values outweigh the undecoded bytes, which the peak
+    holds beside the text only while it decodes them."""
+    text = wavets.data.read_text(path)
+    values = load_csv(path).values
+    assert values.nbytes > len(text)
+    return traced_peak(lambda: load_csv(path)) - sys.getsizeof(text) - values.nbytes
+
+
+# Bytes load_csv may hold besides its text and its values: one slice's
+# text, lines, stamps and cells and the loadtxt reader's buffers. At four
+# characters a line, the shortest here, a slice's lines take about 19
+# bytes a character: a str and two list entries a line.
+LOAD_EXTRA = 24 * wavets.data.LOAD_SLICE
+
+# Bytes that extra may grow by from n to 4n rows, each n past one slice:
+# a list of the file's lines would add over 50 bytes a line.
+LOAD_GROWTH = 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "rows, channels, dated",
+    [(16384, 1, False), (2048, 8, True), (64, 321, True)],
+    ids=["series", "dated", "wide"],
+)
+def test_load_csv_memory_does_not_grow_with_the_file(tmp_path, rows, channels, dated):
+    extra = load_extra(write_rows(tmp_path, rows, channels, dated))
+    grown = load_extra(write_rows(tmp_path, 4 * rows, channels, dated))
+    assert max(extra, grown) <= LOAD_EXTRA
+    assert grown - extra <= LOAD_GROWTH
+
+
+def test_blank_lines_do_not_size_the_values(tmp_path):
+    # 20000 blank lines and one row under a 4096-column header: an array
+    # of a row per line would take 655 MB.
+    header = ",".join(f"c{i}" for i in range(4096))
+    path = write(tmp_path, header + "\n" * 20001 + ",".join(["1"] * 4096) + "\n")
+    assert load_csv(path).values.shape == (1, 4096)
+    assert traced_peak(lambda: load_csv(path)) < 4 * 1024 * 1024
+
+
 def ratio_split(frame, ratios):
     borders = SplitSection(kind="ratio", ratios=ratios).borders(frame.length)
     return chronological_split(frame, borders)
@@ -287,6 +471,19 @@ class TestStandardize:
         first, later = standardize((frame_of(np.full(5, 7.0)), frame_of([7.0 + 1e-8])))
         np.testing.assert_allclose(first.values, 0.0)
         np.testing.assert_allclose(later.values, 1.0, rtol=1e-6)
+
+    def test_one_array_a_part_with_the_expression_bits(self, rng):
+        # Each part is (values - mean) / std bit for bit, made as one array
+        # of its size: the traced peak is the three parts' outputs, NumPy's
+        # 64 KiB broadcasting buffer and a few per-channel arrays, the train
+        # part's std temporary gone before them. A division out of place
+        # would add the train part's size.
+        frame = frame_of(rng.normal(5.0, 3.0, size=(4000, 16)))
+        parts = ratio_split(frame, (0.7, 0.1, 0.2))
+        mean, std = parts[0].values.mean(axis=0), parts[0].values.std(axis=0)
+        for got, part in zip(standardize(parts), parts):
+            assert same_bits(got.values, (part.values - mean) / std)
+        assert traced_peak(lambda: standardize(parts)) <= frame.values.nbytes + 80 * 1024
 
     def test_round_trip_with_inverted_stats(self, rng):
         # A two-row first part with mean -m/s and std 1/s inverts the

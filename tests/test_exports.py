@@ -10,12 +10,12 @@ cell quoted.
 
 import hashlib
 import importlib.util
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import traced_peak
 from wavets import DataError, NumericalError
 from wavets.cli import main
 from wavets.wavelet import make_filterbank
@@ -191,14 +191,9 @@ def test_export_memory_does_not_grow_with_the_series(tmp_path, export):
     fb = make_filterbank("db1")
     series = np.random.default_rng(5).standard_normal(16 * EXPORT_SLICE).cumsum()
 
-    def traced_peak(n):
+    def export_peak(n):
         pyramid = wdt_forward(series[:n], fb, 3, 1)
-        tracemalloc.start()
-        try:
-            export(pyramid, str(tmp_path / "out.csv"))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: export(pyramid, str(tmp_path / "out.csv")))
 
     n = 4 * EXPORT_SLICE
-    assert traced_peak(4 * n) - traced_peak(n) <= EXPORT_GROWTH
+    assert export_peak(4 * n) - export_peak(n) <= EXPORT_GROWTH

@@ -1,13 +1,11 @@
 """Metric hand values, degenerate cases, brute-force oracles, and the
 chunked scoring of a split."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import wavets.model
-from helpers import params_with_biases
+from helpers import params_with_biases, traced_peak
 from reference import long_suite_loop, short_suite_loop
 from wavets import ConfigError, DataError
 from wavets.cli import forecast_predictions, split_report
@@ -20,6 +18,7 @@ from wavets.metrics import (
     naive_seasonal,
     owa,
 )
+from wavets.model import evaluate_loss
 
 CHUNK = wavets.model.OPERATOR_CHUNK
 
@@ -254,9 +253,10 @@ def test_long_mode_matches_mse_and_mae_on_window_layouts(layout):
 # cli.split_report: each forecast chunk scored as it is made
 
 
-def run_for(kind: str, mode: str) -> RunConfig:
+def run_for(kind: str, mode: str, channels: int = 3) -> RunConfig:
     model = ModelConfig(
-        lookback=32, horizon=16, channels=3, branches=2, levels=2, transform_kind=kind, seed=5
+        lookback=32, horizon=16, channels=channels, branches=2, levels=2,
+        transform_kind=kind, seed=5,
     )
     return RunConfig(
         model=model, train=TrainConfig(), metrics=MetricsSection(mode=mode, period=4)
@@ -300,17 +300,12 @@ def test_split_report_memory_grows_only_by_its_score_rows(mode, rows):
     params = params_with_biases(run.model, np.random.default_rng(11))
     spans = split_spans(run, 4 * CHUNK)
 
-    def traced_peak(part, run):
+    def report_peak(part, run):
         split_report(params, part, run)
-        tracemalloc.start()
-        try:
-            split_report(params, part, run)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: split_report(params, part, run))
 
-    peak = traced_peak(spans[:CHUNK], run)
-    growth = traced_peak(spans, run) - peak
+    peak = report_peak(spans[:CHUNK], run)
+    growth = report_peak(spans, run) - peak
     assert growth <= rows * 3 * CHUNK * run.model.channels * 8 + PEAK_SLACK
     if mode == "short":
         # Beyond long mode's peak, a short-mode chunk holds its four more
@@ -321,8 +316,34 @@ def test_split_report_memory_grows_only_by_its_score_rows(mode, rows):
         # as a (2, B, C, tau) |truth - forecasts| or SMAPE quotient, would
         # add two more.
         chunk_bytes = CHUNK * run.model.horizon * run.model.channels * 8
-        extra = peak - traced_peak(spans[:CHUNK], run_for("dft", "long"))
+        extra = peak - report_peak(spans[:CHUNK], run_for("dft", "long"))
         assert extra <= 4 * CHUNK * run.model.channels * 8 + 5 * chunk_bytes + PEAK_SLACK
+
+
+@pytest.mark.parametrize("mode, rows", [("long", 2), ("short", 6)])
+def test_fixed_parameter_memory_does_not_grow_with_the_channels(mode, rows):
+    # A chunk holds at most ROW_BUDGET (window, channel) series, so from
+    # C=64 to C=256 over 64 windows evaluate_loss's traced peak may grow by
+    # PEAK_SLACK and split_report's by its score rows, (rows, W, C) float64,
+    # besides. Chunks of a fixed window count would grow each chunk array
+    # fourfold, by megabytes here.
+    windows = 64
+
+    def peaks(channels):
+        run = run_for("wdt", mode, channels)
+        params = params_with_biases(run.model, np.random.default_rng(11))
+        spans = split_spans(run, windows)
+        calls = (
+            lambda: evaluate_loss(params, spans, run.model),
+            lambda: split_report(params, spans, run),
+        )
+        for call in calls:
+            call()
+        return [traced_peak(call) for call in calls]
+
+    (loss, report), (wide_loss, wide_report) = peaks(64), peaks(256)
+    assert wide_loss - loss <= PEAK_SLACK
+    assert wide_report - report <= rows * windows * (256 - 64) * 8 + PEAK_SLACK
 
 
 class TestMetricsReport:

@@ -30,6 +30,7 @@ from wavets.data import SeriesFrame, windows
 from wavets.model import (
     ModelConfig,
     apply_operator,
+    chunk_windows,
     compile_operator,
     forward_batch,
 )
@@ -243,6 +244,16 @@ def test_forecast_predictions_fills_one_contiguous_array(kind, count):
     assert preds.shape == (count, cfg.horizon, cfg.channels)
     assert preds.dtype == np.float64 and preds.flags.c_contiguous
     assert rel_err(preds, want) <= REL_TOL
+
+
+def test_chunks_hold_the_row_budget(monkeypatch):
+    # Up to seven channels a chunk is OPERATOR_CHUNK windows, as before the
+    # budget; a wider frame takes ROW_BUDGET // C windows, one at least.
+    widths = [1, 7, 8, 21, 321, 1792, 1793]
+    assert [chunk_windows(c) for c in widths] == [CHUNK, CHUNK, 224, 85, 5, 1, 1]
+    assert wavets.model.ROW_BUDGET == 7 * CHUNK
+    monkeypatch.setattr(wavets.model, "OPERATOR_CHUNK", 5)
+    assert [chunk_windows(c) for c in widths] == [5, 5, 5, 5, 5, 1, 1]
 
 
 @pytest.mark.parametrize("kind", KINDS)

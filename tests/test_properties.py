@@ -14,6 +14,7 @@ import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 import reference  # noqa: E402
+import wavets.data  # noqa: E402
 from helpers import CHECKPOINTS, same_bits  # noqa: E402
 from wavets.cli import main  # noqa: E402
 from wavets.config import TRANSFORM_KINDS  # noqa: E402
@@ -471,6 +473,31 @@ def test_load_csv_matches_the_per_cell_loader(content):
         assert isinstance(got, str) and ": not UTF-8 text (" in got, (content, got)
         return
     assert got == want, content
+
+
+# The two tests above rerun with a one-character LOAD_SLICE: a slice then
+# ends at the next line end, so every line end is also a slice end.
+
+
+@PROPERTY_SETTINGS
+@given(content=csv_bytes())
+def test_any_csv_loads_or_exits_3_a_line_a_slice(content):
+    with mock.patch.object(wavets.data, "LOAD_SLICE", 1):
+        test_any_csv_loads_or_exits_3.hypothesis.inner_test(content)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(content=csv_bytes())
+@example(content=b"date,a\r\n2016-07-01,1\r\n\r\n2016-07-02,2\r\n")
+@example(content=b"a,b\n1,2\n\n3,x\n4,5\n")
+@example(content=b"a,b\n1,2\n3,4,5\n")
+@example(content=b'a\n1\n2\n"3"\n')
+@example(content=b"a\n1\n2\n3\x1c\n")
+@example(content=b"a\n1\n2\r3\n")
+@example(content=b"date,a\n2016-07-02,1\n2016-07-01,2\nJuly 3,3\n")
+def test_load_csv_matches_the_per_cell_loader_a_line_a_slice(content):
+    with mock.patch.object(wavets.data, "LOAD_SLICE", 1):
+        test_load_csv_matches_the_per_cell_loader.hypothesis.inner_test(content)
 
 
 # ---------------------------------------------------------------------------

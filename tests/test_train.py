@@ -1,12 +1,16 @@
 """Loss, analytic gradients vs central differences, Adam, training loop."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import reference
-from helpers import corrupt_projection_gradient, params_with_biases, same_bits, tiny_config
+from helpers import (
+    corrupt_projection_gradient,
+    params_with_biases,
+    same_bits,
+    tiny_config,
+    traced_peak,
+)
 import wavets.model
 from wavets import ConfigError, DataError, NumericalError
 from wavets.model import (
@@ -454,10 +458,5 @@ def test_train_holds_a_few_parameter_vectors(kind):
     spans = seeded_spans(cfg, 12)
     tc = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=1, seed=1)
     train(cfg, spans[:8], spans[8:], tc)
-    tracemalloc.start()
-    try:
-        train(cfg, spans[:8], spans[8:], tc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: train(cfg, spans[:8], spans[8:], tc))
     assert peak <= TRAIN_PEAK_VECTORS * 8 * param_count(cfg) + spans.nbytes
